@@ -268,6 +268,7 @@ def cmd_call(args):
     import json
 
     from repro.service.client import ServiceClient
+    from repro.service.prepared import QUERY_OPS
 
     payload = {}
     if args.op in ("graphlog", "datalog"):
@@ -302,12 +303,12 @@ def cmd_call(args):
 
     with ServiceClient(host=args.host, port=args.connect_port) as client:
         response = client.call(args.op, **payload)
-    if args.json or args.op in ("stats", "ping", "update", "profile", "checkpoint",
-                                "slowlog", "promote", "trace_get", "cluster_stats"):
-        print(json.dumps(response, indent=2, sort_keys=True))
-        return 0
-    if args.op == "explain":
+    if args.op == "explain" and not args.json:
         print(response["result"]["text"])
+        return 0
+    if args.json or args.op not in QUERY_OPS:
+        # Only the query languages answer with relations to tabulate.
+        print(json.dumps(response, indent=2, sort_keys=True))
         return 0
     relations = response["result"]["relations"]
     for name in sorted(relations):
@@ -456,6 +457,35 @@ def cmd_dot(args):
     query = parse_graphical_query(_load_text(args.query))
     print(graphical_query_to_dot(query))
     return 0
+
+
+def _one_of(load):
+    """An argparse ``type`` that accepts what ``load()`` lists.  The list is
+    read from the op table when the argument is parsed, not when the parser
+    is built: commands that never talk to a server do not import it."""
+
+    def check(value):
+        choices = load()
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(choices)})"
+            )
+        return value
+
+    return check
+
+
+def _call_ops():
+    """One request, one response: every op of the table that does not stream."""
+    from repro.service import protocol
+
+    return [name for name, spec in protocol.OPS.items() if not spec.streaming]
+
+
+def _query_ops():
+    from repro.service.prepared import QUERY_OPS
+
+    return QUERY_OPS
 
 
 def build_parser():
@@ -624,17 +654,14 @@ def build_parser():
     p_promote.set_defaults(func=cmd_promote)
 
     p_call = sub.add_parser("call", help="send one request to a running server")
-    p_call.add_argument("op", choices=("graphlog", "datalog", "rpq", "update",
-                                       "stats", "ping", "explain", "profile",
-                                       "checkpoint", "slowlog", "promote",
-                                       "trace_get", "cluster_stats"))
+    p_call.add_argument("op", type=_one_of(_call_ops),
+                        help="any op of docs/SERVICE.md's table that does not stream")
     p_call.add_argument("arg", nargs="?", default=None,
                         help="query file (graphlog/datalog) or regex (rpq)")
     p_call.add_argument("--host", default="127.0.0.1")
     p_call.add_argument("--port", dest="connect_port", type=int, default=7464)
     p_call.add_argument("--source", default=None, help="rpq start node")
-    p_call.add_argument("--target", default=None,
-                        choices=("graphlog", "datalog", "rpq"),
+    p_call.add_argument("--target", default=None, type=_one_of(_query_ops),
                         help="explain/profile: query language of the input")
     p_call.add_argument("--predicate", default=None, help="relation to return")
     p_call.add_argument("--method", default=None,
@@ -685,8 +712,7 @@ def build_parser():
         help="subscribe to a query on a running server and stream its deltas",
     )
     p_watch.add_argument("query", help="query file (graphlog/datalog) or regex (rpq)")
-    p_watch.add_argument("--target", default="graphlog",
-                         choices=("graphlog", "datalog", "rpq"),
+    p_watch.add_argument("--target", default="graphlog", type=_one_of(_query_ops),
                          help="query language of the input")
     p_watch.add_argument("--host", default="127.0.0.1")
     p_watch.add_argument("--port", dest="connect_port", type=int, default=7464)
@@ -710,8 +736,7 @@ def build_parser():
         "explain", help="trace a query end to end (spans, iterations, deltas)"
     )
     p_explain.add_argument("query", help="query file (graphlog/datalog) or regex (rpq)")
-    p_explain.add_argument("--op", default="graphlog",
-                           choices=("graphlog", "datalog", "rpq"),
+    p_explain.add_argument("--op", default="graphlog", type=_one_of(_query_ops),
                            help="query language of the input")
     p_explain.add_argument("--data", default=None,
                            help="Datalog fact file (local mode)")

@@ -56,6 +56,7 @@ from repro.obs.trace import (
     Tracer,
     flatten_span_tree,
     span,
+    trace_entry,
     tracer,
     tracing,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "set_node_prefix",
     "set_request_id",
     "span",
+    "trace_entry",
     "tracer",
     "tracing",
 ]

@@ -186,6 +186,22 @@ class HistogramData:
         clone.max = self.max
         return clone
 
+    def summary_ms(self, **seconds):
+        """``count`` and p50/p95/p99 in milliseconds (``None`` while empty)
+        — the shape ``stats`` and ``cluster_stats`` report a histogram in —
+        plus any further *seconds* values (``max_ms=hist.max``) likewise
+        converted."""
+        values = dict(
+            p50_ms=self.quantile(0.50),
+            p95_ms=self.quantile(0.95),
+            p99_ms=self.quantile(0.99),
+            **seconds,
+        )
+        doc = {"count": self.count}
+        for name, value in values.items():
+            doc[name] = None if value is None else round(value * 1000.0, 3)
+        return doc
+
     def quantile(self, q):
         """Estimate the *q*-quantile by interpolating inside the owning
         bucket, clamped to the observed ``[min, max]`` (so a single-sample
@@ -319,6 +335,24 @@ class MetricFamily:
                 f"{self.name}{suffix}{format_labels(labels)} {format_value(value)}"
             )
         return "\n".join(lines)
+
+
+def table_families(table, rows, missing=None):
+    """Families for a ``(name, kind, help, key)`` *table*, one per row of
+    the table, each sampled once per ``(labels, doc)`` in *rows* at
+    ``doc[key]``.  Booleans export as 0/1; a ``None`` value exports as
+    *missing*, or is left out when *missing* is ``None`` too."""
+    families = []
+    for name, kind, help_text, key in table:
+        family = MetricFamily(name, kind, help_text)
+        for labels, doc in rows:
+            value = doc.get(key)
+            if value is None:
+                value = missing
+            if value is not None:
+                family.add_sample(int(value) if isinstance(value, bool) else value, labels)
+        families.append(family)
+    return families
 
 
 class _Instrument:

@@ -333,6 +333,26 @@ def flatten_span_tree(root, node_id=None):
     return flat
 
 
+def trace_entry(root, trace_id, node_id, op, request_id=None, elapsed_ms=None, **extra):
+    """One finished span tree as the record a :class:`TraceRing` holds and
+    a span sink exports: who recorded it (*node_id*), for which *op*, and
+    the tree flattened for cross-node assembly.
+
+    ``request_id`` defaults to the trace id and ``elapsed_ms`` to the root
+    span's own duration; *extra* (``version``, ``slow``) lands before
+    ``spans``.
+    """
+    return {
+        "trace_id": trace_id,
+        "request_id": trace_id if request_id is None else request_id,
+        "node_id": node_id,
+        "op": op,
+        "elapsed_ms": round(root.elapsed_ms if elapsed_ms is None else elapsed_ms, 3),
+        **extra,
+        "spans": flatten_span_tree(root, node_id=node_id),
+    }
+
+
 class TraceRing:
     """A bounded, thread-safe ring of recent trace records.
 

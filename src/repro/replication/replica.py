@@ -222,17 +222,13 @@ class ReplicaApplier:
                     result = fn()
                 if self.traces is not None and (result or always_record):
                     self.traces.record(
-                        {
-                            "trace_id": tc.trace_id,
-                            "request_id": tc.trace_id,
-                            "node_id": self.node_id,
-                            "op": name,
-                            "elapsed_ms": round(tr.root.elapsed_ms, 3),
-                            "version": self.store.version,
-                            "spans": obs.flatten_span_tree(
-                                tr.root, node_id=self.node_id
-                            ),
-                        }
+                        obs.trace_entry(
+                            tr.root,
+                            tc.trace_id,
+                            self.node_id,
+                            name,
+                            version=self.store.version,
+                        )
                     )
                 return result
             return fn()

@@ -40,7 +40,6 @@ lives on the abandoned line — at-most-once per epoch, not globally.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import socketserver
 import threading
@@ -55,17 +54,12 @@ from repro.obs.metrics import (
     HistogramMergeError,
     MetricFamily,
     Registry,
+    table_families,
 )
 from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.service.client import ClientOps, ServiceClient
 
 logger = logging.getLogger(__name__)
-
-#: Ops that mutate state: always primary, and their version updates the token.
-WRITE_OPS = frozenset({"update", "checkpoint"})
-
-#: Reads that fan out across replicas.
-READ_OPS = frozenset({"graphlog", "datalog", "rpq", "explain", "profile"})
 
 #: RoutingClient counters folded into RouterServer totals per connection.
 ROUTING_COUNTERS = (
@@ -141,7 +135,7 @@ class _Backend:
         self.ejected_until = 0.0
 
 
-class RoutingClient:
+class RoutingClient(ClientOps):
     """Routes one logical client's requests across a replicated cluster.
 
     Not thread-safe (same contract as :class:`ServiceClient`): one routing
@@ -180,13 +174,8 @@ class RoutingClient:
         self.on_failover = on_failover
         self._rr = itertools.count()
         self._min_version = None
-        self.reads_routed = 0
-        self.writes_routed = 0
-        self.stale_redirects = 0
-        self.ejections = 0
-        self.primary_fallbacks = 0
-        self.failovers = 0
-        self.token_resets = 0
+        for name in ROUTING_COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------- routing
 
@@ -206,7 +195,10 @@ class RoutingClient:
             if tc.sampled:
                 with obs.tracing("route", context=tc, op=op) as tr:
                     response = self._route(op, payload)
-                self._record_trace(op, tr, tc)
+                if self.traces is not None:
+                    self.traces.record(
+                        obs.trace_entry(tr.root, tc.trace_id, self.node_id, op)
+                    )
             else:
                 response = self._route(op, payload)
         finally:
@@ -237,20 +229,6 @@ class RoutingClient:
             )
         return None
 
-    def _record_trace(self, op, tr, tc):
-        if self.traces is None:
-            return
-        self.traces.record(
-            {
-                "trace_id": tc.trace_id,
-                "request_id": tc.trace_id,
-                "node_id": self.node_id,
-                "op": op,
-                "elapsed_ms": round(tr.root.elapsed_ms, 3),
-                "spans": obs.flatten_span_tree(tr.root, node_id=self.node_id),
-            }
-        )
-
     def counters(self):
         """The routing counters as a dict (RouterServer folds these into
         cross-connection totals when the owning connection closes)."""
@@ -260,13 +238,21 @@ class RoutingClient:
         # One clock reading per routed call: every health judgment and
         # ejection stamp inside this call sees the same instant.
         now = time.monotonic()
-        if op in WRITE_OPS:
+        spec = protocol.op_spec(op)
+        if spec.streaming:
+            # Push frames would land in a pooled backend connection nobody
+            # reads; a stream needs its own connection to the node.
+            raise ProtocolError(
+                f"op {op!r} is a streaming op; connect to a node, e.g. the "
+                f"primary at {self.primary.address}"
+            )
+        if spec.route == "write":
             return self._call_write(op, payload, now)
-        if op in READ_OPS:
+        if spec.route == "read":
             return self._call_read(op, payload, now)
-        # Everything else (stats, ping, slowlog, repl_*) is served by the
-        # primary: those ops describe one concrete server, and the primary
-        # is the authoritative one.
+        # node ops describe one concrete server, and the primary is the
+        # authoritative one; of the cluster ops a bare routing client (no
+        # RouterServer in front) likewise gets the primary's own answer.
         try:
             return self._call_backend(self.primary, op, payload, now)
         except _BackendDown as exc:
@@ -436,36 +422,6 @@ class RoutingClient:
             raise
         return response
 
-    # ------------------------------------------------- ServiceClient facade
-
-    def graphlog(self, query, predicate=None, method=None, **limits):
-        response = self.call(
-            "graphlog", query=query, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def datalog(self, program, predicate=None, method=None, **limits):
-        response = self.call(
-            "datalog", query=program, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def rpq(self, regex, source=None, **limits):
-        response = self.call("rpq", query=regex, source=source, **limits)
-        return _relations(response)["answers"]
-
-    def update(self, nodes=None, edges=None):
-        return self.call("update", nodes=nodes, edges=edges)["version"]
-
-    def checkpoint(self):
-        return self.call("checkpoint")["result"]
-
-    def stats(self):
-        return self.call("stats")["result"]
-
-    def ping(self):
-        return self.call("ping")["result"]["pong"]
-
     def router_stats(self):
         """Routing-layer statistics (not a wire op)."""
         now = time.monotonic()
@@ -479,13 +435,7 @@ class RoutingClient:
                 }
                 for b in self.replicas
             ],
-            "reads_routed": self.reads_routed,
-            "writes_routed": self.writes_routed,
-            "stale_redirects": self.stale_redirects,
-            "ejections": self.ejections,
-            "primary_fallbacks": self.primary_fallbacks,
-            "failovers": self.failovers,
-            "token_resets": self.token_resets,
+            **self.counters(),
             "min_version": self._min_version,
         }
 
@@ -512,15 +462,16 @@ class _BackendDown(Exception):
         self.cause = cause
 
 
-def _relations(response):
-    return {
-        name: {tuple(row) for row in rows}
-        for name, rows in response["result"]["relations"].items()
-    }
-
-
-def _ms(seconds):
-    return None if seconds is None else round(seconds * 1000.0, 3)
+#: ``(name, kind, help, key)`` per-node rows of the ``repro_cluster_*``
+#: exposition; a node that did not answer has no version/lag/requests.
+_CLUSTER_NODE_FAMILIES = (
+    ("repro_cluster_node_up", "gauge", "1 when the node answered the stats fan-out", "ok"),
+    ("repro_cluster_node_version", "gauge", "Committed version per node", "version"),
+    ("repro_cluster_node_lag_versions", "gauge",
+     "Replica lag behind its primary, in versions", "lag_versions"),
+    ("repro_cluster_node_requests_total", "counter",
+     "Requests served per node (all ops)", "requests_total"),
+)
 
 
 class RouterServer:
@@ -693,40 +644,22 @@ class RouterServer:
     def _route_line(self, routing, line):
         request_id = None
         try:
-            try:
-                message = json.loads(line)
-            except ValueError as exc:
-                raise ProtocolError(f"request is not valid JSON: {exc}") from exc
-            if not isinstance(message, dict):
-                raise ProtocolError("request must be a JSON object")
-            request_id = message.get("id")
-            op = message.get("op")
-            if op not in protocol.OPS:
-                raise ProtocolError(
-                    f"unknown op {op!r}; expected one of {', '.join(protocol.OPS)}"
-                )
-            payload = {k: v for k, v in message.items() if k not in ("id", "op")}
-            if op == "trace_get":
+            message = protocol.decode_request(line)
+            request_id = message.pop("id", None)
+            op = message.pop("op")
+            if protocol.OPS[op].route == "cluster":
                 # Cluster-plane ops are answered by the router itself: it
                 # owns the topology, so it can fan out and merge instead of
                 # forwarding to one node that only knows its own slice.
                 started = time.monotonic()
-                result = self._trace_get(payload)
-                response = protocol.ok_response(
-                    None,
-                    result,
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            elif op == "cluster_stats":
-                started = time.monotonic()
-                result = self.cluster_stats()
+                result = getattr(self, "_op_" + op)(message)
                 response = protocol.ok_response(
                     None,
                     result,
                     elapsed_ms=(time.monotonic() - started) * 1000.0,
                 )
             else:
-                response = routing.call(op, **payload)
+                response = routing.call(op, **message)
         except ServiceError as exc:
             return protocol.error_response(request_id, exc)
         except Exception as exc:  # noqa: BLE001 — the router must not die mid-connection
@@ -739,29 +672,28 @@ class RouterServer:
     # ------------------------------------------------------- cluster plane
 
     def _topology(self):
+        """The current ``(primary, replicas)`` as ``"host:port"`` strings."""
         with self._topology_lock:
-            return self.primary, list(self.replicas)
+            primary, replicas = self.primary, list(self.replicas)
+        return (
+            "%s:%d" % parse_address(primary),
+            ["%s:%d" % parse_address(address) for address in replicas],
+        )
 
     def _each_node(self):
         """``(role, "host:port")`` for every node in the current topology."""
         primary, replicas = self._topology()
-        yield "primary", "%s:%d" % parse_address(primary)
+        yield "primary", primary
         for address in replicas:
-            yield "replica", "%s:%d" % parse_address(address)
+            yield "replica", address
 
     def _node_call(self, address, op, **payload):
         """One short-lived, bounded-timeout RPC to a single backend."""
         host, port = parse_address(address)
-        client = ServiceClient(host=host, port=port, timeout=self.fanout_timeout)
-        try:
+        with ServiceClient(host=host, port=port, timeout=self.fanout_timeout) as client:
             return client.call(op, **payload)
-        finally:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
 
-    def _trace_get(self, payload):
+    def _op_trace_get(self, payload):
         """Assemble one distributed trace: the router's own ring plus a
         ``trace_get`` fan-out to every node in the topology, merged into a
         single span list (span dicts carry ``node_id``, so the renderer can
@@ -822,7 +754,7 @@ class RouterServer:
             "nodes": nodes,
         }
 
-    def cluster_stats(self):
+    def _op_cluster_stats(self, _payload):
         """The cluster observability panel: per-node role/epoch/version/lag
         plus a cross-node aggregate whose latency quantiles come from
         *merged histograms* (quantiles of per-node quantiles would be
@@ -903,13 +835,7 @@ class RouterServer:
             ),
             "max_lag_versions": max(lags) if lags else None,
             "latency": {
-                op: {
-                    "count": hist.count,
-                    "p50_ms": _ms(hist.quantile(0.50)),
-                    "p95_ms": _ms(hist.quantile(0.95)),
-                    "p99_ms": _ms(hist.quantile(0.99)),
-                    "max_ms": _ms(hist.max),
-                }
+                op: hist.summary_ms(max_ms=hist.max)
                 for op, hist in sorted(merged.items())
             },
             "histograms_skipped": merge_skipped,
@@ -920,8 +846,8 @@ class RouterServer:
         router = {
             "node_id": self.node_id,
             "address": f"{self.host}:{self.port}",
-            "primary": "%s:%d" % parse_address(primary),
-            "replicas": ["%s:%d" % parse_address(a) for a in replicas],
+            "primary": primary,
+            "replicas": replicas,
             "connections": self.connections,
             "failovers": self.failovers,
             "uptime_seconds": round(
@@ -942,8 +868,8 @@ class RouterServer:
             "status": "ok",
             "role": "router",
             "node_id": self.node_id,
-            "primary": "%s:%d" % parse_address(primary),
-            "replicas": ["%s:%d" % parse_address(a) for a in replicas],
+            "primary": primary,
+            "replicas": replicas,
             "connections": self.connections,
             "failovers": self.failovers,
         }
@@ -953,13 +879,12 @@ class RouterServer:
         ``cluster_stats`` fan-out rendered as ``repro_cluster_*`` families
         (per-node up/version/lag/requests and merged latency histograms)."""
         totals = self.router_totals()
-        families = []
         routed = MetricFamily(
             "repro_router_requests_total", "counter", "Requests routed, by kind"
         )
         routed.add_sample(totals["reads_routed"], {"kind": "read"})
         routed.add_sample(totals["writes_routed"], {"kind": "write"})
-        families.append(routed)
+        families = [routed]
         for name in ROUTING_COUNTERS:
             if name in ("reads_routed", "writes_routed"):
                 continue
@@ -975,34 +900,15 @@ class RouterServer:
         except Exception:  # noqa: BLE001 — a scrape must not take down /metrics
             logger.exception("cluster_stats fan-out failed during scrape")
             return families
-        up = MetricFamily(
-            "repro_cluster_node_up",
-            "gauge",
-            "1 when the node answered the stats fan-out",
+        families.extend(
+            table_families(
+                _CLUSTER_NODE_FAMILIES,
+                [
+                    ({"address": entry["address"], "role": entry.get("role", "?")}, entry)
+                    for entry in doc["nodes"]
+                ],
+            )
         )
-        version = MetricFamily(
-            "repro_cluster_node_version", "gauge", "Committed version per node"
-        )
-        lag = MetricFamily(
-            "repro_cluster_node_lag_versions",
-            "gauge",
-            "Replica lag behind its primary, in versions",
-        )
-        requests = MetricFamily(
-            "repro_cluster_node_requests_total",
-            "counter",
-            "Requests served per node (all ops)",
-        )
-        for entry in doc["nodes"]:
-            labels = {"address": entry["address"], "role": entry.get("role", "?")}
-            up.add_sample(1 if entry["ok"] else 0, labels)
-            if entry.get("version") is not None:
-                version.add_sample(entry["version"], labels)
-            if entry.get("lag_versions") is not None:
-                lag.add_sample(entry["lag_versions"], labels)
-            if entry.get("requests_total") is not None:
-                requests.add_sample(entry["requests_total"], labels)
-        families.extend([up, version, lag, requests])
         families.append(
             MetricFamily(
                 "repro_cluster_nodes_ok",

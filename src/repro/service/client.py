@@ -53,7 +53,122 @@ class _Retryable(Exception):
         self.error = error
 
 
-class ServiceClient:
+class ClientOps:
+    """The request/response ops as methods over the subclass's
+    ``call(op, **payload)``, which returns the full response dict.
+
+    :class:`ServiceClient` (one connection) and
+    :class:`~repro.replication.router.RoutingClient` (a routed cluster)
+    both inherit these, so an op's Python spelling is written once.  The
+    streaming ops (``subscribe``/``unsubscribe``) need a connection of
+    their own and live on :class:`ServiceClient` only.
+    """
+
+    def graphlog(self, query, predicate=None, method=None, **limits):
+        """Evaluate a GraphLog DSL query; returns ``{predicate: set of rows}``."""
+        response = self.call(
+            "graphlog", query=query, predicate=predicate, method=method, **limits
+        )
+        return _relations(response)
+
+    def datalog(self, program, predicate=None, method=None, **limits):
+        """Evaluate a Datalog program; returns ``{predicate: set of rows}``."""
+        response = self.call(
+            "datalog", query=program, predicate=predicate, method=method, **limits
+        )
+        return _relations(response)
+
+    def rpq(self, regex, source=None, **limits):
+        """Evaluate a regular path query; returns a set of answer tuples."""
+        response = self.call("rpq", query=regex, source=source, **limits)
+        return _relations(response)["answers"]
+
+    def update(self, nodes=None, edges=None, remove_nodes=None, remove_edges=None):
+        """Commit node/edge insertions and removals; returns the new store
+        version.  Additions are applied before removals, in one transaction."""
+        response = self.call(
+            "update",
+            nodes=nodes,
+            edges=edges,
+            remove_nodes=remove_nodes,
+            remove_edges=remove_edges,
+        )
+        return response["version"]
+
+    def explain(self, query, target="graphlog", **params):
+        """Trace one query end to end; returns the explain result dict.
+
+        The result carries ``trace`` (the span tree), ``text`` (rendered
+        ASCII), ``phases`` (top-level phase → ms) and per-relation counts.
+        Caches are bypassed on the server so the trace always covers
+        compilation and evaluation.
+        """
+        response = self.call("explain", query=query, target=target, **params)
+        return response["result"]
+
+    def profile(self, query, target="graphlog", **params):
+        """Like :meth:`explain` without the rendered ASCII tree."""
+        response = self.call("profile", query=query, target=target, **params)
+        return response["result"]
+
+    def checkpoint(self):
+        """Force a durability checkpoint on the server; returns its info
+        dict (``version``, ``path``, segments pruned, elapsed ms).  Fails
+        with :class:`~repro.errors.ProtocolError` when the server runs
+        without ``--data-dir``."""
+        return self.call("checkpoint")["result"]
+
+    def stats(self, include_histograms=None):
+        """The server's metrics/cache/store statistics snapshot."""
+        return self.call("stats", include_histograms=include_histograms)["result"]
+
+    def trace_get(self, trace_id):
+        """The connected node's spans for *trace_id* (ring, slowlog
+        fallback); see ``repro trace`` for the cross-node assembly."""
+        return self.call("trace_get", trace_id=trace_id)["result"]
+
+    def cluster_stats(self):
+        """The router's merged per-node + aggregate statistics document.
+        Only routers answer this op; a plain node rejects it."""
+        return self.call("cluster_stats")["result"]
+
+    def slowlog(self, limit=None):
+        """The server's slow-query log, newest first.
+
+        Returns ``{"entries": [...], "stats": {...}}``; each entry carries
+        the originating ``request_id``, op, elapsed/threshold milliseconds
+        and (for traced requests) the full span tree under ``trace``.
+        """
+        return self.call("slowlog", limit=limit)["result"]
+
+    def repl_bootstrap(self):
+        """The server's replication bootstrap document (see
+        :meth:`repro.replication.ReplicationSource.bootstrap`)."""
+        return self.call("repl_bootstrap")["result"]
+
+    def repl_tail(self, from_version, max_records=None, wait_ms=None):
+        """Commit records after *from_version* (see
+        :meth:`repro.replication.ReplicationSource.tail`)."""
+        return self.call(
+            "repl_tail",
+            from_version=from_version,
+            max_records=max_records,
+            wait_ms=wait_ms,
+        )["result"]
+
+    def promote(self):
+        """Promote the connected *replica* to a writable primary under a
+        fresh epoch (see :meth:`repro.service.server.QueryService.promote`).
+        Fails with :class:`~repro.errors.ProtocolError` when the server is
+        not a replica.  Returns the promotion document (``promoted_from``,
+        ``applied_version``, ``epoch``)."""
+        return self.call("promote")["result"]
+
+    def ping(self):
+        return self.call("ping")["result"]["pong"]
+
+
+class ServiceClient(ClientOps):
     """One connection to a running :class:`~repro.service.server.ServiceServer`."""
 
     def __init__(
@@ -179,33 +294,18 @@ class ServiceClient:
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         while True:
             try:
-                line = self._readline(deadline)
+                response = self._read_message(deadline)
             except TimeoutError as exc:
-                # socket.timeout is TimeoutError on 3.10+; catch before OSError.
                 self._poison()
                 raise ServiceError(
                     f"timed out waiting for {self.host}:{self.port}; connection "
                     f"closed to avoid reading the stale response later: {exc}"
                 ) from exc
-            except OSError as exc:
-                self._poison()
-                raise ServiceError(
-                    f"connection to {self.host}:{self.port} failed: {exc}"
-                ) from exc
-            if not line:
-                self._poison()
-                raise ServiceError("server closed the connection")
-            try:
-                response = json.loads(line)
-            except ValueError as exc:
-                self._poison()
-                raise ServiceError(f"server sent invalid JSON: {exc}") from exc
-            if protocol.is_push_frame(response):
-                # Asynchronous subscription traffic interleaved with the
-                # response; apply it and keep reading.
-                self._dispatch_frame(response)
-                continue
-            break
+            if not protocol.is_push_frame(response):
+                break
+            # Asynchronous subscription traffic interleaved with the
+            # response; apply it and keep reading.
+            self._dispatch_frame(response)
         # Match ids BEFORE interpreting the body: a buffered stale response
         # must not surface its error (or worse, its result) as this call's.
         # ``id: null`` is allowed through — the server answers undecodable
@@ -219,6 +319,32 @@ class ServiceClient:
             )
         protocol.raise_for_error(response)
         return response
+
+    def _read_message(self, deadline):
+        """The next decoded message (response or push frame) off the wire.
+
+        A ``TimeoutError`` passes through untouched — whether the stream
+        survives a timeout is the caller's call; a dropped connection, EOF
+        or an undecodable line poisons the connection.
+        """
+        try:
+            line = self._readline(deadline)
+        except TimeoutError:
+            # socket.timeout is TimeoutError on 3.10+; catch before OSError.
+            raise
+        except OSError as exc:
+            self._poison()
+            raise ServiceError(
+                f"connection to {self.host}:{self.port} failed: {exc}"
+            ) from exc
+        if not line:
+            self._poison()
+            raise ServiceError("server closed the connection")
+        try:
+            return json.loads(line)
+        except ValueError as exc:
+            self._poison()
+            raise ServiceError(f"server sent invalid JSON: {exc}") from exc
 
     def _readline(self, deadline):
         """One newline-terminated line from the socket, buffering partial
@@ -276,23 +402,10 @@ class ServiceClient:
             )
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            line = self._readline(deadline)
+            message = self._read_message(deadline)
         except TimeoutError:
             # Partial data stays buffered; the stream is still intact.
             return False
-        except OSError as exc:
-            self._poison()
-            raise ServiceError(
-                f"connection to {self.host}:{self.port} failed: {exc}"
-            ) from exc
-        if not line:
-            self._poison()
-            raise ServiceError("server closed the connection")
-        try:
-            message = json.loads(line)
-        except ValueError as exc:
-            self._poison()
-            raise ServiceError(f"server sent invalid JSON: {exc}") from exc
         if not protocol.is_push_frame(message):
             self._poison()
             raise ServiceError(
@@ -308,111 +421,6 @@ class ServiceClient:
             self.close()
         except OSError:  # pragma: no cover - close errors are best-effort
             pass
-
-    # ---------------------------------------------------------- operations
-
-    def graphlog(self, query, predicate=None, method=None, **limits):
-        """Evaluate a GraphLog DSL query; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "graphlog", query=query, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def datalog(self, program, predicate=None, method=None, **limits):
-        """Evaluate a Datalog program; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "datalog", query=program, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def rpq(self, regex, source=None, **limits):
-        """Evaluate a regular path query; returns a set of answer tuples."""
-        response = self.call("rpq", query=regex, source=source, **limits)
-        return _relations(response)["answers"]
-
-    def update(self, nodes=None, edges=None, remove_nodes=None, remove_edges=None):
-        """Commit node/edge insertions and removals; returns the new store
-        version.  Additions are applied before removals, in one transaction."""
-        response = self.call(
-            "update",
-            nodes=nodes,
-            edges=edges,
-            remove_nodes=remove_nodes,
-            remove_edges=remove_edges,
-        )
-        return response["version"]
-
-    def explain(self, query, target="graphlog", **params):
-        """Trace one query end to end; returns the explain result dict.
-
-        The result carries ``trace`` (the span tree), ``text`` (rendered
-        ASCII), ``phases`` (top-level phase → ms) and per-relation counts.
-        Caches are bypassed on the server so the trace always covers
-        compilation and evaluation.
-        """
-        response = self.call("explain", query=query, target=target, **params)
-        return response["result"]
-
-    def profile(self, query, target="graphlog", **params):
-        """Like :meth:`explain` without the rendered ASCII tree."""
-        response = self.call("profile", query=query, target=target, **params)
-        return response["result"]
-
-    def checkpoint(self):
-        """Force a durability checkpoint on the server; returns its info
-        dict (``version``, ``path``, segments pruned, elapsed ms).  Fails
-        with :class:`~repro.errors.ProtocolError` when the server runs
-        without ``--data-dir``."""
-        return self.call("checkpoint")["result"]
-
-    def stats(self, include_histograms=None):
-        """The server's metrics/cache/store statistics snapshot."""
-        return self.call("stats", include_histograms=include_histograms)["result"]
-
-    def trace_get(self, trace_id):
-        """The connected node's spans for *trace_id* (ring, slowlog
-        fallback); see ``repro trace`` for the cross-node assembly."""
-        return self.call("trace_get", trace_id=trace_id)["result"]
-
-    def cluster_stats(self):
-        """The router's merged per-node + aggregate statistics document.
-        Only routers answer this op; a plain node rejects it."""
-        return self.call("cluster_stats")["result"]
-
-    def slowlog(self, limit=None):
-        """The server's slow-query log, newest first.
-
-        Returns ``{"entries": [...], "stats": {...}}``; each entry carries
-        the originating ``request_id``, op, elapsed/threshold milliseconds
-        and (for traced requests) the full span tree under ``trace``.
-        """
-        return self.call("slowlog", limit=limit)["result"]
-
-    def repl_bootstrap(self):
-        """The server's replication bootstrap document (see
-        :meth:`repro.replication.ReplicationSource.bootstrap`)."""
-        return self.call("repl_bootstrap")["result"]
-
-    def repl_tail(self, from_version, max_records=None, wait_ms=None):
-        """Commit records after *from_version* (see
-        :meth:`repro.replication.ReplicationSource.tail`)."""
-        return self.call(
-            "repl_tail",
-            from_version=from_version,
-            max_records=max_records,
-            wait_ms=wait_ms,
-        )["result"]
-
-    def promote(self):
-        """Promote the connected *replica* to a writable primary under a
-        fresh epoch (see :meth:`repro.service.server.QueryService.promote`).
-        Fails with :class:`~repro.errors.ProtocolError` when the server is
-        not a replica.  Returns the promotion document (``promoted_from``,
-        ``applied_version``, ``epoch``)."""
-        return self.call("promote")["result"]
-
-    def ping(self):
-        return self.call("ping")["result"]["pong"]
 
     # -------------------------------------------------------- subscriptions
 

@@ -1,26 +1,19 @@
 """Service metrics: counters, an in-flight gauge, and latency histograms.
 
-Latencies used to live in bounded per-op rings of recent samples from which
-p50/p95 were computed on demand.  That window had a bias worth naming: a
-2048-sample deque forgets everything older than the last 2048 requests, so
-a burst of fast cache hits evicts exactly the slow tail a dashboard wants,
-and two windows cannot be merged (percentiles of percentiles are
-meaningless).  Latencies and phase durations are now held in mergeable
-fixed-bucket histograms (:class:`repro.obs.metrics.HistogramData`): every
-observation since process start contributes, quantiles are interpolated
-inside the owning bucket and clamped to the observed extremes, and the same
-data renders as Prometheus text exposition through :attr:`exposition`.
+Latencies and phase durations are held in mergeable fixed-bucket
+histograms (:class:`repro.obs.metrics.HistogramData`): every observation
+since process start contributes, quantiles are interpolated inside the
+owning bucket and clamped to the observed extremes, and the same data
+renders as Prometheus text exposition through :attr:`exposition`.
 
-The dict-shaped :meth:`snapshot` keeps its exact keys (``counters``,
-``latency`` with ``count/p50_ms/p95_ms/max_ms``, ``phases`` with
-``count/p50_ms/p95_ms/total_ms``, ``in_flight``) so existing clients and
-tests are unaffected; ``p99_ms`` is added alongside.  All methods are
+The dict-shaped :meth:`snapshot` carries ``counters``, ``latency`` with
+``count/p50_ms/p95_ms/p99_ms/max_ms``, ``phases`` with
+``count/p50_ms/p95_ms/p99_ms/total_ms`` and ``in_flight``.  All methods are
 thread-safe; the asyncio server updates the registry from worker threads.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import defaultdict
 
@@ -33,35 +26,15 @@ from repro.obs.metrics import (
 )
 
 
-def percentile(samples, fraction):
-    """The *fraction*-quantile of *samples* (nearest-rank on a sorted copy).
-
-    Edge cases are defined, not exceptional: an empty window returns
-    ``None`` (callers render it as absent, never crash), and a single
-    sample is every percentile of itself.  Retained for ad-hoc use and
-    backward compatibility — the registry itself now uses bucketed
-    histograms, which don't suffer the sliding-window bias this function
-    inherits from whatever window it is handed.
-    """
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    rank = math.ceil(fraction * len(ordered)) - 1
-    return ordered[min(len(ordered) - 1, max(0, rank))]
-
-
 class MetricsRegistry:
     """Counts, gauges and latency histograms for the query service."""
 
-    def __init__(self, window=None):
-        # ``window`` is accepted for backward compatibility with the old
-        # sample-window implementation and ignored: histograms are not
-        # windowed.
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters = defaultdict(int)
         self._pinned = set()  # names set via set_counter (gauge semantics)
-        self._latency = {}
-        self._phases = {}
+        self._latency = defaultdict(HistogramData)
+        self._phases = defaultdict(HistogramData)
         self._in_flight = 0
         #: Prometheus exposition registry; the service adds its own
         #: collectors (store statistics) and renders this on scrape.
@@ -88,10 +61,7 @@ class MetricsRegistry:
 
     def observe_latency(self, op, seconds):
         with self._lock:
-            hist = self._latency.get(op)
-            if hist is None:
-                hist = self._latency[op] = HistogramData()
-            hist.observe(seconds)
+            self._latency[op].observe(seconds)
 
     def observe_phase(self, phase, seconds):
         """Record one pipeline-phase duration (plan, cache_lookup, evaluate,
@@ -104,10 +74,7 @@ class MetricsRegistry:
         cost at a single extra acquisition."""
         with self._lock:
             for phase, seconds in pairs:
-                hist = self._phases.get(phase)
-                if hist is None:
-                    hist = self._phases[phase] = HistogramData()
-                hist.observe(seconds)
+                self._phases[phase].observe(seconds)
 
     def request_started(self):
         with self._lock:
@@ -130,19 +97,13 @@ class MetricsRegistry:
         on the ~12µs cache-hit path)."""
         with self._lock:
             self._counters[f"requests.{op}"] += 1
-            hist = self._latency.get(op)
-            if hist is None:
-                hist = self._latency[op] = HistogramData()
-            hist.observe(seconds)
+            self._latency[op].observe(seconds)
             if self._in_flight > 0:
                 self._in_flight -= 1
             else:
                 self._counters["gauge.in_flight_clamped"] += 1
             for phase, elapsed in phases:
-                hist = self._phases.get(phase)
-                if hist is None:
-                    hist = self._phases[phase] = HistogramData()
-                hist.observe(elapsed)
+                self._phases[phase].observe(elapsed)
 
     # ------------------------------------------------------------- export
 
@@ -168,25 +129,14 @@ class MetricsRegistry:
         with self._lock:
             latency = {}
             for op, hist in self._latency.items():
-                entry = {
-                    "count": hist.count,
-                    "p50_ms": _ms(hist.quantile(0.50)),
-                    "p95_ms": _ms(hist.quantile(0.95)),
-                    "p99_ms": _ms(hist.quantile(0.99)),
-                    "max_ms": _ms(hist.max),
-                }
+                entry = hist.summary_ms(max_ms=hist.max)
                 if include_histograms:
                     entry["histogram"] = hist.to_wire()
                 latency[op] = entry
-            phases = {}
-            for phase, hist in self._phases.items():
-                phases[phase] = {
-                    "count": hist.count,
-                    "p50_ms": _ms(hist.quantile(0.50)),
-                    "p95_ms": _ms(hist.quantile(0.95)),
-                    "p99_ms": _ms(hist.quantile(0.99)),
-                    "total_ms": _ms(hist.sum),
-                }
+            phases = {
+                phase: hist.summary_ms(total_ms=hist.sum)
+                for phase, hist in self._phases.items()
+            }
             return {
                 "counters": dict(self._counters),
                 "latency": latency,
@@ -278,7 +228,3 @@ class MetricsRegistry:
                     ).add_histogram(fsync)
                 )
         return families
-
-
-def _ms(seconds):
-    return None if seconds is None else round(seconds * 1000.0, 3)

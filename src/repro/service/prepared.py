@@ -25,6 +25,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.errors import ProtocolError
+from repro.service import protocol
 
 _COMMENT = re.compile(r"[%#][^\n]*")
 _WHITESPACE = re.compile(r"\s+")
@@ -209,6 +210,11 @@ class PreparedQuery:
 
     def __repr__(self):
         return f"PreparedQuery({self.op}, {self.fingerprint[:12]}...)"
+
+
+#: The wire ops that name a query language — the ones a plan can be
+#: prepared for — in op-table order.
+QUERY_OPS = tuple(op for op in protocol.OPS if hasattr(PreparedQuery, f"_prepare_{op}"))
 
 
 class PreparedQueryCache:

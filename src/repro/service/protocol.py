@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 from repro.errors import (
     NotMaintainable,
@@ -58,26 +59,43 @@ from repro.errors import (
     SubscriptionError,
 )
 
-#: The operations a server understands.
-OPS = (
-    "graphlog",
-    "datalog",
-    "rpq",
-    "update",
-    "stats",
-    "ping",
-    "explain",
-    "profile",
-    "checkpoint",
-    "slowlog",
-    "repl_bootstrap",
-    "repl_tail",
-    "promote",
-    "subscribe",
-    "unsubscribe",
-    "trace_get",
-    "cluster_stats",
-)
+
+class OpSpec(NamedTuple):
+    """What an op *is*: who answers it, and whether it streams.
+
+    ``route``: ``read`` — any caught-up replica (a router fans these out);
+    ``write`` — the primary (its committed version becomes the router's
+    read-your-writes token); ``node`` — one concrete server (a router asks
+    the primary); ``cluster`` — the router, from the whole topology (a
+    node answers only what it holds a local slice of).  A ``streaming`` op
+    pushes frames on its own connection afterwards, so no router forwards it.
+    """
+
+    route: str
+    streaming: bool = False
+
+
+#: The operations a server understands — the one table server, router,
+#: client, CLI and docs/SERVICE.md read.
+OPS = {
+    "graphlog": OpSpec("read"),
+    "datalog": OpSpec("read"),
+    "rpq": OpSpec("read"),
+    "update": OpSpec("write"),
+    "stats": OpSpec("node"),
+    "ping": OpSpec("node"),
+    "explain": OpSpec("read"),
+    "profile": OpSpec("read"),
+    "checkpoint": OpSpec("write"),
+    "slowlog": OpSpec("node"),
+    "repl_bootstrap": OpSpec("node"),
+    "repl_tail": OpSpec("node"),
+    "promote": OpSpec("node"),
+    "subscribe": OpSpec("node", streaming=True),
+    "unsubscribe": OpSpec("node", streaming=True),
+    "trace_get": OpSpec("cluster"),
+    "cluster_stats": OpSpec("cluster"),
+}
 
 #: The push-frame kinds a server emits (see module docstring).
 FRAMES = ("delta", "snapshot", "closed")
@@ -117,9 +135,7 @@ def decode_request(line):
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"request must be a JSON object, got {type(message).__name__}")
-    op = message.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r}; expected one of {', '.join(OPS)}")
+    op_spec(message.get("op"))
     validate_budgets(message)
     trace = message.get("trace")
     if trace is not None:
@@ -129,6 +145,16 @@ def decode_request(line):
 
         TraceContext.from_wire(trace)
     return message
+
+
+def op_spec(op):
+    """The :class:`OpSpec` of *op*; an unknown op is a :class:`ProtocolError`."""
+    try:
+        return OPS[op]
+    except (KeyError, TypeError):
+        raise ProtocolError(
+            f"unknown op {op!r}; expected one of {', '.join(OPS)}"
+        ) from None
 
 
 def validate_budgets(message):
@@ -160,6 +186,7 @@ def validate_budgets(message):
         "wait_ms",
         "queue_max",
         "subscription",
+        "limit",
     ):
         value = message.get(field)
         if value is not None:

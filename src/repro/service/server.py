@@ -26,6 +26,8 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import (
@@ -36,164 +38,164 @@ from repro.errors import (
     ReproError,
     ResultTooLarge,
     StoreError,
+    SubscriptionError,
 )
 from repro.ham.store import HAMStore, new_epoch
 from repro.obs import context as trace_context
 from repro.obs import logs
-from repro.obs.metrics import MetricFamily
+from repro.obs.metrics import MetricFamily, table_families
 from repro.obs.slowlog import SlowQueryLog
 from repro.service import protocol
 from repro.service.cache import ResultCache, result_key
 from repro.service.metrics import MetricsRegistry
-from repro.service.prepared import PreparedQuery, PreparedQueryCache
+from repro.service.prepared import QUERY_OPS, PreparedQuery, PreparedQueryCache
 
 logger = logging.getLogger(__name__)
 
-_QUERY_OPS = ("graphlog", "datalog", "rpq")
 #: Request fields that parameterize evaluation (and the result-cache key).
 _PARAM_FIELDS = ("predicate", "method", "source")
 
 
+#: ``(name, kind, help, key)`` rows for :func:`table_families`, in
+#: exposition order: per-predicate store statistics, ...
+_PREDICATE_FAMILIES = (
+    ("repro_store_facts", "gauge", "Committed facts per predicate", "facts"),
+    ("repro_store_churn_rows_total", "counter",
+     "Delta rows inserted+deleted per predicate since start", "churn_rows"),
+    ("repro_store_churn_commits_total", "counter",
+     "Commits whose delta touched each predicate", "churn_commits"),
+)
+#: ... store size, ...
+_STORE_FAMILIES = (
+    ("repro_store_version", "gauge", "Committed store version", "version"),
+    ("repro_store_nodes", "gauge", "Nodes in the committed graph", "nodes"),
+    ("repro_store_edges", "gauge", "Edges in the committed graph", "edges"),
+)
+#: ... the replication source every node is, ...
+_REPL_SOURCE_FAMILIES = (
+    ("repro_repl_records_shipped_total", "counter",
+     "Commit records shipped to tailing replicas", "records_shipped"),
+    ("repro_repl_tail_requests_total", "counter", "repl_tail requests served", "tail_requests"),
+    ("repro_repl_bootstraps_served_total", "counter",
+     "repl_bootstrap documents served", "bootstraps_served"),
+    ("repro_repl_resets_total", "counter",
+     "Tails answered with a reset (replica must re-bootstrap)", "resets_signaled"),
+)
+#: ... a replica's applier (a None, e.g. the lag before the first poll,
+#: exports as -1), ...
+_REPL_APPLIER_FAMILIES = (
+    ("repro_repl_lag_versions", "gauge",
+     "Store versions this replica is behind its primary", "lag_versions"),
+    ("repro_repl_applied_version", "gauge",
+     "Last primary commit version applied locally", "applied_version"),
+    ("repro_repl_connected", "gauge",
+     "1 when the replica's tail connection to the primary is up", "connected"),
+    ("repro_repl_records_applied_total", "counter",
+     "Commit records applied from the primary", "records_applied"),
+    ("repro_repl_tail_errors_total", "counter",
+     "Tail/bootstrap attempts that failed (connection or apply)", "tail_errors"),
+    ("repro_repl_seconds_since_poll", "gauge",
+     "Seconds since the last successful tail poll (-1 before one)", "seconds_since_poll"),
+    ("repro_repl_epoch_rebootstraps_total", "counter",
+     "Re-bootstraps triggered by a primary epoch change", "epoch_rebootstraps"),
+)
+#: ... and materialized views.
+_VIEW_FAMILIES = (
+    ("repro_view_maintenance_seconds_total", "counter",
+     "Cumulative maintenance time per materialized view", "maintenance_s"),
+    ("repro_view_updates_total", "counter",
+     "Incremental maintenance runs per materialized view", "incremental_updates"),
+)
+
+
+@dataclass(slots=True)
 class ServiceConfig:
     """Tunables for one service instance."""
 
-    __slots__ = (
-        "host",
-        "port",
-        "workers",
-        "timeout",
-        "max_rows",
-        "max_bytes",
-        "plan_cache_size",
-        "result_cache_size",
-        "trace_ring_size",
-        "data_dir",
-        "fsync",
-        "fsync_interval",
-        "segment_bytes",
-        "checkpoint_every",
-        "keep_checkpoints",
-        "metrics_host",
-        "metrics_port",
-        "slow_ms",
-        "slowlog_capacity",
-        "slowlog_path",
-        "trace_sample",
-        "span_path",
-        "span_max_bytes",
-        "replica_of",
-        "repl_wait_ms",
-        "repl_max_lag",
-        "repl_disconnect_grace",
-        "version_wait_ms",
-        "engine",
-        "sub_queue_max",
-        "sub_policy",
-    )
+    host: str = "127.0.0.1"
+    port: int = 0
+    workers: int = 8
+    timeout: float = 30.0
+    max_rows: int = 100_000
+    max_bytes: int = 8 * 1024 * 1024
+    plan_cache_size: int = 256
+    result_cache_size: int = 1024
+    trace_ring_size: int = 64
+    #: When set, the HAM store is durable: commits are WAL-logged under
+    #: this directory and the service recovers from it at startup.
+    data_dir: str | None = None
+    fsync: str = "interval"
+    fsync_interval: float = 0.05
+    segment_bytes: int = 16 * 1024 * 1024
+    checkpoint_every: int = 0
+    keep_checkpoints: int = 2
+    #: When set, a telemetry HTTP endpoint (/metrics + /healthz) is
+    #: served on this port from a side thread (0 = ephemeral).
+    metrics_host: str = "127.0.0.1"
+    metrics_port: int | None = None
+    #: Requests slower than this many milliseconds are captured (with
+    #: their span tree) into the slow-query log; None disables it.
+    slow_ms: float | None = None
+    slowlog_capacity: int = 128
+    slowlog_path: str | None = None
+    #: Head-based trace sampling rate in [0, 1]: this fraction of
+    #: requests (deterministically, every 1/rate-th) runs under a full
+    #: request span tree, recorded in the trace ring and exported to
+    #: the span sink when one is configured.  Requests arriving with a
+    #: trace context honor the *sender's* decision instead.
+    trace_sample: float = 0.0
+    #: JSONL file sampled traces are exported to (rotated at
+    #: ``span_max_bytes``); None keeps traces ring-only.
+    span_path: str | None = None
+    span_max_bytes: int = 16 * 1024 * 1024
+    #: ``"host:port"`` of a primary to replicate from.  The service
+    #: becomes a read-only replica: it bootstraps and tails the primary
+    #: and rejects writes with a ``read_only`` error.
+    replica_of: str | None = None
+    #: Long-poll bound (ms) the replica's tail requests ask the primary
+    #: to wait when the replica is caught up.
+    repl_wait_ms: int = 2000
+    #: Replica lag (in store versions) beyond which ``/healthz`` turns
+    #: 503; None disables lag-based health (connectivity still counts).
+    repl_max_lag: int | None = None
+    #: Seconds a replica may be without a successful tail poll before
+    #: ``/healthz`` turns 503.  While disconnected the reported lag is
+    #: the *last known* value, not the current one, so a dead tail must
+    #: not hide behind a small stale lag; None disables the check.
+    repl_disconnect_grace: float | None = 10.0
+    #: How long (ms) a read carrying ``min_version`` may wait for this
+    #: store to catch up before failing with ``replica_stale``.
+    version_wait_ms: int = 2000
+    #: Default evaluation backend for requests that carry no explicit
+    #: ``method``: ``columnar`` (int-encoded kernels + CSR/bitset RPQ)
+    #: or ``native`` (the tuple-set walker).  See docs/ENGINE.md.
+    engine: str = "columnar"
+    #: Default per-subscription outbound queue bound and overflow
+    #: policy (``resync`` or ``disconnect``); per-subscribe overrides
+    #: via the ``queue_max``/``policy`` request fields.
+    sub_queue_max: int = 256
+    sub_policy: str = "resync"
 
-    def __init__(
-        self,
-        host="127.0.0.1",
-        port=0,
-        workers=8,
-        timeout=30.0,
-        max_rows=100_000,
-        max_bytes=8 * 1024 * 1024,
-        plan_cache_size=256,
-        result_cache_size=1024,
-        trace_ring_size=64,
-        data_dir=None,
-        fsync="interval",
-        fsync_interval=0.05,
-        segment_bytes=16 * 1024 * 1024,
-        checkpoint_every=0,
-        keep_checkpoints=2,
-        metrics_host="127.0.0.1",
-        metrics_port=None,
-        slow_ms=None,
-        slowlog_capacity=128,
-        slowlog_path=None,
-        trace_sample=0.0,
-        span_path=None,
-        span_max_bytes=16 * 1024 * 1024,
-        replica_of=None,
-        repl_wait_ms=2000,
-        repl_max_lag=None,
-        repl_disconnect_grace=10.0,
-        version_wait_ms=2000,
-        engine="columnar",
-        sub_queue_max=256,
-        sub_policy="resync",
-    ):
-        self.host = host
-        self.port = port
-        self.workers = workers
-        self.timeout = timeout
-        self.max_rows = max_rows
-        self.max_bytes = max_bytes
-        self.plan_cache_size = plan_cache_size
-        self.result_cache_size = result_cache_size
-        self.trace_ring_size = trace_ring_size
-        #: When set, the HAM store is durable: commits are WAL-logged under
-        #: this directory and the service recovers from it at startup.
-        self.data_dir = data_dir
-        self.fsync = fsync
-        self.fsync_interval = fsync_interval
-        self.segment_bytes = segment_bytes
-        self.checkpoint_every = checkpoint_every
-        self.keep_checkpoints = keep_checkpoints
-        #: When set, a telemetry HTTP endpoint (/metrics + /healthz) is
-        #: served on this port from a side thread (0 = ephemeral).
-        self.metrics_host = metrics_host
-        self.metrics_port = metrics_port
-        #: Requests slower than this many milliseconds are captured (with
-        #: their span tree) into the slow-query log; None disables it.
-        self.slow_ms = slow_ms
-        self.slowlog_capacity = slowlog_capacity
-        self.slowlog_path = slowlog_path
-        #: Head-based trace sampling rate in [0, 1]: this fraction of
-        #: requests (deterministically, every 1/rate-th) runs under a full
-        #: request span tree, recorded in the trace ring and exported to
-        #: the span sink when one is configured.  Requests arriving with a
-        #: trace context honor the *sender's* decision instead.
-        self.trace_sample = trace_sample
-        #: JSONL file sampled traces are exported to (rotated at
-        #: ``span_max_bytes``); None keeps traces ring-only.
-        self.span_path = span_path
-        self.span_max_bytes = span_max_bytes
-        #: ``"host:port"`` of a primary to replicate from.  The service
-        #: becomes a read-only replica: it bootstraps and tails the primary
-        #: and rejects writes with a ``read_only`` error.
-        self.replica_of = replica_of
-        #: Long-poll bound (ms) the replica's tail requests ask the primary
-        #: to wait when the replica is caught up.
-        self.repl_wait_ms = repl_wait_ms
-        #: Replica lag (in store versions) beyond which ``/healthz`` turns
-        #: 503; None disables lag-based health (connectivity still counts).
-        self.repl_max_lag = repl_max_lag
-        #: Seconds a replica may be without a successful tail poll before
-        #: ``/healthz`` turns 503.  While disconnected the reported lag is
-        #: the *last known* value, not the current one, so a dead tail must
-        #: not hide behind a small stale lag; None disables the check.
-        self.repl_disconnect_grace = repl_disconnect_grace
-        #: How long (ms) a read carrying ``min_version`` may wait for this
-        #: store to catch up before failing with ``replica_stale``.
-        self.version_wait_ms = version_wait_ms
-        #: Default evaluation backend for requests that carry no explicit
-        #: ``method``: ``columnar`` (int-encoded kernels + CSR/bitset RPQ)
-        #: or ``native`` (the tuple-set walker).  See docs/ENGINE.md.
-        if engine not in ("native", "columnar"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self.engine = engine
-        #: Default per-subscription outbound queue bound and overflow
-        #: policy (``resync`` or ``disconnect``); per-subscribe overrides
-        #: via the ``queue_max``/``policy`` request fields.
+    def __post_init__(self):
+        if self.engine not in ("native", "columnar"):
+            raise ValueError(f"unknown engine {self.engine!r}")
         from repro.subs import OVERFLOW_POLICIES
 
-        if sub_policy not in OVERFLOW_POLICIES:
-            raise ValueError(f"unknown overflow policy {sub_policy!r}")
-        self.sub_queue_max = int(sub_queue_max)
-        self.sub_policy = sub_policy
+        if self.sub_policy not in OVERFLOW_POLICIES:
+            raise ValueError(f"unknown overflow policy {self.sub_policy!r}")
+        self.sub_queue_max = int(self.sub_queue_max)
+
+
+def _wire_edge(entry):
+    """A wire edge ``[source, label, target]`` in the store's argument
+    order ``(source, target, label)``."""
+    try:
+        source, label, target = entry
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"edge entries are [source, label, target]; got {entry!r}"
+        ) from None
+    return source, target, label
 
 
 class QueryService:
@@ -335,11 +337,12 @@ class QueryService:
         op = message.get("op")
         started = time.perf_counter()
         self.metrics.request_started()
-        phases = []
-        # Slow-request context: the op handlers drop the version, cache
-        # disposition, fingerprint and (when tracing ran) the span tree in
-        # here so the finally block can build a slowlog entry.
-        ctx = {}
+        # Request context, the second argument of every op handler: the
+        # phase samples and the push sink go in; the handlers drop the
+        # version, cache disposition, fingerprint and (when tracing ran)
+        # the span tree in here so the finally block can build a slowlog
+        # entry.
+        ctx = {"phases": [], "sink": sink}
         rid_token = None
         tc_token = None
         tc = trace_context.current()
@@ -367,16 +370,16 @@ class QueryService:
                 with obs.tracing(
                     "request", context=tc, op=op, node=self.node_id
                 ) as tr:
-                    body = self._dispatch(op, message, phases, ctx, sink)
+                    body = self._dispatch(op, message, ctx)
             else:
-                body = self._dispatch(op, message, phases, ctx, sink)
+                body = self._dispatch(op, message, ctx)
             if tc is not None:
                 body.setdefault("trace_id", tc.trace_id)
             return body
         finally:
             elapsed = time.perf_counter() - started
             elapsed_ms = elapsed * 1000.0
-            self.metrics.request_completed(op, elapsed, phases)
+            self.metrics.request_completed(op, elapsed, ctx["phases"])
             trace_id = tc.trace_id if tc is not None else logs.get_request_id()
             if tr is not None:
                 ctx["trace"] = tr.root
@@ -387,60 +390,50 @@ class QueryService:
                     # Always-sample-on-slow: head sampling skipped this
                     # request, but the slowlog armed a trace on the miss
                     # path and it crossed the threshold — export it.
-                    self._export_slow_trace(op, elapsed_ms, ctx, trace_id)
+                    self._record_trace(op, elapsed_ms, ctx, trace_id, slow=True)
             if tc_token is not None:
                 trace_context.reset_current(tc_token)
             if rid_token is not None:
                 logs.reset_request_id(rid_token)
 
-    def _dispatch(self, op, message, phases, ctx, sink):
-        """Route one decoded request to its op handler."""
-        if op == "ping":
-            return {"result": {"pong": True}, "version": self.store.version}
-        if op == "stats":
-            include_histograms = message.get("include_histograms", False)
-            if not isinstance(include_histograms, bool):
-                raise ProtocolError(
-                    "'include_histograms' must be a boolean, "
-                    f"got {include_histograms!r}"
-                )
-            return {
-                "result": self.stats(include_histograms=include_histograms),
-                "version": self.store.version,
-            }
-        if op == "update":
-            return self._execute_update(message, ctx)
-        if op in _QUERY_OPS:
-            return self._execute_query(op, message, phases, ctx)
-        if op in ("explain", "profile"):
-            return self._execute_explain(message)
-        if op == "checkpoint":
-            return self._execute_checkpoint()
-        if op == "slowlog":
-            return self._execute_slowlog(message)
-        if op == "trace_get":
-            return self._execute_trace_get(message)
-        if op == "cluster_stats":
+    def _dispatch(self, op, message, ctx):
+        """Route one decoded request to its ``_op_<name>`` handler.
+
+        Every handler takes ``(message, ctx)`` and returns the response
+        body.  A ``cluster`` op this node keeps no slice of has no handler
+        here: the router answers it.
+        """
+        protocol.op_spec(op)
+        handler = getattr(self, "_op_" + op, None)
+        if handler is None:
             raise ProtocolError(
-                "op 'cluster_stats' is answered by the router, not by a "
+                f"op {op!r} is answered by the router, not by a "
                 "single node; send it to a repro route endpoint"
             )
-        if op == "repl_bootstrap":
-            return {
-                "result": self.replication.bootstrap(),
-                "version": self.store.version,
-            }
-        if op == "repl_tail":
-            return self._execute_repl_tail(message)
-        if op == "promote":
-            return {"result": self.promote(), "version": self.store.version}
-        if op == "subscribe":
-            return self._execute_subscribe(message, sink)
-        if op == "unsubscribe":
-            return self._execute_unsubscribe(message, sink)
-        raise ProtocolError(f"unknown op {op!r}")
+        return handler(message, ctx)
 
-    def _execute_repl_tail(self, message):
+    def _op_ping(self, _message, _ctx):
+        return {"result": {"pong": True}, "version": self.store.version}
+
+    def _op_stats(self, message, _ctx):
+        include_histograms = message.get("include_histograms", False)
+        if not isinstance(include_histograms, bool):
+            raise ProtocolError(
+                "'include_histograms' must be a boolean, "
+                f"got {include_histograms!r}"
+            )
+        return {
+            "result": self.stats(include_histograms=include_histograms),
+            "version": self.store.version,
+        }
+
+    def _op_repl_bootstrap(self, _message, _ctx):
+        return {"result": self.replication.bootstrap(), "version": self.store.version}
+
+    def _op_promote(self, _message, _ctx):
+        return {"result": self.promote(), "version": self.store.version}
+
+    def _op_repl_tail(self, message, _ctx):
         from_version = message.get("from_version")
         if isinstance(from_version, bool) or not isinstance(from_version, int):
             raise ProtocolError(
@@ -453,31 +446,22 @@ class QueryService:
         )
         return {"result": body, "version": self.store.version}
 
-    def _execute_subscribe(self, message, sink):
+    def _op_subscribe(self, message, ctx):
         """Register a live subscription; the response carries the initial
-        snapshot, subsequent ``delta`` frames arrive through *sink*."""
-        from repro.errors import SubscriptionError
-
+        snapshot, subsequent ``delta`` frames arrive through the sink."""
+        sink = ctx["sink"]
         if sink is None:
             raise SubscriptionError(
                 "subscriptions need a streaming connection; this entry point "
                 "has no push channel"
             )
-        target = message.get("target", "graphlog")
-        if target not in _QUERY_OPS:
-            raise ProtocolError(
-                f"'target' must be one of {', '.join(_QUERY_OPS)}, got {target!r}"
-            )
-        text = message.get("query")
-        if not isinstance(text, str) or not text.strip():
-            raise ProtocolError("op 'subscribe' needs a non-empty 'query' string")
         allow_fallback = message.get("allow_fallback", False)
         if not isinstance(allow_fallback, bool):
             raise ProtocolError(
                 f"'allow_fallback' must be a boolean, got {allow_fallback!r}"
             )
-        self._await_min_version(message)
-        params = self._request_params(message)
+        target = message.get("target", "graphlog")
+        text, params = self._query_request(message, target)
         plan = self.plans.get(target, text)
         sub, snapshot, version = self.subs.subscribe(
             plan,
@@ -504,9 +488,8 @@ class QueryService:
             "version": version,
         }
 
-    def _execute_unsubscribe(self, message, sink):
-        from repro.errors import SubscriptionError
-
+    def _op_unsubscribe(self, message, ctx):
+        sink = ctx["sink"]
         sub_id = message.get("subscription")
         if isinstance(sub_id, bool) or not isinstance(sub_id, int):
             raise ProtocolError(
@@ -573,13 +556,7 @@ class QueryService:
         (bounded) for this store to reach it, else fails ``replica_stale``
         so a router can redirect — read-your-writes through replicas."""
         min_version = message.get("min_version")
-        if min_version is None:
-            return
-        if isinstance(min_version, bool) or not isinstance(min_version, int):
-            raise ProtocolError(
-                f"'min_version' must be a non-negative integer, got {min_version!r}"
-            )
-        if min_version <= self.store.version:
+        if min_version is None or min_version <= self.store.version:
             return
         wait_ms = self.config.version_wait_ms or 0
         if not self.store.wait_for_version(min_version, wait_ms / 1000.0):
@@ -602,12 +579,25 @@ class QueryService:
             params["method"] = self.config.engine
         return params
 
-    def _execute_query(self, op, message, phases, ctx):
+    def _query_request(self, message, target):
+        """``(text, params)`` of a request that names a query in language
+        *target*, once the store has reached the request's ``min_version``."""
+        if target not in QUERY_OPS:
+            raise ProtocolError(
+                f"'target' must be one of {', '.join(QUERY_OPS)}, got {target!r}"
+            )
         text = message.get("query")
         if not isinstance(text, str) or not text.strip():
-            raise ProtocolError(f"op {op!r} needs a non-empty 'query' string")
+            raise ProtocolError(
+                f"op {message['op']!r} needs a non-empty 'query' string"
+            )
         self._await_min_version(message)
-        params = self._request_params(message)
+        return text, self._request_params(message)
+
+    def _op_query(self, message, ctx):
+        op = message["op"]
+        text, params = self._query_request(message, op)
+        phases = ctx["phases"]
         max_rows = message.get("max_rows", self.config.max_rows)
         max_bytes = message.get("max_bytes", self.config.max_bytes)
 
@@ -636,24 +626,12 @@ class QueryService:
         self.metrics.incr("result_cache.misses")
         ctx["cache"] = "miss"
         edb = self._edb_for(version, graph)
-        active = obs.tracer()
-        if active.enabled:
-            # A sampled request already runs under the request-level tracer;
-            # nest the evaluation span there instead of starting a second
-            # tree.
-            with active.span(
-                "evaluate", version=version, fingerprint=plan.fingerprint
-            ):
-                relations = plan.evaluate(graph, edb, params)
-        elif self.slowlog.enabled:
-            # Only the miss path is traced: a cache hit does no evaluation
-            # work, so it cannot be meaningfully slow, and tracing it would
-            # tax the ~12µs hot path the result cache exists to protect.
-            with obs.tracing(op, version=version, fingerprint=plan.fingerprint) as tr:
-                with tr.span("evaluate"):
-                    relations = plan.evaluate(graph, edb, params)
-            ctx["trace"] = tr.root
-        else:
+        # Only the miss path is traced: a cache hit does no evaluation
+        # work, so it cannot be meaningfully slow, and tracing it would
+        # tax the ~12µs hot path the result cache exists to protect.
+        with self._work_span(
+            ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
+        ):
             relations = plan.evaluate(graph, edb, params)
         t3 = time.perf_counter()
         total = sum(len(rows) for rows in relations.values())
@@ -670,7 +648,30 @@ class QueryService:
         self.results.put(key, (payload, encoded_size), version, plan.footprint)
         return {"result": payload, "version": version, "cache": "miss"}
 
-    def _execute_explain(self, message):
+    _op_graphlog = _op_datalog = _op_rpq = _op_query
+
+    @contextmanager
+    def _work_span(self, ctx, op, name, **attrs):
+        """Run a request's real work (evaluation, commit) under a span.
+
+        A sampled request already runs under the request-level tracer, so
+        the span nests there instead of starting a second tree; otherwise
+        an armed slowlog collects a tree of its own (rooted at *op*) into
+        ``ctx["trace"]``; otherwise nothing is traced.
+        """
+        active = obs.tracer()
+        if active.enabled:
+            with active.span(name, **attrs):
+                yield
+        elif self.slowlog.enabled:
+            with obs.tracing(op, **attrs) as tr:
+                with tr.span(name):
+                    yield
+            ctx["trace"] = tr.root
+        else:
+            yield
+
+    def _op_explain(self, message, _ctx):
         """Run a query under full tracing; returns the span tree, not rows.
 
         Both caches are bypassed: a fresh plan is prepared so the trace
@@ -681,15 +682,7 @@ class QueryService:
         ``profile`` returns just the structured form.
         """
         target = message.get("target", "graphlog")
-        if target not in _QUERY_OPS:
-            raise ProtocolError(
-                f"'target' must be one of {', '.join(_QUERY_OPS)}, got {target!r}"
-            )
-        text = message.get("query")
-        if not isinstance(text, str) or not text.strip():
-            raise ProtocolError("op 'explain' needs a non-empty 'query' string")
-        self._await_min_version(message)
-        params = self._request_params(message)
+        text, params = self._query_request(message, target)
         version, graph = self.store.snapshot_versioned()
         # explain always traces, whatever the sampler said; when the request
         # carries a distributed context, link this tree under the request's
@@ -739,11 +732,13 @@ class QueryService:
             "phases": phases,
             "trace": trace,
         }
-        if message.get("op", "explain") == "explain":
+        if message["op"] == "explain":
             result["text"] = root.render().rstrip()
         return {"result": result, "version": version, "cache": "bypass"}
 
-    def _execute_checkpoint(self):
+    _op_profile = _op_explain
+
+    def _op_checkpoint(self, _message, _ctx):
         """Force a durability checkpoint (snapshot + WAL pruning)."""
         if self.durability is None:
             raise ProtocolError(
@@ -753,16 +748,11 @@ class QueryService:
         self.metrics.incr("checkpoints.requested")
         return {"result": info, "version": self.store.version}
 
-    def _execute_slowlog(self, message):
+    def _op_slowlog(self, message, _ctx):
         """Return the most recent slow-query records (newest first)."""
-        limit = message.get("limit")
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
-        ):
-            raise ProtocolError(f"'limit' must be a non-negative integer, got {limit!r}")
         return {
             "result": {
-                "entries": self.slowlog.snapshot(limit),
+                "entries": self.slowlog.snapshot(message.get("limit")),
                 "stats": self.slowlog.stats(),
             },
             "version": self.store.version,
@@ -793,45 +783,32 @@ class QueryService:
             extra={"op": op, "elapsed_ms": round(elapsed_ms, 3)},
         )
 
-    def _record_trace(self, op, elapsed_ms, ctx, trace_id):
-        """Land one sampled request's finished span tree: trace ring (for
-        ``trace_get``) plus the span sink when configured."""
-        entry = {
-            "trace_id": trace_id,
-            "request_id": logs.get_request_id(),
-            "node_id": self.node_id,
-            "op": op,
-            "elapsed_ms": round(elapsed_ms, 3),
-            "version": ctx.get("version"),
-            "spans": obs.flatten_span_tree(ctx["trace"], node_id=self.node_id),
-        }
-        self.traces.record(entry)
-        self.metrics.incr("trace.sampled")
+    def _record_trace(self, op, elapsed_ms, ctx, trace_id, slow=False):
+        """Land one finished span tree.  A sampled request's goes to the
+        trace ring (for ``trace_get``) plus the span sink when configured;
+        the slowlog-armed tree of an *unsampled* slow request (*slow*) is
+        only exported."""
+        extra = {"version": ctx.get("version")}
+        if slow:
+            extra["slow"] = True
+            self.metrics.incr("trace.slow_sampled")
+        entry = obs.trace_entry(
+            ctx["trace"],
+            trace_id,
+            self.node_id,
+            op,
+            request_id=logs.get_request_id(),
+            elapsed_ms=elapsed_ms,
+            **extra,
+        )
+        if not slow:
+            self.traces.record(entry)
+            self.metrics.incr("trace.sampled")
         if self.span_sink is not None:
-            if self.span_sink.export(entry):
-                self.metrics.incr("trace.exported")
-            else:
-                self.metrics.incr("trace.export_errors")
+            exported = self.span_sink.export(entry)
+            self.metrics.incr("trace.exported" if exported else "trace.export_errors")
 
-    def _export_slow_trace(self, op, elapsed_ms, ctx, trace_id):
-        """Export the slowlog-armed trace of an *unsampled* slow request."""
-        entry = {
-            "trace_id": trace_id,
-            "request_id": logs.get_request_id(),
-            "node_id": self.node_id,
-            "op": op,
-            "elapsed_ms": round(elapsed_ms, 3),
-            "version": ctx.get("version"),
-            "slow": True,
-            "spans": obs.flatten_span_tree(ctx["trace"], node_id=self.node_id),
-        }
-        self.metrics.incr("trace.slow_sampled")
-        if self.span_sink.export(entry):
-            self.metrics.incr("trace.exported")
-        else:
-            self.metrics.incr("trace.export_errors")
-
-    def _execute_trace_get(self, message):
+    def _op_trace_get(self, message, _ctx):
         """Return this node's spans for one trace id.
 
         Primary source is the bounded trace ring; when the ring has
@@ -875,7 +852,7 @@ class QueryService:
             "version": self.store.version,
         }
 
-    def _execute_update(self, message, ctx):
+    def _op_update(self, message, ctx):
         if self.store.read_only:
             primary = self.applier.primary_address if self.applier else None
             hint = f"; send writes to the primary at {primary}" if primary else ""
@@ -891,16 +868,9 @@ class QueryService:
                 "op 'update' needs 'nodes', 'edges', 'remove_nodes' and/or "
                 "'remove_edges'"
             )
-        active = obs.tracer()
-        if active.enabled:
-            with active.span("commit", nodes=len(nodes), edges=len(edges)):
-                self._apply_update(nodes, edges, remove_nodes, remove_edges)
-        elif self.slowlog.enabled:
-            with obs.tracing("update", nodes=len(nodes), edges=len(edges)) as tr:
-                with tr.span("commit"):
-                    self._apply_update(nodes, edges, remove_nodes, remove_edges)
-            ctx["trace"] = tr.root
-        else:
+        with self._work_span(
+            ctx, "update", "commit", nodes=len(nodes), edges=len(edges)
+        ):
             self._apply_update(nodes, edges, remove_nodes, remove_edges)
         ctx["version"] = self.store.version
         self.metrics.incr("updates.committed")
@@ -925,23 +895,11 @@ class QueryService:
                     node, label = entry, None
                 txn.add_node(node, label)
             for entry in edges:
-                try:
-                    source, label, target = entry
-                except (TypeError, ValueError):
-                    raise ProtocolError(
-                        f"edge entries are [source, label, target]; got {entry!r}"
-                    ) from None
-                txn.add_edge(source, target, label)
+                txn.add_edge(*_wire_edge(entry))
             # Removals after additions, so one transaction can atomically
             # replace an edge (add the new one, drop the old).
             for entry in remove_edges:
-                try:
-                    source, label, target = entry
-                except (TypeError, ValueError):
-                    raise ProtocolError(
-                        f"edge entries are [source, label, target]; got {entry!r}"
-                    ) from None
-                txn.remove_edge(source, target, label)
+                txn.remove_edge(*_wire_edge(entry))
             for entry in remove_nodes:
                 if isinstance(entry, (list, tuple)):
                     raise ProtocolError(
@@ -1088,84 +1046,18 @@ class QueryService:
 
     def _store_families(self):
         """Scrape-time collector: per-predicate store statistics, store
-        size gauges, and per-view maintenance cost."""
-        predicates = self.store.predicate_stats()
-        facts = MetricFamily(
-            "repro_store_facts", "gauge", "Committed facts per predicate"
-        )
-        churn_rows = MetricFamily(
-            "repro_store_churn_rows_total",
-            "counter",
-            "Delta rows inserted+deleted per predicate since start",
-        )
-        churn_commits = MetricFamily(
-            "repro_store_churn_commits_total",
-            "counter",
-            "Commits whose delta touched each predicate",
-        )
-        for name, info in sorted(predicates.items()):
-            label = {"predicate": name}
-            facts.add_sample(info["facts"], label)
-            churn_rows.add_sample(info["churn_rows"], label)
-            churn_commits.add_sample(info["churn_commits"], label)
-        version, graph = self.store.snapshot_versioned()
-        families = [
-            facts,
-            churn_rows,
-            churn_commits,
-            MetricFamily(
-                "repro_store_version", "gauge", "Committed store version"
-            ).add_sample(version),
-            MetricFamily(
-                "repro_store_nodes", "gauge", "Nodes in the committed graph"
-            ).add_sample(graph.node_count()),
-            MetricFamily(
-                "repro_store_edges", "gauge", "Edges in the committed graph"
-            ).add_sample(graph.edge_count()),
+        size gauges, replication role/lag/throughput, and per-view
+        maintenance cost."""
+        predicates = [
+            ({"predicate": name}, info)
+            for name, info in sorted(self.store.predicate_stats().items())
         ]
-        families.extend(self._replication_families())
-        if self._views is not None:
-            cost = MetricFamily(
-                "repro_view_maintenance_seconds_total",
-                "counter",
-                "Cumulative maintenance time per materialized view",
-            )
-            updates = MetricFamily(
-                "repro_view_updates_total",
-                "counter",
-                "Incremental maintenance runs per materialized view",
-            )
-            for name, view_stats in self._views.stats()["views"].items():
-                label = {"view": name}
-                cost.add_sample(view_stats["maintenance_ms"] / 1000.0, label)
-                updates.add_sample(view_stats["incremental_updates"], label)
-            families.extend([cost, updates])
-        return families
-
-    def _replication_families(self):
-        """Scrape-time collector: replication role, lag and throughput."""
-        source = self.replication.stats()
+        version, graph = self.store.snapshot_versioned()
+        size = {"version": version, "nodes": graph.node_count(), "edges": graph.edge_count()}
         families = [
-            MetricFamily(
-                "repro_repl_records_shipped_total",
-                "counter",
-                "Commit records shipped to tailing replicas",
-            ).add_sample(source["records_shipped"]),
-            MetricFamily(
-                "repro_repl_tail_requests_total",
-                "counter",
-                "repl_tail requests served",
-            ).add_sample(source["tail_requests"]),
-            MetricFamily(
-                "repro_repl_bootstraps_served_total",
-                "counter",
-                "repl_bootstrap documents served",
-            ).add_sample(source["bootstraps_served"]),
-            MetricFamily(
-                "repro_repl_resets_total",
-                "counter",
-                "Tails answered with a reset (replica must re-bootstrap)",
-            ).add_sample(source["resets_signaled"]),
+            *table_families(_PREDICATE_FAMILIES, predicates),
+            *table_families(_STORE_FAMILIES, [(None, size)]),
+            *table_families(_REPL_SOURCE_FAMILIES, [(None, self.replication.stats())]),
             MetricFamily(
                 "repro_repl_epoch",
                 "gauge",
@@ -1178,51 +1070,14 @@ class QueryService:
             ).add_sample(1 if self._promotion is not None else 0),
         ]
         if self.applier is not None:
-            status = self.applier.status()
-            lag = status["lag_versions"]
-            families.extend(
-                [
-                    MetricFamily(
-                        "repro_repl_lag_versions",
-                        "gauge",
-                        "Store versions this replica is behind its primary",
-                    ).add_sample(lag if lag is not None else -1),
-                    MetricFamily(
-                        "repro_repl_applied_version",
-                        "gauge",
-                        "Last primary commit version applied locally",
-                    ).add_sample(status["applied_version"]),
-                    MetricFamily(
-                        "repro_repl_connected",
-                        "gauge",
-                        "1 when the replica's tail connection to the primary is up",
-                    ).add_sample(1 if status["connected"] else 0),
-                    MetricFamily(
-                        "repro_repl_records_applied_total",
-                        "counter",
-                        "Commit records applied from the primary",
-                    ).add_sample(status["records_applied"]),
-                    MetricFamily(
-                        "repro_repl_tail_errors_total",
-                        "counter",
-                        "Tail/bootstrap attempts that failed (connection or apply)",
-                    ).add_sample(status["tail_errors"]),
-                    MetricFamily(
-                        "repro_repl_seconds_since_poll",
-                        "gauge",
-                        "Seconds since the last successful tail poll (-1 before one)",
-                    ).add_sample(
-                        status["seconds_since_poll"]
-                        if status["seconds_since_poll"] is not None
-                        else -1
-                    ),
-                    MetricFamily(
-                        "repro_repl_epoch_rebootstraps_total",
-                        "counter",
-                        "Re-bootstraps triggered by a primary epoch change",
-                    ).add_sample(status["epoch_rebootstraps"]),
-                ]
-            )
+            status = [(None, self.applier.status())]
+            families += table_families(_REPL_APPLIER_FAMILIES, status, missing=-1)
+        if self._views is not None:
+            views = [
+                ({"view": name}, dict(view, maintenance_s=view["maintenance_ms"] / 1000.0))
+                for name, view in self._views.stats()["views"].items()
+            ]
+            families += table_families(_VIEW_FAMILIES, views)
         return families
 
     def close(self):

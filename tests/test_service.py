@@ -18,7 +18,7 @@ from repro.graphs.bridge import graph_from_database
 from repro.ham.store import HAMStore
 from repro.service.cache import ResultCache, result_key
 from repro.service.client import ServiceClient
-from repro.service.metrics import MetricsRegistry, percentile
+from repro.service.metrics import MetricsRegistry
 from repro.service.prepared import PreparedQueryCache, fingerprint, normalize
 from repro.service.server import QueryService, ServiceConfig, ServiceServer
 from repro.service import protocol
@@ -200,13 +200,6 @@ def slow_server():
 
 
 class TestMetrics:
-    def test_percentile(self):
-        assert percentile([], 0.5) is None
-        assert percentile([7.0], 0.95) == 7.0
-        samples = list(range(1, 101))
-        assert percentile(samples, 0.50) == 50
-        assert percentile(samples, 0.95) == 95
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.incr("requests.rpq")
