@@ -247,8 +247,10 @@ class HAMStore:
         # Replicas reject client writes; replication applies through
         # apply_replicated(), which bypasses this guard.
         self._read_only = False
-        # History truncation point: self._log holds only records with
-        # version > _base_version; _base_graph is the graph at exactly
+        # History truncation point: self._log holds exactly the records of
+        # versions _base_version + 1 .. _version, in order, so the record of
+        # version v sits at offset v - _base_version - 1 (records_since and
+        # graph_at slice by it); _base_graph is the graph at exactly
         # _base_version, the replay base for graph_at().
         self._base_version = 0
         self._base_graph = LabeledMultigraph()
@@ -326,13 +328,22 @@ class HAMStore:
         with self._lock:
             if self._version != 0 or self._log:
                 raise StoreError("can only restore state into a fresh store")
+            records = list(records)
+            base_version = base_version if base_version is not None else 0
+            versions = [record.version for record in records]
+            if versions != list(range(base_version + 1, version + 1)):
+                # records_since / graph_at slice the log by offset from the base.
+                raise StoreError(
+                    f"restored records must be versions {base_version + 1}..{version} "
+                    f"in order, got {versions}"
+                )
             self.graph = graph
             self._version = version
             self._next_txn_id = last_txn_id + 1
             self._last_txn_id = last_txn_id
-            self._log = list(records)
+            self._log = records
             self._base_graph = base_graph if base_graph is not None else LabeledMultigraph()
-            self._base_version = base_version if base_version is not None else 0
+            self._base_version = base_version
             if epoch is not None:
                 self._epoch = epoch
             self._version_cond.notify_all()
@@ -541,7 +552,7 @@ class HAMStore:
         with self._lock:
             if from_version < self._base_version:
                 return None
-            return [r for r in self._log if r.version > from_version]
+            return self._log[from_version - self._base_version :]
 
     # ------------------------------------------------------------ history
 
@@ -582,8 +593,9 @@ class HAMStore:
     def graph_at(self, version):
         """Reconstruct the graph as of *version*.
 
-        Records are selected by ``record.version`` — never by list position,
-        which silently breaks once the log has been truncated or compacted.
+        Records are selected by their offset from the retained base (the
+        log is contiguous from ``_base_version + 1``, whatever truncation,
+        replication or recovery did to it), never by absolute list position.
         Replay starts from the nearest retained base: the in-memory
         truncation snapshot when *version* is at or after it, else the
         nearest durable checkpoint (when persistence is attached).
@@ -594,7 +606,7 @@ class HAMStore:
             base_version = self._base_version
             if version >= base_version:
                 graph = self._base_graph.copy()
-                records = [r for r in self._log if base_version < r.version <= version]
+                records = self._log[: version - base_version]
             else:
                 graph = records = None
             durability = self._durability

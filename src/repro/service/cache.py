@@ -70,13 +70,23 @@ def result_key(fingerprint, params):
     return (fingerprint, normalized)
 
 
-class _Entry:
-    __slots__ = ("value", "version", "footprint")
+class Entry:
+    """One cached answer: its *value*, the *version* stamp, the plan's
+    *footprint*, and — ``None`` until a network request first hits it —
+    *encoded*, the wire bytes of the answer's ``result`` object.
+
+    Only that object is encoded, never the response envelope, so the bytes
+    stay valid when a commit re-stamps *version*; a hit assigns them once,
+    so an answer that is never asked for again costs no second copy.
+    """
+
+    __slots__ = ("value", "version", "footprint", "encoded")
 
     def __init__(self, value, version, footprint):
         self.value = value
         self.version = version
         self.footprint = footprint
+        self.encoded = None
 
 
 class ResultCache:
@@ -98,7 +108,7 @@ class ResultCache:
         return len(self._entries)
 
     def get(self, key, version):
-        """The cached value if present *and* current; counts hit or miss."""
+        """The :class:`Entry` if present *and* current; counts hit or miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.version != version:
@@ -106,7 +116,7 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry.value
+            return entry
 
     def put(self, key, value, version, footprint=None):
         """Cache *value* computed at *version* by a plan reading *footprint*.
@@ -115,7 +125,7 @@ class ResultCache:
         means unknown, which every later commit treats as intersecting.
         """
         with self._lock:
-            self._entries[key] = _Entry(value, version, footprint)
+            self._entries[key] = Entry(value, version, footprint)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -179,6 +189,9 @@ class ResultCache:
 
     def stats(self):
         with self._lock:
+            encoded = [
+                len(e.encoded) for e in self._entries.values() if e.encoded is not None
+            ]
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
@@ -187,4 +200,6 @@ class ResultCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "delta_reuse_hits": self.delta_reuse_hits,
+                "encoded_entries": len(encoded),
+                "encoded_bytes": sum(encoded),
             }

@@ -65,16 +65,10 @@ class MetricsRegistry:
 
     def observe_phase(self, phase, seconds):
         """Record one pipeline-phase duration (plan, cache_lookup, evaluate,
-        encode, queue_wait, ...) for the per-phase latency breakdown."""
-        self.observe_phases(((phase, seconds),))
-
-    def observe_phases(self, pairs):
-        """Record several ``(phase, seconds)`` samples under one lock grab —
-        the request hot path batches its phases to keep the fixed per-request
-        cost at a single extra acquisition."""
+        encode, queue_wait, respond, ...) for the per-phase latency breakdown.
+        A request's own phases arrive batched through :meth:`request_completed`."""
         with self._lock:
-            for phase, seconds in pairs:
-                self._phases[phase].observe(seconds)
+            self._phases[phase].observe(seconds)
 
     def request_started(self):
         with self._lock:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from repro.errors import (
@@ -97,9 +98,6 @@ OPS = {
     "cluster_stats": OpSpec("cluster"),
 }
 
-#: The push-frame kinds a server emits (see module docstring).
-FRAMES = ("delta", "snapshot", "closed")
-
 #: Maximum accepted request-line length (a protocol-level DoS guard).
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
@@ -115,11 +113,30 @@ _CODE_TO_EXCEPTION = {
 }
 
 
+def encode_result(result):
+    """The UTF-8 bytes of a ``result`` object as a line carries them: what a
+    result-cache entry keeps and what ``max_bytes`` bounds."""
+    return json.dumps(result, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
 def encode(message):
     """Serialize one protocol message to a newline-terminated bytes line."""
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+    return encode_result(message) + b"\n"
+
+
+def encode_response(response, result=None):
+    """The line of *response*.  *result*, when given, is the
+    :func:`encode_result` bytes of ``response["result"]``, spliced into the
+    envelope instead of serialising the object again.
+
+    Keys are sorted, so only ``trace_id`` (a string: quotes in it are escaped)
+    and ``version`` follow ``result``; the envelope's *last* ``"result":null``
+    is therefore the top-level one, whatever JSON the echoed ``id`` holds.
+    """
+    if result is None:
+        return encode(response)
+    head, _, tail = encode(dict(response, result=None)).rpartition(b'"result":null')
+    return b"".join((head, b'"result":', result, tail))
 
 
 def decode_request(line):
@@ -246,12 +263,23 @@ def raise_for_error(response):
 
 
 def rows_to_wire(rows):
-    """Sort a set of answer tuples into JSON-friendly lists (deterministic)."""
+    """Sort a set of answer tuples into JSON-friendly lists (deterministic).
+
+    Rows order by their values' ``(type name, str(value))``; when every value
+    is a ``str`` that is the rows' own tuple order, with no key to build.
+    """
+    if set(map(type, chain.from_iterable(rows))) <= {str}:
+        return list(map(list, sorted(rows)))
     return [list(row) for row in sorted(rows, key=_row_key)]
 
 
 def _row_key(row):
     return tuple((type(value).__name__, str(value)) for value in row)
+
+
+def relations_to_wire(relations):
+    """``{predicate: rows}`` in wire form, predicates and rows both ordered."""
+    return {name: rows_to_wire(rows) for name, rows in sorted(relations.items())}
 
 
 # --------------------------------------------------------------- push frames
@@ -262,25 +290,6 @@ def is_push_frame(message):
     return isinstance(message, dict) and "frame" in message
 
 
-def delta_frame(subscription_id, version, inserted, deleted, trace_id=None):
-    """One incremental update: net row changes at *version*.
-
-    ``inserted``/``deleted`` are ``{predicate: [rows...]}`` with rows in
-    :func:`rows_to_wire` order.  ``trace_id`` links the frame to the
-    distributed trace of the commit that produced it.
-    """
-    frame = {
-        "frame": "delta",
-        "subscription": subscription_id,
-        "version": version,
-        "inserted": {pred: rows_to_wire(rows) for pred, rows in inserted.items()},
-        "deleted": {pred: rows_to_wire(rows) for pred, rows in deleted.items()},
-    }
-    if trace_id is not None:
-        frame["trace_id"] = trace_id
-    return frame
-
-
 def snapshot_frame(subscription_id, version, relations, resync=False):
     """A full result set at *version*; with ``resync`` it replaces any
     previously applied state (sent after overflow under the resync policy)."""
@@ -288,7 +297,7 @@ def snapshot_frame(subscription_id, version, relations, resync=False):
         "frame": "snapshot",
         "subscription": subscription_id,
         "version": version,
-        "relations": {pred: rows_to_wire(rows) for pred, rows in relations.items()},
+        "relations": relations_to_wire(relations),
     }
     if resync:
         frame["resync"] = True

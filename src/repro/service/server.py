@@ -15,8 +15,9 @@ Two layers, separable on purpose:
 Budget semantics: ``timeout`` bounds wall-clock evaluation time (the worker
 thread finishes in the background after a timeout — results land in the
 cache for the next attempt, but the client gets ``QueryTimeout``);
-``max_rows``/``max_bytes`` bound the answer size and are re-checked on
-cache hits so per-request overrides behave identically hot or cold.
+``max_rows``/``max_bytes`` bound the answer's row count and the encoded size
+of its ``result`` object, and are re-checked on cache hits so per-request
+overrides behave identically hot or cold.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ _REPL_APPLIER_FAMILIES = (
      "Seconds since the last successful tail poll (-1 before one)", "seconds_since_poll"),
     ("repro_repl_epoch_rebootstraps_total", "counter",
      "Re-bootstraps triggered by a primary epoch change", "epoch_rebootstraps"),
+)
+#: ... the result cache's pre-encoded answers, ...
+_RESULT_CACHE_FAMILIES = (
+    ("repro_result_cache_encoded_entries", "gauge",
+     "Result-cache entries holding their encoded wire bytes", "encoded_entries"),
+    ("repro_result_cache_encoded_bytes", "gauge",
+     "Bytes of encoded answers held by the result cache", "encoded_bytes"),
 )
 #: ... and materialized views.
 _VIEW_FAMILIES = (
@@ -319,13 +327,16 @@ class QueryService:
 
     # ------------------------------------------------------------- execute
 
-    def execute(self, message, sink=None):
+    def execute(self, message, sink=None, wire=False):
         """Execute one decoded request; returns the ``ok`` response body.
 
         Raises the service error taxonomy on failure; the caller (server
         or test) turns exceptions into failure responses.  *sink* is the
         connection's push-frame outlet (see :mod:`repro.subs`); only the
-        ``subscribe``/``unsubscribe`` ops use it.
+        ``subscribe``/``unsubscribe`` ops use it.  With *wire* (the network
+        front) a query answer's body also carries ``encoded``, the
+        :func:`protocol.encode_result` bytes of its ``result``, so the
+        response line splices them; in-process callers pay no encoding.
 
         Distributed tracing happens here: a request carrying a ``trace``
         context is *adopted* (its trace id becomes the correlation id and
@@ -338,11 +349,11 @@ class QueryService:
         started = time.perf_counter()
         self.metrics.request_started()
         # Request context, the second argument of every op handler: the
-        # phase samples and the push sink go in; the handlers drop the
+        # phase samples, the push sink and *wire* go in; the handlers drop the
         # version, cache disposition, fingerprint and (when tracing ran)
         # the span tree in here so the finally block can build a slowlog
         # entry.
-        ctx = {"phases": [], "sink": sink}
+        ctx = {"phases": [], "sink": sink, "wire": wire}
         rid_token = None
         tc_token = None
         tc = trace_context.current()
@@ -475,10 +486,7 @@ class QueryService:
         return {
             "result": {
                 "subscription": sub.id,
-                "snapshot": {
-                    name: protocol.rows_to_wire(rows)
-                    for name, rows in sorted(snapshot.items())
-                },
+                "snapshot": protocol.relations_to_wire(snapshot),
                 "predicates": sorted(view.predicates),
                 "mode": view.mode,
                 "fallback_reason": view.fallback_reason,
@@ -612,16 +620,24 @@ class QueryService:
         ctx["version"] = version
         ctx["fingerprint"] = plan.fingerprint
 
-        cached = self.results.get(key, version)
+        entry = self.results.get(key, version)
         t2 = time.perf_counter()
         phases.append(("plan", t1 - t0))
         phases.append(("cache_lookup", t2 - t1))
-        if cached is not None:
-            payload, encoded_size = cached
+        if entry is not None:
+            payload, encoded_size = entry.value
             self.metrics.incr("result_cache.hits")
             ctx["cache"] = "hit"
             self._check_budgets(payload["count"], encoded_size, max_rows, max_bytes)
-            return {"result": payload, "version": version, "cache": "hit"}
+            body = {"result": payload, "version": version, "cache": "hit"}
+            if ctx["wire"]:
+                # The first network hit leaves the bytes with the entry.  Two
+                # racing first hits encode the same payload to the same bytes,
+                # so whichever assignment lands last is right.
+                if entry.encoded is None:
+                    entry.encoded = protocol.encode_result(payload)
+                body["encoded"] = entry.encoded
+            return body
 
         self.metrics.incr("result_cache.misses")
         ctx["cache"] = "miss"
@@ -635,18 +651,20 @@ class QueryService:
             relations = plan.evaluate(graph, edb, params)
         t3 = time.perf_counter()
         total = sum(len(rows) for rows in relations.values())
-        payload = {
-            "relations": {
-                name: protocol.rows_to_wire(rows) for name, rows in sorted(relations.items())
-            },
-            "count": total,
-        }
-        encoded_size = len(protocol.encode(payload))
+        payload = {"relations": protocol.relations_to_wire(relations), "count": total}
+        # The one serialisation of this answer: the budget check measures
+        # these bytes and the response line carries them.
+        encoded = protocol.encode_result(payload)
         phases.append(("evaluate", t3 - t2))
         phases.append(("encode", time.perf_counter() - t3))
-        self._check_budgets(total, encoded_size, max_rows, max_bytes)
-        self.results.put(key, (payload, encoded_size), version, plan.footprint)
-        return {"result": payload, "version": version, "cache": "miss"}
+        self._check_budgets(total, len(encoded), max_rows, max_bytes)
+        # The entry keeps the size, not the bytes: an answer that is never
+        # asked for again is held once (the first network hit attaches them).
+        self.results.put(key, (payload, len(encoded)), version, plan.footprint)
+        body = {"result": payload, "version": version, "cache": "miss"}
+        if ctx["wire"]:
+            body["encoded"] = encoded
+        return body
 
     _op_graphlog = _op_datalog = _op_rpq = _op_query
 
@@ -704,10 +722,7 @@ class QueryService:
             with tr.span("evaluate"):
                 relations = plan.evaluate(graph, self._edb_for(version, graph), params)
             with tr.span("encode") as enc:
-                payload = {
-                    name: protocol.rows_to_wire(rows)
-                    for name, rows in sorted(relations.items())
-                }
+                payload = protocol.relations_to_wire(relations)
                 enc.annotate(bytes=len(protocol.encode(payload)))
         root = tr.root
         phases = {child.name: child.elapsed_ms for child in root.children}
@@ -1057,6 +1072,7 @@ class QueryService:
         families = [
             *table_families(_PREDICATE_FAMILIES, predicates),
             *table_families(_STORE_FAMILIES, [(None, size)]),
+            *table_families(_RESULT_CACHE_FAMILIES, [(None, self.results.stats())]),
             *table_families(_REPL_SOURCE_FAMILIES, [(None, self.replication.stats())]),
             MetricFamily(
                 "repro_repl_epoch",
@@ -1203,9 +1219,13 @@ class ServiceServer:
                     break
                 if not line.strip():
                     continue
-                response = await self._handle_request(line, sink)
-                writer.write(protocol.encode(response))
+                response, encoded = await self._handle_request(line, sink)
+                responding = time.perf_counter()
+                writer.write(protocol.encode_response(response, encoded))
                 await writer.drain()
+                self.service.metrics.observe_phase(
+                    "respond", time.perf_counter() - responding
+                )
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -1250,6 +1270,8 @@ class ServiceServer:
             pass
 
     async def _handle_request(self, line, sink=None):
+        """``(response, encoded)``: the response to one request line and, for
+        a query answer, the already-encoded bytes of its ``result``."""
         request_id = None
         started = time.perf_counter()
         try:
@@ -1278,7 +1300,7 @@ class ServiceServer:
                     self.service.metrics.observe_phase(
                         "queue_wait", time.perf_counter() - submitted
                     )
-                    return self.service.execute(message, sink=sink)
+                    return self.service.execute(message, sink=sink, wire=True)
                 finally:
                     logs.reset_request_id(token)
 
@@ -1291,7 +1313,7 @@ class ServiceServer:
                     f"request exceeded its {timeout}s deadline"
                 ) from None
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            return protocol.ok_response(
+            response = protocol.ok_response(
                 request_id,
                 body["result"],
                 version=body.get("version"),
@@ -1299,13 +1321,14 @@ class ServiceServer:
                 cache=body.get("cache"),
                 trace_id=body.get("trace_id"),
             )
+            return response, body.get("encoded")
         except ReproError as exc:
             if not isinstance(exc, QueryTimeout):
                 self.service.metrics.incr(f"errors.{getattr(exc, 'code', 'evaluation')}")
-            return protocol.error_response(request_id, exc)
+            return protocol.error_response(request_id, exc), None
         except Exception as exc:  # noqa: BLE001 — a serving loop must not die
             self.service.metrics.incr("errors.internal")
-            return protocol.error_response(request_id, exc)
+            return protocol.error_response(request_id, exc), None
 
     # ----------------------------------------------------------- threading
 

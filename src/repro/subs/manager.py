@@ -397,12 +397,8 @@ class SubscriptionManager:
             view.deltas_emitted += 1
             # The row payload is shared across the fanout: one wire encoding
             # per view per commit, one tiny per-subscriber frame dict.
-            wire_inserted = {
-                p: protocol.rows_to_wire(rows) for p, rows in sorted(inserted.items())
-            }
-            wire_deleted = {
-                p: protocol.rows_to_wire(rows) for p, rows in sorted(deleted.items())
-            }
+            wire_inserted = protocol.relations_to_wire(inserted)
+            wire_deleted = protocol.relations_to_wire(deleted)
             for sub in view.subs:
                 frame = {
                     "frame": "delta",

@@ -1,0 +1,416 @@
+"""Answers are encoded once: a result-cache entry carries the wire bytes of
+its ``result`` object, a hit splices them into a fresh envelope, a miss
+serialises its payload exactly once, and all-``str`` rows order without keys.
+
+What is pinned is bytes: every line a node writes must be the line the old
+path — ``protocol.encode`` over the whole response dict — would have written.
+That path survives here, as the oracle, and nowhere in ``src``.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+import socket
+import sys
+import threading
+
+import pytest
+
+from repro.errors import ResultTooLarge
+from repro.replication.router import RouterServer
+from repro.service import protocol
+from repro.service.cache import ResultCache, result_key
+from repro.service.server import QueryService, ServiceConfig, ServiceServer
+
+TC_QUERY = "define (X) -[r]-> (Y) { (X) -[e+]-> (Y); }"
+TC_PROGRAM = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y)."
+EDGES = [["a", "e", "b"], ["b", "e", "zoë"], ["zoë", "e", "北京"], ["北京", "e", 'q"uote']]
+
+QUERIES = {
+    "graphlog": {"query": TC_QUERY},
+    "datalog": {"query": TC_PROGRAM, "predicate": "tc"},
+    "rpq": {"query": "e+", "source": "a"},
+}
+
+
+def start_server(**config):
+    config.setdefault("port", 0)
+    config.setdefault("workers", 4)
+    return ServiceServer(config=ServiceConfig(**config)).start_background()
+
+
+@pytest.fixture
+def node():
+    server = start_server()
+    yield server
+    server.stop()
+
+
+class Wire:
+    """A raw connection: one request dict out, one response line in."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        self.stream = self.sock.makefile("rwb")
+
+    def ask(self, **message):
+        self.stream.write(protocol.encode(message))
+        self.stream.flush()
+        return self.stream.readline()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.stream.close()
+        self.sock.close()
+
+
+def checked(line):
+    """The response in *line*, having checked the line against the oracle:
+    the whole response dict through ``protocol.encode``."""
+    response = json.loads(line)
+    assert protocol.encode(response) == line
+    assert response["ok"], response
+    return response
+
+
+def masked(line):
+    return re.sub(
+        rb'"cache":"(hit|miss)","elapsed_ms":[-+.e0-9]+',
+        b'"cache":"*","elapsed_ms":"*"',
+        line,
+    )
+
+
+# --------------------------------------------------------------------------
+# (a) hit line = miss line = the old path's line
+# --------------------------------------------------------------------------
+
+
+class TestHitSplicesWhatAMissEncoded:
+    @pytest.mark.parametrize("op", sorted(QUERIES))
+    def test_hit_line_is_the_miss_line(self, node, op):
+        # An id holding its own "result": null, and a trace id echoed *after*
+        # the result, are what a careless splice would trip over.
+        envelope = {
+            "id": {"result": None, "n": [1, "two"]},
+            "trace": {"trace_id": 'abc"result":null', "sampled": False},
+        }
+        with Wire(node.port) as wire:
+            assert checked(wire.ask(op="update", edges=EDGES))["version"] == 1
+            lines = [wire.ask(op=op, **QUERIES[op], **envelope) for _ in range(3)]
+        responses = [checked(line) for line in lines]
+        assert [r["cache"] for r in responses] == ["miss", "hit", "hit"]
+        assert responses[0]["result"]["count"] > 0
+        assert responses[0]["trace_id"] == 'abc"result":null'
+        assert responses[0]["id"] == envelope["id"]
+        assert masked(lines[0]) == masked(lines[1]) == masked(lines[2])
+        # The entry holds exactly the bytes between the envelope's halves.
+        stats = node.service.results.stats()
+        assert stats["encoded_entries"] == 1
+        encoded = protocol.encode_result(responses[0]["result"])
+        assert stats["encoded_bytes"] == len(encoded)
+        assert encoded in lines[1]
+
+    def test_encode_response_is_encode_for_every_envelope(self):
+        result = {"relations": {"r": [["a", "é"]]}, "count": 1}
+        encoded = protocol.encode_result(result)
+        assert protocol.encode(result) == encoded + b"\n"
+        for request_id in (None, 0, "x", 'a"result":null', {"result": None}, [None]):
+            for extras in (
+                {},
+                {"version": 3, "elapsed_ms": 0.125, "cache": "hit"},
+                {"version": 0, "cache": "miss", "trace_id": '"result":null'},
+            ):
+                response = protocol.ok_response(request_id, result, **extras)
+                assert protocol.encode_response(response, encoded) == protocol.encode(response)
+                assert protocol.encode_response(response) == protocol.encode(response)
+
+    def test_in_process_hits_never_encode(self):
+        service = QueryService()
+        service.execute({"op": "update", "edges": EDGES})
+        message = {"op": "graphlog", "query": TC_QUERY}
+        miss = service.execute(message)
+        hit = service.execute(message)
+        assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+        assert "encoded" not in miss and "encoded" not in hit
+        assert hit["result"] is miss["result"]
+        assert service.results.stats()["encoded_entries"] == 0
+        # A miss on the network path hands its bytes to the response and
+        # keeps none: only a *hit* leaves them with the entry.
+        wire_miss = service.execute({"op": "rpq", "query": "e+"}, wire=True)
+        assert wire_miss["encoded"] == protocol.encode_result(wire_miss["result"])
+        assert service.results.stats()["encoded_entries"] == 0
+        service.close()
+
+
+# --------------------------------------------------------------------------
+# (b) rows_to_wire: the typed fast path against the keyed sort
+# --------------------------------------------------------------------------
+
+
+def keyed_rows_to_wire(rows):
+    """The order every frame has always had, spelled the slow way."""
+    return [
+        list(row)
+        for row in sorted(
+            rows, key=lambda row: tuple((type(v).__name__, str(v)) for v in row)
+        )
+    ]
+
+
+class Text(str):
+    """A ``str`` subclass: its type tag is not ``str``'s."""
+
+
+class TestRowsToWire:
+    STRINGS = ["", "a", "b", "ab", "B", "10", "9", "é", "zoë", "北京", "\U0001f600", "a\x00", " "]
+    OTHERS = [0, 1, 9, 10, -1, 1.0, 2.5, -0.0, True, False, None, Text("a"), Text("zz")]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_keyed_sort(self, seed):
+        rng = random.Random(seed)
+        # Even seeds draw all-str rows (the fast path), odd ones mix types.
+        pool = self.STRINGS if seed % 2 == 0 else self.STRINGS + self.OTHERS
+        arities = [rng.randint(0, 3)] if seed % 4 < 2 else [0, 1, 2, 3]
+        rows = {
+            tuple(rng.choice(pool) for _ in range(rng.choice(arities)))
+            for _ in range(rng.randint(0, 60))
+        }
+        expected = keyed_rows_to_wire(rows)
+        assert protocol.rows_to_wire(rows) == expected
+        assert protocol.rows_to_wire(frozenset(rows)) == expected
+        assert protocol.rows_to_wire(sorted(rows, key=repr)) == expected
+
+    def test_an_int_column_is_not_ordered_as_ints(self):
+        # Plain tuple order would not raise here — and would be wrong.
+        rows = {(9, "a"), (10, "b"), (100, "c")}
+        assert protocol.rows_to_wire(rows) == [[10, "b"], [100, "c"], [9, "a"]]
+
+    def test_frames_use_it(self):
+        frame = protocol.snapshot_frame(1, 2, {"p": {("b",), ("a",)}, "q": {(2,), (10,)}})
+        assert frame["relations"] == {"p": [["a"], ["b"]], "q": [[10], [2]]}
+
+
+# --------------------------------------------------------------------------
+# (c) commits: invalidated entries re-encode, restamped entries keep splicing
+# --------------------------------------------------------------------------
+
+
+class TestCommitsAndEncodedEntries:
+    def test_invalidation_and_restamp_on_the_node(self, node):
+        ask = dict(op="datalog", **QUERIES["datalog"])
+        with Wire(node.port) as wire:
+            checked(wire.ask(op="update", edges=EDGES[:2]))
+            old = [checked(wire.ask(**ask)) for _ in range(2)]
+            assert [r["cache"] for r in old] == ["miss", "hit"]
+            # A commit inside the footprint: the entry and its bytes go.
+            checked(wire.ask(op="update", edges=EDGES[2:]))
+            assert node.service.results.stats()["encoded_entries"] == 0
+            lines = [wire.ask(**ask) for _ in range(2)]
+            new = [checked(line) for line in lines]
+            assert [(r["cache"], r["version"]) for r in new] == [("miss", 2), ("hit", 2)]
+            assert new[0]["result"]["count"] > old[0]["result"]["count"]
+            assert new[0]["result"] == node.service.execute(ask)["result"]
+            assert masked(lines[0]) == masked(lines[1])
+            # A commit outside it: same entry, same bytes, new version stamp
+            # — which is why the version is not inside the bytes.
+            entry_bytes = node.service.results.stats()["encoded_bytes"]
+            checked(wire.ask(op="update", edges=[["a", "unrelated", "b"]]))
+            restamped_line = wire.ask(**ask)
+            restamped = checked(restamped_line)
+            assert (restamped["cache"], restamped["version"]) == ("hit", 3)
+            assert restamped["result"] == new[0]["result"]
+            assert masked(restamped_line).replace(b'"version":3', b'"version":2') == masked(
+                lines[1]
+            )
+        stats = node.service.results.stats()
+        assert stats["delta_reuse_hits"] >= 1
+        assert (stats["encoded_entries"], stats["encoded_bytes"]) == (1, entry_bytes)
+
+    def test_through_router_and_replica(self, node):
+        replica = start_server(
+            replica_of=f"127.0.0.1:{node.port}", repl_wait_ms=200, version_wait_ms=2000
+        )
+        assert replica.service.applier.wait_ready(10)
+        router = RouterServer(f"127.0.0.1:{node.port}", [f"127.0.0.1:{replica.port}"]).start()
+        ask = dict(op="graphlog", **QUERIES["graphlog"])
+        try:
+            with Wire(router.port) as wire:
+                checked(wire.ask(op="update", edges=EDGES[:2]))
+                first = [checked(wire.ask(**ask)) for _ in range(3)]
+                checked(wire.ask(op="update", edges=EDGES[2:]))
+                second = [checked(wire.ask(**ask)) for _ in range(3)]
+            for batch, version in ((first, 1), (second, 2)):
+                assert [(r["cache"], r["version"]) for r in batch] == [
+                    ("miss", version), ("hit", version), ("hit", version),
+                ]
+                assert batch[0]["result"] == batch[1]["result"] == batch[2]["result"]
+            assert second[0]["result"] == node.service.execute(ask)["result"]
+            assert second[0]["result"]["count"] > first[0]["result"]["count"]
+            # The replica answered, from bytes it attached on its first hit.
+            served = replica.service.results.stats()
+            assert served["hits"] == 4 and served["encoded_entries"] == 1
+            assert node.service.results.stats()["hits"] == 0
+        finally:
+            router.stop()
+            replica.stop()
+
+
+# --------------------------------------------------------------------------
+# (d) concurrent first hits
+# --------------------------------------------------------------------------
+
+
+class TestConcurrentFirstHits:
+    def test_racing_threads_all_get_the_right_bytes(self):
+        service = QueryService()
+        service.execute({"op": "update", "edges": EDGES})
+        message = {"op": "graphlog", "query": TC_QUERY}
+        expected = protocol.encode_result(service.execute(message)["result"])
+        threads, bodies = [], []
+        barrier = threading.Barrier(8)
+
+        def hit():
+            barrier.wait(timeout=10)
+            for _ in range(50):
+                bodies.append(service.execute(message, wire=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hit) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(bodies) == 400
+        assert all(b["cache"] == "hit" and b["encoded"] == expected for b in bodies)
+        stats = service.results.stats()
+        assert (stats["encoded_entries"], stats["encoded_bytes"]) == (1, len(expected))
+        service.close()
+
+    def test_two_connections_hit_a_fresh_entry_at_once(self, node):
+        ask = dict(op="graphlog", **QUERIES["graphlog"], id=7)
+        with Wire(node.port) as first, Wire(node.port) as second:
+            checked(first.ask(op="update", edges=EDGES))
+            miss = first.ask(**ask)
+            assert checked(miss)["cache"] == "miss"
+            lines = {}
+            barrier = threading.Barrier(2)
+
+            def hit(name, wire):
+                barrier.wait(timeout=10)
+                lines[name] = wire.ask(**ask)
+
+            threads = [
+                threading.Thread(target=hit, args=pair)
+                for pair in (("first", first), ("second", second))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        for line in lines.values():
+            assert checked(line)["cache"] == "hit"
+            assert masked(line) == masked(miss)
+
+
+# --------------------------------------------------------------------------
+# budgets: one size, enforced hot and cold
+# --------------------------------------------------------------------------
+
+
+class TestBudgetsHotAndCold:
+    def test_max_bytes_bounds_the_result_object_on_both_paths(self, node):
+        ask = dict(op="rpq", **QUERIES["rpq"])
+        with Wire(node.port) as wire:
+            checked(wire.ask(op="update", edges=EDGES))
+            line = wire.ask(**ask, method="native")
+            result = checked(line)["result"]
+            # What max_bytes bounds: the result object's bytes on the wire —
+            # not the envelope, not the line terminator.
+            size = len(protocol.encode_result(result))
+            assert b'"result":' + protocol.encode_result(result) + b',"version"' in line
+
+            def verdict(**budget):
+                response = json.loads(wire.ask(**ask, **budget))
+                return response.get("cache") if response["ok"] else response["error"]
+
+            # Cold: the default engine's entry does not exist yet, and a
+            # refused answer is not cached.
+            error = verdict(max_bytes=size - 1)
+            assert error["code"] == "result_too_large"
+            assert f"encodes to {size} bytes, limit is {size - 1}" in error["message"]
+            assert verdict(max_rows=result["count"] - 1)["code"] == "result_too_large"
+            assert verdict(max_bytes=size, max_rows=result["count"]) == "miss"
+            # Hot: the same numbers decide.
+            assert verdict(max_bytes=size, max_rows=result["count"]) == "hit"
+            error = verdict(max_bytes=size - 1)
+            assert error["code"] == "result_too_large"
+            assert f"encodes to {size} bytes, limit is {size - 1}" in error["message"]
+            error = verdict(max_rows=result["count"] - 1)
+            assert error["code"] == "result_too_large"
+            assert f"{result['count']} rows" in error["message"]
+            assert verdict() == "hit"
+
+    def test_in_process_budgets_agree(self):
+        service = QueryService()
+        service.execute({"op": "update", "edges": EDGES})
+        message = {"op": "datalog", **QUERIES["datalog"]}
+        size = len(protocol.encode_result(service.execute(message)["result"]))
+        assert service.execute({**message, "max_bytes": size})["cache"] == "hit"
+        with pytest.raises(ResultTooLarge, match=f"{size} bytes"):
+            service.execute({**message, "max_bytes": size - 1})
+        service.close()
+
+
+# --------------------------------------------------------------------------
+# observability: the bytes held, and the respond phase
+# --------------------------------------------------------------------------
+
+
+class TestObservability:
+    def test_cache_stats_count_encoded_entries(self):
+        cache = ResultCache(capacity=2)
+        for name in "ab":
+            cache.put(result_key(name, {}), name, version=1, footprint=frozenset({"p"}))
+        assert cache.get(result_key("a", {}), 1).encoded is None
+        cache.get(result_key("a", {}), 1).encoded = b"12345"
+        cache.get(result_key("b", {}), 1).encoded = b"123"
+        stats = cache.stats()
+        assert (stats["encoded_entries"], stats["encoded_bytes"]) == (2, 8)
+        # Eviction, re-stamping and invalidation keep the numbers honest.
+        cache.put(result_key("c", {}), "c", version=1, footprint=frozenset({"q"}))
+        assert cache.stats()["encoded_bytes"] == 3
+        cache.apply_commit(2, frozenset({"q"}))
+        assert cache.get(result_key("b", {}), 2).encoded == b"123"
+        cache.apply_commit(3, frozenset({"p"}))
+        assert (cache.stats()["encoded_entries"], cache.stats()["encoded_bytes"]) == (0, 0)
+
+    def test_stats_metrics_and_respond_phase(self, node):
+        ask = dict(op="graphlog", **QUERIES["graphlog"])
+        with Wire(node.port) as wire:
+            checked(wire.ask(op="update", edges=EDGES))
+            answers = [checked(wire.ask(**ask)) for _ in range(2)]
+            bogus = json.loads(wire.ask(op="bogus"))
+            assert not bogus["ok"]
+            stats = checked(wire.ask(op="stats"))["result"]
+        size = len(protocol.encode_result(answers[1]["result"]))
+        assert stats["result_cache"]["encoded_entries"] == 1
+        assert stats["result_cache"]["encoded_bytes"] == size
+        # Every line written before this stats request was observed — the
+        # refused one too.
+        respond = stats["metrics"]["phases"]["respond"]
+        assert respond["count"] == 4 and respond["total_ms"] > 0
+        text = node.service.prometheus_text()
+        assert "repro_result_cache_encoded_entries 1" in text
+        assert f"repro_result_cache_encoded_bytes {size}" in text
+        assert 'repro_phase_seconds_count{phase="respond"}' in text

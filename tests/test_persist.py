@@ -443,6 +443,71 @@ class TestStoreIntegration:
             manager2.close()
 
 
+# ------------------------------------------------- the retained log is a slice
+
+
+def assert_log_is_contiguous(store):
+    """``records_since`` / ``graph_at`` slice the retained log by offset from
+    the base; check the invariant that makes that right, and both readers
+    against a scan of the log by ``record.version``."""
+    base = store.stats()["base_version"]
+    log = store.history()
+    assert [r.version for r in log] == list(range(base + 1, store.version + 1))
+    assert store.records_since(base - 1) is None
+    for since in range(base, store.version + 2):
+        assert store.records_since(since) == [r for r in log if r.version > since]
+    for version in range(base, store.version + 1):
+        assert store.graph_at(version).edge_count() == version
+
+
+class TestRetainedLogContiguity:
+    def test_after_truncate_history(self):
+        store = HAMStore()
+        commit_chain(store, 7)
+        assert_log_is_contiguous(store)
+        store.truncate_history(keep_last=3)
+        assert_log_is_contiguous(store)
+        commit_chain(store, 2, start=7)
+        assert_log_is_contiguous(store)
+        store.truncate_history()
+        assert_log_is_contiguous(store)
+
+    def test_after_apply_replicated_onto_a_bootstrapped_base(self):
+        primary = HAMStore()
+        commit_chain(primary, 4)
+        replica = HAMStore()
+        graph = primary.graph_at(4)
+        replica.restore_state(graph, 4, 4, base_graph=graph, base_version=4)
+        commit_chain(primary, 3, start=4)
+        for record in primary.records_since(4):
+            replica.apply_replicated(record)
+        assert_log_is_contiguous(replica)
+        assert replica.stats()["base_version"] == 4
+        replica.truncate_history(keep_last=1)
+        assert_log_is_contiguous(replica)
+
+    def test_after_recovery_from_a_checkpoint(self, tmp_path):
+        manager, store = durable_store(tmp_path, fsync="off")
+        commit_chain(store, 4)
+        manager.checkpoint()
+        commit_chain(store, 3, start=4)
+        manager.close()
+        manager2, recovered = durable_store(tmp_path)
+        assert recovered.stats()["base_version"] == 4
+        assert recovered.version == 7
+        assert_log_is_contiguous(recovered)
+        commit_chain(recovered, 2, start=7)
+        assert_log_is_contiguous(recovered)
+        manager2.close()
+
+    def test_restore_state_rejects_a_log_with_a_hole(self):
+        source = HAMStore()
+        commit_chain(source, 3)
+        first, _second, third = source.history()
+        with pytest.raises(StoreError, match="versions 1..3 in order"):
+            HAMStore().restore_state(source.graph, 3, 3, records=[first, third])
+
+
 # ------------------------------------------------------------------ epoch
 
 

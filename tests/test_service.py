@@ -106,7 +106,7 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         key = result_key("fp", {})
         cache.put(key, "answer@1", version=1)
-        assert cache.get(key, 1) == "answer@1"
+        assert cache.get(key, 1).value == "answer@1"
         assert cache.get(key, 2) is None
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
@@ -115,7 +115,7 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         cache.put(result_key("fp", {"source": "a"}), "from-a", version=1)
         assert cache.get(result_key("fp", {"source": "b"}), 1) is None
-        assert cache.get(result_key("fp", {"source": "a"}), 1) == "from-a"
+        assert cache.get(result_key("fp", {"source": "a"}), 1).value == "from-a"
 
     def test_param_normalization_is_type_tagged(self):
         # str(v) normalization used to collide all three, so a query with
@@ -150,7 +150,7 @@ class TestResultCache:
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "unrelated")
-        assert cache.get(key, store.version) == "answer"
+        assert cache.get(key, store.version).value == "answer"
         assert cache.stats()["delta_reuse_hits"] == 1
         with session.transaction() as txn:
             txn.add_edge("a", "c", "from")
@@ -175,7 +175,7 @@ class TestResultCache:
         cache.get(("a", ()), 1)
         cache.put(("c", ()), 3, version=1)
         assert cache.get(("b", ()), 1) is None
-        assert cache.get(("a", ()), 1) == 1
+        assert cache.get(("a", ()), 1).value == 1
         assert cache.stats()["evictions"] == 1
 
 
