@@ -11,6 +11,12 @@ with the differential check enabled:
   ``engine="columnar"``, including an ``explain`` pass asserting the
   reported backend, and the RPQ op on both the CSR and dict-walk paths.
 
+- the store's relational image (``repro.ham.image``), by counts alone: 50 ×
+  (commit, closure miss, RPQ miss) on one service must end with one build,
+  50 folds, no fallback and every answer equal to the naive engine's — so a
+  refactor that silently drops back to rebuilding the image per commit fails
+  here instead of only moving a latency.
+
 Any divergence between backends fails the job.  Timings are printed for
 trend-watching but are *not* gated here — the calibrated >= 10x assertions
 live in ``benchmarks/test_ablation_columnar.py`` where pytest-benchmark
@@ -146,9 +152,62 @@ def check_abl7_service():
     )
 
 
+CLOSURE_QUERY = "define (X) -[connected]-> (Y) { (X) -[(-from . to)+]-> (Y); }"
+CLOSURE_PROGRAM = parse_program(
+    """
+    leg(X, Y) :- from(F, X), to(F, Y).
+    connected(X, Y) :- leg(X, Y).
+    connected(X, Y) :- connected(X, Z), leg(Z, Y).
+    """
+)
+
+
+def check_image_folds():
+    """50 × (commit, closure miss, RPQ miss): the image is built once and
+    folded 50 times, and both answers track the naive oracle throughout."""
+    rounds = 50
+    database = random_flights(7, n_cities=12, n_flights=40)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(store=store, config=ServiceConfig())
+    source = sorted(city for _flight, city in database.facts("from"))[0]
+    closure = {"op": "graphlog", "query": CLOSURE_QUERY}
+    rpq = {"op": "rpq", "query": RPQ_EXPRESSION, "source": source}
+    execute(service, closure)  # the one build
+    for i in range(rounds):
+        # Alternately add and remove one flight's from/to edges.
+        edges = [[f"extra{i // 2}", "from", source], [f"extra{i // 2}", "to", f"new{i // 2}"]]
+        execute(service, {"op": "update", "remove_edges" if i % 2 else "edges": edges})
+        if i % 2:
+            database.relation("from").discard((edges[0][0], edges[0][2]))
+            database.relation("to").discard((edges[1][0], edges[1][2]))
+        else:
+            database.add_fact("from", edges[0][0], edges[0][2])
+            database.add_fact("to", edges[1][0], edges[1][2])
+        oracle = Engine(method="naive").evaluate(CLOSURE_PROGRAM, database)
+        answers = {}
+        for request, relation in ((closure, "connected"), (rpq, "answers")):
+            response = execute(service, request)
+            if response["cache"] != "miss":
+                fail(f"image round {i}: {request['op']} was not re-evaluated")
+            answers[relation] = {tuple(row) for row in response["result"]["relations"][relation]}
+        if answers["connected"] != oracle.facts("connected"):
+            fail(f"image round {i}: closure answer diverges from the naive oracle")
+        if answers["answers"] != {(y,) for x, y in oracle.facts("leg") if x == source}:
+            fail(f"image round {i}: RPQ answer diverges from the naive oracle")
+    edb = service.stats()["edb"]
+    if (edb["builds"], edb["folds"], edb["fallbacks"]) != (1, rounds, {}):
+        fail(f"image was not advanced by folding alone: {edb!r}")
+    print(
+        f"image: builds={edb['builds']} folds={edb['folds']} "
+        f"folded_rows={edb['folded_rows']} catalog_terms={edb['catalog_terms']}"
+    )
+
+
 def main():
     check_abl6_chain()
     check_abl7_service()
+    check_image_folds()
     print("benchmark_smoke: OK")
 
 

@@ -154,6 +154,26 @@ class ColumnarRelation:
         clone.run_lengths = list(self.run_lengths)
         return clone
 
+    def patched(self, inserted=(), deleted=()):
+        """A new sealed relation: this one's rows minus *deleted* plus
+        *inserted* (encoded rows), as one sorted run.  This relation — and
+        whatever evaluation is reading it — is left untouched; the copy
+        builds its own indexes on first probe."""
+        clone = ColumnarRelation(self.name, self.arity, sealed=True)
+        deleted = self.keys.intersection(deleted)
+        if deleted:
+            clone.rows = [row for row in self.rows if row not in deleted]
+        else:
+            clone.rows = list(self.rows)
+        clone.keys = set(clone.rows)
+        fresh = sorted(set(inserted) - clone.keys)
+        clone.keys.update(fresh)
+        clone.rows.extend(fresh)
+        clone.rows.sort()  # two sorted runs: one linear merge
+        if clone.rows:
+            clone.run_lengths.append(len(clone.rows))
+        return clone
+
     def merge_run(self, candidate_rows):
         """Dedup *candidate_rows* against the base and merge the survivors
         as one new sorted run; returns the list of genuinely-new rows."""
@@ -230,11 +250,15 @@ def _build_index(rows, positions):
 class EncodedDatabase:
     """A Database's relations, dictionary-encoded and sealed.
 
-    Built once per database state (``encode_database`` caches by mutation
-    stamp) and shared read-only by every evaluation at that state — the
-    build/commit-time half of the encoding lifecycle.  The catalog is
-    append-only, so later evaluations may intern new terms (arithmetic
-    results, program constants) without invalidating earlier rows.
+    Read-only once built, so any number of evaluations may share it.  Who
+    builds it decides how often that happens: :func:`encode_database` caches
+    one per ``Database`` *object*, keyed by mutation stamp, so a caller that
+    hands the engine a fresh copy per evaluation re-encodes per evaluation;
+    the service's store image (:mod:`repro.ham.image`) instead builds one
+    per store and :meth:`patched`-derives each commit's successor, sharing
+    untouched relations and their indexes.  The catalog is append-only, so
+    evaluations and successors may intern new terms (arithmetic results,
+    program constants, new store values) without invalidating earlier rows.
     """
 
     __slots__ = ("catalog", "relations")
@@ -257,12 +281,50 @@ class EncodedDatabase:
         return encoded
 
 
-def encode_database(database, catalog=None):
+    def patched(self, insertions, deletions):
+        """The encoding of ``database.patched(insertions, deletions)``, given
+        that this is the encoding of ``database``, over the same catalog.
+
+        Mirrors :meth:`Database.patched`: relations the mappings do not name
+        are shared by reference *with their built indexes*, the others are
+        copied and patched, emptied ones dropped.
+        """
+        clone = EncodedDatabase(self.catalog)
+        relations = clone.relations = dict(self.relations)
+        intern_row = self.catalog.intern_row
+        for name in insertions.keys() | deletions.keys():
+            inserted = [intern_row(row) for row in insertions.get(name, ())]
+            relation = relations.get(name)
+            if relation is None:
+                if not inserted:
+                    continue
+                relation = ColumnarRelation(name, len(inserted[0]), sealed=True)
+            relation = relation.patched(
+                inserted, [intern_row(row) for row in deletions.get(name, ())]
+            )
+            if relation.rows:
+                relations[name] = relation
+            else:
+                relations.pop(name, None)
+        return clone
+
+    def with_relation(self, relation):
+        """Mirrors :meth:`Database.with_relation` for one sealed relation."""
+        clone = EncodedDatabase(self.catalog)
+        clone.relations = dict(self.relations)
+        clone.relations[relation.name] = relation
+        return clone
+
+
+def encode_database(database, catalog=None, encoded=None):
     """The (cached) sealed encoding of *database*.
 
     The cache key is the per-relation mutation stamp, so any add/discard on
-    any relation re-encodes; an unchanged database (the service's shared
-    per-version EDB) encodes exactly once no matter how many queries run.
+    any relation re-encodes; an unchanged database encodes exactly once no
+    matter how many queries run.  A caller that already holds the encoding —
+    derived from a predecessor's by :meth:`EncodedDatabase.patched` — passes
+    it as *encoded* and it is cached instead of built; evaluations of
+    *database* then find it like any other.
     """
     stamp = tuple(
         sorted(
@@ -270,12 +332,13 @@ def encode_database(database, catalog=None):
             for name in database
         )
     )
-    cached = getattr(database, "_columnar_cache", None)
-    if cached is not None and cached[0] == stamp and (
-        catalog is None or cached[1].catalog is catalog
-    ):
-        return cached[1]
-    encoded = EncodedDatabase.from_database(database, catalog)
+    if encoded is None:
+        cached = getattr(database, "_columnar_cache", None)
+        if cached is not None and cached[0] == stamp and (
+            catalog is None or cached[1].catalog is catalog
+        ):
+            return cached[1]
+        encoded = EncodedDatabase.from_database(database, catalog)
     try:
         database._columnar_cache = (stamp, encoded)
     except AttributeError:  # pragma: no cover - Database has a __dict__

@@ -1,8 +1,10 @@
 """HAM-style transactional, versioned graph storage (Section 5 substrate),
 plus materialized GraphLog views with incremental (counting/DRed)
-maintenance driven by typed commit deltas."""
+maintenance and the store's relational image, both driven by typed commit
+deltas."""
 
 from repro.ham.delta import Delta, compute_delta
+from repro.ham.image import StoreImage, StoreImages
 from repro.ham.store import HAMStore, Session, Transaction, TransactionRecord, new_epoch
 from repro.ham.views import (
     MaterializedView,
@@ -16,6 +18,8 @@ __all__ = [
     "HAMStore",
     "MaterializedView",
     "Session",
+    "StoreImage",
+    "StoreImages",
     "Transaction",
     "TransactionRecord",
     "ViewManager",

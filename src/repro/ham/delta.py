@@ -16,7 +16,7 @@ cache (:mod:`repro.service.cache`) — only ever see the net effect.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 
 class Delta:
@@ -119,6 +119,79 @@ class Delta:
             f"Delta(+{ins} facts, -{dels} facts, "
             f"+{len(self.nodes_added)}/-{len(self.nodes_removed)} nodes)"
         )
+
+
+def net_delta(deltas):
+    """The one :class:`Delta` that equals applying *deltas* in order.
+
+    Rows inserted by one delta and deleted by a later one (or the reverse)
+    cancel, exactly as they do inside a single transaction.
+    """
+    deltas = list(deltas)
+    if len(deltas) == 1:
+        return deltas[0]
+    net = Delta()
+    for delta in deltas:
+        for predicate, rows in delta.deletions.items():
+            for row in rows:
+                net.delete(predicate, row)
+        for predicate, rows in delta.insertions.items():
+            for row in rows:
+                net.insert(predicate, row)
+        for node in delta.nodes_removed:
+            net.remove_node(node)
+        for node in delta.nodes_added:
+            net.add_node(node)
+    return net
+
+
+def domain_refs(database):
+    """``Counter`` of value → occurrences across every fact of *database*.
+
+    The active domain is its key set; the counts are what lets
+    :func:`fold_domain_refs` keep it in O(delta).
+    """
+    return Counter(
+        value
+        for predicate in database
+        for row in database.facts(predicate)
+        for value in row
+    )
+
+
+def fold_domain_refs(refs, delta):
+    """Advance the refcount *refs* (see :func:`domain_refs`) past *delta*,
+    in place; returns ``(entered, left)``.
+
+    A value enters the domain with its first occurrence and leaves with its
+    last, which only reference counting can tell without rescanning the
+    database.
+    """
+    changed = Counter()
+    for rows in delta.insertions.values():
+        for row in rows:
+            for value in row:
+                changed[value] += 1
+    for rows in delta.deletions.values():
+        for row in rows:
+            for value in row:
+                changed[value] -= 1
+    entered = set()
+    left = set()
+    for value, change in changed.items():
+        if change == 0:
+            continue
+        before = refs[value]
+        after = before + change
+        if after > 0:
+            refs[value] = after
+        else:
+            del refs[value]
+        if before == 0 and after > 0:
+            entered.add(value)
+        elif before > 0 and after <= 0:
+            left.add(value)
+    return entered, left
 
 
 def _annotation_names(label):

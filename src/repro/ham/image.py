@@ -1,0 +1,231 @@
+"""One relational image of the store, advanced by commit deltas.
+
+The Section 2 encoding (tuple ``P(a, b, c)`` ⇄ edge ``a -P(c)-> b``) is what
+lets λ-translated Datalog run over the HAM graph; this module keeps that
+relational form *as a stored thing* instead of re-deriving it per
+evaluation.  A :class:`StoreImage` is the image of one store version:
+
+- ``database`` — the graph's facts (what ``database_from_graph`` returns);
+- ``prepared`` — the same database plus the ``node`` domain relation (what
+  ``prepare_database`` returns), sharing every other relation by reference;
+- the sealed int encoding of both, over one append-only ``TermCatalog``,
+  cached where :func:`~repro.datalog.columnar.encode_database` looks — so
+  ``Engine(method="columnar")`` finds it without being told.
+
+:class:`StoreImages` owns the current image of one store and advances it
+from version *u* to *v* by folding the typed deltas of
+``store.records_since(u)``: relations a delta does not touch are the same
+objects in both versions, built indexes included; touched relations are
+copied and patched; the domain follows by value refcount.  Published images
+are immutable, so an evaluation at *u* is unaffected by the advance to *v*.
+The advance is pull-based (:meth:`StoreImages.at`): a commit does no work
+here, and a store nobody evaluates against never has an image.  Building
+from the graph survives as the constructor, :meth:`StoreImage.build` — taken
+on first use and whenever folding is impossible or not cheaper.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import Counter
+
+from repro.core.translate import DOMAIN_PREDICATE
+from repro.datalog.columnar import TermCatalog, encode_database
+from repro.datalog.database import Database
+from repro.errors import ArityError
+from repro.graphs import bridge
+from repro.ham.delta import domain_refs, fold_domain_refs, net_delta
+
+#: Dead catalog terms tolerated beyond the size of the live domain before a
+#: fold gives way to a rebuild over a fresh catalog (small stores churn
+#: freely).
+_CATALOG_SLACK = 64
+
+
+def _patched(database, insertions, deletions):
+    """``database.patched(...)`` with its encoding derived the same way."""
+    successor = database.patched(insertions, deletions)
+    encode_database(
+        successor, encoded=encode_database(database).patched(insertions, deletions)
+    )
+    return successor
+
+
+class StoreImage:
+    """The relational image of one store version; immutable once built."""
+
+    __slots__ = ("version", "database", "_prepared", "_domain", "_refs", "_dead")
+
+    def __init__(self, version, database, domain, refs, dead=frozenset()):
+        self.version = version
+        self.database = database
+        #: A database of the one relation ``node``: the active domain.
+        self._domain = domain
+        #: value → occurrences across the facts of ``database``.
+        self._refs = refs
+        #: Values that left the store but are still interned in the catalog.
+        self._dead = dead
+        if DOMAIN_PREDICATE not in domain:  # an empty store
+            self._prepared = database
+        elif DOMAIN_PREDICATE in database and database.arity_of(DOMAIN_PREDICATE) != 1:
+            self._prepared = None  # see :attr:`prepared`
+        else:
+            # A user relation named `node` holds domain values only, so the
+            # domain relation stands in for it rather than merging with it.
+            node = domain.relation(DOMAIN_PREDICATE)
+            self._prepared = database.with_relation(node)
+            encode_database(
+                self._prepared,
+                encoded=encode_database(database).with_relation(
+                    encode_database(domain).relations[DOMAIN_PREDICATE]
+                ),
+            )
+
+    @classmethod
+    def build(cls, version, graph):
+        """The image of *graph*, from scratch, over a fresh catalog."""
+        database = bridge.database_from_graph(graph)
+        refs = domain_refs(database)
+        domain = Database()
+        domain.add_facts(DOMAIN_PREDICATE, [(value,) for value in refs])
+        catalog = TermCatalog()
+        encode_database(database, catalog)
+        encode_database(domain, catalog)
+        return cls(version, database, domain, refs)
+
+    def advanced(self, version, delta):
+        """The image *delta* (net, since this version) leads to."""
+        database = _patched(self.database, delta.insertions, delta.deletions)
+        refs = Counter(self._refs)
+        entered, left = fold_domain_refs(refs, delta)
+        domain = self._domain
+        if entered or left:
+            domain = _patched(
+                domain,
+                {DOMAIN_PREDICATE: {(value,) for value in entered}},
+                {DOMAIN_PREDICATE: {(value,) for value in left}},
+            )
+        return StoreImage(
+            version, database, domain, refs, (self._dead | left) - entered
+        )
+
+    def shared_with(self, other):
+        """How many relations of this image are the same objects in *other*."""
+        mine, theirs = self.database, other.database
+        return (self._domain is other._domain) + sum(
+            1
+            for name in mine
+            if name in theirs and mine.relation(name) is theirs.relation(name)
+        )
+
+    @property
+    def prepared(self):
+        """``database`` plus the ``node`` domain relation."""
+        if self._prepared is None:
+            # Only a user relation `node` of another arity leaves an image
+            # without one; fail as prepare_database does.
+            self.database.relation(DOMAIN_PREDICATE, 1)
+        return self._prepared
+
+    @property
+    def catalog(self):
+        return encode_database(self.database).catalog
+
+    @property
+    def bloated(self):
+        """The catalog outlives a version, so values that left the store
+        stay interned; true once they outnumber the live ones."""
+        return len(self._dead) > len(self._refs) + _CATALOG_SLACK
+
+
+class _Unfoldable(Exception):
+    """Folding is impossible or not cheaper; the message is the reason."""
+
+
+class StoreImages:
+    """Owner of one store's current :class:`StoreImage`."""
+
+    def __init__(self, store):
+        self.store = store
+        self._lock = threading.Lock()
+        self._image = None
+        self.builds = 0
+        self.folds = 0
+        self.folded_rows = 0
+        self.fallbacks = Counter()
+        self.shared_relations = 0
+
+    def at(self, version, graph):
+        """The image of *graph*, the store's graph at *version*."""
+        with self._lock:
+            image = self._image
+            if image is not None and image.version == version:
+                return image
+            if image is None or version > image.version:
+                image = self._image = self._advance(image, version, graph)
+                return image
+            # A reader pinned to a version the published image has moved
+            # past (or a subscription diffing an old record): its own build,
+            # never published.
+            self.fallbacks["older_version"] += 1
+            self.builds += 1
+        return StoreImage.build(version, graph)
+
+    def reset(self, reason):
+        """Forget the image: version arithmetic no longer holds (a replica
+        re-bootstrap may regress the version or swap the history)."""
+        with self._lock:
+            if self._image is not None:
+                self._image = None
+                self.fallbacks[reason] += 1
+
+    def _advance(self, image, version, graph):
+        if image is not None:
+            try:
+                return self._fold(image, version)
+            except _Unfoldable as why:
+                self.fallbacks[str(why)] += 1
+        image = StoreImage.build(version, graph)
+        self.builds += 1
+        self.shared_relations = 0
+        return image
+
+    def _fold(self, image, version):
+        behind = version - image.version
+        records = self.store.records_since(image.version)
+        if records is None:
+            raise _Unfoldable("history_truncated")
+        deltas = [record.delta for record in records[:behind]]
+        if any(delta is None for delta in deltas):
+            raise _Unfoldable("no_delta")
+        delta_rows = sum(
+            len(rows)
+            for delta in deltas
+            for side in (delta.insertions, delta.deletions)
+            for rows in side.values()
+        )
+        if delta_rows > image.database.count():
+            raise _Unfoldable("large_delta")
+        try:
+            successor = image.advanced(version, net_delta(deltas))
+        except ArityError:
+            raise _Unfoldable("arity_conflict") from None
+        if successor.bloated:
+            raise _Unfoldable("catalog_bloat")
+        self.folds += 1
+        self.folded_rows += delta_rows
+        self.shared_relations = successor.shared_with(image)
+        return successor
+
+    def stats(self):
+        with self._lock:
+            image = self._image
+            return {
+                "version": image.version if image is not None else None,
+                "builds": self.builds,
+                "folds": self.folds,
+                "folded_rows": self.folded_rows,
+                "fallbacks": dict(self.fallbacks),
+                "shared_relations": self.shared_relations,
+                "catalog_terms": len(image.catalog) if image is not None else 0,
+            }

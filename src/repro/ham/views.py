@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 from repro.core.engine import GraphLogEngine, prepare_database
 from repro.core.query_graph import GraphicalQuery, QueryGraph
@@ -38,6 +38,7 @@ from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.errors import AggregationError, TranslationError
 from repro.graphs.bridge import database_from_graph
+from repro.ham.delta import domain_refs, fold_domain_refs
 
 logger = logging.getLogger(__name__)
 
@@ -215,12 +216,7 @@ class MaterializedView:
             self.state, self.counts = self.plan.evaluate(prepared)
         else:
             self.state = GraphLogEngine().run(self.query, edb)
-        self._domain_refs = Counter(
-            value
-            for predicate in edb
-            for row in edb.facts(predicate)
-            for value in row
-        )
+        self._domain_refs = domain_refs(edb)
         self.full_refreshes += 1
         return self.state
 
@@ -257,35 +253,15 @@ class MaterializedView:
         return stats
 
     def _fold_domain_changes(self, delta, delta_plus, delta_minus):
-        """Turn EDB fact changes into domain-predicate facts via refcounts.
-
-        The domain holds every value occurring in any EDB fact; a value's
+        """Turn EDB fact changes into domain-predicate facts: a value's
         domain fact appears with its first occurrence and disappears with
-        its last, which only reference counting can tell in O(delta).
-        """
-        changed = Counter()
-        for rows in delta.insertions.values():
-            for row in rows:
-                for value in row:
-                    changed[value] += 1
-        for rows in delta.deletions.values():
-            for row in rows:
-                for value in row:
-                    changed[value] -= 1
+        its last (:func:`~repro.ham.delta.fold_domain_refs`)."""
+        entered, left = fold_domain_refs(self._domain_refs, delta)
         domain = self.domain_predicate
-        for value, change in changed.items():
-            if change == 0:
-                continue
-            before = self._domain_refs[value]
-            after = before + change
-            if after > 0:
-                self._domain_refs[value] = after
-            else:
-                del self._domain_refs[value]
-            if before == 0 and after > 0:
-                delta_plus.setdefault(domain, set()).add((value,))
-            elif before > 0 and after <= 0:
-                delta_minus.setdefault(domain, set()).add((value,))
+        if entered:
+            delta_plus.setdefault(domain, set()).update((v,) for v in entered)
+        if left:
+            delta_minus.setdefault(domain, set()).update((v,) for v in left)
 
     def stats(self):
         return {

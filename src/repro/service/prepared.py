@@ -67,6 +67,7 @@ class PreparedQuery:
         "idb_predicates",
         "has_summaries",
         "footprint",
+        "reads_relations",
     )
 
     def __init__(self, op, text):
@@ -84,6 +85,9 @@ class PreparedQuery:
         #: result cache keeps entries alive across commits that miss this
         #: set.  None = unknown (every commit invalidates).
         self.footprint = None
+        #: Whether evaluation reads the store's relational image (a graph
+        #: search does not, and is never handed one).
+        self.reads_relations = True
         prepare = getattr(self, f"_prepare_{op}", None)
         if prepare is None:
             raise ProtocolError(f"cannot prepare op {op!r}")
@@ -146,44 +150,47 @@ class PreparedQuery:
             # result also depends on the node set — the active domain.
             labels.add(DOMAIN_PREDICATE)
         self.footprint = frozenset(labels)
+        self.reads_relations = False
 
     # ------------------------------------------------------------ evaluate
 
-    def evaluate(self, graph, edb, params):
+    def evaluate(self, graph, image, params):
         """Run the plan against one committed store state.
 
-        ``graph`` is the store's :class:`LabeledMultigraph`, ``edb`` its
-        relational encoding (shared across requests at the same version),
+        ``graph`` is the store's :class:`LabeledMultigraph`, ``image`` its
+        :class:`~repro.ham.image.StoreImage` (shared across requests at the
+        same version; None for a plan that does not ``reads_relations``),
         ``params`` the request's evaluation-time parameters.  Returns
         ``{relation_name: set_of_rows}``.
         """
         evaluate = getattr(self, f"_evaluate_{self.op}")
-        return evaluate(graph, edb, params or {})
+        return evaluate(graph, image, params or {})
 
-    def _evaluate_graphlog(self, _graph, edb, params):
-        from repro.core.engine import GraphLogEngine, prepare_database
+    def _evaluate_graphlog(self, _graph, image, params):
+        from repro.core.engine import GraphLogEngine
         from repro.datalog.engine import Engine
 
         method = _engine_method(params)
         if self.has_summaries:
-            result = GraphLogEngine(method=method).run(self.graphical, edb)
+            result = GraphLogEngine(method=method).run(self.graphical, image.database)
         else:
-            prepared = prepare_database(edb)
             result = Engine(method=method, check_safety=False).evaluate(
-                self.program, prepared
+                self.program, image.prepared
             )
         predicates = self._requested_predicates(params)
         return {p: set(result.facts(p)) for p in predicates}
 
-    def _evaluate_datalog(self, _graph, edb, params):
+    def _evaluate_datalog(self, _graph, image, params):
         from repro.datalog.engine import Engine
 
         method = _engine_method(params)
-        result = Engine(method=method, check_safety=False).evaluate(self.program, edb)
+        result = Engine(method=method, check_safety=False).evaluate(
+            self.program, image.database
+        )
         predicates = self._requested_predicates(params)
         return {p: set(result.facts(p)) for p in predicates}
 
-    def _evaluate_rpq(self, graph, _edb, params):
+    def _evaluate_rpq(self, graph, _image, params):
         from repro.rpq.evaluate import RPQEvaluator
 
         # The CSR/bitset path is the default; method=native is the escape

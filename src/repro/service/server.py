@@ -41,6 +41,7 @@ from repro.errors import (
     StoreError,
     SubscriptionError,
 )
+from repro.ham.image import StoreImages
 from repro.ham.store import HAMStore, new_epoch
 from repro.obs import context as trace_context
 from repro.obs import logs
@@ -106,6 +107,26 @@ _RESULT_CACHE_FAMILIES = (
      "Result-cache entries holding their encoded wire bytes", "encoded_entries"),
     ("repro_result_cache_encoded_bytes", "gauge",
      "Bytes of encoded answers held by the result cache", "encoded_bytes"),
+)
+#: ... the store's relational image (``fallbacks`` is exported by reason
+#: beside these), ...
+_EDB_FAMILIES = (
+    ("repro_edb_version", "gauge",
+     "Store version of the published relational image (-1 before the first)", "version"),
+    ("repro_edb_builds_total", "counter",
+     "Relational images built from the graph", "builds"),
+    ("repro_edb_folds_total", "counter",
+     "Relational images advanced by folding commit deltas", "folds"),
+    ("repro_edb_folded_rows_total", "counter",
+     "Delta rows folded into the relational image", "folded_rows"),
+    ("repro_edb_shared_relations", "gauge",
+     "Relations the published image shares with its predecessor", "shared_relations"),
+    ("repro_edb_catalog_terms", "gauge",
+     "Terms interned in the published image's catalog", "catalog_terms"),
+)
+_EDB_FALLBACK_FAMILIES = (
+    ("repro_edb_fallbacks_total", "counter",
+     "Relational images rebuilt because folding was impossible or not cheaper", "count"),
 )
 #: ... and materialized views.
 _VIEW_FAMILIES = (
@@ -263,6 +284,10 @@ class QueryService:
         # scrape-time collectors — no bookkeeping on the request path.
         self.metrics.exposition.collector(self._store_families)
         self._detach = self.results.attach(self.store)
+        # The store's relational image: built on the first evaluation that
+        # reads relations, then advanced by commit deltas, and shared by
+        # every plan (and subscription view) evaluated at a version.
+        self.images = StoreImages(self.store)
         # Live subscriptions: shared maintained views fanned out as delta
         # frames over client connections (docs/SUBSCRIPTIONS.md).  Works on
         # replicas too — apply_replicated dispatches commit hooks, so a
@@ -271,18 +296,13 @@ class QueryService:
 
         self.subs = SubscriptionManager(
             self.store,
+            images=self.images,
             metrics=self.metrics,
             queue_max=self.config.sub_queue_max,
             policy=self.config.sub_policy,
         )
         self.metrics.exposition.collector(self.subs.metric_families)
         self._views = None  # lazily-created ViewManager
-        # One relational encoding of the graph per store version, shared by
-        # all plans evaluated at that version (engines copy it, never
-        # mutate it).
-        self._edb_version = None
-        self._edb = None
-        self._edb_lock = threading.Lock()
         # Replication: every service can act as a replication source (an
         # in-memory primary serves tails from the store's retained log; a
         # durable one also serves bootstrap checkpoints and WAL history).
@@ -317,9 +337,7 @@ class QueryService:
         cache must drop its entries or risk serving a *future* stamp as
         current."""
         self.results.clear()
-        with self._edb_lock:
-            self._edb_version = None
-            self._edb = None
+        self.images.reset("rebootstrap")
         # Subscribers hold version-stamped materialized state; after a
         # regression they must be re-seeded, not fed deltas.
         self.subs.resync_all()
@@ -641,14 +659,14 @@ class QueryService:
 
         self.metrics.incr("result_cache.misses")
         ctx["cache"] = "miss"
-        edb = self._edb_for(version, graph)
         # Only the miss path is traced: a cache hit does no evaluation
         # work, so it cannot be meaningfully slow, and tracing it would
         # tax the ~12µs hot path the result cache exists to protect.
         with self._work_span(
             ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
         ):
-            relations = plan.evaluate(graph, edb, params)
+            image = self._edb_for(plan, version, graph, phases)
+            relations = plan.evaluate(graph, image, params)
         t3 = time.perf_counter()
         total = sum(len(rows) for rows in relations.values())
         payload = {"relations": protocol.relations_to_wire(relations), "count": total}
@@ -720,7 +738,8 @@ class QueryService:
         with obs.tracing("explain", context=nested, target=target, version=version) as tr:
             plan = PreparedQuery(target, text)
             with tr.span("evaluate"):
-                relations = plan.evaluate(graph, self._edb_for(version, graph), params)
+                image = self._edb_for(plan, version, graph)
+                relations = plan.evaluate(graph, image, params)
             with tr.span("encode") as enc:
                 payload = protocol.relations_to_wire(relations)
                 enc.annotate(bytes=len(protocol.encode(payload)))
@@ -933,20 +952,18 @@ class QueryService:
                 f"result encodes to {encoded_size} bytes, limit is {max_bytes}"
             )
 
-    def _edb_for(self, version, graph):
-        from repro.graphs.bridge import database_from_graph
-
-        with self._edb_lock:
-            if self._edb_version == version:
-                return self._edb
-        edb = database_from_graph(graph)
-        with self._edb_lock:
-            # Keep the newest version on a race; both encodings are valid
-            # for their own version, and we return ours regardless.
-            if self._edb_version is None or version >= self._edb_version:
-                self._edb_version = version
-                self._edb = edb
-        return edb
+    def _edb_for(self, plan, version, graph, phases=None):
+        """The store image *plan* evaluates against — None for a plan that
+        reads no relations.  Phase ``edb`` (part of ``evaluate``) times the
+        graph → database bridge: a lookup, a fold, or a build."""
+        if not plan.reads_relations:
+            return None
+        started = time.perf_counter()
+        with obs.span("edb", version=version):
+            image = self.images.at(version, graph)
+        if phases is not None:
+            phases.append(("edb", time.perf_counter() - started))
+        return image
 
     @property
     def views(self):
@@ -993,6 +1010,7 @@ class QueryService:
             "traces": traces,
             "slowlog": self.slowlog.stats(),
             "store": store_stats,
+            "edb": self.images.stats(),
             "replication": self.replication_status(),
             "subs": self.subs.stats(),
         }
@@ -1069,10 +1087,16 @@ class QueryService:
         ]
         version, graph = self.store.snapshot_versioned()
         size = {"version": version, "nodes": graph.node_count(), "edges": graph.edge_count()}
+        edb = self.images.stats()
         families = [
             *table_families(_PREDICATE_FAMILIES, predicates),
             *table_families(_STORE_FAMILIES, [(None, size)]),
             *table_families(_RESULT_CACHE_FAMILIES, [(None, self.results.stats())]),
+            *table_families(_EDB_FAMILIES, [(None, edb)], missing=-1),
+            *table_families(
+                _EDB_FALLBACK_FAMILIES,
+                [({"reason": r}, {"count": n}) for r, n in sorted(edb["fallbacks"].items())],
+            ),
             *table_families(_REPL_SOURCE_FAMILIES, [(None, self.replication.stats())]),
             MetricFamily(
                 "repro_repl_epoch",

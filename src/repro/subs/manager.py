@@ -27,7 +27,7 @@ from repro import obs
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
 from repro.errors import NotMaintainable, ProtocolError, SubscriptionError
-from repro.graphs.bridge import database_from_graph
+from repro.ham.image import StoreImages
 from repro.obs.metrics import HistogramData, MetricFamily
 from repro.service import protocol
 from repro.service.cache import result_key
@@ -134,13 +134,14 @@ class SharedView:
     def footprint(self):
         return self.plan.footprint
 
-    def refresh(self, version, graph, edb):
-        """(Re)materialize from scratch at *version*."""
+    def refresh(self, version, graph, image):
+        """(Re)materialize from scratch at *version*, from the store's
+        relational *image* of it."""
         if self.mode == "maintained":
-            self.view.refresh_full(edb)
+            self.view.refresh_full(image.database)
             self.rows = {p: set(self.view.state.facts(p)) for p in self.predicates}
         else:
-            result = self.plan.evaluate(graph, edb, self.eval_params)
+            result = self.plan.evaluate(graph, image, self.eval_params)
             self.rows = {p: set(rows) for p, rows in result.items()}
             self.predicates = tuple(sorted(self.rows))
             self.diff_refreshes += 1
@@ -190,10 +191,14 @@ class Subscription:
 class SubscriptionManager:
     """Owns every shared view and subscription for one service instance."""
 
-    def __init__(self, store, metrics=None, queue_max=256, policy="resync"):
+    def __init__(self, store, metrics=None, queue_max=256, policy="resync",
+                 images=None):
         if policy not in OVERFLOW_POLICIES:
             raise ValueError(f"unknown overflow policy {policy!r}")
         self.store = store
+        #: Owner of the store's relational image — the service's, so views
+        #: and request evaluations at one version share one image.
+        self.images = images if images is not None else StoreImages(store)
         self.metrics = metrics
         self.default_queue_max = int(queue_max)
         self.default_policy = policy
@@ -286,7 +291,14 @@ class SubscriptionManager:
                     reason=candidate.fallback_reason,
                 )
             version, graph = self.store.snapshot_versioned()
-            candidate.refresh(version, graph, database_from_graph(graph))
+            candidate.refresh(version, graph, self._image_for(candidate, version, graph))
+
+    def _image_for(self, view, version, graph):
+        """The store image *view* (re)materializes from; None for a plan
+        that reads the graph only."""
+        if not view.plan.reads_relations:
+            return None
+        return self.images.at(version, graph)
 
     def unsubscribe(self, sub_id, sink):
         """Drop one subscription; tears the shared view down on last ref."""
@@ -336,7 +348,7 @@ class SubscriptionManager:
         records = self.store.records_since(view.version)
         if records is None:
             version, graph = self.store.snapshot_versioned()
-            view.refresh(version, graph, database_from_graph(graph))
+            view.refresh(version, graph, self._image_for(view, version, graph))
             return
         for record in sorted(records, key=lambda r: r.version):
             self._apply_record_to_view_locked(view, record)
@@ -465,14 +477,14 @@ class SubscriptionManager:
         version, graph = self.store.snapshot_versioned()
         if version != record.version:
             graph = self.store.graph_at(record.version)
-        edb = database_from_graph(graph)
+        image = self._image_for(view, record.version, graph)
         if view.mode == "maintained":
             # Keep the MaterializedView's internal state in step, or the
             # next apply_delta would maintain off a stale base.
-            view.view.refresh_full(edb)
+            view.view.refresh_full(image.database)
             new_rows = {p: set(view.view.state.facts(p)) for p in view.predicates}
         else:
-            result = view.plan.evaluate(graph, edb, view.eval_params)
+            result = view.plan.evaluate(graph, image, view.eval_params)
             new_rows = {p: set(rows) for p, rows in result.items()}
         inserted = {}
         deleted = {}
@@ -568,9 +580,8 @@ class SubscriptionManager:
         if not self._views_by_key:
             return
         version, graph = self.store.snapshot_versioned()
-        edb = database_from_graph(graph)
         for view in self._views_by_key.values():
-            view.refresh(version, graph, edb)
+            view.refresh(version, graph, self._image_for(view, version, graph))
         for sub in self._subs.values():
             if sub.closed is None:
                 sub.pending.clear()

@@ -223,3 +223,15 @@ class TestTelemetryCommands:
         finally:
             package_logger.handlers = before
             package_logger.setLevel(logging.NOTSET)
+
+
+def test_steady_malloc_is_harmless_to_call():
+    """`repro serve` pins two glibc thresholds before it starts; off glibc
+    the call must be a silent no-op, on glibc it must leave the process
+    able to allocate on both sides of the new thresholds."""
+    from repro.cli import _steady_malloc
+
+    assert _steady_malloc() is None
+    assert _steady_malloc() is None
+    blocks = [bytes(size) for size in (64 << 10, 256 << 10, 3 << 20)]
+    assert [len(block) for block in blocks] == [64 << 10, 256 << 10, 3 << 20]
