@@ -17,6 +17,16 @@ with the differential check enabled:
   refactor that silently drops back to rebuilding the image per commit fails
   here instead of only moving a latency.
 
+- structure sharing between store versions, by counts alone: 50 × (remove
+  edge, re-add edge) through a durable :class:`QueryService` with one
+  subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
+  ``LabeledMultigraph.add_edge`` — the only place an ``Edge`` is made —
+  exactly twice per added edge (once in the transaction's workspace, once in
+  the version the commit publishes), whatever the graph's size; and the
+  final graph, the subscriber's rows and a fresh query all equal the naive
+  oracle.  A refactor that goes back to rebuilding the graph per commit
+  fails here instead of only moving a latency.
+
 Any divergence between backends fails the job.  Timings are printed for
 trend-watching but are *not* gated here — the calibrated >= 10x assertions
 live in ``benchmarks/test_ablation_columnar.py`` where pytest-benchmark
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,7 +53,8 @@ from repro.datalog.database import Database  # noqa: E402
 from repro.datalog.engine import Engine  # noqa: E402
 from repro.datalog.parser import parse_program  # noqa: E402
 from repro.datasets.flights import random_flights  # noqa: E402
-from repro.graphs.bridge import graph_from_database  # noqa: E402
+from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
+from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
 from repro.service.server import QueryService, ServiceConfig  # noqa: E402
 
@@ -204,10 +216,95 @@ def check_image_folds():
     )
 
 
+REACH_QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
+REACH_PROGRAM = parse_program(
+    """
+    reach(X, Y) :- link(X, Y).
+    reach(X, Y) :- reach(X, Z), link(Z, Y).
+    """
+)
+
+
+class _Sink:
+    """A subscriber's push channel: frames are drained, not pushed, here."""
+
+    def notify(self):
+        pass
+
+
+def check_commits_share_structure():
+    """50 × (remove edge, re-add edge) on 750 and on 7 500 edges: two
+    ``add_edge`` calls per added edge, at either size."""
+    rounds, chain_nodes = 50, 16
+    calls = []
+    original = LabeledMultigraph.add_edge
+
+    def counted(self, source, target, label):
+        calls.append((source, target))
+        return original(self, source, target, label)
+
+    for chains in (50, 500):
+        database = Database()
+        for chain in range(chains):
+            database.add_facts(
+                "link",
+                [(f"c{chain}n{i}", f"c{chain}n{i + 1}") for i in range(chain_nodes - 1)],
+            )
+        edges = chains * (chain_nodes - 1)
+        store = HAMStore()
+        store.load_graph(graph_from_database(database))
+        with tempfile.TemporaryDirectory() as data_dir:
+            service = QueryService(
+                store=store, config=ServiceConfig(data_dir=data_dir, fsync="always")
+            )
+            sink = _Sink()
+            subscribed = service.execute({"op": "subscribe", "query": REACH_QUERY}, sink=sink)
+            if "result" not in subscribed:
+                fail(f"sharing {edges} edges: subscribe failed: {subscribed!r}")
+            rows = {tuple(row) for row in subscribed["result"]["snapshot"]["reach"]}
+            del calls[:]
+            LabeledMultigraph.add_edge = counted
+            try:
+                for i in range(rounds):
+                    chain = i % chains
+                    edge = [[f"c{chain}n7", "link", f"c{chain}n8"]]
+                    execute(service, {"op": "update", "remove_edges": edge})
+                    execute(service, {"op": "update", "edges": edge})
+            finally:
+                LabeledMultigraph.add_edge = original
+            frames, _disconnect = service.subs.drain(sink)
+            for frame in frames:
+                rows -= {tuple(row) for row in frame.get("deleted", {}).get("reach", ())}
+                rows |= {tuple(row) for row in frame.get("inserted", {}).get("reach", ())}
+            fresh = execute(service, {"op": "graphlog", "query": REACH_QUERY})
+            fresh = {tuple(row) for row in fresh["result"]["relations"]["reach"]}
+            final = service.store.graph
+            service.subs.close()
+            service.durability.close()
+        if len(calls) != 2 * rounds:
+            fail(
+                f"sharing {edges} edges: {rounds} added edges took {len(calls)} "
+                f"add_edge calls, expected {2 * rounds} — is a commit rebuilding "
+                "the graph again?"
+            )
+        if len(frames) != 2 * rounds:
+            fail(f"sharing {edges} edges: {len(frames)} delta frames for {2 * rounds} commits")
+        oracle = Engine(method="naive").evaluate(REACH_PROGRAM, database).facts("reach")
+        if not (rows == fresh == oracle):
+            fail(f"sharing {edges} edges: subscriber / fresh query / oracle diverge")
+        if (
+            database_from_graph(final).facts("link") != database.facts("link")
+            or final.edge_count() != edges
+        ):
+            fail(f"sharing {edges} edges: final graph differs from the loaded one")
+        print(f"sharing: {edges} edges, {rounds} re-added: add_edge calls={len(calls)}")
+
+
 def main():
     check_abl6_chain()
     check_abl7_service()
     check_image_folds()
+    check_commits_share_structure()
     print("benchmark_smoke: OK")
 
 

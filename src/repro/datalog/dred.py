@@ -189,6 +189,56 @@ def _greedy_order(first, pending, append=None):
     return ordered
 
 
+def _delta_orders(schedule):
+    """``{index: ordered}`` — for every literal of *schedule*, the join order
+    that enumerates a delta at that literal first (``ordered[0]``).
+
+    A delta under a negated literal is enumerated through its positive twin
+    — the rows that *became* true — and the original literal, appended last,
+    re-checks the negation against the state the join reads.  A pure
+    function of the schedule, so a plan computes it once.
+    """
+    orders = {}
+    for index, element in enumerate(schedule):
+        if not isinstance(element, Literal):
+            continue
+        others = (e for j, e in enumerate(schedule) if j != index)
+        if element.positive:
+            orders[index] = _greedy_order(element, others)
+        else:
+            orders[index] = _greedy_order(
+                Literal(element.atom, positive=True), others, append=element
+            )
+    return orders
+
+
+def _counting_orders(schedule):
+    """``{index: (ordered, aliases)}`` for the counting technique's hybrid
+    joins: the delta literal first, every other literal renamed to read the
+    new (before the delta's position) or old (after it) extension of its
+    predicate; ``aliases`` lists ``(alias, predicate, old)``."""
+    orders = {}
+    for index, element in enumerate(schedule):
+        if not isinstance(element, Literal):
+            continue
+        others = []
+        aliases = []
+        for j, other in enumerate(schedule):
+            if j == index:
+                continue
+            if isinstance(other, Literal):
+                old = j > index
+                alias = other.predicate + (_OLD if old else _NEW)
+                aliases.append((alias, other.predicate, old))
+                other = Literal(Atom(alias, other.atom.args), positive=other.positive)
+            others.append(other)
+        orders[index] = (
+            _greedy_order(Literal(element.atom, positive=True), others),
+            aliases,
+        )
+    return orders
+
+
 def _bind_head(head, row):
     """The binding making *head* equal *row*, or None on mismatch."""
     binding = {}
@@ -207,9 +257,10 @@ def _bind_head(head, row):
 class MaintenancePlan:
     """The reusable, per-program half of incremental maintenance.
 
-    Stratification, evaluation grouping, body schedules, and per-group
-    technique selection run once here; :meth:`maintain` then costs only the
-    joins the delta actually touches.  Raises whatever :func:`stratify`
+    Stratification, evaluation grouping, body schedules, the delta-first
+    join order of every (rule, body literal) and per-group technique
+    selection run once here; :meth:`maintain` then costs only the joins the
+    delta actually touches.  Raises whatever :func:`stratify`
     raises for non-stratifiable programs — callers fall back to full
     recomputation in that case.
     """
@@ -228,27 +279,32 @@ class MaintenancePlan:
         }
         self._group_plans = []
         for group in self.groups:
-            rules = [
+            schedules = [
                 (rule, schedule_body(rule))
                 for rule in program
                 if not rule.is_fact and rule.head.predicate in group
             ]
-            body_preds = {
-                element.predicate
-                for _rule, schedule in rules
-                for element in schedule
-                if isinstance(element, Literal)
-            }
-            self._group_plans.append(
-                (group, rules, body_preds, self._counting_eligible(group, rules))
+            eligible = self._counting_eligible(
+                group, [schedule for _rule, schedule in schedules]
             )
+            # (rule, schedule, delta orders, counting orders or None)
+            rules = [
+                (
+                    rule,
+                    schedule,
+                    _delta_orders(schedule),
+                    _counting_orders(schedule) if eligible else None,
+                )
+                for rule, schedule in schedules
+            ]
+            self._group_plans.append((group, rules, body_preds_of(rules), eligible))
 
     @staticmethod
-    def _counting_eligible(group, rules):
+    def _counting_eligible(group, schedules):
         """Counting is exact only without recursion and with fully-bound
         negated literals (a projected negation flips per *instance*, not per
         row, so per-row signed counting would overcount)."""
-        for _rule, schedule in rules:
+        for schedule in schedules:
             for element in schedule:
                 if not isinstance(element, Literal):
                     continue
@@ -279,7 +335,7 @@ class MaintenancePlan:
         for group, rules, _body_preds, eligible in self._group_plans:
             if not eligible:
                 continue
-            for rule, schedule in rules:
+            for rule, schedule, _orders, _counting in rules:
                 head_pred = rule.head.predicate
                 for row, _support in self.engine._fire(rule, schedule, database):
                     key = (head_pred, row)
@@ -306,21 +362,11 @@ class MaintenancePlan:
         paid a proportional cost.
         """
         for _group, rules, _body_preds, _eligible in self._group_plans:
-            for rule, schedule in rules:
-                for index, element in enumerate(schedule):
-                    if not isinstance(element, Literal):
-                        continue
-                    first = (
-                        element
-                        if element.positive
-                        else Literal(element.atom, positive=True)
-                    )
-                    ordered = _greedy_order(
-                        first,
-                        (e for j, e in enumerate(schedule) if j != index),
-                        append=None if element.positive else element,
-                    )
-                    bound = {v for v in first.variables() if not v.is_anonymous}
+            for rule, schedule, orders, _counting in rules:
+                for ordered in orders.values():
+                    bound = {
+                        v for v in ordered[0].variables() if not v.is_anonymous
+                    }
                     self._warm_schedule(ordered[1:], bound, database)
                 # Rederivation probes run with the head variables bound.
                 head_vars = {
@@ -421,7 +467,7 @@ class MaintenancePlan:
                 )
                 if not touched:
                     continue
-                for rule, _schedule in rules:
+                for rule, *_plan in rules:
                     self.engine._declare_relations([rule], database)
                 if eligible and counts is not None:
                     stats.counting_groups += 1
@@ -533,32 +579,19 @@ class MaintenancePlan:
 
         def overdelete_round(triggers, negated_triggers):
             produced = defaultdict(set)
-            for rule, schedule in rules:
+            for rule, schedule, orders, _counting in rules:
                 head_pred = rule.head.predicate
                 relation = database.relation(head_pred)
-                for index, element in enumerate(schedule):
-                    if not isinstance(element, Literal):
+                for index, ordered in orders.items():
+                    element = schedule[index]
+                    # A negated literal fires on the rows that *became*
+                    # true; its appended original re-checks the old state.
+                    fired_by = triggers if element.positive else negated_triggers
+                    rows = fired_by.get(element.predicate)
+                    if not rows:
                         continue
-                    if element.positive:
-                        rows = triggers.get(element.predicate)
-                        if not rows:
-                            continue
-                        first, append = element, None
-                    else:
-                        rows = negated_triggers.get(element.predicate)
-                        if not rows:
-                            continue
-                        # Enumerate the rows that *became* true; the
-                        # appended original literal re-checks the negation
-                        # against the old state.
-                        first, append = Literal(element.atom, positive=True), element
                     delta = Relation(element.predicate, len(next(iter(rows))))
                     delta.add_many(rows)
-                    ordered = _greedy_order(
-                        first,
-                        (e for j, e in enumerate(schedule) if j != index),
-                        append=append,
-                    )
                     for row, _support in engine._fire(
                         rule, ordered, old_state,
                         delta_position=0, delta_relation=delta,
@@ -622,29 +655,17 @@ class MaintenancePlan:
 
         def insert_round(triggers, negated_triggers):
             produced = defaultdict(set)
-            for rule, schedule in rules:
+            for rule, schedule, orders, _counting in rules:
                 head_pred = rule.head.predicate
                 relation = database.relation(head_pred)
-                for index, element in enumerate(schedule):
-                    if not isinstance(element, Literal):
+                for index, ordered in orders.items():
+                    element = schedule[index]
+                    fired_by = triggers if element.positive else negated_triggers
+                    rows = fired_by.get(element.predicate)
+                    if not rows:
                         continue
-                    if element.positive:
-                        rows = triggers.get(element.predicate)
-                        if not rows:
-                            continue
-                        first, append = element, None
-                    else:
-                        rows = negated_triggers.get(element.predicate)
-                        if not rows:
-                            continue
-                        first, append = Literal(element.atom, positive=True), element
                     delta = Relation(element.predicate, len(next(iter(rows))))
                     delta.add_many(rows)
-                    ordered = _greedy_order(
-                        first,
-                        (e for j, e in enumerate(schedule) if j != index),
-                        append=append,
-                    )
                     for row, _support in engine._fire(
                         rule, ordered, database,
                         delta_position=0, delta_relation=delta,
@@ -665,7 +686,7 @@ class MaintenancePlan:
                 )
 
     def _derivable(self, rules, database, predicate, row):
-        for rule, schedule in rules:
+        for rule, schedule, _orders, _counting in rules:
             if rule.head.predicate != predicate:
                 continue
             binding = _bind_head(rule.head, row)
@@ -733,12 +754,9 @@ class MaintenancePlan:
         def views(predicate, old):
             return (old_state if old else new_state).relation(predicate)
 
-        for rule, schedule in rules:
+        for rule, schedule, _orders, counting in rules:
             head_pred = rule.head.predicate
-            literal_positions = [
-                i for i, e in enumerate(schedule) if isinstance(e, Literal)
-            ]
-            for index in literal_positions:
+            for index, (ordered, aliases) in counting.items():
                 element = schedule[index]
                 if element.positive:
                     signed = (
@@ -752,31 +770,15 @@ class MaintenancePlan:
                     )
                 if not any(rel for rel, _sign in signed):
                     continue
-                # Hybrid schedule: alias each other literal to the new or
+                # Hybrid schedule: every other literal reads the new or the
                 # old extension by its position relative to the delta.
-                aliased = []
-                alias_map = {}
-                for j, other in enumerate(schedule):
-                    if j == index:
-                        aliased.append(Literal(element.atom, positive=True))
-                        continue
-                    if not isinstance(other, Literal):
-                        aliased.append(other)
-                        continue
-                    old = j > index
-                    alias = other.predicate + (_OLD if old else _NEW)
-                    alias_map[alias] = views(other.predicate, old)
-                    aliased.append(
-                        Literal(Atom(alias, other.atom.args), positive=other.positive)
-                    )
+                alias_map = {
+                    alias: views(predicate, old) for alias, predicate, old in aliases
+                }
                 facade = _Facade(alias_map.__getitem__)
                 for delta_rel, sign in signed:
                     if not delta_rel:
                         continue
-                    ordered = _greedy_order(
-                        aliased[index],
-                        (e for j, e in enumerate(aliased) if j != index),
-                    )
                     for row, _support in engine._fire(
                         rule, ordered, facade,
                         delta_position=0, delta_relation=delta_rel,
@@ -804,7 +806,7 @@ def body_preds_of(rules):
     """Every predicate referenced in the bodies of *rules*."""
     return {
         element.predicate
-        for _rule, schedule in rules
+        for _rule, schedule, *_orders in rules
         for element in schedule
         if isinstance(element, Literal)
     }

@@ -15,12 +15,18 @@ performs that encoding.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from collections import Counter
 
 
 class Edge:
-    """An edge identity with source, target, and label."""
+    """An edge identity with source, target, and label.
+
+    Never mutated after construction: the versions of a graph derived by
+    :meth:`LabeledMultigraph.copy` hold the *same* ``Edge`` objects, so an
+    edge equals itself and nothing else (object identity — which also keeps
+    ``list.remove`` / ``list.index`` over an adjacency list at C speed).
+    ``key`` is unique within any one graph.
+    """
 
     __slots__ = ("key", "source", "target", "label")
 
@@ -33,14 +39,15 @@ class Edge:
     def __repr__(self):
         return f"Edge({self.source!r} -[{self.label!r}]-> {self.target!r})"
 
-    def __eq__(self, other):
-        return isinstance(other, Edge) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def as_tuple(self):
         return (self.source, self.target, self.label)
+
+
+#: Positions in ``LabeledMultigraph._shared``.
+_OUT, _IN, _BY_LABEL = range(3)
+
+#: ``_shared`` of a graph copied since its last write.
+_COPIED = object()
 
 
 class LabeledMultigraph:
@@ -50,15 +57,28 @@ class LabeledMultigraph:
     (``nu``).  Edges have identities (auto-assigned integer keys), so two
     edges with identical endpoints and label are distinct objects, exactly as
     in Definition 2.1.
+
+    Versions share structure: :meth:`copy` copies the five top-level
+    indexes (C-speed ``dict`` copies) and nothing below them — ``Edge``
+    objects and the per-node / per-label edge lists belong to both graphs
+    until one of them first writes to *that* list, which copies it then.
+    ``_shared`` says which lists those are: the three list-valued indexes
+    as they were when this graph was copied from or to (a list still found
+    there under its key is shared), ``None`` for a graph that never was, or
+    ``_COPIED`` for one copied since its last write.  A graph that is only
+    read (a published store version) is never written by its copies, apart
+    from that one attribute.
     """
 
     def __init__(self):
         self._node_labels = {}  # node -> label (may be None)
         self._edges = {}  # key -> Edge
-        self._out = defaultdict(list)  # node -> [Edge]
-        self._in = defaultdict(list)  # node -> [Edge]
-        self._by_label = defaultdict(list)  # label -> [Edge]
-        self._key_counter = itertools.count()
+        # Non-empty lists only: the last edge out takes its entry with it.
+        self._out = {}  # node -> [Edge]
+        self._in = {}  # node -> [Edge]
+        self._by_label = {}  # label -> [Edge]
+        self._shared = None
+        self._next_key = 0
         #: Bumped on every structural mutation; derived structures (the RPQ
         #: CSR adjacency index) key their caches on this counter.
         self._version = 0
@@ -107,36 +127,63 @@ class LabeledMultigraph:
 
     def add_edge(self, source, target, label):
         """Insert a new edge (always a distinct identity); returns it."""
+        if self._shared is _COPIED:
+            self._continue_on_copies()
         self.add_node(source)
         self.add_node(target)
-        edge = Edge(next(self._key_counter), source, target, label)
+        edge = Edge(self._next_key, source, target, label)
+        self._next_key += 1
         self._edges[edge.key] = edge
-        self._out[source].append(edge)
-        self._in[target].append(edge)
-        self._by_label[label].append(edge)
+        self._writable(self._out, _OUT, source).append(edge)
+        self._writable(self._in, _IN, target).append(edge)
+        self._writable(self._by_label, _BY_LABEL, label).append(edge)
         self._version += 1
         return edge
 
     def remove_edge(self, edge):
-        if edge.key not in self._edges:
+        if self._edges.get(edge.key) is not edge:
             raise KeyError(edge)
+        if self._shared is _COPIED:
+            self._continue_on_copies()
         del self._edges[edge.key]
-        self._out[edge.source].remove(edge)
-        self._in[edge.target].remove(edge)
-        self._by_label[edge.label].remove(edge)
+        self._drop(self._out, _OUT, edge.source, edge)
+        self._drop(self._in, _IN, edge.target, edge)
+        self._drop(self._by_label, _BY_LABEL, edge.label, edge)
         self._version += 1
 
     def remove_node(self, node):
         """Remove a node and every incident edge."""
         if node not in self._node_labels:
             raise KeyError(node)
-        for edge in list(self._out[node]) + list(self._in[node]):
-            if edge.key in self._edges:
+        for edge in self.out_edges(node) + self.in_edges(node):
+            if edge.key in self._edges:  # a self-loop is in both lists
                 self.remove_edge(edge)
         del self._node_labels[node]
-        self._out.pop(node, None)
-        self._in.pop(node, None)
         self._version += 1
+
+    def _continue_on_copies(self):
+        """First write since :meth:`copy` copied this graph: the indexes its
+        copies compare against stay as they are, this graph goes on with
+        copies of them (and shares every list in them from here on)."""
+        self._shared = shared = (self._out, self._in, self._by_label)
+        self._out, self._in, self._by_label = (index.copy() for index in shared)
+
+    def _writable(self, index, which, key):
+        """The edge list under *key* in *index* (position *which* of
+        ``_shared``), private to this graph: created if absent, copied first
+        if still shared."""
+        edges = index.get(key)
+        if edges is None:
+            edges = index[key] = []
+        elif self._shared is not None and self._shared[which].get(key) is edges:
+            edges = index[key] = edges.copy()
+        return edges
+
+    def _drop(self, index, which, key, edge):
+        if len(index[key]) == 1:
+            del index[key]
+        else:
+            self._writable(index, which, key).remove(edge)
 
     def out_edges(self, node):
         return list(self._out.get(node, ()))
@@ -155,12 +202,12 @@ class LabeledMultigraph:
 
     def labels(self):
         """Edge labels actually in use."""
-        return {label for label, edges in self._by_label.items() if edges}
+        return set(self._by_label)
 
     def label_counts(self):
         """``{label: edge count}`` for labels actually in use — the store's
         per-predicate fact cardinalities, read off the label index."""
-        return {label: len(edges) for label, edges in self._by_label.items() if edges}
+        return {label: len(edges) for label, edges in self._by_label.items()}
 
     def has_edge(self, source, target, label=None):
         for edge in self._out.get(source, ()):
@@ -179,7 +226,7 @@ class LabeledMultigraph:
         return {
             node
             for node in self._node_labels
-            if not self._out.get(node) and not self._in.get(node)
+            if node not in self._out and node not in self._in
         }
 
     def subgraph(self, nodes):
@@ -195,11 +242,25 @@ class LabeledMultigraph:
         return sub
 
     def copy(self):
+        """An independent graph equal to this one, sharing its structure.
+
+        O(nodes + edges) in C-level ``dict`` copies, no per-node or per-edge
+        Python work.  Neither graph owns an edge list afterwards, so the
+        first write to a list on either side copies that list; writing to
+        one never shows in the other.
+        """
         clone = LabeledMultigraph()
-        for node, label in self._node_labels.items():
-            clone.add_node(node, label)
-        for edge in self._edges.values():
-            clone.add_edge(edge.source, edge.target, edge.label)
+        clone._node_labels = self._node_labels.copy()
+        clone._edges = self._edges.copy()
+        clone._out = self._out.copy()
+        clone._in = self._in.copy()
+        clone._by_label = self._by_label.copy()
+        clone._shared = (self._out, self._in, self._by_label)
+        clone._next_key = self._next_key
+        clone._version = self._version
+        # The one write to the source, a single attribute store: concurrent
+        # copies of a published graph may each do it, readers never see it.
+        self._shared = _COPIED
         return clone
 
     def reverse(self):
@@ -222,15 +283,9 @@ class LabeledMultigraph:
     def __eq__(self, other):
         if not isinstance(other, LabeledMultigraph):
             return NotImplemented
-        return (
-            dict(self._node_labels) == dict(other._node_labels)
-            and sorted(map(_edge_sort_key, self.edge_triples()))
-            == sorted(map(_edge_sort_key, other.edge_triples()))
-        )
+        return self._node_labels == other._node_labels and Counter(
+            edge.as_tuple() for edge in self._edges.values()
+        ) == Counter(edge.as_tuple() for edge in other._edges.values())
 
     def __repr__(self):
         return f"LabeledMultigraph({self.node_count()} nodes, {self.edge_count()} edges)"
-
-
-def _edge_sort_key(triple):
-    return tuple(str(part) for part in triple)

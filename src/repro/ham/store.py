@@ -70,19 +70,57 @@ class _Op:
             graph.add_edge(source, target, label)
         elif self.kind == self.REMOVE_EDGE:
             source, target, label = self.args
-            for edge in graph.out_edges(source):
-                if edge.target == target and edge.label == label:
-                    graph.remove_edge(edge)
-                    break
-            else:
+            edge = _edge_to_remove(graph, source, target, label)
+            if edge is None:
                 raise StoreError(
                     f"edge {source!r} -[{label!r}]-> {target!r} not found"
                 )
+            graph.remove_edge(edge)
         else:  # pragma: no cover - closed set
             raise StoreError(f"unknown operation {self.kind!r}")
 
     def __repr__(self):
         return f"_Op({self.kind}, {self.args!r})"
+
+
+def _edge_to_remove(graph, source, target, label):
+    """The edge a ``remove_edge(source, target, label)`` operation names.
+
+    The oldest copy carrying exactly *label* — else the oldest copy that
+    encodes the same *fact* (``"link"`` and ``EdgeLabel("link")`` are one
+    tuple of ``link``, the rule :func:`repro.ham.delta.compute_delta` counts
+    copies by), so an edge loaded from a fact file can be removed by the
+    string the wire carries.  A pure function of the graph's edge order:
+    WAL replay and a replica pick the same copy the primary did.
+    """
+    from repro.ham.delta import _edge_fact
+
+    candidates = [e for e in graph.out_edges(source) if e.target == target]
+    for edge in candidates:
+        if edge.label == label:
+            return edge
+    fact = _edge_fact(source, target, label)
+    for edge in candidates:
+        if _edge_fact(source, target, edge.label) == fact:
+            return edge
+    return None
+
+
+def derive_version(base, records=()):
+    """The graph *records* make of *base*: a new graph, *base* untouched.
+
+    Every place a version comes from its predecessor — a transaction's
+    workspace, a staged commit, a replicated apply, history replay and
+    truncation, recovery — derives it here.  The result shares *base*'s
+    edges and every adjacency list the replayed operations do not write to
+    (see :meth:`LabeledMultigraph.copy`), so deriving costs the C-level
+    index copies plus the operations, not a rebuild of the graph.
+    """
+    graph = base.copy()
+    for record in records:
+        for op in record.operations:
+            op.apply(graph)
+    return graph
 
 
 class TransactionRecord:
@@ -210,8 +248,9 @@ class Session:
         self._active = None
 
     def snapshot(self):
-        """A private copy of the current committed graph."""
-        return self._store.graph.copy()
+        """A private version of the current committed graph: free to
+        mutate, sharing with it whatever is never written."""
+        return derive_version(self._store.graph)
 
     def transaction(self):
         if self._active is not None and self._active.state == "active":
@@ -234,6 +273,10 @@ class HAMStore:
         self._last_txn_id = 0
         self._subscribers = []
         self._subscriber_failures = 0
+        #: Optional phase-histogram sink (``observe_phase(name, seconds)``,
+        #: e.g. a service's MetricsRegistry): receives ``commit.stage`` and
+        #: ``commit.dispatch`` once per commit or replicated apply.
+        self.metrics = None
         # Per-predicate delta churn: total inserted+deleted rows and the
         # number of commits touching each predicate, accumulated at commit
         # time from the typed Delta (see predicate_stats()).
@@ -365,11 +408,13 @@ class HAMStore:
             raise StoreError(
                 "store is read-only (replica); writes must go to the primary"
             )
-        staged = self.graph.copy()
+        started = time.perf_counter()
+        staged = derive_version(self.graph)
         try:
             delta = compute_delta(staged, ops)
         except (KeyError, StoreError) as exc:
             raise TransactionError(f"commit conflict: {exc}") from exc
+        self._observe("commit.stage", started)
         with self._lock:
             record = TransactionRecord(
                 self._next_txn_id,
@@ -398,10 +443,11 @@ class HAMStore:
     def _install_locked(self, record, staged):
         """Make one committed record current (caller holds ``self._lock``).
 
-        Swaps the graph in wholesale, advances version/txn counters, appends
-        to the retained log, folds the delta into churn accounting, wakes
-        version waiters, and returns the subscriber snapshot to dispatch
-        after the lock is released.  Shared by the local commit path and the
+        Publishes *staged* — the version derived from the current graph,
+        which stays as it was for the readers still holding it — advances
+        version/txn counters, appends to the retained log, folds the delta
+        into churn accounting, wakes version waiters, and returns the
+        subscriber snapshot to dispatch after the lock is released.  Shared by the local commit path and the
         replication apply path so a replicated commit is indistinguishable
         from a local one to every downstream consumer.
         """
@@ -425,6 +471,7 @@ class HAMStore:
         return tuple(self._subscribers)
 
     def _dispatch_subscribers(self, subscribers, record):
+        started = time.perf_counter()
         for callback in subscribers:
             try:
                 callback(record)
@@ -434,6 +481,11 @@ class HAMStore:
                 logger.exception(
                     "commit subscriber %r failed for version %d", callback, record.version
                 )
+        self._observe("commit.dispatch", started)
+
+    def _observe(self, phase, started):
+        if self.metrics is not None:
+            self.metrics.observe_phase(phase, time.perf_counter() - started)
 
     # ----------------------------------------------------------- replication
 
@@ -472,21 +524,21 @@ class HAMStore:
         """Apply one replicated :class:`TransactionRecord` (as decoded from
         the primary's WAL stream) to this store.
 
-        Mirrors :meth:`_apply_commit` — ops replay onto a staged copy that
-        is swapped in wholesale, subscribers (views, result caches) are
-        notified per record — so replica state evolves exactly the way crash
-        recovery rebuilds it.  Records must arrive in version order;
-        anything else raises :class:`StoreError` (the applier re-bootstraps
-        on divergence rather than guessing).
+        Mirrors :meth:`_apply_commit` — ops replay onto a version derived
+        from the current graph, which is then published; subscribers (views,
+        result caches) are notified per record — so replica state evolves
+        exactly the way crash recovery rebuilds it.  Records must arrive in
+        version order; anything else raises :class:`StoreError` (the applier
+        re-bootstraps on divergence rather than guessing).
         """
-        staged = self.graph.copy()
+        started = time.perf_counter()
         try:
-            for op in record.operations:
-                op.apply(staged)
+            staged = derive_version(self.graph, (record,))
         except (KeyError, StoreError) as exc:
             raise StoreError(
                 f"cannot apply replicated version {record.version}: {exc}"
             ) from exc
+        self._observe("commit.stage", started)
         with self._lock:
             if record.version != self._version + 1:
                 raise StoreError(
@@ -569,9 +621,10 @@ class HAMStore:
     def snapshot_versioned(self):
         """``(version, graph)`` read atomically with respect to commits.
 
-        The returned graph is the live committed instance — commits replace
-        ``self.graph`` wholesale rather than mutating it, so the reference
-        stays internally consistent; treat it as read-only.
+        The returned graph is the live committed instance — a commit
+        publishes a new version derived from it and never writes to it (nor
+        to the edge lists the two share), so the reference stays internally
+        consistent; treat it as read-only.
         """
         with self._lock:
             return self._version, self.graph
@@ -604,11 +657,12 @@ class HAMStore:
             raise StoreError(f"no such version {version}; current is {self.version}")
         with self._lock:
             base_version = self._base_version
-            if version >= base_version:
-                graph = self._base_graph.copy()
-                records = self._log[: version - base_version]
-            else:
-                graph = records = None
+            base = self._base_graph
+            records = (
+                self._log[: version - base_version]
+                if version >= base_version
+                else None
+            )
             durability = self._durability
         if records is None:
             if durability is not None:
@@ -617,10 +671,7 @@ class HAMStore:
                 f"version {version} predates the retained history "
                 f"(truncated at {base_version}; no durability attached)"
             )
-        for record in records:
-            for op in record.operations:
-                op.apply(graph)
-        return graph
+        return derive_version(base, records)
 
     def truncate_history(self, keep_last=0):
         """Drop all but the last *keep_last* in-memory transaction records.
@@ -645,11 +696,7 @@ class HAMStore:
             if drop <= 0:
                 return 0
             dropped, kept = self._log[:drop], self._log[drop:]
-            base = self._base_graph.copy()
-            for record in dropped:
-                for op in record.operations:
-                    op.apply(base)
-            self._base_graph = base
+            self._base_graph = derive_version(self._base_graph, dropped)
             self._base_version = dropped[-1].version
             self._log = kept
             if self._durability is None:
@@ -663,7 +710,7 @@ class HAMStore:
         Returns ``{predicate: {"facts", "churn_rows", "churn_commits"}}``,
         restricted to the *top* highest-churn predicates when given.  The
         graph reference is read under the lock but iterated outside it —
-        commits replace the graph wholesale rather than mutating it, so the
+        commits publish a new version and never write to this one, so the
         snapshot stays internally consistent.
         """
         with self._lock:

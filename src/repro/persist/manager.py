@@ -113,7 +113,7 @@ class DurabilityManager:
         """
         if self._store is not None:
             raise StoreError("durability manager is already bound to a store")
-        from repro.ham.store import HAMStore
+        from repro.ham.store import HAMStore, derive_version
 
         os.makedirs(self.wal_dir, exist_ok=True)
         started = time.perf_counter()
@@ -145,7 +145,9 @@ class DurabilityManager:
                     )
                 return self._adopt(store)
 
-            graph = base_graph.copy()
+            # The checkpoint graph stays as the graph_at base; the WAL tail
+            # replays onto a version derived from it.
+            graph = derive_version(base_graph)
             with obs.span("persist.recover.replay_wal") as replay_span:
                 records, truncated = self._replay_segments(
                     segments, graph, base_version

@@ -258,6 +258,9 @@ class QueryService:
             self.store = self.durability.recover(store=store)
         else:
             self.store = store if store is not None else HAMStore()
+        # The store times its own commit phases (commit.stage /
+        # commit.dispatch) into the same histograms as the request phases.
+        self.store.metrics = self.metrics
         # Node identity: stable (persisted next to epoch.json) when durable,
         # random per boot otherwise.  It prefixes request ids so ids from
         # different nodes never collide in aggregated logs, tags every span

@@ -13,6 +13,7 @@ from repro.errors import (
     QueryTimeout,
     ResultTooLarge,
     ServiceError,
+    StoreError,
 )
 from repro.graphs.bridge import graph_from_database
 from repro.ham.store import HAMStore
@@ -741,6 +742,25 @@ class TestTelemetry:
             assert 'repro_phase_seconds_bucket{le="+Inf",phase="wal.fsync"} 1' in body
         finally:
             srv.stop()
+
+    def test_commit_phases_once_per_commit_and_per_replicated_apply(self):
+        """The store times its own layers: `commit.stage` / `commit.dispatch`
+        get one sample per commit on the primary and per applied record on a
+        replica; an aborted transaction leaves none."""
+        primary = QueryService()
+        replica = QueryService()
+        for i in range(3):
+            primary.execute({"op": "update", "edges": [[f"n{i}", "link", f"n{i + 1}"]]})
+        with pytest.raises(StoreError):
+            primary.execute({"op": "update", "remove_edges": [["x", "link", "y"]]})
+        for record in primary.store.history():
+            replica.store.apply_replicated(record)
+        for service in (primary, replica):
+            phases = service.stats()["metrics"]["phases"]
+            assert phases["commit.stage"]["count"] == 3
+            assert phases["commit.dispatch"]["count"] == 3
+        body = primary.prometheus_text()
+        assert 'repro_phase_seconds_bucket{le="+Inf",phase="commit.stage"} 3' in body
 
     def test_health_degraded_after_durability_close(self, tmp_path):
         service = QueryService(
