@@ -1,25 +1,20 @@
-"""abl11: columnar int-encoded evaluation vs the native tuple-set walker.
+"""abl11: the columnar int-encoded evaluation core.
 
-The columnar backend dictionary-encodes terms to dense ints, stores
-relations as sorted runs of int tuples, and runs joins as batch kernels
-(C-level comprehensions over hash probes, with the final join fused into
-the head projection).  The native walker builds a substitution dict per
-candidate match.  Same programs, same answers — the ablation asserts the
-differential equality on every run and the claimed gap on the two
-workloads the earlier ablations made canonical:
+The columnar core dictionary-encodes terms to dense ints, stores relations
+as sorted runs of int tuples, and runs joins as batch kernels (C-level
+comprehensions over hash probes, with the final join fused into the head
+projection).  It is the repository's one semi-naive fixpoint, so there is no
+second backend to race it against (EXPERIMENTS.md keeps the >= 10x it was
+measured at when there was one); what is timed here is the core alone,
+checked on every run against an independent oracle:
 
-- the abl6 hot path: semi-naive transitive closure over a long chain;
+- the abl6 hot path: transitive closure over a long chain (closed form);
 - the abl7 hot path: the flights ``reach``/``connected`` GraphLog query
-  (translated to Datalog) over a dense random flight network.
-
-Headline claim: columnar at least 10x faster than native on both,
-median over repeated runs.
+  (translated to Datalog) over a dense random flight network, against the
+  naive walker.
 """
 
 from __future__ import annotations
-
-import statistics
-import time
 
 import pytest
 
@@ -29,8 +24,6 @@ from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.datasets.flights import random_flights
-
-from conftest import report
 
 CHAIN_PROGRAM = parse_program(
     """
@@ -57,77 +50,26 @@ def chain_edb(n):
     return db
 
 
-def median_time(fn, runs):
-    times = []
-    value = None
-    for _ in range(runs):
-        started = time.perf_counter()
-        value = fn()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times), value
-
-
 def evaluate(method, program, edb):
     return Engine(method=method, check_safety=False).evaluate(program, edb)
 
 
 @pytest.mark.parametrize("size", [100, 200])
 def test_abl11_columnar_chain_closure(benchmark, size):
-    """Timed columnar run on the abl6 chain, checked against native."""
+    """Timed columnar run on the abl6 chain, checked against the closed form."""
     edb = chain_edb(size)
     result = benchmark(evaluate, "columnar", CHAIN_PROGRAM, edb)
-    assert result == evaluate("seminaive", CHAIN_PROGRAM, edb)
-    assert ("n0", f"n{size}") in result.facts("tc")
+    assert result.facts("tc") == {
+        (f"n{i}", f"n{j}") for i in range(size + 1) for j in range(i + 1, size + 1)
+    }
 
 
-def test_abl11_columnar_beats_native_on_chain():
-    """The abl6 hot path: >= 10x median speedup at n = 500."""
-    size = 500
-    edb = chain_edb(size)
-
-    columnar_median, columnar = median_time(
-        lambda: evaluate("columnar", CHAIN_PROGRAM, edb), runs=3
-    )
-    native_median, native = median_time(
-        lambda: evaluate("seminaive", CHAIN_PROGRAM, edb), runs=2
-    )
-    assert columnar == native  # the differential gate, every run
-
-    speedup = native_median / columnar_median
-    report(
-        f"abl11 chain transitive closure, n={size}",
-        [
-            ("native_median_s", round(native_median, 4)),
-            ("columnar_median_s", round(columnar_median, 4)),
-            ("speedup", round(speedup, 1)),
-        ],
-    )
-    assert speedup >= 10.0
-
-
-def test_abl11_columnar_beats_native_on_flights():
-    """The abl7 hot path: >= 10x median speedup on the translated query."""
+def test_abl11_columnar_flights(benchmark):
+    """Timed columnar run on the abl7 flights query, checked against naive."""
     edb = random_flights(7, n_cities=150, n_flights=5000)
-
-    columnar_median, columnar = median_time(
-        lambda: evaluate("columnar", FLIGHTS_PROGRAM, edb), runs=3
-    )
-    native_median, native = median_time(
-        lambda: evaluate("seminaive", FLIGHTS_PROGRAM, edb), runs=2
-    )
-    assert columnar == native  # the differential gate, every run
-    assert columnar.facts("connected")
-
-    speedup = native_median / columnar_median
-    report(
-        "abl11 flights reach/connected, 150 cities x 5000 flights",
-        [
-            ("native_median_s", round(native_median, 4)),
-            ("columnar_median_s", round(columnar_median, 4)),
-            ("speedup", round(speedup, 1)),
-        ],
-    )
-    assert speedup >= 10.0
+    result = benchmark(evaluate, "columnar", FLIGHTS_PROGRAM, edb)
+    assert result.facts("connected")
+    assert result == evaluate("naive", FLIGHTS_PROGRAM, edb)
 
 
 def test_abl11_encode_cache_amortized_across_queries():

@@ -1,9 +1,10 @@
 """abl1: naive vs semi-naive Datalog evaluation.
 
-The engine's default is semi-naive; on deep recursions (chains) naive
-evaluation re-derives every earlier fact each round (cubic-ish work), while
-semi-naive joins only the delta.  Shape asserted: identical results, and
-semi-naive performs strictly fewer rule firings.
+The engine's default (``Engine()``, the columnar core) is semi-naive; on
+deep recursions (chains) naive evaluation (``Engine("naive")``) re-derives
+every earlier fact each round (cubic-ish work), while semi-naive joins only
+the delta.  Shape asserted: identical results, and semi-naive performs no
+more rule firings.
 """
 
 import pytest
@@ -23,7 +24,7 @@ TC = parse_program(
 @pytest.mark.parametrize("length", [40, 80])
 def test_abl1_seminaive_chain(benchmark, length):
     database = chain_database(length)
-    engine = Engine(method="seminaive")
+    engine = Engine()
     result = benchmark(engine.evaluate, TC, database)
     assert len(result.facts("tc")) == length * (length + 1) // 2
 
@@ -40,7 +41,7 @@ def test_abl1_same_answers_fewer_iterations(benchmark):
     database = random_edge_relation(21, 40, 120)
 
     def both():
-        semi = Engine(method="seminaive")
+        semi = Engine()
         fast = semi.evaluate(TC, database)
         naive = Engine(method="naive")
         slow = naive.evaluate(TC, database)

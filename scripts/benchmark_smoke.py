@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""CI smoke test for the columnar evaluation backend.
+"""CI smoke test for the columnar evaluation core.
 
-Runs the abl6 and abl7 benchmark workloads through both engine backends
-with the differential check enabled:
+Runs the abl6 and abl7 benchmark workloads through the production core and
+checks every answer against the naive walker, its specification:
 
-- abl6: semi-naive transitive closure over a chain (the DRed ablation's
-  evaluation hot path), ``Engine(method=...)`` directly;
-- abl7: the flights ``reach``/``connected`` GraphLog query through a real
-  :class:`QueryService` configured with ``engine="native"`` and
-  ``engine="columnar"``, including an ``explain`` pass asserting the
-  reported backend, and the RPQ op on both the CSR and dict-walk paths.
+- abl6: transitive closure over a chain (the DRed ablation's evaluation
+  hot path), ``Engine()`` against ``Engine("naive")`` directly;
+- abl7: the flights ``reach``/``connected`` GraphLog query and the RPQ op
+  through a real :class:`QueryService` against in-process
+  ``Engine("naive")``, including ``explain`` passes asserting the
+  ``backend=`` span marker of the default and of ``"method": "naive"``.
 
 - the store's relational image (``repro.ham.image``), by counts alone: 50 ×
   (commit, closure miss, RPQ miss) on one service must end with one build,
@@ -27,10 +27,8 @@ with the differential check enabled:
   oracle.  A refactor that goes back to rebuilding the graph per commit
   fails here instead of only moving a latency.
 
-Any divergence between backends fails the job.  Timings are printed for
-trend-watching but are *not* gated here — the calibrated >= 10x assertions
-live in ``benchmarks/test_ablation_columnar.py`` where pytest-benchmark
-controls the noise.
+Any divergence from the naive oracle fails the job.  Timings are printed
+for trend-watching but are *not* gated here.
 
 Run from the repository root::
 
@@ -49,6 +47,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.core.dsl import parse_graphical_query  # noqa: E402
+from repro.core.engine import GraphLogEngine  # noqa: E402
 from repro.datalog.database import Database  # noqa: E402
 from repro.datalog.engine import Engine  # noqa: E402
 from repro.datalog.parser import parse_program  # noqa: E402
@@ -91,32 +91,20 @@ def timed(fn):
 
 
 def check_abl6_chain():
-    size = 400
+    size = 150
     edb = Database()
     edb.add_facts("e", [(f"n{i}", f"n{i+1}") for i in range(size)])
 
-    native_s, native = timed(
-        lambda: Engine(method="seminaive").evaluate(CHAIN_PROGRAM, edb)
-    )
-    columnar_s, columnar = timed(
-        lambda: Engine(method="columnar").evaluate(CHAIN_PROGRAM, edb)
-    )
-    if native != columnar:
-        fail("abl6 chain closure: columnar result diverges from native")
-    if ("n0", f"n{size}") not in native.facts("tc"):
+    naive_s, naive = timed(lambda: Engine("naive").evaluate(CHAIN_PROGRAM, edb))
+    columnar_s, columnar = timed(lambda: Engine().evaluate(CHAIN_PROGRAM, edb))
+    if naive != columnar:
+        fail("abl6 chain closure: columnar result diverges from naive")
+    if ("n0", f"n{size}") not in columnar.facts("tc"):
         fail("abl6 chain closure: expected far pair missing")
     print(
-        f"abl6 chain n={size}: native={native_s:.3f}s "
-        f"columnar={columnar_s:.3f}s speedup={native_s / columnar_s:.1f}x"
+        f"abl6 chain n={size}: naive={naive_s:.3f}s "
+        f"columnar={columnar_s:.3f}s speedup={naive_s / columnar_s:.1f}x"
     )
-
-
-def flights_service(engine):
-    store = HAMStore()
-    store.load_graph(
-        graph_from_database(random_flights(7, n_cities=40, n_flights=500))
-    )
-    return QueryService(store=store, config=ServiceConfig(engine=engine))
 
 
 def execute(service, request):
@@ -127,40 +115,38 @@ def execute(service, request):
 
 
 def check_abl7_service():
+    database = random_flights(7, n_cities=40, n_flights=500)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(store=store, config=ServiceConfig())
     graphlog = {"op": "graphlog", "query": FLIGHTS_QUERY}
-    rpq = {"op": "rpq", "query": RPQ_EXPRESSION}
-    timings = {}
-    results = {}
-    for engine in ("native", "columnar"):
-        service = flights_service(engine)
-        if service.stats()["engine"] != engine:
-            fail(f"service stats do not report engine={engine}")
-        execute(service, graphlog)  # warm the plan cache
-        service.results.clear()
-        elapsed, response = timed(lambda: execute(service, graphlog))
-        timings[engine] = elapsed
-        relations = response["result"]["relations"]
-        answers = execute(service, rpq)["result"]["relations"]["answers"]
-        results[engine] = (
-            sorted(map(tuple, relations["connected"])),
-            sorted(map(tuple, answers)),
+
+    execute(service, graphlog)  # warm the plan cache
+    service.results.clear()
+    service_s, response = timed(lambda: execute(service, graphlog))
+    naive_s, oracle = timed(
+        lambda: GraphLogEngine("naive").run(
+            parse_graphical_query(FLIGHTS_QUERY), database
         )
-        if not results[engine][0] or not results[engine][1]:
-            fail(f"abl7 workload returned empty answers for engine={engine}")
-        explain = execute(
-            service,
-            {"op": "explain", "query": FLIGHTS_QUERY, "target": "graphlog"},
-        )
-        expected_backend = "columnar" if engine == "columnar" else "native"
-        spans = str(explain["result"])
-        if f"'backend': '{expected_backend}'" not in spans:
-            fail(f"explain trace for engine={engine} lacks backend marker")
-    if results["native"] != results["columnar"]:
-        fail("abl7 flights service: columnar results diverge from native")
+    )
+    connected = {tuple(row) for row in response["result"]["relations"]["connected"]}
+    answers = execute(service, {"op": "rpq", "query": RPQ_EXPRESSION})
+    answers = {tuple(row) for row in answers["result"]["relations"]["answers"]}
+    if not connected or not answers:
+        fail("abl7 workload returned empty answers")
+    if connected != oracle.facts("connected"):
+        fail("abl7 flights service: graphlog answer diverges from the naive oracle")
+    if answers != oracle.facts("reach"):
+        fail("abl7 flights service: RPQ answer diverges from the naive oracle")
+    for method, backend in ((None, "columnar"), ("naive", "native")):
+        request = {"op": "explain", "query": FLIGHTS_QUERY, "target": "graphlog"}
+        if method is not None:
+            request["method"] = method
+        if f"'backend': '{backend}'" not in str(execute(service, request)["result"]):
+            fail(f"explain trace for method={method} lacks backend={backend} marker")
     print(
-        f"abl7 flights graphlog: native={timings['native']:.3f}s "
-        f"columnar={timings['columnar']:.3f}s "
-        f"speedup={timings['native'] / timings['columnar']:.1f}x"
+        f"abl7 flights graphlog: naive={naive_s:.3f}s "
+        f"service={service_s:.3f}s speedup={naive_s / service_s:.1f}x"
     )
 
 

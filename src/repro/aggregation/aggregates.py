@@ -207,7 +207,7 @@ class AggregateEngine:
     head raises :class:`~repro.errors.StratificationError`.
     """
 
-    def __init__(self, method="seminaive"):
+    def __init__(self, method="columnar"):
         self.method = method
 
     def evaluate(self, program, edb):
@@ -328,6 +328,6 @@ class AggregateEngine:
             relation.add((u, v, value))
 
 
-def evaluate_with_aggregates(program, edb, method="seminaive"):
+def evaluate_with_aggregates(program, edb, method="columnar"):
     """One-shot convenience around :class:`AggregateEngine`."""
     return AggregateEngine(method=method).evaluate(program, edb)

@@ -44,7 +44,7 @@ import sys
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
-from repro.datalog.engine import evaluate
+from repro.datalog.engine import METHODS, evaluate
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import graph_from_database
 from repro.rpq.evaluate import RPQEvaluator
@@ -210,7 +210,6 @@ def cmd_serve(args):
         repl_max_lag=args.max_lag,
         repl_disconnect_grace=args.disconnect_grace,
         version_wait_ms=args.version_wait_ms,
-        engine=args.engine,
         sub_queue_max=args.sub_queue_max,
         sub_policy=args.sub_policy,
         trace_sample=args.trace_sample,
@@ -228,8 +227,7 @@ def cmd_serve(args):
         durable = f", data dir {args.data_dir} (fsync={args.fsync})" if args.data_dir else ""
         role = f", replica of {args.replica_of}" if args.replica_of else ""
         print(f"repro service listening on {server.host}:{server.port} "
-              f"(store version {store.version}, engine {args.engine}"
-              f"{durable}{role})", flush=True)
+              f"(store version {store.version}{durable}{role})", flush=True)
         if server.metrics_port is not None:
             print(f"telemetry on http://{args.metrics_host}:{server.metrics_port}"
                   f"/metrics (and /healthz)", flush=True)
@@ -536,15 +534,13 @@ def build_parser():
     p_query = sub.add_parser("query", help="run a GraphLog query over a fact file")
     p_query.add_argument("query", help="GraphLog DSL file")
     p_query.add_argument("data", help="Datalog fact file")
-    p_query.add_argument("--method", default="seminaive",
-                         choices=("seminaive", "naive", "columnar"))
+    p_query.add_argument("--method", default="columnar", choices=METHODS)
     p_query.set_defaults(func=cmd_query)
 
     p_datalog = sub.add_parser("datalog", help="evaluate a Datalog program")
     p_datalog.add_argument("program", help="Datalog program file")
     p_datalog.add_argument("--data", help="Datalog fact file", default=None)
-    p_datalog.add_argument("--method", default="seminaive",
-                          choices=("seminaive", "naive", "columnar"))
+    p_datalog.add_argument("--method", default="columnar", choices=METHODS)
     p_datalog.set_defaults(func=cmd_datalog)
 
     p_translate = sub.add_parser("translate", help="Algorithm 3.1: SL -> STC")
@@ -624,10 +620,6 @@ def build_parser():
                          help="replica: /healthz turns 503 after this many "
                               "seconds without a successful tail poll (the "
                               "reported lag is stale while disconnected)")
-    p_serve.add_argument("--engine", default="columnar",
-                         choices=("native", "columnar"),
-                         help="default evaluation backend for requests that "
-                              "carry no explicit method (see docs/ENGINE.md)")
     p_serve.add_argument("--sub-queue-max", type=int, default=256,
                          help="per-subscription outbound delta queue bound")
     p_serve.add_argument("--sub-policy", default="resync",
@@ -691,8 +683,7 @@ def build_parser():
     p_call.add_argument("--target", default=None, type=_one_of(_query_ops),
                         help="explain/profile: query language of the input")
     p_call.add_argument("--predicate", default=None, help="relation to return")
-    p_call.add_argument("--method", default=None,
-                        choices=("seminaive", "naive", "columnar", "native"))
+    p_call.add_argument("--method", default=None, choices=METHODS)
     p_call.add_argument("--timeout", type=float, default=None,
                         help="per-request deadline override in seconds")
     p_call.add_argument("--edge", nargs=3, action="append", default=None,
@@ -770,8 +761,7 @@ def build_parser():
     p_explain.add_argument("--host", dest="connect_host", default=None,
                            help="explain against a running server instead")
     p_explain.add_argument("--port", dest="connect_port", type=int, default=7464)
-    p_explain.add_argument("--method", default=None,
-                           choices=("seminaive", "naive", "columnar", "native"))
+    p_explain.add_argument("--method", default=None, choices=METHODS)
     p_explain.add_argument("--json", action="store_true",
                            help="print the span tree as JSON instead of ASCII")
     p_explain.set_defaults(func=cmd_explain)

@@ -35,9 +35,9 @@ class GraphLogEngine:
     """Evaluates GraphLog graphical queries over relational databases.
 
     Parameters:
-        method: Datalog evaluation strategy — ``seminaive`` or ``naive``
-            (the tuple-set walker), or ``columnar`` (the int-encoded kernel
-            backend; see docs/ENGINE.md).
+        method: Datalog evaluation strategy — ``columnar`` (the int-encoded
+            semi-naive kernels) or ``naive`` (the tuple walker that specifies
+            them; see docs/ENGINE.md).
         closure_kernel: when set to one of
             :func:`repro.graphs.closure.closure_methods` names, simple
             closure literals over binary predicates are precomputed with
@@ -49,7 +49,7 @@ class GraphLogEngine:
             relations are kept as roots, auxiliaries may be folded away.
     """
 
-    def __init__(self, method="seminaive", closure_kernel=None,
+    def __init__(self, method="columnar", closure_kernel=None,
                  domain_predicate=DOMAIN_PREDICATE, optimize=False):
         self.method = method
         self.closure_kernel = closure_kernel
@@ -110,10 +110,9 @@ class GraphLogEngine:
         database = _as_database(database)
         program = self.translate(query)
         prepared = prepare_database(database, self.domain_predicate)
-        # Provenance needs the native walker's per-derivation support sets;
+        # Provenance needs the naive walker's per-derivation support sets;
         # the columnar backend derives in batches and records none.
-        method = "seminaive" if self.method == "columnar" else self.method
-        engine = Engine(method=method, record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         result = engine.evaluate(program, prepared)
         return result, engine.provenance
 
@@ -186,11 +185,11 @@ def _as_database(database):
     )
 
 
-def run(query, database, method="seminaive"):
+def run(query, database, method="columnar"):
     """One-shot convenience: evaluate a query and return the database."""
     return GraphLogEngine(method=method).run(query, database)
 
 
-def answers(query, database, predicate=None, method="seminaive"):
+def answers(query, database, predicate=None, method="columnar"):
     """One-shot convenience: evaluate and return the defined relation."""
     return GraphLogEngine(method=method).answers(query, database, predicate)

@@ -1,59 +1,60 @@
 """Columnar int-encoded evaluation core (``Engine(method="columnar")``).
 
-The native engine evaluates semi-naive fixpoints over sets of Python-object
-tuples, with per-tuple dict bindings built by a recursive walker.  This
-module is the compiled alternative (ROADMAP item 1): all terms are
-dictionary-encoded to dense ints once per database (a :class:`TermCatalog`),
-relations become sorted runs of int rows with ``array('q')`` columnar
-materialization (:class:`ColumnarRelation`), and each rule body is compiled
-once per fixpoint into a pipeline of flat join / anti-join / built-in
-kernels over those ints (:func:`_compile_pipeline`).  Semi-naive deltas are
-deduplicated against the base key set and merged in as new sorted runs
-between iterations (log-structured, so an iteration costs O(delta), never
-O(base)); the fully-sorted columns are produced by a final merge on demand.
+The one semi-naive fixpoint of the repository (ROADMAP item 1): all terms
+are dictionary-encoded to dense ints once per database (a
+:class:`TermCatalog`), relations become sorted runs of int rows with
+``array('q')`` columnar materialization (:class:`ColumnarRelation`), and
+each rule body is compiled once per fixpoint into a pipeline of flat join /
+anti-join / built-in kernels over those ints (:func:`_compile_pipeline`).
+Semi-naive deltas are deduplicated against the base key set and merged in as
+new sorted runs between iterations (log-structured, so an iteration costs
+O(delta), never O(base)); the fully-sorted columns are produced by a final
+merge on demand.
 
-Two further wins over the native walker:
-
-- **Delta-first join ordering.**  The native engine swaps the delta
-  relation in at its schedule position but still enumerates the schedule
-  left to right, so a rule like ``tc(X,Y) :- e(X,Z), tc(Z,Y)`` re-scans all
-  of ``e`` every iteration.  Here each (rule, delta position) variant is
-  re-ordered greedily to enumerate the delta first, making an iteration
-  proportional to the delta and its matches.
+- **Delta-first join ordering.**  Each (rule, delta position) variant is
+  re-ordered greedily to enumerate the delta first, so a rule like
+  ``tc(X,Y) :- e(X,Z), tc(Z,Y)`` costs an iteration proportional to the
+  delta and its matches, not a re-scan of ``e``.
 - **Old/new split.**  Rules with two or more recursive literals use the
   classical decomposition (positions before the delta read the full
   relation, positions after it the pre-iteration state), so each new
   combination is derived exactly once per iteration.
 
-Semantics are pinned to the native engine by randomized differential tests
-(tests/test_columnar_differential.py): stratified negation, comparisons,
-arithmetic (including value interning of computed results), repeated
-variables, and constants all behave identically; results decode back into
-an ordinary :class:`~repro.datalog.database.Database`.
+Semantics are pinned to the naive walker of :mod:`repro.datalog.engine` by
+randomized differential tests (tests/test_columnar_differential.py):
+stratified negation, comparisons, arithmetic (including value interning of
+computed results), repeated variables, and constants all behave identically;
+results decode back into an ordinary
+:class:`~repro.datalog.database.Database`.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import itemgetter
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
 from repro.datalog.safety import schedule_body
-from repro.datalog.stratify import DependenceGraph, stratify
+from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
 from repro.errors import EvaluationError
 
-# Comparison/arithmetic tables are shared with the native engine so the two
+# Comparison/arithmetic tables are shared with the naive walker so the two
 # backends can never drift on built-in semantics.
-from repro.datalog.engine import _ARITHMETIC, _COMPARATORS
+from repro.datalog.engine import (
+    _ARITHMETIC,
+    _COMPARATORS,
+    _declare_relations,
+    _evaluation_groups,
+)
 
 
 class TermCatalog:
     """Dictionary encoding of term values to dense non-negative ints.
 
-    Interning follows Python equality (as the native engine's tuple sets
+    Interning follows Python equality (as the naive walker's tuple sets
     do), so ``1``, ``1.0`` and ``True`` share one id.  The catalog is
     append-only; ids are stable for its lifetime, which lets encoded
     databases and derived relations share one catalog across queries.
@@ -371,18 +372,6 @@ class _Pipeline:
             return []
         # A fused final join already emitted head rows (head_project None).
         return self.head_project(rows) if self.head_project else rows
-
-
-def _greedy_delta_order(delta_literal, schedule, delta_index):
-    """Reorder *schedule* to enumerate the delta literal first.
-
-    Delegates to the maintenance planner's greedy scheduler, which places
-    negations and built-ins as soon as their variables are bound.
-    """
-    from repro.datalog.dred import _greedy_order
-
-    others = (element for j, element in enumerate(schedule) if j != delta_index)
-    return _greedy_order(delta_literal, others)
 
 
 def _compile_pipeline(rule, ordered, resolve, catalog, old_ids, delta_first):
@@ -1184,12 +1173,7 @@ def evaluate_columnar(program, edb, stats, tracer=None, root_span=None):
         else:
             derived_rules.append(rule)
 
-    # Declare every predicate mentioned anywhere (negation over an empty
-    # relation must see an empty relation, not a KeyError).
-    for rule in program:
-        atoms = [rule.head] + [e.atom for e in rule.body if isinstance(e, Literal)]
-        for atom in atoms:
-            state.declare(atom.predicate, atom.arity)
+    _declare_relations(program, state.declare)
     for predicate, rows in fact_rows.items():
         state.relation(predicate).merge_run(rows)
 
@@ -1217,19 +1201,6 @@ def evaluate_columnar(program, edb, stats, tracer=None, root_span=None):
     return _decode_result(state, program, edb, idb)
 
 
-def _evaluation_groups(program, strata, idb):
-    """Same grouping as the native engine (stratum, then SCC topo order)."""
-    graph = DependenceGraph.of_program(program)
-    components = reversed(graph.strongly_connected_components())
-    groups = []
-    for component in components:
-        members = frozenset(p for p in component if p in idb)
-        if members:
-            groups.append(members)
-    groups.sort(key=lambda g: max(strata[p] for p in g))
-    return groups
-
-
 def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
     resolve = state.relation
     catalog = state.catalog
@@ -1251,7 +1222,10 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
                 # Old/new split: recursive occurrences after this one (in
                 # schedule order) read the pre-iteration state.
                 old_ids = {id(schedule[j]) for j in positions[order + 1:]}
-                ordered = _greedy_delta_order(schedule[index], schedule, index)
+                # Delta first, so an iteration enumerates the delta and its
+                # matches instead of re-scanning a base relation.
+                others = [e for j, e in enumerate(schedule) if j != index]
+                ordered = schedule_body(others, first=schedule[index])
                 pipelines[index] = _compile_pipeline(
                     rule, ordered, resolve, catalog, old_ids, delta_first=True
                 )
@@ -1269,9 +1243,12 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
         if existing:
             delta[predicate] = list(existing)
 
+    firings = Counter() if span else None
     candidates = defaultdict(list)
     for rule, pipeline in init_only:
         stats.rule_firings += 1
+        if firings is not None:
+            firings[str(rule)] += 1
         produced = pipeline.fire()
         stats.rows_produced += len(produced)
         candidates[rule.head.predicate].extend(produced)
@@ -1297,6 +1274,8 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
                 if not delta_rows:
                     continue
                 stats.rule_firings += 1
+                if firings is not None:
+                    firings[str(rule)] += 1
                 produced = pipelines[index].fire(delta_rows, old_keys)
                 stats.rows_produced += len(produced)
                 if produced:
@@ -1317,15 +1296,13 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
                 },
             )
         delta = new_delta
+    if span:
+        span.annotate(rule_firings=dict(firings))
 
 
 def _decode_result(state, program, edb, idb):
     result = edb.copy()
-    # Declare every mentioned predicate, exactly as the native engine does.
-    for rule in program:
-        atoms = [rule.head] + [e.atom for e in rule.body if isinstance(e, Literal)]
-        for atom in atoms:
-            result.relation(atom.predicate, atom.arity)
+    _declare_relations(program, result.relation)
     values = state.catalog.values
     for predicate in idb:
         relation = state.relations.get(predicate)

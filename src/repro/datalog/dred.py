@@ -4,8 +4,8 @@ Given a fully-evaluated database for a program and a fact-level EDB delta
 (insertions and deletions), :class:`MaintenancePlan` updates the database
 *in place* to the fixpoint over the new EDB — in time proportional to the
 change, not the database.  Two complementary techniques, chosen per
-evaluation group (SCC within a stratum, the same grouping the semi-naive
-engine evaluates in):
+evaluation group (SCC within a stratum, the same grouping the engine
+evaluates in):
 
 - **Support counting** for non-recursive groups: every derived fact carries
   the number of rule instantiations deriving it (plus one "extensional"
@@ -37,7 +37,7 @@ from collections import defaultdict
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Atom, Comparison, Literal
 from repro.datalog.database import Relation
-from repro.datalog.engine import Engine, _match_against
+from repro.datalog.engine import Engine, _declare_relations, _evaluation_groups
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
@@ -124,71 +124,6 @@ class _Facade:
         return self._resolve(predicate)
 
 
-def _greedy_order(first, pending, append=None):
-    """Order *pending* for left-to-right evaluation after *first*.
-
-    Same policy as :func:`repro.datalog.safety.schedule_body`, seeded with
-    the bindings *first* provides — used to put the delta literal in front
-    so a maintenance join enumerates the (small) delta, not a base relation.
-    """
-    ordered = [first]
-    bound = {v for v in first.variables() if not v.is_anonymous}
-    pending = list(pending)
-
-    def ready(element):
-        if isinstance(element, Literal):
-            if element.positive:
-                return True
-            return {v for v in element.variables() if not v.is_anonymous} <= bound
-        if isinstance(element, Comparison):
-            if element.op == "==":
-                sides = [element.left, element.right]
-                unbound = [
-                    s for s in sides if isinstance(s, Variable) and s not in bound
-                ]
-                return len(unbound) <= 1
-            return element.variables() <= bound
-        if isinstance(element, ArithmeticAssign):
-            return element.input_variables() <= bound
-        return False
-
-    def bind(element):
-        if isinstance(element, Literal) and element.positive:
-            bound.update(v for v in element.variables() if not v.is_anonymous)
-        elif isinstance(element, Comparison) and element.op == "==":
-            bound.update(element.variables())
-        elif isinstance(element, ArithmeticAssign):
-            bound.update(element.variables())
-
-    while pending:
-        choice = None
-        for element in pending:
-            if not isinstance(element, Literal) and ready(element):
-                choice = element
-                break
-            if isinstance(element, Literal) and element.negative and ready(element):
-                choice = element
-                break
-        if choice is None:
-            best_score = None
-            for element in pending:
-                if isinstance(element, Literal) and element.positive:
-                    score = len(element.variables() & bound)
-                    score = score * 100 - len(element.variables() - bound)
-                    if best_score is None or score > best_score:
-                        best_score = score
-                        choice = element
-        if choice is None:  # pragma: no cover - original schedule was valid
-            break
-        pending.remove(choice)
-        ordered.append(choice)
-        bind(choice)
-    ordered.extend(pending)  # no-op normally; keeps stragglers if greedy stalls
-    if append is not None:
-        ordered.append(append)
-    return ordered
-
-
 def _delta_orders(schedule):
     """``{index: ordered}`` — for every literal of *schedule*, the join order
     that enumerates a delta at that literal first (``ordered[0]``).
@@ -202,13 +137,12 @@ def _delta_orders(schedule):
     for index, element in enumerate(schedule):
         if not isinstance(element, Literal):
             continue
-        others = (e for j, e in enumerate(schedule) if j != index)
+        others = [e for j, e in enumerate(schedule) if j != index]
         if element.positive:
-            orders[index] = _greedy_order(element, others)
+            orders[index] = schedule_body(others, first=element)
         else:
-            orders[index] = _greedy_order(
-                Literal(element.atom, positive=True), others, append=element
-            )
+            twin = Literal(element.atom, positive=True)
+            orders[index] = schedule_body(others, first=twin) + [element]
     return orders
 
 
@@ -233,7 +167,7 @@ def _counting_orders(schedule):
                 other = Literal(Atom(alias, other.atom.args), positive=other.positive)
             others.append(other)
         orders[index] = (
-            _greedy_order(Literal(element.atom, positive=True), others),
+            schedule_body(others, first=Literal(element.atom, positive=True)),
             aliases,
         )
     return orders
@@ -267,10 +201,11 @@ class MaintenancePlan:
 
     def __init__(self, program):
         self.program = program
-        self.engine = Engine(check_safety=False)
+        #: The tuple walker every maintenance join runs through.
+        self.engine = Engine("naive", check_safety=False)
         self.strata = stratify(program)
         self.idb = program.idb_predicates
-        self.groups = Engine._evaluation_groups(program, self.strata, self.idb)
+        self.groups = _evaluation_groups(program, self.strata, self.idb)
         #: Program facts are axioms: maintenance never deletes them.
         self.axioms = {
             (rule.head.predicate, tuple(t.value for t in rule.head.args))
@@ -319,7 +254,7 @@ class MaintenancePlan:
 
     # ------------------------------------------------------------- evaluate
 
-    def evaluate(self, edb, method="seminaive"):
+    def evaluate(self, edb):
         """Full evaluation plus initial support counts.
 
         Returns ``(database, counts)``: the evaluated database (a new copy,
@@ -328,9 +263,7 @@ class MaintenancePlan:
         derivation (program facts, or EDB rows under an IDB name) get one
         extensional support so a count of zero always means "gone".
         """
-        database = Engine(method=method, check_safety=False).evaluate(
-            self.program, edb
-        )
+        database = Engine(check_safety=False).evaluate(self.program, edb)
         counts = {}
         for group, rules, _body_preds, eligible in self._group_plans:
             if not eligible:
@@ -467,8 +400,7 @@ class MaintenancePlan:
                 )
                 if not touched:
                     continue
-                for rule, *_plan in rules:
-                    self.engine._declare_relations([rule], database)
+                _declare_relations((rule for rule, *_plan in rules), database.relation)
                 if eligible and counts is not None:
                     stats.counting_groups += 1
                     with tracer.span(
@@ -690,38 +622,11 @@ class MaintenancePlan:
             if rule.head.predicate != predicate:
                 continue
             binding = _bind_head(rule.head, row)
-            if binding is None:
-                continue
-            if self._satisfiable(schedule, database, binding):
+            if binding is not None and self.engine._fire(
+                rule, schedule, database, binding=binding, first_only=True
+            ):
                 return True
         return False
-
-    def _satisfiable(self, schedule, state, binding):
-        engine = self.engine
-
-        def walk(index, binding):
-            if index == len(schedule):
-                return True
-            element = schedule[index]
-            if isinstance(element, Literal):
-                if element.positive:
-                    relation = state.relation(element.predicate)
-                    for extended in _match_against(relation, element.atom, binding):
-                        if walk(index + 1, extended):
-                            return True
-                    return False
-                if engine._negative_holds(state, element, binding):
-                    return walk(index + 1, binding)
-                return False
-            if isinstance(element, Comparison):
-                extended = engine._apply_comparison(element, binding)
-            elif isinstance(element, ArithmeticAssign):
-                extended = engine._apply_arithmetic(element, binding)
-            else:  # pragma: no cover - AST is closed
-                return False
-            return extended is not None and walk(index + 1, extended)
-
-        return walk(0, binding)
 
     def _maintain_counting(
         self, group, rules, database, added, removed,
@@ -812,10 +717,10 @@ def body_preds_of(rules):
     }
 
 
-def evaluate_with_counts(program, edb, method="seminaive"):
+def evaluate_with_counts(program, edb):
     """Convenience: build a plan, evaluate, return (plan, database, counts)."""
     plan = MaintenancePlan(program)
-    database, counts = plan.evaluate(edb, method=method)
+    database, counts = plan.evaluate(edb)
     return plan, database, counts
 
 

@@ -2,10 +2,14 @@
 
 Two methods are provided:
 
-- ``naive``: re-evaluate every rule until no new fact appears;
-- ``seminaive`` (default): the classical delta-based evaluation that joins
-  each recursive occurrence against only the facts discovered in the previous
-  iteration.
+- ``columnar`` (default): the semi-naive fixpoint over int-encoded relations
+  in :mod:`repro.datalog.columnar` — the production evaluator;
+- ``naive``: re-evaluate every rule until no new fact appears, one tuple at a
+  time — the executable specification the columnar core is tested against,
+  and the method that can record provenance.
+
+The tuple walker behind ``naive`` (:meth:`Engine._fire`) is also the join
+incremental maintenance runs (:mod:`repro.datalog.dred`).
 
 Evaluation proceeds stratum by stratum and, within a stratum, SCC by SCC in
 topological order, so negated literals always refer to fully-computed
@@ -15,11 +19,10 @@ relations (stratified semantics, Definition 2.7 of the paper).
 from __future__ import annotations
 
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
-from repro.datalog.database import Relation
 from repro.datalog.safety import check_program_safety, schedule_body
 from repro.datalog.stratify import DependenceGraph, stratify
 from repro.datalog.terms import Constant, Variable
@@ -61,6 +64,10 @@ _ARITHMETIC = {
 }
 
 
+#: The evaluation methods: the production core and its specification.
+METHODS = ("columnar", "naive")
+
+
 class EvaluationStats:
     """Counters collected during one evaluation run."""
 
@@ -84,32 +91,22 @@ class EvaluationStats:
 class Engine:
     """Evaluator for stratified Datalog programs over a :class:`Database`.
 
-    ``method`` selects the backend: ``"naive"`` and ``"seminaive"`` run the
-    tuple-set walker in this module; ``"columnar"`` runs the int-encoded
-    kernel evaluator in :mod:`repro.datalog.columnar` (same semantics,
-    pinned by the differential suite).  ``old_new_split`` controls the
-    classical old/new decomposition for semi-naive rules with two or more
-    recursive literals; it exists as an escape hatch for A/B-testing the
-    split and should stay on.
+    ``method`` is ``"columnar"`` — the int-encoded semi-naive kernels of
+    :mod:`repro.datalog.columnar` — or ``"naive"``, the tuple walker in this
+    module (same semantics, pinned by the differential suite).  Left unset it
+    is columnar, or naive when ``record_provenance`` asks for the
+    per-derivation support only the walker sees.
     """
 
-    def __init__(
-        self,
-        method="seminaive",
-        check_safety=True,
-        record_provenance=False,
-        old_new_split=True,
-    ):
-        if method not in ("naive", "seminaive", "columnar"):
+    def __init__(self, method=None, check_safety=True, record_provenance=False):
+        if method is None:
+            method = "naive" if record_provenance else "columnar"
+        if method not in METHODS:
             raise ValueError(f"unknown evaluation method {method!r}")
         if method == "columnar" and record_provenance:
-            raise ValueError(
-                "provenance recording requires the native backend "
-                "(method='naive' or 'seminaive')"
-            )
+            raise ValueError("provenance recording requires method='naive'")
         self.method = method
         self.check_safety = check_safety
-        self.old_new_split = old_new_split
         self.record_provenance = record_provenance
         #: {(predicate, row): (rule, ((predicate, row), ...))} — the *first*
         #: derivation of each derived fact; populated when record_provenance.
@@ -137,51 +134,8 @@ class Engine:
                 from repro.datalog.columnar import evaluate_columnar
 
                 database = evaluate_columnar(program, edb, self.stats, tracer)
-                if root:
-                    root.annotate(
-                        iterations=self.stats.iterations,
-                        rule_firings=self.stats.rule_firings,
-                        facts_derived=self.stats.facts_derived,
-                        strata=self.stats.strata,
-                    )
-                return database
-            database = edb.copy()
-
-            # Facts in the program are loaded directly.
-            derived_rules = []
-            for rule in program:
-                if rule.is_fact:
-                    database.add_fact(rule.head.predicate, *(t.value for t in rule.head.args))
-                else:
-                    derived_rules.append(rule)
-
-            # Ensure every predicate mentioned anywhere exists with a known arity,
-            # so negation over an empty relation works.
-            self._declare_relations(program, database)
-
-            strata = stratify(program)
-            idb = program.idb_predicates
-            groups = self._evaluation_groups(program, strata, idb)
-            self.stats.strata = len({strata[p] for p in idb}) if idb else 0
-
-            for group in groups:
-                rules = [r for r in derived_rules if r.head.predicate in group]
-                if not rules:
-                    continue
-                with tracer.span(
-                    "engine.stratum",
-                    stratum=max(strata[p] for p in group),
-                    predicates=sorted(group),
-                    rules=len(rules),
-                ) as span:
-                    if self.method == "naive":
-                        self._fixpoint_naive(rules, database, span)
-                    else:
-                        self._fixpoint_seminaive(rules, group, database, span)
-                    if span:
-                        span.annotate(
-                            facts={p: len(database.facts(p)) for p in sorted(group)}
-                        )
+            else:
+                database = self._evaluate_naive(program, edb, tracer)
             if root:
                 root.annotate(
                     iterations=self.stats.iterations,
@@ -203,30 +157,38 @@ class Engine:
 
     # ------------------------------------------------------------ internals
 
-    @staticmethod
-    def _declare_relations(program, database):
-        for rule in program:
-            atoms = [rule.head] + [e.atom for e in rule.body if isinstance(e, Literal)]
-            for atom in atoms:
-                database.relation(atom.predicate, atom.arity)
+    def _evaluate_naive(self, program, edb, tracer):
+        database = edb.copy()
 
-    @staticmethod
-    def _evaluation_groups(program, strata, idb):
-        """IDB predicate groups in evaluation order: by stratum, then by SCC
-        condensation topological order inside each stratum."""
-        graph = DependenceGraph.of_program(program)
-        # Tarjan emits dependents first; reversing yields dependencies-first
-        # (topological) order, which is the evaluation order within a stratum.
-        components = reversed(graph.strongly_connected_components())
-        groups = []
-        for component in components:
-            members = frozenset(p for p in component if p in idb)
-            if members:
-                groups.append(members)
-        # Stable sort by stratum preserves the dependencies-first order
-        # among groups of the same stratum.
-        groups.sort(key=lambda g: max(strata[p] for p in g))
-        return groups
+        # Facts in the program are loaded directly.
+        derived_rules = []
+        for rule in program:
+            if rule.is_fact:
+                database.add_fact(rule.head.predicate, *(t.value for t in rule.head.args))
+            else:
+                derived_rules.append(rule)
+        _declare_relations(program, database.relation)
+
+        strata = stratify(program)
+        idb = program.idb_predicates
+        self.stats.strata = len({strata[p] for p in idb}) if idb else 0
+
+        for group in _evaluation_groups(program, strata, idb):
+            rules = [r for r in derived_rules if r.head.predicate in group]
+            if not rules:
+                continue
+            with tracer.span(
+                "engine.stratum",
+                stratum=max(strata[p] for p in group),
+                predicates=sorted(group),
+                rules=len(rules),
+            ) as span:
+                self._fixpoint_naive(rules, database, span)
+                if span:
+                    span.annotate(
+                        facts={p: len(database.facts(p)) for p in sorted(group)}
+                    )
+        return database
 
     def _fixpoint_naive(self, rules, database, span=obs.NULL_SPAN):
         schedules = [(rule, schedule_body(rule)) for rule in rules]
@@ -254,117 +216,6 @@ class Engine:
         if span:
             span.annotate(rule_firings=dict(firings))
 
-    def _fixpoint_seminaive(self, rules, group, database, span=obs.NULL_SPAN):
-        schedules = []
-        init_only = []
-        for rule in rules:
-            schedule = schedule_body(rule)
-            recursive_positions = [
-                i
-                for i, element in enumerate(schedule)
-                if isinstance(element, Literal)
-                and element.positive
-                and element.predicate in group
-            ]
-            if recursive_positions:
-                schedules.append((rule, schedule, recursive_positions))
-            else:
-                init_only.append((rule, schedule))
-
-        # Seed the delta with any facts the group predicates already hold
-        # (program facts for IDB predicates, or EDB facts feeding an IDB name)
-        # so recursive literals see them on the first iteration.
-        delta = defaultdict(set)
-        for predicate in group:
-            existing = database.facts(predicate)
-            if existing:
-                delta[predicate] = set(existing)
-        firings = Counter() if span else None
-        for rule, schedule in init_only:
-            head_pred = rule.head.predicate
-            relation = database.relation(head_pred)
-            if firings is not None:
-                firings[str(rule)] += 1
-            for row, support in self._fire(rule, schedule, database):
-                if relation.add(row):
-                    self.stats.facts_derived += 1
-                    self._record(rule, head_pred, row, support)
-                    delta[head_pred].add(row)
-        if span:
-            span.annotate(
-                seed_delta={p: len(rows) for p, rows in sorted(delta.items()) if rows}
-            )
-
-        iteration = 0
-        while True:
-            iteration += 1
-            self.stats.iterations += 1
-            delta_relations = {
-                predicate: _as_relation(predicate, rows, database)
-                for predicate, rows in delta.items()
-                if rows
-            }
-            # Old/new split: when a rule has several recursive literals, the
-            # variant firing at delta position p_j must read the *previous*
-            # iteration's state at positions after p_j (full minus delta),
-            # so each new combination is derived exactly once per round.
-            old_relations = (
-                {
-                    predicate: _MinusRelation(database.relation(predicate), rows)
-                    for predicate, rows in delta.items()
-                    if rows
-                }
-                if self.old_new_split
-                else {}
-            )
-            new_delta = defaultdict(set)
-            for rule, schedule, positions in schedules:
-                head_pred = rule.head.predicate
-                relation = database.relation(head_pred)
-                for order, position in enumerate(positions):
-                    pred = schedule[position].predicate
-                    delta_relation = delta_relations.get(pred)
-                    if delta_relation is None:
-                        continue
-                    old_overrides = None
-                    if self.old_new_split and len(positions) > 1:
-                        old_overrides = {
-                            later: old_relations[schedule[later].predicate]
-                            for later in positions[order + 1:]
-                            if schedule[later].predicate in old_relations
-                        }
-                    if firings is not None:
-                        firings[str(rule)] += 1
-                    produced = self._fire(
-                        rule,
-                        schedule,
-                        database,
-                        delta_position=position,
-                        delta_relation=delta_relation,
-                        old_overrides=old_overrides,
-                    )
-                    for row, support in produced:
-                        if relation.add(row):
-                            self.stats.facts_derived += 1
-                            self._record(rule, head_pred, row, support)
-                            new_delta[head_pred].add(row)
-            if span:
-                span.append(
-                    "iterations",
-                    {
-                        "iteration": iteration,
-                        "delta_in": {
-                            p: len(r) for p, r in sorted(delta_relations.items())
-                        },
-                        "derived": sum(len(rows) for rows in new_delta.values()),
-                    },
-                )
-            if not new_delta:
-                break
-            delta = new_delta
-        if span:
-            span.annotate(rule_firings=dict(firings))
-
     def _fire(
         self,
         rule,
@@ -372,65 +223,64 @@ class Engine:
         database,
         delta_position=None,
         delta_relation=None,
-        old_overrides=None,
+        binding=None,
+        first_only=False,
     ):
-        """Yield ``(head_row, support)`` pairs from one rule body evaluation.
+        """``(head_row, support)`` pairs from one rule body evaluation.
 
-        ``support`` is a tuple of the positive body facts that matched, as
-        ``(predicate, row)`` pairs, when ``record_provenance`` is on; None
-        otherwise.  ``old_overrides`` maps schedule indexes to substitute
-        relations (the pre-iteration view used by the old/new split)."""
+        The positive literal at ``delta_position`` reads ``delta_relation``
+        instead of *database*; ``binding`` pre-binds variables (a head row
+        under rederivation) and ``first_only`` stops the walk at the first
+        result, which is all an "is it derivable" caller needs.  ``support``
+        is the tuple of positive body facts that matched, as ``(predicate,
+        row)`` pairs, when ``record_provenance`` is on; None otherwise."""
         self.stats.rule_firings += 1
         head = rule.head
         results = []
         trail = [] if self.record_provenance else None
-
-        def emit(binding):
-            row = []
-            for term in head.args:
-                if isinstance(term, Variable):
-                    row.append(binding[term])
-                else:
-                    row.append(term.value)
-            support = tuple(trail) if trail is not None else None
-            results.append((tuple(row), support))
+        end = len(schedule)
 
         def walk(index, binding):
-            if index == len(schedule):
-                emit(binding)
-                return
+            """True when the walk is over: one result emitted, one wanted."""
+            if index == end:
+                row = []
+                for term in head.args:
+                    if isinstance(term, Variable):
+                        row.append(binding[term])
+                    else:
+                        row.append(term.value)
+                support = tuple(trail) if trail is not None else None
+                results.append((tuple(row), support))
+                return first_only
             element = schedule[index]
             if isinstance(element, Literal):
                 if element.positive:
                     if index == delta_position:
                         relation = delta_relation
-                    elif old_overrides and index in old_overrides:
-                        relation = old_overrides[index]
                     else:
                         relation = database.relation(element.predicate)
                     for extended, row in _match_against(
-                        relation, element.atom, binding, want_rows=True
+                        relation, element.atom, binding
                     ):
                         if trail is not None:
                             trail.append((element.predicate, row))
-                        walk(index + 1, extended)
+                        if walk(index + 1, extended):
+                            return True
                         if trail is not None:
                             trail.pop()
-                else:
-                    if self._negative_holds(database, element, binding):
-                        walk(index + 1, binding)
-            elif isinstance(element, Comparison):
+                    return False
+                return self._negative_holds(database, element, binding) and walk(
+                    index + 1, binding
+                )
+            if isinstance(element, Comparison):
                 extended = self._apply_comparison(element, binding)
-                if extended is not None:
-                    walk(index + 1, extended)
             elif isinstance(element, ArithmeticAssign):
                 extended = self._apply_arithmetic(element, binding)
-                if extended is not None:
-                    walk(index + 1, extended)
             else:  # pragma: no cover - AST is closed
                 raise EvaluationError(f"unknown body element {element!r}")
+            return extended is not None and walk(index + 1, extended)
 
-        walk(0, {})
+        walk(0, binding or {})
         self.stats.rows_produced += len(results)
         return results
 
@@ -508,41 +358,37 @@ class Engine:
 _UNBOUND = object()
 
 
-class _MinusRelation:
-    """A read-only view of *relation* with the rows of *excluded* hidden.
-
-    Implements just the surface ``_match_against`` touches (``lookup`` and
-    ``arity``); used by the semi-naive old/new split to present the
-    pre-iteration state of a recursive predicate without copying it.
-    """
-
-    __slots__ = ("_relation", "_excluded")
-
-    def __init__(self, relation, excluded):
-        self._relation = relation
-        self._excluded = excluded if isinstance(excluded, (set, frozenset)) else set(excluded)
-
-    @property
-    def name(self):
-        return self._relation.name
-
-    @property
-    def arity(self):
-        return self._relation.arity
-
-    def __len__(self):
-        return len(self._relation) - len(self._excluded)
-
-    def lookup(self, positions, values):
-        matches = self._relation.lookup(positions, values)
-        excluded = self._excluded
-        return [row for row in matches if row not in excluded]
+def _declare_relations(program, declare):
+    """Call ``declare(predicate, arity)`` for every atom *program* mentions,
+    so negation over a relation nothing populates sees it empty."""
+    for rule in program:
+        declare(rule.head.predicate, rule.head.arity)
+        for element in rule.body:
+            if isinstance(element, Literal):
+                declare(element.predicate, element.atom.arity)
 
 
-def _match_against(relation, atom, binding, want_rows=False):
-    """Yield extensions of *binding* for each tuple of *relation* matching
-    *atom* (as ``(binding, row)`` pairs when *want_rows*), honouring repeated
-    variables within the atom."""
+def _evaluation_groups(program, strata, idb):
+    """IDB predicate groups in evaluation order: by stratum, then by SCC
+    condensation topological order inside each stratum."""
+    graph = DependenceGraph.of_program(program)
+    # Tarjan emits dependents first; reversing yields dependencies-first
+    # (topological) order, which is the evaluation order within a stratum.
+    components = reversed(graph.strongly_connected_components())
+    groups = []
+    for component in components:
+        members = frozenset(p for p in component if p in idb)
+        if members:
+            groups.append(members)
+    # Stable sort by stratum preserves the dependencies-first order
+    # among groups of the same stratum.
+    groups.sort(key=lambda g: max(strata[p] for p in g))
+    return groups
+
+
+def _match_against(relation, atom, binding):
+    """Yield ``(extended binding, row)`` for each tuple of *relation* matching
+    *atom* under *binding*, honouring repeated variables within the atom."""
     positions = []
     values = []
     for position, term in enumerate(atom.args):
@@ -570,15 +416,7 @@ def _match_against(relation, atom, binding, want_rows=False):
                     ok = False
                     break
         if ok:
-            yield (extended, row) if want_rows else extended
-
-
-def _as_relation(predicate, rows, database):
-    """Wrap a delta tuple-set in an indexed Relation of the right arity."""
-    arity = database.relation(predicate).arity
-    relation = Relation(predicate, arity)
-    relation.add_many(rows)
-    return relation
+            yield extended, row
 
 
 def match_atom(database, goal):
@@ -595,16 +433,16 @@ def match_atom(database, goal):
         if isinstance(term, Variable) and not term.is_anonymous and term not in ordered_vars:
             ordered_vars.append(term)
     answers = set()
-    for binding in _match_against(relation, goal, {}):
+    for binding, _row in _match_against(relation, goal, {}):
         answers.add(tuple(binding[v] for v in ordered_vars))
     return answers
 
 
-def evaluate(program, edb, method="seminaive"):
+def evaluate(program, edb, method="columnar"):
     """One-shot convenience wrapper around :class:`Engine`."""
     return Engine(method=method).evaluate(program, edb)
 
 
-def query(program, edb, goal, method="seminaive"):
+def query(program, edb, goal, method="columnar"):
     """One-shot convenience wrapper: evaluate then match *goal*."""
     return Engine(method=method).query(program, edb, goal)

@@ -178,7 +178,7 @@ def _rewrite_rule(rule, head_adornment, idb, pending):
     return out
 
 
-def magic_query(program, edb, goal, method="seminaive"):
+def magic_query(program, edb, goal, method="columnar"):
     """Goal-directed evaluation: rewrite, seed, evaluate, match.
 
     Returns the same answer set as
@@ -192,7 +192,7 @@ def magic_query(program, edb, goal, method="seminaive"):
     return match_atom(result, rewritten.goal), engine.stats
 
 
-def magic_answers(program, edb, goal, method="seminaive"):
+def magic_answers(program, edb, goal, method="columnar"):
     """Answers only (drops the stats)."""
     answers, _stats = magic_query(program, edb, goal, method=method)
     return answers

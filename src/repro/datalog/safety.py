@@ -91,7 +91,7 @@ def is_safe(rule_or_program):
     return True
 
 
-def schedule_body(rule):
+def schedule_body(rule, first=None):
     """Order the body for left-to-right evaluation with full binding info.
 
     Returns a list of body elements such that:
@@ -100,10 +100,15 @@ def schedule_body(rule):
     - each built-in and negated literal appears as early as possible after
       its variables are bound.
 
+    *rule* is a rule, or a bare sequence of body elements.  *first*, when
+    given, is a positive literal that leads the schedule and seeds the bound
+    variables — the delta literal of a semi-naive or maintenance join, put in
+    front so the join enumerates the (small) delta, not a base relation.
+
     Raises :class:`SafetyError` when no valid schedule exists (which implies
     the rule is unsafe).
     """
-    pending = list(rule.body)
+    pending = list(getattr(rule, "body", rule))
     scheduled = []
     bound = set()
 
@@ -133,6 +138,9 @@ def schedule_body(rule):
         elif isinstance(element, ArithmeticAssign):
             bound.update(element.variables())
 
+    if first is not None:
+        scheduled.append(first)
+        bind(first)
     while pending:
         # Prefer non-relational elements (cheap filters) that are ready,
         # then the positive literal sharing the most bound variables.

@@ -9,7 +9,6 @@ from repro.ham.store import HAMStore, Session, Transaction, TransactionRecord, n
 from repro.ham.views import (
     MaterializedView,
     ViewManager,
-    incremental_insert,
     is_monotone_program,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "TransactionRecord",
     "ViewManager",
     "compute_delta",
-    "incremental_insert",
     "is_monotone_program",
     "new_epoch",
 ]

@@ -25,17 +25,12 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import defaultdict
 
 from repro.core.engine import GraphLogEngine, prepare_database
 from repro.core.query_graph import GraphicalQuery, QueryGraph
 from repro.core.translate import DOMAIN_PREDICATE, translate, translate_extended
 from repro.datalog.ast import Literal
-from repro.datalog.database import Database
 from repro.datalog.dred import MaintenancePlan
-from repro.datalog.engine import Engine, _as_relation
-from repro.datalog.safety import schedule_body
-from repro.datalog.stratify import stratify
 from repro.errors import AggregationError, TranslationError
 from repro.graphs.bridge import database_from_graph
 from repro.ham.delta import domain_refs, fold_domain_refs
@@ -66,86 +61,6 @@ def is_monotone_program(program):
         for element in rule.body
         if isinstance(element, Literal)
     )
-
-
-def incremental_insert(program, materialized, new_facts, method="seminaive"):
-    """Maintain *materialized* (a fully-evaluated Database for *program*)
-    under the insertion of *new_facts* (``{predicate: iterable of rows}``).
-
-    Requires a monotone program (raises :class:`AggregationError` -- the
-    caller should fall back to full recomputation).  Returns a new Database;
-    the input is not modified.
-    """
-    if not is_monotone_program(program):
-        raise AggregationError(
-            "incremental insertion maintenance requires a monotone program"
-        )
-    database = materialized.copy()
-    engine = Engine(method=method, check_safety=False)
-
-    # Global delta: facts that are new since the last fixpoint.
-    delta = {}
-    for predicate, rows in new_facts.items():
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            continue
-        relation = database.relation(predicate, len(rows[0]))
-        added = {row for row in rows if relation.add(row)}
-        if added:
-            delta[predicate] = added
-
-    if not delta:
-        return database
-
-    strata = stratify(program)
-    idb = program.idb_predicates
-    groups = Engine._evaluation_groups(program, strata, idb)
-
-    for group in groups:
-        rules = [
-            (rule, schedule_body(rule))
-            for rule in program
-            if not rule.is_fact and rule.head.predicate in group
-        ]
-        if not rules:
-            continue
-        # Round 0 consumes the external delta (earlier groups + EDB);
-        # later rounds consume only this group's own newly derived facts.
-        current = dict(delta)
-        group_new = defaultdict(set)
-        while current:
-            produced = defaultdict(set)
-            delta_relations = {
-                predicate: _as_relation(predicate, rows, database)
-                for predicate, rows in current.items()
-            }
-            for rule, schedule in rules:
-                head_pred = rule.head.predicate
-                relation = database.relation(head_pred)
-                for position, element in enumerate(schedule):
-                    if not (isinstance(element, Literal) and element.positive):
-                        continue
-                    delta_relation = delta_relations.get(element.predicate)
-                    if delta_relation is None:
-                        continue
-                    for row, _support in engine._fire(
-                        rule,
-                        schedule,
-                        database,
-                        delta_position=position,
-                        delta_relation=delta_relation,
-                    ):
-                        if relation.add(row):
-                            produced[head_pred].add(row)
-            for predicate, rows in produced.items():
-                group_new[predicate] |= rows
-            # Only this group's derivations can trigger further rounds here.
-            current = {p: rows for p, rows in produced.items() if p in group}
-        for predicate, rows in group_new.items():
-            delta.setdefault(predicate, set())
-            delta[predicate] |= rows
-
-    return database
 
 
 class MaterializedView:
@@ -218,14 +133,6 @@ class MaterializedView:
             self.state = GraphLogEngine().run(self.query, edb)
         self._domain_refs = domain_refs(edb)
         self.full_refreshes += 1
-        return self.state
-
-    def apply_insertions(self, new_facts):
-        """Insert-only legacy path; raises AggregationError when not monotone."""
-        if self.state is None:
-            raise RuntimeError(f"view {self.name!r} has not been refreshed")
-        self.state = incremental_insert(self.program, self.state, new_facts)
-        self.incremental_updates += 1
         return self.state
 
     def apply_delta(self, delta):

@@ -58,7 +58,6 @@ class ReplicaApplier:
         reconnect_min=0.1,
         reconnect_max=5.0,
         client_timeout=30.0,
-        check_epoch=True,
         traces=None,
         sampler=None,
         node_id=None,
@@ -79,10 +78,6 @@ class ReplicaApplier:
         self.traces = traces
         self.sampler = sampler if sampler is not None else obs.RateSampler(0.0)
         self.node_id = node_id
-        #: Escape hatch for tests that need the pre-epoch behavior; leave
-        #: True in production — disabling it re-opens the equal-version
-        #: divergence hole documented in docs/REPLICATION.md.
-        self.check_epoch = bool(check_epoch)
         store.set_read_only(True)
         self._client = None
         self._thread = None
@@ -312,12 +307,7 @@ class ReplicaApplier:
         if body.get("reset"):
             self._rebootstrap(body.get("reason", "primary signaled reset"))
             return True
-        if (
-            self.check_epoch
-            and epoch is not None
-            and known_epoch is not None
-            and epoch != known_epoch
-        ):
+        if epoch is not None and known_epoch is not None and epoch != known_epoch:
             # The primary rewrote history (crash truncation, promotion, or a
             # different primary at the address).  Version numbers across
             # epochs are incomparable — even an "in sync" version may hold

@@ -778,7 +778,6 @@ class RouterServer:
                 continue
             entry["ok"] = True
             entry["node_id"] = stats.get("node_id")
-            entry["engine"] = stats.get("engine")
             store = stats.get("store") or {}
             entry["version"] = store.get("version")
             repl = stats.get("replication") or {}

@@ -38,18 +38,16 @@ def _as_regex(regex):
 class RPQEvaluator:
     """Evaluates regular path queries over a :class:`LabeledMultigraph`.
 
-    By default the reachability entry points (:meth:`pairs`,
-    :meth:`targets`, :meth:`holds`) run over the CSR adjacency index with
-    bitset frontiers (:mod:`repro.rpq.csr`); ``use_csr=False`` falls back
-    to the per-pair dict walk.  :meth:`witness_path` and
-    :meth:`matching_edges` always walk the dict adjacency — they need edge
-    *identities*, which the compacted index deliberately drops.
+    The reachability entry points (:meth:`pairs`, :meth:`targets`,
+    :meth:`holds`) run over the CSR adjacency index with bitset frontiers
+    (:mod:`repro.rpq.csr`).  :meth:`witness_path` and :meth:`matching_edges`
+    walk the dict adjacency — they need edge *identities*, which the
+    compacted index deliberately drops.
     """
 
-    def __init__(self, graph, label_key=default_label_key, use_csr=True):
+    def __init__(self, graph, label_key=default_label_key):
         self.graph = graph
         self.label_key = label_key
-        self.use_csr = use_csr
 
     # ------------------------------------------------------------------ API
 
@@ -60,27 +58,19 @@ class RPQEvaluator:
         only those rows of the product are explored).
         """
         dfa = compile_regex(_as_regex(regex))
-        if self.use_csr:
-            index = csr_index(self.graph, self.label_key)
-            out = set()
-            for source in self._source_nodes(sources):
-                for target in self._csr_reach_from(index, source, dfa):
-                    out.add((source, target))
-            return out
+        index = csr_index(self.graph, self.label_key)
         out = set()
         for source in self._source_nodes(sources):
-            for target in self._reach_from(source, dfa):
+            for target in self._csr_reach_from(index, source, dfa):
                 out.add((source, target))
         return out
 
     def targets(self, regex, source):
         """All y reachable from one *source* along a matching path."""
         dfa = compile_regex(_as_regex(regex))
-        if self.use_csr:
-            return self._csr_reach_from(
-                csr_index(self.graph, self.label_key), source, dfa
-            )
-        return self._reach_from(source, dfa)
+        return self._csr_reach_from(
+            csr_index(self.graph, self.label_key), source, dfa
+        )
 
     def holds(self, regex, source, target):
         """Does some path from *source* to *target* match *regex*?"""
@@ -93,28 +83,23 @@ class RPQEvaluator:
         to highlight answers like the prototype of Section 5.
         """
         dfa = compile_regex(_as_regex(regex))
-        start = (source, dfa.start)
-        parents = {start: None}
-        queue = deque([start])
-        goal = None
-        while queue:
-            node, state = queue.popleft()
-            if node == target and state in dfa.accept:
-                goal = (node, state)
-                break
-            for edge, next_state, forward in self._product_moves(node, state, dfa):
-                nxt = ((edge.target if forward else edge.source), next_state)
-                if nxt not in parents:
-                    parents[nxt] = ((node, state), edge)
-                    queue.append(nxt)
-        if goal is None:
+        parents = self._forward_product([source], dfa)
+        # Breadth-first insertion order: the first accepting state at
+        # *target* is a nearest one.
+        cursor = next(
+            (
+                pair
+                for pair in parents
+                if pair[0] == target and pair[1] in dfa.accept
+            ),
+            None,
+        )
+        if cursor is None:
             return None
         path = []
-        cursor = goal
         while parents[cursor] is not None:
-            previous, edge = parents[cursor]
+            cursor, edge = parents[cursor]
             path.append(edge)
-            cursor = previous
         path.reverse()
         return path
 
@@ -151,7 +136,7 @@ class RPQEvaluator:
                 yield edge, next_state, False
 
     def _csr_reach_from(self, index, source, dfa):
-        """CSR/bitset counterpart of :meth:`_reach_from`."""
+        """Nodes y with an accepting product path from (source, q0)."""
         if source not in index:
             # Unknown sources have no edges; only the empty path applies.
             return {source} if dfa.start in dfa.accept else set()
@@ -161,42 +146,24 @@ class RPQEvaluator:
             answers.add(source)
         return answers
 
-    def _reach_from(self, source, dfa):
-        """Nodes y with an accepting product path from (source, q0)."""
-        start = (source, dfa.start)
-        seen = {start}
-        queue = deque([start])
-        answers = set()
-        if dfa.start in dfa.accept:
-            answers.add(source)
-        while queue:
-            node, state = queue.popleft()
-            for edge, next_state, forward in self._product_moves(node, state, dfa):
-                nxt = ((edge.target if forward else edge.source), next_state)
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                if next_state in dfa.accept:
-                    answers.add(nxt[0])
-                queue.append(nxt)
-        return answers
-
     def _forward_product(self, sources, dfa):
-        seen = set()
-        queue = deque()
-        for source in self._source_nodes(sources):
-            start = (source, dfa.start)
-            if start not in seen:
-                seen.add(start)
-                queue.append(start)
+        """Dict-adjacency BFS of the product from every ``(source, q0)``.
+
+        Maps each reached ``(node, state)`` to the ``(previous pair, edge)``
+        that first reached it (None for a start), in breadth-first order.
+        """
+        parents = {
+            (source, dfa.start): None for source in self._source_nodes(sources)
+        }
+        queue = deque(parents)
         while queue:
-            node, state = queue.popleft()
-            for edge, next_state, forward in self._product_moves(node, state, dfa):
+            pair = queue.popleft()
+            for edge, next_state, forward in self._product_moves(*pair, dfa):
                 nxt = ((edge.target if forward else edge.source), next_state)
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt not in parents:
+                    parents[nxt] = (pair, edge)
                     queue.append(nxt)
-        return seen
+        return parents
 
     def _backward_product(self, dfa):
         """Product states that can reach acceptance (backward BFS)."""

@@ -31,16 +31,6 @@ _COMMENT = re.compile(r"[%#][^\n]*")
 _WHITESPACE = re.compile(r"\s+")
 
 
-def _engine_method(params):
-    """Map a request's ``method`` to an Engine method name.
-
-    ``native`` is the service-level name for the tuple-set walker (it also
-    turns off the RPQ CSR path); the Engine spells it ``seminaive``.
-    """
-    method = params.get("method", "seminaive")
-    return "seminaive" if method == "native" else method
-
-
 def normalize(text):
     """Comment-stripped, whitespace-collapsed query text."""
     return _WHITESPACE.sub(" ", _COMMENT.sub(" ", text)).strip()
@@ -170,7 +160,7 @@ class PreparedQuery:
         from repro.core.engine import GraphLogEngine
         from repro.datalog.engine import Engine
 
-        method = _engine_method(params)
+        method = params.get("method")
         if self.has_summaries:
             result = GraphLogEngine(method=method).run(self.graphical, image.database)
         else:
@@ -183,8 +173,7 @@ class PreparedQuery:
     def _evaluate_datalog(self, _graph, image, params):
         from repro.datalog.engine import Engine
 
-        method = _engine_method(params)
-        result = Engine(method=method, check_safety=False).evaluate(
+        result = Engine(method=params.get("method"), check_safety=False).evaluate(
             self.program, image.database
         )
         predicates = self._requested_predicates(params)
@@ -193,9 +182,7 @@ class PreparedQuery:
     def _evaluate_rpq(self, graph, _image, params):
         from repro.rpq.evaluate import RPQEvaluator
 
-        # The CSR/bitset path is the default; method=native is the escape
-        # hatch back to the per-pair dict walk.
-        evaluator = RPQEvaluator(graph, use_csr=params.get("method") != "native")
+        evaluator = RPQEvaluator(graph)
         source = params.get("source")
         if source is not None:
             targets = evaluator.targets(self.regex, source)

@@ -49,6 +49,7 @@ import math
 from itertools import chain
 from typing import NamedTuple
 
+from repro.datalog.engine import METHODS
 from repro.errors import (
     NotMaintainable,
     ProtocolError,
@@ -154,6 +155,11 @@ def decode_request(line):
         raise ProtocolError(f"request must be a JSON object, got {type(message).__name__}")
     op_spec(message.get("op"))
     validate_budgets(message)
+    method = message.get("method")
+    if method is not None and method not in METHODS:
+        raise ProtocolError(
+            f"'method' must be one of {', '.join(METHODS)}, got {method!r}"
+        )
     trace = message.get("trace")
     if trace is not None:
         # Validate eagerly so a malformed context is the sender's

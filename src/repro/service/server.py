@@ -195,10 +195,6 @@ class ServiceConfig:
     #: How long (ms) a read carrying ``min_version`` may wait for this
     #: store to catch up before failing with ``replica_stale``.
     version_wait_ms: int = 2000
-    #: Default evaluation backend for requests that carry no explicit
-    #: ``method``: ``columnar`` (int-encoded kernels + CSR/bitset RPQ)
-    #: or ``native`` (the tuple-set walker).  See docs/ENGINE.md.
-    engine: str = "columnar"
     #: Default per-subscription outbound queue bound and overflow
     #: policy (``resync`` or ``disconnect``); per-subscribe overrides
     #: via the ``queue_max``/``policy`` request fields.
@@ -206,8 +202,6 @@ class ServiceConfig:
     sub_policy: str = "resync"
 
     def __post_init__(self):
-        if self.engine not in ("native", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         from repro.subs import OVERFLOW_POLICIES
 
         if self.sub_policy not in OVERFLOW_POLICIES:
@@ -598,14 +592,12 @@ class QueryService:
     def _request_params(self, message):
         """Evaluation parameters for one request, backend default applied.
 
-        ``method`` defaults to the configured engine (``columnar`` or
-        ``native``) when the client sends none; the default lands in the
-        params dict *before* the result-cache key is computed, so answers
-        produced by different backends never share a cache entry.
+        The default ``method`` lands in the params dict *before* the
+        result-cache key is computed, so answers produced by different
+        backends never share a cache entry.
         """
         params = {k: message[k] for k in _PARAM_FIELDS if message.get(k) is not None}
-        if "method" not in params:
-            params["method"] = self.config.engine
+        params.setdefault("method", "columnar")
         return params
 
     def _query_request(self, message, target):
@@ -635,6 +627,10 @@ class QueryService:
         # pays perf_counter reads here, never extra lock acquisitions.
         t0 = time.perf_counter()
         plan = self.plans.get(op, text)
+        if not plan.reads_relations:
+            # An RPQ runs one evaluator whatever the backend: ``method``
+            # names no distinct code there and must not split the cache.
+            del params["method"]
         t1 = time.perf_counter()
         version, graph = self.store.snapshot_versioned()
         key = result_key(plan.fingerprint, params)
@@ -1005,7 +1001,6 @@ class QueryService:
         if self.span_sink is not None:
             traces["sink"] = self.span_sink.stats()
         stats = {
-            "engine": self.config.engine,
             "node_id": self.node_id,
             "metrics": self.metrics.snapshot(include_histograms=include_histograms),
             "plan_cache": self.plans.stats(),

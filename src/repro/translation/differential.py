@@ -17,7 +17,7 @@ from repro.datalog.terms import Variable
 from repro.translation.sl_to_stc import prepare_adom, sl_to_stc
 
 
-def idb_snapshot(program, database, method="seminaive"):
+def idb_snapshot(program, database, method="columnar"):
     """Evaluate and return ``{idb_predicate: frozenset(tuples)}``."""
     result = Engine(method=method).evaluate(program, database)
     return {
@@ -26,7 +26,7 @@ def idb_snapshot(program, database, method="seminaive"):
     }
 
 
-def check_equivalence(program, database, translation=None, method="seminaive"):
+def check_equivalence(program, database, translation=None, method="columnar"):
     """Compare *program* against its Algorithm 3.1 translation on *database*.
 
     Returns ``(equal, details)`` where details maps each original IDB

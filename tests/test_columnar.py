@@ -168,7 +168,7 @@ class TestColumnarEngine:
         program = parse_program("bad(Y) :- n(X), Y = X / 0.")
         edb = Database.from_facts({"n": [(1,)]})
         with pytest.raises(EvaluationError):
-            Engine(method="seminaive").evaluate(program, edb)
+            Engine(method="naive").evaluate(program, edb)
         with pytest.raises(EvaluationError):
             Engine(method="columnar").evaluate(program, edb)
 
@@ -181,28 +181,10 @@ class TestColumnarEngine:
         assert encode_database(edb) is encoded
 
 
-class TestOldNewSplit:
-    def _run(self, **kwargs):
-        program = parse_program("p(X,Y) :- e(X,Y). p(X,Y) :- p(X,Z), p(Z,Y).")
-        edb = Database.from_facts({"e": [(i, i + 1) for i in range(24)]})
-        engine = Engine(method="seminaive", **kwargs)
-        result = engine.evaluate(program, edb)
-        return result, engine.stats
-
-    def test_split_reduces_rederivation_with_equal_results(self):
-        with_split, stats_on = self._run(old_new_split=True)
-        without, stats_off = self._run(old_new_split=False)
-        naive = Engine(method="naive").evaluate(
-            parse_program("p(X,Y) :- e(X,Y). p(X,Y) :- p(X,Z), p(Z,Y)."),
-            Database.from_facts({"e": [(i, i + 1) for i in range(24)]}),
-        )
-        assert with_split == without == naive
-        assert stats_on.facts_derived == stats_off.facts_derived
-        assert stats_on.rows_produced < stats_off.rows_produced
-
+class TestNonLinearRecursion:
     def test_columnar_matches_nonlinear_recursion(self):
         program = parse_program("p(X,Y) :- e(X,Y). p(X,Y) :- p(X,Z), p(Z,Y).")
         edb = Database.from_facts({"e": [(i, i + 1) for i in range(24)]})
-        native = Engine(method="seminaive").evaluate(program, edb)
+        naive = Engine(method="naive").evaluate(program, edb)
         columnar = Engine(method="columnar").evaluate(program, edb)
-        assert native == columnar
+        assert naive == columnar

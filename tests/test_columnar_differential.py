@@ -1,13 +1,14 @@
-"""Randomized native-vs-columnar differentials.
+"""Randomized naive-vs-columnar differentials.
 
-The columnar backend re-implements the entire evaluation pipeline —
-encoding, join kernels, semi-naive bookkeeping, decode — so its only
-trustworthy correctness argument is agreement with the native walker on
-arbitrary programs.  Programs are drawn from seeded generators (failures
+The columnar core implements the entire evaluation pipeline — encoding,
+join kernels, semi-naive bookkeeping, decode — so its only trustworthy
+correctness argument is agreement with the naive walker (the executable
+specification) on arbitrary programs.  Programs are drawn from seeded generators (failures
 replay exactly) and cover recursion (linear and non-linear), stratified
 negation, comparisons, arithmetic, repeated variables, and constants.
-The RPQ half pins the CSR/bitset product search to the dict-walk search
-over random graphs and star/inverse-heavy expressions.
+The RPQ half pins the CSR/bitset product search to the dict-adjacency
+product BFS (the one ``matching_edges``/``witness_path`` walk) over random
+graphs and star/inverse-heavy expressions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.multigraph import LabeledMultigraph
+from repro.rpq.automaton import compile_regex
 from repro.rpq.evaluate import RPQEvaluator
+from repro.rpq.regex import parse_regex
 
 VALUES = ["a", "b", "c", "d", "e"]
 
@@ -72,24 +75,22 @@ def test_random_programs_agree_across_backends(seed):
     rng = random.Random(seed)
     program = random_program(rng)
     edb = random_edb(rng)
-    native = Engine(method="seminaive").evaluate(program, edb)
     naive = Engine(method="naive").evaluate(program, edb)
     columnar = Engine(method="columnar").evaluate(program, edb)
-    assert native == naive
-    assert columnar == native, {
+    assert columnar == naive, {
         p: (
-            sorted(native.facts(p), key=repr),
+            sorted(naive.facts(p), key=repr),
             sorted(columnar.facts(p), key=repr),
         )
-        for p in sorted(native.predicates)
-        if native.facts(p) != columnar.facts(p)
+        for p in sorted(naive.predicates)
+        if naive.facts(p) != columnar.facts(p)
     }
 
 
 @pytest.mark.parametrize("seed", range(300, 310))
 def test_mixed_type_values_agree(seed):
     # Ints, floats, bools, and strings in one column: the catalog must
-    # intern by Python equality exactly as native tuple sets hash.
+    # intern by Python equality exactly as the walker's tuple sets hash.
     rng = random.Random(seed)
     pool = ["a", 1, 1.0, True, 0, False, 2.5, "1"]
     edb = Database()
@@ -98,9 +99,9 @@ def test_mixed_type_values_agree(seed):
     program = parse_program(
         "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\nloop(X) :- tc(X,X)."
     )
-    native = Engine(method="seminaive").evaluate(program, edb)
+    naive = Engine(method="naive").evaluate(program, edb)
     columnar = Engine(method="columnar").evaluate(program, edb)
-    assert native == columnar
+    assert naive == columnar
 
 
 # --------------------------------------------------------------- RPQ / CSR
@@ -133,41 +134,53 @@ def random_labeled_graph(rng):
     return graph, n
 
 
+def dict_walk_pairs(evaluator, expression, sources=None):
+    """Reference answers from the surviving dict-adjacency BFS: ``(x, y)``
+    iff the product search from ``(x, q0)`` reaches ``y`` in an accepting
+    state."""
+    dfa = compile_regex(parse_regex(expression))
+    return {
+        (source, node)
+        for source in evaluator._source_nodes(sources)
+        for node, state in evaluator._forward_product([source], dfa)
+        if state in dfa.accept
+    }
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_rpq_csr_matches_dict_walk(seed):
     rng = random.Random(seed)
     graph, n = random_labeled_graph(rng)
-    csr = RPQEvaluator(graph, use_csr=True)
-    walk = RPQEvaluator(graph, use_csr=False)
+    evaluator = RPQEvaluator(graph)
     for expression in RPQ_EXPRESSIONS:
-        assert csr.pairs(expression) == walk.pairs(expression), expression
+        assert evaluator.pairs(expression) == dict_walk_pairs(
+            evaluator, expression
+        ), expression
         source = f"n{rng.randrange(n)}"
-        assert csr.targets(expression, source) == walk.targets(
-            expression, source
+        assert {(source, t) for t in evaluator.targets(expression, source)} == (
+            dict_walk_pairs(evaluator, expression, [source])
         ), (expression, source)
 
 
 def test_rpq_csr_restricted_and_unknown_sources():
     graph = LabeledMultigraph()
     graph.add_edge("x", "y", "a")
-    csr = RPQEvaluator(graph, use_csr=True)
-    walk = RPQEvaluator(graph, use_csr=False)
+    evaluator = RPQEvaluator(graph)
     for sources in (["x"], ["y"], ["ghost"], ["x", "ghost"]):
-        assert csr.pairs("a*", sources=sources) == walk.pairs(
-            "a*", sources=sources
+        assert evaluator.pairs("a*", sources=sources) == dict_walk_pairs(
+            evaluator, "a*", sources
         ), sources
     # A nullable expression answers (v, v) even for unknown sources.
-    assert ("ghost", "ghost") in csr.pairs("a*", sources=["ghost"])
+    assert ("ghost", "ghost") in evaluator.pairs("a*", sources=["ghost"])
 
 
 def test_rpq_csr_cache_invalidated_by_mutation():
     graph = LabeledMultigraph()
     graph.add_edge("x", "y", "a")
-    evaluator = RPQEvaluator(graph, use_csr=True)
+    evaluator = RPQEvaluator(graph)
     assert evaluator.pairs("a") == {("x", "y")}
     graph.add_edge("y", "z", "a")
     assert evaluator.pairs("a+") == {("x", "y"), ("y", "z"), ("x", "z")}
     edge = next(iter(graph.edges))
     graph.remove_edge(edge)
-    reference = RPQEvaluator(graph, use_csr=False)
-    assert evaluator.pairs("a+") == reference.pairs("a+")
+    assert evaluator.pairs("a+") == dict_walk_pairs(evaluator, "a+")

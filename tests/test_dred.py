@@ -134,6 +134,37 @@ class TestDRedTransitiveClosure:
         assert snapshot(database, ("e", "tc")) == snapshot(expected, ("e", "tc"))
 
 
+class TestRederivationProbe:
+    def test_derivable_stops_at_the_first_derivation(self, monkeypatch):
+        # tc(a, z) has N alternative derivations a -> m_i -> z.  Asking
+        # whether it is derivable needs one of them: a constant number of
+        # index probes, however many alternatives there are.
+        from repro.datalog.database import Relation
+
+        lookup = Relation.lookup
+
+        def probes(n):
+            middles = [f"m{i}" for i in range(n)]
+            edb = Database.from_facts(
+                {"e": [("a", m) for m in middles] + [(m, "z") for m in middles]}
+            )
+            plan, database, _counts = evaluate_with_counts(TC, edb)
+            ((_group, rules, _body_preds, _eligible),) = plan._group_plans
+            calls = []
+
+            def counted(self, positions, values):
+                calls.append(self.name)
+                return lookup(self, positions, values)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Relation, "lookup", counted)
+                assert plan._derivable(rules, database, "tc", ("a", "z"))
+                assert not plan._derivable(rules, database, "tc", ("z", "a"))
+            return len(calls)
+
+        assert probes(40) == probes(4) <= 6
+
+
 class TestStratifiedNegation:
     PROGRAM = parse_program(
         """
@@ -211,7 +242,7 @@ class TestProgramFactsAndIdbDeltas:
 class TestRandomizedDifferential:
     """DRed vs from-scratch evaluation on random stratified programs."""
 
-    def _run(self, seed, negation):
+    def _run(self, seed, negation, deletions=True):
         program = random_sl_program(seed, negation=negation)
         arities = edb_arities(program)
         if not arities:
@@ -226,7 +257,7 @@ class TestRandomizedDifferential:
             delta_minus = {}
             for predicate, arity in arities.items():
                 existing = sorted(edb.facts(predicate))
-                n_del = rng.randint(0, min(2, len(existing)))
+                n_del = rng.randint(0, min(2, len(existing))) if deletions else 0
                 removed = set(rng.sample(existing, n_del)) if n_del else set()
                 added = set()
                 for _ in range(rng.randint(0, 2)):
@@ -243,7 +274,7 @@ class TestRandomizedDifferential:
                 for row in added:
                     relation.add(row)
             plan.maintain(database, delta_plus, delta_minus, counts)
-            expected = Engine(check_safety=False).evaluate(program, edb)
+            expected = Engine("naive", check_safety=False).evaluate(program, edb)
             predicates = sorted(program.predicates)
             assert snapshot(database, predicates) == snapshot(
                 expected, predicates
@@ -256,6 +287,10 @@ class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", [101, 103, 107, 109, 113])
     def test_positive_only(self, seed):
         self._run(seed, negation=False)
+
+    @pytest.mark.parametrize("seed", range(200, 206))
+    def test_insert_only_sequences(self, seed):
+        self._run(seed, negation=seed % 2 == 0, deletions=False)
 
 
 class TestStoreLevelDifferential:

@@ -330,10 +330,12 @@ class TestConcurrentFirstHits:
 
 class TestBudgetsHotAndCold:
     def test_max_bytes_bounds_the_result_object_on_both_paths(self, node):
-        ask = dict(op="rpq", **QUERIES["rpq"])
+        ask = dict(op="datalog", **QUERIES["datalog"])
         with Wire(node.port) as wire:
             checked(wire.ask(op="update", edges=EDGES))
-            line = wire.ask(**ask, method="native")
+            # The other method's entry is keyed apart, so the default
+            # method's requests below start cold.
+            line = wire.ask(**ask, method="naive")
             result = checked(line)["result"]
             # What max_bytes bounds: the result object's bytes on the wire —
             # not the envelope, not the line terminator.

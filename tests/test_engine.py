@@ -207,7 +207,7 @@ class TestMethodsAgree:
         program = parse_program(TC_PROGRAM)
         db = chain_db(n)
         assert evaluate(program, db, "naive").to_dict() == evaluate(
-            program, db, "seminaive"
+            program, db
         ).to_dict()
 
     def test_naive_equals_seminaive_negation(self):
@@ -221,12 +221,17 @@ class TestMethodsAgree:
         )
         db = chain_db(4)
         assert evaluate(program, db, "naive").to_dict() == evaluate(
-            program, db, "seminaive"
+            program, db
         ).to_dict()
 
-    def test_unknown_method(self):
+    @pytest.mark.parametrize("method", ["magic", "seminaive", "native"])
+    def test_unknown_method(self, method):
         with pytest.raises(ValueError):
-            Engine(method="magic")
+            Engine(method=method)
+
+    def test_removed_toggle_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Engine(old_new_split=True)
 
 
 class TestRepeatedVariables:
@@ -289,7 +294,7 @@ class TestStats:
     def test_seminaive_fires_less_than_naive(self):
         naive = Engine(method="naive")
         naive.evaluate(parse_program(TC_PROGRAM), chain_db(30))
-        semi = Engine(method="seminaive")
+        semi = Engine()
         semi.evaluate(parse_program(TC_PROGRAM), chain_db(30))
         assert semi.stats.facts_derived == naive.stats.facts_derived
 

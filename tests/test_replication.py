@@ -752,7 +752,7 @@ class TestEpochDivergence:
     equal-or-higher version is invisible to version arithmetic — only the
     epoch stamp exposes it."""
 
-    def _seed_primary_and_replica(self, check_epoch=True):
+    def _seed_primary_and_replica(self):
         server = start_server()
         port = server.port
         with ServiceClient(port=port) as writer:
@@ -761,7 +761,7 @@ class TestEpochDivergence:
         store = HAMStore()
         applier = ReplicaApplier(
             store, "127.0.0.1", port, wait_ms=100,
-            reconnect_min=0.01, reconnect_max=0.1, check_epoch=check_epoch,
+            reconnect_min=0.01, reconnect_max=0.1,
         )
         applier.start()
         assert applier.wait_ready(10)
@@ -805,31 +805,6 @@ class TestEpochDivergence:
             status = applier.status()
             assert status["epoch_rebootstraps"] >= 1
             assert status["primary_epoch"] == rewritten.epoch
-        finally:
-            applier.stop()
-            server.stop()
-            if fresh is not None:
-                fresh.stop()
-
-    def test_epoch_check_disabled_reopens_silent_divergence(self):
-        # The pre-epoch behavior: the replica happily applies records 4..
-        # from a history it never saw and ends "in sync" with wrong data.
-        server, port, store, applier = self._seed_primary_and_replica(
-            check_epoch=False
-        )
-        fresh = None
-        try:
-            server.stop()
-            fresh, rewritten = self._rewritten_primary(port)
-            assert store.wait_for_version(4, 15)
-            assert store.version == rewritten.version
-            assert store.graph != rewritten.graph, (
-                "replica state matches the rewritten primary; the divergence "
-                "this test documents no longer reproduces"
-            )
-            status = applier.status()
-            assert status["epoch_rebootstraps"] == 0
-            assert status["bootstraps"] == 1
         finally:
             applier.stop()
             server.stop()

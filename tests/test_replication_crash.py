@@ -142,10 +142,10 @@ class TestEqualVersionDivergence:
     WAL records are lost in a crash (never synced).  After recovery it
     re-commits *different* data back onto the same version numbers — and a
     replica that already applied the lost versions sees an equal-or-higher
-    primary version with no reset.  Two appliers ride through the same
-    crash: the legacy one (epoch check disabled) silently diverges at an
-    equal version; the default one detects the epoch rotation recovery
-    performed and re-bootstraps onto the rewritten history.
+    primary version with no reset.  Version arithmetic alone would apply
+    the rewritten records onto the stale state and diverge silently; the
+    applier detects the epoch rotation recovery performed and re-bootstraps
+    onto the rewritten history.
     """
 
     @staticmethod
@@ -175,7 +175,7 @@ class TestEqualVersionDivergence:
         for _first, path in segments[cut_index + 1:]:
             os.unlink(path)
 
-    def test_rewritten_history_rebootstraps_checked_replica_only(self, tmp_path):
+    def test_rewritten_history_rebootstraps_the_replica(self, tmp_path):
         data_dir = str(tmp_path / "primary-data")
         # A long fsync interval guarantees no record is synced before the
         # kill, so cutting the tail afterwards is a faithful re-enactment.
@@ -184,15 +184,10 @@ class TestEqualVersionDivergence:
             "--fsync-interval", "60",
         )
 
-        def applier_for(check_epoch):
-            return ReplicaApplier(
-                HAMStore(), "127.0.0.1", port, wait_ms=200,
-                reconnect_min=0.05, reconnect_max=0.5, client_timeout=10.0,
-                check_epoch=check_epoch,
-            )
-
-        checked = applier_for(True)
-        legacy = applier_for(False)
+        checked = ReplicaApplier(
+            HAMStore(), "127.0.0.1", port, wait_ms=200,
+            reconnect_min=0.05, reconnect_max=0.5, client_timeout=10.0,
+        )
         writer_stop = threading.Event()
         acked = []
 
@@ -213,37 +208,33 @@ class TestEqualVersionDivergence:
         staging = None
         try:
             checked.start()
-            legacy.start()
-            assert checked.wait_ready(15) and legacy.wait_ready(15)
+            assert checked.wait_ready(15)
             writer.start()
             wait_until(
-                lambda: min(checked.store.version, legacy.store.version) >= 10,
-                30, "replicas never applied 10 commits",
+                lambda: checked.store.version >= 10,
+                30, "replica never applied 10 commits",
             )
             sigkill(process)
             writer_stop.set()
             writer.join(timeout=15)
-            # Both appliers are cut off; their applied versions are final.
+            # The applier is cut off; its applied version is final.
             wait_until(
-                lambda: not checked.status()["connected"]
-                and not legacy.status()["connected"],
-                15, "appliers never noticed the primary died",
+                lambda: not checked.status()["connected"],
+                15, "applier never noticed the primary died",
             )
-            applied = legacy.store.version
+            applied = checked.store.version
             assert applied >= 10
 
             # Lose the unsynced tail from version `applied` on: recovery
-            # comes back BELOW what the legacy replica already applied.
+            # comes back BELOW what the replica already applied.
             self._cut_wal_at_version(data_dir, applied)
 
-            # Stage the rewrite on a TEMPORARY port so the replicas (still
+            # Stage the rewrite on a TEMPORARY port so the replica (still
             # retrying the original address) cannot see the primary while
-            # its version is below theirs — that would answer `reset` and
-            # hide the bug this test pins down.  Re-commit DIFFERENT data
-            # past both replicas' positions (the appliers poll
-            # independently, so the checked one may be a few versions ahead
-            # of or behind the legacy one at kill time).
-            target = max(applied, checked.store.version) + 1
+            # its version is below the replica's — that would answer
+            # `reset` and hide the bug this test pins down.  Re-commit
+            # DIFFERENT data past the replica's position.
+            target = applied + 1
             staging, staging_port = spawn_serve(
                 "--data-dir", data_dir, "--fsync", "interval",
                 "--fsync-interval", "60", port=0,
@@ -260,9 +251,11 @@ class TestEqualVersionDivergence:
             sigkill(staging)
             staging = None
 
-            # Back on the original port: the replicas reconnect and tail
+            # Back on the original port: the replica reconnects and tails
             # from `applied`, and the primary answers records with NO reset
-            # (they are not ahead).  Version arithmetic sees nothing wrong.
+            # (the replica is not ahead).  Version arithmetic sees nothing
+            # wrong — equal version, different data: the silent divergence
+            # the epoch stamp exists to kill.
             process, _ = spawn_serve(
                 "--data-dir", data_dir, "--fsync", "interval",
                 "--fsync-interval", "60", port=port,
@@ -270,37 +263,13 @@ class TestEqualVersionDivergence:
             with ServiceClient(port=port, timeout=10, retries=5) as client:
                 primary_stats = client.stats()["store"]
 
-            # The legacy applier applies the rewritten records straight
-            # onto its stale state: equal version, different data, zero
-            # errors — the silent divergence the epoch stamp exists to kill.
-            wait_until(
-                lambda: legacy.store.version == rewritten, 30,
-                f"legacy replica at {legacy.store.version}, primary at {rewritten}",
-            )
-            assert legacy.status()["lag_versions"] == 0
-            assert legacy.status()["epoch_rebootstraps"] == 0
-            assert legacy.status()["bootstraps"] == 1
-            # Divergence, concretely: the primary's rewrite starts with the
-            # d0->d1 edge (version `applied`), which the legacy replica
-            # never saw — it tailed from `applied` and got only the record
-            # after it — while the replica still holds the crashed line's
-            # c-edge for version `applied`, which the recovered primary
-            # lost.  Same version number, different graphs, no error.
-            assert not legacy.store.graph.has_edge("d0", "d1", "divergent"), (
-                "legacy replica matches the rewritten primary; the "
-                "divergence this test documents no longer reproduces"
-            )
-            assert legacy.store.graph.has_edge(
-                f"c{applied - 1}", f"c{applied}", "crash"
-            )
-
-            # The checked applier sees the rotated epoch on its first tail
+            # The applier sees the rotated epoch on its first tail
             # response and re-bootstraps onto the rewritten history.
             wait_until(
                 lambda: checked.store.version == rewritten
                 and checked.store.graph.edge_count() == primary_stats["edges"],
                 30,
-                f"checked replica at {checked.store.version} never converged",
+                f"replica at {checked.store.version} never converged",
             )
             status = checked.status()
             assert status["epoch_rebootstraps"] >= 1
@@ -313,7 +282,6 @@ class TestEqualVersionDivergence:
         finally:
             writer_stop.set()
             checked.stop()
-            legacy.stop()
             for proc in (process, staging):
                 if proc is not None and proc.poll() is None:
                     sigkill(proc)

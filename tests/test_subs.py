@@ -103,7 +103,7 @@ class TestSubscriptionManager:
     def test_view_shared_across_method_param(self, manager):
         store, mgr, plans = manager
         plan = plans.get("graphlog", REACH)
-        mgr.subscribe(plan, {"predicate": "reach", "method": "seminaive"}, FakeSink())
+        mgr.subscribe(plan, {"predicate": "reach", "method": "naive"}, FakeSink())
         mgr.subscribe(plan, {"predicate": "reach", "method": "columnar"}, FakeSink())
         assert mgr.stats()["shared_views"] == 1
 

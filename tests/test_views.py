@@ -1,16 +1,16 @@
 """Tests for materialized views and incremental maintenance."""
 
-import pytest
-
 from repro.core.dsl import parse_graphical_query
 from repro.core.translate import translate
+from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
-from repro.datalog.engine import evaluate
+from repro.datalog.dred import evaluate_with_counts
+from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
-from repro.errors import AggregationError
 from repro.graphs.bridge import EdgeLabel
+from repro.ham.delta import Delta
 from repro.ham.store import HAMStore
-from repro.ham.views import ViewManager, incremental_insert, is_monotone_program
+from repro.ham.views import MaterializedView, ViewManager, is_monotone_program
 
 REACH = parse_graphical_query(
     """
@@ -38,37 +38,43 @@ class TestMonotonicity:
         assert not is_monotone_program(translate(NONMONO))
 
 
-class TestIncrementalInsert:
-    def _materialize(self, program, edb):
-        return evaluate(program, edb)
+TC = parse_program(
+    """
+    tc(X, Y) :- e(X, Y).
+    tc(X, Y) :- e(X, Z), tc(Z, Y).
+    """
+)
+
+
+def _naive(program, facts):
+    return Engine("naive").evaluate(program, Database.from_facts(facts))
+
+
+class TestInsertOnlyMaintenance:
+    """Insert-only deltas through the one maintenance path
+    (``MaintenancePlan.maintain`` / ``MaterializedView.apply_delta``),
+    against from-scratch naive evaluation."""
+
+    def _maintained(self, program, facts, inserts):
+        plan, database, counts = evaluate_with_counts(
+            program, Database.from_facts(facts)
+        )
+        plan.maintain(database, delta_plus=inserts, counts=counts)
+        return database
 
     def test_matches_recompute_simple(self):
-        program = parse_program(
-            """
-            tc(X, Y) :- e(X, Y).
-            tc(X, Y) :- e(X, Z), tc(Z, Y).
-            """
+        updated = self._maintained(
+            TC, {"e": [("a", "b"), ("b", "c")]}, {"e": [("c", "d")]}
         )
-        edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        materialized = self._materialize(program, edb)
-        updated = incremental_insert(program, materialized, {"e": [("c", "d")]})
-        full = self._materialize(
-            program, Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "d")]})
-        )
+        full = _naive(TC, {"e": [("a", "b"), ("b", "c"), ("c", "d")]})
         assert updated.to_dict() == full.to_dict()
 
     def test_bridging_edge_connects_components(self):
-        program = parse_program(
-            """
-            tc(X, Y) :- e(X, Y).
-            tc(X, Y) :- e(X, Z), tc(Z, Y).
-            """
+        updated = self._maintained(
+            TC,
+            {"e": [("a1", "a2"), ("a2", "a3"), ("b1", "b2"), ("b2", "b3")]},
+            {"e": [("a3", "b1")]},
         )
-        edb = Database.from_facts(
-            {"e": [("a1", "a2"), ("a2", "a3"), ("b1", "b2"), ("b2", "b3")]}
-        )
-        materialized = self._materialize(program, edb)
-        updated = incremental_insert(program, materialized, {"e": [("a3", "b1")]})
         assert ("a1", "b3") in updated.facts("tc")
 
     def test_multi_stratum_like_chain_of_idbs(self):
@@ -80,58 +86,63 @@ class TestIncrementalInsert:
             far(X, Y) :- two(X, Z), far(Z, Y).
             """
         )
-        edb = Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "d")]})
-        materialized = self._materialize(program, edb)
-        updated = incremental_insert(program, materialized, {"e": [("d", "e")]})
-        full = self._materialize(
-            program,
-            Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]}),
-        )
+        edges = [("a", "b"), ("b", "c"), ("c", "d")]
+        updated = self._maintained(program, {"e": edges}, {"e": [("d", "e")]})
+        full = _naive(program, {"e": edges + [("d", "e")]})
         assert updated.to_dict() == full.to_dict()
 
     def test_duplicate_insert_noop(self):
         program = parse_program("p(X, Y) :- e(X, Y).")
-        edb = Database.from_facts({"e": [("a", "b")]})
-        materialized = self._materialize(program, edb)
-        updated = incremental_insert(program, materialized, {"e": [("a", "b")]})
-        assert updated.to_dict() == materialized.to_dict()
+        facts = {"e": [("a", "b")]}
+        plan, database, counts = evaluate_with_counts(
+            program, Database.from_facts(facts)
+        )
+        stats = plan.maintain(database, delta_plus=facts, counts=counts)
+        assert stats.facts_inserted == 0
+        assert database.to_dict() == _naive(program, facts).to_dict()
 
-    def test_input_not_mutated(self):
+    def test_evaluated_edb_not_mutated(self):
         program = parse_program("p(X, Y) :- e(X, Y).")
         edb = Database.from_facts({"e": [("a", "b")]})
-        materialized = self._materialize(program, edb)
-        before = materialized.to_dict()
-        incremental_insert(program, materialized, {"e": [("x", "y")]})
-        assert materialized.to_dict() == before
+        before = edb.to_dict()
+        plan, database, counts = evaluate_with_counts(program, edb)
+        plan.maintain(database, delta_plus={"e": [("x", "y")]}, counts=counts)
+        assert edb.to_dict() == before
+        assert ("x", "y") in database.facts("p")
 
-    def test_nonmonotone_rejected(self):
-        program = translate(NONMONO)
-        with pytest.raises(AggregationError):
-            incremental_insert(program, Database(), {"link": [("a", "b")]})
+    def test_nonmonotone_insert_retracts_through_negation(self):
+        view = MaterializedView("blocked", NONMONO)
+        view.refresh_full(
+            Database.from_facts({"link": [("a", "b"), ("b", "c")], "fast": [("a", "b")]})
+        )
+        assert view.answers() == {("b", "c")}
+        delta = Delta()
+        delta.insert("fast", ("b", "c"))
+        view.apply_delta(delta)
+        fresh = GraphLogEngine("naive").answers(
+            NONMONO,
+            Database.from_facts(
+                {"link": [("a", "b"), ("b", "c")], "fast": [("a", "b"), ("b", "c")]}
+            ),
+        )
+        assert view.answers() == fresh == set()
 
     def test_random_differential(self):
         import random
 
-        program = parse_program(
-            """
-            tc(X, Y) :- e(X, Y).
-            tc(X, Y) :- e(X, Z), tc(Z, Y).
-            """
-        )
         rng = random.Random(5)
         nodes = [f"n{i}" for i in range(12)]
         edges = []
-        edb = Database.from_facts({"e": []})
+        edb = Database()
         edb.relation("e", 2)
-        materialized = self._materialize(program, edb)
+        plan, database, counts = evaluate_with_counts(TC, edb)
         for step in range(25):
             new = (rng.choice(nodes), rng.choice(nodes))
             if new[0] == new[1]:
                 continue
             edges.append(new)
-            materialized = incremental_insert(program, materialized, {"e": [new]})
-            full = self._materialize(program, Database.from_facts({"e": edges}))
-            assert materialized.facts("tc") == full.facts("tc"), step
+            plan.maintain(database, delta_plus={"e": [new]}, counts=counts)
+            assert database.facts("tc") == _naive(TC, {"e": edges}).facts("tc"), step
 
 
 class TestViewManager:
@@ -260,7 +271,5 @@ class TestViewManager:
         for edge in [("c", "d"), ("d", "e"), ("x", "y"), ("e", "a")]:
             with store.session().transaction() as txn:
                 txn.add_edge(edge[0], edge[1], EdgeLabel("link"))
-        from repro.core.engine import GraphLogEngine
-
         fresh = GraphLogEngine().answers(REACH, store.graph, "reach")
         assert manager.answers("reach") == fresh

@@ -170,6 +170,13 @@ MALFORMED = {
         {"op": "rpq", "query": "e", "min_version": "x"}
     ),
     "negative-limit": protocol.encode({"op": "slowlog", "limit": -1}),
+    "unknown-method": protocol.encode(
+        {"op": "datalog", "query": EDGES_PROGRAM, "method": "bogus"}
+    ),
+    "removed-method": protocol.encode(
+        {"op": "graphlog", "query": TC_QUERY, "method": "seminaive"}
+    ),
+    "non-string-method": protocol.encode({"op": "rpq", "query": "e+", "method": 7}),
     "malformed-trace": protocol.encode({"op": "ping", "trace": "not-an-envelope"}),
 }
 
@@ -192,6 +199,31 @@ class TestMalformedRequests:
         assert answers["node"]["id"] is None
         if case == "non-utf8":
             assert "not valid UTF-8" in answers["node"]["error"]["message"]
+
+
+class TestMethodParameter:
+    def test_every_valid_method_answers_alike(self, topology):
+        node, _router = topology
+        with Wire(node.port) as wire:
+            assert wire.request(op="update", edges=[["a", "e", "b"]])["ok"]
+            answers = [
+                wire.request(op="datalog", query=EDGES_PROGRAM, method=method)
+                for method in protocol.METHODS
+            ]
+        assert all(answer["ok"] and answer["cache"] == "miss" for answer in answers)
+        assert answers[0]["result"] == answers[1]["result"]
+
+    def test_rpq_entry_is_not_keyed_by_method(self, topology):
+        # One RPQ evaluator answers whatever the method: one answer, one entry.
+        node, _router = topology
+        with Wire(node.port) as wire:
+            assert wire.request(op="update", edges=[["a", "e", "b"]])["ok"]
+            caches = [
+                wire.request(op="rpq", query="e+", **extra)["cache"]
+                for extra in ({}, {"method": "naive"}, {"method": "columnar"})
+            ]
+        assert caches == ["miss", "hit", "hit"]
+        assert node.service.stats()["result_cache"]["size"] == 1
 
 
 # --------------------------------------------------------------------------
