@@ -2,7 +2,7 @@
 
 A materialized transitive-closure view over a growing chain: maintaining it
 through the counting/DRed plan (:mod:`repro.datalog.dred`, the path
-``MaterializedView.apply_delta`` takes) after one edge insertion should beat
+``MaterializedView.apply`` takes) after one edge insertion should beat
 recomputing the whole closure, and the gap should widen with the database
 size.
 """

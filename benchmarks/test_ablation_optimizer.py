@@ -1,4 +1,4 @@
-"""abl6: evaluating raw vs optimized λ translations.
+"""abl14: evaluating raw vs optimized λ translations.
 
 The λ translation introduces one auxiliary predicate per composite path
 subexpression; the optimizer (dedupe + view inlining + pruning) flattens
@@ -32,13 +32,13 @@ OPTIMIZED = optimize(RAW, roots=["out"])
 EXPECTED = Engine().evaluate(RAW, DATABASE).facts("out")
 
 
-def test_abl6_raw_translation(benchmark):
+def test_abl14_raw_translation(benchmark):
     engine = Engine()
     result = benchmark(engine.evaluate, RAW, DATABASE)
     assert result.facts("out") == EXPECTED
 
 
-def test_abl6_optimized_translation(benchmark):
+def test_abl14_optimized_translation(benchmark):
     engine = Engine()
     result = benchmark(engine.evaluate, OPTIMIZED, DATABASE)
     assert result.facts("out") == EXPECTED
@@ -48,7 +48,7 @@ def test_abl6_optimized_translation(benchmark):
     opt_engine = Engine()
     opt_engine.evaluate(OPTIMIZED, DATABASE)
     report(
-        "abl6 rules and facts derived",
+        "abl14 rules and facts derived",
         [
             ("raw", len(RAW), raw_engine.stats.facts_derived),
             ("optimized", len(OPTIMIZED), opt_engine.stats.facts_derived),

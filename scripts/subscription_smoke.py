@@ -2,8 +2,9 @@
 """CI smoke test for live query subscriptions.
 
 Boots one server as a real subprocess, then runs N subscriber clients
-concurrently with a writer loop and asserts the contract the subsystem
-promises:
+concurrently with two writer connections (so the store's ordered commit
+delivery is exercised over the wire) and asserts the contract the
+subsystem promises:
 
 - **no missed versions**: every subscriber sees one delta frame per
   answer-changing commit, with strictly contiguous versions starting just
@@ -38,7 +39,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 LISTEN = re.compile(r"listening on [\d.]+:(\d+)")
 
 SUBSCRIBERS = 6
-COMMITS = 40
+WRITERS = 2
+COMMITS = 40  # in total, split evenly between the writers
 
 QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
 
@@ -75,6 +77,35 @@ def spawn(*args):
         if match:
             return proc, int(match.group(1))
     fail(f"{args[0]} never announced its port")
+
+
+class Writer(threading.Thread):
+    """One writer connection: its share of the commits, on its own chain.
+    Every commit changes the answer (adds extend the chain; every 5th
+    commit also deletes the previous chain edge)."""
+
+    def __init__(self, port, index):
+        super().__init__(daemon=True)
+        self.port = port
+        self.index = index
+        self.versions = []
+        self.error = None
+
+    def run(self):
+        from repro.service.client import ServiceClient
+
+        chain = f"c{self.index}."
+        try:
+            with ServiceClient(port=self.port, timeout=30) as client:
+                for i in range(COMMITS // WRITERS):
+                    change = {"edges": [[f"{chain}{i}", "link", f"{chain}{i + 1}"]]}
+                    if i and i % 5 == 0:
+                        change["remove_edges"] = [
+                            [f"{chain}{i - 1}", "link", f"{chain}{i}"]
+                        ]
+                    self.versions.append(client.update(**change))
+        except Exception as exc:  # noqa: BLE001 — surfaced by the main thread
+            self.error = exc
 
 
 class Watcher(threading.Thread):
@@ -154,24 +185,36 @@ def main():
         if stats["shared_views"] != 1:
             fail(f"expected one shared view, got {stats['shared_views']}")
 
-        # Writer loop: every commit changes the answer (adds extend a fresh
-        # chain; every 5th commit also deletes the previous chain edge).
-        for i in range(COMMITS):
-            change = {"edges": [[f"c{i}", "link", f"c{i + 1}"]]}
-            if i and i % 5 == 0:
-                change["remove_edges"] = [[f"c{i - 1}", "link", f"c{i}"]]
-            version = writer.update(**change)
-            if version != base_version + i + 1:
-                fail(f"commit {i} acknowledged version {version}")
+        writers = [Writer(port, index) for index in range(WRITERS)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=90)
+            if thread.is_alive() or thread.error is not None:
+                fail(f"writer {thread.index} did not finish: {thread.error!r}")
+            # An acknowledgement names the store version the reply was
+            # built at: its own commit's or, behind the other writer, later.
+            if thread.versions != sorted(set(thread.versions)) or not (
+                base_version < thread.versions[0]
+                and thread.versions[-1] <= final_version
+            ):
+                fail(f"writer {thread.index} acknowledged {thread.versions}")
 
         expected = writer.graphlog(QUERY, predicate="reach")["reach"]
-        stats = writer.stats()["subs"]
-        (view_stats,) = stats["views"].values()
+        stats = writer.stats()
+        if stats["store"]["version"] != final_version:
+            fail(f"store at version {stats['store']['version']}, not {final_version}")
+        (view_stats,) = stats["subs"]["views"].values()
         if view_stats["maintenance_passes"] != COMMITS:
             fail(
                 f"expected {COMMITS} maintenance passes (one per commit, "
                 f"shared by {SUBSCRIBERS} subscribers), got "
                 f"{view_stats['maintenance_passes']}"
+            )
+        if view_stats["maintenance_errors"] or stats["store"]["subscriber_failures"]:
+            fail(
+                f"commit hooks failed: {view_stats['maintenance_errors']} maintenance "
+                f"errors, {stats['store']['subscriber_failures']} subscriber failures"
             )
 
     for watcher in watchers:
@@ -225,7 +268,8 @@ def main():
             proc.terminate()
     print(
         f"subscription_smoke: OK — {SUBSCRIBERS} subscribers x {COMMITS} "
-        f"commits, zero missed versions, one maintenance pass per commit"
+        f"commits from {WRITERS} writers, zero missed versions, one maintenance "
+        f"pass per commit"
     )
 
 

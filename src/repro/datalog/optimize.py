@@ -12,7 +12,7 @@ optimizer folds away.  Three semantics-preserving passes:
 - :func:`remove_unused` — keep only rules reachable from the root
   predicates in the dependence graph.
 
-:func:`optimize` runs the pipeline; the ``abl6`` benchmark quantifies the
+:func:`optimize` runs the pipeline; the ``abl14`` benchmark quantifies the
 effect on translated GraphLog programs.
 """
 

@@ -6,11 +6,7 @@ deltas."""
 from repro.ham.delta import Delta, compute_delta
 from repro.ham.image import StoreImage, StoreImages
 from repro.ham.store import HAMStore, Session, Transaction, TransactionRecord, new_epoch
-from repro.ham.views import (
-    MaterializedView,
-    ViewManager,
-    is_monotone_program,
-)
+from repro.ham.views import MaterializedView
 
 __all__ = [
     "Delta",
@@ -21,8 +17,6 @@ __all__ = [
     "StoreImages",
     "Transaction",
     "TransactionRecord",
-    "ViewManager",
     "compute_delta",
-    "is_monotone_program",
     "new_epoch",
 ]

@@ -287,6 +287,12 @@ class HAMStore:
         # Signaled (under self._lock) whenever the committed version moves:
         # min-version reads and replication long-polls wait on it.
         self._version_cond = threading.Condition(self._lock)
+        # Commit hooks run one record at a time, in install order: a record
+        # takes a ticket under the store lock when it is installed, and
+        # waits on this condition for its turn (see _dispatch_subscribers).
+        self._tickets = 0
+        self._turn = 0
+        self._turn_cond = threading.Condition()
         # Replicas reject client writes; replication applies through
         # apply_replicated(), which bypasses this guard.
         self._read_only = False
@@ -311,11 +317,16 @@ class HAMStore:
         """Register a commit hook invoked with each committed
         :class:`TransactionRecord` (carrying its resulting ``version``).
 
-        Hooks run synchronously inside the commit, after the graph and
-        version have been updated; aborted transactions never reach them.
-        A hook that raises is logged and counted (``stats()["subscriber_
-        failures"]``) without aborting the notification of later hooks.
-        Used by materialized views and the query-service result cache.
+        The delivery contract, for local commits and replicated applies
+        alike: every record reaches every hook registered when it was
+        installed **exactly once, in version order**, on the thread that
+        committed it, after the graph and version have been updated — and
+        ``commit()`` returns only after its own record's hooks ran.  A
+        commit whose predecessor's hooks are still running waits for them,
+        so **a hook must not commit** (it would wait for itself); it may
+        read the store.  Aborted transactions never reach a hook.  A hook
+        that raises is logged and counted (``stats()["subscriber_
+        failures"]``) without aborting the later hooks or later commits.
         """
         with self._lock:
             self._subscribers.append(callback)
@@ -408,14 +419,16 @@ class HAMStore:
             raise StoreError(
                 "store is read-only (replica); writes must go to the primary"
             )
-        started = time.perf_counter()
-        staged = derive_version(self.graph)
-        try:
-            delta = compute_delta(staged, ops)
-        except (KeyError, StoreError) as exc:
-            raise TransactionError(f"commit conflict: {exc}") from exc
-        self._observe("commit.stage", started)
         with self._lock:
+            # Staged under the lock: two commits staged from the same base
+            # would each publish a graph without the other's edit.
+            started = time.perf_counter()
+            staged = derive_version(self.graph)
+            try:
+                delta = compute_delta(staged, ops)
+            except (KeyError, StoreError) as exc:
+                raise TransactionError(f"commit conflict: {exc}") from exc
+            self._observe("commit.stage", started)
             record = TransactionRecord(
                 self._next_txn_id,
                 session_id,
@@ -434,8 +447,8 @@ class HAMStore:
                     raise TransactionError(
                         f"commit aborted: WAL append failed: {exc}"
                     ) from exc
-            subscribers = self._install_locked(record, staged)
-        self._dispatch_subscribers(subscribers, record)
+            turn, subscribers = self._install_locked(record, staged)
+        self._dispatch_subscribers(turn, subscribers, record)
         if self._durability is not None:
             self._durability.maybe_checkpoint()
         return record
@@ -446,10 +459,12 @@ class HAMStore:
         Publishes *staged* — the version derived from the current graph,
         which stays as it was for the readers still holding it — advances
         version/txn counters, appends to the retained log, folds the delta
-        into churn accounting, wakes version waiters, and returns the
-        subscriber snapshot to dispatch after the lock is released.  Shared by the local commit path and the
-        replication apply path so a replicated commit is indistinguishable
-        from a local one to every downstream consumer.
+        into churn accounting, wakes version waiters, and returns
+        ``(turn, subscribers)`` — the record's place in the dispatch order
+        and the hooks to run once the lock is released.  Shared by the
+        local commit path and the replication apply path so a replicated
+        commit is indistinguishable from a local one to every downstream
+        consumer.
         """
         self.graph = staged
         self._version = record.version
@@ -468,19 +483,35 @@ class HAMStore:
         # Snapshot under the lock: subscribe() may run concurrently, and
         # iterating the live list while it mutates skips or doubles
         # callbacks.
-        return tuple(self._subscribers)
+        turn = self._tickets
+        self._tickets += 1
+        return turn, tuple(self._subscribers)
 
-    def _dispatch_subscribers(self, subscribers, record):
+    def _dispatch_subscribers(self, turn, subscribers, record):
+        """Run *record*'s hooks when its *turn* comes (tickets are taken in
+        install order, which is version order), on the calling thread — the
+        committing request's ambient trace context stays with its own
+        record.  ``commit.dispatch`` times the hooks, not the wait."""
+        with self._turn_cond:
+            while self._turn != turn:
+                self._turn_cond.wait()
         started = time.perf_counter()
-        for callback in subscribers:
-            try:
-                callback(record)
-            except Exception:  # noqa: BLE001 — one failing view must not starve the rest
-                with self._lock:
-                    self._subscriber_failures += 1
-                logger.exception(
-                    "commit subscriber %r failed for version %d", callback, record.version
-                )
+        try:
+            for callback in subscribers:
+                try:
+                    callback(record)
+                except Exception:  # noqa: BLE001 — one failing hook must not starve the rest
+                    with self._lock:
+                        self._subscriber_failures += 1
+                    logger.exception(
+                        "commit subscriber %r failed for version %d",
+                        callback,
+                        record.version,
+                    )
+        finally:
+            with self._turn_cond:
+                self._turn = turn + 1
+                self._turn_cond.notify_all()
         self._observe("commit.dispatch", started)
 
     def _observe(self, phase, started):
@@ -531,22 +562,22 @@ class HAMStore:
         version order; anything else raises :class:`StoreError` (the applier
         re-bootstraps on divergence rather than guessing).
         """
-        started = time.perf_counter()
-        try:
-            staged = derive_version(self.graph, (record,))
-        except (KeyError, StoreError) as exc:
-            raise StoreError(
-                f"cannot apply replicated version {record.version}: {exc}"
-            ) from exc
-        self._observe("commit.stage", started)
         with self._lock:
             if record.version != self._version + 1:
                 raise StoreError(
                     f"replicated record out of order: store at version "
                     f"{self._version}, record carries {record.version}"
                 )
-            subscribers = self._install_locked(record, staged)
-        self._dispatch_subscribers(subscribers, record)
+            started = time.perf_counter()
+            try:
+                staged = derive_version(self.graph, (record,))
+            except (KeyError, StoreError) as exc:
+                raise StoreError(
+                    f"cannot apply replicated version {record.version}: {exc}"
+                ) from exc
+            self._observe("commit.stage", started)
+            turn, subscribers = self._install_locked(record, staged)
+        self._dispatch_subscribers(turn, subscribers, record)
         return record
 
     def replace_state(self, graph, version, last_txn_id, epoch=None):

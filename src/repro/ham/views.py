@@ -1,22 +1,28 @@
-"""Materialized GraphLog views over the HAM store, maintained incrementally.
+"""Materialized views over the HAM store, kept current commit by commit.
 
 The prototype (Section 5) turns query answers into new graphs that can be
 queried again; a server-backed implementation wants those derived graphs
-kept up to date as transactions commit.  This module maintains materialized
-views through the typed fact-level :class:`~repro.ham.delta.Delta` each
-commit record carries:
+kept up to date as transactions commit.  A :class:`MaterializedView` is one
+such answer — a prepared plan (:class:`~repro.service.prepared.PreparedQuery`)
+plus the state that keeps it current — advanced by the commit records an
+ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``):
 
-- stratified views — including recursion and negation — are maintained
-  under insertions, deletions, and label updates by the counting / DRed
-  engine (:mod:`repro.datalog.dred`): support counts for non-recursive
-  strata, overdelete → rederive for recursive ones;
-- views whose λ-translation aggregates or summarizes (Section 4) are *not*
+- stratified GraphLog / Datalog plans — recursion and negation included —
+  are *maintained* through the typed fact-level
+  :class:`~repro.ham.delta.Delta` each record carries, by the counting /
+  DRed engine (:mod:`repro.datalog.dred`): support counts for non-recursive
+  strata, overdelete → rederive for recursive ones; for GraphLog plans the
+  active domain follows by reference counting the values of the EDB, so
+  star/optional edges see nodes appear and disappear without a rescan;
+- plans whose λ-translation aggregates or summarizes (Section 4) are not
   insert-monotone (a new tuple can change an aggregate's value, deleting
-  the old answer), so they fall back to full recomputation — the fallback
-  reason is logged once at registration time;
-- the active domain is maintained by reference counting the values in the
-  view's EDB, so star/optional edges see nodes appear and disappear without
-  rescanning the database.
+  the old answer), and regular path queries are answered by automaton
+  search, not by a Datalog program: both *diff* — re-evaluate on commits
+  that touch the plan's footprint and set-diff against the previous answer
+  (``fallback_reason`` says which).
+
+Either way :meth:`MaterializedView.apply` returns the same thing: the net
+rows the commit inserted into and deleted from the requested predicates.
 
 The ``abl5`` benchmark compares incremental maintenance against recompute.
 """
@@ -24,220 +30,204 @@ The ``abl5`` benchmark compares incremental maintenance against recompute.
 from __future__ import annotations
 
 import logging
-import time
 
-from repro.core.engine import GraphLogEngine, prepare_database
-from repro.core.query_graph import GraphicalQuery, QueryGraph
-from repro.core.translate import DOMAIN_PREDICATE, translate, translate_extended
-from repro.datalog.ast import Literal
+from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
-from repro.errors import AggregationError, TranslationError
-from repro.graphs.bridge import database_from_graph
+from repro.errors import StoreError
 from repro.ham.delta import domain_refs, fold_domain_refs
 
 logger = logging.getLogger(__name__)
 
+_EMPTY = frozenset()
 
-def is_monotone_program(program):
-    """Insertions can only add answers: no negation, and no aggregation.
 
-    Accepts both plain :class:`~repro.datalog.ast.Program` and the extended
-    :class:`~repro.aggregation.aggregates.AggregateProgram`.  Aggregate and
-    path-summary rules are *not* monotone even though they contain no
-    negated literal — a new tuple changes ``count``/``sum``/``min`` answers,
-    deleting the old one — so any program carrying them reports False.
-    """
-    from repro.aggregation.aggregates import AggregateProgram
+def _minus(new, old):
+    """``{predicate: rows of *new* that *old* lacks}``, empty ones omitted."""
+    missing = {}
+    for predicate, rows in new.items():
+        rows = rows - old.get(predicate, _EMPTY)
+        if rows:
+            missing[predicate] = rows
+    return missing
 
-    if isinstance(program, AggregateProgram):
-        if program.aggregate_rules or program.summary_rules:
-            return False
-        rules = program.plain_rules
-    else:
-        rules = program
-    return all(
-        element.positive
-        for rule in rules
-        for element in rule.body
-        if isinstance(element, Literal)
-    )
+
+class ViewReset(StoreError):
+    """:meth:`MaterializedView.apply` re-materialized at the record's
+    version with no previous answer to diff against: the view is current,
+    but whoever holds its old rows must read them again."""
 
 
 class MaterializedView:
-    """One registered view: the query, its program, and the current state."""
+    """One maintained answer of *plan* under *params*, over the store whose
+    relational images *images* (a :class:`~repro.ham.image.StoreImages`)
+    owns.  ``mode`` is ``"maintained"`` or ``"diff"`` (see the module
+    docstring); ``version`` is the store version the answer is current at
+    (-1 before the first :meth:`refresh`)."""
 
-    def __init__(self, name, query, domain_predicate=DOMAIN_PREDICATE, program=None):
-        if isinstance(query, QueryGraph):
-            query = GraphicalQuery([query])
-        self.name = name
-        self.query = query
-        self.domain_predicate = domain_predicate
-        if program is not None:
-            # Pre-translated program (e.g. a datalog subscription that has
-            # no graphical query to translate from).
-            self.program = program
-        else:
-            try:
-                self.program = translate(query, domain_predicate=domain_predicate)
-            except TranslationError:
-                # Blobs/path summaries need the extended engine; they are not
-                # insert-monotone, so the view is recompute-only.
-                self.program = translate_extended(
-                    query, domain_predicate=domain_predicate
-                )
-        self.monotone = is_monotone_program(self.program)
-        self.plan = None
+    def __init__(self, plan, images, params=None):
+        self.plan = plan
+        self.images = images
+        self.eval_params = dict(params or {})
+        self.maintenance = None  # the MaintenancePlan of a maintained view
         self.fallback_reason = None
-        from repro.aggregation.aggregates import AggregateProgram
-
-        if isinstance(self.program, AggregateProgram):
-            # Summary/aggregate rules are opaque to the Datalog maintenance
-            # planner (and not insert-monotone in the first place).
+        self.predicates = ()
+        self.version = -1
+        self.state = None  # maintained: the evaluated Database ...
+        self.counts = None  # ... its support counts ...
+        self._domain_refs = None  # ... and value -> occurrences across the EDB
+        self._rows = {}  # diff: {predicate: set of rows}
+        self.maintenance_passes = 0
+        self.diff_refreshes = 0
+        self.deltas_emitted = 0
+        self.skipped_empty = 0
+        self.maintenance_errors = 0
+        if plan.op == "rpq":
+            self.fallback_reason = (
+                "rpq answers are computed by automaton search, not by a "
+                "maintainable Datalog view"
+            )
+        elif plan.has_summaries:
             self.fallback_reason = "aggregation/summarization is not maintainable"
         else:
-            try:
-                self.plan = MaintenancePlan(self.program)
-            except Exception as exc:  # StratificationError and kin
-                self.fallback_reason = f"not maintainable: {exc}"
-        if self.fallback_reason is not None:
-            logger.info(
-                "view %r falls back to full recomputation: %s",
-                name,
-                self.fallback_reason,
+            self.maintenance = MaintenancePlan(plan.program)
+            self.predicates = plan.requested_predicates(self.eval_params)
+        self.mode = "maintained" if self.maintenance is not None else "diff"
+
+    # ------------------------------------------------------------- answers
+
+    def _live(self):
+        """``{predicate: rows}`` over the sets the view itself holds; a
+        refresh replaces them, a maintenance pass updates them in place."""
+        if self.maintenance is not None:
+            return {p: self.state.facts(p) for p in self.predicates}
+        return self._rows
+
+    def rows(self, predicate):
+        """The current answer for one requested *predicate* (a copy)."""
+        return set(self._live().get(predicate, ()))
+
+    def snapshot(self):
+        """``{predicate: set of rows}`` for every requested predicate."""
+        return {p: set(rows) for p, rows in self._live().items()}
+
+    # ------------------------------------------------------------- advance
+
+    def refresh(self, version=None):
+        """(Re)materialize from scratch: at the store's current version, or
+        at the retained *version* a commit record names."""
+        store = self.images.store
+        current, graph = store.snapshot_versioned()
+        if version is None:
+            version = current
+        elif version != current:
+            graph = store.graph_at(version)
+        image = self.images.at(version, graph) if self.plan.reads_relations else None
+        if self.maintenance is not None:
+            # GraphLog plans read the active domain (``node``); a Datalog
+            # request evaluates against the raw EDB, and so does its view.
+            domain = self.plan.op == "graphlog"
+            self.state, self.counts = self.maintenance.evaluate(
+                image.prepared if domain else image.database
             )
-        self.state = None  # evaluated Database
-        self.counts = None  # support counts for the maintenance plan
-        self._domain_refs = None  # value -> occurrences across EDB facts
-        self.full_refreshes = 0
-        self.incremental_updates = 0
-        self.overdeleted = 0
-        self.rederived = 0
-        self.maintenance_ms = 0.0
-
-    @property
-    def maintainable(self):
-        return self.plan is not None
-
-    def answers(self, predicate=None):
-        if self.state is None:
-            raise RuntimeError(f"view {self.name!r} has not been refreshed")
-        if predicate is None:
-            predicate = self.query.graphs[-1].head_predicate
-        return set(self.state.facts(predicate))
-
-    def refresh_full(self, edb):
-        if self.plan is not None:
-            prepared = prepare_database(edb, self.domain_predicate)
-            self.state, self.counts = self.plan.evaluate(prepared)
+            self._domain_refs = domain_refs(image.database) if domain else None
         else:
-            self.state = GraphLogEngine().run(self.query, edb)
-        self._domain_refs = domain_refs(edb)
-        self.full_refreshes += 1
-        return self.state
+            self._rows = self.plan.evaluate(graph, image, self.eval_params)
+            self.predicates = tuple(sorted(set(self.predicates) | set(self._rows)))
+            self.diff_refreshes += 1
+        self.version = version
 
-    def apply_delta(self, delta):
-        """Maintain the view under one commit's :class:`Delta`, in place."""
-        if self.state is None:
-            raise RuntimeError(f"view {self.name!r} has not been refreshed")
-        if self.plan is None:
-            raise AggregationError(
-                f"view {self.name!r} is not maintainable: {self.fallback_reason}"
-            )
-        started = time.perf_counter()
-        delta_plus = {p: set(rows) for p, rows in delta.insertions.items()}
-        delta_minus = {p: set(rows) for p, rows in delta.deletions.items()}
-        self._fold_domain_changes(delta, delta_plus, delta_minus)
-        stats = self.plan.maintain(
+    def apply(self, record):
+        """Advance past one commit *record* — the store's next, as an
+        ordered hook delivers them; a record at or below ``version`` is
+        skipped.  Returns ``(inserted, deleted)``, the net
+        ``{predicate: rows}`` the commit made of the requested predicates,
+        or None when the answer did not change; raises :class:`ViewReset`
+        when the change is unknown (see there)."""
+        if record.version <= self.version:
+            return None
+        delta = record.delta
+        if delta is not None and delta.is_empty:
+            self.version = record.version
+            self.skipped_empty += 1
+            return None
+        if self.maintenance is not None and delta is not None:
+            try:
+                stats = self._maintain(delta)
+            except Exception:
+                self.maintenance_errors += 1
+                logger.exception(
+                    "maintenance of view %s failed; re-evaluating instead",
+                    self.plan.fingerprint[:12],
+                )
+                # The pass may have left the state half-updated: restore the
+                # answer the subscribers hold, then diff as below.
+                try:
+                    self.refresh(record.version - 1)
+                except Exception as exc:  # noqa: BLE001 — e.g. history truncated
+                    self.refresh(record.version)
+                    raise ViewReset(
+                        f"view re-materialized at version {record.version}"
+                    ) from exc
+            else:
+                self.version = record.version
+                return self._emit(
+                    {p: stats.added[p] for p in self.predicates if stats.added.get(p)},
+                    {p: stats.deleted[p] for p in self.predicates if stats.deleted.get(p)},
+                )
+        elif (
+            delta is not None
+            and self.plan.footprint is not None
+            and not (self.plan.footprint & delta.touched_predicates(DOMAIN_PREDICATE))
+        ):
+            # The commit provably misses everything the plan reads.
+            self.version = record.version
+            return None
+        # Re-evaluate at the record's version and diff: the documented
+        # fallback, a delta-less record, or a failed maintenance pass.
+        before = self._live()
+        self.refresh(record.version)
+        after = self._live()
+        return self._emit(_minus(after, before), _minus(before, after))
+
+    def _emit(self, inserted, deleted):
+        if not inserted and not deleted:
+            return None
+        self.deltas_emitted += 1
+        return inserted, deleted
+
+    def _maintain(self, delta):
+        """One counting/DRed pass under *delta*, in place.  The delta's row
+        sets are handed over as they are (``maintain`` copies them once); a
+        value's domain fact appears with its first occurrence in the EDB and
+        disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)."""
+        delta_plus = dict(delta.insertions)
+        delta_minus = dict(delta.deletions)
+        if self._domain_refs is not None:
+            entered, left = fold_domain_refs(self._domain_refs, delta)
+            for side, values in ((delta_plus, entered), (delta_minus, left)):
+                if values:
+                    side[DOMAIN_PREDICATE] = side.get(DOMAIN_PREDICATE, set()) | {
+                        (value,) for value in values
+                    }
+        stats = self.maintenance.maintain(
             self.state,
             delta_plus=delta_plus,
             delta_minus=delta_minus,
             counts=self.counts,
         )
-        self.incremental_updates += 1
-        self.overdeleted += stats.overdeleted
-        self.rederived += stats.rederived
-        self.maintenance_ms += (time.perf_counter() - started) * 1000.0
+        self.maintenance_passes += 1
         return stats
-
-    def _fold_domain_changes(self, delta, delta_plus, delta_minus):
-        """Turn EDB fact changes into domain-predicate facts: a value's
-        domain fact appears with its first occurrence and disappears with
-        its last (:func:`~repro.ham.delta.fold_domain_refs`)."""
-        entered, left = fold_domain_refs(self._domain_refs, delta)
-        domain = self.domain_predicate
-        if entered:
-            delta_plus.setdefault(domain, set()).update((v,) for v in entered)
-        if left:
-            delta_minus.setdefault(domain, set()).update((v,) for v in left)
 
     def stats(self):
         return {
-            "maintainable": self.maintainable,
+            "mode": self.mode,
             "fallback_reason": self.fallback_reason,
-            "full_refreshes": self.full_refreshes,
-            "incremental_updates": self.incremental_updates,
-            "overdeleted": self.overdeleted,
-            "rederived": self.rederived,
-            "maintenance_ms": round(self.maintenance_ms, 3),
+            "version": self.version,
+            "rows": sum(len(rows) for rows in self._live().values()),
+            "predicates": list(self.predicates),
+            "maintenance_passes": self.maintenance_passes,
+            "diff_refreshes": self.diff_refreshes,
+            "deltas_emitted": self.deltas_emitted,
+            "skipped_empty": self.skipped_empty,
+            "maintenance_errors": self.maintenance_errors,
         }
-
-
-class ViewManager:
-    """Keeps a set of materialized views in sync with a HAM store.
-
-    Subscribe-on-commit: each commit's typed delta is routed through the
-    counting/DRed maintenance engine, for deletions and label updates as
-    much as insertions.  Only views the planner cannot handle (aggregation,
-    summaries, non-stratifiable translations) fall back to full
-    recomputation — with the reason logged.
-    """
-
-    def __init__(self, store):
-        self.store = store
-        self.views = {}
-        store.subscribe(self._on_commit)
-
-    def register(self, name, query):
-        view = MaterializedView(name, query)
-        view.refresh_full(self._current_edb())
-        self.views[name] = view
-        return view
-
-    def answers(self, name, predicate=None):
-        return self.views[name].answers(predicate)
-
-    def stats(self):
-        """Aggregate and per-view maintenance counters (service `stats` op)."""
-        views = {name: view.stats() for name, view in self.views.items()}
-        totals = {
-            "full_refreshes": sum(v["full_refreshes"] for v in views.values()),
-            "incremental_updates": sum(
-                v["incremental_updates"] for v in views.values()
-            ),
-            "overdeleted": sum(v["overdeleted"] for v in views.values()),
-            "rederived": sum(v["rederived"] for v in views.values()),
-            "view_maintenance_ms": round(
-                sum(v["maintenance_ms"] for v in views.values()), 3
-            ),
-        }
-        return {"count": len(views), "totals": totals, "views": views}
-
-    def _current_edb(self):
-        return database_from_graph(self.store.graph)
-
-    def _on_commit(self, record):
-        delta = record.delta
-        if delta is not None and delta.is_empty:
-            return
-        for view in self.views.values():
-            if delta is not None and view.maintainable:
-                try:
-                    view.apply_delta(delta)
-                    continue
-                except Exception:
-                    logger.exception(
-                        "incremental maintenance of view %r failed; "
-                        "falling back to full refresh",
-                        view.name,
-                    )
-            view.refresh_full(self._current_edb())

@@ -36,9 +36,6 @@ from repro.obs.logs import (
     set_request_id,
 )
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     HistogramData,
     HistogramMergeError,
     MetricFamily,
@@ -64,9 +61,6 @@ from repro.obs.trace import (
 __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "HistogramData",
     "HistogramMergeError",
     "JsonLogFormatter",

@@ -20,17 +20,11 @@ observed ``[min, max]``, so single-sample histograms report the exact
 sample), and the whole thing renders as standard Prometheus text exposition
 format (version 0.0.4) for any scraper to pull.
 
-Three instrument types with label support:
-
-- :class:`Counter` — monotonically increasing totals (``_total`` suffix);
-- :class:`Gauge` — point-in-time values that go both ways;
-- :class:`Histogram` — distributions, rendered as ``_bucket``/``_sum``/
-  ``_count`` series.
-
-Instruments register with a :class:`Registry`; ad-hoc producers can instead
-register a *collector* callback returning :class:`MetricFamily` rows built
-on demand (used by the query service to publish per-predicate store
-statistics at scrape time).
+Telemetry has one path to the scraper: producers register a *collector*
+callback with a :class:`Registry`, returning :class:`MetricFamily` rows
+(counter / gauge samples, or a :class:`HistogramData` rendered as
+``_bucket``/``_sum``/``_count`` series) built on demand at scrape time from
+the counts they already keep.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import re
 import threading
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Default latency buckets in seconds (the Prometheus client defaults with a
@@ -355,196 +348,13 @@ def table_families(table, rows, missing=None):
     return families
 
 
-class _Instrument:
-    """Base class: a named, optionally labeled instrument in a registry."""
-
-    kind = "untyped"
-
-    def __init__(self, name, help="", labelnames=(), registry=None, buckets=None):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._buckets = buckets
-        self._lock = threading.Lock()
-        self._children = {}
-        if not self.labelnames:
-            self._children[()] = self._new_child()
-        if registry is not None:
-            registry.register(self)
-
-    def _new_child(self):
-        raise NotImplementedError
-
-    def labels(self, *values, **kv):
-        """The child instrument bound to one label-value combination."""
-        if kv:
-            if values:
-                raise ValueError("pass label values positionally or by name, not both")
-            try:
-                values = tuple(kv[name] for name in self.labelnames)
-            except KeyError as exc:
-                raise ValueError(f"unknown label {exc.args[0]!r}") from None
-            if len(kv) != len(self.labelnames):
-                unknown = set(kv) - set(self.labelnames)
-                raise ValueError(f"unknown labels {sorted(unknown)!r}")
-        else:
-            values = tuple(values)
-        if len(values) != len(self.labelnames):
-            raise ValueError(
-                f"{self.name} takes {len(self.labelnames)} label values, "
-                f"got {len(values)}"
-            )
-        key = tuple(str(v) for v in values)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._new_child()
-            return child
-
-    def _default(self):
-        if self.labelnames:
-            raise ValueError(f"{self.name} is labeled; use .labels(...) first")
-        return self._children[()]
-
-    def collect(self):
-        family = MetricFamily(self.name, self.kind, self.help)
-        with self._lock:
-            children = sorted(self._children.items())
-        for key, child in children:
-            labels = dict(zip(self.labelnames, key))
-            self._fill(family, labels, child)
-        return family
-
-    def _fill(self, family, labels, child):
-        raise NotImplementedError
-
-
-class _CounterChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        self.value += amount
-
-    def set_total(self, value):
-        """Pin the total to an externally-accumulated monotonic value."""
-        self.value = value
-
-
-class Counter(_Instrument):
-    """A monotonically increasing total."""
-
-    kind = "counter"
-
-    def _new_child(self):
-        return _CounterChild()
-
-    def inc(self, amount=1):
-        self._default().inc(amount)
-
-    def set_total(self, value):
-        self._default().set_total(value)
-
-    @property
-    def value(self):
-        return self._default().value
-
-    def _fill(self, family, labels, child):
-        family.add_sample(child.value, labels)
-
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def inc(self, amount=1):
-        self.value += amount
-
-    def dec(self, amount=1):
-        self.value -= amount
-
-
-class Gauge(_Instrument):
-    """A point-in-time value."""
-
-    kind = "gauge"
-
-    def _new_child(self):
-        return _GaugeChild()
-
-    def set(self, value):
-        self._default().set(value)
-
-    def inc(self, amount=1):
-        self._default().inc(amount)
-
-    def dec(self, amount=1):
-        self._default().dec(amount)
-
-    @property
-    def value(self):
-        return self._default().value
-
-    def _fill(self, family, labels, child):
-        family.add_sample(child.value, labels)
-
-
-class Histogram(_Instrument):
-    """A labeled family of fixed-bucket histograms."""
-
-    kind = "histogram"
-
-    def _new_child(self):
-        return HistogramData(self._buckets or DEFAULT_BUCKETS)
-
-    def observe(self, value):
-        self._default().observe(value)
-
-    def quantile(self, q):
-        return self._default().quantile(q)
-
-    @property
-    def data(self):
-        return self._default()
-
-    def _fill(self, family, labels, child):
-        family.add_histogram(child, labels)
-
-
 class Registry:
-    """A set of instruments and collector callbacks, rendered on scrape.
-
-    Instruments register themselves when constructed with ``registry=``;
-    producers whose values only exist at scrape time (per-predicate store
-    cardinalities, WAL segment counts) register a *collector* — a zero-arg
-    callable returning an iterable of :class:`MetricFamily`.
-    """
+    """A set of collector callbacks — zero-arg callables returning an
+    iterable of :class:`MetricFamily` — called and rendered on scrape."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._instruments = []
         self._collectors = []
-
-    def register(self, instrument):
-        with self._lock:
-            if any(existing.name == instrument.name for existing in self._instruments):
-                raise ValueError(f"duplicate metric name {instrument.name!r}")
-            self._instruments.append(instrument)
-        return instrument
 
     def collector(self, callback):
         """Register (and return) a callback yielding MetricFamily rows."""
@@ -559,9 +369,8 @@ class Registry:
     def collect(self):
         """Every family currently known, sorted by name."""
         with self._lock:
-            instruments = list(self._instruments)
             collectors = list(self._collectors)
-        families = [instrument.collect() for instrument in instruments]
+        families = []
         for callback in collectors:
             families.extend(callback())
         return sorted(families, key=lambda family: family.name)

@@ -592,21 +592,33 @@ class RouterServer:
                 outer.connections += 1
                 with outer.routing_client() as routing:
                     outer._track(routing)
+                    limit = protocol.MAX_REQUEST_BYTES
                     try:
                         while True:
-                            try:
-                                line = self.rfile.readline(protocol.MAX_REQUEST_BYTES)
-                            except OSError:
-                                return
+                            line = self.rfile.readline(limit + 1)
                             if not line:
                                 return
                             if not line.strip():
                                 continue
-                            response = outer._route_line(routing, line)
-                            try:
-                                self.wfile.write(protocol.encode(response))
-                            except OSError:
+                            if len(line) > limit and not line.endswith(b"\n"):
+                                # What a node answers: one error, then close
+                                # — once the rest of the line is read (up to
+                                # one more limit, within a second), so the
+                                # close cannot reset the answer away.
+                                self.wfile.write(
+                                    protocol.encode(
+                                        protocol.error_response(
+                                            None, ProtocolError("request line too long")
+                                        )
+                                    )
+                                )
+                                self.connection.settimeout(1.0)
+                                self.rfile.readline(limit)
                                 return
+                            response = outer._route_line(routing, line)
+                            self.wfile.write(protocol.encode(response))
+                    except OSError:
+                        return
                     finally:
                         outer._untrack(routing)
 

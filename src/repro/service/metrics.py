@@ -18,7 +18,6 @@ import threading
 from collections import defaultdict
 
 from repro.obs.metrics import (
-    Gauge,
     HistogramData,
     MetricFamily,
     Registry,
@@ -40,11 +39,6 @@ class MetricsRegistry:
         #: collectors (store statistics) and renders this on scrape.
         self.exposition = Registry()
         self.exposition.collector(self._families)
-        self._in_flight_gauge = Gauge(
-            "repro_in_flight_requests",
-            "Requests currently executing or queued in the service",
-            registry=self.exposition,
-        )
 
     # ------------------------------------------------------------ updates
 
@@ -160,9 +154,15 @@ class MetricsRegistry:
             pinned = set(self._pinned)
             latency = {op: h.copy() for op, h in self._latency.items()}
             phases = {ph: h.copy() for ph, h in self._phases.items()}
-            self._in_flight_gauge.set(self._in_flight)
+            in_flight = self._in_flight
 
-        families = []
+        families = [
+            MetricFamily(
+                "repro_in_flight_requests",
+                "gauge",
+                "Requests currently executing or queued in the service",
+            ).add_sample(in_flight)
+        ]
 
         requests = MetricFamily(
             "repro_requests_total", "counter", "Requests handled, by wire op"

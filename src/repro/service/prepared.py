@@ -167,7 +167,7 @@ class PreparedQuery:
             result = Engine(method=method, check_safety=False).evaluate(
                 self.program, image.prepared
             )
-        predicates = self._requested_predicates(params)
+        predicates = self.requested_predicates(params)
         return {p: set(result.facts(p)) for p in predicates}
 
     def _evaluate_datalog(self, _graph, image, params):
@@ -176,7 +176,7 @@ class PreparedQuery:
         result = Engine(method=params.get("method"), check_safety=False).evaluate(
             self.program, image.database
         )
-        predicates = self._requested_predicates(params)
+        predicates = self.requested_predicates(params)
         return {p: set(result.facts(p)) for p in predicates}
 
     def _evaluate_rpq(self, graph, _image, params):
@@ -189,7 +189,8 @@ class PreparedQuery:
             return {"answers": {(t,) for t in targets}}
         return {"answers": evaluator.pairs(self.regex)}
 
-    def _requested_predicates(self, params):
+    def requested_predicates(self, params):
+        """The predicates a request (or a view) under *params* answers for."""
         predicate = params.get("predicate")
         if predicate is not None:
             if predicate not in self.idb_predicates:

@@ -128,13 +128,6 @@ _EDB_FALLBACK_FAMILIES = (
     ("repro_edb_fallbacks_total", "counter",
      "Relational images rebuilt because folding was impossible or not cheaper", "count"),
 )
-#: ... and materialized views.
-_VIEW_FAMILIES = (
-    ("repro_view_maintenance_seconds_total", "counter",
-     "Cumulative maintenance time per materialized view", "maintenance_s"),
-    ("repro_view_updates_total", "counter",
-     "Incremental maintenance runs per materialized view", "incremental_updates"),
-)
 
 
 @dataclass(slots=True)
@@ -276,9 +269,9 @@ class QueryService:
             capacity=self.config.slowlog_capacity,
             path=self.config.slowlog_path,
         )
-        # Per-predicate store statistics (fact counts, churn, view
-        # maintenance cost) are published into the exposition registry as
-        # scrape-time collectors — no bookkeeping on the request path.
+        # Per-predicate store statistics (fact counts, churn) are published
+        # into the exposition registry as scrape-time collectors — no
+        # bookkeeping on the request path.
         self.metrics.exposition.collector(self._store_families)
         self._detach = self.results.attach(self.store)
         # The store's relational image: built on the first evaluation that
@@ -299,7 +292,6 @@ class QueryService:
             policy=self.config.sub_policy,
         )
         self.metrics.exposition.collector(self.subs.metric_families)
-        self._views = None  # lazily-created ViewManager
         # Replication: every service can act as a replication source (an
         # in-memory primary serves tails from the store's retained log; a
         # durable one also serves bootstrap checkpoints and WAL history).
@@ -964,20 +956,6 @@ class QueryService:
             phases.append(("edb", time.perf_counter() - started))
         return image
 
-    @property
-    def views(self):
-        """The store's :class:`~repro.ham.views.ViewManager`, created lazily
-        (registering it subscribes to commits, so don't until needed)."""
-        if self._views is None:
-            from repro.ham.views import ViewManager
-
-            self._views = ViewManager(self.store)
-        return self._views
-
-    def register_view(self, name, query):
-        """Register a materialized view kept in sync with commits."""
-        return self.views.register(name, query)
-
     def stats(self, include_histograms=False):
         result_cache = self.results.stats()
         # Mirror the commit-driven counters into the metrics registry so one
@@ -985,13 +963,6 @@ class QueryService:
         self.metrics.set_counter(
             "result_cache.delta_reuse_hits", result_cache["delta_reuse_hits"]
         )
-        if self._views is not None:
-            totals = self._views.stats()["totals"]
-            self.metrics.set_counter(
-                "views.view_maintenance_ms", totals["view_maintenance_ms"]
-            )
-            self.metrics.set_counter("views.overdeleted", totals["overdeleted"])
-            self.metrics.set_counter("views.rederived", totals["rederived"])
         store_stats = self.store.stats()
         self.metrics.set_counter(
             "store.subscriber_failures", store_stats["subscriber_failures"]
@@ -1012,8 +983,6 @@ class QueryService:
             "replication": self.replication_status(),
             "subs": self.subs.stats(),
         }
-        if self._views is not None:
-            stats["views"] = self._views.stats()
         return stats
 
     def replication_status(self):
@@ -1077,8 +1046,7 @@ class QueryService:
 
     def _store_families(self):
         """Scrape-time collector: per-predicate store statistics, store
-        size gauges, replication role/lag/throughput, and per-view
-        maintenance cost."""
+        size gauges and replication role/lag/throughput."""
         predicates = [
             ({"predicate": name}, info)
             for name, info in sorted(self.store.predicate_stats().items())
@@ -1110,12 +1078,6 @@ class QueryService:
         if self.applier is not None:
             status = [(None, self.applier.status())]
             families += table_families(_REPL_APPLIER_FAMILIES, status, missing=-1)
-        if self._views is not None:
-            views = [
-                ({"view": name}, dict(view, maintenance_s=view["maintenance_ms"] / 1000.0))
-                for name, view in self._views.stats()["views"].items()
-            ]
-            families += table_families(_VIEW_FAMILIES, views)
         return families
 
     def close(self):

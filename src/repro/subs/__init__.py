@@ -24,14 +24,12 @@ Three pieces (see docs/SUBSCRIPTIONS.md):
 
 from repro.subs.manager import (
     OVERFLOW_POLICIES,
-    SharedView,
     Subscription,
     SubscriptionManager,
 )
 
 __all__ = [
     "OVERFLOW_POLICIES",
-    "SharedView",
     "Subscription",
     "SubscriptionManager",
 ]

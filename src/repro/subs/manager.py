@@ -1,15 +1,13 @@
 """The subscription manager: shared views, delta fanout, backpressure.
 
-Threading model: commits dispatch store hooks *outside* the store lock, so
-two commits' hooks can reach :meth:`SubscriptionManager._on_commit` out of
-order.  The manager serializes through its own lock and an applied-version
-watermark: an in-order record is applied directly, a gap is filled from
-``store.records_since`` (which returns the retained log in version order),
-and a hook arriving late for an already-applied version returns without
-work.  Every mutation of view state and subscription queues happens under
-the manager lock; delivery happens on the connection's sender task, which
-calls :meth:`SubscriptionManager.drain` after being poked through the
-sink's ``notify()``.
+Threading model: the store delivers every commit record to
+:meth:`SubscriptionManager._on_commit` exactly once, in version order, on
+the committing thread (:meth:`repro.ham.store.HAMStore.subscribe` states the
+contract), so the hook applies the record it is handed and nothing else.
+Every mutation of view state and subscription queues happens under the
+manager lock; delivery happens on the connection's sender task, which calls
+:meth:`SubscriptionManager.drain` after being poked through the sink's
+``notify()``.
 
 A *sink* is the manager's handle for one client connection: any object
 usable as a dict key with a ``notify()`` method that is safe to call from
@@ -24,10 +22,10 @@ import threading
 import time
 
 from repro import obs
-from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
 from repro.errors import NotMaintainable, ProtocolError, SubscriptionError
 from repro.ham.image import StoreImages
+from repro.ham.views import MaterializedView, ViewReset
 from repro.obs.metrics import HistogramData, MetricFamily
 from repro.service import protocol
 from repro.service.cache import result_key
@@ -41,13 +39,6 @@ logger = logging.getLogger(__name__)
 #: connection.
 OVERFLOW_POLICIES = ("resync", "disconnect")
 
-#: Domain predicate for datalog-backed views.  Datalog requests evaluate
-#: against the raw EDB (no active-domain injection), so the maintained view
-#: must refcount the domain under a name no user program can reference —
-#: injecting under ``node`` would diverge from the request path whenever a
-#: program mentions that predicate.
-_DATALOG_DOMAIN = "\x00dom"
-
 
 def view_key(plan, params):
     """The shared-view registry key: plan fingerprint + result-shaping
@@ -58,109 +49,14 @@ def view_key(plan, params):
     return result_key(plan.fingerprint, shaped)
 
 
-class SharedView:
-    """One refcounted materialized result, shared by all subscribers to the
-    same (plan, params).
-
-    ``mode`` is ``"maintained"`` (a :class:`~repro.ham.views.MaterializedView`
-    updated by the counting/DRed engine; the per-commit delta is read off
-    :class:`~repro.datalog.dred.MaintenanceStats`) or ``"diff"`` (the
-    documented fallback for non-maintainable queries: re-evaluate on
-    relevant commits and set-diff against the previous answer).
-    """
-
-    __slots__ = (
-        "key",
-        "plan",
-        "eval_params",
-        "mode",
-        "fallback_reason",
-        "view",
-        "predicates",
-        "rows",
-        "version",
-        "refcount",
-        "subs",
-        "maintenance_passes",
-        "diff_refreshes",
-        "deltas_emitted",
-        "skipped_empty",
-        "maintenance_errors",
-    )
-
-    def __init__(self, key, plan, params):
-        from repro.ham.views import MaterializedView
-
-        self.key = key
-        self.plan = plan
-        self.eval_params = dict(params or {})
-        self.mode = "diff"
-        self.fallback_reason = None
-        self.view = None
-        self.predicates = ()
-        self.rows = {}
-        self.version = -1
-        self.refcount = 0
-        self.subs = set()
-        self.maintenance_passes = 0
-        self.diff_refreshes = 0
-        self.deltas_emitted = 0
-        self.skipped_empty = 0
-        self.maintenance_errors = 0
-
-        if plan.op == "rpq":
-            self.fallback_reason = (
-                "rpq answers are computed by automaton search, not by a "
-                "maintainable Datalog view"
-            )
-        elif plan.has_summaries:
-            self.fallback_reason = "aggregation/summarization is not maintainable"
-        else:
-            domain = DOMAIN_PREDICATE if plan.op == "graphlog" else _DATALOG_DOMAIN
-            view = MaterializedView(
-                f"sub:{plan.fingerprint[:12]}",
-                plan.graphical,
-                domain_predicate=domain,
-                program=plan.program,
-            )
-            if view.maintainable:
-                self.mode = "maintained"
-                self.view = view
-                self.predicates = plan._requested_predicates(self.eval_params)
-            else:
-                self.fallback_reason = view.fallback_reason
-
-    @property
-    def footprint(self):
-        return self.plan.footprint
-
-    def refresh(self, version, graph, image):
-        """(Re)materialize from scratch at *version*, from the store's
-        relational *image* of it."""
-        if self.mode == "maintained":
-            self.view.refresh_full(image.database)
-            self.rows = {p: set(self.view.state.facts(p)) for p in self.predicates}
-        else:
-            result = self.plan.evaluate(graph, image, self.eval_params)
-            self.rows = {p: set(rows) for p, rows in result.items()}
-            self.predicates = tuple(sorted(self.rows))
-            self.diff_refreshes += 1
-        self.version = version
-
-    def stats(self):
-        return {
-            "mode": self.mode,
-            "fallback_reason": self.fallback_reason,
-            "subscribers": self.refcount,
-            "version": self.version,
-            "rows": sum(len(r) for r in self.rows.values()),
-            "predicates": list(self.predicates),
-            "maintenance_passes": self.maintenance_passes,
-            "diff_refreshes": self.diff_refreshes,
-            "deltas_emitted": self.deltas_emitted,
-            "skipped_empty": self.skipped_empty,
-            "maintenance_errors": self.maintenance_errors,
-        }
+def _require_maintainable(view, allow_fallback):
+    if view.fallback_reason is not None and not allow_fallback:
+        raise NotMaintainable(
+            "this query has no incrementally maintainable view: "
+            f"{view.fallback_reason} (pass allow_fallback to "
+            "subscribe through per-commit re-evaluation)",
+            reason=view.fallback_reason,
+        )
 
 
 class Subscription:
@@ -168,6 +64,7 @@ class Subscription:
 
     __slots__ = (
         "id",
+        "key",
         "view",
         "sink",
         "queue_max",
@@ -177,8 +74,9 @@ class Subscription:
         "closed",
     )
 
-    def __init__(self, sub_id, view, sink, queue_max, policy):
+    def __init__(self, sub_id, key, view, sink, queue_max, policy):
         self.id = sub_id
+        self.key = key  # the view's registry key
         self.view = view
         self.sink = sink
         self.queue_max = queue_max
@@ -203,12 +101,12 @@ class SubscriptionManager:
         self.default_queue_max = int(queue_max)
         self.default_policy = policy
         self._lock = threading.Lock()
-        self._views_by_key = {}
+        self._views_by_key = {}  # key -> MaterializedView
+        self._watchers = {}  # view -> its subscriptions; never empty
         self._subs = {}
         self._by_sink = {}
         self._disconnect_sinks = set()
         self._next_id = 1
-        self._applied = store.version
         # Cumulative counters (exposed via stats() and /metrics).
         self.deltas_pushed = 0
         self.snapshots_sent = 0
@@ -217,7 +115,7 @@ class SubscriptionManager:
         self.disconnects = 0
         self.forced_resyncs = 0
         self.push_latency = HistogramData()
-        self._hook = store.subscribe(self._on_commit)
+        store.subscribe(self._on_commit)
         self._closed = False
 
     # ----------------------------------------------------------- subscribe
@@ -256,49 +154,25 @@ class SubscriptionManager:
                 shared = self._views_by_key.get(key)
                 if shared is None and candidate is not None:
                     self._catch_up_locked(candidate)
-                    self._views_by_key[key] = candidate
-                    shared = candidate
+                    shared = self._views_by_key[key] = candidate
+                    self._watchers[shared] = set()
                 if shared is not None:
-                    if shared.fallback_reason is not None and not allow_fallback:
-                        if shared.refcount == 0:
-                            self._views_by_key.pop(key, None)
-                        raise NotMaintainable(
-                            "this query has no incrementally maintainable view: "
-                            f"{shared.fallback_reason} (pass allow_fallback to "
-                            "subscribe through per-commit re-evaluation)",
-                            reason=shared.fallback_reason,
-                        )
+                    _require_maintainable(shared, allow_fallback)
                     sub = Subscription(
-                        self._next_id, shared, sink, queue_max, policy
+                        self._next_id, key, shared, sink, queue_max, policy
                     )
                     self._next_id += 1
-                    shared.refcount += 1
-                    shared.subs.add(sub)
+                    self._watchers[shared].add(sub)
                     self._subs[sub.id] = sub
                     self._by_sink.setdefault(sink, set()).add(sub.id)
-                    snapshot = {p: set(rows) for p, rows in shared.rows.items()}
                     if self.metrics is not None:
                         self.metrics.incr("subs.subscribed")
-                    return sub, snapshot, shared.version
+                    return sub, shared.snapshot(), shared.version
             # Materialize outside the lock: first evaluation can be slow and
             # must not stall commits.  A racing duplicate is discarded above.
-            candidate = SharedView(key, plan, params)
-            if candidate.fallback_reason is not None and not allow_fallback:
-                raise NotMaintainable(
-                    "this query has no incrementally maintainable view: "
-                    f"{candidate.fallback_reason} (pass allow_fallback to "
-                    "subscribe through per-commit re-evaluation)",
-                    reason=candidate.fallback_reason,
-                )
-            version, graph = self.store.snapshot_versioned()
-            candidate.refresh(version, graph, self._image_for(candidate, version, graph))
-
-    def _image_for(self, view, version, graph):
-        """The store image *view* (re)materializes from; None for a plan
-        that reads the graph only."""
-        if not view.plan.reads_relations:
-            return None
-        return self.images.at(version, graph)
+            candidate = MaterializedView(plan, self.images, params)
+            _require_maintainable(candidate, allow_fallback)
+            candidate.refresh()
 
     def unsubscribe(self, sub_id, sink):
         """Drop one subscription; tears the shared view down on last ref."""
@@ -329,179 +203,74 @@ class SubscriptionManager:
             ids.discard(sub.id)
             if not ids:
                 self._by_sink.pop(sub.sink, None)
-        view = sub.view
-        view.subs.discard(sub)
-        view.refcount -= 1
-        if view.refcount <= 0:
+        watchers = self._watchers[sub.view]
+        watchers.discard(sub)
+        if not watchers:
             # Last unsubscribe tears the view down: no subscriber, no
             # maintenance pass.
-            self._views_by_key.pop(view.key, None)
+            del self._watchers[sub.view]
+            self._views_by_key.pop(sub.key, None)
 
     def _catch_up_locked(self, view):
-        """Bring a freshly materialized view level with the dispatch
-        watermark.  Its snapshot was taken outside the lock, so commits may
+        """Bring a freshly materialized view level with the views already
+        registered.  Its snapshot was taken outside the lock, so commits may
         have been dispatched (to the *other* views) in between; the view's
-        own version guard in :meth:`_apply_record_to_view_locked` makes the
-        overlap idempotent."""
-        if view.version >= self._applied:
-            return
+        own version guard (:meth:`MaterializedView.apply`) makes a record it
+        is later handed again a no-op."""
         records = self.store.records_since(view.version)
-        if records is None:
-            version, graph = self.store.snapshot_versioned()
-            view.refresh(version, graph, self._image_for(view, version, graph))
+        if records is None:  # the history between was truncated away
+            view.refresh()
             return
-        for record in sorted(records, key=lambda r: r.version):
-            self._apply_record_to_view_locked(view, record)
+        for record in records:
+            view.apply(record)
 
     # ------------------------------------------------------------ dispatch
 
     def _on_commit(self, record):
-        """Store commit hook (runs on the committing thread)."""
+        """Store commit hook: *record* is the next one, on its committing
+        thread — whose ambient trace context is that commit's request, so
+        its trace id stamps exactly this record's frames."""
         with self._lock:
-            if record.version <= self._applied:
-                return
             if not self._views_by_key:
-                self._applied = record.version
                 return
-            if record.version == self._applied + 1:
-                records = (record,)
-            else:
-                # Dispatch raced: a later commit's hook got here first.
-                since = self.store.records_since(self._applied)
-                if since is None:
-                    # History truncated under us — replay is impossible, so
-                    # every subscriber gets a fresh snapshot instead.
-                    self._resync_all_locked()
-                    self._applied = self.store.version
-                    sinks = {sub.sink for sub in self._subs.values()}
-                    self._notify(sinks)
-                    return
-                records = sorted(since, key=lambda r: r.version)
-            sinks = set()
-            # The committing request's distributed trace context is ambient
-            # on this thread (the hook runs on the committing thread); stamp
-            # only the frames for *this* commit's record with its trace id —
-            # gap-filled records belong to other commits' traces.
             ambient = trace_context.current()
             trace_id = ambient.trace_id if ambient is not None else None
+            sinks = set()
+            now = time.monotonic()
             with obs.span(
                 "subs.dispatch",
                 version=record.version,
                 views=len(self._views_by_key),
                 subscribers=len(self._subs),
             ):
-                for rec in records:
-                    sinks |= self._dispatch_record_locked(
-                        rec, trace_id if rec is record else None
+                for view, watchers in self._watchers.items():
+                    try:
+                        changed = view.apply(record)
+                    except ViewReset:
+                        self._resync_locked(watchers)
+                        sinks.update(sub.sink for sub in watchers)
+                        continue
+                    if changed is None:
+                        continue
+                    # The row payload is shared across the fanout: one wire
+                    # encoding per view per commit, one tiny per-subscriber
+                    # frame dict.
+                    wire_inserted, wire_deleted = map(
+                        protocol.relations_to_wire, changed
                     )
-            self._applied = max(self._applied, records[-1].version)
+                    for sub in watchers:
+                        frame = {
+                            "frame": "delta",
+                            "subscription": sub.id,
+                            "version": record.version,
+                            "inserted": wire_inserted,
+                            "deleted": wire_deleted,
+                        }
+                        if trace_id is not None:
+                            frame["trace_id"] = trace_id
+                        self._enqueue_locked(sub, frame, now)
+                        sinks.add(sub.sink)
         self._notify(sinks)
-
-    def _dispatch_record_locked(self, record, trace_id=None):
-        """Apply one commit record to every view; returns sinks to poke."""
-        sinks = set()
-        now = time.monotonic()
-        for view in list(self._views_by_key.values()):
-            changed = self._apply_record_to_view_locked(view, record)
-            if changed is None:
-                continue
-            inserted, deleted = changed
-            view.deltas_emitted += 1
-            # The row payload is shared across the fanout: one wire encoding
-            # per view per commit, one tiny per-subscriber frame dict.
-            wire_inserted = protocol.relations_to_wire(inserted)
-            wire_deleted = protocol.relations_to_wire(deleted)
-            for sub in view.subs:
-                frame = {
-                    "frame": "delta",
-                    "subscription": sub.id,
-                    "version": record.version,
-                    "inserted": wire_inserted,
-                    "deleted": wire_deleted,
-                }
-                if trace_id is not None:
-                    frame["trace_id"] = trace_id
-                self._enqueue_locked(sub, frame, now)
-                sinks.add(sub.sink)
-        return sinks
-
-    def _apply_record_to_view_locked(self, view, record):
-        """Advance one view past *record*; returns ``(inserted, deleted)``
-        dicts of net row changes, or None when the answer did not change."""
-        if record.version <= view.version:
-            return None
-        delta = record.delta
-        if delta is not None and delta.is_empty:
-            view.version = record.version
-            view.skipped_empty += 1
-            return None
-        if view.mode == "maintained" and delta is not None:
-            try:
-                stats = view.view.apply_delta(delta)
-            except Exception:
-                view.maintenance_errors += 1
-                logger.exception(
-                    "maintenance of subscribed view %s failed; diffing instead",
-                    view.plan.fingerprint[:12],
-                )
-                return self._diff_refresh_locked(view, record)
-            view.maintenance_passes += 1
-            inserted = {}
-            deleted = {}
-            for predicate in view.predicates:
-                add = stats.added.get(predicate)
-                rem = stats.deleted.get(predicate)
-                if add:
-                    inserted[predicate] = add
-                    view.rows.setdefault(predicate, set()).update(add)
-                if rem:
-                    deleted[predicate] = rem
-                    view.rows.setdefault(predicate, set()).difference_update(rem)
-            view.version = record.version
-            if not inserted and not deleted:
-                return None
-            return inserted, deleted
-        # Diff fallback (and maintained views facing a delta-less record):
-        # skip commits that provably miss the plan's footprint, otherwise
-        # re-evaluate at the record's version and diff.
-        if (
-            delta is not None
-            and view.footprint is not None
-            and not (view.footprint & delta.touched_predicates(DOMAIN_PREDICATE))
-        ):
-            view.version = record.version
-            return None
-        return self._diff_refresh_locked(view, record)
-
-    def _diff_refresh_locked(self, view, record):
-        version, graph = self.store.snapshot_versioned()
-        if version != record.version:
-            graph = self.store.graph_at(record.version)
-        image = self._image_for(view, record.version, graph)
-        if view.mode == "maintained":
-            # Keep the MaterializedView's internal state in step, or the
-            # next apply_delta would maintain off a stale base.
-            view.view.refresh_full(image.database)
-            new_rows = {p: set(view.view.state.facts(p)) for p in view.predicates}
-        else:
-            result = view.plan.evaluate(graph, image, view.eval_params)
-            new_rows = {p: set(rows) for p, rows in result.items()}
-        inserted = {}
-        deleted = {}
-        for predicate in set(new_rows) | set(view.rows):
-            added = new_rows.get(predicate, set()) - view.rows.get(predicate, set())
-            removed = view.rows.get(predicate, set()) - new_rows.get(predicate, set())
-            if added:
-                inserted[predicate] = added
-            if removed:
-                deleted[predicate] = removed
-        view.rows = new_rows
-        view.predicates = tuple(sorted(set(view.predicates) | set(new_rows)))
-        view.version = record.version
-        view.diff_refreshes += 1
-        if not inserted and not deleted:
-            return None
-        return inserted, deleted
 
     # -------------------------------------------------------- backpressure
 
@@ -551,7 +320,7 @@ class SubscriptionManager:
                     sub.needs_resync = False
                     frames.append(
                         protocol.snapshot_frame(
-                            sub.id, sub.view.version, sub.view.rows, resync=True
+                            sub.id, sub.view.version, sub.view.snapshot(), resync=True
                         )
                     )
                     self.snapshots_sent += 1
@@ -568,21 +337,19 @@ class SubscriptionManager:
     def resync_all(self):
         """Re-materialize every view and force snapshot frames to every
         subscriber.  Called when version arithmetic can no longer be
-        trusted: a replica re-bootstrap (the store version may regress) or
-        history truncation below the dispatch watermark."""
+        trusted: a replica re-bootstrap (the store version may regress)."""
         with self._lock:
-            self._resync_all_locked()
-            self._applied = self.store.version
+            if not self._views_by_key:
+                return
+            for view in self._views_by_key.values():
+                view.refresh()
+            self._resync_locked(self._subs.values())
             sinks = {sub.sink for sub in self._subs.values()}
         self._notify(sinks)
 
-    def _resync_all_locked(self):
-        if not self._views_by_key:
-            return
-        version, graph = self.store.snapshot_versioned()
-        for view in self._views_by_key.values():
-            view.refresh(version, graph, self._image_for(view, version, graph))
-        for sub in self._subs.values():
+    def _resync_locked(self, subs):
+        """The next frame of each of *subs* is a snapshot of its view."""
+        for sub in subs:
             if sub.closed is None:
                 sub.pending.clear()
                 sub.needs_resync = True
@@ -602,6 +369,7 @@ class SubscriptionManager:
                 return
             self._closed = True
             self._views_by_key.clear()
+            self._watchers.clear()
             self._subs.clear()
             self._by_sink.clear()
             self._disconnect_sinks.clear()
@@ -615,8 +383,8 @@ class SubscriptionManager:
     def stats(self):
         with self._lock:
             views = {
-                view.plan.fingerprint[:12]: view.stats()
-                for view in self._views_by_key.values()
+                view.plan.fingerprint[:12]: dict(view.stats(), subscribers=len(subs))
+                for view, subs in self._watchers.items()
             }
             return {
                 "active_subscriptions": len(self._subs),

@@ -24,8 +24,8 @@ from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel
 from repro.ham.store import HAMStore
-from repro.ham.views import ViewManager
 from repro.translation.differential import random_database, random_sl_program
+from tests.test_views import watch
 
 TC = parse_program(
     """
@@ -294,28 +294,23 @@ class TestRandomizedDifferential:
 
 
 class TestStoreLevelDifferential:
-    """ViewManager over random commits vs fresh evaluation of the query."""
+    """Hook-fed views over random commits vs fresh evaluation of the query."""
 
-    QUERY = parse_graphical_query(
-        """
+    QUERY = """
         define (X) -[risky]-> (Y) {
             (X) -[link+]-> (Y);
             (X) -[~fast]-> (Y);
         }
-        """
-    )
-    MARKED = parse_graphical_query(
-        "define (X) -[marked]-> (Y) { (X) -[link]-> (Y); stop(Y); }"
-    )
+    """
+    MARKED = "define (X) -[marked]-> (Y) { (X) -[link]-> (Y); stop(Y); }"
 
     def test_random_commits_match_fresh_evaluation(self):
         rng = random.Random(17)
         nodes = [f"n{i}" for i in range(8)]
         store = HAMStore()
         store.load_database(Database.from_facts({"link": [("n0", "n1")]}))
-        manager = ViewManager(store)
-        risky = manager.register("risky", self.QUERY)
-        marked = manager.register("marked", self.MARKED)
+        risky, _ = watch(store, self.QUERY)
+        marked, _ = watch(store, self.MARKED)
         edges = [("n0", "n1", "link")]
         present = ["n0", "n1"]  # nodes known to exist (edges never remove them)
         labeled = set()
@@ -345,16 +340,17 @@ class TestStoreLevelDifferential:
                         txn.set_node_label(node, "stop")
                         labeled.add(node)
             engine = GraphLogEngine()
-            assert manager.answers("risky") == engine.answers(
-                self.QUERY, store.graph, "risky"
+            assert risky.rows("risky") == engine.answers(
+                parse_graphical_query(self.QUERY), store.graph, "risky"
             ), step
-            assert manager.answers("marked") == engine.answers(
-                self.MARKED, store.graph, "marked"
+            assert marked.rows("marked") == engine.answers(
+                parse_graphical_query(self.MARKED), store.graph, "marked"
             ), step
-        # Everything above must have gone through maintenance, not refresh.
-        # (Commits whose fact-level delta is empty — e.g. a duplicate
-        # parallel edge — are skipped entirely, so <= 40.)
-        assert risky.full_refreshes == 1
-        assert marked.full_refreshes == 1
-        assert 30 <= risky.incremental_updates <= 40
-        assert marked.incremental_updates == risky.incremental_updates
+        # Everything above must have gone through maintenance, not
+        # re-evaluation: each commit is one pass or one skipped empty delta
+        # (e.g. a duplicate parallel edge).
+        for view in (risky, marked):
+            assert view.maintenance_errors == 0
+            assert view.maintenance_passes + view.skipped_empty == 40
+        assert 30 <= risky.maintenance_passes <= 40
+        assert marked.maintenance_passes == risky.maintenance_passes

@@ -1,5 +1,8 @@
 """Tests for the HAM-style transactional, versioned graph store."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.dsl import parse_graphical_query
@@ -281,6 +284,123 @@ class TestSubscribers:
         with session.transaction() as txn:
             txn.add_edge("a", "b", "x")
         assert order == ["first", "bad", "last"]
+
+
+def _add_edge(store, source, target):
+    with store.session().transaction() as txn:
+        txn.add_edge(source, target, "x")
+
+
+class TestOrderedDelivery:
+    """``HAMStore.subscribe``'s contract: every record reaches every hook
+    exactly once, in version order, on its committing thread, and a commit
+    returns only after its own record's hooks ran."""
+
+    def test_a_held_hook_holds_the_later_commit(self, store):
+        seen = []
+        held, release = threading.Event(), threading.Event()
+
+        def hook(record):
+            if record.version == 1:
+                held.set()
+                assert release.wait(10)
+            seen.append((record.version, threading.current_thread().name))
+
+        store.subscribe(hook)
+        first = threading.Thread(target=_add_edge, args=(store, "a", "b"), name="w1")
+        second = threading.Thread(target=_add_edge, args=(store, "b", "c"), name="w2")
+        first.start()
+        assert held.wait(10)
+        second.start()
+        assert store.wait_for_version(2, timeout=10)  # installed behind the held hook
+        second.join(0.2)
+        assert second.is_alive() and seen == []  # commit() has not returned
+        release.set()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert seen == [(1, "w1"), (2, "w2")]
+
+    def test_a_raising_hook_does_not_stall_later_commits(self, store):
+        seen = []
+
+        def bad(record):
+            raise RuntimeError("subscriber boom")
+
+        store.subscribe(bad)
+        store.subscribe(lambda record: seen.append(record.version))
+        for i in range(3):
+            _add_edge(store, f"n{i}", f"n{i + 1}")
+        assert seen == [1, 2, 3]
+        assert store.stats()["subscriber_failures"] == 3
+
+    def test_replicated_applies_take_the_same_turns(self, store):
+        primary = HAMStore()
+        for i in range(3):
+            _add_edge(primary, f"n{i}", f"n{i + 1}")
+        seen = []
+        store.subscribe(lambda record: seen.append(record.version))
+        for record in primary.history():
+            store.apply_replicated(record)
+        store.replace_state(primary.graph_at(1), 1, 1)  # a re-bootstrap regresses
+        for record in primary.history()[1:]:
+            store.apply_replicated(record)
+        assert seen == [1, 2, 3, 2, 3]
+
+    def test_racing_writers_are_delivered_in_version_order(self, store):
+        seen = []
+        store.subscribe(lambda record: seen.append(record.version))
+
+        def writer(index):
+            for j in range(25):
+                _add_edge(store, f"w{index}.{j}", f"w{index}.{j + 1}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == list(range(1, 201))
+
+    def test_racing_writers_lose_no_edit(self, store):
+        # Two commits staged from one base would each publish a graph
+        # without the other's edit (and a writer's removal of an edge it
+        # added itself would fail as a conflict).
+        errors = []
+
+        def writer(index):
+            try:
+                for j in range(50):
+                    with store.session().transaction() as txn:
+                        txn.add_edge(f"w{index}", f"n{j}", "x")
+                        if j % 5 == 4:
+                            txn.remove_edge(f"w{index}", f"n{j - 1}", "x")
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and store.version == 200
+        expected = {
+            (f"w{i}", f"n{j}") for i in range(4) for j in range(50) if j % 5 != 3
+        }
+        assert {(s, t) for s, t, _label in store.graph.edge_triples()} == expected
+        # The log agrees with the published graph: replaying it gives the same.
+        assert store.graph_at(200) == store.graph
 
 
 class TestHistoryTruncation:

@@ -8,14 +8,13 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core.dsl import parse_graphical_query
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.errors import ProtocolError
 from repro.ham.store import HAMStore
-from repro.ham.views import ViewManager
 from repro.service.server import QueryService
+from tests.test_views import watch
 
 TC_PROGRAM = """
 edge(a, b). edge(b, c). edge(c, d). edge(d, a).
@@ -190,8 +189,7 @@ class TestDRedTracing:
         with session.transaction() as txn:
             for a, b in [("a", "b"), ("b", "c"), ("c", "d")]:
                 txn.add_edge(a, b, "link")
-        manager = ViewManager(store)
-        manager.register("reach", parse_graphical_query(REACH_QUERY))
+        watch(store, REACH_QUERY)
         with obs.tracing("commit") as tr:
             with session.transaction() as txn:
                 txn.remove_edge("b", "c", "link")
@@ -293,9 +291,6 @@ from repro.obs.logs import (
 )
 from repro.obs.metrics import (
     CONTENT_TYPE,
-    Counter,
-    Gauge,
-    Histogram,
     HistogramData,
     MetricFamily,
     Registry,
@@ -381,54 +376,12 @@ class TestHistogramData:
         assert buckets[-1][1] == 2
 
 
-class TestTypedRegistry:
-    def test_counter_monotonic(self):
-        registry = Registry()
-        counter = Counter("t_requests_total", "help", registry=registry)
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge(self):
-        gauge = Gauge("t_depth")
-        gauge.set(7)
-        gauge.dec(2)
-        assert gauge.value == 5
-
-    def test_labeled_children(self):
-        counter = Counter("t_ops_total", labelnames=("op",))
-        counter.labels("read").inc()
-        counter.labels("read").inc()
-        counter.labels(op="write").inc()
-        family = counter.collect()
-        values = {tuple(sorted(s[1].items())): s[2] for s in family.samples}
-        assert values[(("op", "read"),)] == 2
-        assert values[(("op", "write"),)] == 1
-
-    def test_label_arity_checked(self):
-        counter = Counter("t_ops_total", labelnames=("op",))
-        with pytest.raises(ValueError):
-            counter.labels()
-        with pytest.raises(ValueError):
-            counter.labels("a", "b")
-        with pytest.raises(ValueError):
-            counter.inc()  # labeled instrument needs .labels()
-
+class TestRegistry:
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
-            Counter("bad-name")
-        with pytest.raises(ValueError):
-            Counter("ok_name", labelnames=("bad-label",))
+            MetricFamily("bad-name", "gauge")
         with pytest.raises(ValueError):
             MetricFamily("x", "nonsense")
-
-    def test_duplicate_registration_rejected(self):
-        registry = Registry()
-        Counter("t_dup", registry=registry)
-        with pytest.raises(ValueError):
-            Counter("t_dup", registry=registry)
 
     def test_collector_callback(self):
         registry = Registry()
@@ -453,12 +406,16 @@ class TestExposition:
 
     def test_histogram_rendering(self):
         registry = Registry()
-        hist = Histogram(
-            "t_seconds", "help text", labelnames=("op",), registry=registry,
-            buckets=(0.1, 1.0),
+        hist = HistogramData(bounds=(0.1, 1.0))
+        hist.observe(0.05)
+        hist.observe(5.0)
+        registry.collector(
+            lambda: [
+                MetricFamily("t_seconds", "histogram", "help text").add_histogram(
+                    hist, {"op": "q"}
+                )
+            ]
         )
-        hist.labels("q").observe(0.05)
-        hist.labels("q").observe(5.0)
         text = registry.render()
         assert 't_seconds_bucket{le="0.1",op="q"} 1' in text
         assert 't_seconds_bucket{le="+Inf",op="q"} 2' in text
@@ -468,10 +425,30 @@ class TestExposition:
 
     def test_full_registry_lints(self):
         registry = Registry()
-        Counter("t_total", "with help", registry=registry).inc()
-        Gauge("t_gauge", registry=registry).set(-2.5)
-        Histogram("t_hist", registry=registry, buckets=(0.5,)).observe(0.1)
-        lint_exposition(registry.render())
+        hist = HistogramData(bounds=(0.5,))
+        hist.observe(0.1)
+        registry.collector(
+            lambda: [
+                MetricFamily("t_total", "counter", "with help").add_sample(1),
+                MetricFamily("t_gauge", "gauge").add_sample(-2.5),
+                MetricFamily("t_hist", "histogram").add_histogram(hist),
+            ]
+        )
+        text = registry.render()
+        assert "t_gauge -2.5" in text
+        lint_exposition(text)
+
+    def test_in_flight_gauge_lines(self):
+        from repro.service.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        metrics.request_started()
+        assert (
+            "# HELP repro_in_flight_requests Requests currently executing or "
+            "queued in the service\n"
+            "# TYPE repro_in_flight_requests gauge\n"
+            "repro_in_flight_requests 1\n"
+        ) in metrics.render_prometheus()
 
     def test_empty_registry_renders_empty(self):
         assert Registry().render() == ""
@@ -620,7 +597,9 @@ class TestTelemetryEndpoint:
 
     def test_metrics_and_healthz(self):
         registry = Registry()
-        Counter("t_live_total", "alive", registry=registry).inc()
+        registry.collector(
+            lambda: [MetricFamily("t_live_total", "counter", "alive").add_sample(1)]
+        )
         endpoint = TelemetryHTTPServer(
             registry.render, lambda: {"status": "ok"}, port=0
         ).start()

@@ -227,6 +227,35 @@ class TestSubscriptionManager:
         assert [f["frame"] for f in frames] == ["snapshot"]
         assert mgr.stats()["forced_resyncs"] == 1
 
+    def test_view_reset_resyncs_that_views_subscribers(self, manager, monkeypatch):
+        # A failed maintenance pass whose previous version is no longer
+        # retained has no delta to report: the subscribers get a snapshot.
+        store, mgr, plans = manager
+        store.unsubscribe(mgr._on_commit)
+        store.subscribe(lambda record: store.truncate_history(0))
+        store.subscribe(mgr._on_commit)
+        sink = FakeSink()
+        sub, _, _ = mgr.subscribe(plans.get("graphlog", REACH), {}, sink)
+
+        def boom(database, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sub.view.maintenance, "maintain", boom)
+        version = add_edge(store, "c", "d")
+        monkeypatch.undo()
+        frames, _ = mgr.drain(sink)
+        assert [(f["frame"], f["version"], f.get("resync")) for f in frames] == [
+            ("snapshot", version, True)
+        ]
+        assert {tuple(r) for r in frames[0]["relations"]["reach"]} == {
+            ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"),
+        }
+        assert mgr.stats()["forced_resyncs"] == 1
+        assert store.stats()["subscriber_failures"] == 0
+        remove_edge(store, "c", "d")
+        frames, _ = mgr.drain(sink)
+        assert [f["frame"] for f in frames] == ["delta"]
+
     def test_concurrent_commits_never_skip_a_version(self, manager):
         """Deltas arrive exactly once per commit, in version order, even
         when many writer threads race the dispatch hook."""

@@ -1,41 +1,48 @@
 """Tests for materialized views and incremental maintenance."""
 
+import threading
+
 from repro.core.dsl import parse_graphical_query
-from repro.core.translate import translate
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
 from repro.datalog.dred import evaluate_with_counts
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel
-from repro.ham.delta import Delta
-from repro.ham.store import HAMStore
-from repro.ham.views import MaterializedView, ViewManager, is_monotone_program
+from repro.ham.image import StoreImages
+from repro.ham.store import HAMStore, TransactionRecord
+from repro.ham.views import MaterializedView
+from repro.service.prepared import PreparedQuery
 
-REACH = parse_graphical_query(
-    """
+REACH = """
     define (X) -[reach]-> (Y) {
         (X) -[link+]-> (Y);
     }
-    """
-)
+"""
 
-NONMONO = parse_graphical_query(
-    """
+NONMONO = """
     define (X) -[blocked]-> (Y) {
         (X) -[link]-> (Y);
         (X) -[~fast]-> (Y);
     }
-    """
-)
+"""
 
 
-class TestMonotonicity:
-    def test_positive_program_monotone(self):
-        assert is_monotone_program(translate(REACH))
+def watch(store, text, op="graphlog", **params):
+    """A view of *text* over *store*, fed by an ordered commit hook; returns
+    ``(view, changes)`` — *changes* collects what each ``apply`` returned."""
+    view = MaterializedView(PreparedQuery(op, text), StoreImages(store), params)
+    view.refresh()
+    changes = []
+    store.subscribe(lambda record: changes.append(view.apply(record)))
+    return view, changes
 
-    def test_negation_not_monotone(self):
-        assert not is_monotone_program(translate(NONMONO))
+
+def oracle(store, text, predicate):
+    """From-scratch naive evaluation over the store's current graph."""
+    return GraphLogEngine("naive").answers(
+        parse_graphical_query(text), store.graph, predicate
+    )
 
 
 TC = parse_program(
@@ -52,7 +59,7 @@ def _naive(program, facts):
 
 class TestInsertOnlyMaintenance:
     """Insert-only deltas through the one maintenance path
-    (``MaintenancePlan.maintain`` / ``MaterializedView.apply_delta``),
+    (``MaintenancePlan.maintain``, which ``MaterializedView.apply`` runs),
     against from-scratch naive evaluation."""
 
     def _maintained(self, program, facts, inserts):
@@ -111,21 +118,16 @@ class TestInsertOnlyMaintenance:
         assert ("x", "y") in database.facts("p")
 
     def test_nonmonotone_insert_retracts_through_negation(self):
-        view = MaterializedView("blocked", NONMONO)
-        view.refresh_full(
+        store = HAMStore()
+        store.load_database(
             Database.from_facts({"link": [("a", "b"), ("b", "c")], "fast": [("a", "b")]})
         )
-        assert view.answers() == {("b", "c")}
-        delta = Delta()
-        delta.insert("fast", ("b", "c"))
-        view.apply_delta(delta)
-        fresh = GraphLogEngine("naive").answers(
-            NONMONO,
-            Database.from_facts(
-                {"link": [("a", "b"), ("b", "c")], "fast": [("a", "b"), ("b", "c")]}
-            ),
-        )
-        assert view.answers() == fresh == set()
+        view, changes = watch(store, NONMONO)
+        assert view.rows("blocked") == {("b", "c")}
+        with store.session().transaction() as txn:
+            txn.add_edge("b", "c", EdgeLabel("fast"))
+        assert changes == [({}, {"blocked": {("b", "c")}})]
+        assert view.rows("blocked") == oracle(store, NONMONO, "blocked") == set()
 
     def test_random_differential(self):
         import random
@@ -145,131 +147,235 @@ class TestInsertOnlyMaintenance:
             assert database.facts("tc") == _naive(TC, {"e": edges}).facts("tc"), step
 
 
-class TestViewManager:
+class TestStoreLevelView:
+    """A caller-held view fed by ``store.subscribe`` (what ``ViewManager``
+    wrapped): the same cases, against the one view class."""
+
     def _store(self):
         store = HAMStore()
         db = Database.from_facts({"link": [("a", "b"), ("b", "c")]})
         store.load_database(db)
         return store
 
-    def test_register_evaluates(self):
-        manager = ViewManager(self._store())
-        manager.register("reach", REACH)
-        assert ("a", "c") in manager.answers("reach")
+    def test_refresh_evaluates(self):
+        view, _ = watch(self._store(), REACH)
+        assert view.mode == "maintained"
+        assert ("a", "c") in view.rows("reach")
+        assert view.snapshot() == {"reach": view.rows("reach")}
 
     def test_incremental_on_insert(self):
         store = self._store()
-        manager = ViewManager(store)
-        view = manager.register("reach", REACH)
+        view, changes = watch(store, REACH)
         with store.session().transaction() as txn:
             txn.add_edge("c", "d", EdgeLabel("link"))
-        assert ("a", "d") in manager.answers("reach")
-        assert view.incremental_updates == 1
-        assert view.full_refreshes == 1  # the initial one
+        assert ("a", "d") in view.rows("reach")
+        assert changes == [({"reach": {("a", "d"), ("b", "d"), ("c", "d")}}, {})]
+        assert view.maintenance_passes == 1
+        assert view.version == store.version
 
     def test_delete_maintained_incrementally(self):
         store = self._store()
-        manager = ViewManager(store)
-        view = manager.register("reach", REACH)
+        view, changes = watch(store, REACH)
         with store.session().transaction() as txn:
             txn.remove_edge("b", "c", EdgeLabel("link"))
-        assert ("a", "c") not in manager.answers("reach")
-        assert ("a", "b") in manager.answers("reach")
-        assert view.full_refreshes == 1  # only the initial one
-        assert view.incremental_updates == 1
-        assert view.overdeleted > 0
+        assert view.rows("reach") == {("a", "b")}
+        assert changes == [({}, {"reach": {("a", "c"), ("b", "c")}})]
+        assert view.maintenance_passes == 1 and view.maintenance_errors == 0
 
     def test_nonmonotone_view_maintained_incrementally(self):
         store = self._store()
         db = Database.from_facts({"fast": [("a", "b")]})
         store.load_database(db)
-        manager = ViewManager(store)
-        view = manager.register("blocked", NONMONO)
-        assert manager.answers("blocked") == {("b", "c")}
+        view, _ = watch(store, NONMONO)
+        assert view.rows("blocked") == {("b", "c")}
         with store.session().transaction() as txn:
             txn.add_edge("c", "d", EdgeLabel("link"))
-        assert ("c", "d") in manager.answers("blocked")
+        assert ("c", "d") in view.rows("blocked")
         # A new fast edge must *retract* the blocked answer, through the
-        # negated literal, without a full refresh.
+        # negated literal, by maintenance alone.
         with store.session().transaction() as txn:
             txn.add_edge("c", "d", EdgeLabel("fast"))
-        assert ("c", "d") not in manager.answers("blocked")
-        assert view.full_refreshes == 1
-        assert view.incremental_updates == 2
+        assert ("c", "d") not in view.rows("blocked")
+        assert view.maintenance_passes == 2
 
     def test_relabel_maintained_incrementally(self):
         store = self._store()
-        manager = ViewManager(store)
-        manager.register(
-            "marked",
-            parse_graphical_query(
-                "define (X) -[marked]-> (Y) { (X) -[link]-> (Y); stop(Y); }"
-            ),
+        view, _ = watch(
+            store, "define (X) -[marked]-> (Y) { (X) -[link]-> (Y); stop(Y); }"
         )
-        assert manager.answers("marked") == set()
+        assert view.rows("marked") == set()
         with store.session().transaction() as txn:
             txn.set_node_label("c", "stop")
-        assert manager.answers("marked") == {("b", "c")}
+        assert view.rows("marked") == {("b", "c")}
         with store.session().transaction() as txn:
             txn.set_node_label("c", None)
-        assert manager.answers("marked") == set()
+        assert view.rows("marked") == set()
 
-    def test_summary_view_falls_back_to_full_refresh(self):
+    def test_summary_view_recomputes_and_diffs(self):
         # Aggregation/summarization is non-monotone in a way support counts
-        # cannot track; such views must refuse maintenance and recompute.
-        from repro.core.query_graph import GraphicalQuery
-
-        query = GraphicalQuery()
-        graph = query.define("X", "Y", "best", extra=["V"])
-        graph.summarize("X", "Y", "hop", "longest", "V")
-
+        # cannot track; such views re-evaluate and report the set difference.
         store = HAMStore()
         store.load_database(Database.from_facts({"hop": [("a", "b", 3)]}))
-        manager = ViewManager(store)
-        view = manager.register("best", query)
-        assert view.maintainable is False
+        view, changes = watch(
+            store, "define (X) -[best(V)]-> (Y) { (X) -[hop @ longest V]-> (Y); }"
+        )
+        assert view.mode == "diff"
         assert "not maintainable" in view.fallback_reason
-        assert manager.answers("best") == {("a", "b", 3)}
+        assert view.rows("best") == {("a", "b", 3)}
         with store.session().transaction() as txn:
             txn.add_edge("b", "c", EdgeLabel("hop", (2,)))
-        assert ("a", "c", 5) in manager.answers("best")
-        assert view.full_refreshes == 2
-        assert view.incremental_updates == 0
+        assert changes == [({"best": {("b", "c", 2), ("a", "c", 5)}}, {})]
+        assert view.diff_refreshes == 2  # the initial one and the commit's
+        assert view.maintenance_passes == 0
 
-    def test_view_manager_stats_shape(self):
+    def test_datalog_view_reads_the_raw_edb(self):
         store = self._store()
-        manager = ViewManager(store)
-        manager.register("reach", REACH)
+        view, _ = watch(
+            store, "tc(X, Y) :- link(X, Y). tc(X, Y) :- link(X, Z), tc(Z, Y).",
+            op="datalog", predicate="tc",
+        )
+        with store.session().transaction() as txn:
+            txn.add_edge("c", "a", EdgeLabel("link"))
+        assert view.rows("tc") == {(x, y) for x in "abc" for y in "abc"}
+        assert "node" not in view.state
+
+    def test_stats_shape(self):
+        store = self._store()
+        view, _ = watch(store, REACH)
         with store.session().transaction() as txn:
             txn.add_edge("c", "d", EdgeLabel("link"))
-        stats = manager.stats()
-        assert stats["count"] == 1
-        assert stats["totals"]["incremental_updates"] == 1
-        assert stats["totals"]["view_maintenance_ms"] >= 0
-        assert stats["views"]["reach"]["maintainable"] is True
+        assert view.stats() == {
+            "mode": "maintained",
+            "fallback_reason": None,
+            "version": store.version,
+            "rows": 6,
+            "predicates": ["reach"],
+            "maintenance_passes": 1,
+            "diff_refreshes": 0,
+            "deltas_emitted": 1,
+            "skipped_empty": 0,
+            "maintenance_errors": 0,
+        }
 
     def test_star_view_sees_new_nodes(self):
         store = self._store()
-        manager = ViewManager(store)
-        manager.register(
-            "reach0",
-            parse_graphical_query(
-                "define (X) -[reach0]-> (Y) { (X) -[link*]-> (Y); }"
-            ),
+        view, _ = watch(
+            store, "define (X) -[reach0]-> (Y) { (X) -[link*]-> (Y); }"
         )
         with store.session().transaction() as txn:
             txn.add_node("z")
             txn.add_edge("c", "z", EdgeLabel("link"))
-        answers = manager.answers("reach0")
+        answers = view.rows("reach0")
         assert ("z", "z") in answers
         assert ("a", "z") in answers
 
     def test_matches_fresh_evaluation_after_many_commits(self):
         store = self._store()
-        manager = ViewManager(store)
-        manager.register("reach", REACH)
+        view, _ = watch(store, REACH)
         for edge in [("c", "d"), ("d", "e"), ("x", "y"), ("e", "a")]:
             with store.session().transaction() as txn:
                 txn.add_edge(edge[0], edge[1], EdgeLabel("link"))
-        fresh = GraphLogEngine().answers(REACH, store.graph, "reach")
-        assert manager.answers("reach") == fresh
+        assert view.rows("reach") == oracle(store, REACH, "reach")
+
+    def test_delta_less_record_recomputes_and_diffs(self):
+        # A replicated record that carries no typed delta cannot be
+        # maintained; the view re-evaluates at its version and diffs.
+        primary, replica = self._store(), HAMStore()
+        for record in primary.history():
+            replica.apply_replicated(record)
+        view, changes = watch(replica, REACH)
+        with primary.session().transaction() as txn:
+            txn.remove_edge("a", "b", EdgeLabel("link"))
+        (record,) = primary.records_since(replica.version)
+        replica.apply_replicated(
+            TransactionRecord(
+                record.txn_id, record.session_id, record.operations, record.version
+            )
+        )
+        assert changes == [({}, {"reach": {("a", "b"), ("a", "c")}})]
+        assert view.rows("reach") == oracle(replica, REACH, "reach") == {("b", "c")}
+        assert view.maintenance_passes == 0
+
+    def test_failed_maintenance_pass_still_reports_the_exact_change(self, monkeypatch):
+        store = self._store()
+        view, changes = watch(store, REACH)
+        maintain = view.maintenance.maintain
+
+        def half_done(database, **kwargs):
+            maintain(database, **kwargs)  # the state is already updated ...
+            raise RuntimeError("boom")  # ... when the pass fails
+
+        monkeypatch.setattr(view.maintenance, "maintain", half_done)
+        with store.session().transaction() as txn:
+            txn.add_edge("c", "d", EdgeLabel("link"))
+        monkeypatch.undo()
+        assert view.maintenance_errors == 1
+        assert changes == [({"reach": {("a", "d"), ("b", "d"), ("c", "d")}}, {})]
+        with store.session().transaction() as txn:
+            txn.remove_edge("a", "b", EdgeLabel("link"))
+        assert view.rows("reach") == oracle(store, REACH, "reach")
+        assert store.stats()["subscriber_failures"] == 0
+
+    def test_failed_pass_with_the_previous_version_gone_resets_the_view(
+        self, monkeypatch
+    ):
+        # No retained version to restore the old answer from: the view
+        # re-materializes at the record's version and says so, once.
+        store = self._store()
+        store.subscribe(lambda record: store.truncate_history(0))
+        view, changes = watch(store, REACH)
+
+        def boom(database, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(view.maintenance, "maintain", boom)
+        with store.session().transaction() as txn:
+            txn.add_edge("c", "d", EdgeLabel("link"))
+        monkeypatch.undo()
+        assert changes == [] and store.stats()["subscriber_failures"] == 1
+        assert view.version == store.version and view.maintenance_errors == 1
+        with store.session().transaction() as txn:
+            txn.remove_edge("a", "b", EdgeLabel("link"))
+        assert changes == [({}, {"reach": {("a", "b"), ("a", "c"), ("a", "d")}})]
+        assert view.rows("reach") == oracle(store, REACH, "reach")
+
+
+class TestOrderedDelivery:
+    """The view has no reordering of its own: it relies on the store
+    delivering records in version order (the reproduction of ISSUE 20)."""
+
+    def test_insert_then_delete_with_the_first_hook_held_back(self):
+        store = HAMStore()
+        store.load_database(Database.from_facts({"link": [("a", "b")]}))
+        held, release = threading.Event(), threading.Event()
+
+        @store.subscribe  # before the view's hook, so it holds that too
+        def hold_version_2(record):
+            if record.version == 2:
+                held.set()
+                assert release.wait(10)
+
+        view, _ = watch(store, REACH)
+
+        def insert():
+            with store.session().transaction() as txn:
+                txn.add_edge("b", "c", EdgeLabel("link"))
+
+        def delete():
+            with store.session().transaction() as txn:
+                txn.remove_edge("b", "c", EdgeLabel("link"))
+
+        first = threading.Thread(target=insert)
+        first.start()
+        assert held.wait(10)  # version 2 is installed, its hooks are held
+        second = threading.Thread(target=delete)
+        second.start()
+        assert store.wait_for_version(3, timeout=10)
+        second.join(0.2)
+        assert second.is_alive()  # version 3 waits its turn
+        release.set()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert view.version == 3
+        assert view.rows("reach") == oracle(store, REACH, "reach") == {("a", "b")}

@@ -178,6 +178,9 @@ MALFORMED = {
     ),
     "non-string-method": protocol.encode({"op": "rpq", "query": "e+", "method": 7}),
     "malformed-trace": protocol.encode({"op": "ping", "trace": "not-an-envelope"}),
+    "oversized-line": protocol.encode(
+        {"op": "ping", "pad": "x" * protocol.MAX_REQUEST_BYTES}
+    ),
 }
 
 
@@ -192,6 +195,11 @@ class TestMalformedRequests:
                 # token when the bad line arrives.
                 assert wire.request(op="update", edges=[["a", "e", via]])["ok"]
                 answers[via] = json.loads(wire.ask(MALFORMED[case]))
+                if case == "oversized-line":
+                    # One answer, then the connection closes.
+                    assert wire.readline() == b""
+                    assert "too long" in answers[via]["error"]["message"]
+                    continue
                 assert wire.request(id=3, op="ping")["result"] == {"pong": True}
         assert answers["node"] == answers["router"]
         assert answers["node"]["ok"] is False
