@@ -38,13 +38,12 @@ def maintained(benchmark, size, inserts):
     edb = chain_edb(size)
 
     def setup():
-        database, counts = plan.evaluate(edb)
-        return (database, counts), {}
+        return (plan.evaluate(edb),), {}
 
-    def maintain(database, counts):
+    def maintain(state):
         for delta_plus in inserts:
-            plan.maintain(database, delta_plus=delta_plus, counts=counts)
-        return database
+            plan.maintain(state, delta_plus=delta_plus)
+        return state
 
     return benchmark.pedantic(maintain, setup=setup, rounds=10)
 

@@ -567,6 +567,8 @@ def _probe_key_fn(bound_sources):
             return lambda row, _s=payload: row[_s]
         return lambda _row, _c=payload: _c
     parts = tuple(bound_sources)
+    if all(kind == "slot" for kind, _payload in parts):
+        return itemgetter(*(payload for _kind, payload in parts))
 
     def key(row):
         return tuple(
@@ -1158,8 +1160,16 @@ def evaluate_columnar(program, edb, stats, tracer=None, root_span=None):
     stratified semantics) as ``Engine.evaluate``.  *stats* is the calling
     engine's :class:`EvaluationStats`, updated in place.
     """
+    state = fixpoint(program, encode_database(edb), stats, tracer)
+    return _decode_result(state, program, edb, program.idb_predicates)
+
+
+def fixpoint(program, encoded, stats, tracer=None):
+    """The stratified fixpoint of *program* over the sealed *encoded* EDB,
+    left encoded: an :class:`_EvalState` whose ``relation(p)`` holds the
+    int rows of every predicate the program mentions (incremental
+    maintenance keeps them as its state instead of decoding)."""
     tracer = tracer or obs.tracer()
-    encoded = encode_database(edb)
     idb = program.idb_predicates
     state = _EvalState(encoded, idb)
 
@@ -1197,8 +1207,7 @@ def evaluate_columnar(program, edb, stats, tracer=None, root_span=None):
                 span.annotate(
                     facts={p: len(state.relation(p)) for p in sorted(group)}
                 )
-
-    return _decode_result(state, program, edb, idb)
+    return state
 
 
 def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):

@@ -117,24 +117,6 @@ class Relation:
             self._indexes[positions] = index
         return index.get(tuple(values), _EMPTY_SET)
 
-    def ensure_index(self, positions):
-        """Force the index over *positions* to exist now.
-
-        Incremental maintenance uses this to pay index builds at plan time
-        rather than inside the first (supposedly O(delta)) delta join.
-        """
-        positions = tuple(positions)
-        if (
-            not positions
-            or len(positions) == self.arity
-            or positions in self._indexes
-        ):
-            return
-        index = defaultdict(set)
-        for row in self._tuples:
-            index[self._key(row, positions)].add(row)
-        self._indexes[positions] = index
-
     def copy(self):
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)

@@ -1,11 +1,15 @@
-"""Incremental maintenance of stratified Datalog fixpoints.
+"""Incremental maintenance of stratified Datalog fixpoints, over int rows.
 
-Given a fully-evaluated database for a program and a fact-level EDB delta
-(insertions and deletions), :class:`MaintenancePlan` updates the database
-*in place* to the fixpoint over the new EDB — in time proportional to the
-change, not the database.  Two complementary techniques, chosen per
-evaluation group (SCC within a stratum, the same grouping the engine
-evaluates in):
+:meth:`MaintenancePlan.evaluate` runs the columnar core and keeps its result
+encoded: a :class:`MaintainedState` holds every relation the program
+mentions as int rows over the EDB's
+:class:`~repro.datalog.columnar.TermCatalog` (a store view's: the image's)
+in :class:`_Rows`, whose indexes ``add`` / ``discard`` keep current, plus
+support counts keyed by encoded rows, and compiles once every join
+maintenance runs as a columnar pipeline.  :meth:`MaintenancePlan.maintain`
+then updates the state in place under a fact-level EDB delta — in time
+proportional to the change, not the database — with one of two techniques
+per evaluation group (SCC within a stratum, as the engine evaluates):
 
 - **Support counting** for non-recursive groups: every derived fact carries
   the number of rule instantiations deriving it (plus one "extensional"
@@ -18,53 +22,55 @@ evaluates in):
   variables, which therefore take the DRed path.
 
 - **Delete-and-rederive (DRed)** for recursive groups: *overdelete* every
-  fact with a derivation that touched the delta (an overestimate, computed
-  semi-naive style against the old state), then *rederive* overdeleted
-  facts still derivable from what remains, then propagate insertions
-  semi-naive.  Stratified negation is handled in both directions: a fact
-  *appearing* under a negated literal triggers overdeletion, a fact
-  *disappearing* triggers insertion.
+  fact with a derivation that touched the delta (semi-naive rounds against
+  the old state), then *rederive* — one batch semijoin per rule and round,
+  seeded with every overdeleted fact at once — what is still derivable from
+  what remains, then propagate insertions semi-naive against the new state.
+  Stratified negation is handled in both directions: a fact *appearing*
+  under a negated literal triggers overdeletion, a fact *disappearing*
+  triggers insertion.
 
-The net effect of a run is recorded per predicate so downstream strata (and
-callers, e.g. materialized views) see only real changes: a fact deleted and
-rederived is no change at all.
+The old state is never copied: it is the current rows minus what the pass
+added plus what it removed (:class:`_Old`).  The net effect of a run is
+recorded per predicate, so downstream groups and callers see only real
+changes — a fact deleted and rederived is no change at all — and only the
+net change of the predicates a plan reports is decoded back to values.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
+from collections import Counter
+from operator import itemgetter
 
 from repro import obs
-from repro.datalog.ast import ArithmeticAssign, Atom, Comparison, Literal
-from repro.datalog.database import Relation
-from repro.datalog.engine import Engine, _declare_relations, _evaluation_groups
+from repro.datalog.ast import Atom, Literal, Rule
+from repro.datalog.columnar import _compile_pipeline, encode_database, fixpoint
+from repro.datalog.engine import EvaluationStats, _evaluation_groups
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
+from repro.errors import ArityError
 
 _OLD = "\x00old"
 _NEW = "\x00new"
+#: The pseudo-literal that seeds a rederivation join with candidate heads.
+_HEAD = "\x00head"
 
 
 class MaintenanceStats:
     """Counters from one :meth:`MaintenancePlan.maintain` run.
 
     ``added``/``deleted`` carry the net per-predicate row changes of the
-    run (``{predicate: set of rows}``, empty predicates omitted) so callers
-    — live subscriptions in particular — can stream the exact view delta
-    without diffing before/after snapshots.
+    run (``{predicate: set of rows}``, empty predicates omitted) for the
+    predicates the plan reports, so callers — live subscriptions in
+    particular — can stream the exact view delta without diffing
+    before/after snapshots.
     """
 
     __slots__ = (
-        "overdeleted",
-        "rederived",
-        "count_updates",
-        "facts_inserted",
-        "facts_deleted",
-        "counting_groups",
-        "dred_groups",
-        "added",
-        "deleted",
+        "overdeleted", "rederived", "count_updates", "facts_inserted",
+        "facts_deleted", "counting_groups", "dred_groups", "added", "deleted",
     )
 
     def __init__(self):
@@ -86,42 +92,135 @@ class MaintenanceStats:
         )
 
 
-class _UnionRelation:
-    """Read-only union of a live relation and a live extra relation.
+class _KeySet(set):
+    """A row set that is also its own full-width index (``get`` by the whole
+    row), so a fully-bound probe needs no second copy of the rows."""
 
-    Used as the *old* view of a predicate while its rows are being moved
-    from the current relation into the removed set: ``current ∪ removed``
-    equals the pre-commit extension exactly as long as nothing has been
-    added to the predicate yet.
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        return {key} if key in self else default
+
+
+class _Rows:
+    """A mutable set of encoded rows of one arity, read by the columnar
+    kernels like a :class:`~repro.datalog.columnar.ColumnarRelation`.
+
+    ``index(positions)`` has the same key shapes, but its buckets are sets
+    that :meth:`add` / :meth:`discard` keep current in O(1) per row and
+    built index; an emptied bucket is dropped, so ``key in index`` is
+    membership.
     """
 
-    __slots__ = ("_base", "_extra", "arity")
+    __slots__ = ("arity", "keys", "_indexes")
 
-    def __init__(self, base, extra):
-        self._base = base
-        self._extra = extra
-        self.arity = base.arity
+    def __init__(self, arity, rows=()):
+        self.arity = arity
+        self.keys = _KeySet(rows)
+        self._indexes = {}
 
-    def lookup(self, positions, values):
-        base = self._base.lookup(positions, values)
-        extra = self._extra.lookup(positions, values)
-        if not extra:
-            return base
-        if not base:
-            return extra
-        return list(base) + list(extra)
+    @property
+    def rows(self):
+        return self.keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def index(self, positions):
+        if len(positions) == self.arity > 1:
+            return self.keys
+        entry = self._indexes.get(positions)
+        if entry is None:
+            entry = self._indexes[positions] = (itemgetter(*positions), {})
+            _file(entry, self.keys)
+        return entry[1]
+
+    def add(self, rows):
+        """Add *rows*; returns the set of those that were new."""
+        new = set(rows)
+        new -= self.keys
+        if new:
+            self.keys |= new
+            for entry in self._indexes.values():
+                _file(entry, new)
+        return new
+
+    def discard(self, rows):
+        """Discard *rows*; returns the set of those that were present."""
+        gone = self.keys.intersection(rows)
+        if gone:
+            self.keys -= gone
+            for key_of, mapping in self._indexes.values():
+                for row in gone:
+                    key = key_of(row)
+                    bucket = mapping[key]
+                    if len(bucket) == 1:
+                        del mapping[key]
+                    else:
+                        bucket.discard(row)
+        return gone
 
 
-class _Facade:
-    """A Database stand-in resolving predicate names through a callable."""
+def _file(entry, rows):
+    key_of, mapping = entry
+    for row in rows:
+        key = key_of(row)
+        bucket = mapping.get(key)
+        if bucket is None:
+            mapping[key] = {row}
+        else:
+            bucket.add(row)
 
-    __slots__ = ("_resolve",)
 
-    def __init__(self, resolve):
-        self._resolve = resolve
+class _Old:
+    """A predicate's extension as the running pass found it: ``(current −
+    added) ∪ removed``, where ``added`` / ``removed`` are the pass's net
+    changes so far.  Read by overdeletion and by the later positions of a
+    counting join; a predicate the pass has not touched answers straight
+    from its current indexes."""
 
-    def relation(self, predicate):
-        return self._resolve(predicate)
+    __slots__ = ("current", "added", "removed")
+
+    def __init__(self, current):
+        self.current = current
+        self.added = set()
+        self.removed = _Rows(current.arity)
+
+    @property
+    def rows(self):
+        return (self.current.keys - self.added) | self.removed.keys
+
+    def __len__(self):
+        return len(self.current) - len(self.added) + len(self.removed)
+
+    def index(self, positions):
+        current = self.current.index(positions)
+        if not self.added and not self.removed.keys:
+            return current
+        return _OldIndex(current, self.added, self.removed.index(positions))
+
+
+class _OldIndex:
+    """One index of an :class:`_Old` extension, merged per probe."""
+
+    __slots__ = ("current", "added", "removed")
+
+    def __init__(self, current, added, removed):
+        self.current = current
+        self.added = added
+        self.removed = removed
+
+    def get(self, key, default=None):
+        rows = self.current.get(key)
+        if rows and self.added:
+            rows = rows - self.added
+        extra = self.removed.get(key)
+        if extra:
+            rows = rows | extra if rows else extra
+        return rows or default
+
+    def __contains__(self, key):
+        return bool(self.get(key))
 
 
 def _delta_orders(schedule):
@@ -130,8 +229,7 @@ def _delta_orders(schedule):
 
     A delta under a negated literal is enumerated through its positive twin
     — the rows that *became* true — and the original literal, appended last,
-    re-checks the negation against the state the join reads.  A pure
-    function of the schedule, so a plan computes it once.
+    re-checks the negation against the state the join reads.
     """
     orders = {}
     for index, element in enumerate(schedule):
@@ -147,287 +245,212 @@ def _delta_orders(schedule):
 
 
 def _counting_orders(schedule):
-    """``{index: (ordered, aliases)}`` for the counting technique's hybrid
-    joins: the delta literal first, every other literal renamed to read the
-    new (before the delta's position) or old (after it) extension of its
-    predicate; ``aliases`` lists ``(alias, predicate, old)``."""
+    """``{index: ordered}`` for the counting technique's hybrid joins: the
+    delta literal first, every other literal renamed to read the new
+    (before the delta's position) or old (after it) extension of its
+    predicate."""
     orders = {}
     for index, element in enumerate(schedule):
         if not isinstance(element, Literal):
             continue
         others = []
-        aliases = []
         for j, other in enumerate(schedule):
             if j == index:
                 continue
             if isinstance(other, Literal):
-                old = j > index
-                alias = other.predicate + (_OLD if old else _NEW)
-                aliases.append((alias, other.predicate, old))
+                alias = other.predicate + (_OLD if j > index else _NEW)
                 other = Literal(Atom(alias, other.atom.args), positive=other.positive)
             others.append(other)
-        orders[index] = (
-            schedule_body(others, first=Literal(element.atom, positive=True)),
-            aliases,
-        )
+        orders[index] = schedule_body(others, first=Literal(element.atom, positive=True))
     return orders
 
 
-def _bind_head(head, row):
-    """The binding making *head* equal *row*, or None on mismatch."""
-    binding = {}
-    for term, value in zip(head.args, row):
-        if isinstance(term, Variable):
-            seen = binding.get(term)
-            if seen is None:
-                binding[term] = value
-            elif seen != value:
-                return None
-        elif term.value != value:
-            return None
-    return binding
+def _counting_rule(rule):
+    """``(wide, width)``: *rule* with every anonymous variable of a positive
+    literal renamed apart and every other body variable appended to the
+    head, so distinct head rows of *wide* are distinct rule instantiations
+    (matched row combinations) — the unit a support count counts, which a
+    pipeline's set-valued output would otherwise merge.  *width* is the
+    original head's arity, or None when nothing was appended."""
+    fresh = itertools.count()
+    body = []
+    for element in rule.body:
+        if isinstance(element, Literal) and element.positive:
+            args = tuple(
+                Variable(f"\x00{next(fresh)}")
+                if isinstance(t, Variable) and t.is_anonymous
+                else t
+                for t in element.atom.args
+            )
+            element = Literal(Atom(element.predicate, args))
+        body.append(element)
+    extra = sorted(
+        {v for e in body for v in e.variables() if not v.is_anonymous}
+        - rule.head.variables(),
+        key=lambda v: v.name,
+    )
+    if not extra:
+        return Rule(rule.head, body), None
+    head = Atom(rule.head.predicate, rule.head.args + tuple(extra))
+    return Rule(head, body), rule.head.arity
+
+
+def _counting_eligible(group, schedules):
+    """Counting is exact only without recursion and with fully-bound negated
+    literals (a projected negation flips per *instance*, not per row, so
+    per-row signed counting would overcount)."""
+    for schedule in schedules:
+        for element in schedule:
+            if not isinstance(element, Literal):
+                continue
+            if element.positive and element.predicate in group:
+                return False
+            if element.negative and any(
+                isinstance(t, Variable) and t.is_anonymous for t in element.atom.args
+            ):
+                return False
+    return True
+
+
+class _Group:
+    """One evaluation group's maintenance joins as body orders — the
+    per-program half that each :class:`MaintainedState` compiles against
+    its own relations."""
+
+    __slots__ = ("predicates", "body_preds", "counting", "joins", "initial", "rederive")
+
+    def __init__(self, group, rules):
+        self.predicates = group
+        schedules = [schedule_body(rule) for rule in rules]
+        self.body_preds = {
+            e.predicate for s in schedules for e in s if isinstance(e, Literal)
+        }
+        self.counting = _counting_eligible(group, schedules)
+        #: (rule, delta predicate, delta positive?, ordered, width)
+        self.joins = []
+        #: counting: (wide rule, schedule, width) for the initial counts.
+        self.initial = []
+        #: DRed: (rule, ordered) seeded with candidate head rows.
+        self.rederive = []
+        for rule, schedule in zip(rules, schedules):
+            width = None
+            if self.counting:
+                rule, width = _counting_rule(rule)
+                schedule = schedule_body(rule)
+                self.initial.append((rule, schedule, width))
+                orders = _counting_orders(schedule)
+            else:
+                orders = _delta_orders(schedule)
+                head = Literal(Atom(_HEAD, rule.head.args))
+                self.rederive.append((rule, schedule_body(rule.body, first=head)))
+            for index, ordered in orders.items():
+                element = schedule[index]
+                self.joins.append(
+                    (rule, element.predicate, element.positive, ordered, width)
+                )
 
 
 class MaintenancePlan:
     """The reusable, per-program half of incremental maintenance.
 
-    Stratification, evaluation grouping, body schedules, the delta-first
-    join order of every (rule, body literal) and per-group technique
-    selection run once here; :meth:`maintain` then costs only the joins the
-    delta actually touches.  Raises whatever :func:`stratify`
-    raises for non-stratifiable programs — callers fall back to full
-    recomputation in that case.
+    Stratification, evaluation grouping, per-group technique selection and
+    every maintenance join's body order are computed once here;
+    :meth:`evaluate` compiles them against a state and :meth:`maintain`
+    then costs only the joins the delta actually touches.  *report* names
+    the predicates whose net change :meth:`maintain` decodes into its stats
+    (default: every predicate of the program).  Raises whatever
+    :func:`stratify` raises for non-stratifiable programs — callers fall
+    back to full recomputation in that case.
     """
 
-    def __init__(self, program):
+    def __init__(self, program, report=None):
         self.program = program
-        #: The tuple walker every maintenance join runs through.
-        self.engine = Engine("naive", check_safety=False)
-        self.strata = stratify(program)
+        self.report = frozenset(program.predicates if report is None else report)
         self.idb = program.idb_predicates
-        self.groups = _evaluation_groups(program, self.strata, self.idb)
         #: Program facts are axioms: maintenance never deletes them.
-        self.axioms = {
+        self.axioms = [
             (rule.head.predicate, tuple(t.value for t in rule.head.args))
             for rule in program
             if rule.is_fact
-        }
-        self._group_plans = []
-        for group in self.groups:
-            schedules = [
-                (rule, schedule_body(rule))
-                for rule in program
-                if not rule.is_fact and rule.head.predicate in group
-            ]
-            eligible = self._counting_eligible(
-                group, [schedule for _rule, schedule in schedules]
+        ]
+        self.groups = [
+            _Group(
+                group,
+                [r for r in program if not r.is_fact and r.head.predicate in group],
             )
-            # (rule, schedule, delta orders, counting orders or None)
-            rules = [
-                (
-                    rule,
-                    schedule,
-                    _delta_orders(schedule),
-                    _counting_orders(schedule) if eligible else None,
-                )
-                for rule, schedule in schedules
-            ]
-            self._group_plans.append((group, rules, body_preds_of(rules), eligible))
-
-    @staticmethod
-    def _counting_eligible(group, schedules):
-        """Counting is exact only without recursion and with fully-bound
-        negated literals (a projected negation flips per *instance*, not per
-        row, so per-row signed counting would overcount)."""
-        for schedule in schedules:
-            for element in schedule:
-                if not isinstance(element, Literal):
-                    continue
-                if element.positive and element.predicate in group:
-                    return False
-                if element.negative and any(
-                    isinstance(t, Variable) and t.is_anonymous
-                    for t in element.atom.args
-                ):
-                    return False
-        return True
-
-    # ------------------------------------------------------------- evaluate
+            for group in _evaluation_groups(program, stratify(program), self.idb)
+        ]
 
     def evaluate(self, edb):
-        """Full evaluation plus initial support counts.
+        """Full evaluation by the columnar core, kept encoded: a
+        :class:`MaintainedState` over the catalog of *edb*'s encoding (the
+        image's, for a store view), with initial support counts."""
+        encoded = encode_database(edb)
+        evaluated = fixpoint(self.program, encoded, EvaluationStats())
+        relations = {}
+        for predicate in self.program.predicates:
+            relation = evaluated.relation(predicate)
+            relations[predicate] = _Rows(relation.arity, relation.rows)
+        return MaintainedState(self, encoded, relations)
 
-        Returns ``(database, counts)``: the evaluated database (a new copy,
-        as :meth:`Engine.evaluate`) and the derivation-count map for every
-        counting-eligible group's facts.  Facts present without any rule
-        derivation (program facts, or EDB rows under an IDB name) get one
-        extensional support so a count of zero always means "gone".
-        """
-        database = Engine(check_safety=False).evaluate(self.program, edb)
-        counts = {}
-        for group, rules, _body_preds, eligible in self._group_plans:
-            if not eligible:
-                continue
-            for rule, schedule, _orders, _counting in rules:
-                head_pred = rule.head.predicate
-                for row, _support in self.engine._fire(rule, schedule, database):
-                    key = (head_pred, row)
-                    counts[key] = counts.get(key, 0) + 1
-            for predicate in group:
-                edb_rows = edb.facts(predicate) if hasattr(edb, "facts") else ()
-                for row in database.facts(predicate):
-                    key = (predicate, row)
-                    extensional = (row in edb_rows) + ((predicate, row) in self.axioms)
-                    total = counts.get(key, 0) + extensional
-                    # Every present row has some support; a derivation-free,
-                    # non-extensional row can only come from a caller-seeded
-                    # database, so pin it rather than let its count read 0.
-                    counts[key] = total if total else 1
-        self.warm(database)
-        return database, counts
-
-    def warm(self, database):
-        """Pre-build every column index the maintenance joins will probe.
-
-        A first delta join against a large relation would otherwise pay a
-        full lazy index build — O(database) hiding inside a supposedly
-        O(delta) maintain() call.  Amortized here, where evaluation already
-        paid a proportional cost.
-        """
-        for _group, rules, _body_preds, _eligible in self._group_plans:
-            for rule, schedule, orders, _counting in rules:
-                for ordered in orders.values():
-                    bound = {
-                        v for v in ordered[0].variables() if not v.is_anonymous
-                    }
-                    self._warm_schedule(ordered[1:], bound, database)
-                # Rederivation probes run with the head variables bound.
-                head_vars = {
-                    v for v in rule.head_variables() if not v.is_anonymous
-                }
-                self._warm_schedule(schedule, head_vars, database)
-
-    @staticmethod
-    def _warm_schedule(elements, bound, database):
-        bound = set(bound)
-        for element in elements:
-            if isinstance(element, Literal):
-                positions = tuple(
-                    i
-                    for i, term in enumerate(element.atom.args)
-                    if not isinstance(term, Variable)
-                    or (not term.is_anonymous and term in bound)
-                )
-                if element.predicate in database:
-                    database.relation(element.predicate).ensure_index(positions)
-                if element.positive:
-                    bound.update(
-                        v for v in element.variables() if not v.is_anonymous
-                    )
-            elif isinstance(element, Comparison):
-                if element.op == "==":
-                    bound.update(element.variables())
-            elif isinstance(element, ArithmeticAssign):
-                bound.update(element.variables())
-
-    # ------------------------------------------------------------- maintain
-
-    def maintain(self, database, delta_plus=None, delta_minus=None, counts=None):
-        """Update *database* (in place) under an EDB delta; returns stats.
+    def maintain(self, state, delta_plus=None, delta_minus=None):
+        """Update *state* (in place) under an EDB delta; returns stats.
 
         ``delta_plus``/``delta_minus`` map predicate names to iterables of
-        rows that became true / false.  ``counts`` is the support-count map
-        from :meth:`evaluate`, updated in place; without it every group
-        takes the DRed path (still correct, counting is the fast path for
-        the non-recursive groups).  Deltas naming an IDB predicate are
-        treated as assertions/retractions of base facts under that name.
+        rows that became true / false; predicates the program does not
+        mention are ignored.  Deltas naming an IDB predicate are treated as
+        assertions/retractions of base facts under that name.
         """
         stats = MaintenanceStats()
+        plus = state.encode(delta_plus)
+        minus = state.encode(delta_minus)
         tracer = obs.tracer()
-        delta_plus = {
-            p: {tuple(r) for r in rows} for p, rows in (delta_plus or {}).items()
-        }
-        delta_minus = {
-            p: {tuple(r) for r in rows} for p, rows in (delta_minus or {}).items()
-        }
         with tracer.span(
             "dred.maintain",
-            delta_plus={p: len(rows) for p, rows in sorted(delta_plus.items())},
-            delta_minus={p: len(rows) for p, rows in sorted(delta_minus.items())},
-            # Maintenance joins run the native walker: deltas are small by
-            # design, so per-row encoding into the columnar form would cost
-            # more than the joins it accelerates (see docs/ENGINE.md).
-            backend="native",
+            delta_plus={p: len(rows) for p, rows in sorted(plus.items())},
+            delta_minus={p: len(rows) for p, rows in sorted(minus.items())},
+            backend="columnar",
         ) as root:
-            added = {}
-            removed = {}
-
-            def note_add(predicate, row):
-                out = removed.get(predicate)
-                if out is not None and out.discard(row):
-                    return
-                into = added.get(predicate)
-                if into is None:
-                    into = added[predicate] = Relation(predicate, len(row))
-                into.add(row)
-
-            def note_remove(predicate, row):
-                out = added.get(predicate)
-                if out is not None and out.discard(row):
-                    return
-                into = removed.get(predicate)
-                if into is None:
-                    into = removed[predicate] = Relation(predicate, len(row))
-                into.add(row)
-
+            state.begin()
             # Pure-EDB deltas apply immediately; IDB-named deltas are handled
             # by their own group below (they interact with derived support).
-            for predicate in set(delta_plus) | set(delta_minus):
+            for predicate in plus.keys() | minus.keys():
+                added, removed = plus.get(predicate, ()), minus.get(predicate, ())
                 if predicate in self.idb:
-                    continue
-                for row in delta_minus.get(predicate, ()):
-                    if predicate in database and database.relation(predicate).discard(row):
-                        note_remove(predicate, row)
-                for row in delta_plus.get(predicate, ()):
-                    if database.relation(predicate, len(row)).add(row):
-                        note_add(predicate, row)
+                    state.reassert(predicate, added, removed)
+                else:
+                    state.remove(predicate, removed)
+                    state.insert(predicate, added)
 
-            for group, rules, body_preds, eligible in self._group_plans:
-                group_plus = {p: delta_plus[p] for p in group if p in delta_plus}
-                group_minus = {p: delta_minus[p] for p in group if p in delta_minus}
-                touched = group_plus or group_minus or any(
-                    added.get(p) or removed.get(p) for p in body_preds
-                )
-                if not touched:
+            for group, compiled in zip(self.groups, state.compiled):
+                own_plus = {p: plus[p] for p in group.predicates if p in plus}
+                own_minus = {p: minus[p] for p in group.predicates if p in minus}
+                touched = (state.old[p] for p in group.body_preds)
+                if not (own_plus or own_minus) and not any(
+                    old.added or old.removed.keys for old in touched
+                ):
                     continue
-                _declare_relations((rule for rule, *_plan in rules), database.relation)
-                if eligible and counts is not None:
-                    stats.counting_groups += 1
-                    with tracer.span(
-                        "dred.group", technique="counting", predicates=sorted(group)
-                    ) as span:
-                        self._maintain_counting(
-                            group, rules, database, added, removed,
-                            group_plus, group_minus, counts, note_add, note_remove,
-                            stats,
-                        )
+                technique = "counting" if group.counting else "dred"
+                with tracer.span(
+                    "dred.group", technique=technique, predicates=sorted(group.predicates)
+                ) as span:
+                    if group.counting:
+                        stats.counting_groups += 1
+                        _count_changes(state, compiled, own_plus, own_minus, stats)
                         if span:
                             span.annotate(count_updates=stats.count_updates)
-                else:
-                    stats.dred_groups += 1
-                    with tracer.span(
-                        "dred.group", technique="dred", predicates=sorted(group)
-                    ) as span:
-                        self._maintain_dred(
-                            group, rules, database, added, removed,
-                            group_plus, group_minus, note_add, note_remove, stats,
-                            span=span,
-                        )
+                    else:
+                        stats.dred_groups += 1
+                        _dred(state, group, compiled, own_plus, own_minus, stats, span)
 
-            stats.facts_inserted = sum(len(r) for r in added.values())
-            stats.facts_deleted = sum(len(r) for r in removed.values())
-            stats.added = {p: set(r) for p, r in added.items() if len(r)}
-            stats.deleted = {p: set(r) for p, r in removed.items() if len(r)}
+            for predicate, old in state.old.items():
+                stats.facts_inserted += len(old.added)
+                stats.facts_deleted += len(old.removed)
+                if predicate in self.report:
+                    if old.added:
+                        stats.added[predicate] = state.decode(old.added)
+                    if old.removed.keys:
+                        stats.deleted[predicate] = state.decode(old.removed.keys)
             if root:
                 root.annotate(
                     inserted=stats.facts_inserted,
@@ -439,293 +462,300 @@ class MaintenancePlan:
                 )
         return stats
 
-    # ------------------------------------------------------------- internals
 
-    def _old_resolver(self, database, added, removed):
-        """Per-phase resolver mapping predicates to their *old* extension.
+def _dred(state, group, compiled, own_plus, own_minus, stats, span):
+    overdelete, insert, rederive = compiled
+    # Phase 0: base-fact deltas aimed directly at this group's predicates.
+    for predicate, rows in own_minus.items():
+        state.remove(predicate, rows)
+    for predicate, rows in own_plus.items():
+        state.insert(predicate, rows)
 
-        While a group's own rows only move from current to removed, the
-        union view tracks the old state exactly and costs nothing to build;
-        a predicate that also gained rows needs a materialized snapshot.
-        """
-        cache = {}
+    # Phase 1: overdelete.  Triggers: net-removed rows under positive
+    # literals, net-added rows under negated ones; the joins read the old
+    # state.
+    stats.overdeleted += _rounds(
+        overdelete,
+        state.changes(group.body_preds, removed=True),
+        state.changes(group.body_preds, removed=False),
+        state.remove,
+        span,
+        "overdelete_rounds",
+    )
 
-        def resolve(predicate):
-            view = cache.get(predicate)
-            if view is not None:
-                return view
-            relation = database.relation(predicate)
-            add = added.get(predicate)
-            rem = removed.get(predicate)
-            if not add and not rem:
-                view = relation
-            elif not add:
-                view = _UnionRelation(relation, rem)
-            else:
-                view = Relation(predicate, relation.arity)
-                for row in relation:
-                    if row not in add:
-                        view.add(row)
-                if rem:
-                    view.add_many(rem.tuples)
-            cache[predicate] = view
-            return view
-
-        return _Facade(resolve)
-
-    def _maintain_dred(
-        self, group, rules, database, added, removed,
-        group_plus, group_minus, note_add, note_remove, stats,
-        span=obs.NULL_SPAN,
-    ):
-        engine = self.engine
-
-        # Phase 0: base-fact deltas aimed directly at this group's predicates.
-        for predicate, rows in group_minus.items():
-            relation = database.relation(predicate)
-            for row in rows:
-                if (predicate, row) in self.axioms:
-                    continue
-                if relation.discard(row):
-                    note_remove(predicate, row)
-        for predicate, rows in group_plus.items():
-            relation = database.relation(predicate, None)
-            for row in rows:
-                if relation.add(row):
-                    note_add(predicate, row)
-
-        # Phase 1: overdelete.  Triggers: net-removed rows under positive
-        # literals, net-added rows under negated literals; joins run against
-        # the old state (current ∪ removed while nothing is re-added).
-        old_state = self._old_resolver(database, added, removed)
-        minus_triggers = {
-            p: set(removed[p].tuples)
-            for p in body_preds_of(rules)
-            if removed.get(p)
-        }
-        plus_triggers = {
-            p: set(added[p].tuples)
-            for p in body_preds_of(rules)
-            if added.get(p)
-        }
-
-        def overdelete_round(triggers, negated_triggers):
-            produced = defaultdict(set)
-            for rule, schedule, orders, _counting in rules:
-                head_pred = rule.head.predicate
-                relation = database.relation(head_pred)
-                for index, ordered in orders.items():
-                    element = schedule[index]
-                    # A negated literal fires on the rows that *became*
-                    # true; its appended original re-checks the old state.
-                    fired_by = triggers if element.positive else negated_triggers
-                    rows = fired_by.get(element.predicate)
-                    if not rows:
-                        continue
-                    delta = Relation(element.predicate, len(next(iter(rows))))
-                    delta.add_many(rows)
-                    for row, _support in engine._fire(
-                        rule, ordered, old_state,
-                        delta_position=0, delta_relation=delta,
-                    ):
-                        if (head_pred, row) in self.axioms:
-                            continue
-                        if relation.discard(row):
-                            note_remove(head_pred, row)
-                            produced[head_pred].add(row)
-                            stats.overdeleted += 1
-            return produced
-
-        frontier = overdelete_round(minus_triggers, plus_triggers)
+    # Phase 2: rederive.  An overdeleted fact still derivable from what
+    # remains goes back (net: it never changed) — every candidate of a head
+    # in one batch semijoin per rule; iterate, since a rederived fact can
+    # support another candidate.
+    candidates = state.changes(group.predicates, removed=True, copy=set)
+    while candidates:
+        rederived = 0
+        for head, pipeline in rederive:
+            rows = candidates.get(head)
+            if rows:
+                back = state.insert(head, pipeline.fire(list(rows)))
+                rows -= back
+                rederived += len(back)
+        if not rederived:
+            break
+        stats.rederived += rederived
         if span:
-            span.append(
-                "overdelete_rounds", sum(len(rows) for rows in frontier.values())
-            )
-        while frontier:
-            frontier = overdelete_round(frontier, {})
-            if span:
-                span.append(
-                    "overdelete_rounds", sum(len(rows) for rows in frontier.values())
-                )
+            span.append("rederive_rounds", rederived)
 
-        # Phase 2: rederive.  An overdeleted fact still derivable from the
-        # remaining state goes back (net: it never changed); iterate, since
-        # a rederived fact can support another candidate.
-        candidates = {
-            p: set(removed[p].tuples) for p in group if removed.get(p)
-        }
-        progressed = True
-        while progressed and any(candidates.values()):
-            progressed = False
-            round_rederived = 0
-            for predicate, rows in candidates.items():
-                relation = database.relation(predicate)
-                for row in list(rows):
-                    if self._derivable(rules, database, predicate, row):
-                        relation.add(row)
-                        note_add(predicate, row)  # cancels the removal
-                        rows.discard(row)
-                        stats.rederived += 1
-                        round_rederived += 1
-                        progressed = True
-            if span and round_rederived:
-                span.append("rederive_rounds", round_rederived)
+    # Phase 3: insert propagation against the new state.  Triggers:
+    # net-added rows under positive literals, net-removed rows under negated
+    # ones (the appended literal re-checks against the new state).
+    _rounds(
+        insert,
+        state.changes(group.body_preds, removed=False),
+        state.changes(group.body_preds, removed=True),
+        state.insert,
+        span,
+        "insert_rounds",
+    )
 
-        # Phase 3: insert propagation against the new state.  Triggers:
-        # net-added rows under positive literals, net-removed rows under
-        # negated ones (the appended literal re-checks against new state).
-        plus_triggers = {
-            p: set(added[p].tuples)
-            for p in body_preds_of(rules)
-            if added.get(p)
-        }
-        minus_triggers = {
-            p: set(removed[p].tuples)
-            for p in body_preds_of(rules)
-            if removed.get(p)
-        }
 
-        def insert_round(triggers, negated_triggers):
-            produced = defaultdict(set)
-            for rule, schedule, orders, _counting in rules:
-                head_pred = rule.head.predicate
-                relation = database.relation(head_pred)
-                for index, ordered in orders.items():
-                    element = schedule[index]
-                    fired_by = triggers if element.positive else negated_triggers
-                    rows = fired_by.get(element.predicate)
-                    if not rows:
-                        continue
-                    delta = Relation(element.predicate, len(next(iter(rows))))
-                    delta.add_many(rows)
-                    for row, _support in engine._fire(
-                        rule, ordered, database,
-                        delta_position=0, delta_relation=delta,
-                    ):
-                        if relation.add(row):
-                            note_add(head_pred, row)
-                            produced[head_pred].add(row)
-            return produced
-
-        frontier = insert_round(plus_triggers, minus_triggers)
+def _rounds(joins, triggers, negated, apply, span, label):
+    """Semi-naive rounds: fire every join whose delta literal has trigger
+    rows (positive literals on *triggers*, negated ones on *negated*), keep
+    the head rows ``apply(predicate, rows)`` says changed the state, and
+    feed them back as the next round's triggers.  Returns how many
+    changed."""
+    total = 0
+    while True:
+        frontier = {}
+        for head, predicate, positive, pipeline, _width in joins:
+            rows = (triggers if positive else negated).get(predicate)
+            if rows:
+                changed = apply(head, pipeline.fire(rows))
+                if changed:
+                    frontier.setdefault(head, []).extend(changed)
+        produced = sum(map(len, frontier.values()))
+        total += produced
         if span:
-            span.append("insert_rounds", sum(len(rows) for rows in frontier.values()))
-        while frontier:
-            frontier = insert_round(frontier, {})
-            if span:
-                span.append(
-                    "insert_rounds", sum(len(rows) for rows in frontier.values())
-                )
+            span.append(label, produced)
+        if not frontier:
+            return total
+        triggers, negated = frontier, {}
 
-    def _derivable(self, rules, database, predicate, row):
-        for rule, schedule, _orders, _counting in rules:
-            if rule.head.predicate != predicate:
-                continue
-            binding = _bind_head(rule.head, row)
-            if binding is not None and self.engine._fire(
-                rule, schedule, database, binding=binding, first_only=True
-            ):
-                return True
-        return False
 
-    def _maintain_counting(
-        self, group, rules, database, added, removed,
-        group_plus, group_minus, counts, note_add, note_remove, stats,
-    ):
-        """Exact signed-delta count maintenance for a non-recursive group.
+def _count_changes(state, joins, own_plus, own_minus, stats):
+    """Exact signed-delta count maintenance for a non-recursive group.
 
-        For the delta at body position *i*, positions before *i* read the
-        new state and positions after it the old state (the telescoping
-        decomposition of new ⋈ − old ⋈), so each lost or gained rule
-        instantiation is counted exactly once.
-        """
-        engine = self.engine
-        old_state = self._old_resolver(database, added, removed)
-        new_state = database
-        changes = defaultdict(int)
+    For the delta at body position *i*, positions before *i* read the new
+    state and positions after it the old state (the telescoping
+    decomposition of new ⋈ − old ⋈), so each lost or gained rule
+    instantiation is counted exactly once.
+    """
+    changes = {}
+    # Base-fact deltas on this group's own predicates: one extensional
+    # support each.
+    for predicate, rows in own_minus.items():
+        have = state.counts[predicate]
+        axioms = state.axioms.get(predicate, ())
+        changes.setdefault(predicate, Counter()).subtract(
+            row for row in rows if row not in axioms and have.get(row, 0) > 0
+        )
+    for predicate, rows in own_plus.items():
+        changes.setdefault(predicate, Counter()).update(rows)
 
-        # Base-fact deltas on this group's own predicates: one extensional
-        # support each.
-        for predicate, rows in group_minus.items():
-            for row in rows:
-                if (predicate, row) in self.axioms:
-                    continue  # the program still asserts it
-                if counts.get((predicate, row), 0) > 0:
-                    changes[(predicate, row)] -= 1
-        for predicate, rows in group_plus.items():
-            for row in rows:
-                changes[(predicate, row)] += 1
+    for head, predicate, positive, pipeline, width in joins:
+        old = state.old[predicate]
+        lost, gained = old.removed.keys, old.added
+        if not positive:
+            lost, gained = gained, lost
+        change = changes.setdefault(head, Counter())
+        for rows, count in ((lost, change.subtract), (gained, change.update)):
+            if rows:
+                produced = pipeline.fire(list(rows))
+                count(produced if width is None else [r[:width] for r in produced])
 
-        def views(predicate, old):
-            return (old_state if old else new_state).relation(predicate)
-
-        for rule, schedule, _orders, counting in rules:
-            head_pred = rule.head.predicate
-            for index, (ordered, aliases) in counting.items():
-                element = schedule[index]
-                if element.positive:
-                    signed = (
-                        (removed.get(element.predicate), -1),
-                        (added.get(element.predicate), +1),
-                    )
-                else:
-                    signed = (
-                        (added.get(element.predicate), -1),
-                        (removed.get(element.predicate), +1),
-                    )
-                if not any(rel for rel, _sign in signed):
-                    continue
-                # Hybrid schedule: every other literal reads the new or the
-                # old extension by its position relative to the delta.
-                alias_map = {
-                    alias: views(predicate, old) for alias, predicate, old in aliases
-                }
-                facade = _Facade(alias_map.__getitem__)
-                for delta_rel, sign in signed:
-                    if not delta_rel:
-                        continue
-                    for row, _support in engine._fire(
-                        rule, ordered, facade,
-                        delta_position=0, delta_relation=delta_rel,
-                    ):
-                        changes[(head_pred, row)] += sign
-
-        for (predicate, row), change in changes.items():
-            if change == 0:
+    for predicate, change in changes.items():
+        have = state.counts[predicate]
+        gone, new = [], []
+        for row, delta in change.items():
+            if not delta:
                 continue
             stats.count_updates += 1
-            key = (predicate, row)
-            before = counts.get(key, 0)
-            after = before + change
-            if after <= 0:
-                counts.pop(key, None)
-                if before > 0 and database.relation(predicate).discard(row):
-                    note_remove(predicate, row)
-            else:
-                counts[key] = after
-                if before == 0 and database.relation(predicate, len(row)).add(row):
-                    note_add(predicate, row)
+            before = have.get(row, 0)
+            after = before + delta
+            if after > 0:
+                have[row] = after
+                if not before:
+                    new.append(row)
+            elif before:
+                del have[row]
+                gone.append(row)
+        state.remove(predicate, gone)
+        state.insert(predicate, new)
 
 
-def body_preds_of(rules):
-    """Every predicate referenced in the bodies of *rules*."""
-    return {
-        element.predicate
-        for _rule, schedule, *_orders in rules
-        for element in schedule
-        if isinstance(element, Literal)
-    }
+class MaintainedState:
+    """A program's fixpoint as int rows, with the joins that maintain it.
 
+    ``relations`` maps every predicate the program mentions to its
+    :class:`_Rows` over ``catalog`` — the catalog the EDB was encoded over,
+    kept for the state's lifetime: delta values are interned into it.
+    ``counts`` maps each counting group's predicates to ``{row: supports}``;
+    ``old`` holds each predicate's :class:`_Old` view and, through it, the
+    running pass's net changes.  :meth:`facts` decodes on demand.
+    """
 
-def evaluate_with_counts(program, edb):
-    """Convenience: build a plan, evaluate, return (plan, database, counts)."""
-    plan = MaintenancePlan(program)
-    database, counts = plan.evaluate(edb)
-    return plan, database, counts
+    def __init__(self, plan, encoded, relations):
+        self.catalog = encoded.catalog
+        self.relations = relations
+        self.old = {p: _Old(rows) for p, rows in relations.items()}
+        self.axioms = {}
+        for predicate, row in plan.axioms:
+            self.axioms.setdefault(predicate, set()).add(self.catalog.intern_row(row))
+        #: Rows no overdeletion may take: the axioms, and what the EDB
+        #: itself asserts under an IDB name.
+        self.kept = {p: set(rows) for p, rows in self.axioms.items()}
+        for predicate in plan.idb:
+            base = encoded.relations.get(predicate)
+            if base is not None and base.keys:
+                self.kept.setdefault(predicate, set()).update(base.keys)
+        self.counts = {}
+        self.compiled = [self._compile(group, encoded) for group in plan.groups]
 
+    def _compile(self, group, encoded):
+        """*group*'s joins as pipelines over this state: counting joins, or
+        DRed's (overdelete, insert, rederive) triple."""
 
-def maintain(program, database, delta_plus=None, delta_minus=None, counts=None):
-    """One-shot maintenance without a reusable plan (testing convenience)."""
-    return MaintenancePlan(program).maintain(
-        database, delta_plus=delta_plus, delta_minus=delta_minus, counts=counts
-    )
+        def compiled(resolve):
+            return [
+                (
+                    rule.head.predicate,
+                    predicate,
+                    positive,
+                    _compile_pipeline(rule, ordered, resolve, self.catalog, (), True),
+                    width,
+                )
+                for rule, predicate, positive, ordered, width in group.joins
+            ]
+
+        if group.counting:
+            self._count(group, encoded)
+            return compiled(self._aliased)
+        rederive = [
+            (
+                rule.head.predicate,
+                _compile_pipeline(rule, ordered, self.relations.get, self.catalog, (), True),
+            )
+            for rule, ordered in group.rederive
+        ]
+        return compiled(self.old.get), compiled(self.relations.get), rederive
+
+    def _aliased(self, predicate):
+        """A counting join's renamed literal: the old or the new extension."""
+        if predicate.endswith(_OLD):
+            return self.old[predicate[: -len(_OLD)]]
+        return self.relations.get(predicate.removesuffix(_NEW))
+
+    def _count(self, group, encoded):
+        """Initial support counts of a counting group: every rule
+        instantiation, plus one extensional support for a row the EDB or the
+        program asserts.  A present row with neither (only a caller-seeded
+        EDB makes one) is pinned at one rather than read as zero."""
+        for predicate in group.predicates:
+            self.counts[predicate] = {}
+        for rule, schedule, width in group.initial:
+            pipeline = _compile_pipeline(
+                rule, schedule, self.relations.get, self.catalog, (), False
+            )
+            produced = pipeline.fire()
+            have = self.counts[rule.head.predicate]
+            for row, n in Counter(
+                produced if width is None else [r[:width] for r in produced]
+            ).items():
+                have[row] = have.get(row, 0) + n
+        for predicate in group.predicates:
+            have = self.counts[predicate]
+            base = encoded.relations.get(predicate)
+            asserted = base.keys if base is not None else ()
+            axioms = self.axioms.get(predicate, ())
+            for row in self.relations[predicate].keys:
+                have[row] = have.get(row, 0) + (row in asserted) + (row in axioms) or 1
+
+    # ------------------------------------------------------------- a pass
+
+    def encode(self, delta):
+        """*delta* (``{predicate: rows}``) as ``{predicate: set of int rows}``
+        over this state's catalog, for the predicates the state holds."""
+        encoded = {}
+        intern = self.catalog.intern
+        for predicate, rows in (delta or {}).items():
+            relation = self.relations.get(predicate)
+            if relation is None:
+                continue
+            out = set()
+            for row in rows:
+                if len(row) != relation.arity:
+                    raise ArityError(
+                        f"relation {predicate!r} has arity {relation.arity}, "
+                        f"got tuple of length {len(row)}"
+                    )
+                out.add(tuple([intern(value) for value in row]))
+            if out:
+                encoded[predicate] = out
+        return encoded
+
+    def begin(self):
+        """Forget the previous pass's net changes."""
+        for old in self.old.values():
+            old.added = set()
+            old.removed = _Rows(old.current.arity)
+
+    def insert(self, predicate, rows):
+        """Add *rows* and note the net change; returns the rows that were new."""
+        new = self.relations[predicate].add(rows)
+        if new:
+            old = self.old[predicate]
+            back = old.removed.discard(new)
+            old.added |= new - back if back else new
+        return new
+
+    def reassert(self, predicate, plus, minus):
+        """The EDB's own rows under IDB name *predicate* gained *plus* and
+        lost *minus* (never an axiom)."""
+        kept = self.kept.setdefault(predicate, set())
+        kept.difference_update(set(minus) - self.axioms.get(predicate, set()))
+        kept.update(plus)
+
+    def remove(self, predicate, rows):
+        """Discard *rows* — never a kept one — and note the net change;
+        returns the rows that were present."""
+        kept = self.kept.get(predicate)
+        gone = self.relations[predicate].discard(set(rows) - kept if kept else rows)
+        if gone:
+            old = self.old[predicate]
+            undone = old.added & gone
+            old.added -= undone
+            old.removed.add(gone - undone if undone else gone)
+        return gone
+
+    def changes(self, predicates, removed, copy=list):
+        """``{predicate: rows}``: the pass's net removals (or additions) so
+        far among *predicates*, each copied by *copy*."""
+        out = {}
+        for predicate in predicates:
+            old = self.old[predicate]
+            rows = old.removed.keys if removed else old.added
+            if rows:
+                out[predicate] = copy(rows)
+        return out
+
+    # ------------------------------------------------------------- reading
+
+    def count(self, predicate):
+        relation = self.relations.get(predicate)
+        return len(relation) if relation is not None else 0
+
+    def decode(self, rows):
+        values = self.catalog.values
+        return {tuple([values[i] for i in row]) for row in rows}
+
+    def facts(self, predicate):
+        """The decoded rows of *predicate* (a fresh set; empty when absent)."""
+        relation = self.relations.get(predicate)
+        return self.decode(relation.keys) if relation is not None else set()

@@ -5,11 +5,9 @@ Two methods are provided:
 - ``columnar`` (default): the semi-naive fixpoint over int-encoded relations
   in :mod:`repro.datalog.columnar` — the production evaluator;
 - ``naive``: re-evaluate every rule until no new fact appears, one tuple at a
-  time — the executable specification the columnar core is tested against,
-  and the method that can record provenance.
-
-The tuple walker behind ``naive`` (:meth:`Engine._fire`) is also the join
-incremental maintenance runs (:mod:`repro.datalog.dred`).
+  time — the executable specification the columnar core (and incremental
+  maintenance, :mod:`repro.datalog.dred`, which runs the core's kernels) is
+  tested against, and the method that can record provenance.
 
 Evaluation proceeds stratum by stratum and, within a stratum, SCC by SCC in
 topological order, so negated literals always refer to fully-computed
@@ -216,24 +214,11 @@ class Engine:
         if span:
             span.annotate(rule_firings=dict(firings))
 
-    def _fire(
-        self,
-        rule,
-        schedule,
-        database,
-        delta_position=None,
-        delta_relation=None,
-        binding=None,
-        first_only=False,
-    ):
-        """``(head_row, support)`` pairs from one rule body evaluation.
-
-        The positive literal at ``delta_position`` reads ``delta_relation``
-        instead of *database*; ``binding`` pre-binds variables (a head row
-        under rederivation) and ``first_only`` stops the walk at the first
-        result, which is all an "is it derivable" caller needs.  ``support``
-        is the tuple of positive body facts that matched, as ``(predicate,
-        row)`` pairs, when ``record_provenance`` is on; None otherwise."""
+    def _fire(self, rule, schedule, database):
+        """``(head_row, support)`` pairs from one rule body evaluation;
+        ``support`` is the tuple of positive body facts that matched, as
+        ``(predicate, row)`` pairs, when ``record_provenance`` is on; None
+        otherwise."""
         self.stats.rule_firings += 1
         head = rule.head
         results = []
@@ -241,46 +226,38 @@ class Engine:
         end = len(schedule)
 
         def walk(index, binding):
-            """True when the walk is over: one result emitted, one wanted."""
             if index == end:
-                row = []
-                for term in head.args:
-                    if isinstance(term, Variable):
-                        row.append(binding[term])
-                    else:
-                        row.append(term.value)
-                support = tuple(trail) if trail is not None else None
-                results.append((tuple(row), support))
-                return first_only
+                row = tuple(
+                    binding[term] if isinstance(term, Variable) else term.value
+                    for term in head.args
+                )
+                results.append((row, tuple(trail) if trail is not None else None))
+                return
             element = schedule[index]
             if isinstance(element, Literal):
                 if element.positive:
-                    if index == delta_position:
-                        relation = delta_relation
-                    else:
-                        relation = database.relation(element.predicate)
+                    relation = database.relation(element.predicate)
                     for extended, row in _match_against(
                         relation, element.atom, binding
                     ):
                         if trail is not None:
                             trail.append((element.predicate, row))
-                        if walk(index + 1, extended):
-                            return True
+                        walk(index + 1, extended)
                         if trail is not None:
                             trail.pop()
-                    return False
-                return self._negative_holds(database, element, binding) and walk(
-                    index + 1, binding
-                )
+                elif self._negative_holds(database, element, binding):
+                    walk(index + 1, binding)
+                return
             if isinstance(element, Comparison):
                 extended = self._apply_comparison(element, binding)
             elif isinstance(element, ArithmeticAssign):
                 extended = self._apply_arithmetic(element, binding)
             else:  # pragma: no cover - AST is closed
                 raise EvaluationError(f"unknown body element {element!r}")
-            return extended is not None and walk(index + 1, extended)
+            if extended is not None:
+                walk(index + 1, extended)
 
-        walk(0, binding or {})
+        walk(0, {})
         self.stats.rows_produced += len(results)
         return results
 

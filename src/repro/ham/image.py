@@ -42,6 +42,13 @@ from repro.ham.delta import domain_refs, fold_domain_refs, net_delta
 _CATALOG_SLACK = 64
 
 
+def catalog_bloated(dead, live):
+    """The rule by which a catalog is shed, for an image and for a view's
+    maintained state alike: the values that left the store but stay
+    interned (*dead*) outnumber the live ones (*live*) plus the slack."""
+    return len(dead) > len(live) + _CATALOG_SLACK
+
+
 def _patched(database, insertions, deletions):
     """``database.patched(...)`` with its encoding derived the same way."""
     successor = database.patched(insertions, deletions)
@@ -135,7 +142,7 @@ class StoreImage:
     def bloated(self):
         """The catalog outlives a version, so values that left the store
         stay interned; true once they outnumber the live ones."""
-        return len(self._dead) > len(self._refs) + _CATALOG_SLACK
+        return catalog_bloated(self._dead, self._refs)
 
 
 class _Unfoldable(Exception):

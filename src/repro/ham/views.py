@@ -11,9 +11,13 @@ ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``):
   are *maintained* through the typed fact-level
   :class:`~repro.ham.delta.Delta` each record carries, by the counting /
   DRed engine (:mod:`repro.datalog.dred`): support counts for non-recursive
-  strata, overdelete → rederive for recursive ones; for GraphLog plans the
-  active domain follows by reference counting the values of the EDB, so
-  star/optional edges see nodes appear and disappear without a rescan;
+  strata, overdelete → rederive for recursive ones, over int rows encoded
+  in the catalog of the image the view materialized from.  The view keeps
+  that catalog and interns delta values into it; the values of the EDB are
+  reference counted, so GraphLog's star/optional edges see nodes appear
+  and disappear without a rescan, and a catalog bloated by values that left
+  is shed by re-materializing (the rule the image uses,
+  :func:`~repro.ham.image.catalog_bloated`);
 - plans whose λ-translation aggregates or summarizes (Section 4) are not
   insert-monotone (a new tuple can change an aggregate's value, deleting
   the old answer), and regular path queries are answered by automaton
@@ -29,12 +33,14 @@ The ``abl5`` benchmark compares incremental maintenance against recompute.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
 from repro.errors import StoreError
 from repro.ham.delta import domain_refs, fold_domain_refs
+from repro.ham.image import catalog_bloated
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +78,9 @@ class MaterializedView:
         self.fallback_reason = None
         self.predicates = ()
         self.version = -1
-        self.state = None  # maintained: the evaluated Database ...
-        self.counts = None  # ... its support counts ...
-        self._domain_refs = None  # ... and value -> occurrences across the EDB
+        self.state = None  # maintained: the MaintainedState ...
+        self._refs = None  # ... value -> occurrences across the EDB ...
+        self._dead = None  # ... and the values that left it since
         self._rows = {}  # diff: {predicate: set of rows}
         self.maintenance_passes = 0
         self.diff_refreshes = 0
@@ -89,22 +95,24 @@ class MaterializedView:
         elif plan.has_summaries:
             self.fallback_reason = "aggregation/summarization is not maintainable"
         else:
-            self.maintenance = MaintenancePlan(plan.program)
             self.predicates = plan.requested_predicates(self.eval_params)
+            self.maintenance = MaintenancePlan(plan.program, self.predicates)
         self.mode = "maintained" if self.maintenance is not None else "diff"
 
     # ------------------------------------------------------------- answers
 
     def _live(self):
-        """``{predicate: rows}`` over the sets the view itself holds; a
-        refresh replaces them, a maintenance pass updates them in place."""
+        """``{predicate: rows}``: decoded from the maintained state (fresh
+        sets), or the diff-mode sets the view itself holds."""
         if self.maintenance is not None:
             return {p: self.state.facts(p) for p in self.predicates}
         return self._rows
 
     def rows(self, predicate):
         """The current answer for one requested *predicate* (a copy)."""
-        return set(self._live().get(predicate, ()))
+        if self.maintenance is not None:
+            return self.state.facts(predicate)
+        return set(self._rows.get(predicate, ()))
 
     def snapshot(self):
         """``{predicate: set of rows}`` for every requested predicate."""
@@ -123,13 +131,22 @@ class MaterializedView:
             graph = store.graph_at(version)
         image = self.images.at(version, graph) if self.plan.reads_relations else None
         if self.maintenance is not None:
+            if (
+                self.state is not None
+                and self.state.catalog is image.catalog
+                and catalog_bloated(self._dead, self._refs)
+            ):
+                # The catalog the state shares with the image is bloated by
+                # values that left the store: both start over.
+                self.images.reset("catalog_bloat")
+                image = self.images.at(version, graph)
             # GraphLog plans read the active domain (``node``); a Datalog
             # request evaluates against the raw EDB, and so does its view.
-            domain = self.plan.op == "graphlog"
-            self.state, self.counts = self.maintenance.evaluate(
-                image.prepared if domain else image.database
+            self.state = self.maintenance.evaluate(
+                image.prepared if self.plan.op == "graphlog" else image.database
             )
-            self._domain_refs = domain_refs(image.database) if domain else None
+            self._refs = domain_refs(image.database)
+            self._dead = set()
         else:
             self._rows = self.plan.evaluate(graph, image, self.eval_params)
             self.predicates = tuple(sorted(set(self.predicates) | set(self._rows)))
@@ -170,10 +187,12 @@ class MaterializedView:
                     ) from exc
             else:
                 self.version = record.version
-                return self._emit(
-                    {p: stats.added[p] for p in self.predicates if stats.added.get(p)},
-                    {p: stats.deleted[p] for p in self.predicates if stats.deleted.get(p)},
-                )
+                if catalog_bloated(self._dead, self._refs):
+                    # Same rows over a fresh catalog; with the version's
+                    # graph no longer retained, a later commit retries.
+                    with contextlib.suppress(StoreError):
+                        self.refresh(record.version)
+                return self._emit(stats.added, stats.deleted)
         elif (
             delta is not None
             and self.plan.footprint is not None
@@ -197,23 +216,22 @@ class MaterializedView:
 
     def _maintain(self, delta):
         """One counting/DRed pass under *delta*, in place.  The delta's row
-        sets are handed over as they are (``maintain`` copies them once); a
+        sets are handed over as they are (``maintain`` encodes them once); a
         value's domain fact appears with its first occurrence in the EDB and
         disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)."""
         delta_plus = dict(delta.insertions)
         delta_minus = dict(delta.deletions)
-        if self._domain_refs is not None:
-            entered, left = fold_domain_refs(self._domain_refs, delta)
+        entered, left = fold_domain_refs(self._refs, delta)
+        self._dead |= left
+        self._dead -= entered
+        if self.plan.op == "graphlog":
             for side, values in ((delta_plus, entered), (delta_minus, left)):
                 if values:
                     side[DOMAIN_PREDICATE] = side.get(DOMAIN_PREDICATE, set()) | {
                         (value,) for value in values
                     }
         stats = self.maintenance.maintain(
-            self.state,
-            delta_plus=delta_plus,
-            delta_minus=delta_minus,
-            counts=self.counts,
+            self.state, delta_plus=delta_plus, delta_minus=delta_minus
         )
         self.maintenance_passes += 1
         return stats
@@ -223,7 +241,11 @@ class MaterializedView:
             "mode": self.mode,
             "fallback_reason": self.fallback_reason,
             "version": self.version,
-            "rows": sum(len(rows) for rows in self._live().values()),
+            "rows": (
+                sum(map(self.state.count, self.predicates))
+                if self.maintenance is not None
+                else sum(map(len, self._rows.values()))
+            ),
             "predicates": list(self.predicates),
             "maintenance_passes": self.maintenance_passes,
             "diff_refreshes": self.diff_refreshes,

@@ -29,15 +29,16 @@ class TestRelation:
         assert set(r.lookup((0, 1), ("a", "b"))) == {("a", "b")}
         assert not r.lookup((0, 1), ("a", "z"))
 
-    def test_ensure_index_prebuilds(self):
+    def test_built_index_follows_writes(self):
         r = Relation("p", 2)
         r.add_many([("a", "b"), ("a", "c")])
-        r.ensure_index((1,))
+        assert r.lookup((1,), ("b",)) == {("a", "b")}
         assert (1,) in r._indexes
-        r.add(("a", "d"))  # maintained like any lazily-built index
+        r.add(("a", "d"))
+        r.discard(("a", "b"))
         assert r.lookup((1,), ("d",)) == {("a", "d")}
-        r.ensure_index(())  # no-ops: empty, full-arity, already built
-        r.ensure_index((0, 1))
+        assert not r.lookup((1,), ("b",))
+        r.lookup((0, 1), ("a", "c"))  # fully bound: a membership probe
         assert (0, 1) not in r._indexes
 
     def test_lookup_empty_positions_returns_all(self):

@@ -16,10 +16,7 @@ import pytest
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
-from repro.datalog.dred import (
-    MaintenancePlan,
-    evaluate_with_counts,
-)
+from repro.datalog.dred import MaintenancePlan
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel
@@ -47,6 +44,12 @@ def edb_arities(program):
     return arities
 
 
+def materialize(program, edb):
+    """``(plan, state)``: *program* evaluated over *edb*, ready to maintain."""
+    plan = MaintenancePlan(program)
+    return plan, plan.evaluate(edb)
+
+
 def snapshot(database, predicates):
     return {p: frozenset(database.facts(p)) for p in predicates}
 
@@ -61,8 +64,8 @@ class TestCountingMode:
 
     def test_nonrecursive_groups_use_counting(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
-        stats = plan.maintain(database, {"e": [("c", "d")]}, None, counts)
+        plan, database = materialize(self.PROGRAM, edb)
+        stats = plan.maintain(database, {"e": [("c", "d")]}, None)
         assert stats.counting_groups > 0
         assert stats.dred_groups == 0
         assert ("c", "d") in database.facts("hop")
@@ -74,17 +77,17 @@ class TestCountingMode:
         edb = Database.from_facts(
             {"e": [("a", "b"), ("b", "c"), ("a", "x"), ("x", "c")]}
         )
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
-        plan.maintain(database, None, {"e": [("a", "b")]}, counts)
+        plan, database = materialize(self.PROGRAM, edb)
+        plan.maintain(database, None, {"e": [("a", "b")]})
         assert ("a", "c") in database.facts("two")
-        plan.maintain(database, None, {"e": [("a", "x")]}, counts)
+        plan.maintain(database, None, {"e": [("a", "x")]})
         assert ("a", "c") not in database.facts("two")
 
     def test_counting_matches_recompute(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "a")]})
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
+        plan, database = materialize(self.PROGRAM, edb)
         plan.maintain(
-            database, {"e": [("c", "d")]}, {"e": [("a", "b")]}, counts
+            database, {"e": [("c", "d")]}, {"e": [("a", "b")]}
         )
         expected = Engine(check_safety=False).evaluate(
             self.PROGRAM,
@@ -97,8 +100,8 @@ class TestCountingMode:
 class TestDRedTransitiveClosure:
     def test_recursive_group_takes_dred_path(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        plan, database, counts = evaluate_with_counts(TC, edb)
-        stats = plan.maintain(database, None, {"e": [("b", "c")]}, counts)
+        plan, database = materialize(TC, edb)
+        stats = plan.maintain(database, None, {"e": [("b", "c")]})
         assert stats.dred_groups > 0
         assert stats.overdeleted > 0
         assert set(database.facts("tc")) == {("a", "b")}
@@ -109,60 +112,71 @@ class TestDRedTransitiveClosure:
         edb = Database.from_facts(
             {"e": [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")]}
         )
-        plan, database, counts = evaluate_with_counts(TC, edb)
-        stats = plan.maintain(database, None, {"e": [("a", "b")]}, counts)
+        plan, database = materialize(TC, edb)
+        stats = plan.maintain(database, None, {"e": [("a", "b")]})
         assert stats.rederived > 0
         assert ("a", "d") in database.facts("tc")
         assert ("a", "b") not in database.facts("tc")
 
     def test_insert_then_delete_roundtrip(self):
         edb = Database.from_facts({"e": [("a", "b")]})
-        plan, database, counts = evaluate_with_counts(TC, edb)
+        plan, database = materialize(TC, edb)
         before = snapshot(database, ("e", "tc"))
-        plan.maintain(database, {"e": [("b", "c")]}, None, counts)
+        plan.maintain(database, {"e": [("b", "c")]}, None)
         assert ("a", "c") in database.facts("tc")
-        plan.maintain(database, None, {"e": [("b", "c")]}, counts)
+        plan.maintain(database, None, {"e": [("b", "c")]})
         assert snapshot(database, ("e", "tc")) == before
 
     def test_cycle_deletion(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "a")]})
-        plan, database, counts = evaluate_with_counts(TC, edb)
-        plan.maintain(database, None, {"e": [("b", "a")]}, counts)
+        plan, database = materialize(TC, edb)
+        plan.maintain(database, None, {"e": [("b", "a")]})
         expected = Engine(check_safety=False).evaluate(
             TC, Database.from_facts({"e": [("a", "b")]})
         )
         assert snapshot(database, ("e", "tc")) == snapshot(expected, ("e", "tc"))
 
 
-class TestRederivationProbe:
-    def test_derivable_stops_at_the_first_derivation(self, monkeypatch):
-        # tc(a, z) has N alternative derivations a -> m_i -> z.  Asking
-        # whether it is derivable needs one of them: a constant number of
-        # index probes, however many alternatives there are.
-        from repro.datalog.database import Relation
+class TestRederivationBatch:
+    def test_rederive_fires_are_independent_of_candidates_and_alternatives(
+        self, monkeypatch
+    ):
+        # a_j -> m_i -> z for j < k, i < n.  Deleting every a_j -> m0
+        # overdeletes tc(a_j, m0) and tc(a_j, z); each tc(a_j, z) has n - 1
+        # surviving alternatives.  Rederivation is one head-seeded batch
+        # semijoin per rule and round, so the number of rederive pipeline
+        # fires depends on neither k (candidates) nor n (alternatives).
+        from repro.datalog import columnar
 
-        lookup = Relation.lookup
+        fire = columnar._Pipeline.fire
 
-        def probes(n):
+        def rederive_fires(k, n):
             middles = [f"m{i}" for i in range(n)]
-            edb = Database.from_facts(
-                {"e": [("a", m) for m in middles] + [(m, "z") for m in middles]}
-            )
-            plan, database, _counts = evaluate_with_counts(TC, edb)
-            ((_group, rules, _body_preds, _eligible),) = plan._group_plans
-            calls = []
+            edges = [(f"a{j}", m) for j in range(k) for m in middles]
+            edb = Database.from_facts({"e": edges + [(m, "z") for m in middles]})
+            plan, state = materialize(TC, edb)
+            ((_overdelete, _insert, rederive),) = state.compiled
+            pipelines = {id(pipeline) for _head, pipeline in rederive}
+            seeds = []
 
-            def counted(self, positions, values):
-                calls.append(self.name)
-                return lookup(self, positions, values)
+            def counted(pipeline, delta_rows=None, old_keys=None):
+                if id(pipeline) in pipelines:
+                    seeds.append(len(delta_rows))
+                return fire(pipeline, delta_rows, old_keys)
 
+            gone = [(f"a{j}", "m0") for j in range(k)]
             with monkeypatch.context() as patch:
-                patch.setattr(Relation, "lookup", counted)
-                assert plan._derivable(rules, database, "tc", ("a", "z"))
-                assert not plan._derivable(rules, database, "tc", ("z", "a"))
-            return len(calls)
+                patch.setattr(columnar._Pipeline, "fire", counted)
+                stats = plan.maintain(state, None, {"e": gone})
+            assert stats.rederived == k
+            assert stats.deleted == {"e": set(gone), "tc": set(gone)}
+            kept = [edge for edge in edb.facts("e") if edge not in gone]
+            expected = Engine("naive").evaluate(TC, Database.from_facts({"e": kept}))
+            assert state.facts("tc") == expected.facts("tc")
+            assert max(seeds) == 2 * k  # every candidate in one batch
+            return len(seeds)
 
-        assert probes(40) == probes(4) <= 6
+        assert rederive_fires(1, 3) == rederive_fires(30, 40) <= 4
 
 
 class TestStratifiedNegation:
@@ -182,28 +196,27 @@ class TestStratifiedNegation:
 
     def test_negated_support_gained_retracts(self):
         edb = Database.from_facts({"e": [("a", "b")], "good": []})
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
+        plan, database = materialize(self.PROGRAM, edb)
         assert ("a", "b") in database.facts("broken")
-        plan.maintain(database, {"good": [("a",)]}, None, counts)
+        plan.maintain(database, {"good": [("a",)]}, None)
         assert ("a", "b") not in database.facts("broken")
 
     def test_negated_support_lost_derives(self):
         edb = Database.from_facts({"e": [("a", "b")], "good": [("a",)]})
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
+        plan, database = materialize(self.PROGRAM, edb)
         assert set(database.facts("broken")) == set()
-        plan.maintain(database, None, {"good": [("a",)]}, counts)
+        plan.maintain(database, None, {"good": [("a",)]})
         assert ("a", "b") in database.facts("broken")
 
     def test_mixed_delta_across_strata(self):
         edb = Database.from_facts(
             {"e": [("a", "b"), ("b", "c")], "good": [("b",)]}
         )
-        plan, database, counts = evaluate_with_counts(self.PROGRAM, edb)
+        plan, database = materialize(self.PROGRAM, edb)
         plan.maintain(
             database,
             {"e": [("c", "d")], "good": [("a",)]},
             {"e": [("a", "b")], "good": [("b",)]},
-            counts,
         )
         expected = self._full([("b", "c"), ("c", "d")], [("a",)])
         predicates = ("e", "good", "tc", "broken", "ok")
@@ -222,19 +235,19 @@ class TestProgramFactsAndIdbDeltas:
             """
         )
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        plan, database, counts = evaluate_with_counts(program, edb)
-        plan.maintain(database, None, {"e": [("a", "b")]}, counts)
+        plan, database = materialize(program, edb)
+        plan.maintain(database, None, {"e": [("a", "b")]})
         assert ("a", "b") in database.facts("e")
         assert ("a", "c") in database.facts("tc")
-        plan.maintain(database, None, {"e": [("b", "c")]}, counts)
+        plan.maintain(database, None, {"e": [("b", "c")]})
         assert ("a", "c") not in database.facts("tc")
         assert ("a", "b") in database.facts("tc")
 
     def test_delta_under_idb_name_treated_as_base_fact(self):
         edb = Database.from_facts({"e": [("a", "b")], "tc": [("x", "y")]})
-        plan, database, counts = evaluate_with_counts(TC, edb)
+        plan, database = materialize(TC, edb)
         assert ("x", "y") in database.facts("tc")
-        plan.maintain(database, None, {"tc": [("x", "y")]}, counts)
+        plan.maintain(database, None, {"tc": [("x", "y")]})
         assert ("x", "y") not in database.facts("tc")
         assert ("a", "b") in database.facts("tc")
 
@@ -249,7 +262,7 @@ class TestRandomizedDifferential:
             return
         edb = random_database(seed + 1, arities, domain_size=5, facts_per_predicate=6)
         plan = MaintenancePlan(program)
-        database, counts = plan.evaluate(edb)
+        database = plan.evaluate(edb)
         rng = random.Random(seed + 2)
         domain = [f"v{i}" for i in range(5)]
         for round_index in range(4):
@@ -273,7 +286,7 @@ class TestRandomizedDifferential:
                     relation.discard(row)
                 for row in added:
                     relation.add(row)
-            plan.maintain(database, delta_plus, delta_minus, counts)
+            plan.maintain(database, delta_plus, delta_minus)
             expected = Engine("naive", check_safety=False).evaluate(program, edb)
             predicates = sorted(program.predicates)
             assert snapshot(database, predicates) == snapshot(
@@ -291,6 +304,190 @@ class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", range(200, 206))
     def test_insert_only_sequences(self, seed):
         self._run(seed, negation=seed % 2 == 0, deletions=False)
+
+
+def churn(program, arities, values, seed, rounds=6):
+    """Random net insert / delete rounds on the predicates of *arities*
+    (IDB names allowed: base facts under that name) with values drawn from
+    *values*; after every round the maintained state equals
+    ``Engine("naive")`` from scratch.  Returns the plan's stats, summed."""
+    rng = random.Random(seed)
+    edb = Database()
+    for predicate, arity in arities.items():
+        relation = edb.relation(predicate, arity)
+        for _ in range(6):
+            relation.add(tuple(rng.choice(values) for _ in range(arity)))
+    plan, state = materialize(program, edb)
+    groups = {"counting": 0, "dred": 0}
+    for round_index in range(rounds):
+        plus, minus = {}, {}
+        for predicate, arity in arities.items():
+            relation = edb.relation(predicate)
+            present = sorted(relation, key=repr)
+            gone = set(rng.sample(present, min(len(present), rng.randint(0, 2))))
+            drawn = (
+                tuple(rng.choice(values) for _ in range(arity))
+                for _ in range(rng.randint(0, 2))
+            )
+            new = {row for row in drawn if row not in relation}
+            for row in gone:
+                relation.discard(row)
+            for row in new:
+                relation.add(row)
+            if gone:
+                minus[predicate] = gone
+            if new:
+                plus[predicate] = new
+        stats = plan.maintain(state, plus, minus)
+        groups["counting"] += stats.counting_groups
+        groups["dred"] += stats.dred_groups
+        expected = Engine("naive", check_safety=False).evaluate(program, edb)
+        for predicate in sorted(program.predicates):
+            assert state.facts(predicate) == expected.facts(predicate), (
+                f"seed={seed} round={round_index} predicate={predicate}"
+            )
+    return groups
+
+
+class TestEncodedDifferential:
+    """The encoded state against the specification on the shapes an int
+    encoding could get wrong."""
+
+    MIXED = parse_program(
+        """
+        tc(X, Y) :- e(X, Y).
+        tc(X, Z) :- e(X, Y), tc(Y, Z).
+        loop(X) :- tc(X, X).
+        pair(X, Y) :- e(X, Y), e(Y, X).
+        """
+    )
+    ARITHMETIC = parse_program(
+        """
+        next(X, Y) :- n(X), Y = X + 1, n(Y).
+        run(X, Y) :- next(X, Y).
+        run(X, Z) :- run(X, Y), next(Y, Z).
+        half(X, H) :- n(X), H = X / 2.
+        product(X, Y, P) :- e(X, Y), P = X * Y.
+        big(S) :- product(_, _, P), S = P + 1, S > 4.
+        """
+    )
+    NEGATION = parse_program(
+        """
+        tc(X, Y) :- e(X, Y).
+        tc(X, Z) :- e(X, Y), tc(Y, Z).
+        sink(X) :- n(X), not e(X, _).
+        lonely(X) :- n(X), not tc(_, X), not tc(X, _).
+        cut(X, Y) :- tc(X, Y), not e(X, Y), not sink(Y).
+        """
+    )
+    AXIOMS = parse_program(
+        """
+        e(a, b).
+        tc(c, a).
+        tc(X, Y) :- e(X, Y).
+        tc(X, Z) :- e(X, Y), tc(Y, Z).
+        hop(X, Y) :- tc(X, Y), not e(X, Y).
+        """
+    )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_type_values_collide_as_tuples_do(self, seed):
+        # 1 == 1.0 == True and 0 == 0.0 == False: one catalog id each, so a
+        # delta row equal to a stored one inserts or deletes that row.
+        pool = [0, 1, 1.0, True, False, 0.0, 2, 2.0, "a", "1"]
+        groups = churn(self.MIXED, {"e": 2}, pool, seed)
+        assert groups["counting"] and groups["dred"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_arithmetic_heads_intern_computed_values(self, seed):
+        pool = [0, 1, 2, 3, 4, 5, 7, 1.0, 2.0, True]
+        groups = churn(self.ARITHMETIC, {"n": 1, "e": 2}, pool, seed)
+        assert groups["counting"] and groups["dred"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_negation_with_anonymous_variables(self, seed):
+        pool = ["a", "b", "c", "d"]
+        churn(self.NEGATION, {"e": 2, "n": 1}, pool, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_idb_named_deltas_and_program_axioms(self, seed):
+        # Deltas name tc and hop (base facts under an IDB name) and retract
+        # rows the program asserts, which must survive.
+        pool = ["a", "b", "c", "d"]
+        churn(self.AXIOMS, {"e": 2, "tc": 2, "hop": 2}, pool, seed)
+
+
+class TestWalkerFree:
+    """Maintenance runs the columnar kernels only: with the tuple walker
+    made to raise, every pass — counting, DRed, and a store view's — still
+    succeeds and matches the specification."""
+
+    PROGRAM = parse_program(
+        """
+        tc(X, Y) :- e(X, Y).
+        tc(X, Z) :- e(X, Y), tc(Y, Z).
+        hop(X, Y) :- e(X, Y), not blocked(X).
+        stuck(X) :- tc(X, _), not hop(X, _).
+        """
+    )
+    STEPS = [
+        ({"e": [("a", "b"), ("b", "c")]}, {}),
+        ({"blocked": [("b",)]}, {}),
+        ({"e": [("c", "a")]}, {"e": [("a", "b")]}),
+        ({}, {"blocked": [("b",)], "e": [("b", "c")]}),
+        ({"e": [("a", "b"), ("b", "d")]}, {"e": [("c", "a")]}),
+    ]
+
+    @staticmethod
+    def _walker(*_args, **_kwargs):
+        raise AssertionError("Engine._fire ran during maintenance")
+
+    def test_passes_never_walk(self, monkeypatch):
+        edb = Database.from_facts({"e": [("x", "y")], "blocked": [("x",)]})
+        expected = []
+        for plus, minus in self.STEPS:
+            for predicate, rows in minus.items():
+                for row in rows:
+                    edb.relation(predicate).discard(row)
+            for predicate, rows in plus.items():
+                edb.add_facts(predicate, rows)
+            expected.append(Engine("naive").evaluate(self.PROGRAM, edb))
+        monkeypatch.setattr(Engine, "_fire", self._walker)
+        plan, state = materialize(
+            self.PROGRAM, Database.from_facts({"e": [("x", "y")], "blocked": [("x",)]})
+        )
+        counting = dred = 0
+        for (plus, minus), oracle_db in zip(self.STEPS, expected):
+            stats = plan.maintain(state, plus, minus)
+            counting += stats.counting_groups
+            dred += stats.dred_groups
+            for predicate in self.PROGRAM.predicates:
+                assert state.facts(predicate) == oracle_db.facts(predicate)
+        assert counting and dred
+
+    def test_store_view_never_walks(self, monkeypatch):
+        query = TestStoreLevelDifferential.QUERY
+        store = HAMStore()
+        store.load_database(Database.from_facts({"link": [("n0", "n1")]}))
+        monkeypatch.setattr(Engine, "_fire", self._walker)
+        view, _ = watch(store, query)
+        edits = [
+            ("add", "n1", "n2", "link"),
+            ("add", "n0", "n2", "fast"),
+            ("remove", "n0", "n1", "link"),
+            ("add", "n2", "n0", "link"),
+            ("remove", "n0", "n2", "fast"),
+        ]
+        for kind, source, target, label in edits:
+            with store.session().transaction() as txn:
+                edit = txn.add_edge if kind == "add" else txn.remove_edge
+                edit(source, target, EdgeLabel(label))
+        monkeypatch.undo()
+        assert view.maintenance_passes == len(edits)
+        assert view.maintenance_errors == 0
+        assert view.rows("risky") == GraphLogEngine("naive").answers(
+            parse_graphical_query(query), store.graph, "risky"
+        )
 
 
 class TestStoreLevelDifferential:

@@ -291,7 +291,7 @@ def test_dsl_roundtrip_through_render(pre_text):
 )
 @settings(max_examples=30, deadline=None)
 def test_insert_only_maintenance_matches_recompute(base_edges, new_edges):
-    from repro.datalog.dred import evaluate_with_counts
+    from repro.datalog.dred import MaintenancePlan
 
     base_edges = [(a, b) for a, b in base_edges if a != b]
     new_edges = [(a, b) for a, b in new_edges if a != b]
@@ -304,8 +304,9 @@ def test_insert_only_maintenance_matches_recompute(base_edges, new_edges):
     db = Database()
     db.relation("e", 2)
     db.add_facts("e", base_edges)
-    plan, updated, counts = evaluate_with_counts(program, db)
-    plan.maintain(updated, delta_plus={"e": new_edges}, counts=counts)
+    plan = MaintenancePlan(program)
+    updated = plan.evaluate(db)
+    plan.maintain(updated, delta_plus={"e": new_edges})
     full_db = Database()
     full_db.relation("e", 2)
     full_db.add_facts("e", base_edges + new_edges)

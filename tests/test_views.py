@@ -5,7 +5,7 @@ import threading
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
-from repro.datalog.dred import evaluate_with_counts
+from repro.datalog.dred import MaintenancePlan
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel
@@ -57,24 +57,28 @@ def _naive(program, facts):
     return Engine("naive").evaluate(program, Database.from_facts(facts))
 
 
+def _facts(state, program):
+    """``{predicate: rows}`` of every predicate *program* mentions."""
+    return {p: state.facts(p) for p in program.predicates}
+
+
 class TestInsertOnlyMaintenance:
     """Insert-only deltas through the one maintenance path
     (``MaintenancePlan.maintain``, which ``MaterializedView.apply`` runs),
     against from-scratch naive evaluation."""
 
     def _maintained(self, program, facts, inserts):
-        plan, database, counts = evaluate_with_counts(
-            program, Database.from_facts(facts)
-        )
-        plan.maintain(database, delta_plus=inserts, counts=counts)
-        return database
+        plan = MaintenancePlan(program)
+        state = plan.evaluate(Database.from_facts(facts))
+        plan.maintain(state, delta_plus=inserts)
+        return state
 
     def test_matches_recompute_simple(self):
         updated = self._maintained(
             TC, {"e": [("a", "b"), ("b", "c")]}, {"e": [("c", "d")]}
         )
         full = _naive(TC, {"e": [("a", "b"), ("b", "c"), ("c", "d")]})
-        assert updated.to_dict() == full.to_dict()
+        assert _facts(updated, TC) == _facts(full, TC)
 
     def test_bridging_edge_connects_components(self):
         updated = self._maintained(
@@ -96,26 +100,26 @@ class TestInsertOnlyMaintenance:
         edges = [("a", "b"), ("b", "c"), ("c", "d")]
         updated = self._maintained(program, {"e": edges}, {"e": [("d", "e")]})
         full = _naive(program, {"e": edges + [("d", "e")]})
-        assert updated.to_dict() == full.to_dict()
+        assert _facts(updated, program) == _facts(full, program)
 
     def test_duplicate_insert_noop(self):
         program = parse_program("p(X, Y) :- e(X, Y).")
         facts = {"e": [("a", "b")]}
-        plan, database, counts = evaluate_with_counts(
-            program, Database.from_facts(facts)
-        )
-        stats = plan.maintain(database, delta_plus=facts, counts=counts)
+        plan = MaintenancePlan(program)
+        state = plan.evaluate(Database.from_facts(facts))
+        stats = plan.maintain(state, delta_plus=facts)
         assert stats.facts_inserted == 0
-        assert database.to_dict() == _naive(program, facts).to_dict()
+        assert _facts(state, program) == _facts(_naive(program, facts), program)
 
     def test_evaluated_edb_not_mutated(self):
         program = parse_program("p(X, Y) :- e(X, Y).")
         edb = Database.from_facts({"e": [("a", "b")]})
         before = edb.to_dict()
-        plan, database, counts = evaluate_with_counts(program, edb)
-        plan.maintain(database, delta_plus={"e": [("x", "y")]}, counts=counts)
+        plan = MaintenancePlan(program)
+        state = plan.evaluate(edb)
+        plan.maintain(state, delta_plus={"e": [("x", "y")]})
         assert edb.to_dict() == before
-        assert ("x", "y") in database.facts("p")
+        assert ("x", "y") in state.facts("p")
 
     def test_nonmonotone_insert_retracts_through_negation(self):
         store = HAMStore()
@@ -137,14 +141,15 @@ class TestInsertOnlyMaintenance:
         edges = []
         edb = Database()
         edb.relation("e", 2)
-        plan, database, counts = evaluate_with_counts(TC, edb)
+        plan = MaintenancePlan(TC)
+        state = plan.evaluate(edb)
         for step in range(25):
             new = (rng.choice(nodes), rng.choice(nodes))
             if new[0] == new[1]:
                 continue
             edges.append(new)
-            plan.maintain(database, delta_plus={"e": [new]}, counts=counts)
-            assert database.facts("tc") == _naive(TC, {"e": edges}).facts("tc"), step
+            plan.maintain(state, delta_plus={"e": [new]})
+            assert state.facts("tc") == _naive(TC, {"e": edges}).facts("tc"), step
 
 
 class TestStoreLevelView:
@@ -237,7 +242,7 @@ class TestStoreLevelView:
         with store.session().transaction() as txn:
             txn.add_edge("c", "a", EdgeLabel("link"))
         assert view.rows("tc") == {(x, y) for x in "abc" for y in "abc"}
-        assert "node" not in view.state
+        assert "node" not in view.state.relations
 
     def test_stats_shape(self):
         store = self._store()
@@ -301,8 +306,8 @@ class TestStoreLevelView:
         view, changes = watch(store, REACH)
         maintain = view.maintenance.maintain
 
-        def half_done(database, **kwargs):
-            maintain(database, **kwargs)  # the state is already updated ...
+        def half_done(state, **kwargs):
+            maintain(state, **kwargs)  # the state is already updated ...
             raise RuntimeError("boom")  # ... when the pass fails
 
         monkeypatch.setattr(view.maintenance, "maintain", half_done)
@@ -325,7 +330,7 @@ class TestStoreLevelView:
         store.subscribe(lambda record: store.truncate_history(0))
         view, changes = watch(store, REACH)
 
-        def boom(database, **kwargs):
+        def boom(state, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(view.maintenance, "maintain", boom)
@@ -379,3 +384,82 @@ class TestOrderedDelivery:
         assert not first.is_alive() and not second.is_alive()
         assert view.version == 3
         assert view.rows("reach") == oracle(store, REACH, "reach") == {("a", "b")}
+
+
+class TestCatalogLifetime:
+    """A maintained view keeps the catalog it materialized over and interns
+    delta values into it; it sheds that catalog by the image's own rule."""
+
+    def _store(self):
+        store = HAMStore()
+        store.load_database(Database.from_facts({"link": [("a", "b")]}))
+        return store
+
+    @staticmethod
+    def _step(store, i, images=None):
+        """Link ``a`` to a never-seen name and drop the previous one; with
+        *images*, a reader then folds the image up to the new version."""
+        with store.session().transaction() as txn:
+            txn.add_edge("a", f"x{i}", EdgeLabel("link"))
+            if i:
+                txn.remove_edge("a", f"x{i - 1}", EdgeLabel("link"))
+        if images is not None:
+            images.at(*store.snapshot_versioned())
+
+    @staticmethod
+    def _view(store, images):
+        view = MaterializedView(PreparedQuery("graphlog", REACH), images)
+        view.refresh()
+        store.subscribe(view.apply)
+        return view
+
+    def test_view_outlives_the_images_catalog_bloat_rebuild(self):
+        store = self._store()
+        images = StoreImages(store)
+        for i in range(40):  # the image folds 39 dead names before the view
+            self._step(store, i, images)
+        view = self._view(store, images)
+        catalog = view.state.catalog
+        i = 40
+        while not images.fallbacks["catalog_bloat"]:
+            self._step(store, i, images)
+            i += 1
+        image = images.at(*store.snapshot_versioned())
+        assert image.catalog is not catalog and view.state.catalog is catalog
+        for j in range(i, i + 5):
+            self._step(store, j, images)
+            assert view.rows("reach") == oracle(store, REACH, "reach")
+        assert view.maintenance_errors == 0
+
+    def test_view_outlives_an_image_reset(self):
+        store = self._store()
+        images = StoreImages(store)
+        view = self._view(store, images)
+        catalog = view.state.catalog
+        images.reset("rebootstrap")
+        for i in range(5):
+            self._step(store, i, images)
+            assert view.rows("reach") == oracle(store, REACH, "reach")
+        assert images.at(*store.snapshot_versioned()).catalog is not catalog
+        assert view.state.catalog is catalog
+        assert view.maintenance_passes == 5 and view.maintenance_errors == 0
+
+    def test_never_repeating_names_shed_the_catalog_by_the_image_rule(self):
+        from repro.ham.image import _CATALOG_SLACK
+
+        store = self._store()
+        view = self._view(store, StoreImages(store))
+        catalogs = [view.state.catalog]
+        largest = 0
+        for i in range(800):
+            self._step(store, i)
+            largest = max(largest, len(view.state.catalog))
+            if view.state.catalog is not catalogs[-1]:
+                catalogs.append(view.state.catalog)
+        # Without shedding the catalog would hold all 800 names; with it a
+        # catalog never holds more than the live values, the slack's worth
+        # of dead ones and a handful of program constants.
+        assert largest <= 2 * _CATALOG_SLACK
+        assert len(catalogs) >= 800 // (_CATALOG_SLACK + 8)
+        assert view.rows("reach") == oracle(store, REACH, "reach")
+        assert view.maintenance_passes == 800 and view.maintenance_errors == 0
