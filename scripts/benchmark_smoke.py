@@ -17,6 +17,12 @@ checks every answer against the naive walker, its specification:
   refactor that silently drops back to rebuilding the image per commit fails
   here instead of only moving a latency.
 
+- the closure kernel, by counts alone: 50 closure misses (each a query text
+  the service has never seen) must each record exactly one
+  ``kernel="closure"`` stratum in their slowlog trace and answer what the
+  naive engine answers — so a change that sends closure strata back to the
+  generic semi-naive loop fails here.
+
 - structure sharing between store versions, by counts alone: 50 × (remove
   edge, re-add edge) through a durable :class:`QueryService` with one
   subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
@@ -202,6 +208,43 @@ def check_image_folds():
     )
 
 
+def kernel_strata(span):
+    """The ``kernel="closure"`` engine strata in a slowlog span tree."""
+    found = []
+    if span["name"] == "engine.stratum" and span["attrs"].get("kernel") == "closure":
+        found.append(span)
+    for child in span["children"]:
+        found.extend(kernel_strata(child))
+    return found
+
+
+def check_closure_kernel():
+    """50 closure misses, each a text the service has never seen: every
+    slowlog trace has exactly one ``kernel="closure"`` stratum and every
+    answer equals the naive oracle."""
+    rounds = 50
+    database = random_flights(7, n_cities=20, n_flights=120)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(
+        store=store, config=ServiceConfig(slow_ms=0, slowlog_capacity=rounds)
+    )
+    oracle = Engine(method="naive").evaluate(CLOSURE_PROGRAM, database).facts("connected")
+    for i in range(rounds):
+        name = f"conn{i:02d}"
+        query = CLOSURE_QUERY.replace("connected", name)
+        response = execute(service, {"op": "graphlog", "query": query})
+        if response["cache"] != "miss":
+            fail(f"closure round {i}: the never-seen query was not evaluated")
+        if {tuple(row) for row in response["result"]["relations"][name]} != oracle:
+            fail(f"closure round {i}: answer diverges from the naive oracle")
+    entries = service.slowlog.snapshot()
+    counts = [len(kernel_strata(entry["trace"])) for entry in entries if "trace" in entry]
+    if counts != [1] * rounds:
+        fail(f"closure misses did not each run one kernel stratum: {counts!r}")
+    print(f"closure kernel: {rounds} misses, {sum(counts)} kernel strata, all equal to naive")
+
+
 REACH_QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
 REACH_PROGRAM = parse_program(
     """
@@ -290,6 +333,7 @@ def main():
     check_abl6_chain()
     check_abl7_service()
     check_image_folds()
+    check_closure_kernel()
     check_commits_share_structure()
     print("benchmark_smoke: OK")
 

@@ -1,11 +1,11 @@
 """Evaluation of graphical queries: translate with λ, run the Datalog engine.
 
-The engine also knows a faster path for *closure* edges: when asked, it can
-evaluate ``p+`` literals with a dedicated transitive-closure kernel (from
-:mod:`repro.graphs.closure`) instead of the generic semi-naive Datalog rules,
-mirroring the paper's Section 6 remark that implementations can benefit from
+Closure edges need no special handling here: λ emits each ``p+`` as the TC
+rule pair of Definition 3.2, and the columnar core recognises that pair and
+computes it with a transitive-closure kernel (:mod:`repro.datalog.columnar`)
+— the paper's Section 6 remark that implementations can benefit from
 specialized transitive-closure computation.  The ``abl3`` benchmark compares
-the strategies.
+it with the naive specification and the RPQ automaton.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.core.translate import DOMAIN_PREDICATE, translate, translate_extended
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine, match_atom
 from repro.graphs.bridge import database_from_graph
-from repro.graphs.closure import transitive_closure
 
 
 def prepare_database(database, domain_predicate=DOMAIN_PREDICATE):
@@ -38,21 +37,15 @@ class GraphLogEngine:
         method: Datalog evaluation strategy — ``columnar`` (the int-encoded
             semi-naive kernels) or ``naive`` (the tuple walker that specifies
             them; see docs/ENGINE.md).
-        closure_kernel: when set to one of
-            :func:`repro.graphs.closure.closure_methods` names, simple
-            closure literals over binary predicates are precomputed with
-            that kernel and fed to the Datalog engine as base facts, instead
-            of being evaluated through the generic TC rules.
         domain_predicate: name of the auto-maintained node-domain relation.
         optimize: run the rule optimizer (dedupe, view inlining, pruning)
             on the translated program before evaluation; the defined
             relations are kept as roots, auxiliaries may be folded away.
     """
 
-    def __init__(self, method="columnar", closure_kernel=None,
-                 domain_predicate=DOMAIN_PREDICATE, optimize=False):
+    def __init__(self, method="columnar", domain_predicate=DOMAIN_PREDICATE,
+                 optimize=False):
         self.method = method
-        self.closure_kernel = closure_kernel
         self.domain_predicate = domain_predicate
         self.optimize = optimize
 
@@ -84,9 +77,7 @@ class GraphLogEngine:
             program = optimize_program(
                 program, roots=sorted(graphical.idb_predicates)
             )
-        program = self._maybe_precompute_closures(program, prepared)
-        engine = Engine(method=self.method)
-        return engine.evaluate(program, prepared)
+        return Engine(method=self.method).evaluate(program, prepared)
 
     def answers(self, query, database, predicate=None):
         """Evaluate and return the defined relation's tuples.
@@ -131,39 +122,6 @@ class GraphLogEngine:
 
             goal = parse_atom(goal)
         return match_atom(result, goal)
-
-    # ------------------------------------------------------------ internals
-
-    def _maybe_precompute_closures(self, program, database):
-        """Replace pure binary TC-pair definitions by precomputed facts.
-
-        Only applies when ``closure_kernel`` is set: for each auxiliary
-        predicate defined exactly by the TC rule pair over a binary *EDB*
-        base predicate, compute the closure directly and materialize it.
-        """
-        if self.closure_kernel is None:
-            return program
-        from repro.datalog.classify import tc_base_predicates
-
-        bases = tc_base_predicates(program)
-        edb = program.edb_predicates
-        replaced = set()
-        for predicate, base in bases.items():
-            if base not in edb or base not in database:
-                continue
-            if program.arity_of(predicate) != 2 or database.arity_of(base) != 2:
-                continue
-            pairs = transitive_closure(
-                set(database.facts(base)), method=self.closure_kernel
-            )
-            database.add_facts(predicate, pairs)
-            replaced.add(predicate)
-        if not replaced:
-            return program
-        from repro.datalog.ast import Program
-
-        remaining = [r for r in program if r.head.predicate not in replaced]
-        return Program(remaining)
 
 
 def _as_graphical(query):

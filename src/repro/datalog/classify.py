@@ -89,9 +89,11 @@ def _is_distinct_variable_vector(terms):
     return all(isinstance(t, Variable) for t in terms) and len(set(terms)) == len(terms)
 
 
-def _tc_shape(rules, predicate):
+def _tc_shape(rules, predicate, mirrored=False):
     """If the two *rules* for *predicate* form a TC pair, return the base
-    predicate name ``p0``; otherwise return None."""
+    predicate name ``p0``; otherwise return None.  The step rule is
+    ``p(X̄, Ȳ) :- p0(X̄, Z̄), p(Z̄, Ȳ)`` (Definition 3.2) or, *mirrored*, its
+    left-linear form ``p(X̄, Ȳ) :- p(X̄, Z̄), p0(Z̄, Ȳ)``."""
     if len(rules) != 2:
         return None
     base_rule = None
@@ -143,14 +145,23 @@ def _tc_shape(rules, predicate):
         second.atom.args
     ):
         return None
-    z_vars = first.atom.args[half:]
-    if first.atom.args[:half] != x_vars:
+    # The literal leaving X̄ and the one reaching Ȳ.
+    start, end = (second, first) if mirrored else (first, second)
+    z_vars = start.atom.args[half:]
+    if start.atom.args[:half] != x_vars:
         return None
-    if second.atom.args != z_vars + y_vars:
+    if end.atom.args != z_vars + y_vars:
         return None
     if set(z_vars) & (set(x_vars) | set(y_vars)):
         return None
     return p0
+
+
+def closure_base(rules, predicate):
+    """``p0`` when *rules* define *predicate* as exactly the transitive
+    closure of ``p0``: the TC pair of Definition 3.2 or its left-linear
+    mirror; otherwise None."""
+    return _tc_shape(rules, predicate) or _tc_shape(rules, predicate, mirrored=True)
 
 
 def is_tc_program(program):

@@ -1,15 +1,13 @@
 """Columnar int-encoded evaluation core (``Engine(method="columnar")``).
 
-The one semi-naive fixpoint of the repository (ROADMAP item 1): all terms
-are dictionary-encoded to dense ints once per database (a
-:class:`TermCatalog`), relations become sorted runs of int rows with
-``array('q')`` columnar materialization (:class:`ColumnarRelation`), and
-each rule body is compiled once per fixpoint into a pipeline of flat join /
-anti-join / built-in kernels over those ints (:func:`_compile_pipeline`).
-Semi-naive deltas are deduplicated against the base key set and merged in as
-new sorted runs between iterations (log-structured, so an iteration costs
-O(delta), never O(base)); the fully-sorted columns are produced by a final
-merge on demand.
+The one semi-naive fixpoint of the repository: all terms are
+dictionary-encoded to dense ints once per database (a :class:`TermCatalog`),
+a relation is a list of int rows plus their membership set
+(:class:`ColumnarRelation`), and each rule body is compiled once per
+fixpoint into a pipeline of flat join / anti-join / built-in kernels over
+those ints (:func:`_compile_pipeline`).  Semi-naive deltas are deduplicated
+against the membership set and appended between iterations, so an iteration
+costs O(delta), never O(base).
 
 - **Delta-first join ordering.**  Each (rule, delta position) variant is
   re-ordered greedily to enumerate the delta first, so a rule like
@@ -19,27 +17,38 @@ merge on demand.
   classical decomposition (positions before the delta read the full
   relation, positions after it the pre-iteration state), so each new
   combination is derived exactly once per iteration.
+- **Closure strata.**  By Theorem 3.3 every recursion a GraphLog query
+  expresses is the transitive closure of a non-recursive relation, and λ
+  emits each ``p+`` as the TC rule pair of Definition 3.2.  A group that is
+  one predicate defined by exactly that pair (or its left-linear mirror),
+  still empty when its turn comes, is one reachability pass of the SCC
+  kernel of :mod:`repro.graphs.closure` over the base relation's int rows
+  (a 2k-ary row is the edge ``row[:k] -> row[k:]``) — Section 6's "existing
+  work on transitive closure computation".  Other recursion, and relations
+  seeded by program facts or EDB rows, keep the semi-naive loop.
 
 Semantics are pinned to the naive walker of :mod:`repro.datalog.engine` by
 randomized differential tests (tests/test_columnar_differential.py):
 stratified negation, comparisons, arithmetic (including value interning of
-computed results), repeated variables, and constants all behave identically;
-results decode back into an ordinary
-:class:`~repro.datalog.database.Database`.
+computed results), repeated variables, constants and closure strata all
+behave identically.  Results decode back into an ordinary
+:class:`~repro.datalog.database.Database`, or — for a caller that reads a
+few relations — into just those relations' row sets.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter, defaultdict
 from operator import itemgetter
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
+from repro.datalog.classify import closure_base
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
 from repro.errors import EvaluationError
+from repro.graphs.closure import transitive_closure_scc
 
 # Comparison/arithmetic tables are shared with the naive walker so the two
 # backends can never drift on built-in semantics.
@@ -99,29 +108,27 @@ class TermCatalog:
 
 
 class ColumnarRelation:
-    """A relation of fixed-arity int rows stored as sorted runs.
+    """A relation of fixed-arity int rows.
 
-    ``rows`` is the flat list of encoded row tuples, laid out as a
-    concatenation of individually sorted runs (``run_lengths`` records the
-    boundaries); ``keys`` is the membership set used for O(1) dedup when a
-    delta run merges in.  :meth:`columns` materializes the fully-merged
-    ``array('q')`` column vectors.  Hash indexes over position subsets are
-    built lazily and — for unsealed relations — extended incrementally as
-    runs merge, so index maintenance is O(delta) per iteration.
+    ``rows`` is the list of encoded row tuples in insertion order; ``keys``
+    is the membership set used for O(1) dedup when a delta merges in.  No
+    code reads the rows in any particular order.  Hash indexes over position
+    subsets are built lazily and — for unsealed relations — extended
+    incrementally as deltas merge, so index maintenance is O(delta) per
+    iteration.
 
     A *sealed* relation is immutable (the encoded EDB): its indexes are
     built whole and may be shared by concurrent evaluations.  An unsealed
     relation (a fixpoint's working copy) is owned by one evaluation.
     """
 
-    __slots__ = ("name", "arity", "rows", "keys", "run_lengths", "sealed", "_indexes")
+    __slots__ = ("name", "arity", "rows", "keys", "sealed", "_indexes")
 
     def __init__(self, name, arity, sealed=False):
         self.name = name
         self.arity = int(arity)
         self.rows = []
         self.keys = set()
-        self.run_lengths = []
         self.sealed = sealed
         self._indexes = {}
 
@@ -133,33 +140,22 @@ class ColumnarRelation:
 
     def __repr__(self):
         return (
-            f"ColumnarRelation({self.name!r}/{self.arity}, {len(self.rows)} rows, "
-            f"{len(self.run_lengths)} runs{', sealed' if self.sealed else ''})"
+            f"ColumnarRelation({self.name!r}/{self.arity}, {len(self.rows)} rows"
+            f"{', sealed' if self.sealed else ''})"
         )
-
-    def seed(self, encoded_rows):
-        """Bulk-load one sorted base run (build/encode time only)."""
-        fresh = sorted(set(encoded_rows) - self.keys)
-        if not fresh:
-            return 0
-        self.rows.extend(fresh)
-        self.keys.update(fresh)
-        self.run_lengths.append(len(fresh))
-        return len(fresh)
 
     def fork(self, name=None):
         """An unsealed copy sharing row tuples but no indexes."""
         clone = ColumnarRelation(name or self.name, self.arity, sealed=False)
         clone.rows = list(self.rows)
         clone.keys = set(self.keys)
-        clone.run_lengths = list(self.run_lengths)
         return clone
 
     def patched(self, inserted=(), deleted=()):
         """A new sealed relation: this one's rows minus *deleted* plus
-        *inserted* (encoded rows), as one sorted run.  This relation — and
-        whatever evaluation is reading it — is left untouched; the copy
-        builds its own indexes on first probe."""
+        *inserted* (encoded rows).  This relation — and whatever evaluation
+        is reading it — is left untouched; the copy builds its own indexes
+        on first probe."""
         clone = ColumnarRelation(self.name, self.arity, sealed=True)
         deleted = self.keys.intersection(deleted)
         if deleted:
@@ -167,26 +163,17 @@ class ColumnarRelation:
         else:
             clone.rows = list(self.rows)
         clone.keys = set(clone.rows)
-        fresh = sorted(set(inserted) - clone.keys)
-        clone.keys.update(fresh)
-        clone.rows.extend(fresh)
-        clone.rows.sort()  # two sorted runs: one linear merge
-        if clone.rows:
-            clone.run_lengths.append(len(clone.rows))
+        clone.merge_run(inserted)
         return clone
 
     def merge_run(self, candidate_rows):
-        """Dedup *candidate_rows* against the base and merge the survivors
-        as one new sorted run; returns the list of genuinely-new rows."""
+        """Dedup *candidate_rows* against the relation and append the
+        survivors; returns the set of genuinely-new rows."""
         keys = self.keys
         fresh = {row for row in candidate_rows if row not in keys}
-        if not fresh:
-            return []
-        run = sorted(fresh)
-        self.rows.extend(run)
-        keys.update(run)
-        self.run_lengths.append(len(run))
-        return run
+        self.rows.extend(fresh)
+        keys.update(fresh)
+        return fresh
 
     def index(self, positions):
         """``{key: [row, ...]}`` over the columns at *positions*.
@@ -220,11 +207,6 @@ class ColumnarRelation:
                     bucket.append(row)
             entry[1] = total
         return mapping
-
-    def columns(self):
-        """The fully-merged sorted columns, one ``array('q')`` per column."""
-        ordered = self.rows if len(self.run_lengths) <= 1 else sorted(self.rows)
-        return [array("q", (row[i] for row in ordered)) for i in range(self.arity)]
 
 
 def _key_fn(positions):
@@ -275,7 +257,7 @@ class EncodedDatabase:
         for name in database:
             relation = database.relation(name)
             sealed = ColumnarRelation(name, relation.arity, sealed=True)
-            sealed.seed(
+            sealed.merge_run(
                 tuple(intern(value) for value in row) for row in relation.tuples
             )
             encoded.relations[name] = sealed
@@ -1152,16 +1134,23 @@ class _EvalState:
         return relation
 
 
-def evaluate_columnar(program, edb, stats, tracer=None, root_span=None):
+def evaluate_columnar(program, edb, stats, tracer=None, predicates=None):
     """Evaluate *program* over *edb* with the columnar backend.
 
     Returns a fresh :class:`~repro.datalog.database.Database` holding the
     EDB facts plus every derived fact — the same contract (and the same
-    stratified semantics) as ``Engine.evaluate``.  *stats* is the calling
-    engine's :class:`EvaluationStats`, updated in place.
+    stratified semantics) as ``Engine.evaluate``.  Given *predicates* (of
+    relations the program mentions or *edb* holds), it returns
+    ``{predicate: set of rows}`` for those alone, decoded straight from the
+    encoded state: no copy of *edb*, no other relation decoded.
+    *stats* is the calling engine's :class:`EvaluationStats`, updated in
+    place.
     """
     state = fixpoint(program, encode_database(edb), stats, tracer)
-    return _decode_result(state, program, edb, program.idb_predicates)
+    if predicates is None:
+        return _decode_result(state, program, edb, program.idb_predicates)
+    values = state.catalog.values
+    return {p: _decode_rows(state.relation(p), values) for p in predicates}
 
 
 def fixpoint(program, encoded, stats, tracer=None):
@@ -1213,6 +1202,20 @@ def fixpoint(program, encoded, stats, tracer=None):
 def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
     resolve = state.relation
     catalog = state.catalog
+
+    if len(group) == 1:
+        (predicate,) = group
+        base = closure_base(rules, predicate)
+        relation = resolve(predicate)
+        if base is not None and not relation.rows:  # a closure stratum
+            base = resolve(base)
+            fresh = relation.merge_run(_closure_rows(base.rows, relation.arity))
+            stats.iterations += 1
+            stats.rows_produced += len(fresh)
+            stats.facts_derived += len(fresh)
+            if span:
+                span.annotate(kernel="closure", base_rows=len(base), closure_rows=len(fresh))
+            return
 
     recursive = []  # (rule, pipelines: {delta_index: pipeline}, positions)
     init_only = []
@@ -1309,6 +1312,28 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
         span.annotate(rule_firings=dict(firings))
 
 
+def _closure_rows(rows, arity):
+    """The transitive closure of *rows*, each read as an edge from the node
+    ``row[:k]`` to the node ``row[k:]`` (``k = arity // 2``), as rows of
+    *arity* columns."""
+    if arity == 2:
+        return transitive_closure_scc(rows)
+    k = arity // 2
+    pairs = transitive_closure_scc([(row[:k], row[k:]) for row in rows])
+    return [source + target for source, target in pairs]
+
+
+def _decode_rows(relation, values):
+    """The term tuples of an encoded *relation*."""
+    rows = relation.rows
+    if relation.arity == 1:
+        return {(values[a],) for (a,) in rows}
+    if relation.arity == 2:
+        return {(values[a], values[b]) for a, b in rows}
+    getter = values.__getitem__
+    return {tuple(map(getter, row)) for row in rows}
+
+
 def _decode_result(state, program, edb, idb):
     result = edb.copy()
     _declare_relations(program, result.relation)
@@ -1318,17 +1343,9 @@ def _decode_result(state, program, edb, idb):
         if relation is None or not relation.rows:
             continue
         target = result.relation(predicate, relation.arity)
-        rows = relation.rows
-        if relation.arity == 1:
-            decoded = {(values[a],) for (a,) in rows}
-        elif relation.arity == 2:
-            decoded = {(values[a], values[b]) for a, b in rows}
-        else:
-            getter = values.__getitem__
-            decoded = {tuple(map(getter, row)) for row in rows}
         # Fresh copies carry no lazy indexes, so the tuple set can be
         # updated wholesale without index bookkeeping.
-        missing = decoded - target._tuples
+        missing = _decode_rows(relation, values) - target._tuples
         if missing:
             target._tuples.update(missing)
             target._mutations += 1

@@ -67,7 +67,9 @@ METHODS = ("columnar", "naive")
 
 
 class EvaluationStats:
-    """Counters collected during one evaluation run."""
+    """Counters collected during one evaluation run.  A closure stratum the
+    columnar core computes with its kernel counts one iteration, no rule
+    firings, and its closure rows as ``rows_produced`` and ``facts_derived``."""
 
     def __init__(self):
         self.iterations = 0
@@ -117,6 +119,15 @@ class Engine:
         """Evaluate *program* against *edb*; returns a new Database holding
         the EDB facts plus every derived IDB fact.  The input database is not
         modified."""
+        return self._run(program, edb, None)
+
+    def answer(self, program, edb, predicates):
+        """``{predicate: set of rows}`` for each of *predicates* — what
+        :meth:`evaluate` would hold for them.  The columnar core decodes
+        only those relations and never copies *edb*."""
+        return self._run(program, edb, predicates)
+
+    def _run(self, program, edb, predicates):
         if self.check_safety:
             check_program_safety(program)
         self.stats = EvaluationStats()
@@ -131,9 +142,11 @@ class Engine:
                 # this module, so a top-level import would be circular.
                 from repro.datalog.columnar import evaluate_columnar
 
-                database = evaluate_columnar(program, edb, self.stats, tracer)
+                result = evaluate_columnar(program, edb, self.stats, tracer, predicates)
             else:
-                database = self._evaluate_naive(program, edb, tracer)
+                result = self._evaluate_naive(program, edb, tracer)
+                if predicates is not None:
+                    result = {p: set(result.facts(p)) for p in predicates}
             if root:
                 root.annotate(
                     iterations=self.stats.iterations,
@@ -141,7 +154,7 @@ class Engine:
                     facts_derived=self.stats.facts_derived,
                     strata=self.stats.strata,
                 )
-        return database
+        return result
 
     def query(self, program, edb, goal):
         """Evaluate and return the set of tuples matching *goal* (an Atom).

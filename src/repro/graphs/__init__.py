@@ -21,6 +21,7 @@ from repro.graphs.closure import (
     reflexive_transitive_closure,
     transitive_closure,
     transitive_closure_naive,
+    transitive_closure_scc,
     transitive_closure_seminaive,
     transitive_closure_squaring,
     transitive_closure_warshall,
@@ -46,6 +47,7 @@ __all__ = [
     "topological_sort",
     "transitive_closure",
     "transitive_closure_naive",
+    "transitive_closure_scc",
     "transitive_closure_seminaive",
     "transitive_closure_squaring",
     "transitive_closure_warshall",

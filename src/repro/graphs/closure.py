@@ -2,20 +2,28 @@
 
 The paper argues (Section 6) that GraphLog implementations "can benefit from
 the existing work on transitive closure computation"; this module provides
-four interchangeable kernels over a set of pairs, used by the engine and
-compared in the ``abl2`` ablation benchmark:
+five interchangeable kernels over a set of pairs, compared in the ``abl2``
+ablation benchmark:
 
 - ``naive``: iterate ``T = T ∪ T∘E`` from scratch each round;
 - ``seminaive``: delta iteration (only new pairs are re-joined);
 - ``warshall``: Floyd–Warshall boolean closure over the node set;
-- ``squaring``: logarithmic rounds of ``T = T ∪ T∘T`` ("smart" closure).
+- ``squaring``: logarithmic rounds of ``T = T ∪ T∘T`` ("smart" closure);
+- ``scc``: strongly connected components (the iterative Tarjan of
+  :func:`~repro.graphs.algorithms.condensation`), then one reach set per
+  component over the condensation — every node of a component reaches the
+  same set, so no pair is derived twice.  The columnar engine computes
+  its closure strata with it (:mod:`repro.datalog.columnar`).
 
-All return the transitive (not reflexive) closure as a set of pairs.
+All return the transitive (not reflexive) closure as a set of pairs; nodes
+may be any hashable values.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+
+from repro.graphs.algorithms import condensation
 
 
 def _successor_map(pairs):
@@ -92,11 +100,34 @@ def transitive_closure_squaring(pairs):
         closure |= additions
 
 
+def transitive_closure_scc(pairs):
+    successors = _successor_map(pairs)
+    components, below = condensation(successors)
+    reach = []  # component index -> the nodes it reaches in >= 1 step
+    for index, component in enumerate(components):
+        # Tarjan lists a component after every component it points to, and
+        # a component reached at all is reached whole.
+        targets = set()
+        for other in below[index]:
+            targets |= components[other]
+            targets |= reach[other]
+        if len(component) > 1 or any(node in successors.get(node, ()) for node in component):
+            targets |= component
+        reach.append(targets)
+    return {
+        (source, target)
+        for component, targets in zip(components, reach)
+        for source in component
+        for target in targets
+    }
+
+
 _METHODS = {
     "naive": transitive_closure_naive,
     "seminaive": transitive_closure_seminaive,
     "warshall": transitive_closure_warshall,
     "squaring": transitive_closure_squaring,
+    "scc": transitive_closure_scc,
 }
 
 

@@ -161,23 +161,20 @@ class PreparedQuery:
         from repro.datalog.engine import Engine
 
         method = params.get("method")
+        predicates = self.requested_predicates(params)
         if self.has_summaries:
             result = GraphLogEngine(method=method).run(self.graphical, image.database)
-        else:
-            result = Engine(method=method, check_safety=False).evaluate(
-                self.program, image.prepared
-            )
-        predicates = self.requested_predicates(params)
-        return {p: set(result.facts(p)) for p in predicates}
+            return {p: set(result.facts(p)) for p in predicates}
+        return Engine(method=method, check_safety=False).answer(
+            self.program, image.prepared, predicates
+        )
 
     def _evaluate_datalog(self, _graph, image, params):
         from repro.datalog.engine import Engine
 
-        result = Engine(method=params.get("method"), check_safety=False).evaluate(
-            self.program, image.database
+        return Engine(method=params.get("method"), check_safety=False).answer(
+            self.program, image.database, self.requested_predicates(params)
         )
-        predicates = self.requested_predicates(params)
-        return {p: set(result.facts(p)) for p in predicates}
 
     def _evaluate_rpq(self, graph, _image, params):
         from repro.rpq.evaluate import RPQEvaluator

@@ -1,4 +1,4 @@
-"""Randomized differential tests over the four transitive-closure kernels.
+"""Randomized differential tests over the five transitive-closure kernels.
 
 Every kernel in :mod:`repro.graphs.closure` must compute the same relation;
 any disagreement on any input is a bug in at least one of them.  Random
@@ -69,7 +69,7 @@ def assert_all_kernels_agree(pairs):
 
 
 def test_kernel_registry_is_complete():
-    assert set(KERNELS) == {"naive", "seminaive", "warshall", "squaring"}
+    assert set(KERNELS) == {"naive", "seminaive", "warshall", "squaring", "scc"}
 
 
 def test_empty_graph():

@@ -40,36 +40,28 @@ class TestTermCatalog:
 
 class TestColumnarRelation:
     def test_seed_dedupes_and_sorts(self):
+        # Bulk loading is a merge_run into an empty relation; rows are kept
+        # unordered, so the contents are compared sorted.
         rel = ColumnarRelation("p", 2)
-        assert rel.seed([(2, 1), (1, 2), (2, 1)]) == 2
-        assert rel.rows == [(1, 2), (2, 1)]
-        assert rel.run_lengths == [2]
-        assert (1, 2) in rel
+        assert rel.merge_run([(2, 1), (1, 2), (2, 1)]) == {(1, 2), (2, 1)}
+        assert sorted(rel.rows) == [(1, 2), (2, 1)]
+        assert rel.keys == set(rel.rows)
+        assert (1, 2) in rel and (1, 1) not in rel
 
     def test_merge_run_appends_sorted_fresh_rows(self):
         rel = ColumnarRelation("p", 2)
-        rel.seed([(1, 2)])
-        fresh = rel.merge_run([(3, 4), (1, 2), (0, 0)])
-        assert fresh == [(0, 0), (3, 4)]
-        assert rel.run_lengths == [1, 2]
-        assert len(rel) == 3
-        assert rel.merge_run([(1, 2)]) == []
-
-    def test_columns_are_fully_merged(self):
-        from array import array
-
-        rel = ColumnarRelation("p", 2)
-        rel.seed([(5, 0), (1, 1)])
-        rel.merge_run([(3, 7)])
-        cols = rel.columns()
-        assert [type(c) for c in cols] == [array, array]
-        assert list(cols[0]) == [1, 3, 5]
-        assert list(cols[1]) == [1, 7, 0]
+        rel.merge_run([(1, 2)])
+        fresh = rel.merge_run([(3, 4), (1, 2), (0, 0), (3, 4)])
+        assert fresh == {(0, 0), (3, 4)}
+        assert len(rel) == 3 and rel.keys == set(rel.rows)
+        assert sorted(rel.rows) == [(0, 0), (1, 2), (3, 4)]
+        assert all(row in rel for row in [(1, 2), (3, 4), (0, 0)])
+        assert not rel.merge_run([(1, 2)])
 
     def test_index_extends_incrementally(self):
         rel = ColumnarRelation("p", 2)
-        rel.seed([(1, 2), (1, 3)])
-        assert rel.index((0,))[1] == [(1, 2), (1, 3)]
+        rel.merge_run([(1, 2), (1, 3)])
+        assert sorted(rel.index((0,))[1]) == [(1, 2), (1, 3)]
         rel.merge_run([(1, 4), (2, 9)])
         index = rel.index((0,))
         assert sorted(index[1]) == [(1, 2), (1, 3), (1, 4)]
@@ -79,11 +71,20 @@ class TestColumnarRelation:
 
     def test_fork_is_independent(self):
         rel = ColumnarRelation("p", 1, sealed=True)
-        rel.seed([(1,)])
+        rel.merge_run([(1,)])
         clone = rel.fork()
         clone.merge_run([(2,)])
         assert len(rel) == 1 and len(clone) == 2
+        assert (2,) in clone and (2,) not in rel
         assert not clone.sealed
+
+    def test_patched_drops_deleted_and_dedupes_inserted(self):
+        rel = ColumnarRelation("p", 1, sealed=True)
+        rel.merge_run([(1,), (2,), (3,)])
+        patched = rel.patched(inserted=[(4,), (4,), (1,)], deleted=[(2,), (9,)])
+        assert patched.sealed and patched.keys == set(patched.rows)
+        assert sorted(patched.rows) == [(1,), (3,), (4,)]
+        assert sorted(rel.rows) == [(1,), (2,), (3,)]
 
 
 class TestEncoding:
@@ -171,6 +172,17 @@ class TestColumnarEngine:
             Engine(method="naive").evaluate(program, edb)
         with pytest.raises(EvaluationError):
             Engine(method="columnar").evaluate(program, edb)
+
+    def test_answer_is_evaluate_restricted_to_the_requested_relations(self):
+        program = parse_program(
+            "hop(X,Y) :- e(X,Y). tc(X,Y) :- hop(X,Y). tc(X,Y) :- tc(X,Z), hop(Z,Y)."
+        )
+        edb = Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "a")]})
+        for method in ("columnar", "naive"):
+            full = Engine(method=method).evaluate(program, edb)
+            answer = Engine(method=method).answer(program, edb, ["tc", "e"])
+            assert answer == {p: set(full.facts(p)) for p in ("tc", "e")}, method
+        assert len(answer["tc"]) == 9
 
     def test_shared_edb_is_encoded_once_across_queries(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})

@@ -5,7 +5,11 @@ join kernels, semi-naive bookkeeping, decode — so its only trustworthy
 correctness argument is agreement with the naive walker (the executable
 specification) on arbitrary programs.  Programs are drawn from seeded generators (failures
 replay exactly) and cover recursion (linear and non-linear), stratified
-negation, comparisons, arithmetic, repeated variables, and constants.
+negation, comparisons, arithmetic, repeated variables, and constants.  The
+closure-strata half draws TC pairs — right- and left-linear, 2- and 4-ary,
+over EDB and lower-IDB-stratum bases, on self-loops, DAGs, several SCCs and
+empty graphs — and checks both the answer and which path ran: the closure
+kernel, or the semi-naive loop for a relation seeded before its stratum.
 The RPQ half pins the CSR/bitset product search to the dict-adjacency
 product BFS (the one ``matching_edges``/``witness_path`` walk) over random
 graphs and star/inverse-heavy expressions.
@@ -17,9 +21,14 @@ import random
 
 import pytest
 
+from repro import obs
+from repro.core.engine import GraphLogEngine, prepare_database
+from repro.datalog import columnar as columnar_core
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
+from repro.datasets.family import figure2_family
+from repro.figures import fig02, fig03
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.rpq.automaton import compile_regex
 from repro.rpq.evaluate import RPQEvaluator
@@ -102,6 +111,116 @@ def test_mixed_type_values_agree(seed):
     naive = Engine(method="naive").evaluate(program, edb)
     columnar = Engine(method="columnar").evaluate(program, edb)
     assert naive == columnar
+
+
+# ------------------------------------------------------------ closure strata
+
+GRAPH_SHAPES = ("random", "self_loops", "dag", "sccs", "empty")
+
+
+def random_edges(rng, shape):
+    """Edges over node numbers, drawn to a named shape."""
+    if shape == "empty":
+        return set()
+    edges = set()
+    if shape == "sccs":
+        # Disjoint cycles (a one-node cycle is a self-loop) joined by
+        # one-way bridges.
+        blocks, start = [], 0
+        for size in [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]:
+            block = list(range(start, start + size))
+            edges |= {(block[i], block[(i + 1) % size]) for i in range(size)}
+            blocks.append(block)
+            start += size
+        for earlier, later in zip(blocks, blocks[1:]):
+            edges.add((rng.choice(earlier), rng.choice(later)))
+        return edges
+    n = rng.randint(1, 9)
+    for _ in range(rng.randint(1, 14)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if shape == "dag":
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+        edges.add((a, b))
+    if shape == "self_loops":
+        edges |= {(a, a) for a in rng.sample(range(n), rng.randint(1, n))}
+    return edges
+
+
+def random_closure_case(rng):
+    """``(program, edb, seeded)``: one TC pair, drawn over right- and
+    left-linear steps, 2- and 4-ary rows, EDB and lower-IDB-stratum bases
+    and the graph shapes above; *seeded* cases give the closure relation
+    rows before its stratum runs, which must keep the generic loop."""
+    k = rng.choice([1, 2])
+    xs, ys, zs = (",".join(f"{v}{i}" for i in range(k)) for v in "XYZ")
+
+    def node(number):  # a k-ary node as k column values
+        return (VALUES[number % len(VALUES)], number)[:k]
+
+    edb = Database()
+    edges = random_edges(rng, rng.choice(GRAPH_SHAPES))
+    for a, b in edges:
+        edb.add_fact("edge", *node(a), *node(b))
+    rules = []
+    base = "edge"
+    if rng.random() < 0.5:  # the base is an IDB relation of a lower stratum
+        base = "hop"
+        rules.append(f"hop({xs},{ys}) :- edge({xs},{ys}), not cut({xs}).")
+        for a, _b in rng.sample(sorted(edges), min(len(edges), 2)):
+            edb.add_fact("cut", *node(a))
+    rules.append(f"tc({xs},{ys}) :- {base}({xs},{ys}).")
+    if rng.random() < 0.5:
+        rules.append(f"tc({xs},{ys}) :- {base}({xs},{zs}), tc({zs},{ys}).")
+    else:
+        rules.append(f"tc({xs},{ys}) :- tc({xs},{zs}), {base}({zs},{ys}).")
+    rules.append(f"loop({xs}) :- tc({xs},{xs}).")
+    seeded = rng.random() < 0.3
+    if seeded:
+        row = node(rng.randrange(12)) + node(rng.randrange(12))
+        if rng.random() < 0.5:
+            rules.append(f"tc({','.join(map(str, row))}).")
+        else:
+            edb.add_fact("tc", *row)
+    return parse_program("\n".join(rules)), edb, seeded
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_closure_strata_agree_with_the_specification(seed):
+    rng = random.Random(seed)
+    program, edb, seeded = random_closure_case(rng)
+    with obs.tracing("t") as tracer:
+        columnar = Engine().evaluate(program, edb)
+    assert columnar == Engine(method="naive").evaluate(program, edb), program
+    kernel_ran = any(
+        s.attrs.get("kernel") == "closure" and s.attrs["predicates"] == ["tc"]
+        for s in tracer.root.find_all("engine.stratum")
+    )
+    assert kernel_ran is not seeded, program
+
+
+def test_closure_strata_never_reach_the_semi_naive_loop(monkeypatch):
+    """The loop compiles a delta-first pipeline per recursive rule.  With that
+    compile patched to raise, the Figure 2 query and its Figure 3 translation
+    still evaluate — their closure strata run the kernel — and a recursion
+    that is no TC pair does not."""
+    original = columnar_core._compile_pipeline
+
+    def guarded(rule, ordered, resolve, catalog, old_ids, delta_first):
+        if delta_first:
+            raise AssertionError(f"semi-naive loop reached for {rule}")
+        return original(rule, ordered, resolve, catalog, old_ids, delta_first)
+
+    monkeypatch.setattr(columnar_core, "_compile_pipeline", guarded)
+    family = figure2_family()
+    assert fig02.reproduce()["answers"] == GraphLogEngine("naive").answers(
+        fig02.query(), family, "not-desc-of"
+    )
+    program, prepared = fig03.reproduce()["program"], prepare_database(family)
+    assert Engine().evaluate(program, prepared) == Engine("naive").evaluate(program, prepared)
+    with pytest.raises(AssertionError, match="semi-naive loop"):
+        Engine().evaluate(parse_program("p(X,Y) :- e(X,Y). p(X,Y) :- p(X,Z), p(Z,Y)."), prepared)
 
 
 # --------------------------------------------------------------- RPQ / CSR

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
@@ -389,6 +390,30 @@ class TestEncodedDifferential:
         hop(X, Y) :- tc(X, Y), not e(X, Y).
         """
     )
+
+    CLOSURES = parse_program(
+        """
+        hop(X, Y) :- e(X, Y), not n(X).
+        reach(X, Y) :- hop(X, Y).
+        reach(X, Z) :- reach(X, Y), hop(Y, Z).
+        path(A, B, C, D) :- step(A, B, C, D).
+        path(A, B, C, D) :- step(A, B, E, F), path(E, F, C, D).
+        """
+    )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_state_built_by_the_closure_kernel(self, seed):
+        # A left-linear pair over a lower IDB stratum and a 4-ary pair: the
+        # initial state comes from the closure kernel, DRed maintains it.
+        with obs.tracing("t") as tracer:
+            groups = churn(self.CLOSURES, {"e": 2, "n": 1, "step": 4}, ["a", "b", "c", "d"], seed)
+        kernel_strata = {
+            tuple(s.attrs["predicates"])
+            for s in tracer.root.find_all("engine.stratum")
+            if s.attrs.get("kernel") == "closure"
+        }
+        assert kernel_strata == {("reach",), ("path",)}
+        assert groups["dred"]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_type_values_collide_as_tuples_do(self, seed):

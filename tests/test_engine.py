@@ -286,10 +286,30 @@ class TestQueryHelpers:
 
 class TestStats:
     def test_stats_collected(self):
+        # Same-generation is recursive but not a TC pair, so it runs the
+        # generic semi-naive loop: one iteration per generation.
+        program = parse_program(
+            """
+            sg(X, X) :- person(X).
+            sg(X, Y) :- parent(X, Z), sg(Z, W), parent(Y, W).
+            """
+        )
+        db = Database()
+        for side in "ab":
+            chain = ["r"] + [f"{side}{i}" for i in range(1, 6)]
+            db.add_facts("parent", list(zip(chain[1:], chain)))
+            db.add_facts("person", [(p,) for p in chain])
+        engine = Engine()
+        engine.evaluate(program, db)
+        assert engine.stats.facts_derived == 11 + 10
+        assert engine.stats.iterations >= 5
+
+    def test_closure_stratum_stats(self):
         engine = Engine()
         engine.evaluate(parse_program(TC_PROGRAM), chain_db(5))
-        assert engine.stats.facts_derived == 15
-        assert engine.stats.iterations >= 5
+        assert engine.stats.facts_derived == engine.stats.rows_produced == 15
+        assert engine.stats.iterations == 1
+        assert engine.stats.rule_firings == 0
 
     def test_seminaive_fires_less_than_naive(self):
         naive = Engine(method="naive")

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import obs
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine, answers, prepare_database, run
 from repro.datalog.database import Database
 from repro.datasets.family import figure2_family
 from repro.graphs.bridge import graph_from_database
+from repro.graphs.closure import transitive_closure
 
 
 FIG2 = """
@@ -94,18 +96,31 @@ class TestPrepareDatabase:
         assert prepared.count("dom") > 0
 
 
+def closure_strata(query, database):
+    """Evaluate *query* with the default engine; returns the result and the
+    predicate lists of the strata the closure kernel computed."""
+    with obs.tracing("t") as tracer:
+        result = GraphLogEngine().run(query, database)
+    strata = tracer.root.find_all("engine.stratum")
+    return result, [s.attrs["predicates"] for s in strata if s.attrs.get("kernel") == "closure"]
+
+
 class TestClosureKernelOption:
+    """The closure kernel is not an option any more: the default engine
+    recognises the TC pair λ emits for ``p+`` and runs the kernel itself."""
+
     @pytest.mark.parametrize("kernel", ["seminaive", "warshall", "squaring", "naive"])
     def test_kernels_match_datalog_path(self, fig2_query, family, kernel):
-        plain = GraphLogEngine().answers(fig2_query, family, "not-desc-of")
-        accelerated = GraphLogEngine(closure_kernel=kernel).answers(
-            fig2_query, family, "not-desc-of"
+        result, kernel_strata = closure_strata(fig2_query, family)
+        assert kernel_strata == [["descendant-tc"]]
+        assert result == GraphLogEngine(method="naive").run(fig2_query, family)
+        assert result.facts("descendant-tc") == transitive_closure(
+            family.facts("descendant"), method=kernel
         )
-        assert plain == accelerated
 
     def test_kernel_skips_non_binary_closures(self, family):
-        # Closure with a label variable is not a plain binary TC; the kernel
-        # path must leave it to the Datalog engine and still be correct.
+        # Closure with a label variable is not a plain TC pair (the label
+        # rides along every step); it stays on the generic loop.
         q = parse_graphical_query(
             """
             define (X) -[same-line(L)]-> (Y) {
@@ -116,10 +131,10 @@ class TestClosureKernelOption:
         db = Database.from_facts(
             {"ride": [("a", "b", "red"), ("b", "c", "red"), ("c", "d", "blue")]}
         )
-        plain = GraphLogEngine().answers(q, db, "same-line")
-        accelerated = GraphLogEngine(closure_kernel="warshall").answers(q, db, "same-line")
-        assert plain == accelerated
-        assert ("a", "c", "red") in plain
+        result, kernel_strata = closure_strata(q, db)
+        assert kernel_strata == []
+        assert result == GraphLogEngine(method="naive").run(q, db)
+        assert ("a", "c", "red") in result.facts("same-line")
 
 
 class TestOptimizeOption:

@@ -102,7 +102,6 @@ def assert_encoding(database):
     decode = encoded.catalog.decode_row
     for name, relation in encoded.relations.items():
         assert relation.sealed and relation.arity == database.arity_of(name)
-        assert relation.rows == sorted(relation.rows)
         assert relation.keys == set(relation.rows) and len(relation.keys) == len(relation.rows)
         assert {decode(row) for row in relation.rows} == set(database.facts(name))
     return encoded
@@ -581,7 +580,7 @@ def test_encoded_database_patched_mirrors_database_patched():
     assert derived.catalog is encoded.catalog
     assert derived.relations["q"] is encoded.relations["q"]
     assert derived.relations["q"].index((0,)) is q_index
-    assert derived.relations["p"].run_lengths == [4]
+    assert len(derived.relations["p"]) == 4
     assert assert_encoding(base) is encoded  # the predecessor is untouched
     program = parse_program("t(X, Z) :- p(X, Y), p(Y, Z).")
     assert Engine(method="columnar").evaluate(program, successor).facts("t") == {(0, 2)}

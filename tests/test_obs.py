@@ -22,6 +22,13 @@ tc(X, Y) :- edge(X, Y).
 tc(X, Y) :- edge(X, Z), tc(Z, Y).
 """
 
+SG_PROGRAM = """
+person(r). person(a1). person(b1). person(a2). person(b2).
+parent(a1, r). parent(b1, r). parent(a2, a1). parent(b2, b1).
+sg(X, X) :- person(X).
+sg(X, Y) :- parent(X, Z), sg(Z, W), parent(Y, W).
+"""
+
 REACH_QUERY = """
 define (X) -[reach]-> (Y) {
     (X) -[link+]-> (Y);
@@ -147,21 +154,37 @@ class TestTraceRing:
 
 class TestEngineTracing:
     def test_per_stratum_iterations_and_deltas(self):
-        program = parse_program(TC_PROGRAM)
+        # Same-generation is not a TC pair: the generic semi-naive loop.
+        program = parse_program(SG_PROGRAM)
         with obs.tracing("t") as tr:
             Engine().evaluate(program, Database())
         evaluate = tr.root.find("engine.evaluate")
         assert evaluate.attrs["iterations"] >= 2
         strata = evaluate.find_all("engine.stratum")
         assert strata
-        tc_span = next(s for s in strata if "tc" in s.attrs["predicates"])
-        iterations = tc_span.attrs["iterations"]
+        sg_span = next(s for s in strata if "sg" in s.attrs["predicates"])
+        assert "kernel" not in sg_span.attrs
+        iterations = sg_span.attrs["iterations"]
         assert len(iterations) >= 2
         for entry in iterations:
             assert set(entry) == {"iteration", "delta_in", "derived"}
             assert entry["delta_in"]  # per-predicate delta sizes
-        assert tc_span.attrs["seed_delta"] == {"tc": 4}
-        assert sum(tc_span.attrs["rule_firings"].values()) >= 2
+        assert sg_span.attrs["seed_delta"] == {"sg": 5}
+        assert sum(sg_span.attrs["rule_firings"].values()) >= 2
+
+    def test_closure_stratum_records_the_kernel(self):
+        # `edge` is defined by program facts, so the closure's base is a
+        # lower IDB stratum; `tc` itself starts empty.
+        program = parse_program(TC_PROGRAM)
+        with obs.tracing("t") as tr:
+            Engine().evaluate(program, Database())
+        tc_span = next(
+            s for s in tr.root.find_all("engine.stratum") if s.attrs["predicates"] == ["tc"]
+        )
+        assert tc_span.attrs["kernel"] == "closure"
+        assert (tc_span.attrs["base_rows"], tc_span.attrs["closure_rows"]) == (4, 16)
+        assert tc_span.attrs["facts"] == {"tc": 16}
+        assert "iterations" not in tc_span.attrs
 
     def test_naive_method_traces_too(self):
         program = parse_program(TC_PROGRAM)
@@ -227,6 +250,8 @@ class TestExplainOp:
             "seed_delta",
         ):
             assert needle in tree, needle
+        # The `link+` closure stratum names the kernel that computed it.
+        assert '"kernel": "closure"' in tree
         assert "engine.stratum" in result["text"]
 
     def test_profile_omits_rendered_text(self):
