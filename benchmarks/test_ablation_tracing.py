@@ -49,7 +49,8 @@ def hot_round_seconds(service):
     for _ in range(ROUNDS):
         started = time.perf_counter()
         for _ in range(REQUESTS_PER_ROUND):
-            service.execute(REQUEST)
+            # As the network front runs a hit: the entry's bytes, no decode.
+            service.execute(REQUEST, wire=True)
         best = min(best, time.perf_counter() - started)
     return best
 

@@ -23,6 +23,13 @@ checks every answer against the naive walker, its specification:
   naive engine answers — so a change that sends closure strata back to the
   generic semi-naive loop fails here.
 
+- answers as bytes, by counts alone: 50 never-seen closure misses and 50
+  never-seen Datalog misses through ``execute(..., wire=True)`` must each
+  carry exactly the bytes the keyed-sort oracle writes for the naive
+  engine's answer, and ``stats.result_cache.encoded_bytes`` must be the sum
+  of their lengths — so a change that goes back to caching row lists, or
+  orders a row differently, fails here.
+
 - structure sharing between store versions, by counts alone: 50 × (remove
   edge, re-add edge) through a durable :class:`QueryService` with one
   subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
@@ -45,6 +52,7 @@ Exits non-zero (with a diagnostic on stderr) on any failure.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -245,6 +253,63 @@ def check_closure_kernel():
     print(f"closure kernel: {rounds} misses, {sum(counts)} kernel strata, all equal to naive")
 
 
+INDIRECT_PROGRAM = """
+leg(X, Y) :- from(F, X), to(F, Y).
+connected(X, Y) :- leg(X, Y).
+connected(X, Y) :- connected(X, Z), leg(Z, Y).
+indirect(X, Y) :- connected(X, Y), not leg(X, Y).
+"""
+
+
+def keyed_answer_bytes(relations):
+    """The bytes of an answer the old way: row lists sorted by each value's
+    ``(type name, str(value))``, then one ``json.dumps`` over them."""
+    wire = {
+        name: [
+            list(row)
+            for row in sorted(rows, key=lambda r: tuple((type(v).__name__, str(v)) for v in r))
+        ]
+        for name, rows in relations.items()
+    }
+    count = sum(len(rows) for rows in relations.values())
+    return json.dumps(
+        {"relations": wire, "count": count}, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
+
+
+def check_answers_are_bytes():
+    """50 closure and 50 Datalog misses (texts never seen) on the network
+    path: each answer's bytes are the keyed-sort oracle's bytes over the
+    naive engine's answer, and the result cache holds exactly those bytes."""
+    rounds = 50
+    database = random_flights(7, n_cities=20, n_flights=120)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(store=store, config=ServiceConfig())
+    naive = Engine(method="naive").evaluate(parse_program(INDIRECT_PROGRAM), database)
+    total = 0
+    for i in range(rounds):
+        name = f"conn{i:02d}"
+        requests = (
+            ({"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", name)},
+             {name: naive.facts("connected")}),
+            ({"op": "datalog", "query": INDIRECT_PROGRAM.replace("connected", name)},
+             {"leg": naive.facts("leg"), name: naive.facts("connected"),
+              "indirect": naive.facts("indirect")}),
+        )
+        for request, oracle in requests:
+            body = service.execute(request, wire=True)
+            if body.get("cache") != "miss":
+                fail(f"bytes round {i}: the never-seen {request['op']} was not evaluated")
+            if body["encoded"] != keyed_answer_bytes(oracle):
+                fail(f"bytes round {i}: {request['op']} bytes differ from the oracle's")
+            total += len(body["encoded"])
+    cached = service.stats()["result_cache"]
+    if (cached["encoded_entries"], cached["encoded_bytes"]) != (2 * rounds, total):
+        fail(f"the result cache does not hold exactly the answers' bytes: {cached!r}")
+    print(f"answer bytes: {2 * rounds} misses, {total} bytes, all equal to the oracle's")
+
+
 REACH_QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
 REACH_PROGRAM = parse_program(
     """
@@ -334,6 +399,7 @@ def main():
     check_abl7_service()
     check_image_folds()
     check_closure_kernel()
+    check_answers_are_bytes()
     check_commits_share_structure()
     print("benchmark_smoke: OK")
 

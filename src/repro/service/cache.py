@@ -71,22 +71,19 @@ def result_key(fingerprint, params):
 
 
 class Entry:
-    """One cached answer: its *value*, the *version* stamp, the plan's
-    *footprint*, and — ``None`` until a network request first hits it —
-    *encoded*, the wire bytes of the answer's ``result`` object.
+    """One cached answer: *encoded*, the wire bytes of its ``result`` object
+    — its only representation, spliced by a network hit and decoded by an
+    in-process one — its row *count*, the *version* stamp and the plan's
+    *footprint*.  The envelope is never encoded, so the bytes stay valid
+    when a commit re-stamps *version*."""
 
-    Only that object is encoded, never the response envelope, so the bytes
-    stay valid when a commit re-stamps *version*; a hit assigns them once,
-    so an answer that is never asked for again costs no second copy.
-    """
+    __slots__ = ("encoded", "count", "version", "footprint")
 
-    __slots__ = ("value", "version", "footprint", "encoded")
-
-    def __init__(self, value, version, footprint):
-        self.value = value
+    def __init__(self, encoded, count, version, footprint):
+        self.encoded = encoded
+        self.count = count
         self.version = version
         self.footprint = footprint
-        self.encoded = None
 
 
 class ResultCache:
@@ -118,14 +115,12 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, key, value, version, footprint=None):
-        """Cache *value* computed at *version* by a plan reading *footprint*.
-
-        *footprint* is the set of predicates the answer depends on; ``None``
-        means unknown, which every later commit treats as intersecting.
-        """
+    def put(self, key, encoded, count, version, footprint=None):
+        """Cache the *encoded* answer of *count* rows computed at *version* by
+        a plan reading *footprint*, the predicates the answer depends on
+        (``None``: unknown, which every later commit treats as intersecting)."""
         with self._lock:
-            self._entries[key] = Entry(value, version, footprint)
+            self._entries[key] = Entry(encoded, count, version, footprint)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -189,9 +184,6 @@ class ResultCache:
 
     def stats(self):
         with self._lock:
-            encoded = [
-                len(e.encoded) for e in self._entries.values() if e.encoded is not None
-            ]
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
@@ -200,6 +192,6 @@ class ResultCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "delta_reuse_hits": self.delta_reuse_hits,
-                "encoded_entries": len(encoded),
-                "encoded_bytes": sum(encoded),
+                "encoded_entries": len(self._entries),
+                "encoded_bytes": sum(len(e.encoded) for e in self._entries.values()),
             }

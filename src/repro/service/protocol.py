@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, count, repeat, zip_longest
+from operator import add, floordiv, mod, mul
 from typing import NamedTuple
 
 from repro.datalog.engine import METHODS
@@ -268,24 +269,69 @@ def raise_for_error(response):
     raise _CODE_TO_EXCEPTION.get(code, ServiceError)(message)
 
 
+_ABSENT = object()  # pads a short row: rank 0, before any value (prefix rule)
+#: Type sets whose values are equal exactly when their keys are (object: _ABSENT).
+_SELF_KEYED = ({str, int, type(None), object}, {str, bool, type(None), object})
+_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _value_key(value):
+    return (type(value).__name__, str(value))
+
+
+def _ranked(rows):
+    """*rows* in wire order, by their values' ``(type name, str(value))``, as
+    ``(digits, values)``: a column of ranks per position (at least one), and
+    what each rank stands for.  Rows sort as ints, their ranks packed."""
+    columns = list(zip_longest(*rows, fillvalue=_ABSENT)) or [(_ABSENT,) * len(rows)]
+    if any(map(set(map(type, chain.from_iterable(columns))).issubset, _SELF_KEYED)):
+        absent, sort_key = _ABSENT, _value_key
+        witness = {value: value for value in set(chain.from_iterable(columns))}
+    else:  # 1 == True == 1.0, "a" == Text("a"), 0.0 == -0.0: rank their keys
+        absent, sort_key = _value_key(_ABSENT), None
+        keyed = [list(map(_value_key, column)) for column in columns]
+        witness = dict(zip(chain.from_iterable(keyed), chain.from_iterable(columns)))
+        columns = keyed
+    witness.pop(absent, None)
+    classes = sorted(witness, key=sort_key)
+    rank = {absent: 0, **dict(zip(classes, count(1)))}
+    base = len(rank)
+    packed = map(rank.__getitem__, columns[0])
+    for column in columns[1:]:
+        packed = map(add, map(mul, packed, repeat(base)), map(rank.__getitem__, column))
+    digits = [sorted(packed)]
+    for _column in columns[1:]:
+        digits[:1] = [list(map(op, digits[0], repeat(base))) for op in (floordiv, mod)]
+    return digits, [_ABSENT, *map(witness.__getitem__, classes)]
+
+
 def rows_to_wire(rows):
-    """Sort a set of answer tuples into JSON-friendly lists (deterministic).
-
-    Rows order by their values' ``(type name, str(value))``; when every value
-    is a ``str`` that is the rows' own tuple order, with no key to build.
-    """
-    if set(map(type, chain.from_iterable(rows))) <= {str}:
-        return list(map(list, sorted(rows)))
-    return [list(row) for row in sorted(rows, key=_row_key)]
-
-
-def _row_key(row):
-    return tuple((type(value).__name__, str(value)) for value in row)
+    """Sort a set of answer tuples into JSON-friendly lists (deterministic)."""
+    if set(map(type, chain.from_iterable(rows))) <= {str}:  # str order is key order
+        return list(map(list, sorted(rows)))  # 2-3x faster on a frame's few rows
+    digits, values = _ranked(rows)
+    return [[values[rank] for rank in row if rank] for row in zip(*digits)]
 
 
 def relations_to_wire(relations):
     """``{predicate: rows}`` in wire form, predicates and rows both ordered."""
     return {name: rows_to_wire(rows) for name, rows in sorted(relations.items())}
+
+
+def encode_answer(relations):
+    """``(bytes, count)`` of a query answer: :func:`encode_result` of
+    ``{"relations": relations_to_wire(relations), "count": count}``, byte for
+    byte, with each distinct value JSON-encoded once and rows joined as text."""
+    total, parts = sum(map(len, relations.values())), []
+    for name, rows in sorted(relations.items()):
+        digits, values = _ranked(rows)
+        first = ["", *map(_json, values[1:])]
+        rest = ["", *("," + text for text in first[1:])]
+        cells = [map(first.__getitem__, digits[0])]
+        cells += [map(rest.__getitem__, column) for column in digits[1:]]
+        body = "[[" + "],[".join(map("".join, zip(*cells))) + "]]" if digits[0] else "[]"
+        parts.append(f"{_json(name)}:{body}")
+    return f'{{"count":{total},"relations":{{{",".join(parts)}}}}}'.encode(), total
 
 
 # --------------------------------------------------------------- push frames

@@ -23,6 +23,7 @@ overrides behave identically hot or cold.
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import threading
 import time
@@ -104,7 +105,7 @@ _REPL_APPLIER_FAMILIES = (
 #: ... the result cache's pre-encoded answers, ...
 _RESULT_CACHE_FAMILIES = (
     ("repro_result_cache_encoded_entries", "gauge",
-     "Result-cache entries holding their encoded wire bytes", "encoded_entries"),
+     "Result-cache entries, each holding its answer's wire bytes", "encoded_entries"),
     ("repro_result_cache_encoded_bytes", "gauge",
      "Bytes of encoded answers held by the result cache", "encoded_bytes"),
 )
@@ -341,9 +342,9 @@ class QueryService:
         or test) turns exceptions into failure responses.  *sink* is the
         connection's push-frame outlet (see :mod:`repro.subs`); only the
         ``subscribe``/``unsubscribe`` ops use it.  With *wire* (the network
-        front) a query answer's body also carries ``encoded``, the
-        :func:`protocol.encode_result` bytes of its ``result``, so the
-        response line splices them; in-process callers pay no encoding.
+        front) a query answer's body carries ``encoded``, the bytes of its
+        ``result``, in place of the object, so the response line splices
+        them; in-process callers get the object, decoded afresh.
 
         Distributed tracing happens here: a request carrying a ``trace``
         context is *adopted* (its trace id becomes the correlation id and
@@ -633,47 +634,34 @@ class QueryService:
         t2 = time.perf_counter()
         phases.append(("plan", t1 - t0))
         phases.append(("cache_lookup", t2 - t1))
-        if entry is not None:
-            payload, encoded_size = entry.value
+        if entry is None:
+            self.metrics.incr("result_cache.misses")
+            ctx["cache"] = "miss"
+            # Only the miss path is traced: a cache hit does no evaluation
+            # work, so it cannot be meaningfully slow, and tracing it would
+            # tax the ~12µs hot path the result cache exists to protect.
+            with self._work_span(
+                ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
+            ):
+                image = self._edb_for(plan, version, graph, phases)
+                relations = plan.evaluate(graph, image, params)
+            t3 = time.perf_counter()
+            phases.append(("evaluate", t3 - t2))
+            # A refused answer is never serialised; an accepted one once, into
+            # the bytes max_bytes measures, the entry holds and lines carry.
+            self._check_budgets(sum(map(len, relations.values())), max_rows)
+            encoded, total = protocol.encode_answer(relations)
+            phases.append(("encode", time.perf_counter() - t3))
+        else:
             self.metrics.incr("result_cache.hits")
             ctx["cache"] = "hit"
-            self._check_budgets(payload["count"], encoded_size, max_rows, max_bytes)
-            body = {"result": payload, "version": version, "cache": "hit"}
-            if ctx["wire"]:
-                # The first network hit leaves the bytes with the entry.  Two
-                # racing first hits encode the same payload to the same bytes,
-                # so whichever assignment lands last is right.
-                if entry.encoded is None:
-                    entry.encoded = protocol.encode_result(payload)
-                body["encoded"] = entry.encoded
-            return body
-
-        self.metrics.incr("result_cache.misses")
-        ctx["cache"] = "miss"
-        # Only the miss path is traced: a cache hit does no evaluation
-        # work, so it cannot be meaningfully slow, and tracing it would
-        # tax the ~12µs hot path the result cache exists to protect.
-        with self._work_span(
-            ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
-        ):
-            image = self._edb_for(plan, version, graph, phases)
-            relations = plan.evaluate(graph, image, params)
-        t3 = time.perf_counter()
-        total = sum(len(rows) for rows in relations.values())
-        payload = {"relations": protocol.relations_to_wire(relations), "count": total}
-        # The one serialisation of this answer: the budget check measures
-        # these bytes and the response line carries them.
-        encoded = protocol.encode_result(payload)
-        phases.append(("evaluate", t3 - t2))
-        phases.append(("encode", time.perf_counter() - t3))
-        self._check_budgets(total, len(encoded), max_rows, max_bytes)
-        # The entry keeps the size, not the bytes: an answer that is never
-        # asked for again is held once (the first network hit attaches them).
-        self.results.put(key, (payload, len(encoded)), version, plan.footprint)
-        body = {"result": payload, "version": version, "cache": "miss"}
-        if ctx["wire"]:
-            body["encoded"] = encoded
-        return body
+            encoded, total = entry.encoded, entry.count
+        self._check_budgets(total, max_rows, len(encoded), max_bytes)
+        if entry is None:
+            self.results.put(key, encoded, total, version, plan.footprint)
+        # Spliced into a network line; decoded afresh for each in-process call.
+        field, value = ("encoded", encoded) if ctx["wire"] else ("result", json.loads(encoded))
+        return {field: value, "version": version, "cache": ctx["cache"]}
 
     _op_graphlog = _op_datalog = _op_rpq = _op_query
 
@@ -732,8 +720,7 @@ class QueryService:
                 image = self._edb_for(plan, version, graph)
                 relations = plan.evaluate(graph, image, params)
             with tr.span("encode") as enc:
-                payload = protocol.relations_to_wire(relations)
-                enc.annotate(bytes=len(protocol.encode(payload)))
+                enc.annotate(bytes=len(protocol.encode_answer(relations)[0]))
         root = tr.root
         phases = {child.name: child.elapsed_ms for child in root.children}
         for name, elapsed_ms in phases.items():
@@ -935,7 +922,7 @@ class QueryService:
     # -------------------------------------------------------------- helpers
 
     @staticmethod
-    def _check_budgets(rows, encoded_size, max_rows, max_bytes):
+    def _check_budgets(rows, max_rows, encoded_size=None, max_bytes=None):
         if max_rows is not None and rows > max_rows:
             raise ResultTooLarge(f"result has {rows} rows, limit is {max_rows}")
         if max_bytes is not None and encoded_size > max_bytes:
@@ -1299,7 +1286,7 @@ class ServiceServer:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             response = protocol.ok_response(
                 request_id,
-                body["result"],
+                body.get("result"),
                 version=body.get("version"),
                 elapsed_ms=elapsed_ms,
                 cache=body.get("cache"),

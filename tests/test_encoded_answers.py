@@ -1,20 +1,25 @@
-"""Answers are encoded once: a result-cache entry carries the wire bytes of
-its ``result`` object, a hit splices them into a fresh envelope, a miss
-serialises its payload exactly once, and all-``str`` rows order without keys.
+"""Answers are encoded once, from their rows, into the bytes the result
+cache holds: a miss runs :func:`protocol.encode_answer` and stores its bytes
+as the entry's only representation, a network hit splices them into a fresh
+envelope, an in-process hit decodes them afresh, and ``rows_to_wire`` (push
+frames, subscribe snapshots) orders rows through the same ranking.
 
 What is pinned is bytes: every line a node writes must be the line the old
-path — ``protocol.encode`` over the whole response dict — would have written.
-That path survives here, as the oracle, and nowhere in ``src``.
+path — ``protocol.encode`` over the whole response dict, rows sorted by the
+keyed sort — would have written.  That path survives here, as the oracle,
+and nowhere in ``src``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
 import socket
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -134,21 +139,34 @@ class TestHitSplicesWhatAMissEncoded:
         service.execute({"op": "update", "edges": EDGES})
         message = {"op": "graphlog", "query": TC_QUERY}
         miss = service.execute(message)
+        (entry,) = service.results._entries.values()
+        # The miss left its bytes with the entry; nothing else is kept.
+        assert entry.encoded == protocol.encode_result(miss["result"])
+        assert entry.count == miss["result"]["count"] == 10
         hit = service.execute(message)
         assert (miss["cache"], hit["cache"]) == ("miss", "hit")
         assert "encoded" not in miss and "encoded" not in hit
-        assert hit["result"] is miss["result"]
-        assert service.results.stats()["encoded_entries"] == 0
-        # A miss on the network path hands its bytes to the response and
-        # keeps none: only a *hit* leaves them with the entry.
+        # Equal, but fresh per call: mutating one answer changes no other.
+        assert hit["result"] == miss["result"] and hit["result"] is not miss["result"]
+        hit["result"]["relations"]["r"].clear()
+        hit["result"]["count"] = -1
+        again = service.execute(message)
+        assert again["cache"] == "hit" and again["result"] == miss["result"]
+        assert protocol.encode_result(again["result"]) == entry.encoded
+        # A network miss hands the same kind of bytes to its response and
+        # to its entry — the same object, not a second copy.
         wire_miss = service.execute({"op": "rpq", "query": "e+"}, wire=True)
-        assert wire_miss["encoded"] == protocol.encode_result(wire_miss["result"])
-        assert service.results.stats()["encoded_entries"] == 0
+        assert "result" not in wire_miss
+        entries = list(service.results._entries.values())
+        assert entries[-1].encoded is wire_miss["encoded"]
+        stats = service.results.stats()
+        assert stats["encoded_entries"] == stats["size"] == 2
+        assert stats["encoded_bytes"] == len(entry.encoded) + len(wire_miss["encoded"])
         service.close()
 
 
 # --------------------------------------------------------------------------
-# (b) rows_to_wire: the typed fast path against the keyed sort
+# (b) one wire order: rows_to_wire and encode_answer against the keyed sort
 # --------------------------------------------------------------------------
 
 
@@ -162,6 +180,20 @@ def keyed_rows_to_wire(rows):
     ]
 
 
+def typed(wire_rows):
+    """*wire_rows* with every value's type kept: ``1 == True``, ``0.0 ==
+    -0.0`` and ``"a" == Text("a")``, so plain list equality would pass a
+    value swapped for its equal of another type."""
+    return [[(type(v), repr(v)) for v in row] for row in wire_rows]
+
+
+def keyed_encode(relations):
+    """The old miss path: row lists by the keyed sort, then ``json.dumps``."""
+    count = sum(len(rows) for rows in relations.values())
+    wire = {name: keyed_rows_to_wire(rows) for name, rows in relations.items()}
+    return protocol.encode_result({"relations": wire, "count": count}), count
+
+
 class Text(str):
     """A ``str`` subclass: its type tag is not ``str``'s."""
 
@@ -173,17 +205,17 @@ class TestRowsToWire:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_keyed_sort(self, seed):
         rng = random.Random(seed)
-        # Even seeds draw all-str rows (the fast path), odd ones mix types.
+        # Even seeds draw all-str rows, odd ones mix types.
         pool = self.STRINGS if seed % 2 == 0 else self.STRINGS + self.OTHERS
         arities = [rng.randint(0, 3)] if seed % 4 < 2 else [0, 1, 2, 3]
         rows = {
             tuple(rng.choice(pool) for _ in range(rng.choice(arities)))
             for _ in range(rng.randint(0, 60))
         }
-        expected = keyed_rows_to_wire(rows)
-        assert protocol.rows_to_wire(rows) == expected
-        assert protocol.rows_to_wire(frozenset(rows)) == expected
-        assert protocol.rows_to_wire(sorted(rows, key=repr)) == expected
+        expected = typed(keyed_rows_to_wire(rows))
+        assert typed(protocol.rows_to_wire(rows)) == expected
+        assert typed(protocol.rows_to_wire(frozenset(rows))) == expected
+        assert typed(protocol.rows_to_wire(sorted(rows, key=repr))) == expected
 
     def test_an_int_column_is_not_ordered_as_ints(self):
         # Plain tuple order would not raise here — and would be wrong.
@@ -193,6 +225,39 @@ class TestRowsToWire:
     def test_frames_use_it(self):
         frame = protocol.snapshot_frame(1, 2, {"p": {("b",), ("a",)}, "q": {(2,), (10,)}})
         assert frame["relations"] == {"p": [["a"], ["b"]], "q": [[10], [2]]}
+
+
+class TestEncodeAnswer:
+    NAMES = ["p", "q", "", 'say"what', "back\\slash", "zoë", "北京", "\U0001f600"]
+    #: Values whose JSON text is not their ``str``.
+    EXTRA = [float("inf"), 1e100, ("t", 1), Text('q"')]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_keyed_sort(self, seed):
+        rng = random.Random(seed)
+        pool = TestRowsToWire.STRINGS
+        if seed % 2:
+            pool = pool + TestRowsToWire.OTHERS + self.EXTRA
+        relations = {}
+        for name in rng.sample(self.NAMES, rng.randint(1, 4)):
+            arities = [rng.randint(0, 3)] if rng.random() < 0.5 else [0, 1, 2, 3]
+            relations[name] = {
+                tuple(rng.choice(pool) for _ in range(rng.choice(arities)))
+                for _ in range(rng.choice([0, rng.randint(1, 60)]))
+            }
+        if seed % 5 == 0:
+            relations["empty"] = set()
+        expected = keyed_encode(relations)
+        assert protocol.encode_answer(relations) == expected
+        assert protocol.encode_answer({k: sorted(v, key=repr) for k, v in relations.items()}) == expected
+        assert json.loads(expected[0])["count"] == expected[1]
+
+    def test_edge_shapes(self):
+        for relations in ({}, {"p": set()}, {"p": {()}}, {"p": [("a",), ("a",)]}):
+            assert protocol.encode_answer(relations) == keyed_encode(relations)
+        assert protocol.encode_answer({"p": {()}, "q": set()}) == (
+            b'{"count":1,"relations":{"p":[[]],"q":[]}}', 1,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +428,20 @@ class TestBudgetsHotAndCold:
             assert f"{result['count']} rows" in error["message"]
             assert verdict() == "hit"
 
+    def test_a_refused_miss_is_never_encoded(self, monkeypatch):
+        service = QueryService()
+        service.execute({"op": "update", "edges": EDGES})
+
+        def encode_answer(_relations):
+            raise AssertionError("an answer over max_rows was encoded")
+
+        monkeypatch.setattr(protocol, "encode_answer", encode_answer)
+        for op, query in sorted(QUERIES.items()):
+            with pytest.raises(ResultTooLarge, match=r"^result has \d+ rows, limit is 1$"):
+                service.execute({"op": op, **query, "max_rows": 1})
+        assert service.results.stats()["size"] == 0
+        service.close()
+
     def test_in_process_budgets_agree(self):
         service = QueryService()
         service.execute({"op": "update", "edges": EDGES})
@@ -382,16 +461,14 @@ class TestBudgetsHotAndCold:
 class TestObservability:
     def test_cache_stats_count_encoded_entries(self):
         cache = ResultCache(capacity=2)
-        for name in "ab":
-            cache.put(result_key(name, {}), name, version=1, footprint=frozenset({"p"}))
-        assert cache.get(result_key("a", {}), 1).encoded is None
-        cache.get(result_key("a", {}), 1).encoded = b"12345"
-        cache.get(result_key("b", {}), 1).encoded = b"123"
+        for name, encoded in (("a", b"12345"), ("b", b"123")):
+            cache.put(result_key(name, {}), encoded, 1, version=1, footprint=frozenset({"p"}))
         stats = cache.stats()
-        assert (stats["encoded_entries"], stats["encoded_bytes"]) == (2, 8)
+        assert stats["encoded_entries"] == stats["size"] == 2
+        assert stats["encoded_bytes"] == 8
         # Eviction, re-stamping and invalidation keep the numbers honest.
-        cache.put(result_key("c", {}), "c", version=1, footprint=frozenset({"q"}))
-        assert cache.stats()["encoded_bytes"] == 3
+        cache.put(result_key("c", {}), b"c", 1, version=1, footprint=frozenset({"q"}))
+        assert (cache.stats()["encoded_entries"], cache.stats()["encoded_bytes"]) == (2, 4)
         cache.apply_commit(2, frozenset({"q"}))
         assert cache.get(result_key("b", {}), 2).encoded == b"123"
         cache.apply_commit(3, frozenset({"p"}))
@@ -416,3 +493,42 @@ class TestObservability:
         assert "repro_result_cache_encoded_entries 1" in text
         assert f"repro_result_cache_encoded_bytes {size}" in text
         assert 'repro_phase_seconds_count{phase="respond"}' in text
+
+
+# --------------------------------------------------------------------------
+# memory: an entry is its bytes
+# --------------------------------------------------------------------------
+
+
+class TestMemory:
+    def test_the_cache_holds_little_beyond_the_bytes(self, monkeypatch):
+        # A 30-node cycle: every closure answer is all 900 pairs.
+        cycle = [[f"n{i:02d}", "e", f"n{(i + 1) % 30:02d}"] for i in range(30)]
+        service = QueryService()
+        service.execute({"op": "update", "edges": cycle})
+
+        def rows_to_wire(_rows):
+            raise AssertionError("a miss built row lists")
+
+        monkeypatch.setattr(protocol, "rows_to_wire", rows_to_wire)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sizes = []
+            for i in range(16):
+                query = TC_QUERY.replace("-[r]->", f"-[r{i}]->")
+                body = service.execute({"op": "graphlog", "query": query}, wire=True)
+                assert body["cache"] == "miss"
+                sizes.append(len(body["encoded"]))
+            del body
+            gc.collect()
+            with_entries = tracemalloc.get_traced_memory()[0]
+            service.results.clear()
+            gc.collect()
+            held = with_entries - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert min(sizes) > 10_000
+        # Row lists would hold about 4x the bytes they encode to.
+        assert sum(sizes) <= held <= 1.5 * sum(sizes), (held, sum(sizes))
+        service.close()

@@ -106,17 +106,17 @@ class TestResultCache:
     def test_version_stamp_prevents_stale_hits(self):
         cache = ResultCache(capacity=4)
         key = result_key("fp", {})
-        cache.put(key, "answer@1", version=1)
-        assert cache.get(key, 1).value == "answer@1"
+        cache.put(key, b"answer@1", 1, version=1)
+        assert cache.get(key, 1).encoded == b"answer@1"
         assert cache.get(key, 2) is None
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
     def test_params_are_part_of_the_key(self):
         cache = ResultCache(capacity=4)
-        cache.put(result_key("fp", {"source": "a"}), "from-a", version=1)
+        cache.put(result_key("fp", {"source": "a"}), b"from-a", 1, version=1)
         assert cache.get(result_key("fp", {"source": "b"}), 1) is None
-        assert cache.get(result_key("fp", {"source": "a"}), 1).value == "from-a"
+        assert cache.get(result_key("fp", {"source": "a"}), 1).encoded == b"from-a"
 
     def test_param_normalization_is_type_tagged(self):
         # str(v) normalization used to collide all three, so a query with
@@ -134,7 +134,7 @@ class TestResultCache:
         store = HAMStore()
         cache = ResultCache(capacity=8)
         detach = cache.attach(store)
-        cache.put(result_key("fp", {}), "old", version=store.version)
+        cache.put(result_key("fp", {}), b"old", 1, version=store.version)
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "x")
@@ -147,11 +147,11 @@ class TestResultCache:
         cache = ResultCache(capacity=8)
         detach = cache.attach(store)
         key = result_key("fp", {})
-        cache.put(key, "answer", store.version, footprint=frozenset({"from", "to"}))
+        cache.put(key, b"answer", 1, store.version, footprint=frozenset({"from", "to"}))
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "unrelated")
-        assert cache.get(key, store.version).value == "answer"
+        assert cache.get(key, store.version).encoded == b"answer"
         assert cache.stats()["delta_reuse_hits"] == 1
         with session.transaction() as txn:
             txn.add_edge("a", "c", "from")
@@ -162,7 +162,7 @@ class TestResultCache:
     def test_lagging_entry_is_not_restamped(self):
         cache = ResultCache(capacity=8)
         key = result_key("fp", {})
-        cache.put(key, "stale", version=1, footprint=frozenset({"from"}))
+        cache.put(key, b"stale", 1, version=1, footprint=frozenset({"from"}))
         # The entry was stamped at version 1 but the commit lands version 3:
         # some intervening commit was never checked against it, so even a
         # disjoint delta cannot prove it fresh.
@@ -171,12 +171,12 @@ class TestResultCache:
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
-        cache.put(("a", ()), 1, version=1)
-        cache.put(("b", ()), 2, version=1)
+        cache.put(("a", ()), b"1", 1, version=1)
+        cache.put(("b", ()), b"2", 1, version=1)
         cache.get(("a", ()), 1)
-        cache.put(("c", ()), 3, version=1)
+        cache.put(("c", ()), b"3", 1, version=1)
         assert cache.get(("b", ()), 1) is None
-        assert cache.get(("a", ()), 1).value == 1
+        assert cache.get(("a", ()), 1).encoded == b"1"
         assert cache.stats()["evictions"] == 1
 
 
