@@ -39,6 +39,7 @@ REQUIRED = [
     'repro_request_seconds_bucket{le="+Inf",op="datalog"}',
     "repro_request_seconds_sum",
     "repro_requests_total{op=",
+    "repro_requests_on_loop_total",
     "repro_result_cache_hits_total",
     "repro_in_flight_requests",
     "repro_store_version",
@@ -47,9 +48,42 @@ REQUIRED = [
 ]
 
 
+#: Reads of one already-answered query: every one must be answered on the
+#: event loop from the result cache, none handed to a worker.
+RESIDENT_READS = 50
+RESIDENT_DELTAS = {
+    "repro_requests_on_loop_total": RESIDENT_READS,
+    "repro_result_cache_hits_total": RESIDENT_READS,
+    'repro_phase_seconds_count{phase="queue_wait"}': 0,
+}
+
+
 def fail(message):
     sys.stderr.write(f"metrics_smoke: FAIL: {message}\n")
     sys.exit(1)
+
+
+def scrape(metrics_port):
+    """One ``/metrics`` document.  Scrapes are served by a side thread, so
+    they add nothing to the request counters they read."""
+    url = f"http://127.0.0.1:{metrics_port}/metrics"
+    return urllib.request.urlopen(url, timeout=10).read().decode()
+
+
+def sample(body, series):
+    """The value of the exposition sample *series* (0 when absent)."""
+    for line in body.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def check_resident_reads(before, after):
+    """Counts only, no timing: the resident reads moved exactly these."""
+    for series, expected in RESIDENT_DELTAS.items():
+        moved = sample(after, series) - sample(before, series)
+        if moved != expected:
+            fail(f"{RESIDENT_READS} resident reads moved {series} by {moved:g}, expected {expected}")
 
 
 def wait_for_ports(proc, deadline):
@@ -92,20 +126,17 @@ def main():
             client.update(edges=[["a", "link", "b"], ["b", "link", "c"]])
             program = "hop(X, Y) :- link(X, Y)."
             client.datalog(program, predicate="hop")
-            client.datalog(program, predicate="hop")  # result-cache hit
+            before = scrape(metrics_port)
+            for _ in range(RESIDENT_READS):  # result-cache hits
+                client.datalog(program, predicate="hop")
+            body = scrape(metrics_port)
+            check_resident_reads(before, body)
             slow = client.slowlog()
             if not slow["entries"]:
                 fail("slow_ms=0 recorded no slowlog entries")
             if not slow["entries"][0].get("request_id"):
                 fail("slowlog entry has no request_id")
 
-        body = (
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{metrics_port}/metrics", timeout=10
-            )
-            .read()
-            .decode()
-        )
         if not body.endswith("\n"):
             fail("exposition document must end with a newline")
         for line in body.rstrip("\n").splitlines():

@@ -58,6 +58,7 @@ from repro.obs.metrics import (
 )
 from repro.service import protocol
 from repro.service.client import ClientOps, ServiceClient
+from repro.service.metrics import ON_LOOP
 
 logger = logging.getLogger(__name__)
 
@@ -804,7 +805,7 @@ class RouterServer:
             entry["requests_total"] = sum(
                 value
                 for name, value in counters.items()
-                if name.startswith("requests.")
+                if name.startswith("requests.") and name != ON_LOOP
             )
             entry["in_flight"] = metrics_doc.get("in_flight")
             entry["latency"] = {

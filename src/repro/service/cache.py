@@ -104,12 +104,12 @@ class ResultCache:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, key, version):
-        """The :class:`Entry` if present *and* current; counts hit or miss."""
+    def get(self, key, version, count_miss=True):
+        """The :class:`Entry` if present *and* current; counts a hit, a miss if *count_miss*."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.version != version:
-                self.misses += 1
+                self.misses += count_miss
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

@@ -24,6 +24,9 @@ from repro.obs.metrics import (
     sanitize_metric_name,
 )
 
+#: Requests answered on the event loop: a share of ``requests.<op>``, not an op.
+ON_LOOP = "requests.on_loop"
+
 
 class MetricsRegistry:
     """Counts, gauges and latency histograms for the query service."""
@@ -78,13 +81,14 @@ class MetricsRegistry:
             else:
                 self._counters["gauge.in_flight_clamped"] += 1
 
-    def request_completed(self, op, seconds, phases=()):
-        """End-of-request bookkeeping — the ``requests.<op>`` counter, the
-        latency sample, the in-flight decrement, and the request's phase
-        samples — under one lock grab (separate acquisitions are measurable
-        on the ~12µs cache-hit path)."""
+    def request_completed(self, op, seconds, phases=(), on_loop=False):
+        """End-of-request bookkeeping — the ``requests.<op>`` (and, *on_loop*,
+        :data:`ON_LOOP`) counters, the latency sample, the in-flight decrement
+        and the request's phase samples — under one lock grab (separate
+        acquisitions are measurable on the ~12µs cache-hit path)."""
         with self._lock:
             self._counters[f"requests.{op}"] += 1
+            self._counters[ON_LOOP] += on_loop
             self._latency[op].observe(seconds)
             if self._in_flight > 0:
                 self._in_flight -= 1
@@ -172,7 +176,7 @@ class MetricsRegistry:
         )
         plain = {}
         for name, value in sorted(counters.items()):
-            if name.startswith("requests."):
+            if name.startswith("requests.") and name != ON_LOOP:
                 requests.add_sample(value, {"op": name[len("requests."):]})
             elif name.startswith("errors."):
                 errors.add_sample(value, {"code": name[len("errors."):]})

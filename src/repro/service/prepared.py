@@ -225,15 +225,19 @@ class PreparedQueryCache:
     def __len__(self):
         return len(self._plans)
 
-    def get(self, op, text):
-        """The cached plan for (op, text), preparing it on first sight."""
+    def get(self, op, text, prepare=True):
+        """The cached plan for (op, text), preparing it on first sight — with
+        *prepare* false, a peek that counts nothing (see :meth:`count_hit`)
+        and is None for a plan not cached."""
         key = fingerprint(op, text)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
-                self.hits += 1
+                self.hits += prepare
                 return plan
+        if not prepare:
+            return None
         # Prepare outside the lock: compilation can be slow and must not
         # serialize unrelated requests.  A racing duplicate just overwrites
         # with an identical plan.
@@ -246,6 +250,10 @@ class PreparedQueryCache:
                 self._plans.popitem(last=False)
                 self.evictions += 1
         return plan
+
+    def count_hit(self):
+        with self._lock:
+            self.hits += 1
 
     def clear(self):
         with self._lock:

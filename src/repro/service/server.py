@@ -7,14 +7,14 @@ Two layers, separable on purpose:
   registry, and executes one decoded request against the HAM store.  Tests
   and benchmarks drive it directly, in-process.
 - :class:`ServiceServer` is the network front: an asyncio TCP server that
-  speaks the JSON-lines protocol (:mod:`repro.service.protocol`),
-  dispatches each request to a worker-thread pool, and enforces the
-  per-request timeout.  Connections are handled concurrently; requests on
-  one connection are answered in order.
+  speaks the JSON-lines protocol (:mod:`repro.service.protocol`), answers
+  resident queries on the event loop, dispatches all else to a worker-thread
+  pool, and enforces the per-request timeout.  Connections are handled
+  concurrently; requests on one connection are answered in order.
 
-Budget semantics: ``timeout`` bounds wall-clock evaluation time (the worker
-thread finishes in the background after a timeout — results land in the
-cache for the next attempt, but the client gets ``QueryTimeout``);
+Budget semantics: ``timeout`` bounds the wait for a worker and its work (the
+worker thread finishes in the background after a timeout — results land in
+the cache for the next attempt, but the client gets ``QueryTimeout``);
 ``max_rows``/``max_bytes`` bound the answer's row count and the encoded size
 of its ``result`` object, and are re-checked on cache hits so per-request
 overrides behave identically hot or cold.
@@ -335,7 +335,7 @@ class QueryService:
 
     # ------------------------------------------------------------- execute
 
-    def execute(self, message, sink=None, wire=False):
+    def execute(self, message, sink=None, wire=False, resident=False):
         """Execute one decoded request; returns the ``ok`` response body.
 
         Raises the service error taxonomy on failure; the caller (server
@@ -346,6 +346,11 @@ class QueryService:
         ``result``, in place of the object, so the response line splices
         them; in-process callers get the object, decoded afresh.
 
+        With *resident* (the event loop) a request runs only if it is a query
+        whose plan and current answer are cached and whose ``min_version`` is
+        reached — no compile, wait, evaluation or store lock; anything else
+        returns None, having counted nothing, for a worker to take.
+
         Distributed tracing happens here: a request carrying a ``trace``
         context is *adopted* (its trace id becomes the correlation id and
         the sender's sampling decision is honored); without one, the local
@@ -355,13 +360,20 @@ class QueryService:
         """
         op = message.get("op")
         started = time.perf_counter()
-        self.metrics.request_started()
         # Request context, the second argument of every op handler: the
         # phase samples, the push sink and *wire* go in; the handlers drop the
         # version, cache disposition, fingerprint and (when tracing ran)
         # the span tree in here so the finally block can build a slowlog
         # entry.
         ctx = {"phases": [], "sink": sink, "wire": wire}
+        if resident:
+            try:
+                ctx["found"] = self._lookup(message, ctx, resident=True)
+            except ReproError:  # not a query, invalid, or min_version not reached
+                ctx["found"] = None
+            if ctx["found"] is None:
+                return None
+        self.metrics.request_started()
         rid_token = None
         tc_token = None
         tc = trace_context.current()
@@ -369,10 +381,10 @@ class QueryService:
             wire = message.get("trace")
             if wire is not None:
                 tc = trace_context.TraceContext.from_wire(wire)
-        # Every request runs under a correlation ID; the network server
-        # binds one in the worker thread (adopting the trace id when the
-        # request carries a context), so this only assigns for direct
-        # in-process callers (tests, benchmarks, the shell).
+        # Every request runs under a correlation ID; the network server binds
+        # one around this call, on the loop or in a worker (adopting the trace
+        # id when the request carries a context), so this only assigns for
+        # direct in-process callers (tests, benchmarks, the shell).
         if logs.get_request_id() is None:
             rid_token = logs.set_request_id(
                 tc.trace_id if tc is not None else logs.new_request_id()
@@ -398,7 +410,7 @@ class QueryService:
         finally:
             elapsed = time.perf_counter() - started
             elapsed_ms = elapsed * 1000.0
-            self.metrics.request_completed(op, elapsed, ctx["phases"])
+            self.metrics.request_completed(op, elapsed, ctx["phases"], resident)
             trace_id = tc.trace_id if tc is not None else logs.get_request_id()
             if tr is not None:
                 ctx["trace"] = tr.root
@@ -567,13 +579,16 @@ class QueryService:
             )
             return dict(self._promotion)
 
-    def _await_min_version(self, message):
+    def _await_min_version(self, message, wait=True):
         """Session-consistency gate: a read carrying ``min_version`` waits
         (bounded) for this store to reach it, else fails ``replica_stale``
-        so a router can redirect — read-your-writes through replicas."""
+        so a router can redirect — read-your-writes through replicas.  With
+        *wait* false (the event loop) it fails at once, uncounted."""
         min_version = message.get("min_version")
         if min_version is None or min_version <= self.store.version:
             return
+        if not wait:
+            raise ReplicaStale(f"store has not reached version {min_version}")
         wait_ms = self.config.version_wait_ms or 0
         if not self.store.wait_for_version(min_version, wait_ms / 1000.0):
             self.metrics.incr("replication.stale_reads")
@@ -593,7 +608,7 @@ class QueryService:
         params.setdefault("method", "columnar")
         return params
 
-    def _query_request(self, message, target):
+    def _query_request(self, message, target, wait=True):
         """``(text, params)`` of a request that names a query in language
         *target*, once the store has reached the request's ``min_version``."""
         if target not in QUERY_OPS:
@@ -605,38 +620,54 @@ class QueryService:
             raise ProtocolError(
                 f"op {message['op']!r} needs a non-empty 'query' string"
             )
-        self._await_min_version(message)
+        self._await_min_version(message, wait)
         return text, self._request_params(message)
 
-    def _op_query(self, message, ctx):
+    def _lookup(self, message, ctx, resident=False):
+        """``(plan, params, key, entry)`` of a query request: its plan and the
+        cache entry current at ``store.version`` (None on a miss), read
+        without the store lock.  *resident* (the event loop) never waits,
+        compiles or counts a miss: where a worker must go on, it is None (or
+        raises ``replica_stale`` for a ``min_version`` not yet reached)."""
         op = message["op"]
-        text, params = self._query_request(message, op)
-        phases = ctx["phases"]
-        max_rows = message.get("max_rows", self.config.max_rows)
-        max_bytes = message.get("max_bytes", self.config.max_bytes)
-
-        # Phase samples collect into *phases* and land in the registry in
+        text, params = self._query_request(message, op, wait=not resident)
+        # Phase samples collect into ctx's phases and land in the registry in
         # one batch with the request's closing bookkeeping — the hot path
         # pays perf_counter reads here, never extra lock acquisitions.
         t0 = time.perf_counter()
-        plan = self.plans.get(op, text)
+        plan = self.plans.get(op, text, prepare=not resident)
+        if plan is None:
+            return None
         if not plan.reads_relations:
             # An RPQ runs one evaluator whatever the backend: ``method``
             # names no distinct code there and must not split the cache.
             del params["method"]
         t1 = time.perf_counter()
-        version, graph = self.store.snapshot_versioned()
         key = result_key(plan.fingerprint, params)
-        ctx["version"] = version
+        ctx["version"] = self.store.version
+        entry = self.results.get(key, ctx["version"], count_miss=not resident)
+        if resident:
+            if entry is None:
+                return None
+            self.plans.count_hit()
         ctx["fingerprint"] = plan.fingerprint
+        ctx["phases"] += [("plan", t1 - t0), ("cache_lookup", time.perf_counter() - t1)]
+        return plan, params, key, entry
 
-        entry = self.results.get(key, version)
-        t2 = time.perf_counter()
-        phases.append(("plan", t1 - t0))
-        phases.append(("cache_lookup", t2 - t1))
+    def _op_query(self, message, ctx):
+        plan, params, key, entry = ctx.get("found") or self._lookup(message, ctx)
+        op = message["op"]
+        phases = ctx["phases"]
+        max_rows = message.get("max_rows", self.config.max_rows)
+        max_bytes = message.get("max_bytes", self.config.max_bytes)
         if entry is None:
             self.metrics.incr("result_cache.misses")
             ctx["cache"] = "miss"
+            t2 = time.perf_counter()
+            # Only a miss needs the graph, so only a miss takes the store
+            # lock; it evaluates, and stores its answer, at that snapshot.
+            version, graph = self.store.snapshot_versioned()
+            ctx["version"] = version
             # Only the miss path is traced: a cache hit does no evaluation
             # work, so it cannot be meaningfully slow, and tracing it would
             # tax the ~12µs hot path the result cache exists to protect.
@@ -661,7 +692,7 @@ class QueryService:
             self.results.put(key, encoded, total, version, plan.footprint)
         # Spliced into a network line; decoded afresh for each in-process call.
         field, value = ("encoded", encoded) if ctx["wire"] else ("result", json.loads(encoded))
-        return {field: value, "version": version, "cache": ctx["cache"]}
+        return {field: value, "version": ctx["version"], "cache": ctx["cache"]}
 
     _op_graphlog = _op_datalog = _op_rpq = _op_query
 
@@ -1249,40 +1280,43 @@ class ServiceServer:
             message = protocol.decode_request(line)
             request_id = message.get("id")
             timeout = message.get("timeout", self.config.timeout)
-            loop = asyncio.get_running_loop()
-            submitted = time.perf_counter()
-            # The correlation ID is minted on the event loop but must be
-            # bound inside the worker closure: contextvars do not propagate
-            # into run_in_executor threads on their own.  A request carrying
-            # a trace context is *adopted*: its trace id becomes the
-            # correlation id instead of a freshly minted one, so one grep
-            # follows the request across every node it touched.
+            # The correlation ID is minted on the event loop and bound around
+            # each execute call — here, and inside the worker closure, since
+            # contextvars do not propagate into run_in_executor threads on
+            # their own.  A request carrying a trace context is *adopted*:
+            # its trace id becomes the correlation id instead of a freshly
+            # minted one, so one grep follows the request across every node
+            # it touched.
             trace_doc = message.get("trace")
             if isinstance(trace_doc, dict) and trace_doc.get("trace_id"):
                 rid = trace_doc["trace_id"]
             else:
                 rid = logs.new_request_id()
 
-            def run():
+            def run(resident=False):
                 token = logs.set_request_id(rid)
                 try:
-                    # Time spent queued behind busy workers, measured from
-                    # the worker thread the moment it picks the request up.
-                    self.service.metrics.observe_phase(
-                        "queue_wait", time.perf_counter() - submitted
-                    )
-                    return self.service.execute(message, sink=sink, wire=True)
+                    if not resident:
+                        # Time spent queued behind busy workers, measured from
+                        # the worker thread the moment it picks the request up.
+                        self.service.metrics.observe_phase(
+                            "queue_wait", time.perf_counter() - submitted
+                        )
+                    return self.service.execute(message, sink=sink, wire=True, resident=resident)
                 finally:
                     logs.reset_request_id(token)
 
-            future = loop.run_in_executor(self._executor, run)
-            try:
-                body = await asyncio.wait_for(future, timeout)
-            except asyncio.TimeoutError:
-                self.service.metrics.incr("errors.timeout")
-                raise QueryTimeout(
-                    f"request exceeded its {timeout}s deadline"
-                ) from None
+            # A resident answer is served right here, on the loop; everything
+            # else goes to a worker, and only that wait is bounded by *timeout*.
+            body = run(resident=True) if message["op"] in QUERY_OPS else None
+            if body is None:
+                submitted = time.perf_counter()
+                future = asyncio.get_running_loop().run_in_executor(self._executor, run)
+                try:
+                    body = await asyncio.wait_for(future, timeout)
+                except asyncio.TimeoutError:
+                    self.service.metrics.incr("errors.timeout")
+                    raise QueryTimeout(f"request exceeded its {timeout}s deadline") from None
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             response = protocol.ok_response(
                 request_id,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.service.metrics import ON_LOOP
+
 _CLEAR = "\x1b[2J\x1b[H"
 
 
@@ -77,7 +79,7 @@ class TopDashboard:
         counters = stats.get("metrics", {}).get("counters", {})
         total = sum(
             value for name, value in counters.items() if name.startswith("requests.")
-        )
+        ) - counters.get(ON_LOOP, 0)
         qps = None
         if self._last_requests is not None and now > self._last_time:
             qps = (total - self._last_requests) / (now - self._last_time)

@@ -535,7 +535,9 @@ class TestStructuredLogs:
 
     def test_request_id_not_inherited_by_executor_threads(self):
         # contextvars do NOT flow into plain threads — this pins the fact
-        # the service works around by binding the ID inside the worker.
+        # the service works around by binding the ID around each execute
+        # call: inside the worker for a request the pool runs, and on the
+        # event loop (reset before the next request) for a resident answer.
         seen = {}
 
         def worker():

@@ -181,11 +181,12 @@ class TestResultCache:
 
 
 class SlowQueryService(QueryService):
-    """A service whose requests can be stalled via a ``slow`` field."""
+    """A service whose requests can be stalled via a ``slow`` field — on the
+    worker that runs them, never on the event loop's resident attempt."""
 
     def execute(self, message, **kwargs):
         delay = message.get("slow")
-        if delay:
+        if delay and not kwargs.get("resident"):
             time.sleep(delay)
         return super().execute(message, **kwargs)
 
@@ -543,6 +544,223 @@ class TestClientDesync:
         finally:
             worker.join()
             listener.close()
+
+
+def conn_variant(name):
+    """CONN_PROGRAM under another head: a distinct plan and cache key."""
+    return CONN_PROGRAM.replace("conn", name)
+
+
+def timed_call(client, op, **payload):
+    started = time.perf_counter()
+    response = client.call(op, **payload)
+    return response, time.perf_counter() - started
+
+
+class TestResidentAnswersOnTheLoop:
+    """A query whose plan and current answer are both cached is answered on
+    the event loop: it needs no free worker and never waits on the store
+    lock; everything else still goes to the pool."""
+
+    def test_hits_survive_a_saturated_pool(self, slow_server):
+        port = slow_server.port
+        with ServiceClient(port=port) as reader, ServiceClient(port=port) as stuck:
+            assert reader.call("datalog", query=CONN_PROGRAM)["cache"] == "miss"
+            # Times out, and keeps the one worker asleep for ~1.4 s more.
+            with pytest.raises(QueryTimeout):
+                stuck.call("ping", slow=1.5, timeout=0.1)
+            miss = {}
+
+            def send_miss():
+                with ServiceClient(port=port) as other:
+                    miss["response"], miss["seconds"] = timed_call(
+                        other, "datalog", query=conn_variant("queued")
+                    )
+
+            sender = threading.Thread(target=send_miss)
+            sender.start()
+            hit, seconds = timed_call(reader, "datalog", query=CONN_PROGRAM)
+            sender.join(timeout=10)
+        assert hit["cache"] == "hit"
+        assert seconds < 0.05
+        # The miss sent at the same moment waited for the worker.
+        assert miss["response"]["cache"] == "miss"
+        assert miss["seconds"] > 0.5
+
+    def test_timeout_bounds_only_the_wait_for_a_worker(self, client):
+        resident = conn_variant("budget0")
+        client.call("datalog", query=resident)
+        assert client.call("datalog", query=resident, timeout=0)["cache"] == "hit"
+        with pytest.raises(QueryTimeout):
+            client.call("datalog", query=conn_variant("budget1"), timeout=0)
+
+    def test_the_loop_never_waits_on_the_store_lock(self, server):
+        store = server.service.store
+        resident = conn_variant("locked0")
+        with ServiceClient(port=server.port) as reader, ServiceClient(
+            port=server.port
+        ) as other:
+            reader.call("datalog", query=resident)
+            held = threading.Event()
+            times = {}
+
+            def hold_lock():  # as a commit does across its WAL append + fsync
+                with store._lock:
+                    held.set()
+                    time.sleep(1.0)
+                    times["released"] = time.perf_counter()
+
+            def send_miss():
+                other.call("datalog", query=conn_variant("locked1"))
+                times["miss_answered"] = time.perf_counter()
+
+            holder = threading.Thread(target=hold_lock)
+            holder.start()
+            assert held.wait(timeout=5)
+            sender = threading.Thread(target=send_miss)
+            sender.start()
+            hit, seconds = timed_call(reader, "datalog", query=resident)
+            sender.join(timeout=10)
+            holder.join(timeout=10)
+        assert hit["cache"] == "hit"
+        assert seconds < 0.05
+        assert times["miss_answered"] > times["released"]
+
+    def test_every_query_request_is_counted_once(self):
+        srv = ServiceServer(
+            store=flights_store(), config=ServiceConfig(port=0, workers=2)
+        ).start_background()
+        program = conn_variant("counted")
+        answers = []  # the cache disposition of every query request
+        try:
+            with ServiceClient(port=srv.port) as c, ServiceClient(port=srv.port) as w:
+
+                def query(op, **payload):
+                    answers.append(c.call(op, query=payload.pop("text"), **payload)["cache"])
+
+                before = c.stats()
+                query("datalog", text=program)  # plan miss → worker
+                query("datalog", text=program)  # resident → loop
+                query("graphlog", text=REACH_QUERY, predicate="reach")  # plan miss
+                query("graphlog", text=REACH_QUERY, predicate="connected")  # plan hit, miss
+                query("graphlog", text=REACH_QUERY, predicate="connected")  # loop
+                query("rpq", text="from+")  # worker
+                query("rpq", text="from+", method="naive")  # loop: an RPQ ignores method
+                # A commit the plan does not read re-stamps its answer.
+                version = w.update(edges=[["a", "unrelated", "b"]])
+                query("datalog", text=program, min_version=version)  # reached → loop
+                # A version not yet reached: handed to a worker, which waits.
+                commit = threading.Timer(
+                    0.2, w.update, kwargs={"edges": [["c", "unrelated", "d"]]}
+                )
+                commit.start()
+                query("datalog", text=program, min_version=version + 1)
+                commit.join()
+                # A commit the plan reads drops the answer: plan hit, miss.
+                w.update(edges=[["f900", "from", "toronto"]])
+                query("datalog", text=program)
+                after = c.stats()
+        finally:
+            srv.stop()
+
+        def delta(*path):
+            def at(doc):
+                for key in path:
+                    doc = doc.get(key, {}) if isinstance(doc, dict) else doc
+                return doc or 0
+
+            return at(after) - at(before)
+
+        requests = len(answers)
+        on_loop = 4
+        hits = answers.count("hit")
+        assert hits in (on_loop, on_loop + 1)  # the min_version wait may miss
+        for cache in ("result_cache", "plan_cache"):
+            assert delta(cache, "hits") + delta(cache, "misses") == requests
+        assert delta("result_cache", "hits") == hits
+        counters = ("metrics", "counters")
+        assert delta(*counters, "result_cache.hits") == hits
+        assert delta(*counters, "result_cache.misses") == requests - hits
+        assert sum(delta(*counters, f"requests.{op}") for op in ("datalog", "graphlog", "rpq")) == requests
+        assert sum(
+            delta("metrics", "latency", op, "count") for op in ("datalog", "graphlog", "rpq")
+        ) == requests
+        assert delta(*counters, "requests.on_loop") == on_loop
+        # queue_wait: every request a worker ran — the workers' queries, the
+        # four updates and the second stats call itself.
+        assert delta("metrics", "phases", "queue_wait", "count") == requests - on_loop + 3 + 1
+
+    def test_a_declined_loop_attempt_counts_nothing(self):
+        service = QueryService(store=flights_store())
+        try:
+            service.execute({"op": "datalog", "query": CONN_PROGRAM})
+            untouched = service.stats()
+            declined = [
+                {"op": "ping"},
+                {"op": "datalog", "query": " "},  # invalid: the worker raises it
+                {"op": "datalog", "query": conn_variant("unplanned")},
+                {"op": "datalog", "query": CONN_PROGRAM, "min_version": 99},
+                {"op": "datalog", "query": CONN_PROGRAM, "predicate": "other"},
+            ]
+            for message in declined:
+                assert service.execute(message, wire=True, resident=True) is None
+            assert service.stats() == untouched
+            hit = service.execute({"op": "datalog", "query": CONN_PROGRAM}, resident=True)
+            assert hit["cache"] == "hit"
+            assert service.metrics.counter("requests.on_loop") == 1
+        finally:
+            service.close()
+
+    def test_a_sampled_hit_on_the_loop_is_traced(self):
+        srv = ServiceServer(
+            store=flights_store(), config=ServiceConfig(port=0, trace_sample=1.0)
+        ).start_background()
+        try:
+            with ServiceClient(port=srv.port) as c:
+                c.call("datalog", query=CONN_PROGRAM)
+                adopted = {"trace_id": "loop-trace-1", "sampled": True}
+                hit = c.call("datalog", query=CONN_PROGRAM, trace=adopted)
+                spans = c.call("trace_get", trace_id="loop-trace-1")["result"]["spans"]
+                counters = c.stats()["metrics"]["counters"]
+        finally:
+            srv.stop()
+        assert hit["cache"] == "hit"
+        assert hit["trace_id"] == "loop-trace-1"
+        assert counters["requests.on_loop"] == 1
+        root = spans[0]
+        assert root["name"] == "request"
+        assert root["attrs"]["op"] == "datalog"
+
+    def test_request_ids_on_the_loop(self, monkeypatch):
+        from repro.obs import logs
+
+        ambient = []
+        decode = protocol.decode_request
+
+        def recording_decode(line):
+            # Runs on the loop before the request binds its own id: any id
+            # seen here leaked from an earlier request.
+            ambient.append(logs.get_request_id())
+            return decode(line)
+
+        monkeypatch.setattr(protocol, "decode_request", recording_decode)
+        srv = ServiceServer(
+            store=flights_store(), config=ServiceConfig(port=0, slow_ms=0)
+        ).start_background()
+        try:
+            with ServiceClient(port=srv.port) as a, ServiceClient(port=srv.port) as b:
+                a.call("datalog", query=CONN_PROGRAM)
+                for client in (a, b, a, b):
+                    assert client.call("datalog", query=CONN_PROGRAM)["cache"] == "hit"
+                entries = a.slowlog()["entries"]
+                counters = a.stats()["metrics"]["counters"]
+        finally:
+            srv.stop()
+        hit_ids = [e["request_id"] for e in entries if e["cache"] == "hit"]
+        assert len(hit_ids) == 4
+        assert len(set(hit_ids)) == 4 and all(hit_ids)
+        assert counters["requests.on_loop"] == 4
+        assert ambient and set(ambient) == {None}
 
 
 class TestShutdown:
