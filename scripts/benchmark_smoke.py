@@ -30,6 +30,14 @@ checks every answer against the naive walker, its specification:
   of their lengths — so a change that goes back to caching row lists, or
   orders a row differently, fails here.
 
+- maintained result-cache entries, by counts alone: over the bench's
+  flights data with 4 closures and 2 RPQs primed, 50 × (add flight, read
+  all, remove flight, read all) may run one more ``evaluate`` phase per
+  closure — its first re-read, which promotes it to an entry its view keeps
+  current — while every RPQ read still re-evaluates; every answer equals
+  the naive oracle's.  A change that drops maintained entries on a commit
+  again fails here instead of only moving ``routed_mixed``'s tail.
+
 - structure sharing between store versions, by counts alone: 50 × (remove
   edge, re-add edge) through a durable :class:`QueryService` with one
   subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
@@ -176,17 +184,19 @@ CLOSURE_PROGRAM = parse_program(
 
 def check_image_folds():
     """50 × (commit, closure miss, RPQ miss): the image is built once and
-    folded 50 times, and both answers track the naive oracle throughout."""
+    folded 50 times, and both answers track the naive oracle throughout.
+    Each round's closure is a text never seen before: a re-read one would be
+    a maintained entry and need no image (``check_maintained_entries``)."""
     rounds = 50
     database = random_flights(7, n_cities=12, n_flights=40)
     store = HAMStore()
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     source = sorted(city for _flight, city in database.facts("from"))[0]
-    closure = {"op": "graphlog", "query": CLOSURE_QUERY}
     rpq = {"op": "rpq", "query": RPQ_EXPRESSION, "source": source}
-    execute(service, closure)  # the one build
+    execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
     for i in range(rounds):
+        closure = {"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", f"conn{i:02d}")}
         # Alternately add and remove one flight's from/to edges.
         edges = [[f"extra{i // 2}", "from", source], [f"extra{i // 2}", "to", f"new{i // 2}"]]
         execute(service, {"op": "update", "remove_edges" if i % 2 else "edges": edges})
@@ -198,12 +208,12 @@ def check_image_folds():
             database.add_fact("to", edges[1][0], edges[1][2])
         oracle = Engine(method="naive").evaluate(CLOSURE_PROGRAM, database)
         answers = {}
-        for request, relation in ((closure, "connected"), (rpq, "answers")):
+        for request, relation in ((closure, f"conn{i:02d}"), (rpq, "answers")):
             response = execute(service, request)
             if response["cache"] != "miss":
                 fail(f"image round {i}: {request['op']} was not re-evaluated")
             answers[relation] = {tuple(row) for row in response["result"]["relations"][relation]}
-        if answers["connected"] != oracle.facts("connected"):
+        if answers[f"conn{i:02d}"] != oracle.facts("connected"):
             fail(f"image round {i}: closure answer diverges from the naive oracle")
         if answers["answers"] != {(y,) for x, y in oracle.facts("leg") if x == source}:
             fail(f"image round {i}: RPQ answer diverges from the naive oracle")
@@ -310,6 +320,84 @@ def check_answers_are_bytes():
     print(f"answer bytes: {2 * rounds} misses, {total} bytes, all equal to the oracle's")
 
 
+def check_maintained_entries():
+    """50 × (add flight, read all, remove flight, read all) over the bench's
+    flights data, 4 closures and 2 RPQs primed: each closure evaluates once
+    more — its first re-read, which promotes it — and is a hit ever after;
+    every RPQ read re-evaluates; every answer equals the naive oracle."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import flights_database  # noqa: E402 — the bench's dataset
+
+    rounds = 50
+    database = flights_database(7)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(store=store, config=ServiceConfig())
+    cities = sorted({city for _flight, city in database.facts("from")})
+    origin = cities[0]
+    taken = {city for flight, city in database.facts("to") if (flight, origin) in database.facts("from")}
+    # The added flight alternates between a city pair with no leg (the
+    # closure, all 1 600 pairs, does not change) and a new city (it does).
+    targets = [next(c for c in cities if c != origin and c not in taken), "Nowhere"]
+    closures = [
+        ({"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", f"conn{j}")}, f"conn{j}")
+        for j in range(4)
+    ]
+    rpqs = [
+        ({"op": "rpq", "query": RPQ_EXPRESSION, "source": source}, source)
+        for source in (origin, cities[1])
+    ]
+    oracles = {}
+
+    def oracle(target):
+        if target not in oracles:
+            extended = database.copy()
+            if target is not None:
+                extended.add_fact("from", "extra", origin)
+                extended.add_fact("to", "extra", target)
+            oracles[target] = Engine(method="naive").evaluate(CLOSURE_PROGRAM, extended)
+        return oracles[target]
+
+    def read_all(label, target, promoting=False):
+        expected = oracle(target)
+        for request, name in closures:
+            response = execute(service, request)
+            if response["cache"] != ("miss" if promoting else "hit"):
+                fail(f"{label}: closure {name} answered {response['cache']!r}")
+            if {tuple(r) for r in response["result"]["relations"][name]} != expected.facts("connected"):
+                fail(f"{label}: closure {name} diverges from the naive oracle")
+        for request, source in rpqs:
+            response = execute(service, request)
+            if response["cache"] != "miss":
+                fail(f"{label}: the RPQ from {source} was not re-evaluated")
+            rows = {tuple(r) for r in response["result"]["relations"]["answers"]}
+            if rows != {(y,) for x, y in expected.facts("leg") if x == source}:
+                fail(f"{label}: the RPQ from {source} diverges from the naive oracle")
+
+    for request, _name in closures + rpqs:
+        execute(service, request)
+    for i in range(rounds):
+        target = targets[i % 2]
+        edges = [["extra", "from", origin], ["extra", "to", target]]
+        execute(service, {"op": "update", "edges": edges})
+        read_all(f"maintained round {i} (added)", target, promoting=i == 0)
+        execute(service, {"op": "update", "remove_edges": edges})
+        read_all(f"maintained round {i} (removed)", None)
+    stats = service.stats()
+    cached = stats["result_cache"]
+    evaluations = stats["metrics"]["phases"]["evaluate"]["count"]
+    expected = len(closures + rpqs) + len(closures) + 2 * rounds * len(rpqs)
+    if (cached["maintained"], cached["promotions"], cached["demotions"]) != (4, 4, 0):
+        fail(f"the closures are not four maintained entries: {cached!r}")
+    if evaluations != expected:
+        fail(f"{evaluations} evaluate phases, expected {expected}: a maintained closure re-evaluated")
+    print(
+        f"maintained entries: {cached['maintained']} closures, {cached['promotions']} "
+        f"promotions, {evaluations} evaluations ({2 * rounds * len(rpqs)} of them RPQ "
+        "misses), all equal to naive"
+    )
+
+
 REACH_QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
 REACH_PROGRAM = parse_program(
     """
@@ -400,6 +488,7 @@ def main():
     check_image_folds()
     check_closure_kernel()
     check_answers_are_bytes()
+    check_maintained_entries()
     check_commits_share_structure()
     print("benchmark_smoke: OK")
 

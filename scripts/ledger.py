@@ -4,9 +4,12 @@
 
 One column per ledger file, in PR order; per workload one row of
 end-to-end medians (ops/s · p50 · p90 ms) and one of per-layer self time
-(``dred.self`` · ``store.self`` · ``server.self`` ms/op) — the table
-ROADMAP.md quotes at each re-anchor.  A file whose seed or command differs
-from the rest is flagged below the table: its numbers are not comparable.
+(``dred.self`` · ``store.self`` · ``server.self`` ms/op), plus, for
+``routed_mixed``, one of its cache layer (``engine.evaluations_per_op`` ·
+``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) — the
+table ROADMAP.md quotes at each re-anchor.  A file whose seed or command
+differs from the rest is flagged below the table: its numbers are not
+comparable.
 """
 
 from __future__ import annotations
@@ -32,6 +35,21 @@ ROWS = (
         ("dred.self_ms_per_op", "store.self_ms_per_op", "server.self_ms_per_op"),
     ),
 )
+#: Rows printed for one workload only.
+WORKLOAD_ROWS = {
+    "routed_mixed": (
+        (
+            "`engine.evaluations_per_op` · `cache.invalidations_per_commit` · "
+            "`cache.delta_reuse_ratio`",
+            "per_layer",
+            (
+                "engine.evaluations_per_op",
+                "cache.invalidations_per_commit",
+                "cache.delta_reuse_ratio",
+            ),
+        ),
+    ),
+}
 
 
 def load(directory):
@@ -73,7 +91,8 @@ def table(ledger):
         "|---|---|" + "---|" * len(names),
     ]
     for workload in WORKLOADS:
-        for index, (label, section, metrics) in enumerate(ROWS):
+        rows = ROWS + WORKLOAD_ROWS.get(workload, ())
+        for index, (label, section, metrics) in enumerate(rows):
             cells = [cell(doc, workload, section, metrics) for _name, doc in ledger]
             first = f"| `{workload}` |" if index == 0 else "| |"
             lines.append(f"{first} {label} | " + " | ".join(cells) + " |")

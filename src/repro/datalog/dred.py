@@ -28,7 +28,12 @@ per evaluation group (SCC within a stratum, as the engine evaluates):
   what remains, then propagate insertions semi-naive against the new state.
   Stratified negation is handled in both directions: a fact *appearing*
   under a negated literal triggers overdeletion, a fact *disappearing*
-  triggers insertion.
+  triggers insertion.  A group that is exactly the transitive closure of
+  one base relation (:func:`~repro.datalog.classify.closure_base`) skips
+  overdeletion and rederivation when every edge the pass removed from the
+  base still has a detour — its source reaches its target over the base as
+  it is now: every old path can take the detours, so the closure loses
+  nothing, and only the insertions are left to propagate.
 
 The old state is never copied: it is the current rows minus what the pass
 added plus what it removed (:class:`_Old`).  The net effect of a run is
@@ -40,11 +45,12 @@ net change of the predicates a plan reports is decoded back to values.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from operator import itemgetter
 
 from repro import obs
 from repro.datalog.ast import Atom, Literal, Rule
+from repro.datalog.classify import closure_base
 from repro.datalog.columnar import _compile_pipeline, encode_database, fixpoint
 from repro.datalog.engine import EvaluationStats, _evaluation_groups
 from repro.datalog.safety import schedule_body
@@ -317,7 +323,9 @@ class _Group:
     per-program half that each :class:`MaintainedState` compiles against
     its own relations."""
 
-    __slots__ = ("predicates", "body_preds", "counting", "joins", "initial", "rederive")
+    __slots__ = (
+        "predicates", "body_preds", "counting", "joins", "initial", "rederive", "closure",
+    )
 
     def __init__(self, group, rules):
         self.predicates = group
@@ -326,6 +334,14 @@ class _Group:
             e.predicate for s in schedules for e in s if isinstance(e, Literal)
         }
         self.counting = _counting_eligible(group, schedules)
+        #: ``(base, k)`` when the group is one predicate defined as exactly
+        #: the transitive closure of *base*, whose rows are edges
+        #: ``row[:k] -> row[k:]``; None otherwise.
+        self.closure = None
+        if len(group) == 1:
+            base = closure_base(rules, next(iter(group)))
+            if base is not None:
+                self.closure = (base, rules[0].head.arity // 2)
         #: (rule, delta predicate, delta positive?, ordered, width)
         self.joins = []
         #: counting: (wide rule, schedule, width) for the initial counts.
@@ -471,6 +487,60 @@ def _dred(state, group, compiled, own_plus, own_minus, stats, span):
     for predicate, rows in own_plus.items():
         state.insert(predicate, rows)
 
+    if group.closure is not None and not (own_plus or own_minus) and _detoured(
+        state, *group.closure
+    ):
+        # Every old path survives on detours: nothing to overdelete.
+        if span:
+            span.annotate(detoured=True)
+    else:
+        _overdelete_rederive(state, group, overdelete, rederive, stats, span)
+
+    # Phase 3: insert propagation against the new state.  Triggers:
+    # net-added rows under positive literals, net-removed rows under negated
+    # ones (the appended literal re-checks against the new state).
+    _rounds(
+        insert,
+        state.changes(group.body_preds, removed=False),
+        state.changes(group.body_preds, removed=True),
+        state.insert,
+        span,
+        "insert_rounds",
+    )
+
+
+def _detoured(state, base, k):
+    """Whether every edge the pass removed from a closure's *base* relation
+    (rows ``row[:k] -> row[k:]``) still has a detour: one breadth-first
+    search per removed source over the base's index on its first *k*
+    columns, as the base is now, reaches every removed target.  Then each
+    path of the old closure can replace its removed edges by detours, and
+    the closure loses no row."""
+    removed = state.old[base].removed.keys
+    if not removed:
+        return True
+    edges = state.relations[base].index(tuple(range(k)))
+    # Index keys are what itemgetter returns: a value for k == 1, else a tuple.
+    source_of = itemgetter(*range(k))
+    target_of = itemgetter(*range(k, 2 * k))
+    wanted = {}
+    for row in removed:
+        wanted.setdefault(source_of(row), set()).add(target_of(row))
+    for source, targets in wanted.items():
+        seen = set()
+        frontier = deque([source])
+        while frontier and not targets <= seen:
+            for row in edges.get(frontier.popleft(), ()):
+                node = target_of(row)
+                if node not in seen:
+                    seen.add(node)
+                    frontier.append(node)
+        if not targets <= seen:
+            return False
+    return True
+
+
+def _overdelete_rederive(state, group, overdelete, rederive, stats, span):
     # Phase 1: overdelete.  Triggers: net-removed rows under positive
     # literals, net-added rows under negated ones; the joins read the old
     # state.
@@ -501,18 +571,6 @@ def _dred(state, group, compiled, own_plus, own_minus, stats, span):
         stats.rederived += rederived
         if span:
             span.append("rederive_rounds", rederived)
-
-    # Phase 3: insert propagation against the new state.  Triggers:
-    # net-added rows under positive literals, net-removed rows under negated
-    # ones (the appended literal re-checks against the new state).
-    _rounds(
-        insert,
-        state.changes(group.body_preds, removed=False),
-        state.changes(group.body_preds, removed=True),
-        state.insert,
-        span,
-        "insert_rounds",
-    )
 
 
 def _rounds(joins, triggers, negated, apply, span, label):

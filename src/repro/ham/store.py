@@ -293,6 +293,10 @@ class HAMStore:
         self._tickets = 0
         self._turn = 0
         self._turn_cond = threading.Condition()
+        # The last version whose hooks have all run, and the thread running
+        # hooks now (None between records) — see wait_dispatched.
+        self._dispatched = 0
+        self._dispatcher = None
         # Replicas reject client writes; replication applies through
         # apply_replicated(), which bypasses this guard.
         self._read_only = False
@@ -400,6 +404,7 @@ class HAMStore:
             self._base_version = base_version
             if epoch is not None:
                 self._epoch = epoch
+            self._set_dispatched(version)
             self._version_cond.notify_all()
 
     # ------------------------------------------------------------ sessions
@@ -495,6 +500,7 @@ class HAMStore:
         with self._turn_cond:
             while self._turn != turn:
                 self._turn_cond.wait()
+            self._dispatcher = threading.get_ident()
         started = time.perf_counter()
         try:
             for callback in subscribers:
@@ -511,8 +517,24 @@ class HAMStore:
         finally:
             with self._turn_cond:
                 self._turn = turn + 1
+                self._dispatched = record.version
+                self._dispatcher = None
                 self._turn_cond.notify_all()
         self._observe("commit.dispatch", started)
+
+    def wait_dispatched(self, version, timeout=None):
+        """Block until every hook has run for every record up to *version*.
+
+        Returns ``True`` once they have; ``False`` when *timeout* (seconds)
+        elapses first, and at once on the thread running hooks right now (a
+        hook would wait for its own record).  A reader of state the hooks
+        keep current — a maintained result-cache entry — waits here rather
+        than recomputing what an in-flight dispatch is about to publish.
+        """
+        with self._turn_cond:
+            if self._dispatcher == threading.get_ident():
+                return self._dispatched >= version
+            return self._turn_cond.wait_for(lambda: self._dispatched >= version, timeout)
 
     def _observe(self, phase, started):
         if self.metrics is not None:
@@ -606,7 +628,15 @@ class HAMStore:
             self._base_graph = graph
             self._base_version = version
             self._epoch = str(epoch) if epoch else new_epoch()
+            self._set_dispatched(version)
             self._version_cond.notify_all()
+
+    def _set_dispatched(self, version):
+        """State installed without records (recovery, re-bootstrap) has no
+        hooks to wait for."""
+        with self._turn_cond:
+            self._dispatched = version
+            self._turn_cond.notify_all()
 
     def wait_for_version(self, version, timeout=None):
         """Block until the committed version reaches *version*.

@@ -5,7 +5,9 @@ queried again; a server-backed implementation wants those derived graphs
 kept up to date as transactions commit.  A :class:`MaterializedView` is one
 such answer — a prepared plan (:class:`~repro.service.prepared.PreparedQuery`)
 plus the state that keeps it current — advanced by the commit records an
-ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``):
+ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``;
+in a service, :mod:`repro.subs`'s one hook advances every view its table
+holds for subscriptions and result-cache entries alike):
 
 - stratified GraphLog / Datalog plans — recursion and negation included —
   are *maintained* through the typed fact-level
@@ -57,6 +59,19 @@ def _minus(new, old):
     return missing
 
 
+def fallback_reason(plan):
+    """Why *plan* has no maintained view and diffs instead; None when it
+    has one."""
+    if plan.op == "rpq":
+        return (
+            "rpq answers are computed by automaton search, not by a "
+            "maintainable Datalog view"
+        )
+    if plan.has_summaries:
+        return "aggregation/summarization is not maintainable"
+    return None
+
+
 class ViewReset(StoreError):
     """:meth:`MaterializedView.apply` re-materialized at the record's
     version with no previous answer to diff against: the view is current,
@@ -75,7 +90,7 @@ class MaterializedView:
         self.images = images
         self.eval_params = dict(params or {})
         self.maintenance = None  # the MaintenancePlan of a maintained view
-        self.fallback_reason = None
+        self.fallback_reason = fallback_reason(plan)
         self.predicates = ()
         self.version = -1
         self.state = None  # maintained: the MaintainedState ...
@@ -87,14 +102,10 @@ class MaterializedView:
         self.deltas_emitted = 0
         self.skipped_empty = 0
         self.maintenance_errors = 0
-        if plan.op == "rpq":
-            self.fallback_reason = (
-                "rpq answers are computed by automaton search, not by a "
-                "maintainable Datalog view"
-            )
-        elif plan.has_summaries:
-            self.fallback_reason = "aggregation/summarization is not maintainable"
-        else:
+        #: Rows the last :meth:`apply`'s pass overdeleted plus rederived —
+        #: its cost beyond the net change.
+        self.churn = 0
+        if self.fallback_reason is None:
             self.predicates = plan.requested_predicates(self.eval_params)
             self.maintenance = MaintenancePlan(plan.program, self.predicates)
         self.mode = "maintained" if self.maintenance is not None else "diff"
@@ -117,6 +128,10 @@ class MaterializedView:
     def snapshot(self):
         """``{predicate: set of rows}`` for every requested predicate."""
         return {p: set(rows) for p, rows in self._live().items()}
+
+    def held_rows(self):
+        """Rows a maintained view keeps: every relation of its state."""
+        return sum(map(len, self.state.relations.values()))
 
     # ------------------------------------------------------------- advance
 
@@ -160,6 +175,7 @@ class MaterializedView:
         ``{predicate: rows}`` the commit made of the requested predicates,
         or None when the answer did not change; raises :class:`ViewReset`
         when the change is unknown (see there)."""
+        self.churn = 0
         if record.version <= self.version:
             return None
         delta = record.delta
@@ -218,22 +234,23 @@ class MaterializedView:
         """One counting/DRed pass under *delta*, in place.  The delta's row
         sets are handed over as they are (``maintain`` encodes them once); a
         value's domain fact appears with its first occurrence in the EDB and
-        disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)."""
+        disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)
+        — for a GraphLog plan, whatever the delta says of facts named like
+        the domain relation (a node label ``node``): the prepared EDB's
+        domain relation is the active domain, which holds their values."""
         delta_plus = dict(delta.insertions)
         delta_minus = dict(delta.deletions)
         entered, left = fold_domain_refs(self._refs, delta)
         self._dead |= left
         self._dead -= entered
         if self.plan.op == "graphlog":
-            for side, values in ((delta_plus, entered), (delta_minus, left)):
-                if values:
-                    side[DOMAIN_PREDICATE] = side.get(DOMAIN_PREDICATE, set()) | {
-                        (value,) for value in values
-                    }
+            delta_plus[DOMAIN_PREDICATE] = {(value,) for value in entered}
+            delta_minus[DOMAIN_PREDICATE] = {(value,) for value in left}
         stats = self.maintenance.maintain(
             self.state, delta_plus=delta_plus, delta_minus=delta_minus
         )
         self.maintenance_passes += 1
+        self.churn = stats.overdeleted + stats.rederived
         return stats
 
     def stats(self):

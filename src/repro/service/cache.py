@@ -5,14 +5,24 @@ stamped with the store version they were computed at plus the plan's
 *predicate footprint* — every predicate whose extension the answer can
 depend on.  A lookup only serves an entry stamped with the current version.
 
-Commits keep the cache warm instead of cold: the commit hook
-(:meth:`ResultCache.attach`) reads the typed :class:`~repro.ham.delta.Delta`
-off each commit record and compares the delta's touched predicates against
-each entry's footprint.  Disjoint → the answer provably cannot have changed,
-so the entry is *re-stamped* to the new version and stays servable (counted
-as ``delta_reuse_hits``); intersecting (or footprint unknown) → the entry is
-dropped.  A commit touching one edge label no longer cold-starts every
-cached answer — only the ones that could actually observe it.
+Commits keep the cache warm instead of cold.  Each commit reaches
+:meth:`ResultCache.apply_commit` from the service's one commit hook (the
+subscription manager's, :mod:`repro.subs`), with the typed
+:class:`~repro.ham.delta.Delta`'s touched predicates.  A *plain* entry whose
+footprint misses them provably cannot have changed, so it is *re-stamped*
+to the new version and stays servable (counted as ``delta_reuse_hits``);
+intersecting (or footprint unknown) → the entry is dropped.
+
+A *maintained* entry pins a shared
+:class:`~repro.ham.views.MaterializedView` instead, which the same hook
+advances first: unchanged → re-stamped, changed → its new answer's bytes
+replace the old.  Admission is decided by the module constants: a key is
+promoted on its first miss after a commit dropped it, demoted — for good —
+when a pass costs more than re-evaluating, and maintained entries are
+evicted LRU-first beyond :data:`MAINTAINED_ROW_BUDGET` rows of view state.
+An entry leaving the cache hands its view back through
+:meth:`ResultCache.take_released`, for the manager to unpin under its own
+lock.
 
 Parameter normalization is type-tagged: ``{"limit": 1}``, ``{"limit": "1"}``
 and ``{"limit": True}`` produce three distinct keys (plain ``str(v)``
@@ -25,7 +35,18 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
-from repro.core.translate import DOMAIN_PREDICATE
+
+#: Rows of view state (every relation a maintained view keeps) the
+#: maintained entries may hold together; the least recently used beyond it
+#: are evicted.  Each 1 600-row closure view of the benchmark's hot pool
+#: holds 4 752 rows in ~1.2 MB (tracemalloc): the budget keeps its four and
+#: one more.
+MAINTAINED_ROW_BUDGET = 24_576
+
+#: A key's admission marks: a commit dropped its plain entry (its next miss
+#: promotes it), or a view pass of its maintained entry cost more than the
+#: view holds (never promoted again).
+_DROPPED, _DEMOTED = "dropped", "demoted"
 
 
 def _canonical(value):
@@ -73,21 +94,24 @@ def result_key(fingerprint, params):
 class Entry:
     """One cached answer: *encoded*, the wire bytes of its ``result`` object
     — its only representation, spliced by a network hit and decoded by an
-    in-process one — its row *count*, the *version* stamp and the plan's
-    *footprint*.  The envelope is never encoded, so the bytes stay valid
-    when a commit re-stamps *version*."""
+    in-process one — its row *count*, the *version* stamp, the plan's
+    *footprint* and, for a maintained entry, the *view* it pins.  The
+    envelope is never encoded, so the bytes stay valid when a commit
+    re-stamps *version*."""
 
-    __slots__ = ("encoded", "count", "version", "footprint")
+    __slots__ = ("encoded", "count", "version", "footprint", "view")
 
-    def __init__(self, encoded, count, version, footprint):
+    def __init__(self, encoded, count, version, footprint, view=None):
         self.encoded = encoded
         self.count = count
         self.version = version
         self.footprint = footprint
+        self.view = view
 
 
 class ResultCache:
-    """A thread-safe LRU of versioned, footprint-stamped answers."""
+    """A thread-safe LRU of versioned answers: footprint-stamped plain
+    entries and view-pinning maintained ones."""
 
     def __init__(self, capacity=1024):
         if capacity < 1:
@@ -95,11 +119,17 @@ class ResultCache:
         self.capacity = capacity
         self._entries = OrderedDict()
         self._lock = threading.Lock()
+        #: key -> _DROPPED / _DEMOTED, oldest first, at most *capacity* keys.
+        self._marks = OrderedDict()
+        #: Views of maintained entries that left the cache, to unpin.
+        self._released = []
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
         self.delta_reuse_hits = 0
+        self.promotions = 0
+        self.demotions = 0
 
     def __len__(self):
         return len(self._entries)
@@ -115,29 +145,89 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, key, encoded, count, version, footprint=None):
+    def count_miss(self):
+        with self._lock:
+            self.misses += 1
+
+    def maintained(self, key):
+        """Whether *key*'s entry pins a view (current or not)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry is not None and entry.view is not None
+
+    def promotable(self, key):
+        """Whether a miss of *key* promotes it: a commit dropped its plain
+        entry, and it holds no maintained one."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return self._marks.get(key) == _DROPPED and (entry is None or entry.view is None)
+
+    def put(self, key, encoded, count, version, footprint=None, view=None):
         """Cache the *encoded* answer of *count* rows computed at *version* by
         a plan reading *footprint*, the predicates the answer depends on
-        (``None``: unknown, which every later commit treats as intersecting)."""
-        with self._lock:
-            self._entries[key] = Entry(encoded, count, version, footprint)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        (``None``: unknown, which every later commit treats as intersecting).
 
-    def apply_commit(self, version, touched):
-        """Re-stamp or drop entries after a commit.
+        With *view* the entry is maintained: the commit hook keeps it equal
+        to that (pinned) view's answer, so a plain put never replaces it.
+        Admitting one evicts the least recently used other maintained
+        entries while their views hold more than :data:`MAINTAINED_ROW_BUDGET`
+        rows.  Returns the entry stored (None when refused)."""
+        with self._lock:
+            old = self._entries.get(key)
+            if old is not None and old.view is not None:
+                if view is None:
+                    return None
+                self._released.append(old.view)
+            entry = self._entries[key] = Entry(encoded, count, version, footprint, view)
+            self._entries.move_to_end(key)
+            if view is not None:
+                self.promotions += 1
+                held = self._maintained_rows()
+                for other in [k for k, e in self._entries.items() if e.view is not None]:
+                    if held <= MAINTAINED_ROW_BUDGET or other == key:
+                        break
+                    held -= self._entries[other].view.held_rows()
+                    self._evict(other)
+            while len(self._entries) > self.capacity:
+                self._evict(next(iter(self._entries)))
+            return entry
+
+    def _evict(self, key):
+        entry = self._entries.pop(key)
+        if entry.view is not None:
+            self._released.append(entry.view)
+            self._marks.pop(key, None)
+        self.evictions += 1
+
+    def _mark(self, key, mark):
+        self._marks[key] = mark
+        self._marks.move_to_end(key)
+        if len(self._marks) > self.capacity:
+            self._marks.popitem(last=False)
+
+    def _maintained_rows(self):
+        return sum(e.view.held_rows() for e in self._entries.values() if e.view is not None)
+
+    def apply_commit(self, version, touched, answers=None):
+        """Re-stamp, re-encode or drop entries after a commit.
 
         *touched* is the set of predicates the commit's delta may have
-        changed (``None`` = unknown → drop everything).  Entries whose
+        changed (``None`` = unknown → drop everything).  Plain entries whose
         footprint provably misses *touched* survive with the new version
-        stamp; the rest are invalidated.  Only entries current as of the
-        previous version are re-stamped: versions bump by exactly one per
-        commit, so an entry lagging further behind was computed before some
-        commit this hook never cleared it against (a put racing a commit)
-        and cannot be proven fresh.
+        stamp; the rest are invalidated, and their keys marked for
+        promotion.  Only entries current as of the previous version are
+        re-stamped: versions bump by exactly one per commit, so an entry
+        lagging further behind was computed before some commit this hook
+        never cleared it against (a put racing a commit) and cannot be
+        proven fresh.
+
+        *answers* maps each view a maintained entry pins, advanced past this
+        commit, to None (unchanged: the entry is re-stamped to the view's
+        version) or ``(encoded, count)``, its new answer.  A maintained
+        entry whose view it lacks is demoted: dropped, its key never
+        promoted again.
         """
+        answers = answers or {}
         with obs.span(
             "cache.apply_commit",
             version=version,
@@ -145,42 +235,58 @@ class ResultCache:
         ) as span:
             with self._lock:
                 dead = []
+                demoted = []
+                changed = []
                 restamped = 0
                 for key, entry in self._entries.items():
-                    if (
+                    view = entry.view
+                    if view is not None and view not in answers:
+                        demoted.append(key)
+                    elif view is not None and answers[view] is not None:
+                        # A new entry, not new fields: a reader holding the
+                        # old one keeps bytes that match its version.
+                        encoded, count = answers[view]
+                        changed.append(
+                            (key, Entry(encoded, count, view.version, entry.footprint, view))
+                        )
+                    elif view is not None or (
                         touched is not None
                         and entry.footprint is not None
                         and entry.version == version - 1
                         and not (entry.footprint & touched)
                     ):
-                        entry.version = version
+                        entry.version = version if view is None else view.version
                         self.delta_reuse_hits += 1
                         restamped += 1
                     else:
                         dead.append(key)
+                for key, entry in changed:
+                    self._entries[key] = entry
                 for key in dead:
                     del self._entries[key]
+                    if self._marks.get(key) != _DEMOTED:
+                        self._mark(key, _DROPPED)
+                for key in demoted:
+                    self._released.append(self._entries.pop(key).view)
+                    self._mark(key, _DEMOTED)
                 self.invalidations += len(dead)
-                span.annotate(restamped=restamped, dropped=len(dead))
+                self.demotions += len(demoted)
+                span.annotate(restamped=restamped, dropped=len(dead), demoted=len(demoted))
 
-    def attach(self, store, domain_predicate=DOMAIN_PREDICATE):
-        """Subscribe to *store* commits; returns the unsubscribe callable."""
-
-        def on_commit(record):
-            delta = getattr(record, "delta", None)
-            touched = (
-                delta.touched_predicates(domain_predicate)
-                if delta is not None
-                else None
-            )
-            self.apply_commit(record.version, touched)
-
-        store.subscribe(on_commit)
-        return lambda: store.unsubscribe(on_commit)
+    def take_released(self):
+        """The views of maintained entries that left the cache since the
+        last call — each once per entry that pinned it."""
+        with self._lock:
+            released, self._released = self._released, []
+            return released
 
     def clear(self):
+        """Drop every entry and mark (a version regression makes all of
+        them meaningless); maintained entries release their views."""
         with self._lock:
+            self._released += [e.view for e in self._entries.values() if e.view is not None]
             self._entries.clear()
+            self._marks.clear()
 
     def stats(self):
         with self._lock:
@@ -194,4 +300,8 @@ class ResultCache:
                 "delta_reuse_hits": self.delta_reuse_hits,
                 "encoded_entries": len(self._entries),
                 "encoded_bytes": sum(len(e.encoded) for e in self._entries.values()),
+                "maintained": sum(e.view is not None for e in self._entries.values()),
+                "maintained_rows": self._maintained_rows(),
+                "promotions": self.promotions,
+                "demotions": self.demotions,
             }

@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.ham.image import StoreImages
 from repro.ham.store import HAMStore, new_epoch
+from repro.ham.views import fallback_reason
 from repro.obs import context as trace_context
 from repro.obs import logs
 from repro.obs.metrics import MetricFamily, table_families
@@ -57,6 +58,10 @@ logger = logging.getLogger(__name__)
 
 #: Request fields that parameterize evaluation (and the result-cache key).
 _PARAM_FIELDS = ("predicate", "method", "source")
+
+#: Seconds a worker waits for the in-flight commit dispatch that re-stamps
+#: its maintained entry before it evaluates the query instead.
+_DISPATCH_WAIT_S = 1.0
 
 
 #: ``(name, kind, help, key)`` rows for :func:`table_families`, in
@@ -102,12 +107,20 @@ _REPL_APPLIER_FAMILIES = (
     ("repro_repl_epoch_rebootstraps_total", "counter",
      "Re-bootstraps triggered by a primary epoch change", "epoch_rebootstraps"),
 )
-#: ... the result cache's pre-encoded answers, ...
+#: ... the result cache's pre-encoded answers and maintained entries, ...
 _RESULT_CACHE_FAMILIES = (
     ("repro_result_cache_encoded_entries", "gauge",
      "Result-cache entries, each holding its answer's wire bytes", "encoded_entries"),
     ("repro_result_cache_encoded_bytes", "gauge",
      "Bytes of encoded answers held by the result cache", "encoded_bytes"),
+    ("repro_result_cache_maintained", "gauge",
+     "Result-cache entries kept current by a pinned maintained view", "maintained"),
+    ("repro_result_cache_maintained_rows", "gauge",
+     "Rows of view state the maintained entries' views hold", "maintained_rows"),
+    ("repro_result_cache_promotions_total", "counter",
+     "Result-cache entries promoted to maintained", "promotions"),
+    ("repro_result_cache_demotions_total", "counter",
+     "Maintained entries demoted for a pass costlier than their view", "demotions"),
 )
 #: ... the store's relational image (``fallbacks`` is exported by reason
 #: beside these), ...
@@ -274,20 +287,22 @@ class QueryService:
         # into the exposition registry as scrape-time collectors — no
         # bookkeeping on the request path.
         self.metrics.exposition.collector(self._store_families)
-        self._detach = self.results.attach(self.store)
         # The store's relational image: built on the first evaluation that
         # reads relations, then advanced by commit deltas, and shared by
         # every plan (and subscription view) evaluated at a version.
         self.images = StoreImages(self.store)
-        # Live subscriptions: shared maintained views fanned out as delta
-        # frames over client connections (docs/SUBSCRIPTIONS.md).  Works on
-        # replicas too — apply_replicated dispatches commit hooks, so a
-        # replica is a natural fanout tier for watchers.
+        # The table of long-lived answers and the service's one commit hook:
+        # shared maintained views, fanned out as delta frames over client
+        # connections (docs/SUBSCRIPTIONS.md) and pinned by maintained
+        # result-cache entries, then the result cache's own commit handling.
+        # Works on replicas too — apply_replicated dispatches commit hooks,
+        # so a replica is a natural fanout tier for watchers.
         from repro.subs import SubscriptionManager
 
         self.subs = SubscriptionManager(
             self.store,
             images=self.images,
+            results=self.results,
             metrics=self.metrics,
             queue_max=self.config.sub_queue_max,
             policy=self.config.sub_policy,
@@ -329,7 +344,8 @@ class QueryService:
         self.results.clear()
         self.images.reset("rebootstrap")
         # Subscribers hold version-stamped materialized state; after a
-        # regression they must be re-seeded, not fed deltas.
+        # regression they must be re-seeded, not fed deltas.  The cleared
+        # cache's maintained entries unpin their views here too.
         self.subs.resync_all()
         self.metrics.incr("replication.rebootstraps")
 
@@ -645,14 +661,30 @@ class QueryService:
         t1 = time.perf_counter()
         key = result_key(plan.fingerprint, params)
         ctx["version"] = self.store.version
-        entry = self.results.get(key, ctx["version"], count_miss=not resident)
+        entry = self.results.get(key, ctx["version"], count_miss=False)
         if resident:
             if entry is None:
                 return None
             self.plans.count_hit()
+        elif entry is None:
+            entry = self._await_maintained(key, ctx["version"])
         ctx["fingerprint"] = plan.fingerprint
         ctx["phases"] += [("plan", t1 - t0), ("cache_lookup", time.perf_counter() - t1)]
         return plan, params, key, entry
+
+    def _await_maintained(self, key, version):
+        """A worker found no entry current at *version*.  When *key*'s entry
+        is maintained, the commit the store installed but has not yet
+        dispatched will re-stamp it: wait for that and return the entry
+        instead of evaluating.  Otherwise count the miss; None."""
+        if self.results.maintained(key) and self.store.wait_dispatched(
+            version, _DISPATCH_WAIT_S
+        ):
+            entry = self.results.get(key, version, count_miss=False)
+            if entry is not None:
+                return entry
+        self.results.count_miss()
+        return None
 
     def _op_query(self, message, ctx):
         plan, params, key, entry = ctx.get("found") or self._lookup(message, ctx)
@@ -660,7 +692,31 @@ class QueryService:
         phases = ctx["phases"]
         max_rows = message.get("max_rows", self.config.max_rows)
         max_bytes = message.get("max_bytes", self.config.max_bytes)
-        if entry is None:
+        if entry is not None:
+            self.metrics.incr("result_cache.hits")
+            ctx["cache"] = "hit"
+            encoded, total = entry.encoded, entry.count
+        elif (
+            params.get("method") == "columnar"
+            and fallback_reason(plan) is None
+            and self.results.promotable(key)
+        ):
+            # The first miss after a commit dropped this answer: it becomes
+            # a maintained entry, evaluated once, by its view's refresh (and
+            # encoded with it) over the image looked up here.
+            self.metrics.incr("result_cache.misses")
+            ctx["cache"] = "miss"
+            t2 = time.perf_counter()
+            version, graph = self.store.snapshot_versioned()
+            with self._work_span(
+                ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
+            ):
+                self._edb_for(plan, version, graph, phases)
+                entry = self.subs.pin(plan, params, key)
+            phases.append(("evaluate", time.perf_counter() - t2))
+            ctx["version"] = entry.version
+            encoded, total = entry.encoded, entry.count
+        else:
             self.metrics.incr("result_cache.misses")
             ctx["cache"] = "miss"
             t2 = time.perf_counter()
@@ -683,10 +739,6 @@ class QueryService:
             self._check_budgets(sum(map(len, relations.values())), max_rows)
             encoded, total = protocol.encode_answer(relations)
             phases.append(("encode", time.perf_counter() - t3))
-        else:
-            self.metrics.incr("result_cache.hits")
-            ctx["cache"] = "hit"
-            encoded, total = entry.encoded, entry.count
         self._check_budgets(total, max_rows, len(encoded), max_bytes)
         if entry is None:
             self.results.put(key, encoded, total, version, plan.footprint)
@@ -1104,9 +1156,6 @@ class QueryService:
         if self.applier is not None:
             self.applier.stop()
         self.subs.close()
-        if self._detach is not None:
-            self._detach()
-            self._detach = None
         if self.durability is not None:
             self.durability.close()
 

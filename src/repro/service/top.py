@@ -127,7 +127,8 @@ class TopDashboard:
             f"hit {_rate(plan.get('hits', 0), plan.get('misses', 0)).strip()}    "
             f"result {result.get('size', 0)}/{result.get('capacity', 0)} "
             f"hit {_rate(result.get('hits', 0), result.get('misses', 0)).strip()} "
-            f"(delta-reuse {result.get('delta_reuse_hits', 0)})"
+            f"(delta-reuse {result.get('delta_reuse_hits', 0)}, "
+            f"maintained {result.get('maintained', 0)})"
         )
 
         durability = store.get("durability")

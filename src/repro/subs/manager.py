@@ -1,11 +1,21 @@
 """The subscription manager: shared views, delta fanout, backpressure.
 
+The manager's view table is the service's one table of long-lived answers:
+one :class:`~repro.ham.views.MaterializedView` per plan + params, held by a
+reference count — its subscriptions, plus a pin from at most one
+maintained result-cache entry (:meth:`SubscriptionManager.pin`).  A view
+nobody holds leaves the table and is maintained no more.
+
 Threading model: the store delivers every commit record to
-:meth:`SubscriptionManager._on_commit` exactly once, in version order, on
-the committing thread (:meth:`repro.ham.store.HAMStore.subscribe` states the
-contract), so the hook applies the record it is handed and nothing else.
-Every mutation of view state and subscription queues happens under the
-manager lock; delivery happens on the connection's sender task, which calls
+:meth:`SubscriptionManager._on_commit` — the service's only commit hook —
+exactly once, in version order, on the committing thread
+(:meth:`repro.ham.store.HAMStore.subscribe` states the contract), so the
+hook applies the record it is handed and nothing else: every view advances
+once, subscribers get its delta, and then the result cache
+(:meth:`~repro.service.cache.ResultCache.apply_commit`) re-stamps, re-encodes
+or drops its entries.  Every mutation of view state and subscription queues
+happens under the manager lock (taken before the cache's, never after);
+delivery happens on the connection's sender task, which calls
 :meth:`SubscriptionManager.drain` after being poked through the sink's
 ``notify()``.
 
@@ -20,8 +30,10 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter
 
 from repro import obs
+from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
 from repro.errors import NotMaintainable, ProtocolError, SubscriptionError
 from repro.ham.image import StoreImages
@@ -64,7 +76,6 @@ class Subscription:
 
     __slots__ = (
         "id",
-        "key",
         "view",
         "sink",
         "queue_max",
@@ -74,9 +85,8 @@ class Subscription:
         "closed",
     )
 
-    def __init__(self, sub_id, key, view, sink, queue_max, policy):
+    def __init__(self, sub_id, view, sink, queue_max, policy):
         self.id = sub_id
-        self.key = key  # the view's registry key
         self.view = view
         self.sink = sink
         self.queue_max = queue_max
@@ -87,22 +97,25 @@ class Subscription:
 
 
 class SubscriptionManager:
-    """Owns every shared view and subscription for one service instance."""
+    """Owns every shared view and subscription for one service instance,
+    and drives the commit handling of its result cache, *results*."""
 
     def __init__(self, store, metrics=None, queue_max=256, policy="resync",
-                 images=None):
+                 images=None, results=None):
         if policy not in OVERFLOW_POLICIES:
             raise ValueError(f"unknown overflow policy {policy!r}")
         self.store = store
         #: Owner of the store's relational image — the service's, so views
         #: and request evaluations at one version share one image.
         self.images = images if images is not None else StoreImages(store)
+        self.results = results
         self.metrics = metrics
         self.default_queue_max = int(queue_max)
         self.default_policy = policy
         self._lock = threading.Lock()
         self._views_by_key = {}  # key -> MaterializedView
-        self._watchers = {}  # view -> its subscriptions; never empty
+        self._watchers = {}  # view -> its subscriptions, for every view in the table
+        self._pins = Counter()  # view -> result-cache entries pinning it
         self._subs = {}
         self._by_sink = {}
         self._disconnect_sinks = set()
@@ -145,6 +158,44 @@ class SubscriptionManager:
             raise ProtocolError(
                 f"'queue_max' must be a positive integer, got {queue_max!r}"
             )
+
+        def attach(shared):
+            _require_maintainable(shared, allow_fallback)
+            sub = Subscription(self._next_id, shared, sink, queue_max, policy)
+            self._next_id += 1
+            self._watchers[shared].add(sub)
+            self._subs[sub.id] = sub
+            self._by_sink.setdefault(sink, set()).add(sub.id)
+            if self.metrics is not None:
+                self.metrics.incr("subs.subscribed")
+            return sub, shared.snapshot(), shared.version
+
+        return self._with_view(
+            plan, params, attach, lambda view: _require_maintainable(view, allow_fallback)
+        )
+
+    def pin(self, plan, params, key):
+        """Promote result-cache entry *key*: pin the shared view of *plan*
+        under *params* — materialized first when the table has none, which
+        is this answer's one evaluation — and cache its answer as a
+        maintained entry, which every later commit keeps current.  Returns
+        the entry."""
+
+        def attach(view):
+            # Encoded under the lock: the entry's bytes must be the view's
+            # answer at the version they are stamped with.
+            encoded, count = protocol.encode_answer(view.snapshot())
+            self._pins[view] += 1
+            return self.results.put(key, encoded, count, view.version, plan.footprint, view=view)
+
+        return self._with_view(plan, params, attach)
+
+    def _with_view(self, plan, params, attach, check=None):
+        """``attach(view)``, under the lock, on the table's shared view
+        of *plan* under *params*; a missing one is materialized (and
+        ``check``-ed) outside the lock, since a first evaluation can be slow
+        and must not stall commits, then caught up and registered.  A racing
+        duplicate is discarded."""
         key = view_key(plan, params)
         candidate = None
         while True:
@@ -157,21 +208,14 @@ class SubscriptionManager:
                     shared = self._views_by_key[key] = candidate
                     self._watchers[shared] = set()
                 if shared is not None:
-                    _require_maintainable(shared, allow_fallback)
-                    sub = Subscription(
-                        self._next_id, key, shared, sink, queue_max, policy
-                    )
-                    self._next_id += 1
-                    self._watchers[shared].add(sub)
-                    self._subs[sub.id] = sub
-                    self._by_sink.setdefault(sink, set()).add(sub.id)
-                    if self.metrics is not None:
-                        self.metrics.incr("subs.subscribed")
-                    return sub, shared.snapshot(), shared.version
-            # Materialize outside the lock: first evaluation can be slow and
-            # must not stall commits.  A racing duplicate is discarded above.
+                    try:
+                        return attach(shared)
+                    finally:
+                        self._drop_unheld_locked(shared)
+                        self._unpin_released_locked()  # what a pin's admission evicted
             candidate = MaterializedView(plan, self.images, params)
-            _require_maintainable(candidate, allow_fallback)
+            if check is not None:
+                check(candidate)
             candidate.refresh()
 
     def unsubscribe(self, sub_id, sink):
@@ -203,13 +247,25 @@ class SubscriptionManager:
             ids.discard(sub.id)
             if not ids:
                 self._by_sink.pop(sub.sink, None)
-        watchers = self._watchers[sub.view]
-        watchers.discard(sub)
-        if not watchers:
-            # Last unsubscribe tears the view down: no subscriber, no
-            # maintenance pass.
-            del self._watchers[sub.view]
-            self._views_by_key.pop(sub.key, None)
+        self._watchers[sub.view].discard(sub)
+        self._drop_unheld_locked(sub.view)
+
+    def _drop_unheld_locked(self, view):
+        """Tear *view* down once nothing holds it — no subscriber, no
+        result-cache pin — and with it its maintenance pass."""
+        if view in self._watchers and not self._watchers[view] and not self._pins[view]:
+            del self._watchers[view]
+            del self._views_by_key[view_key(view.plan, view.eval_params)]
+
+    def _unpin_released_locked(self):
+        """Unpin the views of maintained entries that left the result cache."""
+        if self.results is None:
+            return
+        for view in self.results.take_released():
+            self._pins[view] -= 1
+            if self._pins[view] <= 0:
+                del self._pins[view]
+            self._drop_unheld_locked(view)
 
     def _catch_up_locked(self, view):
         """Bring a freshly materialized view level with the views already
@@ -229,48 +285,75 @@ class SubscriptionManager:
     def _on_commit(self, record):
         """Store commit hook: *record* is the next one, on its committing
         thread — whose ambient trace context is that commit's request, so
-        its trace id stamps exactly this record's frames."""
+        its trace id stamps exactly this record's frames.  Every view
+        advances once; then the result cache re-stamps, re-encodes or drops
+        its entries, even when a view's pass raised (a pinned view it was
+        not told about is demoted)."""
+        sinks = set()
+        answers = {}
         with self._lock:
-            if not self._views_by_key:
-                return
-            ambient = trace_context.current()
-            trace_id = ambient.trace_id if ambient is not None else None
-            sinks = set()
-            now = time.monotonic()
-            with obs.span(
-                "subs.dispatch",
-                version=record.version,
-                views=len(self._views_by_key),
-                subscribers=len(self._subs),
-            ):
-                for view, watchers in self._watchers.items():
-                    try:
-                        changed = view.apply(record)
-                    except ViewReset:
+            self._unpin_released_locked()
+            try:
+                if self._views_by_key:
+                    self._dispatch_locked(record, sinks, answers)
+            finally:
+                if self.results is not None:
+                    delta = record.delta
+                    touched = (
+                        delta.touched_predicates(DOMAIN_PREDICATE) if delta is not None else None
+                    )
+                    self.results.apply_commit(record.version, touched, answers)
+                    self._unpin_released_locked()
+        self._notify(sinks)
+
+    def _dispatch_locked(self, record, sinks, answers):
+        """Advance every view past *record*: delta (or resync) frames to its
+        subscribers, collected *sinks* to poke, and in *answers* the new
+        answer of each pinned view (see ``ResultCache.apply_commit``)."""
+        ambient = trace_context.current()
+        trace_id = ambient.trace_id if ambient is not None else None
+        now = time.monotonic()
+        with obs.span(
+            "subs.dispatch",
+            version=record.version,
+            views=len(self._views_by_key),
+            subscribers=len(self._subs),
+        ):
+            for view, watchers in self._watchers.items():
+                try:
+                    changed, reset = view.apply(record), False
+                except ViewReset:
+                    changed, reset = None, True
+                    if watchers:
                         self._resync_locked(watchers)
                         sinks.update(sub.sink for sub in watchers)
-                        continue
-                    if changed is None:
-                        continue
-                    # The row payload is shared across the fanout: one wire
-                    # encoding per view per commit, one tiny per-subscriber
-                    # frame dict.
-                    wire_inserted, wire_deleted = map(
-                        protocol.relations_to_wire, changed
+                # A pass that overdeleted plus rederived more rows than the
+                # view holds cost more than evaluating afresh: its entry is
+                # demoted by being left out.
+                if self._pins[view] and view.churn <= view.held_rows():
+                    answers[view] = (
+                        protocol.encode_answer(view.snapshot())
+                        if changed is not None or reset
+                        else None
                     )
-                    for sub in watchers:
-                        frame = {
-                            "frame": "delta",
-                            "subscription": sub.id,
-                            "version": record.version,
-                            "inserted": wire_inserted,
-                            "deleted": wire_deleted,
-                        }
-                        if trace_id is not None:
-                            frame["trace_id"] = trace_id
-                        self._enqueue_locked(sub, frame, now)
-                        sinks.add(sub.sink)
-        self._notify(sinks)
+                if changed is None or not watchers:
+                    continue
+                # The row payload is shared across the fanout: one wire
+                # encoding per view per commit, one tiny per-subscriber
+                # frame dict.
+                wire_inserted, wire_deleted = map(protocol.relations_to_wire, changed)
+                for sub in watchers:
+                    frame = {
+                        "frame": "delta",
+                        "subscription": sub.id,
+                        "version": record.version,
+                        "inserted": wire_inserted,
+                        "deleted": wire_deleted,
+                    }
+                    if trace_id is not None:
+                        frame["trace_id"] = trace_id
+                    self._enqueue_locked(sub, frame, now)
+                    sinks.add(sub.sink)
 
     # -------------------------------------------------------- backpressure
 
@@ -337,8 +420,10 @@ class SubscriptionManager:
     def resync_all(self):
         """Re-materialize every view and force snapshot frames to every
         subscriber.  Called when version arithmetic can no longer be
-        trusted: a replica re-bootstrap (the store version may regress)."""
+        trusted: a replica re-bootstrap (the store version may regress).
+        Views the cleared result cache released are unpinned first."""
         with self._lock:
+            self._unpin_released_locked()
             if not self._views_by_key:
                 return
             for view in self._views_by_key.values():
@@ -370,6 +455,7 @@ class SubscriptionManager:
             self._closed = True
             self._views_by_key.clear()
             self._watchers.clear()
+            self._pins.clear()
             self._subs.clear()
             self._by_sink.clear()
             self._disconnect_sinks.clear()
@@ -383,7 +469,9 @@ class SubscriptionManager:
     def stats(self):
         with self._lock:
             views = {
-                view.plan.fingerprint[:12]: dict(view.stats(), subscribers=len(subs))
+                view.plan.fingerprint[:12]: dict(
+                    view.stats(), subscribers=len(subs), pins=self._pins[view]
+                )
                 for view, subs in self._watchers.items()
             }
             return {

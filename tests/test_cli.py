@@ -152,12 +152,16 @@ class TestTelemetryCommands:
         with ServiceClient(port=live_server.port) as c:
             c.update(edges=[["a", "link", "b"]])
             c.datalog("hop(X, Y) :- link(X, Y).", predicate="hop")
+            c.update(edges=[["b", "link", "c"]])
+            # The first re-read after a commit dropped it: maintained from here.
+            c.datalog("hop(X, Y) :- link(X, Y).", predicate="hop")
         assert main(
             ["top", "--port", str(live_server.port), "--iterations", "1"]
         ) == 0
         out = capsys.readouterr().out
-        assert "repro top — version 1" in out
+        assert "repro top — version 2" in out
         assert "requests" in out and "caches" in out
+        assert "(delta-reuse 0, maintained 1)" in out
         assert "link" in out  # churned predicate made the ranking
         assert "slowlog" in out
         assert "\x1b[" not in out  # no ANSI clears when stdout is captured

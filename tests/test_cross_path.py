@@ -1,16 +1,20 @@
 """Cross-path differential (ROADMAP 4c, first slice).
 
 For seeded random insert / delete / relabel sequences committed by four
-concurrent writers, at every store version four things agree for a
+concurrent writers, at every store version five things agree for a
 recursive, a negated and an aggregate (diff-fallback) query: a
 subscription's accumulated delta frames, the maintained view's rows, a
 fresh ``graphlog`` request (result cache and delta re-stamping included),
-and ``Engine("naive")`` over ``store.graph_at(version)`` from scratch.
+the answer a maintained result-cache entry serves, and ``Engine("naive")``
+over ``store.graph_at(version)`` from scratch.  The tests after it race a
+maintained entry's life — promotion, eviction, the wait for an in-flight
+dispatch, a replica re-bootstrap — against commits.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -18,8 +22,10 @@ import pytest
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.graphs.bridge import EdgeLabel
+from repro.ham import views as views_module
 from repro.ham.store import HAMStore
-from repro.service.server import QueryService
+from repro.service.cache import result_key
+from repro.service.server import QueryService, ServiceConfig
 
 QUERIES = {
     "reach": "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }",
@@ -104,15 +110,21 @@ def test_every_path_agrees_at_every_version(seed):
 
         view_rows = {}  # version -> name -> rows
         fresh = {}  # version -> name -> rows
+        maintained = {}  # version -> name -> rows a maintained entry served
+        keys = {
+            name: result_key(service.plans.get("graphlog", text).fingerprint, {"method": "columnar"})
+            for name, text in QUERIES.items()
+        }
 
         @store.subscribe  # after the service's hooks: the views are at record.version
         def probe(record):
             view_rows[record.version] = {n: v.rows(n) for n, v in views.items()}
             for name, text in QUERIES.items():
                 response = service.execute({"op": "graphlog", "query": text})
-                fresh.setdefault(response["version"], {})[name] = wire_rows(
-                    response["result"]["relations"].get(name, ())
-                )
+                rows = wire_rows(response["result"]["relations"].get(name, ()))
+                fresh.setdefault(response["version"], {})[name] = rows
+                if response["cache"] == "hit" and service.results.maintained(keys[name]):
+                    maintained.setdefault(response["version"], {})[name] = rows
 
         errors = []
         threads = [
@@ -149,10 +161,260 @@ def test_every_path_agrees_at_every_version(seed):
                 assert view_rows[version][name] == oracle, where
                 if name in fresh.get(version, ()):  # asked while it was current
                     assert fresh[version][name] == oracle, where
+                if name in maintained.get(version, ()):
+                    assert maintained[version][name] == oracle, where
+        # The recursive and the negated query became maintained entries (the
+        # subscriptions' own views, pinned) and served reads; the aggregate
+        # never does.
+        served = {name for answers in maintained.values() for name in answers}
+        assert served == {"reach", "risky"}
         stats = service.stats()
+        assert stats["result_cache"]["promotions"] >= 2
+        assert all(view["pins"] == 1 for view in stats["subs"]["views"].values()
+                   if view["mode"] == "maintained")
         assert stats["store"]["subscriber_failures"] == 0
         assert all(
             view["maintenance_errors"] == 0 for view in stats["subs"]["views"].values()
         )
     finally:
         service.close()
+
+
+# ---------------------------------------------- a maintained entry's life
+
+
+REACH = QUERIES["reach"]
+
+
+def reach_rows(service):
+    response = service.execute({"op": "graphlog", "query": REACH})
+    return response, wire_rows(response["result"]["relations"]["reach"])
+
+
+def oracle_rows(store):
+    return GraphLogEngine("naive").answers(parse_graphical_query(REACH), store.graph, "reach")
+
+
+def add_link(store, source, target, remove=False):
+    with store.session().transaction() as txn:
+        (txn.remove_edge if remove else txn.add_edge)(source, target, EdgeLabel("link"))
+
+
+def promoted(service, store):
+    """Read REACH, commit an edge it sees, and re-read it: the re-read
+    promotes.  Returns the pinned view."""
+    reach_rows(service)
+    add_link(store, "n1", "n2")
+    assert reach_rows(service)[0]["cache"] == "miss"
+    assert service.stats()["result_cache"]["maintained"] == 1
+    (view,) = service.subs._views_by_key.values()
+    return view
+
+
+def linked_store():
+    store = HAMStore()
+    with store.session().transaction() as txn:
+        for node in NODES:
+            txn.add_node(node)
+        txn.add_edge("n0", "n1", EdgeLabel("link"))
+    return store
+
+
+def held(view, entered, release):
+    """Make *view*'s next pass signal *entered* and wait for *release*."""
+    apply = view.apply
+
+    def slow_apply(record):
+        entered.set()
+        assert release.wait(10)
+        return apply(record)
+
+    view.apply = slow_apply
+
+
+def test_an_entry_evicted_during_a_commit_unpins_its_view():
+    store = linked_store()
+    service = QueryService(store=store, config=ServiceConfig(result_cache_size=2))
+    try:
+        view = promoted(service, store)
+        entered, release = threading.Event(), threading.Event()
+        held(view, entered, release)
+        writer = threading.Thread(target=add_link, args=(store, "n2", "n3"))
+        writer.start()
+        assert entered.wait(10)
+        # Mid-commit (the manager lock held): two plain misses push the
+        # maintained entry out of a two-entry cache.
+        for source in ("n0", "n1"):
+            service.execute({"op": "rpq", "query": "link+", "source": source})
+        assert not service.results.maintained(
+            result_key(view.plan.fingerprint, {"method": "columnar"})
+        )
+        release.set()
+        writer.join(10)
+        assert not writer.is_alive()
+        # The hook re-encoded nothing for the gone entry and unpinned its
+        # view, which nothing else held.
+        assert not service.subs._views_by_key
+        response, rows = reach_rows(service)
+        assert response["cache"] == "miss" and rows == oracle_rows(store)
+        stats = service.stats()
+        assert stats["result_cache"]["maintained"] == 0
+        assert stats["result_cache"]["evictions"] >= 1
+        assert stats["store"]["subscriber_failures"] == 0
+    finally:
+        service.close()
+
+
+def test_a_promotion_racing_a_commit_catches_up_through_the_log(monkeypatch):
+    store = linked_store()
+    service = QueryService(store=store)
+    try:
+        reach_rows(service)
+        add_link(store, "n1", "n2")  # drops the entry: the next read promotes
+        refreshed, committed = threading.Event(), threading.Event()
+        refresh = views_module.MaterializedView.refresh
+
+        def racing_refresh(view, version=None):
+            refresh(view, version)
+            if not refreshed.is_set():
+                refreshed.set()  # materialized at v, registered after v + 1
+                assert committed.wait(10)
+
+        monkeypatch.setattr(views_module.MaterializedView, "refresh", racing_refresh)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(reach_rows(service)))
+        reader.start()
+        assert refreshed.wait(10)
+        version = store.version
+        add_link(store, "n2", "n3")  # dispatched while no view is registered
+        committed.set()
+        reader.join(10)
+        (response, rows), = answers
+        # The promotion applied v + 1 from records_since before it
+        # registered: its entry is current at v + 1, not stale at v.
+        assert response["cache"] == "miss" and response["version"] == version + 1
+        assert rows == oracle_rows(store)
+        (view,) = service.subs._views_by_key.values()
+        assert view.version == version + 1 and view.maintenance_passes == 1
+        add_link(store, "n3", "n4")
+        response, rows = reach_rows(service)
+        assert response["cache"] == "hit" and rows == oracle_rows(store)
+    finally:
+        service.close()
+
+
+def test_a_read_one_dispatch_behind_waits_for_it_instead_of_evaluating():
+    store = linked_store()
+    entered, release = threading.Event(), threading.Event()
+
+    @store.subscribe  # before the service's hook: holds every dispatch at its start
+    def gate(record):
+        if not release.is_set():
+            entered.set()
+            assert release.wait(10)
+
+    release.set()
+    service = QueryService(store=store)
+    try:
+        promoted(service, store)
+        evaluations = service.stats()["metrics"]["phases"]["evaluate"]["count"]
+        release.clear()
+        writer = threading.Thread(target=add_link, args=(store, "n2", "n3"))
+        writer.start()
+        assert entered.wait(10)  # v + 1 is installed; its hooks have not run
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(reach_rows(service)))
+        reader.start()
+        reader.join(0.2)
+        assert reader.is_alive()  # waiting for the dispatch, not evaluating
+        release.set()
+        reader.join(10)
+        writer.join(10)
+        (response, rows), = answers
+        assert response["cache"] == "hit" and response["version"] == store.version
+        assert rows == oracle_rows(store)
+        assert service.stats()["metrics"]["phases"]["evaluate"]["count"] == evaluations
+    finally:
+        service.close()
+
+
+def test_a_rebootstrap_unpins_every_maintained_view():
+    store = linked_store()
+    service = QueryService(store=store)
+    try:
+        sink = Sink()
+        risky = service.execute({"op": "subscribe", "query": QUERIES["risky"]}, sink=sink)
+        assert risky["result"]["mode"] == "maintained"
+        for text in (REACH, QUERIES["risky"]):
+            service.execute({"op": "graphlog", "query": text})
+        add_link(store, "n1", "n2")
+        for text in (REACH, QUERIES["risky"]):
+            assert service.execute({"op": "graphlog", "query": text})["cache"] == "miss"
+        stats = service.stats()
+        assert stats["result_cache"]["maintained"] == 2
+        assert sorted(v["pins"] for v in stats["subs"]["views"].values()) == [1, 1]
+        service._on_rebootstrap()
+        stats = service.stats()
+        assert stats["result_cache"]["maintained"] == stats["result_cache"]["size"] == 0
+        # The watched view stays, unpinned; the other one is gone.
+        (view,) = stats["subs"]["views"].values()
+        assert (view["pins"], view["subscribers"]) == (0, 1)
+        add_link(store, "n2", "n3")
+        response, rows = reach_rows(service)
+        assert response["cache"] == "miss" and rows == oracle_rows(store)
+        assert service.stats()["result_cache"]["promotions"] == 2  # marks were cleared too
+    finally:
+        service.close()
+
+
+def test_racing_readers_get_the_answer_of_the_version_they_are_told():
+    # Four readers race four writers through promotions, re-stamped and
+    # re-encoded hits, waits for a dispatch and plain misses: every answer
+    # is the naive one at the version its response names.
+    store = linked_store()
+    service = QueryService(store=store)
+    answers, errors = [], []
+    writers_done = threading.Event()
+
+    def reader():
+        try:
+            for _ in range(200):
+                if writers_done.is_set():
+                    return
+                for name in ("reach", "risky"):
+                    response = service.execute({"op": "graphlog", "query": QUERIES[name]})
+                    rows = wire_rows(response["result"]["relations"].get(name, ()))
+                    answers.append((name, response["version"], response["cache"], rows))
+        except Exception as exc:  # noqa: BLE001 — re-raised by the test
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(WRITERS)]
+    writers = [
+        threading.Thread(target=writer, args=(store, 500 + index, errors))
+        for index in range(WRITERS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(60)
+        writers_done.set()
+        for thread in readers:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not any(thread.is_alive() for thread in readers + writers)
+    if errors:
+        raise errors[0]
+    engine = GraphLogEngine("naive")
+    oracles = {}
+    for name, version, _cache, rows in answers:
+        if (name, version) not in oracles:
+            graph = store.graph_at(version)
+            oracles[name, version] = engine.answers(parse_graphical_query(QUERIES[name]), graph, name)
+        assert rows == oracles[name, version], f"{name} at version {version}"
+    assert {cache for _name, _version, cache, _rows in answers} == {"hit", "miss"}
+    assert service.stats()["result_cache"]["promotions"] >= 1

@@ -442,6 +442,172 @@ class TestEncodedDifferential:
         churn(self.AXIOMS, {"e": 2, "tc": 2, "hop": 2}, pool, seed)
 
 
+def planted_edges(rng, sccs=3, size=4, chain=2):
+    """A random digraph: *sccs* strongly connected components of *size*
+    nodes (a cycle plus up to 2 × *size* random chords), strung together
+    by chains of *chain* fresh nodes."""
+    edges = set()
+    components = []
+    for s in range(sccs):
+        members = [f"s{s}m{i}" for i in range(size)]
+        edges.update(zip(members, members[1:] + members[:1]))
+        for _ in range(2 * size):
+            edges.add((rng.choice(members), rng.choice(members)))
+        components.append(members)
+    for s in range(sccs - 1):
+        path = [rng.choice(components[s])]
+        path += [f"c{s}m{i}" for i in range(chain)]
+        path.append(rng.choice(components[s + 1]))
+        edges.update(zip(path, path[1:]))
+    return edges
+
+
+def detoured(old, new):
+    """Whether every edge of *old* missing from *new* has its source still
+    reach its target over *new*: the closure shortcut's condition, computed
+    independently of it."""
+    successors = {}
+    for source, target in new:
+        successors.setdefault(source, set()).add(target)
+    for source, target in old - new:
+        seen, frontier = set(), [source]
+        while frontier and target not in seen:
+            for node in successors.get(frontier.pop(), set()) - seen:
+                seen.add(node)
+                frontier.append(node)
+        if target not in seen:
+            return False
+    return True
+
+
+class TestClosureDetours:
+    """A closure group skips overdelete / rederive when every removed base
+    edge keeps a detour — differentially against ``Engine("naive")``, and
+    with ``overdeleted == 0`` exactly when the condition holds.  The binary
+    closure is the left-linear mirror, the other two right-linear."""
+
+    TC = parse_program(
+        """
+        tc(X, Y) :- e(X, Y).
+        tc(X, Z) :- tc(X, Y), e(Y, Z).
+        """
+    )
+    WIDE = parse_program(
+        """
+        path(A, B, C, D) :- step(A, B, C, D).
+        path(A, B, C, D) :- step(A, B, E, F), path(E, F, C, D).
+        """
+    )
+
+    @staticmethod
+    def _lambda_program():
+        from repro.service.prepared import PreparedQuery
+
+        query = "define (X) -[c]-> (Y) { (X) -[(-from . to)+]-> (Y); }"
+        return PreparedQuery("graphlog", query).program
+
+    def _churn(self, program, to_edb, base_of, seed, batches=8):
+        """Random batches of edge deletions and insertions on a planted
+        graph; returns how many batches took the shortcut and how many did
+        not.  *to_edb* maps an edge set to EDB facts, *base_of* maps the
+        naive engine's database to the closure's base edges."""
+        rng = random.Random(seed)
+        edges = planted_edges(rng)
+        nodes = sorted({node for edge in edges for node in edge})
+        plan, state = materialize(program, Database.from_facts(to_edb(edges)))
+        oracle = Engine("naive").evaluate(program, Database.from_facts(to_edb(edges)))
+        took = {True: 0, False: 0}
+        for batch in range(batches):
+            gone = set(rng.sample(sorted(edges), rng.randint(1, 2)))
+            new = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 2))}
+            new -= edges
+            after = (edges - gone) | new
+            plus, minus = to_edb(new), to_edb(gone)
+            stats = plan.maintain(state, plus, minus)
+            expected = Engine("naive").evaluate(program, Database.from_facts(to_edb(after)))
+            for predicate in sorted(program.predicates):
+                assert state.facts(predicate) == expected.facts(predicate), (
+                    f"seed={seed} batch={batch} predicate={predicate}"
+                )
+            shortcut = detoured(base_of(oracle), base_of(expected))
+            assert (stats.overdeleted == 0) == shortcut, f"seed={seed} batch={batch}"
+            took[shortcut] += 1
+            edges, oracle = after, expected
+        return took
+
+    def test_binary_closure(self):
+        self._seeds("binary")
+
+    def test_arity_four_closure(self):
+        self._seeds("arity four")
+
+    def test_lambda_translated_closure(self):
+        self._seeds("lambda")
+
+    def _seeds(self, name):
+        """Eight seeds of one shape; both outcomes must come up."""
+        took = {True: 0, False: 0}
+        for seed in range(8):
+            for outcome, count in self._churn(*self._shape(name), seed).items():
+                took[outcome] += count
+        assert took[True] >= 8 and took[False] >= 8, took
+
+    def _shape(self, name):
+        """``(program, to_edb, base_of)`` of one closure shape."""
+        if name == "binary":
+            return self.TC, lambda edges: {"e": edges}, lambda db: set(db.facts("e"))
+        if name == "arity four":
+            # Node "s0m1" is the pair ("s0", "m1"): rows row[:2] -> row[2:].
+            def pair(node):
+                return (node[:2], node[2:])
+
+            return (
+                self.WIDE,
+                lambda edges: {"step": {pair(a) + pair(b) for a, b in edges}},
+                lambda db: {(row[:2], row[2:]) for row in db.facts("step")},
+            )
+
+        # One flight per edge: from(f, source), to(f, target); the closure's
+        # base is the λ translation's auxiliary ``path`` relation.
+        def flights(edges):
+            return {
+                "from": {(f"f-{a}-{b}", a) for a, b in edges},
+                "to": {(f"f-{a}-{b}", b) for a, b in edges},
+            }
+
+        return self._lambda_program(), flights, lambda db: set(db.facts("path"))
+
+    def test_edges_that_are_each_others_only_detour(self):
+        # a -> b's only detour runs c -> d and c -> d's runs a -> b: either
+        # alone keeps the closure, both together must fall through to DRed.
+        ab, cd = ("a", "b"), ("c", "d")
+        edges = {("a", "c"), ("c", "a"), ("d", "b"), ("b", "d"), ab, cd}
+        plan, state = materialize(self.TC, Database.from_facts({"e": edges}))
+        for gone in ({ab}, {cd}, {ab, cd}):
+            stats = plan.maintain(state, None, {"e": gone})
+            expected = Engine("naive").evaluate(
+                self.TC, Database.from_facts({"e": edges - gone})
+            )
+            assert state.facts("tc") == expected.facts("tc")
+            assert (stats.overdeleted == 0) == (len(gone) == 1)
+            if len(gone) == 2:
+                assert stats.deleted["tc"]
+            plan.maintain(state, {"e": gone}, None)
+            assert state.facts("tc") == Engine("naive").evaluate(
+                self.TC, Database.from_facts({"e": edges})
+            ).facts("tc")
+
+    def test_the_pass_span_says_it_took_the_detour(self):
+        edges = {("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")}
+        plan, state = materialize(self.TC, Database.from_facts({"e": edges}))
+        with obs.tracing("t") as tracer:
+            stats = plan.maintain(state, None, {"e": {("a", "c")}})
+        (group,) = tracer.root.find_all("dred.group")
+        assert group.attrs.get("detoured") is True
+        assert "overdelete_rounds" not in group.attrs
+        assert (stats.overdeleted, stats.rederived, stats.facts_deleted) == (0, 0, 1)
+
+
 class TestWalkerFree:
     """Maintenance runs the columnar kernels only: with the tuple walker
     made to raise, every pass — counting, DRed, and a store view's — still

@@ -477,21 +477,32 @@ def test_an_rpq_only_service_never_builds_an_image():
     assert service.plans.get("datalog", "r(X) :- e(X, X).").reads_relations
 
 
-def test_the_catalog_stays_bounded_under_never_repeating_names():
-    service = QueryService(store=HAMStore())
+def _never_repeating_names(service, method, terms):
+    """400 × (replace the edge between a fresh pair of names, read the
+    closure under *method*): the live domain stays at 8 values while 800
+    names pass through the store.  Returns the peak of ``terms()``."""
     service.execute({"op": "update", "edges": [[f"h{i}", "e", f"h{i + 1}"] for i in range(5)]})
     query = "define (X) -[r]-> (Y) { (X) -[e+]-> (Y); }"
     peak = 0
     for i in range(400):
-        # A fresh pair of names replaces the previous one: the live domain
-        # stays at 8 values while 800 names pass through the store.
         update = {"op": "update", "edges": [[f"x{i}", "e", f"y{i}"]]}
         if i:
             update["remove_edges"] = [[f"x{i - 1}", "e", f"y{i - 1}"]]
         service.execute(update)
-        rows = service.execute({"op": "graphlog", "query": query})["result"]["relations"]["r"]
+        response = service.execute({"op": "graphlog", "query": query, "method": method})
+        rows = response["result"]["relations"]["r"]
         assert [f"x{i}", f"y{i}"] in rows and len(rows) == 15 + 1
-        peak = max(peak, service.stats()["edb"]["catalog_terms"])
+        peak = max(peak, terms())
+    return peak
+
+
+def test_the_catalog_stays_bounded_under_never_repeating_names():
+    # Naive: a columnar read would become a maintained entry after the first
+    # commit and stop folding the image (see the next test).
+    service = QueryService(store=HAMStore())
+    peak = _never_repeating_names(
+        service, "naive", lambda: service.stats()["edb"]["catalog_terms"]
+    )
     stats = service.stats()["edb"]
     live = 8
     assert peak <= 2 * live + _CATALOG_SLACK + 4  # + the fold that tips it over
@@ -500,16 +511,36 @@ def test_the_catalog_stays_bounded_under_never_repeating_names():
     assert_service(service)
 
 
+def test_a_maintained_entry_sheds_its_catalog_by_the_same_rule():
+    service = QueryService(store=HAMStore())
+
+    def view_terms():
+        (view,) = service.subs._views_by_key.values() or (None,)
+        return len(view.state.catalog) if view is not None else 0
+
+    peak = _never_repeating_names(service, "columnar", view_terms)
+    stats = service.stats()
+    assert stats["result_cache"]["maintained"] == 1
+    assert stats["result_cache"]["promotions"] == 1
+    assert stats["metrics"]["phases"]["evaluate"]["count"] == 2  # the miss, the promotion
+    assert stats["metrics"]["phases"]["edb"]["count"] == 2
+    assert 0 < peak <= 2 * 8 + _CATALOG_SLACK + 4
+    assert_service(service)
+
+
 # ------------------------------------------------------------- observability
 
 
 def test_stats_phase_and_metrics_describe_the_image():
     service = QueryService(store=HAMStore())
+    # Naive: a columnar read would be promoted to a maintained entry and
+    # stop asking for the image.
+    query = {"op": "datalog", "query": NEGATION, "method": "naive"}
     service.execute({"op": "update", "edges": [["a", "e", "b"], ["b", "f", "c"], ["b", "e", "c"]]})
-    service.execute({"op": "datalog", "query": NEGATION})
+    service.execute(query)
     service.execute({"op": "update", "edges": [["c", "e", "d"]]})
-    service.execute({"op": "datalog", "query": NEGATION})
-    service.execute({"op": "datalog", "query": NEGATION})  # a hit: no image lookup
+    service.execute(query)
+    service.execute(query)  # a hit: no image lookup
     stats = service.stats()
     assert stats["edb"] == {
         "version": 2, "builds": 1, "folds": 1, "folded_rows": 1, "fallbacks": {},
@@ -522,7 +553,7 @@ def test_stats_phase_and_metrics_describe_the_image():
     service.execute({"op": "update", "edges": [["d", "e", "a"]]})
     service.execute({"op": "update", "edges": [["d", "f", "a"]]})
     service.store.truncate_history(keep_last=1)
-    service.execute({"op": "datalog", "query": NEGATION})
+    service.execute(query)
     text = service.prometheus_text()
     for line in (
         "repro_edb_version 4",

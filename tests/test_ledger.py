@@ -56,6 +56,32 @@ def test_table_columns_in_pr_order_and_odd_seed_flagged(tmp_path, capsys):
     ]
 
 
+def test_routed_mixed_gets_its_cache_layer_row(tmp_path, capsys):
+    for pr, evaluations, reuse in ((24, 0.723, 0.0), (25, 0.54, 1.112)):
+        run = {
+            "workload": "routed_mixed",
+            "end_to_end": {"ops_per_s": 557.0, "latency_p50_ms": 0.76, "latency_p90_ms": 4.69},
+            "per_layer": {
+                "engine.evaluations_per_op": evaluations,
+                "cache.invalidations_per_commit": 7.231 if pr == 24 else 5.406,
+                "cache.delta_reuse_ratio": reuse,
+            },
+        }
+        doc = {"command": "python3 bench/run.py --seed 7", "fingerprint": {"seed": 7}, "runs": [run]}
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(doc))
+    assert _ledger().main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    label = (
+        "`engine.evaluations_per_op` · `cache.invalidations_per_commit` · "
+        "`cache.delta_reuse_ratio`"
+    )
+    routed = lines.index("| `routed_mixed` | ops/s · p50 · p90 ms | "
+                         "557 · 0.76 · 4.69 | 557 · 0.76 · 4.69 |")
+    assert lines[routed + 2] == f"| | {label} | 0.72 · 7.23 · 0.00 | 0.54 · 5.41 · 1.11 |"
+    # The row belongs to routed_mixed alone.
+    assert sum(label in line for line in lines) == 1
+
+
 def test_the_committed_ledger_prints(capsys):
     assert _ledger().main([ROOT]) == 0
     out = capsys.readouterr().out

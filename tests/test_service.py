@@ -15,14 +15,19 @@ from repro.errors import (
     ServiceError,
     StoreError,
 )
-from repro.graphs.bridge import graph_from_database
+from repro.datalog.database import Database
+from repro.datalog.engine import Engine
+from repro.datalog.parser import parse_program
+from repro.graphs.bridge import EdgeLabel, graph_from_database
 from repro.ham.store import HAMStore
+from repro.service import cache as cache_module
 from repro.service.cache import ResultCache, result_key
 from repro.service.client import ServiceClient
 from repro.service.metrics import MetricsRegistry
 from repro.service.prepared import PreparedQueryCache, fingerprint, normalize
 from repro.service.server import QueryService, ServiceConfig, ServiceServer
 from repro.service import protocol
+from repro.subs import SubscriptionManager
 
 REACH_QUERY = """
 define (C1) -[reach]-> (C2) {
@@ -133,19 +138,19 @@ class TestResultCache:
     def test_attach_drops_footprintless_entries_on_commit(self):
         store = HAMStore()
         cache = ResultCache(capacity=8)
-        detach = cache.attach(store)
+        hook = SubscriptionManager(store, results=cache)  # the one commit hook
         cache.put(result_key("fp", {}), b"old", 1, version=store.version)
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "x")
         assert len(cache) == 0
         assert cache.stats()["invalidations"] == 1
-        detach()
+        hook.close()
 
     def test_commit_missing_the_footprint_restamps_the_entry(self):
         store = HAMStore()
         cache = ResultCache(capacity=8)
-        detach = cache.attach(store)
+        hook = SubscriptionManager(store, results=cache)
         key = result_key("fp", {})
         cache.put(key, b"answer", 1, store.version, footprint=frozenset({"from", "to"}))
         session = store.session()
@@ -157,7 +162,7 @@ class TestResultCache:
             txn.add_edge("a", "c", "from")
         assert cache.get(key, store.version) is None
         assert len(cache) == 0
-        detach()
+        hook.close()
 
     def test_lagging_entry_is_not_restamped(self):
         cache = ResultCache(capacity=8)
@@ -178,6 +183,146 @@ class TestResultCache:
         assert cache.get(("b", ()), 1) is None
         assert cache.get(("a", ()), 1).encoded == b"1"
         assert cache.stats()["evictions"] == 1
+
+
+TC_PROGRAM = "tc(X, Y) :- link(X, Y).\ntc(X, Z) :- link(X, Y), tc(Y, Z).\n"
+
+
+def link(service, *edges, remove=False):
+    field = "remove_edges" if remove else "edges"
+    return service.execute(
+        {"op": "update", field: [[a, "link", b] for a, b in edges]}
+    )["version"]
+
+
+def tc_rows(service):
+    response = service.execute({"op": "datalog", "query": TC_PROGRAM, "predicate": "tc"})
+    return response, {tuple(row) for row in response["result"]["relations"]["tc"]}
+
+
+def closure_of(edges):
+    return Engine("naive").evaluate(
+        parse_program(TC_PROGRAM), Database.from_facts({"link": edges})
+    ).facts("tc")
+
+
+class TestMaintainedEntries:
+    """Admission, upkeep and demotion of result-cache entries that pin a
+    maintained view (in process; the concurrent paths are in
+    tests/test_cross_path.py)."""
+
+    def test_the_first_reread_after_a_drop_promotes_and_later_reads_hit(self):
+        service = QueryService(store=HAMStore())
+        edges = {("a", "b")}
+        link(service, *edges)
+        assert tc_rows(service)[0]["cache"] == "miss"
+        caches = []
+        for new in (("b", "c"), ("c", "d")):
+            edges.add(new)
+            version = link(service, new)
+            response, rows = tc_rows(service)
+            assert rows == closure_of(edges) and response["version"] == version
+            caches.append(response["cache"])
+        # The first re-read promoted (its one evaluation); the second read
+        # what the view made of the commit.
+        assert caches == ["miss", "hit"]
+        stats = service.stats()
+        assert stats["metrics"]["phases"]["evaluate"]["count"] == 2
+        cached = stats["result_cache"]
+        assert (cached["maintained"], cached["promotions"], cached["demotions"]) == (1, 1, 0)
+        assert cached["maintained_rows"] == len(edges) + len(closure_of(edges))  # link + tc
+        (view,) = service.subs._views_by_key.values()
+        assert view.maintenance_passes == 1
+        assert stats["subs"]["active_subscriptions"] == 0
+
+    def test_an_unchanged_answer_is_restamped_with_its_bytes(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"), ("b", "a"), ("a", "c"), ("c", "b"))
+        tc_rows(service)
+        link(service, ("b", "c"))
+        tc_rows(service)  # promoted
+        (key, entry), = service.results._entries.items()
+        version = link(service, ("a", "c"), remove=True)  # a -> b -> c is its detour
+        response, rows = tc_rows(service)
+        assert response["cache"] == "hit" and response["version"] == version
+        assert service.results._entries[key] is entry
+        assert service.stats()["result_cache"]["delta_reuse_hits"] == 1
+
+    def test_rpq_summary_and_naive_reads_keep_stamp_and_drop(self):
+        store = HAMStore()
+        service = QueryService(store=store)
+        requests = (
+            {"op": "rpq", "query": "link+", "source": "a"},
+            {"op": "datalog", "query": TC_PROGRAM, "method": "naive"},
+            {"op": "graphlog",
+             "query": "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }"},
+        )
+        for weight, (a, b) in enumerate((("a", "b"), ("b", "c"), ("c", "d")), 1):
+            with store.session().transaction() as txn:
+                txn.add_edge(a, b, "link")
+                txn.add_edge(a, b, EdgeLabel("hop", (weight,)))
+            for request in requests:
+                assert service.execute(request)["cache"] == "miss"
+        assert service.stats()["result_cache"]["maintained"] == 0
+        assert not service.subs._views_by_key
+
+    def test_a_pass_costlier_than_the_view_demotes_for_good(self):
+        # x_i -> u -> v -> y_j, and x_i -> w -> y_j beside it: deleting u -> v
+        # overdeletes every (x_i, y_j) and rederives them all — more rows
+        # than the view holds.
+        m = 12
+        xs, ys = [f"x{i}" for i in range(m)], [f"y{j}" for j in range(m)]
+        edges = {("u", "v"), ("q", "r")} | {(x, "u") for x in xs} | {(x, "w") for x in xs}
+        edges |= {("v", y) for y in ys} | {("w", y) for y in ys}
+        service = QueryService(store=HAMStore())
+        link(service, *edges - {("q", "r")})
+        tc_rows(service)
+        link(service, ("q", "r"))
+        tc_rows(service)  # promoted
+        link(service, ("u", "v"), remove=True)
+        edges.discard(("u", "v"))
+        assert not service.subs._views_by_key  # unpinned, and nothing else held it
+        cached = service.stats()["result_cache"]
+        assert (cached["maintained"], cached["promotions"], cached["demotions"]) == (0, 1, 1)
+        for new in (("q", "s"), ("s", "t")):
+            edges.add(new)
+            link(service, new)
+            response, rows = tc_rows(service)
+            assert response["cache"] == "miss" and rows == closure_of(edges)
+        assert service.stats()["result_cache"]["promotions"] == 1
+
+    def test_the_row_budget_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAINTAINED_ROW_BUDGET", 10)
+        service = QueryService(store=HAMStore())
+        reach = {"op": "graphlog", "query": "define (X) -[r]-> (Y) { (X) -[link+]-> (Y); }"}
+        link(service, ("a", "b"), ("b", "c"))
+        tc_rows(service)
+        service.execute(reach)
+        link(service, ("c", "d"))
+        tc_rows(service)  # promoted: 3 link + 6 tc rows
+        service.execute(reach)  # promoted: 3 + 6 + 6 more, over the budget
+        cached = service.stats()["result_cache"]
+        assert (cached["maintained"], cached["promotions"], cached["evictions"]) == (1, 2, 1)
+        (view,) = service.subs._views_by_key.values()
+        assert view.plan.op == "graphlog"
+        link(service, ("d", "e"))
+        assert tc_rows(service)[0]["cache"] == "miss"
+        assert service.execute(reach)["cache"] == "hit"
+
+    def test_metrics_export_the_maintained_entries(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"))
+        tc_rows(service)
+        link(service, ("b", "c"))
+        tc_rows(service)
+        lines = service.prometheus_text().splitlines()
+        for line in (
+            "repro_result_cache_maintained 1",
+            "repro_result_cache_maintained_rows 5",
+            "repro_result_cache_promotions_total 1",
+            "repro_result_cache_demotions_total 0",
+        ):
+            assert line in lines, line
 
 
 class SlowQueryService(QueryService):

@@ -274,6 +274,19 @@ class TestStoreLevelView:
         assert ("z", "z") in answers
         assert ("a", "z") in answers
 
+    def test_a_node_label_named_like_the_domain_leaves_it_alone(self):
+        # Dropping the label `node` from c deletes the fact node(c), but c
+        # stays in the active domain — so in the domain relation, and (c, c)
+        # in the answer — while it has an edge.
+        store = self._store()
+        query = "define (X) -[reach0]-> (Y) { (X) -[link*]-> (Y); }"
+        view, _ = watch(store, query)
+        for label in ("node", None):
+            with store.session().transaction() as txn:
+                txn.set_node_label("c", label)
+            assert view.rows("reach0") == oracle(store, query, "reach0")
+            assert ("c", "c") in view.rows("reach0")
+
     def test_matches_fresh_evaluation_after_many_commits(self):
         store = self._store()
         view, _ = watch(store, REACH)
