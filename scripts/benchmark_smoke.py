@@ -8,8 +8,8 @@ checks every answer against the naive walker, its specification:
   hot path), ``Engine()`` against ``Engine("naive")`` directly;
 - abl7: the flights ``reach``/``connected`` GraphLog query and the RPQ op
   through a real :class:`QueryService` against in-process
-  ``Engine("naive")``, including ``explain`` passes asserting the
-  ``backend=`` span marker of the default and of ``"method": "naive"``.
+  ``Engine("naive")``, including an ``explain`` pass asserting that the
+  closure's stratum ran on the ``kernel="closure"`` path.
 
 - the store's relational image (``repro.ham.image``), by counts alone: 50 ×
   (commit, closure miss, RPQ miss) on one service must end with one build,
@@ -160,12 +160,9 @@ def check_abl7_service():
         fail("abl7 flights service: graphlog answer diverges from the naive oracle")
     if answers != oracle.facts("reach"):
         fail("abl7 flights service: RPQ answer diverges from the naive oracle")
-    for method, backend in ((None, "columnar"), ("naive", "native")):
-        request = {"op": "explain", "query": FLIGHTS_QUERY, "target": "graphlog"}
-        if method is not None:
-            request["method"] = method
-        if f"'backend': '{backend}'" not in str(execute(service, request)["result"]):
-            fail(f"explain trace for method={method} lacks backend={backend} marker")
+    explain = {"op": "explain", "query": FLIGHTS_QUERY, "target": "graphlog"}
+    if len(kernel_strata(execute(service, explain)["result"]["trace"])) != 1:
+        fail("explain trace of the closure query lacks its kernel=\"closure\" stratum")
     print(
         f"abl7 flights graphlog: naive={naive_s:.3f}s "
         f"service={service_s:.3f}s speedup={naive_s / service_s:.1f}x"

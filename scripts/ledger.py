@@ -4,10 +4,13 @@
 
 One column per ledger file, in PR order; per workload one row of
 end-to-end medians (ops/s · p50 · p90 ms) and one of per-layer self time
-(``dred.self`` · ``store.self`` · ``server.self`` ms/op), plus, for
-``routed_mixed``, one of its cache layer (``engine.evaluations_per_op`` ·
-``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) — the
-table ROADMAP.md quotes at each re-anchor.  A file whose seed or command
+(``dred.self`` · ``store.self`` · ``server.self`` ms/op), plus the traced
+rows one workload is read by: ``trace.unaccounted_share`` for ``hot_read``,
+``columnar.self`` · ``prepared.self`` ms/op for ``cold_eval``, and for
+``routed_mixed`` its cache layer (``engine.evaluations_per_op`` ·
+``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) and its
+write path (``client.write_p50_ms`` · ``proc.replica_cpu_ms_per_op``) — the
+tables ROADMAP.md quotes at each re-anchor.  A file whose seed or command
 differs from the rest is flagged below the table: its numbers are not
 comparable.
 """
@@ -37,6 +40,14 @@ ROWS = (
 )
 #: Rows printed for one workload only.
 WORKLOAD_ROWS = {
+    "hot_read": (("`trace.unaccounted_share`", "per_layer", ("trace.unaccounted_share",)),),
+    "cold_eval": (
+        (
+            "`columnar.self` · `prepared.self` ms/op",
+            "per_layer",
+            ("columnar.self_ms_per_op", "prepared.self_ms_per_op"),
+        ),
+    ),
     "routed_mixed": (
         (
             "`engine.evaluations_per_op` · `cache.invalidations_per_commit` · "
@@ -47,6 +58,11 @@ WORKLOAD_ROWS = {
                 "cache.invalidations_per_commit",
                 "cache.delta_reuse_ratio",
             ),
+        ),
+        (
+            "`client.write_p50_ms` · `proc.replica_cpu_ms_per_op`",
+            "per_layer",
+            ("client.write_p50_ms", "proc.replica_cpu_ms_per_op"),
         ),
     ),
 }

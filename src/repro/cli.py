@@ -44,7 +44,7 @@ import sys
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.datalog.database import Database
-from repro.datalog.engine import METHODS, evaluate
+from repro.datalog.engine import evaluate
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import graph_from_database
 from repro.rpq.evaluate import RPQEvaluator
@@ -83,8 +83,7 @@ def cmd_figure(args):
 def cmd_query(args):
     query = parse_graphical_query(_load_text(args.query))
     database = _load_facts(args.data)
-    engine = GraphLogEngine(method=args.method)
-    result = engine.run(query, database)
+    result = GraphLogEngine().run(query, database)
     predicates = sorted(query.idb_predicates)
     for predicate in predicates:
         rows = result.facts(predicate)
@@ -95,7 +94,7 @@ def cmd_query(args):
 def cmd_datalog(args):
     program = parse_program(_load_text(args.program))
     database = _load_facts(args.data) if args.data else Database()
-    result = evaluate(program, database, method=args.method)
+    result = evaluate(program, database)
     for predicate in sorted(program.idb_predicates):
         rows = result.facts(predicate)
         print(render_relation(rows, title=f"{predicate} ({len(rows)} tuples)"))
@@ -321,7 +320,7 @@ def cmd_call(args):
         if not args.arg:
             raise SystemExit("call trace_get needs a trace id argument")
         payload["trace_id"] = args.arg
-    for field in ("source", "predicate", "method", "timeout"):
+    for field in ("source", "predicate", "timeout"):
         value = getattr(args, field, None)
         if value is not None:
             payload[field] = value
@@ -353,7 +352,7 @@ def cmd_explain(args):
 
         query = args.query if args.op == "rpq" else _load_text(args.query)
         with ServiceClient(host=args.connect_host, port=args.connect_port) as client:
-            result = client.explain(query, target=args.op, method=args.method)
+            result = client.explain(query, target=args.op)
     else:
         from repro.ham.store import HAMStore
         from repro.service.server import QueryService
@@ -363,10 +362,7 @@ def cmd_explain(args):
             store.load_graph(graph_from_database(_load_facts(args.data)))
         service = QueryService(store=store)
         query = args.query if args.op == "rpq" else _load_text(args.query)
-        message = {"op": "explain", "target": args.op, "query": query}
-        if args.method:
-            message["method"] = args.method
-        result = service.execute(message)["result"]
+        result = service.execute({"op": "explain", "target": args.op, "query": query})["result"]
     if args.json:
         print(json.dumps(result["trace"], indent=2, sort_keys=True))
     else:
@@ -534,13 +530,11 @@ def build_parser():
     p_query = sub.add_parser("query", help="run a GraphLog query over a fact file")
     p_query.add_argument("query", help="GraphLog DSL file")
     p_query.add_argument("data", help="Datalog fact file")
-    p_query.add_argument("--method", default="columnar", choices=METHODS)
     p_query.set_defaults(func=cmd_query)
 
     p_datalog = sub.add_parser("datalog", help="evaluate a Datalog program")
     p_datalog.add_argument("program", help="Datalog program file")
     p_datalog.add_argument("--data", help="Datalog fact file", default=None)
-    p_datalog.add_argument("--method", default="columnar", choices=METHODS)
     p_datalog.set_defaults(func=cmd_datalog)
 
     p_translate = sub.add_parser("translate", help="Algorithm 3.1: SL -> STC")
@@ -683,7 +677,6 @@ def build_parser():
     p_call.add_argument("--target", default=None, type=_one_of(_query_ops),
                         help="explain/profile: query language of the input")
     p_call.add_argument("--predicate", default=None, help="relation to return")
-    p_call.add_argument("--method", default=None, choices=METHODS)
     p_call.add_argument("--timeout", type=float, default=None,
                         help="per-request deadline override in seconds")
     p_call.add_argument("--edge", nargs=3, action="append", default=None,
@@ -761,7 +754,6 @@ def build_parser():
     p_explain.add_argument("--host", dest="connect_host", default=None,
                            help="explain against a running server instead")
     p_explain.add_argument("--port", dest="connect_port", type=int, default=7464)
-    p_explain.add_argument("--method", default=None, choices=METHODS)
     p_explain.add_argument("--json", action="store_true",
                            help="print the span tree as JSON instead of ASCII")
     p_explain.set_defaults(func=cmd_explain)

@@ -1189,7 +1189,6 @@ def fixpoint(program, encoded, stats, tracer=None):
             stratum=max(strata[p] for p in group),
             predicates=sorted(group),
             rules=len(rules),
-            backend="columnar",
         ) as span:
             _fixpoint_group(state, rules, group, stats, span)
             if span:

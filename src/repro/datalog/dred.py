@@ -425,7 +425,6 @@ class MaintenancePlan:
             "dred.maintain",
             delta_plus={p: len(rows) for p, rows in sorted(plus.items())},
             delta_minus={p: len(rows) for p, rows in sorted(minus.items())},
-            backend="columnar",
         ) as root:
             state.begin()
             # Pure-EDB deltas apply immediately; IDB-named deltas are handled

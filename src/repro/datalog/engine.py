@@ -3,11 +3,12 @@
 Two methods are provided:
 
 - ``columnar`` (default): the semi-naive fixpoint over int-encoded relations
-  in :mod:`repro.datalog.columnar` — the production evaluator;
+  in :mod:`repro.datalog.columnar` — the evaluator everything serves from;
 - ``naive``: re-evaluate every rule until no new fact appears, one tuple at a
   time — the executable specification the columnar core (and incremental
   maintenance, :mod:`repro.datalog.dred`, which runs the core's kernels) is
-  tested against, and the method that can record provenance.
+  tested against, and the method that can record provenance.  No request
+  path runs it, so its strata open no spans.
 
 Evaluation proceeds stratum by stratum and, within a stratum, SCC by SCC in
 topological order, so negated literals always refer to fully-computed
@@ -17,7 +18,6 @@ relations (stratified semantics, Definition 2.7 of the paper).
 from __future__ import annotations
 
 import operator
-from collections import Counter
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
@@ -93,17 +93,14 @@ class Engine:
 
     ``method`` is ``"columnar"`` — the int-encoded semi-naive kernels of
     :mod:`repro.datalog.columnar` — or ``"naive"``, the tuple walker in this
-    module (same semantics, pinned by the differential suite).  Left unset it
-    is columnar, or naive when ``record_provenance`` asks for the
-    per-derivation support only the walker sees.
+    module (same semantics, pinned by the differential suite), the only one
+    that sees the per-derivation support ``record_provenance`` asks for.
     """
 
-    def __init__(self, method=None, check_safety=True, record_provenance=False):
-        if method is None:
-            method = "naive" if record_provenance else "columnar"
+    def __init__(self, method="columnar", check_safety=True, record_provenance=False):
         if method not in METHODS:
             raise ValueError(f"unknown evaluation method {method!r}")
-        if method == "columnar" and record_provenance:
+        if record_provenance and method != "naive":
             raise ValueError("provenance recording requires method='naive'")
         self.method = method
         self.check_safety = check_safety
@@ -133,10 +130,7 @@ class Engine:
         self.stats = EvaluationStats()
         self.provenance = {}
         tracer = obs.tracer()
-        backend = "columnar" if self.method == "columnar" else "native"
-        with tracer.span(
-            "engine.evaluate", method=self.method, backend=backend
-        ) as root:
+        with tracer.span("engine.evaluate", method=self.method) as root:
             if self.method == "columnar":
                 # Imported lazily: columnar shares the builtin tables of
                 # this module, so a top-level import would be circular.
@@ -144,7 +138,7 @@ class Engine:
 
                 result = evaluate_columnar(program, edb, self.stats, tracer, predicates)
             else:
-                result = self._evaluate_naive(program, edb, tracer)
+                result = self._evaluate_naive(program, edb)
                 if predicates is not None:
                     result = {p: set(result.facts(p)) for p in predicates}
             if root:
@@ -168,7 +162,7 @@ class Engine:
 
     # ------------------------------------------------------------ internals
 
-    def _evaluate_naive(self, program, edb, tracer):
+    def _evaluate_naive(self, program, edb):
         database = edb.copy()
 
         # Facts in the program are loaded directly.
@@ -186,46 +180,22 @@ class Engine:
 
         for group in _evaluation_groups(program, strata, idb):
             rules = [r for r in derived_rules if r.head.predicate in group]
-            if not rules:
-                continue
-            with tracer.span(
-                "engine.stratum",
-                stratum=max(strata[p] for p in group),
-                predicates=sorted(group),
-                rules=len(rules),
-            ) as span:
-                self._fixpoint_naive(rules, database, span)
-                if span:
-                    span.annotate(
-                        facts={p: len(database.facts(p)) for p in sorted(group)}
-                    )
+            if rules:
+                self._fixpoint_naive(rules, database)
         return database
 
-    def _fixpoint_naive(self, rules, database, span=obs.NULL_SPAN):
+    def _fixpoint_naive(self, rules, database):
         schedules = [(rule, schedule_body(rule)) for rule in rules]
-        firings = Counter() if span else None
         changed = True
-        iteration = 0
         while changed:
             changed = False
-            iteration += 1
             self.stats.iterations += 1
-            derived_this_round = 0
             for rule, schedule in schedules:
-                if firings is not None:
-                    firings[str(rule)] += 1
                 for row, support in self._fire(rule, schedule, database):
                     if database.relation(rule.head.predicate).add(row):
                         self.stats.facts_derived += 1
                         self._record(rule, rule.head.predicate, row, support)
-                        derived_this_round += 1
                         changed = True
-            if span:
-                span.append(
-                    "iterations", {"iteration": iteration, "derived": derived_this_round}
-                )
-        if span:
-            span.annotate(rule_firings=dict(firings))
 
     def _fire(self, rule, schedule, database):
         """``(head_row, support)`` pairs from one rule body evaluation;

@@ -1,6 +1,6 @@
 """Derivation provenance: why a derived fact holds.
 
-With ``Engine(record_provenance=True)`` the engine stores, for each derived
+With ``Engine("naive", record_provenance=True)`` the engine stores, for each derived
 fact, the *first* rule instance that produced it together with the positive
 body facts it matched.  Because a fact's first derivation can only use facts
 derived strictly earlier, the recorded support relation is well-founded and

@@ -22,7 +22,8 @@ when a pass costs more than re-evaluating, and maintained entries are
 evicted LRU-first beyond :data:`MAINTAINED_ROW_BUDGET` rows of view state.
 An entry leaving the cache hands its view back through
 :meth:`ResultCache.take_released`, for the manager to unpin under its own
-lock.
+lock.  :meth:`ResultCache.lookup` answers a request with the entry, or with
+why there is none: :data:`BEHIND`, :data:`PROMOTE` or :data:`MISS`.
 
 Parameter normalization is type-tagged: ``{"limit": 1}``, ``{"limit": "1"}``
 and ``{"limit": True}`` produce three distinct keys (plain ``str(v)``
@@ -47,6 +48,11 @@ MAINTAINED_ROW_BUDGET = 24_576
 #: promotes it), or a view pass of its maintained entry cost more than the
 #: view holds (never promoted again).
 _DROPPED, _DEMOTED = "dropped", "demoted"
+
+#: Why :meth:`ResultCache.lookup` found no entry current at the version
+#: asked: a maintained entry the in-flight commit dispatch will re-stamp; a
+#: key whose plain entry a commit dropped (this miss promotes it); or none.
+BEHIND, PROMOTE, MISS = "behind", "promote", "miss"
 
 
 def _canonical(value):
@@ -134,33 +140,32 @@ class ResultCache:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, key, version, count_miss=True):
-        """The :class:`Entry` if present *and* current; counts a hit, a miss if *count_miss*."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.version != version:
-                self.misses += count_miss
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+    def lookup(self, key, version, wait=None):
+        """The :class:`Entry` of *key* current at *version* — a hit — or why
+        there is none: :data:`BEHIND`, :data:`PROMOTE` or :data:`MISS`.
 
-    def count_miss(self):
-        with self._lock:
-            self.misses += 1
-
-    def maintained(self, key):
-        """Whether *key*'s entry pins a view (current or not)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and entry.view is not None
-
-    def promotable(self, key):
-        """Whether a miss of *key* promotes it: a commit dropped its plain
-        entry, and it holds no maintained one."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return self._marks.get(key) == _DROPPED and (entry is None or entry.view is None)
+        A worker passes *wait*, ``wait(version)``, which returns once the
+        dispatch of *version* ran (or gave up): a :data:`BEHIND` entry is
+        waited for and looked at once more, and what is found then is
+        counted, a miss included.  Without *wait* (the event loop, which
+        hands a request it cannot answer to a worker) only a hit counts."""
+        for waited in (False, True):
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None and entry.version == version:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry
+                if entry is not None and entry.view is not None:
+                    found = BEHIND if entry.version < version else MISS
+                else:
+                    found = PROMOTE if self._marks.get(key) == _DROPPED else MISS
+                if wait is None:
+                    return found
+                if found is not BEHIND or waited:
+                    self.misses += 1
+                    return found
+            wait(version)
 
     def put(self, key, encoded, count, version, footprint=None, view=None):
         """Cache the *encoded* answer of *count* rows computed at *version* by

@@ -64,19 +64,13 @@ class ClientOps:
     their own and live on :class:`ServiceClient` only.
     """
 
-    def graphlog(self, query, predicate=None, method=None, **limits):
+    def graphlog(self, query, predicate=None, **limits):
         """Evaluate a GraphLog DSL query; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "graphlog", query=query, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
+        return _relations(self.call("graphlog", query=query, predicate=predicate, **limits))
 
-    def datalog(self, program, predicate=None, method=None, **limits):
+    def datalog(self, program, predicate=None, **limits):
         """Evaluate a Datalog program; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "datalog", query=program, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
+        return _relations(self.call("datalog", query=program, predicate=predicate, **limits))
 
     def rpq(self, regex, source=None, **limits):
         """Evaluate a regular path query; returns a set of answer tuples."""
@@ -429,7 +423,6 @@ class ServiceClient(ClientOps):
         query,
         target="graphlog",
         predicate=None,
-        method=None,
         source=None,
         policy=None,
         queue_max=None,
@@ -463,7 +456,6 @@ class ServiceClient(ClientOps):
             query=query,
             target=target,
             predicate=predicate,
-            method=method,
             source=source,
             policy=policy,
             queue_max=queue_max,

@@ -160,19 +160,16 @@ class PreparedQuery:
         from repro.core.engine import GraphLogEngine
         from repro.datalog.engine import Engine
 
-        method = params.get("method")
         predicates = self.requested_predicates(params)
         if self.has_summaries:
-            result = GraphLogEngine(method=method).run(self.graphical, image.database)
+            result = GraphLogEngine().run(self.graphical, image.database)
             return {p: set(result.facts(p)) for p in predicates}
-        return Engine(method=method, check_safety=False).answer(
-            self.program, image.prepared, predicates
-        )
+        return Engine(check_safety=False).answer(self.program, image.prepared, predicates)
 
     def _evaluate_datalog(self, _graph, image, params):
         from repro.datalog.engine import Engine
 
-        return Engine(method=params.get("method"), check_safety=False).answer(
+        return Engine(check_safety=False).answer(
             self.program, image.database, self.requested_predicates(params)
         )
 

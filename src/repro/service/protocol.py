@@ -50,7 +50,6 @@ from itertools import chain, count, repeat, zip_longest
 from operator import add, floordiv, mod, mul
 from typing import NamedTuple
 
-from repro.datalog.engine import METHODS
 from repro.errors import (
     NotMaintainable,
     ProtocolError,
@@ -156,11 +155,6 @@ def decode_request(line):
         raise ProtocolError(f"request must be a JSON object, got {type(message).__name__}")
     op_spec(message.get("op"))
     validate_budgets(message)
-    method = message.get("method")
-    if method is not None and method not in METHODS:
-        raise ProtocolError(
-            f"'method' must be one of {', '.join(METHODS)}, got {method!r}"
-        )
     trace = message.get("trace")
     if trace is not None:
         # Validate eagerly so a malformed context is the sender's

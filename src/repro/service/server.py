@@ -50,14 +50,14 @@ from repro.obs import logs
 from repro.obs.metrics import MetricFamily, table_families
 from repro.obs.slowlog import SlowQueryLog
 from repro.service import protocol
-from repro.service.cache import ResultCache, result_key
+from repro.service.cache import PROMOTE, Entry, ResultCache, result_key
 from repro.service.metrics import MetricsRegistry
 from repro.service.prepared import QUERY_OPS, PreparedQuery, PreparedQueryCache
 
 logger = logging.getLogger(__name__)
 
 #: Request fields that parameterize evaluation (and the result-cache key).
-_PARAM_FIELDS = ("predicate", "method", "source")
+_PARAM_FIELDS = ("predicate", "source")
 
 #: Seconds a worker waits for the in-flight commit dispatch that re-stamps
 #: its maintained entry before it evaluates the query instead.
@@ -613,17 +613,6 @@ class QueryService:
                 f"{min_version} (waited {wait_ms}ms)"
             )
 
-    def _request_params(self, message):
-        """Evaluation parameters for one request, backend default applied.
-
-        The default ``method`` lands in the params dict *before* the
-        result-cache key is computed, so answers produced by different
-        backends never share a cache entry.
-        """
-        params = {k: message[k] for k in _PARAM_FIELDS if message.get(k) is not None}
-        params.setdefault("method", "columnar")
-        return params
-
     def _query_request(self, message, target, wait=True):
         """``(text, params)`` of a request that names a query in language
         *target*, once the store has reached the request's ``min_version``."""
@@ -637,14 +626,16 @@ class QueryService:
                 f"op {message['op']!r} needs a non-empty 'query' string"
             )
         self._await_min_version(message, wait)
-        return text, self._request_params(message)
+        return text, {k: message[k] for k in _PARAM_FIELDS if message.get(k) is not None}
 
     def _lookup(self, message, ctx, resident=False):
-        """``(plan, params, key, entry)`` of a query request: its plan and the
-        cache entry current at ``store.version`` (None on a miss), read
-        without the store lock.  *resident* (the event loop) never waits,
-        compiles or counts a miss: where a worker must go on, it is None (or
-        raises ``replica_stale`` for a ``min_version`` not yet reached)."""
+        """``(plan, params, key, found)`` of a query request: its plan and the
+        cache's :meth:`~repro.service.cache.ResultCache.lookup` of its answer
+        at ``store.version``, read without the store lock.  A worker waits
+        for a dispatch its maintained entry is behind; *resident* (the event
+        loop) never waits, compiles or counts a miss, and is None where a
+        worker must go on (or raises ``replica_stale`` for a ``min_version``
+        not yet reached)."""
         op = message["op"]
         text, params = self._query_request(message, op, wait=not resident)
         # Phase samples collect into ctx's phases and land in the registry in
@@ -654,68 +645,29 @@ class QueryService:
         plan = self.plans.get(op, text, prepare=not resident)
         if plan is None:
             return None
-        if not plan.reads_relations:
-            # An RPQ runs one evaluator whatever the backend: ``method``
-            # names no distinct code there and must not split the cache.
-            del params["method"]
         t1 = time.perf_counter()
         key = result_key(plan.fingerprint, params)
         ctx["version"] = self.store.version
-        entry = self.results.get(key, ctx["version"], count_miss=False)
+        wait = None if resident else lambda v: self.store.wait_dispatched(v, _DISPATCH_WAIT_S)
+        found = self.results.lookup(key, ctx["version"], wait)
         if resident:
-            if entry is None:
+            if not isinstance(found, Entry):
                 return None
             self.plans.count_hit()
-        elif entry is None:
-            entry = self._await_maintained(key, ctx["version"])
         ctx["fingerprint"] = plan.fingerprint
         ctx["phases"] += [("plan", t1 - t0), ("cache_lookup", time.perf_counter() - t1)]
-        return plan, params, key, entry
-
-    def _await_maintained(self, key, version):
-        """A worker found no entry current at *version*.  When *key*'s entry
-        is maintained, the commit the store installed but has not yet
-        dispatched will re-stamp it: wait for that and return the entry
-        instead of evaluating.  Otherwise count the miss; None."""
-        if self.results.maintained(key) and self.store.wait_dispatched(
-            version, _DISPATCH_WAIT_S
-        ):
-            entry = self.results.get(key, version, count_miss=False)
-            if entry is not None:
-                return entry
-        self.results.count_miss()
-        return None
+        return plan, params, key, found
 
     def _op_query(self, message, ctx):
-        plan, params, key, entry = ctx.get("found") or self._lookup(message, ctx)
+        plan, params, key, found = ctx.get("found") or self._lookup(message, ctx)
         op = message["op"]
         phases = ctx["phases"]
         max_rows = message.get("max_rows", self.config.max_rows)
         max_bytes = message.get("max_bytes", self.config.max_bytes)
+        entry = found if isinstance(found, Entry) else None
         if entry is not None:
             self.metrics.incr("result_cache.hits")
             ctx["cache"] = "hit"
-            encoded, total = entry.encoded, entry.count
-        elif (
-            params.get("method") == "columnar"
-            and fallback_reason(plan) is None
-            and self.results.promotable(key)
-        ):
-            # The first miss after a commit dropped this answer: it becomes
-            # a maintained entry, evaluated once, by its view's refresh (and
-            # encoded with it) over the image looked up here.
-            self.metrics.incr("result_cache.misses")
-            ctx["cache"] = "miss"
-            t2 = time.perf_counter()
-            version, graph = self.store.snapshot_versioned()
-            with self._work_span(
-                ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
-            ):
-                self._edb_for(plan, version, graph, phases)
-                entry = self.subs.pin(plan, params, key)
-            phases.append(("evaluate", time.perf_counter() - t2))
-            ctx["version"] = entry.version
-            encoded, total = entry.encoded, entry.count
         else:
             self.metrics.incr("result_cache.misses")
             ctx["cache"] = "miss"
@@ -731,14 +683,25 @@ class QueryService:
                 ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
             ):
                 image = self._edb_for(plan, version, graph, phases)
-                relations = plan.evaluate(graph, image, params)
+                if found is PROMOTE and fallback_reason(plan) is None:
+                    # The first miss after a commit dropped this answer: it
+                    # becomes a maintained entry, evaluated once, by its
+                    # view's refresh (and encoded with it).
+                    entry = self.subs.pin(plan, params)
+                else:
+                    relations = plan.evaluate(graph, image, params)
             t3 = time.perf_counter()
             phases.append(("evaluate", t3 - t2))
-            # A refused answer is never serialised; an accepted one once, into
-            # the bytes max_bytes measures, the entry holds and lines carry.
-            self._check_budgets(sum(map(len, relations.values())), max_rows)
-            encoded, total = protocol.encode_answer(relations)
-            phases.append(("encode", time.perf_counter() - t3))
+            if entry is None:
+                # A refused answer is never serialised; an accepted one once,
+                # into the bytes max_bytes measures, the entry holds and lines
+                # carry.
+                self._check_budgets(sum(map(len, relations.values())), max_rows)
+                encoded, total = protocol.encode_answer(relations)
+                phases.append(("encode", time.perf_counter() - t3))
+        if entry is not None:
+            ctx["version"] = entry.version
+            encoded, total = entry.encoded, entry.count
         self._check_budgets(total, max_rows, len(encoded), max_bytes)
         if entry is None:
             self.results.put(key, encoded, total, version, plan.footprint)

@@ -1,10 +1,12 @@
 """The subscription manager: shared views, delta fanout, backpressure.
 
 The manager's view table is the service's one table of long-lived answers:
-one :class:`~repro.ham.views.MaterializedView` per plan + params, held by a
-reference count — its subscriptions, plus a pin from at most one
-maintained result-cache entry (:meth:`SubscriptionManager.pin`).  A view
-nobody holds leaves the table and is maintained no more.
+one :class:`~repro.ham.views.MaterializedView` per plan + params, under the
+result cache's key for them, held by a reference count — its subscriptions,
+plus a pin from at most one maintained result-cache entry
+(:meth:`SubscriptionManager.pin`).  A view nobody holds leaves the table and
+is maintained no more; so does one whose pass raised, after its
+subscribers are sent a ``closed`` frame (reason ``error``).
 
 Threading model: the store delivers every commit record to
 :meth:`SubscriptionManager._on_commit` — the service's only commit hook —
@@ -38,7 +40,7 @@ from repro.obs import context as trace_context
 from repro.errors import NotMaintainable, ProtocolError, SubscriptionError
 from repro.ham.image import StoreImages
 from repro.ham.views import MaterializedView, ViewReset
-from repro.obs.metrics import HistogramData, MetricFamily
+from repro.obs.metrics import HistogramData, MetricFamily, table_families
 from repro.service import protocol
 from repro.service.cache import result_key
 
@@ -51,14 +53,22 @@ logger = logging.getLogger(__name__)
 #: connection.
 OVERFLOW_POLICIES = ("resync", "disconnect")
 
-
-def view_key(plan, params):
-    """The shared-view registry key: plan fingerprint + result-shaping
-    params.  ``method`` is excluded — backends are differentially tested to
-    produce identical answers, so subscribers asking through different
-    engines share one view (and one maintenance pass)."""
-    shaped = {k: v for k, v in (params or {}).items() if k != "method"}
-    return result_key(plan.fingerprint, shaped)
+#: ``(name, kind, help, key)`` rows for :func:`table_families`: the series
+#: :meth:`SubscriptionManager.metric_families` reads off its ``stats()``.
+_FAMILIES = (
+    ("repro_subs_active", "gauge", "Active subscriptions", "active_subscriptions"),
+    ("repro_subs_shared_views", "gauge", "Materialized shared views", "shared_views"),
+    ("repro_subs_queue_depth", "gauge",
+     "Delta frames queued across all subscriptions", "queue_depth"),
+    ("repro_subs_deltas_pushed_total", "counter",
+     "Delta frames enqueued to subscribers", "deltas_pushed"),
+    ("repro_subs_snapshots_total", "counter",
+     "Snapshot (resync) frames sent to subscribers", "snapshots_sent"),
+    ("repro_subs_maintenance_passes_total", "counter",
+     "Incremental maintenance passes over shared views", "maintenance_passes"),
+    ("repro_subs_diff_refreshes_total", "counter",
+     "Fallback re-evaluations of non-maintainable views", "diff_refreshes"),
+)
 
 
 def _require_maintainable(view, allow_fallback):
@@ -174,12 +184,12 @@ class SubscriptionManager:
             plan, params, attach, lambda view: _require_maintainable(view, allow_fallback)
         )
 
-    def pin(self, plan, params, key):
-        """Promote result-cache entry *key*: pin the shared view of *plan*
-        under *params* — materialized first when the table has none, which
-        is this answer's one evaluation — and cache its answer as a
-        maintained entry, which every later commit keeps current.  Returns
-        the entry."""
+    def pin(self, plan, params):
+        """Promote the result-cache entry of *plan* under *params*: pin their
+        shared view — materialized first when the table has none, which is
+        this answer's one evaluation — and cache its answer as a maintained
+        entry, which every later commit keeps current.  Returns the entry."""
+        key = result_key(plan.fingerprint, params)
 
         def attach(view):
             # Encoded under the lock: the entry's bytes must be the view's
@@ -196,7 +206,7 @@ class SubscriptionManager:
         ``check``-ed) outside the lock, since a first evaluation can be slow
         and must not stall commits, then caught up and registered.  A racing
         duplicate is discarded."""
-        key = view_key(plan, params)
+        key = result_key(plan.fingerprint, params)
         candidate = None
         while True:
             with self._lock:
@@ -247,7 +257,7 @@ class SubscriptionManager:
             ids.discard(sub.id)
             if not ids:
                 self._by_sink.pop(sub.sink, None)
-        self._watchers[sub.view].discard(sub)
+        self._watchers.get(sub.view, set()).discard(sub)  # gone if its pass raised
         self._drop_unheld_locked(sub.view)
 
     def _drop_unheld_locked(self, view):
@@ -255,7 +265,7 @@ class SubscriptionManager:
         result-cache pin — and with it its maintenance pass."""
         if view in self._watchers and not self._watchers[view] and not self._pins[view]:
             del self._watchers[view]
-            del self._views_by_key[view_key(view.plan, view.eval_params)]
+            del self._views_by_key[result_key(view.plan.fingerprint, view.eval_params)]
 
     def _unpin_released_locked(self):
         """Unpin the views of maintained entries that left the result cache."""
@@ -287,7 +297,7 @@ class SubscriptionManager:
         thread — whose ambient trace context is that commit's request, so
         its trace id stamps exactly this record's frames.  Every view
         advances once; then the result cache re-stamps, re-encodes or drops
-        its entries, even when a view's pass raised (a pinned view it was
+        its entries, even when the dispatch raised (a pinned view it was
         not told about is demoted)."""
         sinks = set()
         answers = {}
@@ -309,10 +319,14 @@ class SubscriptionManager:
     def _dispatch_locked(self, record, sinks, answers):
         """Advance every view past *record*: delta (or resync) frames to its
         subscribers, collected *sinks* to poke, and in *answers* the new
-        answer of each pinned view (see ``ResultCache.apply_commit``)."""
+        answer of each pinned view (see ``ResultCache.apply_commit``).  A
+        view whose pass raised leaves the table, its subscriptions closed
+        with reason ``error`` and its pinned entry demoted; the others still
+        apply the record."""
         ambient = trace_context.current()
         trace_id = ambient.trace_id if ambient is not None else None
         now = time.monotonic()
+        failed = []
         with obs.span(
             "subs.dispatch",
             version=record.version,
@@ -327,6 +341,14 @@ class SubscriptionManager:
                     if watchers:
                         self._resync_locked(watchers)
                         sinks.update(sub.sink for sub in watchers)
+                except Exception:  # noqa: BLE001 — one view must not stall the rest
+                    logger.exception(
+                        "view %s failed at version %d; closing its subscriptions",
+                        view.plan.fingerprint[:12],
+                        record.version,
+                    )
+                    failed.append(view)
+                    continue
                 # A pass that overdeleted plus rederived more rows than the
                 # view holds cost more than evaluating afresh: its entry is
                 # demoted by being left out.
@@ -354,6 +376,11 @@ class SubscriptionManager:
                         frame["trace_id"] = trace_id
                     self._enqueue_locked(sub, frame, now)
                     sinks.add(sub.sink)
+        for view in failed:
+            for sub in self._watchers.pop(view):
+                self._close_locked(sub, "error", now)
+                sinks.add(sub.sink)
+            del self._views_by_key[result_key(view.plan.fingerprint, view.eval_params)]
 
     # -------------------------------------------------------- backpressure
 
@@ -369,11 +396,7 @@ class SubscriptionManager:
             if self.metrics is not None:
                 self.metrics.incr(f"subs.overflow.{sub.policy}")
             if sub.policy == "disconnect":
-                sub.closed = "overflow"
-                sub.pending.clear()
-                sub.pending.append(
-                    (protocol.closed_frame(sub.id, "overflow"), now)
-                )
+                self._close_locked(sub, "overflow", now)
                 self._disconnect_sinks.add(sub.sink)
                 self.disconnects += 1
             else:
@@ -383,6 +406,14 @@ class SubscriptionManager:
             return
         sub.pending.append((frame, now))
         self.deltas_pushed += 1
+
+    @staticmethod
+    def _close_locked(sub, reason, now):
+        """*sub*'s next and last frame is ``closed`` with *reason*; draining
+        it ends the subscription."""
+        sub.closed = reason
+        sub.needs_resync = False
+        sub.pending[:] = [(protocol.closed_frame(sub.id, reason), now)]
 
     def drain(self, sink):
         """Pop every pending frame for *sink*'s subscriptions.
@@ -411,6 +442,8 @@ class SubscriptionManager:
                     self.push_latency.observe(now - enqueued)
                     frames.append(frame)
                 sub.pending.clear()
+                if sub.closed is not None:
+                    self._remove_locked(sub)
             disconnect = sink in self._disconnect_sinks
             self._disconnect_sinks.discard(sink)
             return frames, disconnect
@@ -499,57 +532,19 @@ class SubscriptionManager:
 
     def metric_families(self):
         """Scrape-time collector: the ``repro_subs_*`` exposition series."""
+        stats = self.stats()
         with self._lock:
-            active = len(self._subs)
-            shared = len(self._views_by_key)
-            depth = sum(len(s.pending) for s in self._subs.values())
-            passes = sum(v.maintenance_passes for v in self._views_by_key.values())
-            refreshes = sum(v.diff_refreshes for v in self._views_by_key.values())
             latency = self.push_latency.copy()
-            deltas = self.deltas_pushed
-            snapshots = self.snapshots_sent
-            resyncs = self.resyncs
-            disconnects = self.disconnects
         overflow = MetricFamily(
             "repro_subs_overflow_total",
             "counter",
             "Subscription queue overflows by policy outcome",
         )
-        overflow.add_sample(resyncs, {"policy": "resync"})
-        overflow.add_sample(disconnects, {"policy": "disconnect"})
+        overflow.add_sample(stats["resyncs"], {"policy": "resync"})
+        overflow.add_sample(stats["disconnects"], {"policy": "disconnect"})
         return [
-            MetricFamily(
-                "repro_subs_active", "gauge", "Active subscriptions"
-            ).add_sample(active),
-            MetricFamily(
-                "repro_subs_shared_views", "gauge", "Materialized shared views"
-            ).add_sample(shared),
-            MetricFamily(
-                "repro_subs_queue_depth",
-                "gauge",
-                "Delta frames queued across all subscriptions",
-            ).add_sample(depth),
-            MetricFamily(
-                "repro_subs_deltas_pushed_total",
-                "counter",
-                "Delta frames enqueued to subscribers",
-            ).add_sample(deltas),
-            MetricFamily(
-                "repro_subs_snapshots_total",
-                "counter",
-                "Snapshot (resync) frames sent to subscribers",
-            ).add_sample(snapshots),
+            *table_families(_FAMILIES, [(None, stats)]),
             overflow,
-            MetricFamily(
-                "repro_subs_maintenance_passes_total",
-                "counter",
-                "Incremental maintenance passes over shared views",
-            ).add_sample(passes),
-            MetricFamily(
-                "repro_subs_diff_refreshes_total",
-                "counter",
-                "Fallback re-evaluations of non-maintainable views",
-            ).add_sample(refreshes),
             MetricFamily(
                 "repro_subs_push_latency_seconds",
                 "histogram",

@@ -112,7 +112,7 @@ def test_every_path_agrees_at_every_version(seed):
         fresh = {}  # version -> name -> rows
         maintained = {}  # version -> name -> rows a maintained entry served
         keys = {
-            name: result_key(service.plans.get("graphlog", text).fingerprint, {"method": "columnar"})
+            name: result_key(service.plans.get("graphlog", text).fingerprint, {})
             for name, text in QUERIES.items()
         }
 
@@ -123,7 +123,8 @@ def test_every_path_agrees_at_every_version(seed):
                 response = service.execute({"op": "graphlog", "query": text})
                 rows = wire_rows(response["result"]["relations"].get(name, ()))
                 fresh.setdefault(response["version"], {})[name] = rows
-                if response["cache"] == "hit" and service.results.maintained(keys[name]):
+                entry = service.results._entries.get(keys[name])
+                if response["cache"] == "hit" and entry is not None and entry.view is not None:
                     maintained.setdefault(response["version"], {})[name] = rows
 
         errors = []
@@ -246,9 +247,7 @@ def test_an_entry_evicted_during_a_commit_unpins_its_view():
         # maintained entry out of a two-entry cache.
         for source in ("n0", "n1"):
             service.execute({"op": "rpq", "query": "link+", "source": source})
-        assert not service.results.maintained(
-            result_key(view.plan.fingerprint, {"method": "columnar"})
-        )
+        assert result_key(view.plan.fingerprint, {}) not in service.results._entries
         release.set()
         writer.join(10)
         assert not writer.is_alive()
@@ -376,15 +375,21 @@ def test_racing_readers_get_the_answer_of_the_version_they_are_told():
     answers, errors = [], []
     writers_done = threading.Event()
 
+    def read_both():
+        for name in ("reach", "risky"):
+            response = service.execute({"op": "graphlog", "query": QUERIES[name]})
+            rows = wire_rows(response["result"]["relations"].get(name, ()))
+            answers.append((name, response["version"], response["cache"], rows))
+
     def reader():
         try:
             for _ in range(200):
-                if writers_done.is_set():
+                done = writers_done.is_set()
+                read_both()
+                if done:
+                    # That round ran after the last commit, so this one hits.
+                    read_both()
                     return
-                for name in ("reach", "risky"):
-                    response = service.execute({"op": "graphlog", "query": QUERIES[name]})
-                    rows = wire_rows(response["result"]["relations"].get(name, ()))
-                    answers.append((name, response["version"], response["cache"], rows))
         except Exception as exc:  # noqa: BLE001 — re-raised by the test
             errors.append(exc)
 

@@ -398,10 +398,9 @@ class TestBudgetsHotAndCold:
         ask = dict(op="datalog", **QUERIES["datalog"])
         with Wire(node.port) as wire:
             checked(wire.ask(op="update", edges=EDGES))
-            # The other method's entry is keyed apart, so the default
-            # method's requests below start cold.
-            line = wire.ask(**ask, method="naive")
+            line = wire.ask(**ask)
             result = checked(line)["result"]
+            node.service.results.clear()  # the requests below start cold
             # What max_bytes bounds: the result object's bytes on the wire —
             # not the envelope, not the line terminator.
             size = len(protocol.encode_result(result))
@@ -470,7 +469,7 @@ class TestObservability:
         cache.put(result_key("c", {}), b"c", 1, version=1, footprint=frozenset({"q"}))
         assert (cache.stats()["encoded_entries"], cache.stats()["encoded_bytes"]) == (2, 4)
         cache.apply_commit(2, frozenset({"q"}))
-        assert cache.get(result_key("b", {}), 2).encoded == b"123"
+        assert cache.lookup(result_key("b", {}), 2).encoded == b"123"
         cache.apply_commit(3, frozenset({"p"}))
         assert (cache.stats()["encoded_entries"], cache.stats()["encoded_bytes"]) == (0, 0)
 

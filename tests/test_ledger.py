@@ -87,3 +87,33 @@ def test_the_committed_ledger_prints(capsys):
     out = capsys.readouterr().out
     assert "| `commit_stream` |" in out
     assert "BENCH_18.json: seed 75" in out
+
+
+def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
+    layers = {
+        "hot_read": {"trace.unaccounted_share": 0.198},
+        "cold_eval": {"columnar.self_ms_per_op": 1.254, "prepared.self_ms_per_op": 0.318},
+        "routed_mixed": {"client.write_p50_ms": 1.834, "proc.replica_cpu_ms_per_op": 0.531},
+    }
+    runs = [
+        {"workload": workload, "end_to_end": {}, "per_layer": per_layer}
+        for workload, per_layer in layers.items()
+    ]
+    doc = {"command": "python3 bench/run.py --seed 7", "fingerprint": {"seed": 7}, "runs": runs}
+    (tmp_path / "BENCH_25.json").write_text(json.dumps(doc))
+    assert _ledger().main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def block(workload):
+        """The table lines of *workload*'s rows."""
+        first = next(i for i, line in enumerate(lines) if line.startswith(f"| `{workload}` |"))
+        rest = (i for i, line in enumerate(lines) if i > first and line.startswith("| `"))
+        return lines[first:next(rest, len(lines))]
+
+    assert "| | `trace.unaccounted_share` | 0.20 |" in block("hot_read")
+    assert "| | `columnar.self` · `prepared.self` ms/op | 1.25 · 0.32 |" in block("cold_eval")
+    assert (
+        "| | `client.write_p50_ms` · `proc.replica_cpu_ms_per_op` | 1.83 · 0.53 |"
+        in block("routed_mixed")
+    )
+    assert len(block("commit_stream")) == 2  # none of them

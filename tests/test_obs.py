@@ -186,17 +186,15 @@ class TestEngineTracing:
         assert tc_span.attrs["facts"] == {"tc": 16}
         assert "iterations" not in tc_span.attrs
 
-    def test_naive_method_traces_too(self):
+    def test_the_naive_walker_opens_no_stratum_spans(self):
+        # The specification serves no request: only the core's strata trace.
         program = parse_program(TC_PROGRAM)
         with obs.tracing("t") as tr:
-            Engine(method="naive").evaluate(program, Database())
-        stratum = next(
-            s
-            for s in tr.root.find_all("engine.stratum")
-            if "tc" in s.attrs["predicates"]
-        )
-        assert stratum.attrs["iterations"]
-        assert stratum.attrs["rule_firings"]
+            Engine("naive").evaluate(program, Database())
+        (evaluate,) = tr.root.find_all("engine.evaluate")
+        assert evaluate.attrs["method"] == "naive" and "backend" not in evaluate.attrs
+        assert evaluate.attrs["iterations"] >= 2
+        assert not tr.root.find_all("engine.stratum")
 
     def test_disabled_tracing_same_answers(self):
         program = parse_program(TC_PROGRAM)

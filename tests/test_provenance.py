@@ -31,18 +31,22 @@ class TestEngineRecording:
         assert engine.provenance == {}
 
     def test_every_derived_fact_recorded(self):
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         result = engine.evaluate(TC, chain_db(4))
         for row in result.facts("tc"):
             assert ("tc", row) in engine.provenance
 
     def test_support_facts_are_real(self):
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         result = engine.evaluate(TC, chain_db(4))
         for (pred, row), (rule, support) in engine.provenance.items():
             assert rule.head.predicate == pred
             for sup_pred, sup_row in support:
                 assert sup_row in result.facts(sup_pred)
+
+    def test_provenance_needs_the_walker(self):
+        with pytest.raises(ValueError, match="naive"):
+            Engine(record_provenance=True)
 
     def test_naive_method_records_too(self):
         engine = Engine(method="naive", record_provenance=True)
@@ -52,7 +56,7 @@ class TestEngineRecording:
     def test_cyclic_graph_well_founded(self):
         db = Database()
         db.add_facts("e", [("a", "b"), ("b", "a")])
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         engine.evaluate(TC, db)
         # explain must terminate even though the graph is cyclic.
         tree = explain(engine.provenance, "tc", ("a", "a"))
@@ -62,7 +66,7 @@ class TestEngineRecording:
 
 class TestExplain:
     def test_tree_structure(self):
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         engine.evaluate(TC, chain_db(3))
         tree = explain(engine.provenance, "tc", ("n0", "n3"))
         assert tree.predicate == "tc"
@@ -80,7 +84,7 @@ class TestExplain:
         assert tree.depth() == 0
 
     def test_why_helper(self):
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         engine.evaluate(TC, chain_db(2))
         assert why(engine.provenance, "tc", ("n0", "n2")) == {
             ("e", ("n0", "n1")),
@@ -88,7 +92,7 @@ class TestExplain:
         }
 
     def test_render_contains_rule_and_base(self):
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         engine.evaluate(TC, chain_db(2))
         text = explain(engine.provenance, "tc", ("n0", "n2")).render()
         assert "[base fact]" in text
@@ -104,7 +108,7 @@ class TestExplain:
             un(X, Y) :- n(X), n(Y), not tc(X, Y).
             """
         )
-        engine = Engine(record_provenance=True)
+        engine = Engine("naive", record_provenance=True)
         engine.evaluate(program, chain_db(2))
         tree = explain(engine.provenance, "un", ("n2", "n0"))
         # The support holds only the positive subgoals n(n2), n(n0).

@@ -21,7 +21,7 @@ from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel, graph_from_database
 from repro.ham.store import HAMStore
 from repro.service import cache as cache_module
-from repro.service.cache import ResultCache, result_key
+from repro.service.cache import MISS, PROMOTE, ResultCache, result_key
 from repro.service.client import ServiceClient
 from repro.service.metrics import MetricsRegistry
 from repro.service.prepared import PreparedQueryCache, fingerprint, normalize
@@ -107,21 +107,28 @@ class TestPrepared:
         assert set(plan.idb_predicates) == {"reach", "connected"}
 
 
+def no_wait(_version):
+    """A worker's ``wait`` where no commit dispatch is in flight."""
+
+
 class TestResultCache:
     def test_version_stamp_prevents_stale_hits(self):
         cache = ResultCache(capacity=4)
         key = result_key("fp", {})
         cache.put(key, b"answer@1", 1, version=1)
-        assert cache.get(key, 1).encoded == b"answer@1"
-        assert cache.get(key, 2) is None
+        assert cache.lookup(key, 1).encoded == b"answer@1"
+        assert cache.lookup(key, 2, no_wait) is MISS
         assert cache.stats()["hits"] == 1
+        assert cache.stats()["misses"] == 1
+        # The event loop's lookup (no wait) counts only hits.
+        assert cache.lookup(key, 2) is MISS
         assert cache.stats()["misses"] == 1
 
     def test_params_are_part_of_the_key(self):
         cache = ResultCache(capacity=4)
         cache.put(result_key("fp", {"source": "a"}), b"from-a", 1, version=1)
-        assert cache.get(result_key("fp", {"source": "b"}), 1) is None
-        assert cache.get(result_key("fp", {"source": "a"}), 1).encoded == b"from-a"
+        assert cache.lookup(result_key("fp", {"source": "b"}), 1) is MISS
+        assert cache.lookup(result_key("fp", {"source": "a"}), 1).encoded == b"from-a"
 
     def test_param_normalization_is_type_tagged(self):
         # str(v) normalization used to collide all three, so a query with
@@ -156,11 +163,11 @@ class TestResultCache:
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "unrelated")
-        assert cache.get(key, store.version).encoded == b"answer"
+        assert cache.lookup(key, store.version).encoded == b"answer"
         assert cache.stats()["delta_reuse_hits"] == 1
         with session.transaction() as txn:
             txn.add_edge("a", "c", "from")
-        assert cache.get(key, store.version) is None
+        assert cache.lookup(key, store.version) is PROMOTE  # a commit dropped it
         assert len(cache) == 0
         hook.close()
 
@@ -172,16 +179,16 @@ class TestResultCache:
         # some intervening commit was never checked against it, so even a
         # disjoint delta cannot prove it fresh.
         cache.apply_commit(3, frozenset({"other"}))
-        assert cache.get(key, 3) is None
+        assert cache.lookup(key, 3) is PROMOTE
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
         cache.put(("a", ()), b"1", 1, version=1)
         cache.put(("b", ()), b"2", 1, version=1)
-        cache.get(("a", ()), 1)
+        cache.lookup(("a", ()), 1)
         cache.put(("c", ()), b"3", 1, version=1)
-        assert cache.get(("b", ()), 1) is None
-        assert cache.get(("a", ()), 1).encoded == b"1"
+        assert cache.lookup(("b", ()), 1) is MISS
+        assert cache.lookup(("a", ()), 1).encoded == b"1"
         assert cache.stats()["evictions"] == 1
 
 
@@ -248,12 +255,11 @@ class TestMaintainedEntries:
         assert service.results._entries[key] is entry
         assert service.stats()["result_cache"]["delta_reuse_hits"] == 1
 
-    def test_rpq_summary_and_naive_reads_keep_stamp_and_drop(self):
+    def test_rpq_and_summary_reads_keep_stamp_and_drop(self):
         store = HAMStore()
         service = QueryService(store=store)
         requests = (
             {"op": "rpq", "query": "link+", "source": "a"},
-            {"op": "datalog", "query": TC_PROGRAM, "method": "naive"},
             {"op": "graphlog",
              "query": "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }"},
         )
@@ -790,7 +796,7 @@ class TestResidentAnswersOnTheLoop:
                 query("graphlog", text=REACH_QUERY, predicate="connected")  # plan hit, miss
                 query("graphlog", text=REACH_QUERY, predicate="connected")  # loop
                 query("rpq", text="from+")  # worker
-                query("rpq", text="from+", method="naive")  # loop: an RPQ ignores method
+                query("rpq", text="from+")  # loop
                 # A commit the plan does not read re-stamps its answer.
                 version = w.update(edges=[["a", "unrelated", "b"]])
                 query("datalog", text=program, min_version=version)  # reached → loop
@@ -834,6 +840,62 @@ class TestResidentAnswersOnTheLoop:
         # queue_wait: every request a worker ran — the workers' queries, the
         # four updates and the second stats call itself.
         assert delta("metrics", "phases", "queue_wait", "count") == requests - on_loop + 3 + 1
+
+    def test_each_lookup_outcome_is_counted_once(self):
+        store = HAMStore()
+        with store.session().transaction() as txn:
+            txn.add_edge("a", "b", "link")
+        entered, release = threading.Event(), threading.Event()
+        release.set()
+
+        @store.subscribe  # before the service's hook: holds a dispatch at its start
+        def gate(_record):
+            if not release.is_set():
+                entered.set()
+                assert release.wait(10)
+
+        srv = ServiceServer(
+            store=store, config=ServiceConfig(port=0, workers=2)
+        ).start_background()
+        answers = []
+        try:
+            with ServiceClient(port=srv.port) as c, ServiceClient(port=srv.port) as w:
+
+                def query(op, text):
+                    answers.append(c.call(op, query=text)["cache"])
+
+                before = c.stats()
+                query("datalog", TC_PROGRAM)  # plain miss
+                query("datalog", TC_PROGRAM)  # hit on the loop
+                w.update(edges=[["b", "link", "c"]])
+                query("datalog", TC_PROGRAM)  # promote
+                release.clear()
+                writer = threading.Thread(target=w.update, kwargs={"edges": [["c", "link", "d"]]})
+                writer.start()
+                assert entered.wait(10)  # the commit is installed, its dispatch held
+                reader = threading.Thread(target=query, args=("datalog", TC_PROGRAM))
+                reader.start()
+                reader.join(0.2)
+                assert reader.is_alive()  # behind: a worker waits for the dispatch
+                release.set()
+                reader.join(10)
+                writer.join(10)
+                query("rpq", "link+")  # an RPQ's plain miss
+                after = c.stats()
+        finally:
+            release.set()
+            srv.stop()
+        assert answers == ["miss", "hit", "miss", "hit", "miss"]
+
+        def delta(*path):
+            return after[path[0]][path[1]] - before[path[0]][path[1]]
+
+        for cache in ("result_cache", "plan_cache"):
+            assert delta(cache, "hits") + delta(cache, "misses") == len(answers)
+        assert delta("result_cache", "hits") == 2
+        assert delta("result_cache", "promotions") == 1
+        assert after["metrics"]["counters"]["requests.on_loop"] == 1
+        assert after["metrics"]["phases"]["evaluate"]["count"] == 3
 
     def test_a_declined_loop_attempt_counts_nothing(self):
         service = QueryService(store=flights_store())

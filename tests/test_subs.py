@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro.core.dsl import parse_graphical_query
+from repro.core.engine import GraphLogEngine
 from repro.errors import NotMaintainable, SubscriptionError
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham.store import HAMStore
@@ -99,13 +101,6 @@ class TestSubscriptionManager:
             frames, _ = mgr.drain(sink)
             assert len(frames) == 1 and frames[0]["frame"] == "delta"
         assert mgr.stats()["deltas_pushed"] == 100
-
-    def test_view_shared_across_method_param(self, manager):
-        store, mgr, plans = manager
-        plan = plans.get("graphlog", REACH)
-        mgr.subscribe(plan, {"predicate": "reach", "method": "naive"}, FakeSink())
-        mgr.subscribe(plan, {"predicate": "reach", "method": "columnar"}, FakeSink())
-        assert mgr.stats()["shared_views"] == 1
 
     def test_refcount_teardown_on_last_unsubscribe(self, manager):
         store, mgr, plans = manager
@@ -313,6 +308,55 @@ class TestQueryServiceSubscribe:
             )
             stats = service.execute({"op": "stats"})["result"]["subs"]
             assert stats["active_subscriptions"] == 0
+        finally:
+            service.close()
+
+    def test_a_failing_view_is_closed_and_every_other_view_keeps_step(self):
+        graph = LabeledMultigraph()
+        for source, target, label in (("a", "b", "link"), ("b", "c", "link"), ("a", 1, "weight")):
+            graph.add_edge(source, target, label)
+        store = HAMStore()
+        store.load_graph(graph)
+        service = QueryService(store=store)
+        weights = {"op": "datalog", "query": "w(X, Z) :- weight(X, Y), Z = Y + 1."}
+        sink = FakeSink()
+        try:
+            failing = service.execute({**weights, "op": "subscribe", "target": "datalog"}, sink=sink)
+            reach = service.execute({"op": "subscribe", "query": REACH}, sink=sink)
+            # A's answer is also a maintained result-cache entry, pinning its view.
+            service.execute(weights)
+            add_edge(store, "c", 2, label="weight")
+            assert service.execute(weights)["cache"] == "miss"
+            assert service.stats()["result_cache"]["maintained"] == 1
+            first = store.version
+            with store.session().transaction() as txn:
+                txn.add_edge("b", "oops", "weight")  # w's arithmetic fails on it
+                txn.add_edge("c", "d", "link")
+            last = add_edge(store, "d", "e")
+            frames, _ = service.subs.drain(sink)
+            failing_id = failing["result"]["subscription"]
+            assert [(f["frame"], f.get("reason")) for f in frames if f["subscription"] == failing_id] == [
+                ("closed", "error")
+            ]
+            rows = {tuple(r) for r in reach["result"]["snapshot"]["reach"]}
+            seen = [reach["version"]]
+            for frame in frames:
+                if frame["subscription"] != failing_id:
+                    assert frame["frame"] == "delta"
+                    rows -= {tuple(r) for r in frame["deleted"].get("reach", ())}
+                    rows |= {tuple(r) for r in frame["inserted"].get("reach", ())}
+                    seen.append(frame["version"])
+                    oracle = GraphLogEngine("naive").answers(
+                        parse_graphical_query(REACH), store.graph_at(frame["version"]), "reach"
+                    )
+                    assert rows == oracle
+            assert seen[-2:] == [first + 1, last]
+            assert ("a", "e") in rows
+            stats = service.stats()
+            assert stats["subs"]["active_subscriptions"] == 1
+            assert stats["subs"]["shared_views"] == 1
+            assert (stats["result_cache"]["maintained"], stats["result_cache"]["demotions"]) == (0, 1)
+            assert stats["store"]["subscriber_failures"] == 0
         finally:
             service.close()
 
