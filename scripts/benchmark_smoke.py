@@ -33,10 +33,12 @@ checks every answer against the naive walker, its specification:
 - maintained result-cache entries, by counts alone: over the bench's
   flights data with 4 closures and 2 RPQs primed, 50 × (add flight, read
   all, remove flight, read all) may run one more ``evaluate`` phase per
-  closure — its first re-read, which promotes it to an entry its view keeps
-  current — while every RPQ read still re-evaluates; every answer equals
-  the naive oracle's.  A change that drops maintained entries on a commit
-  again fails here instead of only moving ``routed_mixed``'s tail.
+  read — its first re-read, which promotes it to an entry its view keeps
+  current: 12 in all — with the 4 closures (one program under four head
+  names) pinning one shared view; every answer equals the naive oracle's.
+  A change that drops maintained entries on a commit, or stops sharing a
+  renamed program's view, fails here instead of only moving
+  ``routed_mixed``'s numbers.
 
 - structure sharing between store versions, by counts alone: 50 × (remove
   edge, re-add edge) through a durable :class:`QueryService` with one
@@ -182,18 +184,18 @@ CLOSURE_PROGRAM = parse_program(
 def check_image_folds():
     """50 × (commit, closure miss, RPQ miss): the image is built once and
     folded 50 times, and both answers track the naive oracle throughout.
-    Each round's closure is a text never seen before: a re-read one would be
-    a maintained entry and need no image (``check_maintained_entries``)."""
+    Each round's closure and RPQ are texts never seen before: a re-read one
+    would be a maintained entry and need no image (``check_maintained_entries``)."""
     rounds = 50
     database = random_flights(7, n_cities=12, n_flights=40)
     store = HAMStore()
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     source = sorted(city for _flight, city in database.facts("from"))[0]
-    rpq = {"op": "rpq", "query": RPQ_EXPRESSION, "source": source}
     execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
     for i in range(rounds):
         closure = {"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", f"conn{i:02d}")}
+        rpq = {"op": "rpq", "query": f"{RPQ_EXPRESSION} | nolabel{i:02d}", "source": source}
         # Alternately add and remove one flight's from/to edges.
         edges = [[f"extra{i // 2}", "from", source], [f"extra{i // 2}", "to", f"new{i // 2}"]]
         execute(service, {"op": "update", "remove_edges" if i % 2 else "edges": edges})
@@ -319,9 +321,10 @@ def check_answers_are_bytes():
 
 def check_maintained_entries():
     """50 × (add flight, read all, remove flight, read all) over the bench's
-    flights data, 4 closures and 2 RPQs primed: each closure evaluates once
+    flights data, 4 closures and 2 RPQs primed: each read evaluates once
     more — its first re-read, which promotes it — and is a hit ever after;
-    every RPQ read re-evaluates; every answer equals the naive oracle."""
+    the 4 closures, one program under four head names, pin one shared
+    view; every answer equals the naive oracle."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import flights_database  # noqa: E402 — the bench's dataset
 
@@ -357,19 +360,17 @@ def check_maintained_entries():
 
     def read_all(label, target, promoting=False):
         expected = oracle(target)
-        for request, name in closures:
+        for request, name in closures + rpqs:
             response = execute(service, request)
             if response["cache"] != ("miss" if promoting else "hit"):
-                fail(f"{label}: closure {name} answered {response['cache']!r}")
-            if {tuple(r) for r in response["result"]["relations"][name]} != expected.facts("connected"):
-                fail(f"{label}: closure {name} diverges from the naive oracle")
-        for request, source in rpqs:
-            response = execute(service, request)
-            if response["cache"] != "miss":
-                fail(f"{label}: the RPQ from {source} was not re-evaluated")
-            rows = {tuple(r) for r in response["result"]["relations"]["answers"]}
-            if rows != {(y,) for x, y in expected.facts("leg") if x == source}:
-                fail(f"{label}: the RPQ from {source} diverges from the naive oracle")
+                fail(f"{label}: {request['op']} {name} answered {response['cache']!r}")
+            if request["op"] == "graphlog":
+                rows, wanted = response["result"]["relations"][name], expected.facts("connected")
+            else:
+                rows = response["result"]["relations"]["answers"]
+                wanted = {(y,) for x, y in expected.facts("leg") if x == name}
+            if {tuple(r) for r in rows} != wanted:
+                fail(f"{label}: {request['op']} {name} diverges from the naive oracle")
 
     for request, _name in closures + rpqs:
         execute(service, request)
@@ -383,15 +384,18 @@ def check_maintained_entries():
     stats = service.stats()
     cached = stats["result_cache"]
     evaluations = stats["metrics"]["phases"]["evaluate"]["count"]
-    expected = len(closures + rpqs) + len(closures) + 2 * rounds * len(rpqs)
-    if (cached["maintained"], cached["promotions"], cached["demotions"]) != (4, 4, 0):
-        fail(f"the closures are not four maintained entries: {cached!r}")
-    if evaluations != expected:
-        fail(f"{evaluations} evaluate phases, expected {expected}: a maintained closure re-evaluated")
+    reads = len(closures + rpqs)
+    views = sorted(view["pins"] for view in stats["subs"]["views"].values())
+    if (cached["maintained"], cached["promotions"], cached["demotions"]) != (reads, reads, 0):
+        fail(f"the reads are not {reads} maintained entries: {cached!r}")
+    if views != [1] * len(rpqs) + [len(closures)]:
+        fail(f"the closures do not share one view (pins per view: {views})")
+    if evaluations != 2 * reads:
+        fail(f"{evaluations} evaluate phases, expected {2 * reads}: a maintained entry re-evaluated")
     print(
-        f"maintained entries: {cached['maintained']} closures, {cached['promotions']} "
-        f"promotions, {evaluations} evaluations ({2 * rounds * len(rpqs)} of them RPQ "
-        "misses), all equal to naive"
+        f"maintained entries: {len(closures)} closures on 1 shared view with {views[-1]} pins, "
+        f"{len(rpqs)} RPQs, {cached['promotions']} promotions, {evaluations} evaluations, "
+        "all equal to naive"
     )
 
 

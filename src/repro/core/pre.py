@@ -588,3 +588,44 @@ def exported_variables(expr):
     """Label variables of an edge expression after outer-negation stripping."""
     inner, _positive = strip_outer_negation(expr)
     return inner.label_variables()
+
+
+# ------------------------------------------------------- regular path queries
+
+
+def regex_to_pre(regex):
+    """The p.r.e. of a label regular expression (:mod:`repro.rpq.regex`).
+
+    An RPQ is a one-edge GraphLog query whose label is a negation-free p.r.e.
+    (Section 2): a symbol is the literal of its label, ``-a`` the inversion
+    of one, concatenation composition, union alternation, ``+``/``*``/``?``
+    closure, Kleene closure and optional, and the empty word inside an
+    expression the ``=`` primitive.  λ of the one-edge query then pairs
+    exactly what the automaton search pairs, up to the zero-step branch:
+    λ ranges it over the active domain, the search over every graph node.
+
+    Raises :class:`~repro.errors.RegexError` for a regex with no p.r.e.
+    image: the empty word on its own (its λ is the comparison ``X = Y``,
+    which binds neither variable) and a symbol whose label is not a
+    non-empty string (a p.r.e. literal names a predicate).
+    """
+    from repro.rpq import regex as rq
+
+    if isinstance(regex, rq.Epsilon):
+        raise RegexError("the empty word alone has no p.r.e. image")
+
+    def convert(node):
+        if isinstance(node, rq.Sym):
+            if not isinstance(node.label, str) or not node.label:
+                raise RegexError(f"label {node.label!r} names no predicate")
+            literal = Pred(node.label)
+            return Inversion(literal) if node.inverted else literal
+        if isinstance(node, rq.Epsilon):
+            return Equality()
+        if isinstance(node, (rq.Concat, rq.Union)):
+            pair = Composition if isinstance(node, rq.Concat) else Alternation
+            return pair(convert(node.left), convert(node.right))
+        unary = {rq.Plus: Closure, rq.Star: Star, rq.Opt: Optional}[type(node)]
+        return unary(convert(node.inner))
+
+    return convert(regex)

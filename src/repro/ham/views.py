@@ -9,23 +9,24 @@ ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``;
 in a service, :mod:`repro.subs`'s one hook advances every view its table
 holds for subscriptions and result-cache entries alike):
 
-- stratified GraphLog / Datalog plans — recursion and negation included —
-  are *maintained* through the typed fact-level
-  :class:`~repro.ham.delta.Delta` each record carries, by the counting /
-  DRed engine (:mod:`repro.datalog.dred`): support counts for non-recursive
-  strata, overdelete → rederive for recursive ones, over int rows encoded
-  in the catalog of the image the view materialized from.  The view keeps
-  that catalog and interns delta values into it; the values of the EDB are
-  reference counted, so GraphLog's star/optional edges see nodes appear
-  and disappear without a rescan, and a catalog bloated by values that left
-  is shed by re-materializing (the rule the image uses,
+- a plan's view program (:meth:`~repro.service.prepared.PreparedQuery.view`:
+  a stratified GraphLog / Datalog program, recursion and negation included,
+  or an RPQ's λ, magic-seeded for a bound source) is *maintained* through
+  the typed fact-level :class:`~repro.ham.delta.Delta` each record carries,
+  by the counting / DRed engine (:mod:`repro.datalog.dred`): support counts
+  for non-recursive strata, overdelete → rederive for recursive ones, over
+  int rows encoded in the catalog of the image the view materialized from.
+  The view keeps that catalog and interns delta values into it; the values
+  of the EDB are reference counted, so star/optional edges see nodes
+  appear and disappear without a rescan, and a catalog bloated by values
+  that left is shed by re-materializing (the rule the image uses,
   :func:`~repro.ham.image.catalog_bloated`);
-- plans whose λ-translation aggregates or summarizes (Section 4) are not
-  insert-monotone (a new tuple can change an aggregate's value, deleting
-  the old answer), and regular path queries are answered by automaton
-  search, not by a Datalog program: both *diff* — re-evaluate on commits
-  that touch the plan's footprint and set-diff against the previous answer
-  (``fallback_reason`` says which).
+- a plan without one *diffs* — re-evaluates on commits that touch its
+  footprint and set-diffs against the previous answer — and
+  ``fallback_reason`` says why: λ of an aggregate or summary (Section 4)
+  is not insert-monotone, an RPQ has no p.r.e. image or is nullable with
+  no source, or the store holds a relation the program reads at another
+  arity (found at the first refresh).
 
 Either way :meth:`MaterializedView.apply` returns the same thing: the net
 rows the commit inserted into and deleted from the requested predicates.
@@ -40,7 +41,7 @@ import logging
 
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
-from repro.errors import StoreError
+from repro.errors import ArityError, StoreError
 from repro.ham.delta import domain_refs, fold_domain_refs
 from repro.ham.image import catalog_bloated
 
@@ -59,19 +60,6 @@ def _minus(new, old):
     return missing
 
 
-def fallback_reason(plan):
-    """Why *plan* has no maintained view and diffs instead; None when it
-    has one."""
-    if plan.op == "rpq":
-        return (
-            "rpq answers are computed by automaton search, not by a "
-            "maintainable Datalog view"
-        )
-    if plan.has_summaries:
-        return "aggregation/summarization is not maintainable"
-    return None
-
-
 class ViewReset(StoreError):
     """:meth:`MaterializedView.apply` re-materialized at the record's
     version with no previous answer to diff against: the view is current,
@@ -81,17 +69,19 @@ class ViewReset(StoreError):
 class MaterializedView:
     """One maintained answer of *plan* under *params*, over the store whose
     relational images *images* (a :class:`~repro.ham.image.StoreImages`)
-    owns.  ``mode`` is ``"maintained"`` or ``"diff"`` (see the module
-    docstring); ``version`` is the store version the answer is current at
-    (-1 before the first :meth:`refresh`)."""
+    owns, as *definition* (default: ``plan.view(params)``) has it: the rows
+    of its ``predicates``.  ``mode`` is ``"maintained"`` or ``"diff"`` (see
+    the module docstring); ``version`` is the store version the answer is
+    current at (-1 before the first :meth:`refresh`)."""
 
-    def __init__(self, plan, images, params=None):
+    def __init__(self, plan, images, params=None, definition=None):
         self.plan = plan
         self.images = images
         self.eval_params = dict(params or {})
+        self.definition = definition or plan.view(self.eval_params)
+        self.predicates = self.definition.predicates
         self.maintenance = None  # the MaintenancePlan of a maintained view
-        self.fallback_reason = fallback_reason(plan)
-        self.predicates = ()
+        self.fallback_reason = self.definition.reason
         self.version = -1
         self.state = None  # maintained: the MaintainedState ...
         self._refs = None  # ... value -> occurrences across the EDB ...
@@ -106,9 +96,11 @@ class MaterializedView:
         #: its cost beyond the net change.
         self.churn = 0
         if self.fallback_reason is None:
-            self.predicates = plan.requested_predicates(self.eval_params)
-            self.maintenance = MaintenancePlan(plan.program, self.predicates)
-        self.mode = "maintained" if self.maintenance is not None else "diff"
+            self.maintenance = MaintenancePlan(self.definition.program, self.predicates)
+
+    @property
+    def mode(self):
+        return "maintained" if self.maintenance is not None else "diff"
 
     # ------------------------------------------------------------- answers
 
@@ -121,9 +113,7 @@ class MaterializedView:
 
     def rows(self, predicate):
         """The current answer for one requested *predicate* (a copy)."""
-        if self.maintenance is not None:
-            return self.state.facts(predicate)
-        return set(self._rows.get(predicate, ()))
+        return self.snapshot().get(predicate, set())
 
     def snapshot(self):
         """``{predicate: set of rows}`` for every requested predicate."""
@@ -144,7 +134,9 @@ class MaterializedView:
             version = current
         elif version != current:
             graph = store.graph_at(version)
-        image = self.images.at(version, graph) if self.plan.reads_relations else None
+        image = None
+        if self.maintenance is not None or self.plan.reads_relations:
+            image = self.images.at(version, graph)
         if self.maintenance is not None:
             if (
                 self.state is not None
@@ -155,16 +147,25 @@ class MaterializedView:
                 # values that left the store: both start over.
                 self.images.reset("catalog_bloat")
                 image = self.images.at(version, graph)
-            # GraphLog plans read the active domain (``node``); a Datalog
+            # λ's programs read the active domain (``node``); a Datalog
             # request evaluates against the raw EDB, and so does its view.
-            self.state = self.maintenance.evaluate(
-                image.prepared if self.plan.op == "graphlog" else image.database
-            )
+            edb = image.database if self.plan.op == "datalog" else image.prepared
+            # A relation the program reads at another arity than the store
+            # holds it (an RPQ label over edges with label arguments).
+            program = self.definition.program
+            misread = [p for p in program.edb_predicates
+                       if p in edb and edb.arity_of(p) != program.arity_of(p)]
+            if misread and self.state is not None:
+                raise ArityError(f"the view misreads relations {misread}")
+            if misread:  # found only now: the view diffs instead
+                self.maintenance = None
+                self.fallback_reason = f"the store holds {misread} at other arities"
+        if self.maintenance is not None:
+            self.state = self.maintenance.evaluate(edb)
             self._refs = domain_refs(image.database)
             self._dead = set()
         else:
             self._rows = self.plan.evaluate(graph, image, self.eval_params)
-            self.predicates = tuple(sorted(set(self.predicates) | set(self._rows)))
             self.diff_refreshes += 1
         self.version = version
 
@@ -188,19 +189,15 @@ class MaterializedView:
                 stats = self._maintain(delta)
             except Exception:
                 self.maintenance_errors += 1
-                logger.exception(
-                    "maintenance of view %s failed; re-evaluating instead",
-                    self.plan.fingerprint[:12],
-                )
+                logger.exception("maintenance of view %s failed; re-evaluating instead",
+                                 self.plan.fingerprint[:12])
                 # The pass may have left the state half-updated: restore the
                 # answer the subscribers hold, then diff as below.
                 try:
                     self.refresh(record.version - 1)
                 except Exception as exc:  # noqa: BLE001 — e.g. history truncated
                     self.refresh(record.version)
-                    raise ViewReset(
-                        f"view re-materialized at version {record.version}"
-                    ) from exc
+                    raise ViewReset(f"view re-materialized at version {record.version}") from exc
             else:
                 self.version = record.version
                 if catalog_bloated(self._dead, self._refs):
@@ -235,7 +232,7 @@ class MaterializedView:
         sets are handed over as they are (``maintain`` encodes them once); a
         value's domain fact appears with its first occurrence in the EDB and
         disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)
-        — for a GraphLog plan, whatever the delta says of facts named like
+        — for a λ program, whatever the delta says of facts named like
         the domain relation (a node label ``node``): the prepared EDB's
         domain relation is the active domain, which holds their values."""
         delta_plus = dict(delta.insertions)
@@ -243,7 +240,7 @@ class MaterializedView:
         entered, left = fold_domain_refs(self._refs, delta)
         self._dead |= left
         self._dead -= entered
-        if self.plan.op == "graphlog":
+        if self.plan.op != "datalog":
             delta_plus[DOMAIN_PREDICATE] = {(value,) for value in entered}
             delta_minus[DOMAIN_PREDICATE] = {(value,) for value in left}
         stats = self.maintenance.maintain(

@@ -14,16 +14,17 @@ to the new version and stays servable (counted as ``delta_reuse_hits``);
 intersecting (or footprint unknown) → the entry is dropped.
 
 A *maintained* entry pins a shared
-:class:`~repro.ham.views.MaterializedView` instead, which the same hook
-advances first: unchanged → re-stamped, changed → its new answer's bytes
-replace the old.  Admission is decided by the module constants: a key is
-promoted on its first miss after a commit dropped it, demoted — for good —
-when a pass costs more than re-evaluating, and maintained entries are
-evicted LRU-first beyond :data:`MAINTAINED_ROW_BUDGET` rows of view state.
-An entry leaving the cache hands its view back through
-:meth:`ResultCache.take_released`, for the manager to unpin under its own
-lock.  :meth:`ResultCache.lookup` answers a request with the entry, or with
-why there is none: :data:`BEHIND`, :data:`PROMOTE` or :data:`MISS`.
+:class:`~repro.ham.views.MaterializedView` instead, read under the entry's
+own relation names, which the same hook advances first: unchanged →
+re-stamped, changed → its new answer's bytes replace the old.  Admission is
+decided by the module constants: a key is promoted on its first miss after
+a commit dropped it, demoted — for good — when a pass costs more than
+re-evaluating, and maintained entries are evicted LRU-first beyond
+:data:`MAINTAINED_ROW_BUDGET` rows of view state.  An entry leaving the
+cache hands its pin back through :meth:`ResultCache.take_released`, for the
+manager to unpin under its own lock.  :meth:`ResultCache.lookup` answers a
+request with the entry, or with why there is none: :data:`BEHIND`,
+:data:`PROMOTE` or :data:`MISS`.
 
 Parameter normalization is type-tagged: ``{"limit": 1}``, ``{"limit": "1"}``
 and ``{"limit": True}`` produce three distinct keys (plain ``str(v)``
@@ -37,11 +38,12 @@ from collections import OrderedDict
 
 from repro import obs
 
-#: Rows of view state (every relation a maintained view keeps) the
-#: maintained entries may hold together; the least recently used beyond it
-#: are evicted.  Each 1 600-row closure view of the benchmark's hot pool
-#: holds 4 752 rows in ~1.2 MB (tracemalloc): the budget keeps its four and
-#: one more.
+#: Rows of view state (every relation a view keeps, EDB copies included) the
+#: maintained entries' views may hold together, each view counted once; the
+#: least recently used entries beyond it are evicted.  The benchmark's hot
+#: pool pins ~14 800: its four alpha-renamed closures share one 4 755-row
+#: view, and each of its twelve one-leg RPQs holds ~840 (800 of them its
+#: ``from``/``to`` copies).  The budget keeps that and two more closures.
 MAINTAINED_ROW_BUDGET = 24_576
 
 #: A key's admission marks: a commit dropped its plain entry (its next miss
@@ -77,10 +79,7 @@ def _canonical(value):
     if isinstance(value, (set, frozenset)):
         return ("set", tuple(sorted(_canonical(v) for v in value)))
     if isinstance(value, dict):
-        return (
-            "map",
-            tuple(sorted((str(k), _canonical(v)) for k, v in value.items())),
-        )
+        return ("map", tuple(sorted((str(k), _canonical(v)) for k, v in value.items())))
     return ("repr", type(value).__name__, repr(value))
 
 
@@ -91,28 +90,26 @@ def result_key(fingerprint, params):
     as a stamp so the commit hook can re-stamp still-valid answers instead
     of orphaning them under a dead key.
     """
-    normalized = tuple(
-        sorted((str(k), _canonical(v)) for k, v in (params or {}).items())
-    )
-    return (fingerprint, normalized)
+    return (fingerprint, tuple(sorted((str(k), _canonical(v)) for k, v in (params or {}).items())))
 
 
 class Entry:
     """One cached answer: *encoded*, the wire bytes of its ``result`` object
     — its only representation, spliced by a network hit and decoded by an
     in-process one — its row *count*, the *version* stamp, the plan's
-    *footprint* and, for a maintained entry, the *view* it pins.  The
-    envelope is never encoded, so the bytes stay valid when a commit
-    re-stamps *version*."""
+    *footprint* and, for a maintained entry, its *pin* ``(view, names,
+    idb)``: the view it answers from, read under *names* by a program with
+    IDB predicates *idb*.  The envelope is never encoded, so the bytes stay
+    valid when a commit re-stamps *version*."""
 
-    __slots__ = ("encoded", "count", "version", "footprint", "view")
+    __slots__ = ("encoded", "count", "version", "footprint", "pin")
 
-    def __init__(self, encoded, count, version, footprint, view=None):
+    def __init__(self, encoded, count, version, footprint, pin=None):
         self.encoded = encoded
         self.count = count
         self.version = version
         self.footprint = footprint
-        self.view = view
+        self.pin = pin
 
 
 class ResultCache:
@@ -127,7 +124,7 @@ class ResultCache:
         self._lock = threading.Lock()
         #: key -> _DROPPED / _DEMOTED, oldest first, at most *capacity* keys.
         self._marks = OrderedDict()
-        #: Views of maintained entries that left the cache, to unpin.
+        #: Pins of maintained entries that left the cache, to unpin.
         self._released = []
         self.hits = 0
         self.misses = 0
@@ -156,7 +153,7 @@ class ResultCache:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return entry
-                if entry is not None and entry.view is not None:
+                if entry is not None and entry.pin is not None:
                     found = BEHIND if entry.version < version else MISS
                 else:
                     found = PROMOTE if self._marks.get(key) == _DROPPED else MISS
@@ -167,31 +164,31 @@ class ResultCache:
                     return found
             wait(version)
 
-    def put(self, key, encoded, count, version, footprint=None, view=None):
+    def put(self, key, encoded, count, version, footprint=None, pin=None):
         """Cache the *encoded* answer of *count* rows computed at *version* by
         a plan reading *footprint*, the predicates the answer depends on
         (``None``: unknown, which every later commit treats as intersecting).
 
-        With *view* the entry is maintained: the commit hook keeps it equal
-        to that (pinned) view's answer, so a plain put never replaces it.
-        Admitting one evicts the least recently used other maintained
-        entries while their views hold more than :data:`MAINTAINED_ROW_BUDGET`
-        rows.  Returns the entry stored (None when refused)."""
+        With *pin* the entry is maintained: the commit hook keeps it equal
+        to that pinned view's answer, so a plain put never replaces it.
+        Admitting one evicts the least recently used entries pinning other
+        views while the views pinned hold more than
+        :data:`MAINTAINED_ROW_BUDGET` rows.  Returns the entry stored (None
+        when refused)."""
         with self._lock:
             old = self._entries.get(key)
-            if old is not None and old.view is not None:
-                if view is None:
+            if old is not None and old.pin is not None:
+                if pin is None:
                     return None
-                self._released.append(old.view)
-            entry = self._entries[key] = Entry(encoded, count, version, footprint, view)
+                self._released.append(old.pin)
+            entry = self._entries[key] = Entry(encoded, count, version, footprint, pin)
             self._entries.move_to_end(key)
-            if view is not None:
+            if pin is not None:
                 self.promotions += 1
-                held = self._maintained_rows()
-                for other in [k for k, e in self._entries.items() if e.view is not None]:
-                    if held <= MAINTAINED_ROW_BUDGET or other == key:
+                others = [k for k, e in self._entries.items() if e.pin and e.pin[0] is not pin[0]]
+                for other in others:
+                    if self._maintained_rows() <= MAINTAINED_ROW_BUDGET:
                         break
-                    held -= self._entries[other].view.held_rows()
                     self._evict(other)
             while len(self._entries) > self.capacity:
                 self._evict(next(iter(self._entries)))
@@ -199,8 +196,8 @@ class ResultCache:
 
     def _evict(self, key):
         entry = self._entries.pop(key)
-        if entry.view is not None:
-            self._released.append(entry.view)
+        if entry.pin is not None:
+            self._released.append(entry.pin)
             self._marks.pop(key, None)
         self.evictions += 1
 
@@ -211,7 +208,8 @@ class ResultCache:
             self._marks.popitem(last=False)
 
     def _maintained_rows(self):
-        return sum(e.view.held_rows() for e in self._entries.values() if e.view is not None)
+        """Rows the pinned views hold, each view once."""
+        return sum(view.held_rows() for view in {e.pin[0] for e in self._entries.values() if e.pin})
 
     def apply_commit(self, version, touched, answers=None):
         """Re-stamp, re-encode or drop entries after a commit.
@@ -226,41 +224,38 @@ class ResultCache:
         never cleared it against (a put racing a commit) and cannot be
         proven fresh.
 
-        *answers* maps each view a maintained entry pins, advanced past this
-        commit, to None (unchanged: the entry is re-stamped to the view's
-        version) or ``(encoded, count)``, its new answer.  A maintained
-        entry whose view it lacks is demoted: dropped, its key never
-        promoted again.
+        *answers* maps each pin ``(view, names, idb)`` of an entry, its
+        view advanced past this commit, to None (unchanged: the entry is
+        re-stamped to the view's version) or ``(encoded, count)``, its new
+        answer under *names*.  A maintained entry whose pin it lacks is
+        demoted: dropped, its key never promoted again.
         """
         answers = answers or {}
         with obs.span(
             "cache.apply_commit",
-            version=version,
-            touched=sorted(touched) if touched is not None else None,
+            version=version, touched=sorted(touched) if touched is not None else None,
         ) as span:
             with self._lock:
-                dead = []
-                demoted = []
-                changed = []
+                dead, demoted, changed = [], [], []
                 restamped = 0
                 for key, entry in self._entries.items():
-                    view = entry.view
-                    if view is not None and view not in answers:
+                    pin = entry.pin
+                    if pin is not None and pin not in answers:
                         demoted.append(key)
-                    elif view is not None and answers[view] is not None:
+                    elif pin is not None and answers[pin] is not None:
                         # A new entry, not new fields: a reader holding the
                         # old one keeps bytes that match its version.
-                        encoded, count = answers[view]
+                        encoded, count = answers[pin]
                         changed.append(
-                            (key, Entry(encoded, count, view.version, entry.footprint, view))
+                            (key, Entry(encoded, count, pin[0].version, entry.footprint, pin))
                         )
-                    elif view is not None or (
+                    elif pin is not None or (
                         touched is not None
                         and entry.footprint is not None
                         and entry.version == version - 1
                         and not (entry.footprint & touched)
                     ):
-                        entry.version = version if view is None else view.version
+                        entry.version = version if pin is None else pin[0].version
                         self.delta_reuse_hits += 1
                         restamped += 1
                     else:
@@ -272,24 +267,24 @@ class ResultCache:
                     if self._marks.get(key) != _DEMOTED:
                         self._mark(key, _DROPPED)
                 for key in demoted:
-                    self._released.append(self._entries.pop(key).view)
+                    self._released.append(self._entries.pop(key).pin)
                     self._mark(key, _DEMOTED)
                 self.invalidations += len(dead)
                 self.demotions += len(demoted)
                 span.annotate(restamped=restamped, dropped=len(dead), demoted=len(demoted))
 
     def take_released(self):
-        """The views of maintained entries that left the cache since the
-        last call — each once per entry that pinned it."""
+        """The pins ``(view, names, idb)`` of maintained entries that left the
+        cache since the last call — one per entry."""
         with self._lock:
             released, self._released = self._released, []
             return released
 
     def clear(self):
         """Drop every entry and mark (a version regression makes all of
-        them meaningless); maintained entries release their views."""
+        them meaningless); maintained entries release their pins."""
         with self._lock:
-            self._released += [e.view for e in self._entries.values() if e.view is not None]
+            self._released += [e.pin for e in self._entries.values() if e.pin is not None]
             self._entries.clear()
             self._marks.clear()
 
@@ -305,7 +300,7 @@ class ResultCache:
                 "delta_reuse_hits": self.delta_reuse_hits,
                 "encoded_entries": len(self._entries),
                 "encoded_bytes": sum(len(e.encoded) for e in self._entries.values()),
-                "maintained": sum(e.view is not None for e in self._entries.values()),
+                "maintained": sum(e.pin is not None for e in self._entries.values()),
                 "maintained_rows": self._maintained_rows(),
                 "promotions": self.promotions,
                 "demotions": self.demotions,

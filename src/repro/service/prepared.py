@@ -24,8 +24,11 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
-from repro.errors import ProtocolError
+from repro.datalog.ast import Literal
+from repro.datalog.terms import Variable
+from repro.errors import ProtocolError, RegexError
 from repro.service import protocol
+from repro.service.cache import result_key
 
 _COMMENT = re.compile(r"[%#][^\n]*")
 _WHITESPACE = re.compile(r"\s+")
@@ -40,6 +43,68 @@ def fingerprint(op, text):
     """The plan key: SHA-256 over the op and the normalized query text."""
     payload = f"{op}\x00{normalize(text)}".encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+class ViewDefinition:
+    """What a maintained view of one plan under one set of params holds.
+
+    ``program`` derives ``predicates``, the relations the plan answers.
+    Without a program the plan has no maintained view — ``reason`` says
+    why — and a view of it re-evaluates the plan and diffs.  ``key`` names
+    the view in the subscription manager's table: for a program,
+    :func:`canonical_view`'s key and ``idb``, the program's IDB predicates
+    — every copy that differs only in those names has the same ``key[0]``;
+    otherwise the plan's result key.
+    """
+
+    __slots__ = ("key", "program", "predicates", "idb", "reason")
+
+    def __init__(self, key, predicates, program=None, reason=None):
+        self.idb = frozenset(program.idb_predicates if program is not None else ())
+        self.key = key if program is None else (key, self.idb)
+        self.program = program
+        self.predicates = tuple(predicates)
+        self.reason = reason
+
+
+def canonical_view(program, predicates, raw_edb):
+    """``(key, predicates)``: *program* up to a renaming of its IDB
+    predicates (numbered in order of first occurrence) and of each rule's
+    variables, plus the numbers of *predicates*, which come back in that
+    order.  Two programs with one key compute the same relations over the
+    same EDB — *raw_edb* is whether that is the database as stored (a
+    Datalog request's) or with the active domain as ``node`` (λ's) — as
+    long as it holds no facts under their IDB names, which each reads as
+    base facts of those relations.  Constants keep their type, so ``1`` and
+    ``True`` never share a key."""
+    idb = program.idb_predicates
+    numbers = {}
+
+    def predicate(name):
+        return numbers.setdefault(name, len(numbers)) if name in idb else name
+
+    rules = []
+    for rule in program:
+        variables = {}
+
+        def term(t):
+            if isinstance(t, Variable):
+                return (t.is_anonymous, variables.setdefault(t.name, len(variables)))
+            return (type(t.value).__name__, t.value)
+
+        def atom(a):
+            return (predicate(a.predicate), tuple(map(term, a.args)))
+
+        head = atom(rule.head)
+        body = tuple(
+            (e.positive, atom(e.atom))
+            if isinstance(e, Literal)
+            else (type(e).__name__, e.op, *(term(getattr(e, s)) for s in e.__slots__ if s != "op"))
+            for e in rule.body
+        )
+        rules.append((head, body))
+    ordered = tuple(sorted(predicates, key=predicate))
+    return ("view", raw_edb, tuple(rules), tuple(map(predicate, ordered))), ordered
 
 
 class PreparedQuery:
@@ -182,6 +247,69 @@ class PreparedQuery:
             targets = evaluator.targets(self.regex, source)
             return {"answers": {(t,) for t in targets}}
         return {"answers": evaluator.pairs(self.regex)}
+
+    # ---------------------------------------------------------------- views
+
+    def view(self, params):
+        """The :class:`ViewDefinition` of a view answering this plan under
+        *params*.  An RPQ's program is built here, and only here: a plain
+        miss runs the automaton search and never pays for λ."""
+        if self.has_summaries:
+            return self._no_view(params, "aggregation/summarization is not maintainable")
+        if self.op != "rpq":
+            program, predicates = self.program, self.requested_predicates(params)
+        else:
+            try:
+                program, predicates = self._rpq_program(params.get("source"))
+            except RegexError as why:
+                return self._no_view(params, f"the path expression has no view: {why}")
+        return ViewDefinition(*canonical_view(program, predicates, self.op == "datalog"), program)
+
+    def _no_view(self, params, reason):
+        predicates = ("answers",) if self.op == "rpq" else self.requested_predicates(params)
+        return ViewDefinition(result_key(self.fingerprint, params), predicates, reason=reason)
+
+    def _rpq_program(self, source):
+        """``(program, ("answers",))``: λ of the one-edge query whose label
+        is this RPQ's p.r.e.; for a bound *source*, magic-rewritten for it,
+        with the magic seed and — when the expression is nullable — the
+        empty path from *source* as program facts, so the program holds
+        *source*'s reach set alone.  Raises ``RegexError`` for an RPQ λ
+        would answer differently."""
+        from repro.core.pre import regex_to_pre
+        from repro.core.query_graph import GraphicalQuery, QueryGraph
+        from repro.core.translate import DOMAIN_PREDICATE, translate
+        from repro.datalog.ast import Atom, Literal, Program, Rule
+        from repro.datalog.magic import magic_rewrite
+        from repro.datalog.terms import Constant, Variable
+
+        pre = regex_to_pre(self.regex)
+        head = "answers"
+        reserved = {DOMAIN_PREDICATE, head} & {label for label, _ in self.regex.symbols()}
+        if reserved:
+            raise RegexError(f"labels {sorted(reserved)} name relations λ reserves")
+        nullable = DOMAIN_PREDICATE in self.footprint
+        if nullable and source is None:
+            raise RegexError(
+                "it is nullable, and λ pairs the active domain with itself "
+                "where the automaton pairs every graph node, isolated ones too"
+            )
+        graph = QueryGraph()
+        graph.edge("X", "Y", pre)
+        graph.distinguished("X", "Y", head)
+        program = translate(GraphicalQuery([graph]))
+        if source is None:
+            return program, (head,)
+        source, target = Constant(source), Variable("Y")
+        magic = magic_rewrite(program, Atom(head, (source, target)))
+        rules = magic.program.rules + [
+            Rule(Atom(magic.seed_predicate, tuple(map(Constant, magic.seed_values)))),
+            Rule(Atom(head, (target,)), (Literal(Atom(magic.answer_predicate, (source, target))),)),
+        ]
+        if nullable:
+            rules.append(Rule(Atom(head, (source,))))
+        # The rewrite emits one magic rule per occurrence of a subgoal.
+        return Program(list(dict.fromkeys(rules))), (head,)
 
     def requested_predicates(self, params):
         """The predicates a request (or a view) under *params* answers for."""

@@ -44,7 +44,6 @@ from repro.errors import (
 )
 from repro.ham.image import StoreImages
 from repro.ham.store import HAMStore, new_epoch
-from repro.ham.views import fallback_reason
 from repro.obs import context as trace_context
 from repro.obs import logs
 from repro.obs.metrics import MetricFamily, table_families
@@ -523,7 +522,7 @@ class QueryService:
             "result": {
                 "subscription": sub.id,
                 "snapshot": protocol.relations_to_wire(snapshot),
-                "predicates": sorted(view.predicates),
+                "predicates": sorted(snapshot),
                 "mode": view.mode,
                 "fallback_reason": view.fallback_reason,
                 "policy": sub.policy,
@@ -683,12 +682,12 @@ class QueryService:
                 ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
             ):
                 image = self._edb_for(plan, version, graph, phases)
-                if found is PROMOTE and fallback_reason(plan) is None:
+                if found is PROMOTE:
                     # The first miss after a commit dropped this answer: it
                     # becomes a maintained entry, evaluated once, by its
-                    # view's refresh (and encoded with it).
+                    # view's refresh (and encoded with it) — if it has one.
                     entry = self.subs.pin(plan, params)
-                else:
+                if entry is None:
                     relations = plan.evaluate(graph, image, params)
             t3 = time.perf_counter()
             phases.append(("evaluate", t3 - t2))

@@ -9,15 +9,16 @@ the counting/DRed maintenance engine, not by re-evaluation.
 
 Three pieces (see docs/SUBSCRIPTIONS.md):
 
-- a **shared-view registry** keyed by prepared-plan fingerprint + params:
-  the view is materialized on the first subscriber and torn down on the
-  last unsubscribe, so 10k subscribers to one query cost exactly one
-  maintenance pass per commit;
+- a **shared-view registry** keyed by the view program up to a renaming
+  of its IDB predicates (an RPQ's is its magic-seeded λ): the view is
+  materialized on the first subscriber and torn down on the last
+  unsubscribe, so 10k subscribers to one query, or to renamed copies of
+  it, cost exactly one maintenance pass per commit;
 - **per-subscription backpressure**: bounded outbound queues with explicit
   overflow policies — ``resync`` (drop queued deltas, send a fresh
   snapshot instead; deltas are never silently skipped) or ``disconnect``;
-- **non-maintainable queries** (aggregation/summarization, RPQ) are
-  rejected with a typed ``not_maintainable`` error unless the subscriber
+- **non-maintainable queries** (aggregation/summarization, and the RPQs
+  λ would answer differently) are rejected with a typed ``not_maintainable`` error unless the subscriber
   opts into the documented diff-based fallback (re-evaluate per commit,
   set-diff against the previous answer).
 """

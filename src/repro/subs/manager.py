@@ -1,12 +1,14 @@
 """The subscription manager: shared views, delta fanout, backpressure.
 
 The manager's view table is the service's one table of long-lived answers:
-one :class:`~repro.ham.views.MaterializedView` per plan + params, under the
-result cache's key for them, held by a reference count — its subscriptions,
-plus a pin from at most one maintained result-cache entry
-(:meth:`SubscriptionManager.pin`).  A view nobody holds leaves the table and
-is maintained no more; so does one whose pass raised, after its
-subscribers are sent a ``closed`` frame (reason ``error``).
+one :class:`~repro.ham.views.MaterializedView` per view program, under its
+:class:`~repro.service.prepared.ViewDefinition` key, held by its
+subscriptions and the maintained result-cache entries pinning it
+(:meth:`SubscriptionManager.pin`) — an entry's plan may be a copy of the
+program under other IDB names, read under its own names, while the store
+holds facts under neither's.  A view nobody holds leaves the table and is
+maintained no more; so does one whose pass raised, after its subscribers
+are sent a ``closed`` frame (``error``).
 
 Threading model: the store delivers every commit record to
 :meth:`SubscriptionManager._on_commit` — the service's only commit hook —
@@ -23,12 +25,12 @@ delivery happens on the connection's sender task, which calls
 
 A *sink* is the manager's handle for one client connection: any object
 usable as a dict key with a ``notify()`` method that is safe to call from
-commit threads.  The network server backs it with
-``loop.call_soon_threadsafe``; tests use a plain object with an event.
+commit threads (the server's calls ``loop.call_soon_threadsafe``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 import time
@@ -71,29 +73,24 @@ _FAMILIES = (
 )
 
 
-def _require_maintainable(view, allow_fallback):
-    if view.fallback_reason is not None and not allow_fallback:
+def _require_maintainable(reason, allow_fallback):
+    if reason is not None and not allow_fallback:
         raise NotMaintainable(
-            "this query has no incrementally maintainable view: "
-            f"{view.fallback_reason} (pass allow_fallback to "
-            "subscribe through per-commit re-evaluation)",
-            reason=view.fallback_reason,
+            f"this query has no incrementally maintainable view: {reason} (pass "
+            "allow_fallback to subscribe through per-commit re-evaluation)",
+            reason=reason,
         )
+
+
+def _renamed(relations, view, names):
+    """*relations* of *view* under *names*, one per its predicate."""
+    return {new: relations[old] for old, new in zip(view.predicates, names)}
 
 
 class Subscription:
     """One subscriber: a bounded outbound frame queue on one sink."""
 
-    __slots__ = (
-        "id",
-        "view",
-        "sink",
-        "queue_max",
-        "policy",
-        "pending",
-        "needs_resync",
-        "closed",
-    )
+    __slots__ = ("id", "view", "sink", "queue_max", "policy", "pending", "needs_resync", "closed")
 
     def __init__(self, sub_id, view, sink, queue_max, policy):
         self.id = sub_id
@@ -123,9 +120,9 @@ class SubscriptionManager:
         self.default_queue_max = int(queue_max)
         self.default_policy = policy
         self._lock = threading.Lock()
-        self._views_by_key = {}  # key -> MaterializedView
+        self._views_by_key = {}  # ViewDefinition key -> MaterializedView
         self._watchers = {}  # view -> its subscriptions, for every view in the table
-        self._pins = Counter()  # view -> result-cache entries pinning it
+        self._pins = Counter()  # (view, names, IDB names) -> entries pinning it
         self._subs = {}
         self._by_sink = {}
         self._disconnect_sinks = set()
@@ -153,24 +150,22 @@ class SubscriptionManager:
         has no maintainable view and *allow_fallback* is false.
         """
         if sink is None:
-            raise SubscriptionError(
-                "subscriptions need a streaming connection (no sink)"
-            )
+            raise SubscriptionError("subscriptions need a streaming connection (no sink)")
         policy = policy if policy is not None else self.default_policy
         if policy not in OVERFLOW_POLICIES:
             raise ProtocolError(
-                f"'policy' must be one of {', '.join(OVERFLOW_POLICIES)}, "
-                f"got {policy!r}"
+                f"'policy' must be one of {', '.join(OVERFLOW_POLICIES)}, got {policy!r}"
             )
         if queue_max is None:
             queue_max = self.default_queue_max
         if isinstance(queue_max, bool) or not isinstance(queue_max, int) or queue_max < 1:
-            raise ProtocolError(
-                f"'queue_max' must be a positive integer, got {queue_max!r}"
-            )
+            raise ProtocolError(f"'queue_max' must be a positive integer, got {queue_max!r}")
+
+        definition = plan.view(params)
+        _require_maintainable(definition.reason, allow_fallback)  # before materializing
 
         def attach(shared):
-            _require_maintainable(shared, allow_fallback)
+            _require_maintainable(shared.fallback_reason, allow_fallback)  # the store's arities
             sub = Subscription(self._next_id, shared, sink, queue_max, policy)
             self._next_id += 1
             self._watchers[shared].add(sub)
@@ -180,39 +175,50 @@ class SubscriptionManager:
                 self.metrics.incr("subs.subscribed")
             return sub, shared.snapshot(), shared.version
 
-        return self._with_view(
-            plan, params, attach, lambda view: _require_maintainable(view, allow_fallback)
-        )
+        return self._with_view(plan, params, definition, attach)
 
     def pin(self, plan, params):
-        """Promote the result-cache entry of *plan* under *params*: pin their
-        shared view — materialized first when the table has none, which is
-        this answer's one evaluation — and cache its answer as a maintained
-        entry, which every later commit keeps current.  Returns the entry."""
-        key = result_key(plan.fingerprint, params)
+        """Promote the result-cache entry of *plan* under *params*: pin the
+        shared view of their program (or of a renamed copy) — materialized
+        first when the table has none, this answer's one evaluation — and
+        cache its answer as a maintained entry, which every later commit
+        keeps current.  Returns the entry; None for a plan with no view."""
+        definition = plan.view(params)
+        if definition.reason is not None:
+            return None
 
         def attach(view):
+            if view.maintenance is None:  # the store's arities say no
+                return None
             # Encoded under the lock: the entry's bytes must be the view's
             # answer at the version they are stamped with.
-            encoded, count = protocol.encode_answer(view.snapshot())
-            self._pins[view] += 1
-            return self.results.put(key, encoded, count, view.version, plan.footprint, view=view)
+            names = definition.predicates
+            encoded, count = protocol.encode_answer(_renamed(view.snapshot(), view, names))
+            pin = (view, names, definition.idb)
+            self._pins[pin] += 1
+            return self.results.put(
+                result_key(plan.fingerprint, params), encoded, count, view.version,
+                plan.footprint, pin,
+            )
 
-        return self._with_view(plan, params, attach)
+        return self._with_view(plan, params, definition, attach, renamed=True)
 
-    def _with_view(self, plan, params, attach, check=None):
-        """``attach(view)``, under the lock, on the table's shared view
-        of *plan* under *params*; a missing one is materialized (and
-        ``check``-ed) outside the lock, since a first evaluation can be slow
-        and must not stall commits, then caught up and registered.  A racing
-        duplicate is discarded."""
-        key = result_key(plan.fingerprint, params)
+    def _with_view(self, plan, params, definition, attach, renamed=False):
+        """``attach(view)``, under the lock, on the table's view of
+        *definition* (*plan*'s under *params*) — with *renamed*, on one of a
+        copy of its program if it has none (:meth:`_renamed_locked`).  A
+        missing view is materialized outside the lock, since a first
+        evaluation can be slow and must not stall commits, then caught up
+        and registered; a racing duplicate is discarded."""
+        key = definition.key
         candidate = None
         while True:
             with self._lock:
                 if self._closed:
                     raise SubscriptionError("the subscription manager is closed")
                 shared = self._views_by_key.get(key)
+                if shared is None and renamed and candidate is None:
+                    shared = self._renamed_locked(definition)
                 if shared is None and candidate is not None:
                     self._catch_up_locked(candidate)
                     shared = self._views_by_key[key] = candidate
@@ -223,9 +229,7 @@ class SubscriptionManager:
                     finally:
                         self._drop_unheld_locked(shared)
                         self._unpin_released_locked()  # what a pin's admission evicted
-            candidate = MaterializedView(plan, self.images, params)
-            if check is not None:
-                check(candidate)
+            candidate = MaterializedView(plan, self.images, params, definition)
             candidate.refresh()
 
     def unsubscribe(self, sub_id, sink):
@@ -233,9 +237,7 @@ class SubscriptionManager:
         with self._lock:
             sub = self._subs.get(sub_id)
             if sub is None or sub.sink is not sink:
-                raise SubscriptionError(
-                    f"no subscription {sub_id!r} on this connection"
-                )
+                raise SubscriptionError(f"no subscription {sub_id!r} on this connection")
             self._remove_locked(sub)
             if self.metrics is not None:
                 self.metrics.incr("subs.unsubscribed")
@@ -263,19 +265,33 @@ class SubscriptionManager:
     def _drop_unheld_locked(self, view):
         """Tear *view* down once nothing holds it — no subscriber, no
         result-cache pin — and with it its maintenance pass."""
-        if view in self._watchers and not self._watchers[view] and not self._pins[view]:
+        if view in self._watchers and not self._watchers[view] and not self._pinned(view):
             del self._watchers[view]
-            del self._views_by_key[result_key(view.plan.fingerprint, view.eval_params)]
+            del self._views_by_key[view.definition.key]
+
+    def _renamed_locked(self, definition):
+        """A view of *definition*'s program under other IDB names, if the
+        store holds facts under neither's: each reads those as base facts."""
+        image = None
+        for (shape, idb), view in self._views_by_key.items():
+            if shape == definition.key[0]:
+                image = image or self.images.at(*self.store.snapshot_versioned())
+                if not any(map(image.database.count, idb | definition.idb)):
+                    return view
+        return None
+
+    def _pinned(self, view):
+        """``{(names, IDB names): count}`` of the entries pinning *view*."""
+        return {pin[1:]: n for pin, n in self._pins.items() if pin[0] is view}
 
     def _unpin_released_locked(self):
         """Unpin the views of maintained entries that left the result cache."""
         if self.results is None:
             return
-        for view in self.results.take_released():
-            self._pins[view] -= 1
-            if self._pins[view] <= 0:
-                del self._pins[view]
-            self._drop_unheld_locked(view)
+        released = self.results.take_released()
+        self._pins -= Counter(released)  # keeps positive counts only
+        for pin in released:
+            self._drop_unheld_locked(pin[0])
 
     def _catch_up_locked(self, view):
         """Bring a freshly materialized view level with the views already
@@ -301,37 +317,33 @@ class SubscriptionManager:
         not told about is demoted)."""
         sinks = set()
         answers = {}
+        delta = record.delta
+        touched = delta.touched_predicates(DOMAIN_PREDICATE) if delta is not None else None
         with self._lock:
             self._unpin_released_locked()
             try:
                 if self._views_by_key:
-                    self._dispatch_locked(record, sinks, answers)
+                    self._dispatch_locked(record, touched, sinks, answers)
             finally:
                 if self.results is not None:
-                    delta = record.delta
-                    touched = (
-                        delta.touched_predicates(DOMAIN_PREDICATE) if delta is not None else None
-                    )
                     self.results.apply_commit(record.version, touched, answers)
                     self._unpin_released_locked()
         self._notify(sinks)
 
-    def _dispatch_locked(self, record, sinks, answers):
-        """Advance every view past *record*: delta (or resync) frames to its
-        subscribers, collected *sinks* to poke, and in *answers* the new
-        answer of each pinned view (see ``ResultCache.apply_commit``).  A
-        view whose pass raised leaves the table, its subscriptions closed
-        with reason ``error`` and its pinned entry demoted; the others still
-        apply the record."""
+    def _dispatch_locked(self, record, touched, sinks, answers):
+        """Advance every view past *record*, which *touched* those predicates
+        (None: unknown): delta (or resync) frames to its subscribers,
+        collected *sinks* to poke, and in *answers* the new answer of each
+        pin (see ``ResultCache.apply_commit``).  A view whose pass raised
+        leaves the table, its subscriptions closed with reason ``error`` and
+        its pinned entries demoted; the others still apply the record."""
         ambient = trace_context.current()
         trace_id = ambient.trace_id if ambient is not None else None
         now = time.monotonic()
         failed = []
         with obs.span(
             "subs.dispatch",
-            version=record.version,
-            views=len(self._views_by_key),
-            subscribers=len(self._subs),
+            version=record.version, views=len(self._views_by_key), subscribers=len(self._subs),
         ):
             for view, watchers in self._watchers.items():
                 try:
@@ -344,20 +356,25 @@ class SubscriptionManager:
                 except Exception:  # noqa: BLE001 — one view must not stall the rest
                     logger.exception(
                         "view %s failed at version %d; closing its subscriptions",
-                        view.plan.fingerprint[:12],
-                        record.version,
+                        view.plan.fingerprint[:12], record.version,
                     )
                     failed.append(view)
                     continue
                 # A pass that overdeleted plus rederived more rows than the
-                # view holds cost more than evaluating afresh: its entry is
-                # demoted by being left out.
-                if self._pins[view] and view.churn <= view.held_rows():
-                    answers[view] = (
-                        protocol.encode_answer(view.snapshot())
-                        if changed is not None or reset
-                        else None
-                    )
+                # view holds cost more than evaluating afresh: its entries
+                # are demoted by being left out — and so is an entry under
+                # other IDB names once the commit touched those or the view's.
+                pinned = self._pinned(view)
+                if pinned and view.churn <= view.held_rows():
+                    own = view.definition.idb
+                    snapshot = view.snapshot() if changed is not None or reset else None
+                    for names, idb in pinned:
+                        if idb != own and (touched is None or touched & (idb | own)):
+                            continue
+                        answers[view, names, idb] = (
+                            None if snapshot is None
+                            else protocol.encode_answer(_renamed(snapshot, view, names))
+                        )
                 if changed is None or not watchers:
                     continue
                 # The row payload is shared across the fanout: one wire
@@ -380,7 +397,7 @@ class SubscriptionManager:
             for sub in self._watchers.pop(view):
                 self._close_locked(sub, "error", now)
                 sinks.add(sub.sink)
-            del self._views_by_key[result_key(view.plan.fingerprint, view.eval_params)]
+            del self._views_by_key[view.definition.key]
 
     # -------------------------------------------------------- backpressure
 
@@ -492,18 +509,18 @@ class SubscriptionManager:
             self._subs.clear()
             self._by_sink.clear()
             self._disconnect_sinks.clear()
-        try:
+        with contextlib.suppress(ValueError):  # already detached
             self.store.unsubscribe(self._on_commit)
-        except ValueError:  # pragma: no cover - already detached
-            pass
 
     # --------------------------------------------------------------- stats
 
     def stats(self):
         with self._lock:
+            # Named by the query and the params that materialized the view.
             views = {
-                view.plan.fingerprint[:12]: dict(
-                    view.stats(), subscribers=len(subs), pins=self._pins[view]
+                view.plan.fingerprint[:12]
+                + "".join(f" {k}={v}" for k, v in sorted(view.eval_params.items())): dict(
+                    view.stats(), subscribers=len(subs), pins=sum(self._pinned(view).values())
                 )
                 for view, subs in self._watchers.items()
             }
@@ -517,16 +534,10 @@ class SubscriptionManager:
                 "resyncs": self.resyncs,
                 "disconnects": self.disconnects,
                 "forced_resyncs": self.forced_resyncs,
-                "maintenance_passes": sum(
-                    v["maintenance_passes"] for v in views.values()
-                ),
+                "maintenance_passes": sum(v["maintenance_passes"] for v in views.values()),
                 "diff_refreshes": sum(v["diff_refreshes"] for v in views.values()),
-                "push_p50_ms": round(self.push_latency.quantile(0.5) * 1000.0, 3)
-                if self.push_latency.count
-                else None,
-                "push_p99_ms": round(self.push_latency.quantile(0.99) * 1000.0, 3)
-                if self.push_latency.count
-                else None,
+                **{f"push_p{q}_ms": round(self.push_latency.quantile(q / 100) * 1000.0, 3)
+                   if self.push_latency.count else None for q in (50, 99)},
                 "views": views,
             }
 
@@ -536,9 +547,7 @@ class SubscriptionManager:
         with self._lock:
             latency = self.push_latency.copy()
         overflow = MetricFamily(
-            "repro_subs_overflow_total",
-            "counter",
-            "Subscription queue overflows by policy outcome",
+            "repro_subs_overflow_total", "counter", "Subscription queue overflows by policy outcome"
         )
         overflow.add_sample(stats["resyncs"], {"policy": "resync"})
         overflow.add_sample(stats["disconnects"], {"policy": "disconnect"})
@@ -546,8 +555,7 @@ class SubscriptionManager:
             *table_families(_FAMILIES, [(None, stats)]),
             overflow,
             MetricFamily(
-                "repro_subs_push_latency_seconds",
-                "histogram",
+                "repro_subs_push_latency_seconds", "histogram",
                 "Enqueue-to-drain latency of pushed frames",
             ).add_histogram(latency),
         ]

@@ -6,9 +6,11 @@ recursive, a negated and an aggregate (diff-fallback) query: a
 subscription's accumulated delta frames, the maintained view's rows, a
 fresh ``graphlog`` request (result cache and delta re-stamping included),
 the answer a maintained result-cache entry serves, and ``Engine("naive")``
-over ``store.graph_at(version)`` from scratch.  The tests after it race a
-maintained entry's life — promotion, eviction, the wait for an in-flight
-dispatch, a replica re-bootstrap — against commits.
+over ``store.graph_at(version)`` from scratch.  RPQs get the same
+treatment, a replica's plain and ``min_version`` reads included, against
+both the automaton search and the naive walk of their λ.  The tests after
+it race a maintained entry's life — promotion, eviction, the wait for an
+in-flight dispatch, a replica re-bootstrap — against commits.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ import pytest
 
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
+from repro.core.pre import regex_to_pre
+from repro.core.query_graph import GraphicalQuery, QueryGraph
 from repro.graphs.bridge import EdgeLabel
 from repro.ham import views as views_module
 from repro.ham.store import HAMStore
+from repro.rpq.automaton import compile_regex
+from repro.rpq.evaluate import RPQEvaluator
+from repro.rpq.regex import parse_regex
 from repro.service.cache import result_key
 from repro.service.server import QueryService, ServiceConfig
 
@@ -124,7 +131,7 @@ def test_every_path_agrees_at_every_version(seed):
                 rows = wire_rows(response["result"]["relations"].get(name, ()))
                 fresh.setdefault(response["version"], {})[name] = rows
                 entry = service.results._entries.get(keys[name])
-                if response["cache"] == "hit" and entry is not None and entry.view is not None:
+                if response["cache"] == "hit" and entry is not None and entry.pin is not None:
                     maintained.setdefault(response["version"], {})[name] = rows
 
         errors = []
@@ -178,6 +185,155 @@ def test_every_path_agrees_at_every_version(seed):
             view["maintenance_errors"] == 0 for view in stats["subs"]["views"].values()
         )
     finally:
+        service.close()
+
+
+#: name -> (path expression, source or None for every pair).  ``lonely``
+#: starts at a node no edge ever touches: the graph has it, the EDB's
+#: active domain does not.
+RPQS = {
+    "single": ("link+", "n0"),
+    "pairs": ("link fast*", None),
+    "nullable": ("link*", "n1"),
+    "inverted": ("(-link | fast)+", "n2"),
+    "lonely": ("link* fast?", "lonely"),
+}
+
+
+def rpq_oracles(text, source, graph):
+    """The automaton's answer and the naive walker's of λ (plus the empty
+    path, which the walker ranges over the active domain alone)."""
+    regex = parse_regex(text)
+    evaluator = RPQEvaluator(graph)
+    query = QueryGraph()
+    query.edge("X", "Y", regex_to_pre(regex))
+    query.distinguished("X", "Y", "out")
+    pairs = GraphLogEngine("naive").answers(GraphicalQuery([query]), graph, "out")
+    if source is None:
+        return evaluator.pairs(regex), pairs
+    naive = {(y,) for x, y in pairs if x == source}
+    dfa = compile_regex(regex)
+    if dfa.start in dfa.accept:
+        naive.add((source,))
+    return {(t,) for t in evaluator.targets(regex, source)}, naive
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_rpq_path_agrees_at_every_version(seed):
+    store = HAMStore()
+    with store.session().transaction() as txn:
+        for node in NODES + ["lonely"]:
+            txn.add_node(node)
+        txn.add_edge("n0", "n1", EdgeLabel("link"))
+        txn.add_edge("n1", "n2", EdgeLabel("fast"))
+    replica = HAMStore()
+    replica.set_read_only(True)
+    for record in store.records_since(0):
+        replica.apply_replicated(record)
+    service = QueryService(store=store)
+    follower = QueryService(store=replica, config=ServiceConfig(version_wait_ms=10_000))
+    requests = {
+        name: {"op": "rpq", "query": text, **({"source": source} if source else {})}
+        for name, (text, source) in RPQS.items()
+    }
+    try:
+        sink = Sink()
+        accumulated, subscription = {}, {}
+        for name, request in requests.items():
+            response = service.execute({**request, "op": "subscribe", "target": "rpq"}, sink=sink)
+            assert response["result"]["mode"] == "maintained", name
+            subscription[response["result"]["subscription"]] = name
+            accumulated[name] = wire_rows(response["result"]["snapshot"]["answers"])
+        keys = {
+            name: result_key(
+                service.plans.get("rpq", text).fingerprint, {"source": source} if source else {}
+            )
+            for name, (text, source) in RPQS.items()
+        }
+        seen = {}  # (path, version answered at) -> name -> rows
+        errors = []
+
+        def read(path, svc, request, name):
+            try:
+                response = svc.execute(request)
+            except Exception as exc:  # noqa: BLE001 — re-raised by the test
+                errors.append(exc)
+                return
+            version = response["version"]
+            rows = wire_rows(response["result"]["relations"]["answers"])
+            seen.setdefault((path, version), {})[name] = rows
+            entry = svc.results._entries.get(keys[name])
+            if response["cache"] == "hit" and entry is not None and entry.pin is not None:
+                seen.setdefault((f"{path}-maintained", version), {})[name] = rows
+
+        @store.subscribe  # after the service's hooks: the views are at record.version
+        def probe(record):
+            v = record.version
+            routed = [
+                threading.Thread(
+                    target=read,
+                    args=("routed", follower, {**request, "min_version": v}, name),
+                )
+                for name, request in requests.items()
+            ]
+            for thread in routed:  # each waits for v to reach the replica
+                thread.start()
+            replica.apply_replicated(record)
+            for thread in routed:
+                thread.join(10)
+            for name, request in requests.items():
+                read("primary", service, request, name)  # at v, or a later commit's
+                read("replica", follower, request, name)  # at v: only this hook advances it
+
+        threads = [
+            threading.Thread(target=writer, args=(store, 700 + 10 * seed + index, errors))
+            for index in range(WRITERS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        last = 1 + WRITERS * COMMITS
+        assert store.version == replica.version == last
+
+        frames, _ = service.subs.drain(sink)
+        by_version = {}
+        for frame in frames:
+            assert frame["frame"] == "delta"
+            by_version.setdefault(frame["version"], []).append(frame)
+        for version in range(2, last + 1):
+            for frame in by_version.get(version, ()):
+                name = subscription[frame["subscription"]]
+                accumulated[name] -= wire_rows(frame["deleted"].get("answers", ()))
+                accumulated[name] |= wire_rows(frame["inserted"].get("answers", ()))
+            graph = store.graph_at(version)
+            for name, (text, source) in RPQS.items():
+                automaton, naive = rpq_oracles(text, source, graph)
+                where = f"seed={seed} version={version} rpq={name}"
+                assert naive == automaton, where
+                assert accumulated[name] == automaton, where
+                for path in ("replica", "routed"):
+                    assert seen[path, version][name] == automaton, (path, where)
+                for path in ("primary", "primary-maintained", "replica-maintained"):
+                    if name in seen.get((path, version), ()):
+                        assert seen[path, version][name] == automaton, (path, where)
+        # Every RPQ became a maintained entry on both nodes and served reads
+        # from it — unless a pass costlier than its view demoted it for good.
+        for path, svc in (("primary-maintained", service), ("replica-maintained", follower)):
+            served = {name for (p, _v), answers in seen.items() if p == path for name in answers}
+            demoted = {name for name, key in keys.items() if svc.results._marks.get(key) == "demoted"}
+            assert served | demoted == set(RPQS), path
+            stats = svc.stats()
+            assert stats["result_cache"]["maintained"] == len(RPQS) - len(demoted)
+            assert all(v["mode"] == "maintained" for v in stats["subs"]["views"].values())
+            assert all(v["maintenance_errors"] == 0 for v in stats["subs"]["views"].values())
+            assert stats["store"]["subscriber_failures"] == 0
+        assert not errors
+    finally:
+        follower.close()
         service.close()
 
 

@@ -460,10 +460,13 @@ def test_eight_readers_at_u_while_commits_advance_to_u_plus_k():
 
 
 def test_an_rpq_only_service_never_builds_an_image():
+    # Each RPQ is read once: a re-read one would be promoted to a view,
+    # which reads the image like any other (test_service.py).
     service = QueryService(store=HAMStore())
     for i in range(5):
         service.execute({"op": "update", "edges": [[f"a{i}", "e", f"a{i + 1}"]]})
-        response = service.execute({"op": "rpq", "query": "e+", "source": "a0"})
+        query = f"e+ | unused{i}"
+        response = service.execute({"op": "rpq", "query": query, "source": "a0"})
         assert response["cache"] == "miss"
         assert len(response["result"]["relations"]["answers"]) == i + 1
     service.execute({"op": "explain", "target": "rpq", "query": "e+"})

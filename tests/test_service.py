@@ -20,6 +20,7 @@ from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.graphs.bridge import EdgeLabel, graph_from_database
 from repro.ham.store import HAMStore
+from repro.rpq.evaluate import RPQEvaluator
 from repro.service import cache as cache_module
 from repro.service.cache import MISS, PROMOTE, ResultCache, result_key
 from repro.service.client import ServiceClient
@@ -213,6 +214,13 @@ def closure_of(edges):
     ).facts("tc")
 
 
+class _Sink:
+    """A push sink for in-process subscriptions."""
+
+    def notify(self):
+        pass
+
+
 class TestMaintainedEntries:
     """Admission, upkeep and demotion of result-cache entries that pin a
     maintained view (in process; the concurrent paths are in
@@ -255,22 +263,157 @@ class TestMaintainedEntries:
         assert service.results._entries[key] is entry
         assert service.stats()["result_cache"]["delta_reuse_hits"] == 1
 
-    def test_rpq_and_summary_reads_keep_stamp_and_drop(self):
+    def test_summary_reads_keep_stamp_and_drop(self):
         store = HAMStore()
         service = QueryService(store=store)
-        requests = (
-            {"op": "rpq", "query": "link+", "source": "a"},
-            {"op": "graphlog",
-             "query": "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }"},
-        )
+        request = {
+            "op": "graphlog",
+            "query": "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }",
+        }
         for weight, (a, b) in enumerate((("a", "b"), ("b", "c"), ("c", "d")), 1):
             with store.session().transaction() as txn:
-                txn.add_edge(a, b, "link")
                 txn.add_edge(a, b, EdgeLabel("hop", (weight,)))
-            for request in requests:
-                assert service.execute(request)["cache"] == "miss"
+            assert service.execute(request)["cache"] == "miss"
         assert service.stats()["result_cache"]["maintained"] == 0
         assert not service.subs._views_by_key
+
+    def test_rpq_reads_become_maintained_entries(self):
+        store = HAMStore()
+        service = QueryService(store=store)
+        requests = {
+            "link+": {"op": "rpq", "query": "link+", "source": "a"},
+            "-link link": {"op": "rpq", "query": "-link link"},
+            "link*": {"op": "rpq", "query": "link*", "source": "b"},
+        }
+        caches = []
+        for a, b in (("a", "b"), ("b", "c"), ("c", "d"), ("a", "e")):
+            with store.session().transaction() as txn:
+                txn.add_edge(a, b, "link")
+            evaluator = RPQEvaluator(store.graph)
+            for text, request in requests.items():
+                response = service.execute(request)
+                caches.append(response["cache"])
+                rows = {tuple(r) for r in response["result"]["relations"]["answers"]}
+                if "source" in request:
+                    assert rows == {(t,) for t in evaluator.targets(text, request["source"])}
+                else:
+                    assert rows == evaluator.pairs(text)
+        # A plain miss, the promoting miss, then hits through every commit.
+        assert caches == ["miss"] * 6 + ["hit"] * 6
+        stats = service.stats()
+        assert stats["metrics"]["phases"]["evaluate"]["count"] == 6
+        assert (stats["result_cache"]["maintained"], stats["subs"]["shared_views"]) == (3, 3)
+
+    @staticmethod
+    def promote_all(service, requests, *edges):
+        """Read every request, commit *edges* (``[source, label, target]``),
+        read every request again (the promoting misses); returns the re-read
+        responses."""
+        for request in requests:
+            service.execute(request)
+        service.execute({"op": "update", "edges": list(edges)})
+        return [service.execute(request) for request in requests]
+
+    def test_renamed_copies_of_a_program_share_one_view(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"), ("b", "c"))
+        names = ["connected0", "connected1"]
+        requests = [
+            {"op": "graphlog", "query": f"define (X) -[{n}]-> (Y) {{ (X) -[link+]-> (Y); }}"}
+            for n in names
+        ]
+        edges = {("a", "b"), ("b", "c"), ("c", "d")}
+        self.promote_all(service, requests, ["c", "link", "d"])
+        for new in (("d", "e"), ("a", "b")):
+            link(service, new, remove=new in edges)
+            edges ^= {new}
+            for name, request in zip(names, requests):
+                response = service.execute(request)
+                assert response["cache"] == "hit"
+                assert set(response["result"]["relations"]) == {name}
+                rows = {tuple(r) for r in response["result"]["relations"][name]}
+                assert rows == closure_of(edges)
+        stats = service.stats()
+        (view,) = stats["subs"]["views"].values()
+        assert (stats["subs"]["shared_views"], view["pins"]) == (1, 2)
+        assert view["maintenance_passes"] == 2  # one per commit, not one per entry
+        assert stats["result_cache"]["maintained"] == 2
+
+    def test_renamed_copies_share_only_while_the_store_holds_none_of_their_names(self):
+        # Each copy reads facts stored under its own head name as base facts
+        # of its answer, so a copy whose name the store holds cannot share,
+        # and a shared copy whose name a commit brings in is demoted.
+        service = QueryService(store=HAMStore())
+        edges = [["a", "link", "b"], ["b", "link", "c"], ["x", "c1", "y"]]
+        service.execute({"op": "update", "edges": edges})
+        requests = {
+            n: {"op": "graphlog", "query": f"define (X) -[{n}]-> (Y) {{ (X) -[link+]-> (Y); }}"}
+            for n in ("c0", "c1", "c2")
+        }
+        self.promote_all(service, list(requests.values()), ["c", "link", "d"])
+        stats = service.stats()
+        assert sorted(v["pins"] for v in stats["subs"]["views"].values()) == [1, 2]
+        closure = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")}
+
+        def rows(name):
+            response = service.execute(requests[name])
+            return response["cache"], {tuple(r) for r in response["result"]["relations"][name]}
+
+        assert rows("c1") == ("hit", closure | {("x", "y")})
+        # c0 materialized the shared view; a c2 fact demotes the c2 entry.
+        service.execute({"op": "update", "edges": [["p", "c2", "q"]]})
+        assert rows("c0") == ("hit", closure)
+        assert rows("c2") == ("miss", closure | {("p", "q")})
+        assert service.stats()["result_cache"]["demotions"] == 1
+
+    def test_a_renamed_entry_reads_a_subscriptions_view(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"))
+        query = "define (X) -[{}]-> (Y) {{ (X) -[link+]-> (Y); }}"
+        service.execute({"op": "subscribe", "query": query.format("watched")}, sink=_Sink())
+        request = {"op": "graphlog", "query": query.format("read")}
+        self.promote_all(service, [request], ["b", "link", "c"])
+        link(service, ("c", "d"))
+        response = service.execute(request)
+        assert response["cache"] == "hit"
+        assert len(response["result"]["relations"]["read"]) == 6
+        (view,) = service.stats()["subs"]["views"].values()
+        assert (view["subscribers"], view["pins"], view["maintenance_passes"]) == (1, 1, 2)
+
+    def test_near_miss_copies_do_not_share(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"), ("b", "c"))
+        service.execute({"op": "update", "edges": [["a", "road", "c"]]})
+        requests = [
+            {"op": "graphlog", "query": "define (X) -[c0]-> (Y) { (X) -[link+]-> (Y); }"},
+            {"op": "graphlog", "query": "define (X) -[c1]-> (Y) { (X) -[road+]-> (Y); }"},
+            {"op": "rpq", "query": "link+", "source": "a"},
+            {"op": "rpq", "query": "link+", "source": "b"},
+        ]
+        responses = self.promote_all(service, requests, ["c", "link", "d"], ["c", "road", "d"])
+        relations = [r["result"]["relations"] for r in responses]
+        assert {tuple(r) for r in relations[1]["c1"]} == {("a", "c"), ("a", "d"), ("c", "d")}
+        assert [len(r["answers"]) for r in relations[2:]] == [3, 2]
+        stats = service.stats()
+        assert stats["subs"]["shared_views"] == 4
+        assert [v["pins"] for v in stats["subs"]["views"].values()] == [1, 1, 1, 1]
+
+    def test_entries_pinning_one_view_hold_its_rows_once(self, monkeypatch):
+        service = QueryService(store=HAMStore())
+        requests = [
+            {"op": "graphlog", "query": f"define (X) -[c{i}]-> (Y) {{ (X) -[link+]-> (Y); }}"}
+            for i in range(4)
+        ]
+        link(service, ("a", "b"), ("b", "c"))
+        # 3 link + 3 domain + 6 closure rows (and the closure's two-row
+        # relations), held once: four copies would be far over this budget.
+        monkeypatch.setattr(cache_module, "MAINTAINED_ROW_BUDGET", 20)
+        self.promote_all(service, requests, ["c", "link", "d"])
+        (view,) = service.subs._views_by_key.values()
+        cached = service.stats()["result_cache"]
+        assert (cached["maintained"], cached["evictions"]) == (4, 0)
+        assert cached["maintained_rows"] == view.held_rows() <= 20
+        assert service.stats()["subs"]["views"].popitem()[1]["pins"] == 4
 
     def test_a_pass_costlier_than_the_view_demotes_for_good(self):
         # x_i -> u -> v -> y_j, and x_i -> w -> y_j beside it: deleting u -> v

@@ -139,31 +139,65 @@ class TestSubscriptionManager:
         assert stats["shared_views"] == 0
         mgr.drop_sink(sink)  # idempotent
 
-    def test_rpq_rejected_with_typed_error(self, manager):
+    def test_rpq_subscription_is_maintained(self, manager):
         store, mgr, plans = manager
         plan = plans.get("rpq", "link+")
+        sub, snapshot, _ = mgr.subscribe(plan, {}, FakeSink())
+        assert (sub.view.mode, sub.view.fallback_reason) == ("maintained", None)
+        assert snapshot == {"answers": {("a", "b"), ("a", "c"), ("b", "c")}}
+        sub, snapshot, _ = mgr.subscribe(plan, {"source": "b"}, FakeSink())
+        assert sub.view.mode == "maintained"
+        assert snapshot == {"answers": {("c",)}}
+        assert mgr.stats()["shared_views"] == 2  # a source is part of the program
+
+    def test_rpq_view_maintains_per_commit(self, manager):
+        store, mgr, plans = manager
+        sink = FakeSink()
+        sub, _, _ = mgr.subscribe(plans.get("rpq", "link+"), {"source": "a"}, sink)
+        v2 = add_edge(store, "c", "d")
+        v3 = remove_edge(store, "a", "b")
+        frames, _ = mgr.drain(sink)
+        assert [f["version"] for f in frames] == [v2, v3]
+        assert {tuple(r) for r in frames[0]["inserted"]["answers"]} == {("d",)}
+        assert {tuple(r) for r in frames[1]["deleted"]["answers"]} == {
+            ("b",), ("c",), ("d",),
+        }
+        stats = sub.view.stats()
+        assert (stats["maintenance_passes"], stats["diff_refreshes"]) == (2, 0)
+
+    def test_rpq_with_no_view_rejected_with_typed_error(self, manager):
+        store, mgr, plans = manager
+        # Nullable with no source: the automaton pairs every graph node with
+        # itself, λ only the active domain.
+        plan = plans.get("rpq", "link*")
         with pytest.raises(NotMaintainable) as excinfo:
             mgr.subscribe(plan, {}, FakeSink())
         assert excinfo.value.code == "not_maintainable"
-        assert "rpq" in excinfo.value.reason
+        assert "nullable" in excinfo.value.reason
         assert mgr.stats()["shared_views"] == 0
-
-    def test_rpq_fallback_diffs_per_commit(self, manager):
-        store, mgr, plans = manager
-        plan = plans.get("rpq", "link+")
-        sink = FakeSink()
-        sub, snapshot, _ = mgr.subscribe(plan, {}, sink, allow_fallback=True)
+        sub, snapshot, _ = mgr.subscribe(plan, {}, FakeSink(), allow_fallback=True)
         assert sub.view.mode == "diff"
-        assert sub.view.fallback_reason is not None
-        assert snapshot["answers"] == {("a", "b"), ("a", "c"), ("b", "c")}
-        v2 = add_edge(store, "c", "d")
-        frames, _ = mgr.drain(sink)
-        assert frames[0]["version"] == v2
-        assert {tuple(r) for r in frames[0]["inserted"]["answers"]} == {
-            ("a", "d"), ("b", "d"), ("c", "d"),
-        }
-        assert sub.view.stats()["fallback_reason"] is not None
-        assert mgr.stats()["views"]  # per-view stats surface the reason
+        assert ("a", "a") in snapshot["answers"]
+
+    def test_renamed_copies_subscribe_to_views_of_their_own(self, manager):
+        # A store fact under one copy's head name would feed that copy alone,
+        # so subscribers never read a view under other IDB names (a result
+        # cache entry may, while no such fact exists: test_service.py).
+        store, mgr, plans = manager
+        sinks = {name: FakeSink() for name in ("reach", "other")}
+        views = set()
+        for name, sink in sinks.items():
+            plan = plans.get("graphlog", REACH.replace("reach", name))
+            sub, snapshot, _ = mgr.subscribe(plan, {}, sink)
+            assert snapshot == {name: {("a", "b"), ("a", "c"), ("b", "c")}}
+            views.add(sub.view)
+        assert len(views) == mgr.stats()["shared_views"] == 2
+        add_edge(store, "c", "d")
+        for name, sink in sinks.items():
+            (frame,), _ = mgr.drain(sink)
+            assert {tuple(r) for r in frame["inserted"][name]} == {
+                ("a", "d"), ("b", "d"), ("c", "d"),
+            }
 
     def test_irrelevant_commit_pushes_nothing(self, manager):
         store, mgr, plans = manager
@@ -516,8 +550,8 @@ class TestEndToEnd:
     def test_not_maintainable_over_the_wire(self, sub_server):
         with ServiceClient(port=sub_server.port) as client:
             with pytest.raises(NotMaintainable):
-                client.subscribe("link+", target="rpq")
-            handle = client.subscribe("link+", target="rpq", allow_fallback=True)
+                client.subscribe("link*", target="rpq")
+            handle = client.subscribe("link*", target="rpq", allow_fallback=True)
             assert handle.mode == "diff"
             assert handle.fallback_reason
             stats = client.stats()["subs"]
