@@ -25,8 +25,8 @@ holds for subscriptions and result-cache entries alike):
   footprint and set-diffs against the previous answer — and
   ``fallback_reason`` says why: λ of an aggregate or summary (Section 4)
   is not insert-monotone, an RPQ has no p.r.e. image or is nullable with
-  no source, or the store holds a relation the program reads at another
-  arity (found at the first refresh).
+  no source, or — found at the first refresh — the store holds a relation
+  the program reads at another arity, or one relation at two arities.
 
 Either way :meth:`MaterializedView.apply` returns the same thing: the net
 rows the commit inserted into and deleted from the requested predicates.
@@ -113,7 +113,9 @@ class MaterializedView:
 
     def rows(self, predicate):
         """The current answer for one requested *predicate* (a copy)."""
-        return self.snapshot().get(predicate, set())
+        if self.maintenance is not None:
+            return self.state.facts(predicate)
+        return set(self._rows.get(predicate, ()))
 
     def snapshot(self):
         """``{predicate: set of rows}`` for every requested predicate."""
@@ -134,40 +136,50 @@ class MaterializedView:
             version = current
         elif version != current:
             graph = store.graph_at(version)
-        image = None
-        if self.maintenance is not None or self.plan.reads_relations:
-            image = self.images.at(version, graph)
         if self.maintenance is not None:
-            if (
-                self.state is not None
-                and self.state.catalog is image.catalog
-                and catalog_bloated(self._dead, self._refs)
-            ):
-                # The catalog the state shares with the image is bloated by
-                # values that left the store: both start over.
-                self.images.reset("catalog_bloat")
-                image = self.images.at(version, graph)
-            # λ's programs read the active domain (``node``); a Datalog
-            # request evaluates against the raw EDB, and so does its view.
-            edb = image.database if self.plan.op == "datalog" else image.prepared
-            # A relation the program reads at another arity than the store
-            # holds it (an RPQ label over edges with label arguments).
-            program = self.definition.program
-            misread = [p for p in program.edb_predicates
-                       if p in edb and edb.arity_of(p) != program.arity_of(p)]
-            if misread and self.state is not None:
-                raise ArityError(f"the view misreads relations {misread}")
-            if misread:  # found only now: the view diffs instead
+            try:
+                image, edb = self._maintained_edb(version, graph)
+            except ArityError as why:
+                if self.state is not None:
+                    raise
+                # Found only at the first refresh: the view diffs instead.
                 self.maintenance = None
-                self.fallback_reason = f"the store holds {misread} at other arities"
+                self.fallback_reason = f"the store's relations are not the program's: {why}"
         if self.maintenance is not None:
             self.state = self.maintenance.evaluate(edb)
             self._refs = domain_refs(image.database)
             self._dead = set()
         else:
+            image = self.images.at(version, graph) if self.plan.reads_relations else None
             self._rows = self.plan.evaluate(graph, image, self.eval_params)
             self.diff_refreshes += 1
         self.version = version
+
+    def _maintained_edb(self, version, graph):
+        """``(image, edb)``: the store's image at *version* and the database
+        of it the program is evaluated over.  Raises :class:`ArityError`
+        when the store holds one relation at two arities, or one at another
+        arity than the program reads it (an RPQ label over edges with label
+        arguments)."""
+        image = self.images.at(version, graph)
+        if (
+            self.state is not None
+            and self.state.catalog is image.catalog
+            and catalog_bloated(self._dead, self._refs)
+        ):
+            # The catalog the state shares with the image is bloated by
+            # values that left the store: both start over.
+            self.images.reset("catalog_bloat")
+            image = self.images.at(version, graph)
+        # λ's programs read the active domain (``node``); a Datalog
+        # request evaluates against the raw EDB, and so does its view.
+        edb = image.database if self.plan.op == "datalog" else image.prepared
+        program = self.definition.program
+        misread = [p for p in program.edb_predicates
+                   if p in edb and edb.arity_of(p) != program.arity_of(p)]
+        if misread:
+            raise ArityError(f"it holds {misread} at other arities than the program reads")
+        return image, edb
 
     def apply(self, record):
         """Advance past one commit *record* — the store's next, as an
@@ -189,15 +201,19 @@ class MaterializedView:
                 stats = self._maintain(delta)
             except Exception:
                 self.maintenance_errors += 1
-                logger.exception("maintenance of view %s failed; re-evaluating instead",
-                                 self.plan.fingerprint[:12])
+                logger.exception(
+                    "maintenance of view %s failed; re-evaluating instead",
+                    self.plan.fingerprint[:12],
+                )
                 # The pass may have left the state half-updated: restore the
                 # answer the subscribers hold, then diff as below.
                 try:
                     self.refresh(record.version - 1)
                 except Exception as exc:  # noqa: BLE001 — e.g. history truncated
                     self.refresh(record.version)
-                    raise ViewReset(f"view re-materialized at version {record.version}") from exc
+                    raise ViewReset(
+                        f"view re-materialized at version {record.version}"
+                    ) from exc
             else:
                 self.version = record.version
                 if catalog_bloated(self._dead, self._refs):

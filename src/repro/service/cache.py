@@ -79,7 +79,10 @@ def _canonical(value):
     if isinstance(value, (set, frozenset)):
         return ("set", tuple(sorted(_canonical(v) for v in value)))
     if isinstance(value, dict):
-        return ("map", tuple(sorted((str(k), _canonical(v)) for k, v in value.items())))
+        return (
+            "map",
+            tuple(sorted((str(k), _canonical(v)) for k, v in value.items())),
+        )
     return ("repr", type(value).__name__, repr(value))
 
 
@@ -90,7 +93,10 @@ def result_key(fingerprint, params):
     as a stamp so the commit hook can re-stamp still-valid answers instead
     of orphaning them under a dead key.
     """
-    return (fingerprint, tuple(sorted((str(k), _canonical(v)) for k, v in (params or {}).items())))
+    normalized = tuple(
+        sorted((str(k), _canonical(v)) for k, v in (params or {}).items())
+    )
+    return (fingerprint, normalized)
 
 
 class Entry:
@@ -233,10 +239,13 @@ class ResultCache:
         answers = answers or {}
         with obs.span(
             "cache.apply_commit",
-            version=version, touched=sorted(touched) if touched is not None else None,
+            version=version,
+            touched=sorted(touched) if touched is not None else None,
         ) as span:
             with self._lock:
-                dead, demoted, changed = [], [], []
+                dead = []
+                demoted = []
+                changed = []
                 restamped = 0
                 for key, entry in self._entries.items():
                     pin = entry.pin
@@ -272,6 +281,13 @@ class ResultCache:
                 self.invalidations += len(dead)
                 self.demotions += len(demoted)
                 span.annotate(restamped=restamped, dropped=len(dead), demoted=len(demoted))
+
+    def demote(self, key):
+        """Never promote *key* again: its plan has no maintained view over
+        this store."""
+        with self._lock:
+            self._mark(key, _DEMOTED)
+            self.demotions += 1
 
     def take_released(self):
         """The pins ``(view, names, idb)`` of maintained entries that left the

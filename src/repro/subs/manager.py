@@ -25,12 +25,12 @@ delivery happens on the connection's sender task, which calls
 
 A *sink* is the manager's handle for one client connection: any object
 usable as a dict key with a ``notify()`` method that is safe to call from
-commit threads (the server's calls ``loop.call_soon_threadsafe``).
+commit threads.  The network server backs it with
+``loop.call_soon_threadsafe``; tests use a plain object with an event.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import threading
 import time
@@ -39,7 +39,7 @@ from collections import Counter
 from repro import obs
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
-from repro.errors import NotMaintainable, ProtocolError, SubscriptionError
+from repro.errors import ArityError, NotMaintainable, ProtocolError, SubscriptionError
 from repro.ham.image import StoreImages
 from repro.ham.views import MaterializedView, ViewReset
 from repro.obs.metrics import HistogramData, MetricFamily, table_families
@@ -76,8 +76,9 @@ _FAMILIES = (
 def _require_maintainable(reason, allow_fallback):
     if reason is not None and not allow_fallback:
         raise NotMaintainable(
-            f"this query has no incrementally maintainable view: {reason} (pass "
-            "allow_fallback to subscribe through per-commit re-evaluation)",
+            "this query has no incrementally maintainable view: "
+            f"{reason} (pass allow_fallback to "
+            "subscribe through per-commit re-evaluation)",
             reason=reason,
         )
 
@@ -90,7 +91,16 @@ def _renamed(relations, view, names):
 class Subscription:
     """One subscriber: a bounded outbound frame queue on one sink."""
 
-    __slots__ = ("id", "view", "sink", "queue_max", "policy", "pending", "needs_resync", "closed")
+    __slots__ = (
+        "id",
+        "view",
+        "sink",
+        "queue_max",
+        "policy",
+        "pending",
+        "needs_resync",
+        "closed",
+    )
 
     def __init__(self, sub_id, view, sink, queue_max, policy):
         self.id = sub_id
@@ -150,16 +160,21 @@ class SubscriptionManager:
         has no maintainable view and *allow_fallback* is false.
         """
         if sink is None:
-            raise SubscriptionError("subscriptions need a streaming connection (no sink)")
+            raise SubscriptionError(
+                "subscriptions need a streaming connection (no sink)"
+            )
         policy = policy if policy is not None else self.default_policy
         if policy not in OVERFLOW_POLICIES:
             raise ProtocolError(
-                f"'policy' must be one of {', '.join(OVERFLOW_POLICIES)}, got {policy!r}"
+                f"'policy' must be one of {', '.join(OVERFLOW_POLICIES)}, "
+                f"got {policy!r}"
             )
         if queue_max is None:
             queue_max = self.default_queue_max
         if isinstance(queue_max, bool) or not isinstance(queue_max, int) or queue_max < 1:
-            raise ProtocolError(f"'queue_max' must be a positive integer, got {queue_max!r}")
+            raise ProtocolError(
+                f"'queue_max' must be a positive integer, got {queue_max!r}"
+            )
 
         definition = plan.view(params)
         _require_maintainable(definition.reason, allow_fallback)  # before materializing
@@ -182,43 +197,54 @@ class SubscriptionManager:
         shared view of their program (or of a renamed copy) — materialized
         first when the table has none, this answer's one evaluation — and
         cache its answer as a maintained entry, which every later commit
-        keeps current.  Returns the entry; None for a plan with no view."""
+        keeps current.  Returns the entry; None for a plan with no view.
+
+        A view the store rules out — it holds a relation the program reads
+        at another arity, found only once the view is materialized — demotes
+        the key instead: cached is a plain entry of that one evaluation, or
+        nothing when the store's relations have no image at all."""
         definition = plan.view(params)
         if definition.reason is not None:
             return None
+        key = result_key(plan.fingerprint, params)
 
         def attach(view):
-            if view.maintenance is None:  # the store's arities say no
-                return None
             # Encoded under the lock: the entry's bytes must be the view's
             # answer at the version they are stamped with.
             names = definition.predicates
             encoded, count = protocol.encode_answer(_renamed(view.snapshot(), view, names))
+            if view.maintenance is None:  # the store's arities say no
+                self.results.demote(key)
+                return self.results.put(key, encoded, count, view.version, plan.footprint)
             pin = (view, names, definition.idb)
             self._pins[pin] += 1
-            return self.results.put(
-                result_key(plan.fingerprint, params), encoded, count, view.version,
-                plan.footprint, pin,
-            )
+            return self.results.put(key, encoded, count, view.version, plan.footprint, pin)
 
-        return self._with_view(plan, params, definition, attach, renamed=True)
+        try:
+            return self._with_view(plan, params, definition, attach, renamed=True)
+        except ArityError:  # one label at two arities: the request evaluates
+            self.results.demote(key)
+            return None
 
     def _with_view(self, plan, params, definition, attach, renamed=False):
         """``attach(view)``, under the lock, on the table's view of
-        *definition* (*plan*'s under *params*) — with *renamed*, on one of a
-        copy of its program if it has none (:meth:`_renamed_locked`).  A
-        missing view is materialized outside the lock, since a first
+        *definition* (*plan*'s under *params*) — with *renamed*, on a view
+        of a copy of its program if it has none and the store allows
+        (:meth:`_shareable_copy`, asking an image taken outside the lock).
+        A missing view is materialized outside the lock, since a first
         evaluation can be slow and must not stall commits, then caught up
         and registered; a racing duplicate is discarded."""
         key = definition.key
-        candidate = None
+        candidate = image = None
         while True:
             with self._lock:
                 if self._closed:
                     raise SubscriptionError("the subscription manager is closed")
                 shared = self._views_by_key.get(key)
+                copies = []
                 if shared is None and renamed and candidate is None:
-                    shared = self._renamed_locked(definition)
+                    copies = [v for (shape, _), v in self._views_by_key.items() if shape == key[0]]
+                    shared = self._shareable_copy(definition, copies, image)
                 if shared is None and candidate is not None:
                     self._catch_up_locked(candidate)
                     shared = self._views_by_key[key] = candidate
@@ -229,6 +255,9 @@ class SubscriptionManager:
                     finally:
                         self._drop_unheld_locked(shared)
                         self._unpin_released_locked()  # what a pin's admission evicted
+            if copies and image is None:
+                image = self.images.at(*self.store.snapshot_versioned())
+                continue
             candidate = MaterializedView(plan, self.images, params, definition)
             candidate.refresh()
 
@@ -237,7 +266,9 @@ class SubscriptionManager:
         with self._lock:
             sub = self._subs.get(sub_id)
             if sub is None or sub.sink is not sink:
-                raise SubscriptionError(f"no subscription {sub_id!r} on this connection")
+                raise SubscriptionError(
+                    f"no subscription {sub_id!r} on this connection"
+                )
             self._remove_locked(sub)
             if self.metrics is not None:
                 self.metrics.incr("subs.unsubscribed")
@@ -269,15 +300,16 @@ class SubscriptionManager:
             del self._watchers[view]
             del self._views_by_key[view.definition.key]
 
-    def _renamed_locked(self, definition):
-        """A view of *definition*'s program under other IDB names, if the
-        store holds facts under neither's: each reads those as base facts."""
-        image = None
-        for (shape, idb), view in self._views_by_key.items():
-            if shape == definition.key[0]:
-                image = image or self.images.at(*self.store.snapshot_versioned())
-                if not any(map(image.database.count, idb | definition.idb)):
-                    return view
+    @staticmethod
+    def _shareable_copy(definition, copies, image):
+        """The view among *copies* — of *definition*'s program under other
+        IDB names — current at *image*'s version, if the store held facts
+        under neither's names then: each reads those as base facts."""
+        for view in copies if image is not None else ():
+            if view.version == image.version and not any(
+                map(image.database.count, view.definition.idb | definition.idb)
+            ):
+                return view
         return None
 
     def _pinned(self, view):
@@ -343,7 +375,9 @@ class SubscriptionManager:
         failed = []
         with obs.span(
             "subs.dispatch",
-            version=record.version, views=len(self._views_by_key), subscribers=len(self._subs),
+            version=record.version,
+            views=len(self._views_by_key),
+            subscribers=len(self._subs),
         ):
             for view, watchers in self._watchers.items():
                 try:
@@ -356,7 +390,8 @@ class SubscriptionManager:
                 except Exception:  # noqa: BLE001 — one view must not stall the rest
                     logger.exception(
                         "view %s failed at version %d; closing its subscriptions",
-                        view.plan.fingerprint[:12], record.version,
+                        view.plan.fingerprint[:12],
+                        record.version,
                     )
                     failed.append(view)
                     continue
@@ -509,8 +544,10 @@ class SubscriptionManager:
             self._subs.clear()
             self._by_sink.clear()
             self._disconnect_sinks.clear()
-        with contextlib.suppress(ValueError):  # already detached
+        try:
             self.store.unsubscribe(self._on_commit)
+        except ValueError:  # pragma: no cover - already detached
+            pass
 
     # --------------------------------------------------------------- stats
 
@@ -534,10 +571,16 @@ class SubscriptionManager:
                 "resyncs": self.resyncs,
                 "disconnects": self.disconnects,
                 "forced_resyncs": self.forced_resyncs,
-                "maintenance_passes": sum(v["maintenance_passes"] for v in views.values()),
+                "maintenance_passes": sum(
+                    v["maintenance_passes"] for v in views.values()
+                ),
                 "diff_refreshes": sum(v["diff_refreshes"] for v in views.values()),
-                **{f"push_p{q}_ms": round(self.push_latency.quantile(q / 100) * 1000.0, 3)
-                   if self.push_latency.count else None for q in (50, 99)},
+                "push_p50_ms": round(self.push_latency.quantile(0.5) * 1000.0, 3)
+                if self.push_latency.count
+                else None,
+                "push_p99_ms": round(self.push_latency.quantile(0.99) * 1000.0, 3)
+                if self.push_latency.count
+                else None,
                 "views": views,
             }
 
@@ -547,7 +590,9 @@ class SubscriptionManager:
         with self._lock:
             latency = self.push_latency.copy()
         overflow = MetricFamily(
-            "repro_subs_overflow_total", "counter", "Subscription queue overflows by policy outcome"
+            "repro_subs_overflow_total",
+            "counter",
+            "Subscription queue overflows by policy outcome",
         )
         overflow.add_sample(stats["resyncs"], {"policy": "resync"})
         overflow.add_sample(stats["disconnects"], {"policy": "disconnect"})
@@ -555,7 +600,8 @@ class SubscriptionManager:
             *table_families(_FAMILIES, [(None, stats)]),
             overflow,
             MetricFamily(
-                "repro_subs_push_latency_seconds", "histogram",
+                "repro_subs_push_latency_seconds",
+                "histogram",
                 "Enqueue-to-drain latency of pushed frames",
             ).add_histogram(latency),
         ]

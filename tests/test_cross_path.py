@@ -458,6 +458,50 @@ def test_a_promotion_racing_a_commit_catches_up_through_the_log(monkeypatch):
         service.close()
 
 
+def test_a_promotion_caught_up_past_a_label_at_two_arities_demotes(monkeypatch):
+    # The RPQ's view materializes over e/2 alone; before it registers, a
+    # commit stores e/3 beside it, which leaves the store no relational
+    # image: catching up fails, and the read answers from the automaton.
+    store = HAMStore()
+    service = QueryService(store=store)
+    request = {"op": "rpq", "query": "e+", "source": "a"}
+
+    def add(source, target, label="e"):
+        with store.session().transaction() as txn:
+            txn.add_edge(source, target, label)
+
+    try:
+        add("a", "b")
+        service.execute(request)
+        add("b", "c")  # drops the entry: the next read promotes
+        refreshed, committed = threading.Event(), threading.Event()
+        refresh = views_module.MaterializedView.refresh
+
+        def racing_refresh(view, version=None):
+            refresh(view, version)
+            if not refreshed.is_set():
+                refreshed.set()
+                assert committed.wait(10)
+
+        monkeypatch.setattr(views_module.MaterializedView, "refresh", racing_refresh)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(service.execute(request)))
+        reader.start()
+        assert refreshed.wait(10)
+        add("c", "d", EdgeLabel("e", (1,)))
+        committed.set()
+        reader.join(10)
+        (response,) = answers  # evaluated at the version the miss read
+        rows = wire_rows(response["result"]["relations"]["answers"])
+        graph = store.graph_at(response["version"])
+        assert rows == {(t,) for t in RPQEvaluator(graph).targets("e+", "a")} != set()
+        assert not service.subs._views_by_key
+        cached = service.stats()["result_cache"]
+        assert (cached["promotions"], cached["demotions"]) == (0, 1)
+    finally:
+        service.close()
+
+
 def test_a_read_one_dispatch_behind_waits_for_it_instead_of_evaluating():
     store = linked_store()
     entered, release = threading.Event(), threading.Event()
@@ -491,6 +535,62 @@ def test_a_read_one_dispatch_behind_waits_for_it_instead_of_evaluating():
         assert service.stats()["metrics"]["phases"]["evaluate"]["count"] == evaluations
     finally:
         service.close()
+
+
+def test_a_renamed_copy_promoting_behind_a_commit_of_its_name_does_not_share():
+    # c1 reads the stored x -c1-> y as a base fact of its answer.  A commit
+    # removing it is installed, its dispatch held, when c1 promotes: at the
+    # store's version c1 could read c0's view, at the view's it could not.
+    store = linked_store()
+    with store.session().transaction() as txn:
+        txn.add_edge("x", "y", EdgeLabel("c1"))
+    entered, release = threading.Event(), threading.Event()
+
+    @store.subscribe  # before the service's hook: holds every dispatch at its start
+    def gate(record):
+        if not release.is_set():
+            entered.set()
+            assert release.wait(10)
+
+    release.set()
+    service = QueryService(store=store)
+    texts = {name: REACH.replace("reach", name) for name in ("c0", "c1")}
+
+    def read(name):
+        response = service.execute({"op": "graphlog", "query": texts[name]})
+        return response, wire_rows(response["result"]["relations"][name])
+
+    def oracle(name):
+        query = parse_graphical_query(texts[name])
+        return GraphLogEngine("naive").answers(query, store.graph, name)
+
+    try:
+        for name in texts:
+            read(name)
+        add_link(store, "n1", "n2")  # drops both entries: their next reads promote
+        assert read("c0")[0]["cache"] == "miss"  # c0's view, current at v
+        release.clear()
+        writer = threading.Thread(target=_remove_c1, args=(store,))
+        writer.start()
+        assert entered.wait(10)  # v + 1 is installed; its hooks have not run
+        response, rows = read("c1")
+        assert response["version"] == store.version and rows == oracle("c1")
+        release.set()
+        writer.join(10)
+        for name in texts:
+            response, rows = read(name)
+            assert response["cache"] == "hit" and rows == oracle(name)
+        stats = service.stats()
+        assert stats["subs"]["shared_views"] == 2
+        assert stats["store"]["subscriber_failures"] == 0
+    finally:
+        release.set()
+        service.close()
+
+
+def _remove_c1(store):
+    with store.session().transaction() as txn:
+        txn.remove_edge("x", "y", EdgeLabel("c1"))
 
 
 def test_a_rebootstrap_unpins_every_maintained_view():

@@ -25,7 +25,7 @@ from repro.service import cache as cache_module
 from repro.service.cache import MISS, PROMOTE, ResultCache, result_key
 from repro.service.client import ServiceClient
 from repro.service.metrics import MetricsRegistry
-from repro.service.prepared import PreparedQueryCache, fingerprint, normalize
+from repro.service.prepared import PreparedQuery, PreparedQueryCache, fingerprint, normalize
 from repro.service.server import QueryService, ServiceConfig, ServiceServer
 from repro.service import protocol
 from repro.subs import SubscriptionManager
@@ -303,6 +303,43 @@ class TestMaintainedEntries:
         stats = service.stats()
         assert stats["metrics"]["phases"]["evaluate"]["count"] == 6
         assert (stats["result_cache"]["maintained"], stats["subs"]["shared_views"]) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["e", EdgeLabel("e", (1,)), "e", "e"],  # e/2 beside e/3: no relational image
+            [EdgeLabel("e", (w,)) for w in range(4)],  # λ reads e/2, the store holds e/3
+        ],
+        ids=["two-arities", "label-arguments"],
+    )
+    def test_an_rpq_whose_view_the_store_rules_out_is_demoted_once(self, labels, monkeypatch):
+        store = HAMStore()
+        service = QueryService(store=store)
+        evaluations = []
+        evaluate = PreparedQuery.evaluate
+
+        def counted(plan, *args):
+            evaluations.append(plan.op)
+            return evaluate(plan, *args)
+
+        monkeypatch.setattr(PreparedQuery, "evaluate", counted)
+        request = {"op": "rpq", "query": "e+", "source": "a"}
+        caches = []
+        for (a, b), label in zip((("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")), labels):
+            with store.session().transaction() as txn:
+                txn.add_edge(a, b, label)
+            response = service.execute(request)
+            caches.append(response["cache"])
+            rows = {tuple(r) for r in response["result"]["relations"]["answers"]}
+            assert rows == {(t,) for t in RPQEvaluator(store.graph).targets("e+", "a")}
+        # The second read would promote; its view, materialized, finds the
+        # store's relations are not the program's and diffs: that one
+        # evaluation answers as a plain entry, and the key is never promoted
+        # again.
+        assert caches == ["miss"] * 4 and evaluations == ["rpq"] * 4
+        cached = service.stats()["result_cache"]
+        assert (cached["promotions"], cached["demotions"], cached["maintained"]) == (0, 1, 0)
+        assert not service.subs._views_by_key
 
     @staticmethod
     def promote_all(service, requests, *edges):

@@ -9,6 +9,7 @@ import pytest
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
 from repro.errors import NotMaintainable, SubscriptionError
+from repro.graphs.bridge import EdgeLabel
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham.store import HAMStore
 from repro.service.client import ServiceClient
@@ -178,6 +179,44 @@ class TestSubscriptionManager:
         sub, snapshot, _ = mgr.subscribe(plan, {}, FakeSink(), allow_fallback=True)
         assert sub.view.mode == "diff"
         assert ("a", "a") in snapshot["answers"]
+
+    @pytest.mark.parametrize(
+        "labels, why",
+        [
+            # λ reads hop/2 where the store holds hop/3.
+            ([EdgeLabel("hop", (w,)) for w in (1, 2, 3)], "['hop'] at other arities"),
+            # hop/2 beside hop/3: the store has no relational image.
+            (["hop", EdgeLabel("hop", (2,)), "hop"], "relation 'hop' has arity"),
+        ],
+        ids=["label-arguments", "two-arities"],
+    )
+    def test_rpq_whose_view_the_store_rules_out_diffs(self, labels, why):
+        # Found once the view is materialized: it diffs, on the automaton.
+        store = HAMStore()
+        mgr = SubscriptionManager(store)
+        try:
+            add_edge(store, "a", "b", labels[0])
+            add_edge(store, "b", "c", labels[1])
+            plan = PreparedQueryCache().get("rpq", "hop+")
+            with pytest.raises(NotMaintainable) as excinfo:
+                mgr.subscribe(plan, {"source": "a"}, FakeSink())
+            assert why in excinfo.value.reason
+            assert mgr.stats()["shared_views"] == 0
+            sink = FakeSink()
+            sub, snapshot, _ = mgr.subscribe(plan, {"source": "a"}, sink, allow_fallback=True)
+            assert (sub.view.mode, sub.view.fallback_reason) == ("diff", excinfo.value.reason)
+            assert snapshot == {"answers": {("b",), ("c",)}}
+            v3 = add_edge(store, "c", "d", labels[2])
+            v4 = remove_edge(store, "a", "b", labels[0])
+            frames, _ = mgr.drain(sink)
+            assert [f["version"] for f in frames] == [v3, v4]
+            assert {tuple(r) for r in frames[0]["inserted"]["answers"]} == {("d",)}
+            assert {tuple(r) for r in frames[1]["deleted"]["answers"]} == {
+                ("b",), ("c",), ("d",),
+            }
+            assert sub.view.stats()["diff_refreshes"] == 3
+        finally:
+            mgr.close()
 
     def test_renamed_copies_subscribe_to_views_of_their_own(self, manager):
         # A store fact under one copy's head name would feed that copy alone,
