@@ -2,8 +2,8 @@
 
 The abl5 ablation shows semi-naive delta evaluation winning on *insertions*;
 this one covers the other half of view maintenance.  A transitive-closure
-view over a long chain loses one edge: delete-and-rederive with support
-counting should repair the materialization in time proportional to the
+view over a long chain loses one edge: delete-and-rederive should repair
+the materialization in time proportional to the
 delta's consequences, while recomputation pays for the whole closure again.
 The headline test asserts the claimed gap — DRed at least 5x faster than
 recomputing, median over repeated runs — on a chain of n >= 2000 edges.

@@ -1,7 +1,7 @@
 """abl5: incremental view maintenance vs full recomputation.
 
 A materialized transitive-closure view over a growing chain: maintaining it
-through the counting/DRed plan (:mod:`repro.datalog.dred`, the path
+through delete-and-rederive (:mod:`repro.datalog.dred`, the path
 ``MaterializedView.apply`` takes) after one edge insertion should beat
 recomputing the whole closure, and the gap should widen with the database
 size.

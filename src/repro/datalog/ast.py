@@ -43,9 +43,6 @@ class Atom:
             tuple(binding.get(t, t) if isinstance(t, Variable) else t for t in self.args),
         )
 
-    def rename_predicate(self, new_name):
-        return Atom(new_name, self.args)
-
     def __eq__(self, other):
         return (
             isinstance(other, Atom)

@@ -43,23 +43,6 @@ def recursive_predicates(program):
     return recursive
 
 
-def recursive_subgoals(rule, component_of):
-    """The positive body literals of *rule* recursive w.r.t. its head's SCC."""
-    head_component = component_of.get(rule.head.predicate)
-    if head_component is None:
-        return []
-    subgoals = []
-    for element in rule.body:
-        if (
-            isinstance(element, Literal)
-            and element.positive
-            and component_of.get(element.predicate) is head_component
-            and element.predicate in head_component
-        ):
-            subgoals.append(element)
-    return subgoals
-
-
 def is_linear(program):
     """True when every rule has at most one recursive subgoal."""
     component_of, _dependencies = _component_of_map(program)

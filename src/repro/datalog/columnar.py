@@ -367,10 +367,6 @@ def _compile_pipeline(rule, ordered, resolve, catalog, old_ids, delta_first):
     delta run) instead of scanned from the first literal's relation.
     """
     slots = {}
-
-    def slot_of(variable):
-        return slots.get(variable)
-
     steps = []
     elements = list(ordered)
     first = elements[0] if elements else None

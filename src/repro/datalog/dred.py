@@ -4,36 +4,24 @@
 encoded: a :class:`MaintainedState` holds every relation the program
 mentions as int rows over the EDB's
 :class:`~repro.datalog.columnar.TermCatalog` (a store view's: the image's)
-in :class:`_Rows`, whose indexes ``add`` / ``discard`` keep current, plus
-support counts keyed by encoded rows, and compiles once every join
-maintenance runs as a columnar pipeline.  :meth:`MaintenancePlan.maintain`
-then updates the state in place under a fact-level EDB delta — in time
-proportional to the change, not the database — with one of two techniques
-per evaluation group (SCC within a stratum, as the engine evaluates):
-
-- **Support counting** for non-recursive groups: every derived fact carries
-  the number of rule instantiations deriving it (plus one "extensional"
-  support when the fact is also asserted directly).  A delta adjusts the
-  counts through signed telescoping delta-joins — the delta at one body
-  position, earlier positions against the new state, later positions
-  against the old — and a fact is deleted exactly when its count reaches
-  zero.  Exact, no rederivation needed; unsound for recursive groups
-  (cyclic support) and for negated literals with projected (anonymous)
-  variables, which therefore take the DRed path.
-
-- **Delete-and-rederive (DRed)** for recursive groups: *overdelete* every
-  fact with a derivation that touched the delta (semi-naive rounds against
-  the old state), then *rederive* — one batch semijoin per rule and round,
-  seeded with every overdeleted fact at once — what is still derivable from
-  what remains, then propagate insertions semi-naive against the new state.
-  Stratified negation is handled in both directions: a fact *appearing*
-  under a negated literal triggers overdeletion, a fact *disappearing*
-  triggers insertion.  A group that is exactly the transitive closure of
-  one base relation (:func:`~repro.datalog.classify.closure_base`) skips
-  overdeletion and rederivation when every edge the pass removed from the
-  base still has a detour — its source reaches its target over the base as
-  it is now: every old path can take the detours, so the closure loses
-  nothing, and only the insertions are left to propagate.
+in :class:`_Rows`, whose indexes ``add`` / ``discard`` keep current, and
+compiles once every join maintenance runs as a columnar pipeline.
+:meth:`MaintenancePlan.maintain` then updates the state in place under a
+fact-level EDB delta — in time proportional to the change, not the database
+— by delete-and-rederive (DRed), one evaluation group (SCC within a
+stratum, as the engine evaluates) at a time, recursive or not:
+*overdelete* every fact with a derivation that touched the delta (semi-naive
+rounds against the old state), then *rederive* — one batch semijoin per
+rule and round, seeded with every overdeleted fact at once — what is still
+derivable from what remains, then propagate insertions semi-naive against
+the new state.  Stratified negation is handled in both directions: a fact
+*appearing* under a negated literal triggers overdeletion, a fact
+*disappearing* triggers insertion.  A group that is exactly the transitive
+closure of one base relation (:func:`~repro.datalog.classify.closure_base`)
+skips overdeletion and rederivation when every edge the pass removed from
+the base still has a detour — its source reaches its target over the base
+as it is now: every old path can take the detours, so the closure loses
+nothing, and only the insertions are left to propagate.
 
 The old state is never copied: it is the current rows minus what the pass
 added plus what it removed (:class:`_Old`).  The net effect of a run is
@@ -44,22 +32,18 @@ net change of the predicates a plan reports is decoded back to values.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, deque
+from collections import deque
 from operator import itemgetter
 
 from repro import obs
-from repro.datalog.ast import Atom, Literal, Rule
+from repro.datalog.ast import Atom, Literal
 from repro.datalog.classify import closure_base
 from repro.datalog.columnar import _compile_pipeline, encode_database, fixpoint
 from repro.datalog.engine import EvaluationStats, _evaluation_groups
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
-from repro.datalog.terms import Variable
 from repro.errors import ArityError
 
-_OLD = "\x00old"
-_NEW = "\x00new"
 #: The pseudo-literal that seeds a rederivation join with candidate heads.
 _HEAD = "\x00head"
 
@@ -75,17 +59,15 @@ class MaintenanceStats:
     """
 
     __slots__ = (
-        "overdeleted", "rederived", "count_updates", "facts_inserted",
-        "facts_deleted", "counting_groups", "dred_groups", "added", "deleted",
+        "overdeleted", "rederived", "facts_inserted", "facts_deleted",
+        "dred_groups", "added", "deleted",
     )
 
     def __init__(self):
         self.overdeleted = 0
         self.rederived = 0
-        self.count_updates = 0
         self.facts_inserted = 0
         self.facts_deleted = 0
-        self.counting_groups = 0
         self.dred_groups = 0
         self.added = {}
         self.deleted = {}
@@ -93,8 +75,7 @@ class MaintenanceStats:
     def __repr__(self):
         return (
             f"MaintenanceStats(+{self.facts_inserted}/-{self.facts_deleted}, "
-            f"overdeleted={self.overdeleted}, rederived={self.rederived}, "
-            f"count_updates={self.count_updates})"
+            f"overdeleted={self.overdeleted}, rederived={self.rederived})"
         )
 
 
@@ -181,9 +162,8 @@ def _file(entry, rows):
 class _Old:
     """A predicate's extension as the running pass found it: ``(current −
     added) ∪ removed``, where ``added`` / ``removed`` are the pass's net
-    changes so far.  Read by overdeletion and by the later positions of a
-    counting join; a predicate the pass has not touched answers straight
-    from its current indexes."""
+    changes so far.  Read by overdeletion; a predicate the pass has not
+    touched answers straight from its current indexes."""
 
     __slots__ = ("current", "added", "removed")
 
@@ -250,82 +230,12 @@ def _delta_orders(schedule):
     return orders
 
 
-def _counting_orders(schedule):
-    """``{index: ordered}`` for the counting technique's hybrid joins: the
-    delta literal first, every other literal renamed to read the new
-    (before the delta's position) or old (after it) extension of its
-    predicate."""
-    orders = {}
-    for index, element in enumerate(schedule):
-        if not isinstance(element, Literal):
-            continue
-        others = []
-        for j, other in enumerate(schedule):
-            if j == index:
-                continue
-            if isinstance(other, Literal):
-                alias = other.predicate + (_OLD if j > index else _NEW)
-                other = Literal(Atom(alias, other.atom.args), positive=other.positive)
-            others.append(other)
-        orders[index] = schedule_body(others, first=Literal(element.atom, positive=True))
-    return orders
-
-
-def _counting_rule(rule):
-    """``(wide, width)``: *rule* with every anonymous variable of a positive
-    literal renamed apart and every other body variable appended to the
-    head, so distinct head rows of *wide* are distinct rule instantiations
-    (matched row combinations) — the unit a support count counts, which a
-    pipeline's set-valued output would otherwise merge.  *width* is the
-    original head's arity, or None when nothing was appended."""
-    fresh = itertools.count()
-    body = []
-    for element in rule.body:
-        if isinstance(element, Literal) and element.positive:
-            args = tuple(
-                Variable(f"\x00{next(fresh)}")
-                if isinstance(t, Variable) and t.is_anonymous
-                else t
-                for t in element.atom.args
-            )
-            element = Literal(Atom(element.predicate, args))
-        body.append(element)
-    extra = sorted(
-        {v for e in body for v in e.variables() if not v.is_anonymous}
-        - rule.head.variables(),
-        key=lambda v: v.name,
-    )
-    if not extra:
-        return Rule(rule.head, body), None
-    head = Atom(rule.head.predicate, rule.head.args + tuple(extra))
-    return Rule(head, body), rule.head.arity
-
-
-def _counting_eligible(group, schedules):
-    """Counting is exact only without recursion and with fully-bound negated
-    literals (a projected negation flips per *instance*, not per row, so
-    per-row signed counting would overcount)."""
-    for schedule in schedules:
-        for element in schedule:
-            if not isinstance(element, Literal):
-                continue
-            if element.positive and element.predicate in group:
-                return False
-            if element.negative and any(
-                isinstance(t, Variable) and t.is_anonymous for t in element.atom.args
-            ):
-                return False
-    return True
-
-
 class _Group:
     """One evaluation group's maintenance joins as body orders — the
     per-program half that each :class:`MaintainedState` compiles against
     its own relations."""
 
-    __slots__ = (
-        "predicates", "body_preds", "counting", "joins", "initial", "rederive", "closure",
-    )
+    __slots__ = ("predicates", "body_preds", "joins", "rederive", "closure")
 
     def __init__(self, group, rules):
         self.predicates = group
@@ -333,7 +243,6 @@ class _Group:
         self.body_preds = {
             e.predicate for s in schedules for e in s if isinstance(e, Literal)
         }
-        self.counting = _counting_eligible(group, schedules)
         #: ``(base, k)`` when the group is one predicate defined as exactly
         #: the transitive closure of *base*, whose rows are edges
         #: ``row[:k] -> row[k:]``; None otherwise.
@@ -342,41 +251,29 @@ class _Group:
             base = closure_base(rules, next(iter(group)))
             if base is not None:
                 self.closure = (base, rules[0].head.arity // 2)
-        #: (rule, delta predicate, delta positive?, ordered, width)
+        #: (rule, delta predicate, delta positive?, ordered)
         self.joins = []
-        #: counting: (wide rule, schedule, width) for the initial counts.
-        self.initial = []
-        #: DRed: (rule, ordered) seeded with candidate head rows.
+        #: (rule, ordered) seeded with candidate head rows.
         self.rederive = []
         for rule, schedule in zip(rules, schedules):
-            width = None
-            if self.counting:
-                rule, width = _counting_rule(rule)
-                schedule = schedule_body(rule)
-                self.initial.append((rule, schedule, width))
-                orders = _counting_orders(schedule)
-            else:
-                orders = _delta_orders(schedule)
-                head = Literal(Atom(_HEAD, rule.head.args))
-                self.rederive.append((rule, schedule_body(rule.body, first=head)))
-            for index, ordered in orders.items():
+            head = Literal(Atom(_HEAD, rule.head.args))
+            self.rederive.append((rule, schedule_body(rule.body, first=head)))
+            for index, ordered in _delta_orders(schedule).items():
                 element = schedule[index]
-                self.joins.append(
-                    (rule, element.predicate, element.positive, ordered, width)
-                )
+                self.joins.append((rule, element.predicate, element.positive, ordered))
 
 
 class MaintenancePlan:
     """The reusable, per-program half of incremental maintenance.
 
-    Stratification, evaluation grouping, per-group technique selection and
-    every maintenance join's body order are computed once here;
-    :meth:`evaluate` compiles them against a state and :meth:`maintain`
-    then costs only the joins the delta actually touches.  *report* names
-    the predicates whose net change :meth:`maintain` decodes into its stats
-    (default: every predicate of the program).  Raises whatever
-    :func:`stratify` raises for non-stratifiable programs — callers fall
-    back to full recomputation in that case.
+    Stratification, evaluation grouping and every maintenance join's body
+    order are computed once here; :meth:`evaluate` compiles them against a
+    state and :meth:`maintain` then costs only the joins the delta actually
+    touches.  *report* names the predicates whose net change
+    :meth:`maintain` decodes into its stats (default: every predicate of
+    the program).  Raises whatever :func:`stratify` raises for
+    non-stratifiable programs — callers fall back to full recomputation in
+    that case.
     """
 
     def __init__(self, program, report=None):
@@ -400,7 +297,7 @@ class MaintenancePlan:
     def evaluate(self, edb):
         """Full evaluation by the columnar core, kept encoded: a
         :class:`MaintainedState` over the catalog of *edb*'s encoding (the
-        image's, for a store view), with initial support counts."""
+        image's, for a store view)."""
         encoded = encode_database(edb)
         evaluated = fixpoint(self.program, encoded, EvaluationStats())
         relations = {}
@@ -445,18 +342,9 @@ class MaintenancePlan:
                     old.added or old.removed.keys for old in touched
                 ):
                     continue
-                technique = "counting" if group.counting else "dred"
-                with tracer.span(
-                    "dred.group", technique=technique, predicates=sorted(group.predicates)
-                ) as span:
-                    if group.counting:
-                        stats.counting_groups += 1
-                        _count_changes(state, compiled, own_plus, own_minus, stats)
-                        if span:
-                            span.annotate(count_updates=stats.count_updates)
-                    else:
-                        stats.dred_groups += 1
-                        _dred(state, group, compiled, own_plus, own_minus, stats, span)
+                stats.dred_groups += 1
+                with tracer.span("dred.group", predicates=sorted(group.predicates)) as span:
+                    _dred(state, group, compiled, own_plus, own_minus, stats, span)
 
             for predicate, old in state.old.items():
                 stats.facts_inserted += len(old.added)
@@ -472,7 +360,6 @@ class MaintenancePlan:
                     deleted=stats.facts_deleted,
                     overdeleted=stats.overdeleted,
                     rederived=stats.rederived,
-                    counting_groups=stats.counting_groups,
                     dred_groups=stats.dred_groups,
                 )
         return stats
@@ -581,7 +468,7 @@ def _rounds(joins, triggers, negated, apply, span, label):
     total = 0
     while True:
         frontier = {}
-        for head, predicate, positive, pipeline, _width in joins:
+        for head, predicate, positive, pipeline in joins:
             rows = (triggers if positive else negated).get(predicate)
             if rows:
                 changed = apply(head, pipeline.fire(rows))
@@ -596,64 +483,12 @@ def _rounds(joins, triggers, negated, apply, span, label):
         triggers, negated = frontier, {}
 
 
-def _count_changes(state, joins, own_plus, own_minus, stats):
-    """Exact signed-delta count maintenance for a non-recursive group.
-
-    For the delta at body position *i*, positions before *i* read the new
-    state and positions after it the old state (the telescoping
-    decomposition of new ⋈ − old ⋈), so each lost or gained rule
-    instantiation is counted exactly once.
-    """
-    changes = {}
-    # Base-fact deltas on this group's own predicates: one extensional
-    # support each.
-    for predicate, rows in own_minus.items():
-        have = state.counts[predicate]
-        axioms = state.axioms.get(predicate, ())
-        changes.setdefault(predicate, Counter()).subtract(
-            row for row in rows if row not in axioms and have.get(row, 0) > 0
-        )
-    for predicate, rows in own_plus.items():
-        changes.setdefault(predicate, Counter()).update(rows)
-
-    for head, predicate, positive, pipeline, width in joins:
-        old = state.old[predicate]
-        lost, gained = old.removed.keys, old.added
-        if not positive:
-            lost, gained = gained, lost
-        change = changes.setdefault(head, Counter())
-        for rows, count in ((lost, change.subtract), (gained, change.update)):
-            if rows:
-                produced = pipeline.fire(list(rows))
-                count(produced if width is None else [r[:width] for r in produced])
-
-    for predicate, change in changes.items():
-        have = state.counts[predicate]
-        gone, new = [], []
-        for row, delta in change.items():
-            if not delta:
-                continue
-            stats.count_updates += 1
-            before = have.get(row, 0)
-            after = before + delta
-            if after > 0:
-                have[row] = after
-                if not before:
-                    new.append(row)
-            elif before:
-                del have[row]
-                gone.append(row)
-        state.remove(predicate, gone)
-        state.insert(predicate, new)
-
-
 class MaintainedState:
     """A program's fixpoint as int rows, with the joins that maintain it.
 
     ``relations`` maps every predicate the program mentions to its
     :class:`_Rows` over ``catalog`` — the catalog the EDB was encoded over,
     kept for the state's lifetime: delta values are interned into it.
-    ``counts`` maps each counting group's predicates to ``{row: supports}``;
     ``old`` holds each predicate's :class:`_Old` view and, through it, the
     running pass's net changes.  :meth:`facts` decodes on demand.
     """
@@ -672,12 +507,11 @@ class MaintainedState:
             base = encoded.relations.get(predicate)
             if base is not None and base.keys:
                 self.kept.setdefault(predicate, set()).update(base.keys)
-        self.counts = {}
-        self.compiled = [self._compile(group, encoded) for group in plan.groups]
+        self.compiled = [self._compile(group) for group in plan.groups]
 
-    def _compile(self, group, encoded):
-        """*group*'s joins as pipelines over this state: counting joins, or
-        DRed's (overdelete, insert, rederive) triple."""
+    def _compile(self, group):
+        """*group*'s joins as pipelines over this state: DRed's
+        (overdelete, insert, rederive) triple."""
 
         def compiled(resolve):
             return [
@@ -686,14 +520,10 @@ class MaintainedState:
                     predicate,
                     positive,
                     _compile_pipeline(rule, ordered, resolve, self.catalog, (), True),
-                    width,
                 )
-                for rule, predicate, positive, ordered, width in group.joins
+                for rule, predicate, positive, ordered in group.joins
             ]
 
-        if group.counting:
-            self._count(group, encoded)
-            return compiled(self._aliased)
         rederive = [
             (
                 rule.head.predicate,
@@ -702,37 +532,6 @@ class MaintainedState:
             for rule, ordered in group.rederive
         ]
         return compiled(self.old.get), compiled(self.relations.get), rederive
-
-    def _aliased(self, predicate):
-        """A counting join's renamed literal: the old or the new extension."""
-        if predicate.endswith(_OLD):
-            return self.old[predicate[: -len(_OLD)]]
-        return self.relations.get(predicate.removesuffix(_NEW))
-
-    def _count(self, group, encoded):
-        """Initial support counts of a counting group: every rule
-        instantiation, plus one extensional support for a row the EDB or the
-        program asserts.  A present row with neither (only a caller-seeded
-        EDB makes one) is pinned at one rather than read as zero."""
-        for predicate in group.predicates:
-            self.counts[predicate] = {}
-        for rule, schedule, width in group.initial:
-            pipeline = _compile_pipeline(
-                rule, schedule, self.relations.get, self.catalog, (), False
-            )
-            produced = pipeline.fire()
-            have = self.counts[rule.head.predicate]
-            for row, n in Counter(
-                produced if width is None else [r[:width] for r in produced]
-            ).items():
-                have[row] = have.get(row, 0) + n
-        for predicate in group.predicates:
-            have = self.counts[predicate]
-            base = encoded.relations.get(predicate)
-            asserted = base.keys if base is not None else ()
-            axioms = self.axioms.get(predicate, ())
-            for row in self.relations[predicate].keys:
-                have[row] = have.get(row, 0) + (row in asserted) + (row in axioms) or 1
 
     # ------------------------------------------------------------- a pass
 

@@ -81,9 +81,6 @@ class GraphSchema:
             return PredicateShape(1, 1, 0)
         return PredicateShape(1, 1, arity - 2)
 
-    def is_node_annotation(self, predicate, arity):
-        return self.shape_for(predicate, arity).target_arity == 0
-
     def __contains__(self, predicate):
         return predicate in self._shapes
 

@@ -1,6 +1,5 @@
 """HAM-style transactional, versioned graph storage (Section 5 substrate),
-plus materialized GraphLog views with incremental (counting/DRed)
-maintenance and the store's relational image, both driven by typed commit
+plus materialized GraphLog views with incremental (DRed) maintenance and the store's relational image, both driven by typed commit
 deltas."""
 
 from repro.ham.delta import Delta, compute_delta

@@ -80,11 +80,6 @@ class Delta:
             or self.nodes_added or self.nodes_removed
         )
 
-    @property
-    def insert_only(self):
-        """No fact leaves the database (node additions are fine)."""
-        return not self.deletions and not self.nodes_removed
-
     def touched_predicates(self, domain_predicate=None):
         """Predicates whose extension this delta may change.
 

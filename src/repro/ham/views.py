@@ -13,8 +13,8 @@ holds for subscriptions and result-cache entries alike):
   a stratified GraphLog / Datalog program, recursion and negation included,
   or an RPQ's λ, magic-seeded for a bound source) is *maintained* through
   the typed fact-level :class:`~repro.ham.delta.Delta` each record carries,
-  by the counting / DRed engine (:mod:`repro.datalog.dred`): support counts
-  for non-recursive strata, overdelete → rederive for recursive ones, over
+  by delete-and-rederive (:mod:`repro.datalog.dred`): overdelete →
+  rederive → insert for every evaluation group, recursive or not, over
   int rows encoded in the catalog of the image the view materialized from.
   The view keeps that catalog and interns delta values into it; the values
   of the EDB are reference counted, so star/optional edges see nodes
@@ -244,7 +244,7 @@ class MaterializedView:
         return inserted, deleted
 
     def _maintain(self, delta):
-        """One counting/DRed pass under *delta*, in place.  The delta's row
+        """One DRed pass under *delta*, in place.  The delta's row
         sets are handed over as they are (``maintain`` encodes them once); a
         value's domain fact appears with its first occurrence in the EDB and
         disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)

@@ -362,10 +362,6 @@ class Registry:
             self._collectors.append(callback)
         return callback
 
-    def unregister_collector(self, callback):
-        with self._lock:
-            self._collectors.remove(callback)
-
     def collect(self):
         """Every family currently known, sorted by name."""
         with self._lock:

@@ -5,7 +5,7 @@ recursive views over an evolving graph.  This package turns that claim
 into a service feature: a client registers a query once (``subscribe``
 wire op), receives an initial snapshot, and from then on is pushed one
 versioned delta frame per commit that changes its answer — computed by
-the counting/DRed maintenance engine, not by re-evaluation.
+delete-and-rederive (DRed) maintenance, not by re-evaluation.
 
 Three pieces (see docs/SUBSCRIPTIONS.md):
 

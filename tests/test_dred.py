@@ -1,8 +1,7 @@
 """Tests for delete-and-rederive maintenance (repro.datalog.dred).
 
-Unit tests pin down the two maintenance modes (support counting for
-non-recursive groups, DRed overdelete/rederive for recursive ones) on
-hand-built programs; the differential tests then hammer the whole thing
+Unit tests pin down overdelete / rederive / insert on hand-built programs,
+non-recursive and recursive; the differential tests then hammer the whole thing
 with random stratified programs and random insert/delete sequences,
 comparing every maintained database against a from-scratch evaluation.
 """
@@ -55,7 +54,7 @@ def snapshot(database, predicates):
     return {p: frozenset(database.facts(p)) for p in predicates}
 
 
-class TestCountingMode:
+class TestNonRecursiveGroups:
     PROGRAM = parse_program(
         """
         hop(X, Y) :- e(X, Y).
@@ -63,28 +62,35 @@ class TestCountingMode:
         """
     )
 
-    def test_nonrecursive_groups_use_counting(self):
+    def test_insert_lands(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
         plan, database = materialize(self.PROGRAM, edb)
         stats = plan.maintain(database, {"e": [("c", "d")]}, None)
-        assert stats.counting_groups > 0
-        assert stats.dred_groups == 0
+        assert stats.dred_groups == 2
+        assert (stats.overdeleted, stats.rederived) == (0, 0)
         assert ("c", "d") in database.facts("hop")
         assert ("b", "d") in database.facts("two")
 
     def test_shared_derivations_survive_single_deletion(self):
         # two("a","c") is derivable through b and through x: deleting one
-        # path decrements the support count but must not delete the fact.
+        # path overdeletes it and rederives it from the other.
         edb = Database.from_facts(
             {"e": [("a", "b"), ("b", "c"), ("a", "x"), ("x", "c")]}
         )
         plan, database = materialize(self.PROGRAM, edb)
-        plan.maintain(database, None, {"e": [("a", "b")]})
+        with obs.tracing("t") as tracer:
+            plan.maintain(database, None, {"e": [("a", "b")]})
+        (two,) = [
+            group
+            for group in tracer.root.find_all("dred.group")
+            if group.attrs["predicates"] == ["two"]
+        ]
+        assert sum(two.attrs["overdelete_rounds"]) == sum(two.attrs["rederive_rounds"]) == 1
         assert ("a", "c") in database.facts("two")
         plan.maintain(database, None, {"e": [("a", "x")]})
         assert ("a", "c") not in database.facts("two")
 
-    def test_counting_matches_recompute(self):
+    def test_matches_recompute(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c"), ("c", "a")]})
         plan, database = materialize(self.PROGRAM, edb)
         plan.maintain(
@@ -311,7 +317,7 @@ def churn(program, arities, values, seed, rounds=6):
     """Random net insert / delete rounds on the predicates of *arities*
     (IDB names allowed: base facts under that name) with values drawn from
     *values*; after every round the maintained state equals
-    ``Engine("naive")`` from scratch.  Returns the plan's stats, summed."""
+    ``Engine("naive")`` from scratch."""
     rng = random.Random(seed)
     edb = Database()
     for predicate, arity in arities.items():
@@ -319,7 +325,6 @@ def churn(program, arities, values, seed, rounds=6):
         for _ in range(6):
             relation.add(tuple(rng.choice(values) for _ in range(arity)))
     plan, state = materialize(program, edb)
-    groups = {"counting": 0, "dred": 0}
     for round_index in range(rounds):
         plus, minus = {}, {}
         for predicate, arity in arities.items():
@@ -339,15 +344,12 @@ def churn(program, arities, values, seed, rounds=6):
                 minus[predicate] = gone
             if new:
                 plus[predicate] = new
-        stats = plan.maintain(state, plus, minus)
-        groups["counting"] += stats.counting_groups
-        groups["dred"] += stats.dred_groups
+        plan.maintain(state, plus, minus)
         expected = Engine("naive", check_safety=False).evaluate(program, edb)
         for predicate in sorted(program.predicates):
             assert state.facts(predicate) == expected.facts(predicate), (
                 f"seed={seed} round={round_index} predicate={predicate}"
             )
-    return groups
 
 
 class TestEncodedDifferential:
@@ -406,28 +408,25 @@ class TestEncodedDifferential:
         # A left-linear pair over a lower IDB stratum and a 4-ary pair: the
         # initial state comes from the closure kernel, DRed maintains it.
         with obs.tracing("t") as tracer:
-            groups = churn(self.CLOSURES, {"e": 2, "n": 1, "step": 4}, ["a", "b", "c", "d"], seed)
+            churn(self.CLOSURES, {"e": 2, "n": 1, "step": 4}, ["a", "b", "c", "d"], seed)
         kernel_strata = {
             tuple(s.attrs["predicates"])
             for s in tracer.root.find_all("engine.stratum")
             if s.attrs.get("kernel") == "closure"
         }
         assert kernel_strata == {("reach",), ("path",)}
-        assert groups["dred"]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_type_values_collide_as_tuples_do(self, seed):
         # 1 == 1.0 == True and 0 == 0.0 == False: one catalog id each, so a
         # delta row equal to a stored one inserts or deletes that row.
         pool = [0, 1, 1.0, True, False, 0.0, 2, 2.0, "a", "1"]
-        groups = churn(self.MIXED, {"e": 2}, pool, seed)
-        assert groups["counting"] and groups["dred"]
+        churn(self.MIXED, {"e": 2}, pool, seed)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_arithmetic_heads_intern_computed_values(self, seed):
         pool = [0, 1, 2, 3, 4, 5, 7, 1.0, 2.0, True]
-        groups = churn(self.ARITHMETIC, {"n": 1, "e": 2}, pool, seed)
-        assert groups["counting"] and groups["dred"]
+        churn(self.ARITHMETIC, {"n": 1, "e": 2}, pool, seed)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_negation_with_anonymous_variables(self, seed):
@@ -483,8 +482,9 @@ def detoured(old, new):
 class TestClosureDetours:
     """A closure group skips overdelete / rederive when every removed base
     edge keeps a detour — differentially against ``Engine("naive")``, and
-    with ``overdeleted == 0`` exactly when the condition holds.  The binary
-    closure is the left-linear mirror, the other two right-linear."""
+    with the closure group's own ``dred.group`` span marked ``detoured``
+    exactly when the condition holds.  The binary closure is the
+    left-linear mirror, the other two right-linear."""
 
     TC = parse_program(
         """
@@ -515,6 +515,7 @@ class TestClosureDetours:
         edges = planted_edges(rng)
         nodes = sorted({node for edge in edges for node in edge})
         plan, state = materialize(program, Database.from_facts(to_edb(edges)))
+        (closure,) = [sorted(g.predicates) for g in plan.groups if g.closure is not None]
         oracle = Engine("naive").evaluate(program, Database.from_facts(to_edb(edges)))
         took = {True: 0, False: 0}
         for batch in range(batches):
@@ -523,14 +524,21 @@ class TestClosureDetours:
             new -= edges
             after = (edges - gone) | new
             plus, minus = to_edb(new), to_edb(gone)
-            stats = plan.maintain(state, plus, minus)
+            with obs.tracing("t") as tracer:
+                plan.maintain(state, plus, minus)
+            (span,) = [
+                group
+                for group in tracer.root.find_all("dred.group")
+                if group.attrs["predicates"] == closure
+            ]
             expected = Engine("naive").evaluate(program, Database.from_facts(to_edb(after)))
             for predicate in sorted(program.predicates):
                 assert state.facts(predicate) == expected.facts(predicate), (
                     f"seed={seed} batch={batch} predicate={predicate}"
                 )
             shortcut = detoured(base_of(oracle), base_of(expected))
-            assert (stats.overdeleted == 0) == shortcut, f"seed={seed} batch={batch}"
+            assert span.attrs.get("detoured", False) == shortcut, f"seed={seed} batch={batch}"
+            assert ("overdelete_rounds" in span.attrs) != shortcut, f"seed={seed} batch={batch}"
             took[shortcut] += 1
             edges, oracle = after, expected
         return took
@@ -610,7 +618,7 @@ class TestClosureDetours:
 
 class TestWalkerFree:
     """Maintenance runs the columnar kernels only: with the tuple walker
-    made to raise, every pass — counting, DRed, and a store view's — still
+    made to raise, every pass — a plan's and a store view's — still
     succeeds and matches the specification."""
 
     PROGRAM = parse_program(
@@ -647,14 +655,10 @@ class TestWalkerFree:
         plan, state = materialize(
             self.PROGRAM, Database.from_facts({"e": [("x", "y")], "blocked": [("x",)]})
         )
-        counting = dred = 0
         for (plus, minus), oracle_db in zip(self.STEPS, expected):
-            stats = plan.maintain(state, plus, minus)
-            counting += stats.counting_groups
-            dred += stats.dred_groups
+            plan.maintain(state, plus, minus)
             for predicate in self.PROGRAM.predicates:
                 assert state.facts(predicate) == oracle_db.facts(predicate)
-        assert counting and dred
 
     def test_store_view_never_walks(self, monkeypatch):
         query = TestStoreLevelDifferential.QUERY

@@ -219,8 +219,7 @@ class TestDRedTracing:
         assert maintain.attrs["delta_minus"] == {"link": 1}
         group = maintain.find("dred.group")
         assert group is not None
-        if group.attrs["technique"] == "dred":
-            assert "overdelete_rounds" in group.attrs
+        assert "overdelete_rounds" in group.attrs
 
 
 class TestExplainOp:

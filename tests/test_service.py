@@ -477,6 +477,32 @@ class TestMaintainedEntries:
             assert response["cache"] == "miss" and rows == closure_of(edges)
         assert service.stats()["result_cache"]["promotions"] == 1
 
+    def test_a_join_row_losing_one_of_two_derivations_stays_maintained(self):
+        # two(a, c) is derived through b and through x: losing a -> b
+        # overdeletes it and rederives it through x — churn 2, no net change.
+        program = "two(X, Z) :- link(X, Y), link(Y, Z)."
+        request = {"op": "datalog", "query": program, "predicate": "two"}
+        edges = {("a", "b"), ("b", "c"), ("a", "x")}
+        service = QueryService(store=HAMStore())
+        link(service, *edges)
+        service.execute(request)
+        edges.add(("x", "c"))
+        link(service, ("x", "c"))
+        assert service.execute(request)["cache"] == "miss"  # promoted
+        link(service, ("a", "b"), remove=True)
+        edges.discard(("a", "b"))
+        (view,) = service.subs._views_by_key.values()
+        assert view.churn == 2
+        response = service.execute(request)
+        assert response["cache"] == "hit"
+        expected = Engine("naive").evaluate(
+            parse_program(program), Database.from_facts({"link": edges})
+        )
+        rows = {tuple(r) for r in response["result"]["relations"]["two"]}
+        assert rows == expected.facts("two") == {("a", "c")}
+        cached = service.stats()["result_cache"]
+        assert (cached["maintained"], cached["promotions"], cached["demotions"]) == (1, 1, 0)
+
     def test_the_row_budget_evicts_the_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(cache_module, "MAINTAINED_ROW_BUDGET", 10)
         service = QueryService(store=HAMStore())

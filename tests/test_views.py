@@ -217,8 +217,8 @@ class TestStoreLevelView:
         assert view.rows("marked") == set()
 
     def test_summary_view_recomputes_and_diffs(self):
-        # Aggregation/summarization is non-monotone in a way support counts
-        # cannot track; such views re-evaluate and report the set difference.
+        # Aggregation/summarization is non-monotone in a way DRed cannot
+        # track; such views re-evaluate and report the set difference.
         store = HAMStore()
         store.load_database(Database.from_facts({"hop": [("a", "b", 3)]}))
         view, changes = watch(
