@@ -324,7 +324,9 @@ def check_maintained_entries():
     flights data, 4 closures and 2 RPQs primed: each read evaluates once
     more — its first re-read, which promotes it — and is a hit ever after;
     the 4 closures, one program under four head names, pin one shared
-    view; every answer equals the naive oracle."""
+    view, and the 2 RPQs, one path expression from two sources, one seeded
+    view — so each commit after the promotions runs two view passes; every
+    answer equals the naive oracle."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import flights_database  # noqa: E402 — the bench's dataset
 
@@ -386,16 +388,19 @@ def check_maintained_entries():
     evaluations = stats["metrics"]["phases"]["evaluate"]["count"]
     reads = len(closures + rpqs)
     views = sorted(view["pins"] for view in stats["subs"]["views"].values())
+    passes = {view["maintenance_passes"] for view in stats["subs"]["views"].values()}
     if (cached["maintained"], cached["promotions"], cached["demotions"]) != (reads, reads, 0):
         fail(f"the reads are not {reads} maintained entries: {cached!r}")
-    if views != [1] * len(rpqs) + [len(closures)]:
-        fail(f"the closures do not share one view (pins per view: {views})")
+    if views != [len(rpqs), len(closures)]:
+        fail(f"the closures, and the RPQs, do not share one view each (pins per view: {views})")
+    if passes != {2 * rounds - 1}:
+        fail(f"view passes {passes}: expected one per view per commit after the promotions")
     if evaluations != 2 * reads:
         fail(f"{evaluations} evaluate phases, expected {2 * reads}: a maintained entry re-evaluated")
     print(
         f"maintained entries: {len(closures)} closures on 1 shared view with {views[-1]} pins, "
-        f"{len(rpqs)} RPQs, {cached['promotions']} promotions, {evaluations} evaluations, "
-        "all equal to naive"
+        f"{len(rpqs)} RPQs on 1 seeded view, {cached['promotions']} promotions, "
+        f"{evaluations} evaluations, all equal to naive"
     )
 
 

@@ -10,10 +10,11 @@ delete-and-rederive (DRed) maintenance, not by re-evaluation.
 Three pieces (see docs/SUBSCRIPTIONS.md):
 
 - a **shared-view registry** keyed by the view program up to a renaming
-  of its IDB predicates (an RPQ's is its magic-seeded λ): the view is
-  materialized on the first subscriber and torn down on the last
-  unsubscribe, so 10k subscribers to one query, or to renamed copies of
-  it, cost exactly one maintenance pass per commit;
+  of its IDB predicates (an RPQ's is its magic-seeded λ, whose sources
+  are seeds of one view): the view is materialized on the first
+  subscriber and torn down on the last unsubscribe, so 10k subscribers to
+  one query, or to renamed copies of it, cost exactly one maintenance
+  pass per commit;
 - **per-subscription backpressure**: bounded outbound queues with explicit
   overflow policies — ``resync`` (drop queued deltas, send a fresh
   snapshot instead; deltas are never silently skipped) or ``disconnect``;

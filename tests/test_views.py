@@ -255,6 +255,7 @@ class TestStoreLevelView:
             "version": store.version,
             "rows": 6,
             "predicates": ["reach"],
+            "seeds": 0,
             "maintenance_passes": 1,
             "diff_refreshes": 0,
             "deltas_emitted": 1,
