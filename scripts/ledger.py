@@ -9,8 +9,9 @@ rows one workload is read by: ``trace.unaccounted_share`` for ``hot_read``,
 ``columnar.self`` · ``prepared.self`` ms/op for ``cold_eval``, and for
 ``routed_mixed`` its cache layer (``engine.evaluations_per_op`` ·
 ``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) and its
-write path (``client.write_p50_ms`` · ``proc.replica_cpu_ms_per_op``) — the
-tables ROADMAP.md quotes at each re-anchor.  A file whose seed or command
+write path (``client.write_p50_ms`` · ``proc.replica_cpu_ms_per_op`` ·
+``proc.router_cpu_ms_per_op``) — the tables ROADMAP.md quotes at each
+re-anchor.  A file whose seed or command
 differs from the rest is flagged below the table: its numbers are not
 comparable.
 """
@@ -60,9 +61,14 @@ WORKLOAD_ROWS = {
             ),
         ),
         (
-            "`client.write_p50_ms` · `proc.replica_cpu_ms_per_op`",
+            "`client.write_p50_ms` · `proc.replica_cpu_ms_per_op` · "
+            "`proc.router_cpu_ms_per_op`",
             "per_layer",
-            ("client.write_p50_ms", "proc.replica_cpu_ms_per_op"),
+            (
+                "client.write_p50_ms",
+                "proc.replica_cpu_ms_per_op",
+                "proc.router_cpu_ms_per_op",
+            ),
         ),
     ),
 }

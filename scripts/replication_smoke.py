@@ -2,7 +2,7 @@
 """CI smoke test for the replication subsystem.
 
 Boots one primary, two replicas, and one router — all as real
-subprocesses, exactly as an operator would — then asserts the two
+subprocesses, exactly as an operator would — then asserts the
 properties the subsystem promises:
 
 - **read-your-writes through the router**: a write followed immediately
@@ -12,6 +12,8 @@ properties the subsystem promises:
   token; the replica waits).
 - **bounded convergence**: shortly after the write burst stops, every
   replica reports ``lag_versions == 0`` and the exact primary version.
+- **forwarding**: a routed closure read carries the primary's result,
+  and a routed parse error keeps the node's ``kind``.
 - **failover**: after the primary is SIGKILLed and a replica is promoted
   (``repro promote``), the same router connection resumes both writes and
   reads with zero wrong answers, and a fresh replica of the promoted
@@ -77,7 +79,7 @@ def spawn(*args):
 
 
 def main():
-    from repro.errors import ReadOnlyError
+    from repro.errors import ReadOnlyError, ServiceError
     from repro.service.client import ServiceClient
 
     primary_proc, primary_port = spawn("serve", "--port", "0")
@@ -134,6 +136,22 @@ def main():
                 if time.time() > deadline:
                     fail(f"replica :{port} stuck at {status}")
                 time.sleep(0.1)
+
+    # The router forwards the node's answer: a routed closure read carries
+    # the primary's result, and a node's parse error keeps its own kind.
+    with ServiceClient(port=router_port, timeout=30) as client:
+        with ServiceClient(port=primary_port, timeout=30) as direct:
+            expected = direct.call("datalog", query=program)["result"]
+        if client.call("datalog", query=program)["result"] != expected:
+            fail("a routed closure read differs from the primary's answer")
+        try:
+            client.call("datalog", query="p(X :- e(X, Y).")
+        except ServiceError as exc:
+            kind = exc.response["error"]["kind"]
+            if kind != "ParseError":
+                fail(f"a routed parse error came back as kind {kind!r}")
+        else:
+            fail("the router answered a malformed program")
 
     # ---- failover: SIGKILL the primary, promote replica 1, keep serving ----
     primary_proc.kill()
@@ -205,7 +223,8 @@ def main():
             proc.kill()
     print(
         f"replication_smoke: OK ({WRITES} read-your-writes round trips, "
-        f"2 replicas converged, replica rejected the write, "
+        f"2 replicas converged, replica rejected the write, routed answers "
+        f"and errors are the nodes', "
         f"{FAILOVER_WRITES} writes+reads across promote/failover, "
         f"rejoined replica converged under epoch {promoted_epoch})"
     )

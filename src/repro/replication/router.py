@@ -40,6 +40,7 @@ lives on the abandoned line — at-most-once per epoch, not globally.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import socketserver
 import threading
@@ -187,27 +188,29 @@ class RoutingClient(ClientOps):
 
     def call(self, op, **payload):
         """Route one request; returns the backend's full response dict."""
+        return json.loads(self.call_line(op, **payload))
+
+    def call_line(self, op, **payload):
+        """Route one request; returns the backend's response line as the
+        node sent it (its ``id`` is the backend connection's).  Only an
+        error line and a write's acknowledgement are decoded in full: a
+        node's error is raised (carrying it as ``response``), and an ack's
+        ``version`` becomes the read-your-writes token."""
         payload = {k: v for k, v in payload.items() if v is not None}
         tc = self._trace_for(payload)
         if tc is None:
             return self._route(op, payload)
         token = trace_context.set_current(tc)
         try:
-            if tc.sampled:
-                with obs.tracing("route", context=tc, op=op) as tr:
-                    response = self._route(op, payload)
-                if self.traces is not None:
-                    self.traces.record(
-                        obs.trace_entry(tr.root, tc.trace_id, self.node_id, op)
-                    )
-            else:
-                response = self._route(op, payload)
+            if not tc.sampled:
+                return self._route(op, payload)
+            with obs.tracing("route", context=tc, op=op) as tr:
+                line = self._route(op, payload)
+            if self.traces is not None:
+                self.traces.record(obs.trace_entry(tr.root, tc.trace_id, self.node_id, op))
+            return line
         finally:
             trace_context.reset_current(token)
-        # The backend usually echoed the id already; setdefault covers ops
-        # answered without a context-aware server on the other end.
-        response.setdefault("trace_id", tc.trace_id)
-        return response
 
     def _trace_for(self, payload):
         """The trace context this routed call runs under (or ``None``).
@@ -261,11 +264,11 @@ class RoutingClient(ClientOps):
 
     def _call_write(self, op, payload, now):
         try:
-            response = self._call_backend(self.primary, op, payload, now)
+            line = self._call_backend(self.primary, op, payload, now)
         except _BackendDown as exc:
-            response = self._failover_write(op, payload, now, exc)
+            line = self._failover_write(op, payload, now, exc)
         self.writes_routed += 1
-        version = response.get("version")
+        version = json.loads(line).get("version")
         if version is not None:
             # Assign, don't max(): on one history line a new commit's
             # version always exceeds the token anyway, and across a
@@ -274,7 +277,7 @@ class RoutingClient(ClientOps):
             if self._min_version is not None and version < self._min_version:
                 self.token_resets += 1
             self._min_version = version
-        return response
+        return line
 
     def _failover_write(self, op, payload, now, down):
         """The primary's connection failed mid-write: look for a promoted
@@ -290,13 +293,13 @@ class RoutingClient(ClientOps):
         """
         for backend in list(self.replicas):
             try:
-                response = self._call_backend(backend, op, payload, now)
+                line = self._call_backend(backend, op, payload, now)
             except ReadOnlyError:
                 continue
             except _BackendDown:
                 continue
             self._adopt_primary(backend)
-            return response
+            return line
         raise down.cause
 
     def _adopt_primary(self, backend):
@@ -340,9 +343,9 @@ class RoutingClient(ClientOps):
         stale = 0
         for backend in candidates:
             try:
-                response = self._call_backend(backend, op, payload, now)
+                line = self._call_backend(backend, op, payload, now)
                 backend.mark_ok()
-                return response
+                return line
             except ReplicaStale as exc:
                 # The replica waited its bounded wait and is still behind:
                 # healthy, just lagging — redirect, don't eject.
@@ -405,8 +408,7 @@ class RoutingClient(ClientOps):
 
     def _send(self, backend, op, payload, now):
         try:
-            client = backend.acquire()
-            response = client.call(op, **payload)
+            return backend.acquire().call_line(op, **payload)
         except (ReplicaStale, ReadOnlyError):
             raise
         except ServiceError as exc:
@@ -421,7 +423,6 @@ class RoutingClient(ClientOps):
             # The server answered with an error: the request is the
             # problem, not the backend.
             raise
-        return response
 
     def router_stats(self):
         """Routing-layer statistics (not a wire op)."""
@@ -479,9 +480,10 @@ class RouterServer:
     """A standalone JSON-lines TCP router (``repro route``).
 
     Accepts ordinary service-protocol connections and forwards each request
-    through a per-connection :class:`RoutingClient`.  Response ``id``s are
-    rewritten to the requesting client's ids (backends see the router's own
-    sequence numbers).
+    through a per-connection :class:`RoutingClient`.  A node's response line
+    goes back to the client byte for byte but for its ``id``, rewritten to
+    the requesting client's (backends see the router's own sequence
+    numbers); only errors and write acknowledgements are decoded whole.
     """
 
     def __init__(
@@ -551,6 +553,7 @@ class RouterServer:
 
     def _track(self, routing):
         with self._clients_lock:
+            self.connections += 1
             self._live_clients.add(routing)
 
     def _untrack(self, routing):
@@ -590,7 +593,6 @@ class RouterServer:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                outer.connections += 1
                 with outer.routing_client() as routing:
                     outer._track(routing)
                     limit = protocol.MAX_REQUEST_BYTES
@@ -616,8 +618,7 @@ class RouterServer:
                                 self.connection.settimeout(1.0)
                                 self.rfile.readline(limit)
                                 return
-                            response = outer._route_line(routing, line)
-                            self.wfile.write(protocol.encode(response))
+                            self.wfile.write(outer._route_line(routing, line))
                     except OSError:
                         return
                     finally:
@@ -655,32 +656,34 @@ class RouterServer:
         return self
 
     def _route_line(self, routing, line):
+        """The line answering one request line.  A node's answer goes back
+        as the node's bytes with only ``id`` rewritten, and a node's error
+        as the node sent it; the router builds only the answers it makes
+        itself (cluster ops, a bad line, every backend down)."""
         request_id = None
         try:
             message = protocol.decode_request(line)
             request_id = message.pop("id", None)
             op = message.pop("op")
-            if protocol.OPS[op].route == "cluster":
-                # Cluster-plane ops are answered by the router itself: it
-                # owns the topology, so it can fan out and merge instead of
-                # forwarding to one node that only knows its own slice.
-                started = time.monotonic()
-                result = getattr(self, "_op_" + op)(message)
-                response = protocol.ok_response(
-                    None,
-                    result,
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            else:
-                response = routing.call(op, **message)
+            if protocol.OPS[op].route != "cluster":
+                return protocol.rewrite_id(routing.call_line(op, **message), request_id)
+            # Cluster-plane ops are answered by the router itself: it owns
+            # the topology, so it can fan out and merge instead of
+            # forwarding to one node that only knows its own slice.
+            started = time.monotonic()
+            result = getattr(self, "_op_" + op)(message)
+            response = protocol.ok_response(
+                request_id,
+                result,
+                elapsed_ms=(time.monotonic() - started) * 1000.0,
+            )
         except ServiceError as exc:
-            return protocol.error_response(request_id, exc)
+            response = getattr(exc, "response", None) or protocol.error_response(None, exc)
+            response = dict(response, id=request_id)
         except Exception as exc:  # noqa: BLE001 — the router must not die mid-connection
             logger.exception("router failed to route a request")
-            return protocol.error_response(request_id, ServiceError(str(exc)))
-        routed = dict(response)
-        routed["id"] = request_id
-        return routed
+            response = protocol.error_response(request_id, ServiceError(str(exc)))
+        return protocol.encode(response)
 
     # ------------------------------------------------------- cluster plane
 

@@ -240,6 +240,19 @@ class ServiceClient(ClientOps):
         times with backoff.  Failures after a complete send still surface
         immediately (see the module docstring).
         """
+        return self._call(op, payload, self._decode)[1]
+
+    def call_line(self, op, **payload):
+        """Like :meth:`call`, but returns the response line as the server
+        sent it, ``id`` included.  A success line is decoded only as far as
+        its envelope head (:func:`~repro.service.protocol.split_head`),
+        which is enough to match its id; an error line is decoded and
+        raised as :meth:`call` raises it."""
+        return self._call(op, payload, self._decode_head)[0]
+
+    def _call(self, op, payload, decode):
+        """``(line, message)`` of one request; *decode* turns a line read
+        into the message whose id, ``ok`` and ``frame`` are checked."""
         payload = {k: v for k, v in payload.items() if v is not None}
         if "trace" not in payload:
             # Ambient trace propagation: inside `with obs.context.start():`
@@ -251,14 +264,14 @@ class ServiceClient(ClientOps):
         attempt = 0
         while True:
             try:
-                return self._call_once(op, payload)
+                return self._call_once(op, payload, decode)
             except _Retryable as exc:
                 if attempt >= self.retries:
                     raise exc.error from exc.error.__cause__
                 time.sleep(self._backoff(attempt))
                 attempt += 1
 
-    def _call_once(self, op, payload):
+    def _call_once(self, op, payload, decode):
         if self._sock is None or self._poisoned:
             if self.retries == 0:
                 raise ServiceError(
@@ -288,13 +301,14 @@ class ServiceClient(ClientOps):
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         while True:
             try:
-                response = self._read_message(deadline)
+                line = self._read_line(deadline)
             except TimeoutError as exc:
                 self._poison()
                 raise ServiceError(
                     f"timed out waiting for {self.host}:{self.port}; connection "
                     f"closed to avoid reading the stale response later: {exc}"
                 ) from exc
+            response = decode(line)
             if not protocol.is_push_frame(response):
                 break
             # Asynchronous subscription traffic interleaved with the
@@ -312,14 +326,14 @@ class ServiceClient(ClientOps):
                 f"{request_id}; connection closed (protocol desync)"
             )
         protocol.raise_for_error(response)
-        return response
+        return line, response
 
-    def _read_message(self, deadline):
-        """The next decoded message (response or push frame) off the wire.
+    def _read_line(self, deadline):
+        """The next line off the wire.
 
         A ``TimeoutError`` passes through untouched — whether the stream
-        survives a timeout is the caller's call; a dropped connection, EOF
-        or an undecodable line poisons the connection.
+        survives a timeout is the caller's call; a dropped connection or
+        EOF poisons the connection.
         """
         try:
             line = self._readline(deadline)
@@ -334,11 +348,20 @@ class ServiceClient(ClientOps):
         if not line:
             self._poison()
             raise ServiceError("server closed the connection")
+        return line
+
+    def _decode(self, line):
+        """*line* decoded; an undecodable line poisons the connection."""
         try:
             return json.loads(line)
         except ValueError as exc:
             self._poison()
             raise ServiceError(f"server sent invalid JSON: {exc}") from exc
+
+    def _decode_head(self, line):
+        """A success line's envelope head, or any other line decoded."""
+        split = protocol.split_head(line)
+        return self._decode(line) if split is None else split[0]
 
     def _readline(self, deadline):
         """One newline-terminated line from the socket, buffering partial
@@ -396,7 +419,7 @@ class ServiceClient(ClientOps):
             )
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            message = self._read_message(deadline)
+            message = self._decode(self._read_line(deadline))
         except TimeoutError:
             # Partial data stays buffered; the stream is still intact.
             return False

@@ -22,6 +22,15 @@ Error ``code`` values mirror the :mod:`repro.errors` service taxonomy:
 ``protocol_error``, ``timeout``, ``result_too_large``, ``service_error``
 (evaluation-layer failures keep their exception class name in ``kind``).
 
+Every line is :func:`encode`'s: keys sorted, compact separators.  So a
+success line is a *head*, ``result``, and a *tail*.  Only ``cache``,
+``elapsed_ms``, ``id`` and ``ok`` precede ``result``: scalars, the ``id``
+too when it is a router's (its backend connections count in ints), so the
+head is short whatever the answer's size.  A router reads the head alone
+(:func:`split_head`) to match the id and ``ok``, and answers its own client
+by rewriting the ``id`` there (:func:`rewrite_id`).  Only ``trace_id`` and
+``version`` follow ``result``.
+
 Push frames
 -----------
 
@@ -133,11 +142,48 @@ def encode_response(response, result=None):
     Keys are sorted, so only ``trace_id`` (a string: quotes in it are escaped)
     and ``version`` follow ``result``; the envelope's *last* ``"result":null``
     is therefore the top-level one, whatever JSON the echoed ``id`` holds.
+    Only scalars precede it (``cache``, ``elapsed_ms``, ``ok``, and the ``id``
+    a router's backend connection sends, an int), which is what lets
+    :func:`split_head` read a line's head without its ``result``.
     """
     if result is None:
         return encode(response)
     head, _, tail = encode(dict(response, result=None)).rpartition(b'"result":null')
     return b"".join((head, b'"result":', result, tail))
+
+
+def split_head(line):
+    """``(head, tail)`` of a success response *line*, or ``None``.
+
+    *head* is the decoded envelope: the keys that sort before ``"result"``.
+    *tail* is the line's bytes from the comma before ``"result":`` to the
+    newline, undecoded.  The first ``,"result":`` is the top-level one
+    exactly when the bytes before it close into a JSON object; otherwise,
+    and for a line that is not ``"ok": true`` (an error line's ``error``
+    object precedes ``id``, and it has no ``result``), this is ``None``.
+    """
+    index = line.find(b',"result":')
+    if index < 0:
+        return None
+    try:
+        head = json.loads(line[:index] + b"}")
+    except ValueError:
+        return None
+    if head.get("ok") is not True:
+        return None
+    return head, line[index:]
+
+
+def rewrite_id(line, request_id):
+    """*line* answering *request_id*: ``encode(json.loads(line) | {"id":
+    request_id})`` byte for byte.  A success line keeps its ``result`` and
+    tail bytes as they are, and only its head is decoded and re-encoded."""
+    split = split_head(line)
+    if split is None:
+        return encode(dict(json.loads(line), id=request_id))
+    head, tail = split
+    head["id"] = request_id
+    return encode_result(head)[:-1] + tail
 
 
 def decode_request(line):
@@ -250,7 +296,8 @@ def raise_for_error(response):
     types the library raises locally: protocol violations, timeouts and
     size overruns map to their dedicated classes; evaluation errors
     (parse/safety/stratification/...) surface as :class:`ServiceError`
-    with the original class name in the message.
+    with the original class name in the message.  The exception keeps
+    *response* as its ``response``.
     """
     if response.get("ok"):
         return response
@@ -260,7 +307,9 @@ def raise_for_error(response):
     kind = error.get("kind")
     if kind and kind != code:
         message = f"{kind}: {message}"
-    raise _CODE_TO_EXCEPTION.get(code, ServiceError)(message)
+    exc = _CODE_TO_EXCEPTION.get(code, ServiceError)(message)
+    exc.response = response  # a router answers with the node's own error
+    raise exc
 
 
 _ABSENT = object()  # pads a short row: rank 0, before any value (prefix rule)

@@ -93,7 +93,11 @@ def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
     layers = {
         "hot_read": {"trace.unaccounted_share": 0.198},
         "cold_eval": {"columnar.self_ms_per_op": 1.254, "prepared.self_ms_per_op": 0.318},
-        "routed_mixed": {"client.write_p50_ms": 1.834, "proc.replica_cpu_ms_per_op": 0.531},
+        "routed_mixed": {
+            "client.write_p50_ms": 1.834,
+            "proc.replica_cpu_ms_per_op": 0.531,
+            "proc.router_cpu_ms_per_op": 0.418,
+        },
     }
     runs = [
         {"workload": workload, "end_to_end": {}, "per_layer": per_layer}
@@ -113,7 +117,8 @@ def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
     assert "| | `trace.unaccounted_share` | 0.20 |" in block("hot_read")
     assert "| | `columnar.self` · `prepared.self` ms/op | 1.25 · 0.32 |" in block("cold_eval")
     assert (
-        "| | `client.write_p50_ms` · `proc.replica_cpu_ms_per_op` | 1.83 · 0.53 |"
+        "| | `client.write_p50_ms` · `proc.replica_cpu_ms_per_op` · "
+        "`proc.router_cpu_ms_per_op` | 1.83 · 0.53 · 0.42 |"
         in block("routed_mixed")
     )
     assert len(block("commit_stream")) == 2  # none of them

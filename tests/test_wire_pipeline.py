@@ -241,6 +241,36 @@ class TestMalformedRequests:
             assert "not valid UTF-8" in answers["node"]["error"]["message"]
 
 
+#: A request per error class a node answers with; the router must forward
+#: the node's own ``kind`` and message, not a ``ServiceError`` wrapping them.
+NODE_ERRORS = {
+    "ParseError": {"op": "datalog", "query": "p(X :- e(X, Y)."},
+    "SafetyError": {"op": "datalog", "query": "p(X, Z) :- e(X, Y)."},
+    "StratificationError": {
+        "op": "datalog",
+        "query": "p(X) :- e(X, Y), not q(X).\nq(X) :- e(X, Y), not p(X).",
+    },
+    "QueryGraphError": {"op": "graphlog", "query": "define (X) -[r]-> (Y) { }"},
+    "ResultTooLarge": {"op": "datalog", "query": EDGES_PROGRAM, "max_rows": 0},
+    "ProtocolError": {"op": "checkpoint"},
+}
+
+
+class TestNodeErrorsThroughTheRouter:
+    @pytest.mark.parametrize("kind", sorted(NODE_ERRORS))
+    def test_node_and_router_answer_alike(self, topology, kind):
+        node, router = topology
+        answers = {}
+        for via, port in (("node", node.port), ("router", router.port)):
+            with Wire(port) as wire:
+                assert wire.request(op="update", edges=[["a", "e", "b"]])["ok"]
+                answers[via] = wire.ask(protocol.encode({"id": 9, **NODE_ERRORS[kind]}))
+        assert answers["node"] == answers["router"]
+        error = json.loads(answers["router"])["error"]
+        assert error["kind"] == kind
+        assert not error["message"].startswith(kind)
+
+
 class TestMethodParameter:
     def test_every_valid_method_answers_alike(self, topology):
         # The two methods an older node accepted now name one evaluator: a
