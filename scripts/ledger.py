@@ -11,9 +11,12 @@ rows one workload is read by: ``trace.unaccounted_share`` for ``hot_read``,
 ``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) and its
 write path (``client.write_p50_ms`` · ``proc.replica_cpu_ms_per_op`` ·
 ``proc.router_cpu_ms_per_op``) — the tables ROADMAP.md quotes at each
-re-anchor.  A file whose seed or command
-differs from the rest is flagged below the table: its numbers are not
-comparable.
+re-anchor.  The last row is each file's ``client.speed``, the speed probe's
+median over all its runs (1.0 = the reference box): the end-to-end rows are
+scaled to that reference, while the per-layer rows in ms are raw, as
+measured, and say so — so a reader can tell a slower box from slower code.
+A file whose seed or command differs from the rest is flagged below the
+table: its numbers are not comparable.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ def cell(doc, workload, section, metrics):
     return " · ".join(parts)
 
 
+def speed(doc):
+    """The median ``client.speed`` over all of *doc*'s runs, or None."""
+    values = [run["per_layer"]["client.speed"] for run in doc.get("runs", ())
+              if "client.speed" in run.get("per_layer", {})]
+    return statistics.median(values) if values else None
+
+
 def table(ledger):
     names = [name.removesuffix(".json") for name, _doc in ledger]
     lines = [
@@ -115,9 +125,14 @@ def table(ledger):
     for workload in WORKLOADS:
         rows = ROWS + WORKLOAD_ROWS.get(workload, ())
         for index, (label, section, metrics) in enumerate(rows):
+            if section == "per_layer" and "ms" in label:
+                label += " (raw, not speed-scaled)"
             cells = [cell(doc, workload, section, metrics) for _name, doc in ledger]
             first = f"| `{workload}` |" if index == 0 else "| |"
             lines.append(f"{first} {label} | " + " | ".join(cells) + " |")
+    speeds = [speed(doc) for _name, doc in ledger]
+    lines.append("| all four | `client.speed` (probe, 1.0 = reference box) | "
+                 + " | ".join("–" if v is None else f"{v:.2f}" for v in speeds) + " |")
     return lines
 
 

@@ -134,6 +134,17 @@ class StoreImage:
             self.database.relation(DOMAIN_PREDICATE, 1)
         return self._prepared
 
+    def edb(self, program, raw=False):
+        """What *program* reads: ``database`` with *raw* (a Datalog request
+        reads the raw EDB), else ``prepared`` (λ reads the active domain
+        too).  Raises :class:`ArityError` for a relation at another arity."""
+        edb = self.database if raw else self.prepared
+        misread = [p for p in program.edb_predicates
+                   if p in edb and edb.arity_of(p) != program.arity_of(p)]
+        if misread:
+            raise ArityError(f"it holds {misread} at other arities than the program reads")
+        return edb
+
     @property
     def catalog(self):
         return encode_database(self.database).catalog

@@ -7,7 +7,7 @@ such answer — a prepared plan (:class:`~repro.service.prepared.PreparedQuery`)
 plus the state that keeps it current — advanced by the commit records an
 ordered ``store.subscribe`` hook delivers (``store.subscribe(view.apply)``;
 in a service, :mod:`repro.subs`'s one hook advances every view its table
-holds for subscriptions and result-cache entries alike):
+holds):
 
 - a plan's view program (:meth:`~repro.service.prepared.PreparedQuery.view`:
   a stratified GraphLog / Datalog program, recursion and negation included,
@@ -32,6 +32,10 @@ holds for subscriptions and result-cache entries alike):
 Either way :meth:`MaterializedView.apply` returns the same thing: the net
 rows the commit inserted into and deleted from the requested predicates.
 
+Whoever reads a view's rows is one of its :class:`Holder` s.  The view
+counts them per seed and reseeds only when a count crosses 0 ↔ 1, so its
+seeds are those its holders read.
+
 The ``abl5`` benchmark compares incremental maintenance against recompute.
 """
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+from collections import Counter
 
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
@@ -70,6 +75,29 @@ def select(relations, seed):
     return {p: {row[1:] for row in rows if row[0] == seed} for p, rows in relations.items()}
 
 
+class Holder:
+    """One reader of a view's rows — a subscription, or a maintained
+    result-cache entry's pin (with its *key*) — those of *definition*'s
+    seed, under its names.  The cache sets ``released`` on a pin whose entry
+    it dropped; the view's next visitor lets it go."""
+
+    __slots__ = ("view", "seed", "names", "idb", "key", "released")
+
+    def __init__(self, view, definition, key=None):
+        self.view = view
+        self.seed = definition.seed
+        self.names = definition.predicates
+        self.idb = definition.idb
+        self.key = key
+        self.released = False
+
+    def read(self, relations):
+        """*relations* of its view, ``{predicate: rows}``, as this holder
+        reads them: its seed's rows, under its names."""
+        rows = select(relations, self.seed)
+        return {name: rows[p] for p, name in zip(self.view.predicates, self.names) if p in rows}
+
+
 class ViewReset(StoreError):
     """:meth:`MaterializedView.apply` re-materialized at the record's
     version with no previous answer to diff against: the view is current,
@@ -83,8 +111,8 @@ class MaterializedView:
     of its ``predicates``.  ``mode`` is ``"maintained"`` or ``"diff"`` (see
     the module docstring); ``version`` is the store version the answer is
     current at (-1 before the first :meth:`refresh`).  A seeded definition's
-    view answers for each seed in ``seeds`` (:meth:`reseed`), the
-    definition's own to begin with."""
+    view answers for each seed in ``seeds``: the definition's own to begin
+    with, then those of its ``holders``."""
 
     def __init__(self, plan, images, params=None, definition=None):
         self.plan = plan
@@ -93,6 +121,8 @@ class MaterializedView:
         self.definition = definition or plan.view(self.eval_params)
         self.predicates = self.definition.predicates
         self.seeds = {self.definition.seed} - {None}
+        self.holders = set()
+        self._holds = Counter()  # seed -> holders reading it
         self.maintenance = None  # the MaintenancePlan of a maintained view
         self.fallback_reason = self.definition.reason
         self.version = -1
@@ -156,7 +186,17 @@ class MaterializedView:
         version, graph = self._graph(version)
         if self.maintenance is not None:
             try:
-                image, edb = self._maintained_edb(version, graph)
+                image = self.images.at(version, graph)
+                if (
+                    self.state is not None
+                    and self.state.catalog is image.catalog
+                    and catalog_bloated(self._dead, self._refs)
+                ):
+                    # The catalog the state shares with the image is bloated
+                    # by values that left the store: both start over.
+                    self.images.reset("catalog_bloat")
+                    image = self.images.at(version, graph)
+                edb = image.edb(self.definition.program, raw=self.plan.op == "datalog")
             except ArityError as why:
                 if self.state is not None:
                     raise
@@ -195,23 +235,39 @@ class MaterializedView:
         relation = self.definition.seed_relation
         self.maintenance.maintain(self.state, {relation: {(s,) for s in plus}}, {relation: minus})
 
-    def reseed(self, seeds):
-        """Answer for the seeds *seeds* from now on.  A maintained view runs
-        one pass over its state, and re-materializes at its version should
-        the pass raise; a diffing view evaluates the new seeds alone and
-        drops the rows of the old."""
-        plus, minus = seeds - self.seeds, self.seeds - seeds
-        if not (plus or minus):
-            return
+    def hold(self, holder):
+        """Count *holder* among the view's holders, seeding its seed first
+        if no holder read it yet."""
+        self.holders.add(holder)
+        if holder.seed is not None:
+            self._holds[holder.seed] += 1
+            if holder.seed not in self.seeds:
+                self._reseed({holder.seed}, set())
+
+    def release(self, holders):
+        """Let *holders* go: seeds no holder reads any more leave in one pass
+        (unless none is left).  Returns whether the view is still held."""
+        seeds = [h.seed for h in holders if h in self.holders and h.seed is not None]
+        self.holders.difference_update(holders)
+        self._holds -= Counter(seeds)  # keeps the seeds still held
+        left = {seed for seed in seeds if seed not in self._holds}
+        if self.holders and left:
+            self._reseed(set(), left)
+        return bool(self.holders)
+
+    def _reseed(self, plus, minus):
+        """Answer for the seeds *plus* too, and no more for *minus*.  A
+        maintained view runs one pass over its state, and re-materializes
+        at its version should the pass raise; a diffing view evaluates the
+        new seeds alone and drops the rows of the old."""
+        self.seeds = (self.seeds | plus) - minus
         if self.maintenance is None:
             added = self._evaluate(*self._graph(self.version), plus)
-            self.seeds = set(seeds)
             self._rows = {
                 p: {row for row in rows if row[0] not in minus} | added[p]
                 for p, rows in self._rows.items()
             }
             return
-        self.seeds = set(seeds)
         try:
             self._seed(plus, {(s,) for s in minus})
         except Exception:
@@ -220,32 +276,6 @@ class MaterializedView:
                 "reseeding view %s failed; re-evaluating instead", self.plan.fingerprint[:12]
             )
             self.refresh(self.version)
-
-    def _maintained_edb(self, version, graph):
-        """``(image, edb)``: the store's image at *version* and the database
-        of it the program is evaluated over.  Raises :class:`ArityError`
-        when the store holds one relation at two arities, or one at another
-        arity than the program reads it (an RPQ label over edges with label
-        arguments)."""
-        image = self.images.at(version, graph)
-        if (
-            self.state is not None
-            and self.state.catalog is image.catalog
-            and catalog_bloated(self._dead, self._refs)
-        ):
-            # The catalog the state shares with the image is bloated by
-            # values that left the store: both start over.
-            self.images.reset("catalog_bloat")
-            image = self.images.at(version, graph)
-        # λ's programs read the active domain (``node``); a Datalog
-        # request evaluates against the raw EDB, and so does its view.
-        edb = image.database if self.plan.op == "datalog" else image.prepared
-        program = self.definition.program
-        misread = [p for p in program.edb_predicates
-                   if p in edb and edb.arity_of(p) != program.arity_of(p)]
-        if misread:
-            raise ArityError(f"it holds {misread} at other arities than the program reads")
-        return image, edb
 
     def apply(self, record):
         """Advance past one commit *record* — the store's next, as an

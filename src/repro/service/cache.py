@@ -13,18 +13,18 @@ footprint misses them provably cannot have changed, so it is *re-stamped*
 to the new version and stays servable (counted as ``delta_reuse_hits``);
 intersecting (or footprint unknown) → the entry is dropped.
 
-A *maintained* entry pins a shared
-:class:`~repro.ham.views.MaterializedView` instead, read under the entry's
-own relation names, which the same hook advances first: unchanged →
-re-stamped, changed → its new answer's bytes replace the old.  Admission is
-decided by the module constants: a key is promoted on its first miss after
-a commit dropped it, demoted — for good — when a pass costs more than
-re-evaluating, and maintained entries are evicted LRU-first beyond
+A *maintained* entry instead holds a shared
+:class:`~repro.ham.views.MaterializedView` by a *pin*, one of the view's
+:class:`~repro.ham.views.Holder` s, read under the entry's own relation
+names; the same hook advances the view first and hands the pin its change
+(:meth:`ResultCache.refresh`).  Admission is decided by the module
+constants: a key is promoted on its first miss after a commit dropped it,
+demoted — for good — when a pass costs more than re-evaluating, and
+maintained entries are evicted LRU-first beyond
 :data:`MAINTAINED_ROW_BUDGET` rows of view state.  An entry leaving the
-cache hands its pin back through :meth:`ResultCache.take_released`, for the
-manager to unpin under its own lock.  :meth:`ResultCache.lookup` answers a
-request with the entry, or with why there is none: :data:`BEHIND`,
-:data:`PROMOTE` or :data:`MISS`.
+cache marks its pin ``released``, for the view's next visitor to let go.
+:meth:`ResultCache.lookup` answers a request with the entry, or with why
+there is none: :data:`BEHIND`, :data:`PROMOTE` or :data:`MISS`.
 
 Parameter normalization is type-tagged: ``{"limit": 1}``, ``{"limit": "1"}``
 and ``{"limit": True}`` produce three distinct keys (plain ``str(v)``
@@ -34,7 +34,7 @@ normalization used to collide them, which could serve the wrong answer).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from repro import obs
 
@@ -48,11 +48,6 @@ from repro import obs
 #: twelve path expressions, a ~840-row view each, plus two more closures:
 #: 4 752 + 12 × 840 + 2 × 4 752 ≈ 24 300 rows.
 MAINTAINED_ROW_BUDGET = 24_576
-
-#: A key's admission marks: a commit dropped its plain entry (its next miss
-#: promotes it), or a view pass of its maintained entry cost more than the
-#: view holds (never promoted again).
-_DROPPED, _DEMOTED = "dropped", "demoted"
 
 #: Why :meth:`ResultCache.lookup` found no entry current at the version
 #: asked: a maintained entry the in-flight commit dispatch will re-stamp; a
@@ -106,9 +101,7 @@ class Entry:
     """One cached answer: *encoded*, the wire bytes of its ``result`` object
     — its only representation, spliced by a network hit and decoded by an
     in-process one — its row *count*, the *version* stamp, the plan's
-    *footprint* and, for a maintained entry, its *pin* ``(view, names,
-    idb, seed)``: the view it answers from, read under *names* by a program
-    with IDB predicates *idb*, for *seed* (a seeded view's, or None).  The
+    *footprint* and, for a maintained entry, its *pin*.  The
     envelope is never encoded, so the bytes stay valid when a commit
     re-stamps *version*."""
 
@@ -132,10 +125,12 @@ class ResultCache:
         self.capacity = capacity
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        #: key -> _DROPPED / _DEMOTED, oldest first, at most *capacity* keys.
+        #: key -> its admission mark, oldest first, at most *capacity* keys:
+        #: True once a commit dropped its plain entry (its next miss promotes
+        #: it), False once demoted (never promoted again).
         self._marks = OrderedDict()
-        #: Pins of maintained entries that left the cache, to unpin.
-        self._released = []
+        #: view -> the maintained entries pinning it.
+        self._views = Counter()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -166,7 +161,7 @@ class ResultCache:
                 if entry is not None and entry.pin is not None:
                     found = BEHIND if entry.version < version else MISS
                 else:
-                    found = PROMOTE if self._marks.get(key) == _DROPPED else MISS
+                    found = PROMOTE if self._marks.get(key) else MISS
                 if wait is None:
                     return found
                 if found is not BEHIND or waited:
@@ -179,50 +174,86 @@ class ResultCache:
         a plan reading *footprint*, the predicates the answer depends on
         (``None``: unknown, which every later commit treats as intersecting).
 
-        With *pin* the entry is maintained: the commit hook keeps it equal
-        to that pinned view's answer, so a plain put never replaces it.
-        Admitting one evicts the least recently used entries pinning other
-        views while the views pinned hold more than
-        :data:`MAINTAINED_ROW_BUDGET` rows.  Returns the entry stored (None
-        when refused)."""
+        With a *pin* the entry is maintained (admitted by :meth:`trim`): the
+        commit hook keeps it equal to that view's answer, so a plain put
+        never replaces it.  Returns the entry stored (None when refused)."""
         with self._lock:
             old = self._entries.get(key)
             if old is not None and old.pin is not None:
                 if pin is None:
                     return None
-                self._released.append(old.pin)
+                self._pop(key)
             entry = self._entries[key] = Entry(encoded, count, version, footprint, pin)
             self._entries.move_to_end(key)
             if pin is not None:
                 self.promotions += 1
-                others = [k for k, e in self._entries.items() if e.pin and e.pin[0] is not pin[0]]
-                for other in others:
-                    if self._maintained_rows() <= MAINTAINED_ROW_BUDGET:
-                        break
-                    self._evict(other)
+                self._views[pin.view] += 1
             while len(self._entries) > self.capacity:
                 self._evict(next(iter(self._entries)))
             return entry
 
-    def _evict(self, key):
+    def trim(self, view):
+        """Admit a maintained entry of *view*: evict the least recently used
+        entries pinning other views while the views pinned hold more than
+        :data:`MAINTAINED_ROW_BUDGET` rows.  Returns the evicted pins."""
+        with self._lock:
+            over = self._maintained_rows() - MAINTAINED_ROW_BUDGET
+            pinned, victims = Counter(self._views), []
+            for key, entry in self._entries.items() if over > 0 else ():
+                pin = entry.pin
+                if pin is not None and pin.view is not view:
+                    victims.append(key)
+                    pinned[pin.view] -= 1
+                    if not pinned[pin.view]:
+                        over -= pin.view.held_rows()
+                        if over <= 0:
+                            break
+            return [self._evict(key) for key in victims]
+
+    def _pop(self, key):
+        """Remove *key*'s entry; a maintained one releases its pin."""
         entry = self._entries.pop(key)
         if entry.pin is not None:
-            self._released.append(entry.pin)
+            entry.pin.released = True
+            self._views -= Counter((entry.pin.view,))
+        return entry
+
+    def _evict(self, key):
+        pin = self._pop(key).pin
+        if pin is not None:
             self._marks.pop(key, None)
         self.evictions += 1
+        return pin
 
-    def _mark(self, key, mark):
-        self._marks[key] = mark
+    def _mark(self, key, promote):
+        self._marks[key] = promote
         self._marks.move_to_end(key)
         if len(self._marks) > self.capacity:
             self._marks.popitem(last=False)
 
     def _maintained_rows(self):
         """Rows the pinned views hold, each view once."""
-        return sum(view.held_rows() for view in {e.pin[0] for e in self._entries.values() if e.pin})
+        return sum(view.held_rows() for view in self._views)
 
-    def apply_commit(self, version, touched, answers=None):
-        """Re-stamp, re-encode or drop entries after a commit.
+    def refresh(self, pin, answer=None):
+        """*pin*'s sink, its view advanced past a commit: re-stamp its entry
+        (*answer* None: unchanged) or replace it with *answer*, ``(encoded,
+        count)``, at the view's version — unless the entry left."""
+        with self._lock:
+            entry = self._entries.get(pin.key)
+            if entry is None or entry.pin is not pin:
+                return
+            if answer is None:
+                entry.version = pin.view.version
+                self.delta_reuse_hits += 1
+            else:
+                # A new entry, not new fields: a reader holding the old one
+                # keeps bytes that match its version.
+                self._entries[pin.key] = Entry(*answer, pin.view.version, entry.footprint, pin)
+
+    def apply_commit(self, version, touched):
+        """Re-stamp or drop plain entries after a commit, once the views of
+        the maintained ones were advanced past it.
 
         *touched* is the set of predicates the commit's delta may have
         changed (``None`` = unknown → drop everything).  Plain entries whose
@@ -232,15 +263,9 @@ class ResultCache:
         re-stamped: versions bump by exactly one per commit, so an entry
         lagging further behind was computed before some commit this hook
         never cleared it against (a put racing a commit) and cannot be
-        proven fresh.
-
-        *answers* maps each pin ``(view, names, idb, seed)`` of an entry, its
-        view advanced past this commit, to None (unchanged: the entry is
-        re-stamped to the view's version) or ``(encoded, count)``, its new
-        answer under *names*.  A maintained entry whose pin it lacks is
-        demoted: dropped, its key never promoted again.
+        proven fresh.  A maintained entry still behind *version* (its view
+        never advanced) is demoted: dropped, its key never promoted again.
         """
-        answers = answers or {}
         with obs.span(
             "cache.apply_commit",
             version=version,
@@ -249,39 +274,29 @@ class ResultCache:
             with self._lock:
                 dead = []
                 demoted = []
-                changed = []
                 restamped = 0
                 for key, entry in self._entries.items():
-                    pin = entry.pin
-                    if pin is not None and pin not in answers:
-                        demoted.append(key)
-                    elif pin is not None and answers[pin] is not None:
-                        # A new entry, not new fields: a reader holding the
-                        # old one keeps bytes that match its version.
-                        encoded, count = answers[pin]
-                        changed.append(
-                            (key, Entry(encoded, count, pin[0].version, entry.footprint, pin))
-                        )
-                    elif pin is not None or (
+                    if entry.pin is not None:
+                        if entry.version < version:
+                            demoted.append(key)
+                    elif (
                         touched is not None
                         and entry.footprint is not None
                         and entry.version == version - 1
                         and not (entry.footprint & touched)
                     ):
-                        entry.version = version if pin is None else pin[0].version
+                        entry.version = version
                         self.delta_reuse_hits += 1
                         restamped += 1
                     else:
                         dead.append(key)
-                for key, entry in changed:
-                    self._entries[key] = entry
                 for key in dead:
                     del self._entries[key]
-                    if self._marks.get(key) != _DEMOTED:
-                        self._mark(key, _DROPPED)
+                    if self._marks.get(key) is not False:
+                        self._mark(key, True)
                 for key in demoted:
-                    self._released.append(self._entries.pop(key).pin)
-                    self._mark(key, _DEMOTED)
+                    self._pop(key)
+                    self._mark(key, False)
                 self.invalidations += len(dead)
                 self.demotions += len(demoted)
                 span.annotate(restamped=restamped, dropped=len(dead), demoted=len(demoted))
@@ -290,22 +305,15 @@ class ResultCache:
         """Never promote *key* again: its plan has no maintained view over
         this store."""
         with self._lock:
-            self._mark(key, _DEMOTED)
+            self._mark(key, False)
             self.demotions += 1
-
-    def take_released(self):
-        """The pins ``(view, names, idb, seed)`` of maintained entries that
-        left the cache since the last call — one per entry."""
-        with self._lock:
-            released, self._released = self._released, []
-            return released
 
     def clear(self):
         """Drop every entry and mark (a version regression makes all of
         them meaningless); maintained entries release their pins."""
         with self._lock:
-            self._released += [e.pin for e in self._entries.values() if e.pin is not None]
-            self._entries.clear()
+            for key in list(self._entries):
+                self._pop(key)
             self._marks.clear()
 
     def stats(self):
@@ -320,7 +328,7 @@ class ResultCache:
                 "delta_reuse_hits": self.delta_reuse_hits,
                 "encoded_entries": len(self._entries),
                 "encoded_bytes": sum(len(e.encoded) for e in self._entries.values()),
-                "maintained": sum(e.pin is not None for e in self._entries.values()),
+                "maintained": sum(self._views.values()),
                 "maintained_rows": self._maintained_rows(),
                 "promotions": self.promotions,
                 "demotions": self.demotions,

@@ -238,13 +238,13 @@ class PreparedQuery:
         if self.has_summaries:
             result = GraphLogEngine().run(self.graphical, image.database)
             return {p: set(result.facts(p)) for p in predicates}
-        return Engine(check_safety=False).answer(self.program, image.prepared, predicates)
+        return Engine(check_safety=False).answer(self.program, image.edb(self.program), predicates)
 
     def _evaluate_datalog(self, _graph, image, params):
         from repro.datalog.engine import Engine
 
         return Engine(check_safety=False).answer(
-            self.program, image.database, self.requested_predicates(params)
+            self.program, image.edb(self.program, raw=True), self.requested_predicates(params)
         )
 
     def _evaluate_rpq(self, graph, _image, params):

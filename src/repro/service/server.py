@@ -343,8 +343,8 @@ class QueryService:
         self.results.clear()
         self.images.reset("rebootstrap")
         # Subscribers hold version-stamped materialized state; after a
-        # regression they must be re-seeded, not fed deltas.  The cleared
-        # cache's maintained entries unpin their views here too.
+        # regression they must be re-seeded, not fed deltas.  The pins the
+        # cleared cache released are let go of their views here too.
         self.subs.resync_all()
         self.metrics.incr("replication.rebootstraps")
 

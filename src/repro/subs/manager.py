@@ -3,27 +3,27 @@
 The manager's view table is the service's one table of long-lived answers:
 one :class:`~repro.ham.views.MaterializedView` per view program, under its
 :class:`~repro.service.prepared.ViewDefinition` key, held by its
-subscriptions and the maintained result-cache entries pinning it
-(:meth:`SubscriptionManager.pin`) — an entry's plan may be a copy of the
-program under other IDB names, read under its own names, while the store
-holds facts under neither's.  A seeded view (an RPQ's, bound to a source)
-serves every seed its holders read at once, seeded with exactly those.  A
-view nobody holds leaves the table and is maintained no more; so does one
-whose pass raised, after its subscribers are sent a ``closed`` frame
-(``error``).
+:class:`~repro.ham.views.Holder` s: subscriptions, whose sink queues
+frames, and the pins of maintained result-cache entries
+(:meth:`SubscriptionManager.pin`), whose sink re-encodes the entry.  A
+pin's plan may be a copy of the program under other IDB names, read under
+its own names, while the store holds facts under neither's.  A view nobody
+holds leaves the table and is maintained no more; so does one whose pass
+raised, after its subscribers are sent a ``closed`` frame (``error``).
 
 Threading model: the store delivers every commit record to
 :meth:`SubscriptionManager._on_commit` — the service's only commit hook —
 exactly once, in version order, on the committing thread
 (:meth:`repro.ham.store.HAMStore.subscribe` states the contract), so the
 hook applies the record it is handed and nothing else: every view advances
-once, subscribers get its delta, and then the result cache
-(:meth:`~repro.service.cache.ResultCache.apply_commit`) re-stamps, re-encodes
-or drops its entries.  Every mutation of view state and subscription queues
-happens under the manager lock (taken before the cache's, never after);
-delivery happens on the connection's sender task, which calls
-:meth:`SubscriptionManager.drain` after being poked through the sink's
-``notify()``.
+once, its holders get its change, and then the result cache
+(:meth:`~repro.service.cache.ResultCache.apply_commit`) re-stamps or drops
+its plain entries.  Every mutation of view state, holders and subscription
+queues happens under the manager lock (taken before the cache's, never
+after); a pin the cache releases by evicting its entry is let go at its
+view's next visit.  Delivery happens on the connection's sender task,
+which calls :meth:`SubscriptionManager.drain` after being poked through
+the sink's ``notify()``.
 
 A *sink* is the manager's handle for one client connection: any object
 usable as a dict key with a ``notify()`` method that is safe to call from
@@ -36,14 +36,13 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import Counter
 
 from repro import obs
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
 from repro.errors import ArityError, NotMaintainable, ProtocolError, SubscriptionError
 from repro.ham.image import StoreImages
-from repro.ham.views import MaterializedView, ViewReset, select
+from repro.ham.views import Holder, MaterializedView, ViewReset
 from repro.obs.metrics import HistogramData, MetricFamily, table_families
 from repro.service import protocol
 from repro.service.cache import result_key
@@ -85,35 +84,14 @@ def _require_maintainable(reason, allow_fallback):
         )
 
 
-def _renamed(relations, view, names):
-    """*relations* of *view* under *names*, one per its predicate."""
-    return {new: relations[old] for old, new in zip(view.predicates, names)}
+class Subscription(Holder):
+    """One subscriber: a holder whose sink is a bounded frame queue."""
 
+    __slots__ = ("id", "sink", "queue_max", "policy", "pending", "needs_resync", "closed")
 
-def _selected(relations, seed):
-    """The non-empty relations of a delta, as *seed* reads them."""
-    return {p: rows for p, rows in select(relations, seed).items() if rows}
-
-
-class Subscription:
-    """One subscriber: a bounded outbound frame queue on one sink."""
-
-    __slots__ = (
-        "id",
-        "view",
-        "seed",
-        "sink",
-        "queue_max",
-        "policy",
-        "pending",
-        "needs_resync",
-        "closed",
-    )
-
-    def __init__(self, sub_id, view, seed, sink, queue_max, policy):
+    def __init__(self, sub_id, view, definition, sink, queue_max, policy):
+        super().__init__(view, definition)
         self.id = sub_id
-        self.view = view
-        self.seed = seed  # the seed of its definition (see ViewDefinition)
         self.sink = sink
         self.queue_max = queue_max
         self.policy = policy
@@ -140,10 +118,7 @@ class SubscriptionManager:
         self.default_policy = policy
         self._lock = threading.Lock()
         self._views_by_key = {}  # ViewDefinition key -> MaterializedView
-        self._watchers = {}  # view -> its subscriptions, for every view in the table
-        self._pins = Counter()  # (view, names, IDB names) -> entries pinning it
-        self._subs = {}
-        self._by_sink = {}
+        self._by_sink = {}  # sink -> {subscription id: its Subscription}
         self._disconnect_sinks = set()
         self._next_id = 1
         # Cumulative counters (exposed via stats() and /metrics).
@@ -188,17 +163,15 @@ class SubscriptionManager:
         definition = plan.view(params)
         _require_maintainable(definition.reason, allow_fallback)  # before materializing
 
-        def attach(shared):
-            _require_maintainable(shared.fallback_reason, allow_fallback)  # the store's arities
-            seed = definition.seed
-            sub = Subscription(self._next_id, shared, seed, sink, queue_max, policy)
+        def attach(view):
+            _require_maintainable(view.fallback_reason, allow_fallback)  # the store's arities
+            sub = Subscription(self._next_id, view, definition, sink, queue_max, policy)
             self._next_id += 1
-            self._watchers[shared].add(sub)
-            self._subs[sub.id] = sub
-            self._by_sink.setdefault(sink, set()).add(sub.id)
+            view.hold(sub)
+            self._by_sink.setdefault(sink, {})[sub.id] = sub
             if self.metrics is not None:
                 self.metrics.incr("subs.subscribed")
-            return sub, shared.snapshot(seed), shared.version
+            return sub, view.snapshot(sub.seed), view.version
 
         return self._with_view(plan, params, definition, attach)
 
@@ -221,14 +194,17 @@ class SubscriptionManager:
         def attach(view):
             # Encoded under the lock: the entry's bytes must be the view's
             # answer at the version they are stamped with.
-            names, seed = definition.predicates, definition.seed
-            encoded, count = protocol.encode_answer(_renamed(view.snapshot(seed), view, names))
-            if view.maintenance is None:  # the store's arities say no
-                self.results.demote(key)
-                return self.results.put(key, encoded, count, view.version, plan.footprint)
-            pin = (view, names, definition.idb, seed)
-            self._pins[pin] += 1
-            return self.results.put(key, encoded, count, view.version, plan.footprint, pin)
+            pin = Holder(view, definition, key)
+            view.hold(pin)
+            encoded, count = protocol.encode_answer(pin.read(view.snapshot()))
+            if view.maintenance is not None:
+                entry = self.results.put(key, encoded, count, view.version, plan.footprint, pin)
+                for evicted in self.results.trim(view):
+                    self._release_locked(evicted.view, [evicted])
+                return entry
+            view.release([pin])  # the store's arities say no
+            self.results.demote(key)
+            return self.results.put(key, encoded, count, view.version, plan.footprint)
 
         try:
             return self._with_view(plan, params, definition, attach, renamed=True)
@@ -240,11 +216,11 @@ class SubscriptionManager:
         """``attach(view)``, under the lock, on the table's view of
         *definition* (*plan*'s under *params*) — with *renamed*, on a view
         of a copy of its program if it has none and the store allows
-        (:meth:`_shareable_copy`, asking an image taken outside the lock),
-        seeded with *definition*'s seed first if it has one.
-        A missing view is materialized outside the lock, since a first
-        evaluation can be slow and must not stall commits, then caught up
-        and registered; a racing duplicate is discarded."""
+        (:meth:`_shareable_copy`, asking an image taken outside the lock);
+        a view *attach* left unheld leaves the table again.  A missing view
+        is materialized outside the lock, since a first evaluation can be
+        slow and must not stall commits, then caught up and registered; a
+        racing duplicate is discarded."""
         key = definition.key
         candidate = image = None
         while True:
@@ -259,15 +235,11 @@ class SubscriptionManager:
                 if shared is None and candidate is not None:
                     self._catch_up_locked(candidate)
                     shared = self._views_by_key[key] = candidate
-                    self._watchers[shared] = set()
                 if shared is not None:
                     try:
-                        if definition.seed is not None:
-                            shared.reseed(shared.seeds | {definition.seed})
                         return attach(shared)
                     finally:
-                        self._drop_unheld_locked(shared)
-                        self._unpin_released_locked()  # what a pin's admission evicted
+                        self._release_locked(shared, ())
             if copies and image is None:
                 image = self.images.at(*self.store.snapshot_versioned())
                 continue
@@ -277,8 +249,8 @@ class SubscriptionManager:
     def unsubscribe(self, sub_id, sink):
         """Drop one subscription; tears the shared view down on last ref."""
         with self._lock:
-            sub = self._subs.get(sub_id)
-            if sub is None or sub.sink is not sink:
+            sub = self._by_sink.get(sink, {}).get(sub_id)
+            if sub is None:
                 raise SubscriptionError(
                     f"no subscription {sub_id!r} on this connection"
                 )
@@ -289,35 +261,21 @@ class SubscriptionManager:
     def drop_sink(self, sink):
         """Release everything a closed connection held (idempotent)."""
         with self._lock:
-            for sub_id in list(self._by_sink.get(sink, ())):
-                sub = self._subs.get(sub_id)
-                if sub is not None:
-                    self._remove_locked(sub)
-            self._by_sink.pop(sink, None)
+            for sub in self._by_sink.pop(sink, {}).values():
+                self._release_locked(sub.view, [sub])
             self._disconnect_sinks.discard(sink)
 
     def _remove_locked(self, sub):
-        self._subs.pop(sub.id, None)
-        ids = self._by_sink.get(sub.sink)
-        if ids is not None:
-            ids.discard(sub.id)
-            if not ids:
-                self._by_sink.pop(sub.sink, None)
-        self._watchers.get(sub.view, set()).discard(sub)  # gone if its pass raised
-        self._drop_unheld_locked(sub.view)
+        subs = self._by_sink[sub.sink]
+        del subs[sub.id]
+        if not subs:
+            del self._by_sink[sub.sink]
+        self._release_locked(sub.view, [sub])
 
-    def _drop_unheld_locked(self, view):
-        """Tear *view* down once nothing holds it — no subscriber, no
-        result-cache pin — and with it its maintenance pass; a seeded view
-        still held keeps the seeds of its holders alone."""
-        if view not in self._watchers:
-            return
-        watchers, pinned = self._watchers[view], self._pinned(view)
-        if not watchers and not pinned:
-            del self._watchers[view]
+    def _release_locked(self, view, holders):
+        """Let *holders* go of *view*; one nobody holds leaves the table."""
+        if not view.release(holders) and self._views_by_key.get(view.definition.key) is view:
             del self._views_by_key[view.definition.key]
-        elif view.seeds:
-            view.reseed({sub.seed for sub in watchers} | {seed for _n, _i, seed in pinned})
 
     @staticmethod
     def _shareable_copy(definition, copies, image):
@@ -330,19 +288,6 @@ class SubscriptionManager:
             ):
                 return view
         return None
-
-    def _pinned(self, view):
-        """``{(names, IDB names, seed): count}`` of the entries pinning *view*."""
-        return {pin[1:]: n for pin, n in self._pins.items() if pin[0] is view}
-
-    def _unpin_released_locked(self):
-        """Unpin the views of maintained entries that left the result cache."""
-        if self.results is None:
-            return
-        released = self.results.take_released()
-        self._pins -= Counter(released)  # keeps positive counts only
-        for pin in released:
-            self._drop_unheld_locked(pin[0])
 
     def _catch_up_locked(self, view):
         """Bring a freshly materialized view level with the views already
@@ -363,113 +308,118 @@ class SubscriptionManager:
         """Store commit hook: *record* is the next one, on its committing
         thread — whose ambient trace context is that commit's request, so
         its trace id stamps exactly this record's frames.  Every view
-        advances once; then the result cache re-stamps, re-encodes or drops
-        its entries, even when the dispatch raised (a pinned view it was
-        not told about is demoted)."""
+        advances once; then the result cache re-stamps or drops its plain
+        entries, even when the dispatch raised (a maintained entry left
+        behind is demoted)."""
         sinks = set()
-        answers = {}
         delta = record.delta
         touched = delta.touched_predicates(DOMAIN_PREDICATE) if delta is not None else None
         with self._lock:
             try:
-                self._unpin_released_locked()
                 if self._views_by_key:
-                    self._dispatch_locked(record, touched, sinks, answers)
+                    self._dispatch_locked(record, touched, sinks)
             finally:
                 if self.results is not None:
-                    self.results.apply_commit(record.version, touched, answers)
-                    self._unpin_released_locked()
+                    self.results.apply_commit(record.version, touched)
         self._notify(sinks)
 
-    def _dispatch_locked(self, record, touched, sinks, answers):
-        """Advance every view past *record*, which *touched* those predicates
-        (None: unknown): delta (or resync) frames to its subscribers,
-        collected *sinks* to poke, and in *answers* the new answer of each
-        pin (see ``ResultCache.apply_commit``).  A view whose pass raised
-        leaves the table, its subscriptions closed with reason ``error`` and
-        its pinned entries demoted; the others still apply the record."""
+    def _dispatch_locked(self, record, touched, sinks):
+        """:meth:`_advance_locked` every view past *record*, collecting the
+        *sinks* to poke.  A view that raised leaves the table, its
+        subscriptions closed with reason ``error`` (its entries, left
+        behind, are demoted); the others still apply the record."""
         ambient = trace_context.current()
         trace_id = ambient.trace_id if ambient is not None else None
         now = time.monotonic()
-        failed = []
         with obs.span(
             "subs.dispatch",
             version=record.version,
             views=len(self._views_by_key),
-            subscribers=len(self._subs),
+            subscribers=sum(map(len, self._by_sink.values())),
         ):
-            for view, watchers in self._watchers.items():
+            for view in list(self._views_by_key.values()):
                 try:
-                    changed, reset = view.apply(record), False
-                except ViewReset:
-                    changed, reset = None, True
-                    if watchers:
-                        self._resync_locked(watchers)
-                        sinks.update(sub.sink for sub in watchers)
+                    self._advance_locked(view, record, touched, trace_id, sinks, now)
                 except Exception:  # noqa: BLE001 — one view must not stall the rest
                     logger.exception(
                         "view %s failed at version %d; closing its subscriptions",
                         view.plan.fingerprint[:12],
                         record.version,
                     )
-                    failed.append(view)
+                    holders = list(view.holders)
+                    self._release_locked(view, holders)
+                    for sub in holders:
+                        if isinstance(sub, Subscription):
+                            self._close_locked(sub, "error", now)
+                            sinks.add(sub.sink)
+
+    def _advance_locked(self, view, record, touched, trace_id, sinks, now):
+        """Advance *view* past *record*, which *touched* those predicates
+        (None: unknown): each subscriber gets its delta frame (a resync if
+        the view reset), each pin its entry re-stamped or re-encoded, and
+        the pins the cache released are let go.  A pass that overdeleted
+        plus rederived more rows than the view holds cost more than
+        evaluating afresh: its entries are demoted — and so is an entry
+        under other IDB names once the commit touched those or the view's."""
+        try:
+            changed, reset = view.apply(record), False
+        except ViewReset:
+            changed, reset = None, True
+        costly = view.maintenance is not None and view.churn > view.held_rows()
+        own = view.definition.idb
+        # The seeds whose rows (first column) changed; None: every holder's
+        # answer may have.
+        moved = set() if changed is None and not reset else None
+        if changed is not None and view.seeds:
+            moved = {row[0] for side in changed for rows in side.values() for row in rows}
+        # The row payload is shared across the fanout: one wire encoding
+        # per view and seed per commit, one tiny per-subscriber frame dict.
+        wire = {}  # seed -> (inserted, deleted), None if it has no rows
+        snapshot = None
+        resync, gone = [], []
+        for holder in view.holders:
+            if holder.released:
+                gone.append(holder)
+            elif isinstance(holder, Subscription):
+                if reset:
+                    resync.append(holder)
                     continue
-                # A pass that overdeleted plus rederived more rows than the
-                # view holds cost more than evaluating afresh: its entries
-                # are demoted by being left out — and so is an entry under
-                # other IDB names once the commit touched those or the view's.
-                pinned = self._pinned(view)
-                if pinned and view.churn <= view.held_rows():
-                    own = view.definition.idb
-                    # The seeds whose rows (first column) changed; None: every
-                    # holder's answer may have.
-                    moved = set() if changed is None and not reset else None
-                    if changed is not None and view.seeds:
-                        moved = {row[0] for side in changed for rows in side.values() for row in rows}
-                    snapshot = None
-                    for names, idb, seed in pinned:
-                        if idb != own and (touched is None or touched & (idb | own)):
-                            continue
-                        if moved is not None and (seed is None or seed not in moved):
-                            answers[view, names, idb, seed] = None
-                            continue
-                        if snapshot is None:
-                            snapshot = view.snapshot()
-                        answers[view, names, idb, seed] = protocol.encode_answer(
-                            _renamed(select(snapshot, seed), view, names)
-                        )
-                if changed is None or not watchers:
+                if changed is None:
                     continue
-                # The row payload is shared across the fanout: one wire
-                # encoding per view and seed per commit, one tiny
-                # per-subscriber frame dict.
-                wire = {}  # seed -> (inserted, deleted), None if it has no rows
-                for sub in watchers:
-                    if sub.seed not in wire:
-                        inserted, deleted = (_selected(side, sub.seed) for side in changed)
-                        wire[sub.seed] = (
-                            tuple(map(protocol.relations_to_wire, (inserted, deleted)))
-                            if inserted or deleted
-                            else None
-                        )
-                    if wire[sub.seed] is None:
-                        continue
-                    frame = {
-                        "frame": "delta",
-                        "subscription": sub.id,
-                        "version": record.version,
-                        "inserted": wire[sub.seed][0],
-                        "deleted": wire[sub.seed][1],
-                    }
-                    if trace_id is not None:
-                        frame["trace_id"] = trace_id
-                    self._enqueue_locked(sub, frame, now)
-                    sinks.add(sub.sink)
-        for view in failed:
-            for sub in self._watchers.pop(view):
-                self._close_locked(sub, "error", now)
-                sinks.add(sub.sink)
-            del self._views_by_key[view.definition.key]
+                if holder.seed not in wire:
+                    inserted, deleted = (
+                        {p: r for p, r in holder.read(side).items() if r} for side in changed
+                    )
+                    wire[holder.seed] = (
+                        tuple(map(protocol.relations_to_wire, (inserted, deleted)))
+                        if inserted or deleted
+                        else None
+                    )
+                if wire[holder.seed] is None:
+                    continue
+                frame = {
+                    "frame": "delta",
+                    "subscription": holder.id,
+                    "version": record.version,
+                    "inserted": wire[holder.seed][0],
+                    "deleted": wire[holder.seed][1],
+                }
+                if trace_id is not None:
+                    frame["trace_id"] = trace_id
+                self._enqueue_locked(holder, frame, now)
+                sinks.add(holder.sink)
+            elif costly or holder.idb != own and (touched is None or touched & (holder.idb | own)):
+                gone.append(holder)  # left behind: the cache demotes its entry
+            elif moved is not None and holder.seed not in moved:
+                self.results.refresh(holder)
+            else:
+                if snapshot is None:
+                    snapshot = view.snapshot()
+                self.results.refresh(holder, protocol.encode_answer(holder.read(snapshot)))
+        if resync:
+            self._resync_locked(resync)
+            sinks.update(sub.sink for sub in resync)
+        self._release_locked(view, gone)
 
     # -------------------------------------------------------- backpressure
 
@@ -515,10 +465,7 @@ class SubscriptionManager:
         with self._lock:
             frames = []
             now = time.monotonic()
-            for sub_id in sorted(self._by_sink.get(sink, ())):
-                sub = self._subs.get(sub_id)
-                if sub is None:
-                    continue
+            for _id, sub in sorted(self._by_sink.get(sink, {}).items()):
                 if sub.needs_resync:
                     sub.needs_resync = False
                     frames.append(
@@ -543,15 +490,16 @@ class SubscriptionManager:
         """Re-materialize every view and force snapshot frames to every
         subscriber.  Called when version arithmetic can no longer be
         trusted: a replica re-bootstrap (the store version may regress).
-        Views the cleared result cache released are unpinned first."""
+        The pins the cleared result cache released are let go first."""
         with self._lock:
-            self._unpin_released_locked()
+            for view in list(self._views_by_key.values()):
+                self._release_locked(view, [h for h in view.holders if h.released])
             if not self._views_by_key:
                 return
             for view in self._views_by_key.values():
                 view.refresh()
-            self._resync_locked(self._subs.values())
-            sinks = {sub.sink for sub in self._subs.values()}
+            self._resync_locked([s for subs in self._by_sink.values() for s in subs.values()])
+            sinks = set(self._by_sink)
         self._notify(sinks)
 
     def _resync_locked(self, subs):
@@ -576,9 +524,6 @@ class SubscriptionManager:
                 return
             self._closed = True
             self._views_by_key.clear()
-            self._watchers.clear()
-            self._pins.clear()
-            self._subs.clear()
             self._by_sink.clear()
             self._disconnect_sinks.clear()
         try:
@@ -594,14 +539,18 @@ class SubscriptionManager:
             views = {
                 view.plan.fingerprint[:12]
                 + "".join(f" {k}={v}" for k, v in sorted(view.eval_params.items())): dict(
-                    view.stats(), subscribers=len(subs), pins=sum(self._pinned(view).values())
+                    view.stats(),
+                    subscribers=sum(isinstance(h, Subscription) for h in view.holders),
+                    pins=sum(h.key is not None and not h.released for h in view.holders),
                 )
-                for view, subs in self._watchers.items()
+                for view in self._views_by_key.values()
             }
             return {
-                "active_subscriptions": len(self._subs),
+                "active_subscriptions": sum(map(len, self._by_sink.values())),
                 "shared_views": len(self._views_by_key),
-                "queue_depth": sum(len(s.pending) for s in self._subs.values()),
+                "queue_depth": sum(
+                    len(s.pending) for subs in self._by_sink.values() for s in subs.values()
+                ),
                 "deltas_pushed": self.deltas_pushed,
                 "snapshots_sent": self.snapshots_sent,
                 "overflows": self.overflows,

@@ -191,11 +191,11 @@ def test_every_path_agrees_at_every_version(seed):
         # order, seed 3's reach at version 24 (4 rows of churn, 3 held).
         served = {name for answers in maintained.values() for name in answers}
         assert served == {"reach", "risky"}
-        demoted = {name for name, key in keys.items() if service.results._marks.get(key) == "demoted"}
+        demoted = {name for name, key in keys.items() if service.results._marks.get(key) is False}
         assert demoted <= costly
         stats = service.stats()
         assert stats["result_cache"]["promotions"] >= 2
-        pins = {name: sum(service.subs._pinned(views[name]).values()) for name in served}
+        pins = {name: sum(h.key is not None for h in views[name].holders) for name in served}
         assert pins == {name: int(name not in demoted) for name in served}
         assert stats["store"]["subscriber_failures"] == 0
         assert all(
@@ -341,7 +341,7 @@ def test_every_rpq_path_agrees_at_every_version(seed):
         # from it — unless a pass costlier than its view demoted it for good.
         for path, svc in (("primary-maintained", service), ("replica-maintained", follower)):
             served = {name for (p, _v), answers in seen.items() if p == path for name in answers}
-            demoted = {name for name, key in keys.items() if svc.results._marks.get(key) == "demoted"}
+            demoted = {name for name, key in keys.items() if svc.results._marks.get(key) is False}
             assert served | demoted == set(RPQS), path
             stats = svc.stats()
             assert stats["result_cache"]["maintained"] == len(RPQS) - len(demoted)

@@ -45,7 +45,7 @@ def test_table_columns_in_pr_order_and_odd_seed_flagged(tmp_path, capsys):
     rows = [line for line in lines if line.startswith("| `commit_stream`")]
     assert rows == ["| `commit_stream` | ops/s · p50 · p90 ms | "
                     "350 · 3.10 · 3.50 | 350 · 2.90 · 3.50 | 350 · 2.80 · 3.50 |"]
-    assert "| | `dred.self` · `store.self` · `server.self` ms/op | " \
+    assert "| | `dred.self` · `store.self` · `server.self` ms/op (raw, not speed-scaled) | " \
         "1.60 · 0.31 · 0.12 | 1.54 · 0.31 · 0.12 | 1.40 · 0.31 · 0.12 |" in lines
     assert any(line.startswith("| `hot_read` | ops/s") and "– · – · –" in line
                for line in lines)
@@ -115,10 +115,38 @@ def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
         return lines[first:next(rest, len(lines))]
 
     assert "| | `trace.unaccounted_share` | 0.20 |" in block("hot_read")
-    assert "| | `columnar.self` · `prepared.self` ms/op | 1.25 · 0.32 |" in block("cold_eval")
+    assert (
+        "| | `columnar.self` · `prepared.self` ms/op (raw, not speed-scaled) | 1.25 · 0.32 |"
+        in block("cold_eval")
+    )
     assert (
         "| | `client.write_p50_ms` · `proc.replica_cpu_ms_per_op` · "
-        "`proc.router_cpu_ms_per_op` | 1.83 · 0.53 · 0.42 |"
+        "`proc.router_cpu_ms_per_op` (raw, not speed-scaled) | 1.83 · 0.53 · 0.42 |"
         in block("routed_mixed")
     )
     assert len(block("commit_stream")) == 2  # none of them
+
+
+def test_each_file_gets_its_speed_and_raw_rows_say_so(tmp_path, capsys):
+    for pr, speeds in ((27, (0.81, 0.86, 0.83)), (28, (0.52,)), (29, ())):
+        runs = [
+            {
+                "workload": "hot_read",
+                "end_to_end": {"ops_per_s": 4000.0, "latency_p50_ms": 0.12, "latency_p90_ms": 0.3},
+                "per_layer": {"client.speed": speed, "server.self_ms_per_op": 0.05},
+            }
+            for speed in speeds
+        ]
+        doc = {"command": "python3 bench/run.py", "fingerprint": {"seed": 7}, "runs": runs}
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(doc))
+    assert _ledger().main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # The median over every run of the file, whatever the workload.
+    speed = "| all four | `client.speed` (probe, 1.0 = reference box) | 0.83 | 0.52 | – |"
+    assert lines[-1] == speed
+    # Speed-scaled rows keep their label; raw per-layer times are marked.
+    assert lines[2].startswith("| `hot_read` | ops/s · p50 · p90 ms | 4000 · 0.12 · 0.30 |")
+    assert lines[3].startswith(
+        "| | `dred.self` · `store.self` · `server.self` ms/op (raw, not speed-scaled) |"
+    )
+    assert "| | `trace.unaccounted_share` | – | – | – |" in lines  # a share, not a time

@@ -245,6 +245,8 @@ class TestMalformedRequests:
 #: the node's own ``kind`` and message, not a ``ServiceError`` wrapping them.
 NODE_ERRORS = {
     "ParseError": {"op": "datalog", "query": "p(X :- e(X, Y)."},
+    # The store holds e/2; a rule reading e/1 would misread its rows.
+    "ArityError": {"op": "datalog", "query": "p(X) :- e(X)."},
     "SafetyError": {"op": "datalog", "query": "p(X, Z) :- e(X, Y)."},
     "StratificationError": {
         "op": "datalog",
