@@ -24,11 +24,13 @@ checks every answer against the naive walker, its specification:
   generic semi-naive loop fails here.
 
 - answers as bytes, by counts alone: 50 never-seen closure misses and 50
-  never-seen Datalog misses through ``execute(..., wire=True)`` must each
-  carry exactly the bytes the keyed-sort oracle writes for the naive
-  engine's answer, and ``stats.result_cache.encoded_bytes`` must be the sum
-  of their lengths — so a change that goes back to caching row lists, or
-  orders a row differently, fails here.
+  never-seen stratified-negation Datalog misses through ``execute(...,
+  wire=True)`` must each carry exactly the bytes the keyed-sort oracle
+  writes for the naive engine's answer, decode 0 answer rows into tuples of
+  values (they are encoded from the fixpoint's int rows), and leave
+  ``stats.result_cache.encoded_bytes`` at the sum of their lengths — so a
+  change that goes back to decoding a miss's answer, to caching row lists,
+  or orders a row differently, fails here.
 
 - maintained result-cache entries, by counts alone: over the bench's
   flights data with 4 closures and 2 RPQs primed, 50 × (add flight, read
@@ -67,14 +69,17 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.core.dsl import parse_graphical_query  # noqa: E402
 from repro.core.engine import GraphLogEngine  # noqa: E402
+from repro.datalog import columnar  # noqa: E402
 from repro.datalog.database import Database  # noqa: E402
-from repro.datalog.engine import Engine  # noqa: E402
+from repro.datalog.dred import MaintainedState  # noqa: E402
+from repro.datalog.engine import Answer, Engine  # noqa: E402
 from repro.datalog.parser import parse_program  # noqa: E402
 from repro.datasets.flights import random_flights  # noqa: E402
 from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
@@ -286,10 +291,41 @@ def keyed_answer_bytes(relations):
     ).encode("utf-8")
 
 
+@contextmanager
+def decoded_rows():
+    """A list that, while inside, gets the number of rows each decoding
+    entry point of the evaluation core turns from ids into tuples of
+    values."""
+    counts = []
+    points = (
+        (Answer, "decoded", lambda answer: answer.relations if answer.values is not None else {}),
+        (columnar, "_decode_rows", lambda relation, _values: {None: relation.rows}),
+        (columnar.TermCatalog, "decode_row", lambda _catalog, row: {None: [row]}),
+        (MaintainedState, "decode", lambda _state, rows: {None: rows}),
+    )
+    originals = []
+    for owner, name, decoding in points:
+        original = getattr(owner, name)
+        originals.append((owner, name, original))
+
+        def counted(*args, _original=original, _decoding=decoding):
+            counts.append(sum(map(len, _decoding(*args).values())))
+            return _original(*args)
+
+        setattr(owner, name, counted)
+    try:
+        yield counts
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
 def check_answers_are_bytes():
-    """50 closure and 50 Datalog misses (texts never seen) on the network
-    path: each answer's bytes are the keyed-sort oracle's bytes over the
-    naive engine's answer, and the result cache holds exactly those bytes."""
+    """50 closure and 50 stratified-negation Datalog misses (texts never
+    seen) on the network path: each answer's bytes are the keyed-sort
+    oracle's bytes over the naive engine's answer, no answer row is decoded
+    into a tuple of values, and the result cache holds exactly those
+    bytes."""
     rounds = 50
     database = random_flights(7, n_cities=20, n_flights=120)
     store = HAMStore()
@@ -307,7 +343,10 @@ def check_answers_are_bytes():
               "indirect": naive.facts("indirect")}),
         )
         for request, oracle in requests:
-            body = service.execute(request, wire=True)
+            with decoded_rows() as decoded:
+                body = service.execute(request, wire=True)
+            if sum(decoded):
+                fail(f"bytes round {i}: the {request['op']} miss decoded {sum(decoded)} rows")
             if body.get("cache") != "miss":
                 fail(f"bytes round {i}: the never-seen {request['op']} was not evaluated")
             if body["encoded"] != keyed_answer_bytes(oracle):
@@ -316,7 +355,10 @@ def check_answers_are_bytes():
     cached = service.stats()["result_cache"]
     if (cached["encoded_entries"], cached["encoded_bytes"]) != (2 * rounds, total):
         fail(f"the result cache does not hold exactly the answers' bytes: {cached!r}")
-    print(f"answer bytes: {2 * rounds} misses, {total} bytes, all equal to the oracle's")
+    print(
+        f"answer bytes: {2 * rounds} misses, {total} bytes, 0 rows decoded, "
+        "all equal to the oracle's"
+    )
 
 
 def check_maintained_entries():

@@ -45,6 +45,9 @@ REQUIRED = [
     "repro_store_version",
     'repro_store_facts{predicate="link"}',
     'repro_store_churn_rows_total{predicate="link"}',
+    'repro_gc_collections_total{generation="0"}',
+    'repro_gc_collected_total{generation="2"}',
+    'repro_gc_uncollectable_total{generation="1"}',
 ]
 
 

@@ -47,13 +47,14 @@ from repro.datalog.classify import closure_base
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
-from repro.errors import EvaluationError
+from repro.errors import ArityError, EvaluationError
 from repro.graphs.closure import transitive_closure_scc
 
 # Comparison/arithmetic tables are shared with the naive walker so the two
 # backends can never drift on built-in semantics.
 from repro.datalog.engine import (
     _ARITHMETIC,
+    Answer,
     _COMPARATORS,
     _declare_relations,
     _evaluation_groups,
@@ -1108,6 +1109,11 @@ class _EvalState:
             raise EvaluationError(
                 f"relation {predicate!r} used with arities {known} and {arity}"
             )
+        base = self.encoded.relations.get(predicate)
+        if base is not None and base.arity != arity:  # as Database.relation says
+            raise ArityError(
+                f"relation {predicate!r} has arity {base.arity}, requested {arity}"
+            )
         self.relation(predicate)
 
     def relation(self, predicate):
@@ -1136,17 +1142,16 @@ def evaluate_columnar(program, edb, stats, tracer=None, predicates=None):
     Returns a fresh :class:`~repro.datalog.database.Database` holding the
     EDB facts plus every derived fact — the same contract (and the same
     stratified semantics) as ``Engine.evaluate``.  Given *predicates* (of
-    relations the program mentions or *edb* holds), it returns
-    ``{predicate: set of rows}`` for those alone, decoded straight from the
-    encoded state: no copy of *edb*, no other relation decoded.
+    relations the program mentions or *edb* holds), it returns their
+    :class:`~repro.datalog.engine.Answer`: the int rows the fixpoint left,
+    over its catalog's values — no copy of *edb*, nothing decoded.
     *stats* is the calling engine's :class:`EvaluationStats`, updated in
     place.
     """
     state = fixpoint(program, encode_database(edb), stats, tracer)
     if predicates is None:
         return _decode_result(state, program, edb, program.idb_predicates)
-    values = state.catalog.values
-    return {p: _decode_rows(state.relation(p), values) for p in predicates}
+    return Answer({p: state.relation(p).rows for p in predicates}, state.catalog.values)
 
 
 def fixpoint(program, encoded, stats, tracer=None):

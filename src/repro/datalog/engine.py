@@ -18,6 +18,7 @@ relations (stratified semantics, Definition 2.7 of the paper).
 from __future__ import annotations
 
 import operator
+from typing import NamedTuple
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
@@ -88,6 +89,26 @@ class EvaluationStats:
         )
 
 
+class Answer(NamedTuple):
+    """The rows of a query's requested predicates, as evaluation left them.
+
+    ``relations`` maps each predicate to its rows.  With ``values`` — a
+    :class:`~repro.datalog.columnar.TermCatalog`'s id → value list — those
+    are the columnar core's int rows over it, which the wire encodes
+    without decoding (:func:`repro.service.protocol.encode_answer` takes
+    both fields); without, they are rows of values."""
+
+    relations: dict
+    values: list | None = None
+
+    def decoded(self):
+        """``{predicate: set of rows of values}``."""
+        if self.values is None:
+            return self.relations
+        value = self.values.__getitem__
+        return {p: {tuple(map(value, row)) for row in rows} for p, rows in self.relations.items()}
+
+
 class Engine:
     """Evaluator for stratified Datalog programs over a :class:`Database`.
 
@@ -122,6 +143,11 @@ class Engine:
         """``{predicate: set of rows}`` for each of *predicates* — what
         :meth:`evaluate` would hold for them.  The columnar core decodes
         only those relations and never copies *edb*."""
+        return self._run(program, edb, predicates).decoded()
+
+    def encoded_answer(self, program, edb, predicates):
+        """The :class:`Answer` of *predicates*: the columnar core's int rows
+        over its catalog, never decoded; the naive walker's rows of values."""
         return self._run(program, edb, predicates)
 
     def _run(self, program, edb, predicates):
@@ -140,7 +166,7 @@ class Engine:
             else:
                 result = self._evaluate_naive(program, edb)
                 if predicates is not None:
-                    result = {p: set(result.facts(p)) for p in predicates}
+                    result = Answer({p: set(result.facts(p)) for p in predicates})
             if root:
                 root.annotate(
                     iterations=self.stats.iterations,

@@ -97,6 +97,24 @@ class Holder:
         rows = select(relations, self.seed)
         return {name: rows[p] for p, name in zip(self.view.predicates, self.names) if p in rows}
 
+    def answer(self):
+        """``(relations, values)``: what :meth:`read` reads of its view now,
+        as :func:`~repro.service.protocol.encode_answer` takes it.  A
+        maintained view's are the int rows of its state over its catalog's
+        ``values`` — its seed's picked out by id, nothing decoded; a
+        diffing view's are rows of values (``values`` None)."""
+        view = self.view
+        if view.maintenance is None:
+            return self.read(view.snapshot()), None
+        state = view.state
+        seed = None if self.seed is None else state.catalog.intern(self.seed)
+        relations = {}
+        for p, name in zip(view.predicates, self.names):
+            relation = state.relations.get(p)
+            rows = relation.keys if relation is not None else ()
+            relations[name] = rows if seed is None else [r[1:] for r in rows if r[0] == seed]
+        return relations, state.catalog.values
+
 
 class ViewReset(StoreError):
     """:meth:`MaterializedView.apply` re-materialized at the record's
@@ -221,10 +239,11 @@ class MaterializedView:
         of *seeds* (default: the view's), every row prefixed by the seed."""
         image = self.images.at(version, graph) if self.plan.reads_relations else None
         if self.definition.seed_relation is None:
-            return self.plan.evaluate(graph, image, self.eval_params)
+            return self.plan.evaluate(graph, image, self.eval_params).decoded()
         rows = {p: set() for p in self.predicates}
         for seed in self.seeds if seeds is None else seeds:
-            answer = self.plan.evaluate(graph, image, {**self.eval_params, "source": seed})
+            params = {**self.eval_params, "source": seed}
+            answer = self.plan.evaluate(graph, image, params).decoded()
             for p in self.predicates:
                 rows[p] |= {(seed, *row) for row in answer[p]}
         return rows

@@ -25,6 +25,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.datalog.ast import Literal
+from repro.datalog.engine import Answer, Engine
 from repro.datalog.terms import Variable
 from repro.errors import ProtocolError, RegexError
 from repro.service import protocol
@@ -224,26 +225,27 @@ class PreparedQuery:
         ``graph`` is the store's :class:`LabeledMultigraph`, ``image`` its
         :class:`~repro.ham.image.StoreImage` (shared across requests at the
         same version; None for a plan that does not ``reads_relations``),
-        ``params`` the request's evaluation-time parameters.  Returns
-        ``{relation_name: set_of_rows}``.
+        ``params`` the request's evaluation-time parameters.  Returns an
+        :class:`~repro.datalog.engine.Answer`: a GraphLog or Datalog
+        program's int rows as the columnar core left them, an RPQ's or a
+        summary's rows of values.
         """
         evaluate = getattr(self, f"_evaluate_{self.op}")
         return evaluate(graph, image, params or {})
 
     def _evaluate_graphlog(self, _graph, image, params):
         from repro.core.engine import GraphLogEngine
-        from repro.datalog.engine import Engine
 
         predicates = self.requested_predicates(params)
         if self.has_summaries:
             result = GraphLogEngine().run(self.graphical, image.database)
-            return {p: set(result.facts(p)) for p in predicates}
-        return Engine(check_safety=False).answer(self.program, image.edb(self.program), predicates)
+            return Answer({p: set(result.facts(p)) for p in predicates})
+        return Engine(check_safety=False).encoded_answer(
+            self.program, image.edb(self.program), predicates
+        )
 
     def _evaluate_datalog(self, _graph, image, params):
-        from repro.datalog.engine import Engine
-
-        return Engine(check_safety=False).answer(
+        return Engine(check_safety=False).encoded_answer(
             self.program, image.edb(self.program, raw=True), self.requested_predicates(params)
         )
 
@@ -254,8 +256,8 @@ class PreparedQuery:
         source = params.get("source")
         if source is not None:
             targets = evaluator.targets(self.regex, source)
-            return {"answers": {(t,) for t in targets}}
-        return {"answers": evaluator.pairs(self.regex)}
+            return Answer({"answers": {(t,) for t in targets}})
+        return Answer({"answers": evaluator.pairs(self.regex)})
 
     # ---------------------------------------------------------------- views
 

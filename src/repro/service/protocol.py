@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, count, repeat, zip_longest
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import NamedTuple
 
 from repro.errors import (
@@ -322,22 +322,43 @@ def _value_key(value):
     return (type(value).__name__, str(value))
 
 
-def _ranked(rows):
-    """*rows* in wire order, by their values' ``(type name, str(value))``, as
-    ``(digits, values)``: a column of ranks per position (at least one), and
-    what each rank stands for.  Rows sort as ints, their ranks packed."""
-    columns = list(zip_longest(*rows, fillvalue=_ABSENT)) or [(_ABSENT,) * len(rows)]
-    if any(map(set(map(type, chain.from_iterable(columns))).issubset, _SELF_KEYED)):
-        absent, sort_key = _ABSENT, _value_key
-        witness = {value: value for value in set(chain.from_iterable(columns))}
-    else:  # 1 == True == 1.0, "a" == Text("a"), 0.0 == -0.0: rank their keys
-        absent, sort_key = _value_key(_ABSENT), None
-        keyed = [list(map(_value_key, column)) for column in columns]
-        witness = dict(zip(chain.from_iterable(keyed), chain.from_iterable(columns)))
-        columns = keyed
-    witness.pop(absent, None)
-    classes = sorted(witness, key=sort_key)
-    rank = {absent: 0, **dict(zip(classes, count(1)))}
+def _key_or_absent(value):
+    return _ABSENT if value is _ABSENT else _value_key(value)
+
+
+def _columns(rows):
+    """*rows* as columns (at least one), ``_ABSENT`` padding a short row.
+    Read by position, not by ``zip(*rows)``, which makes an iterator per row
+    — a fixpoint's 1 600-row answer would cost two garbage collections."""
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        return list(zip_longest(*rows, fillvalue=_ABSENT))
+    width = lengths.pop() if lengths else 0
+    return [list(map(itemgetter(j), rows)) for j in range(width)] or [[_ABSENT] * len(rows)]
+
+
+def _interned(columns):
+    """*columns* of values as ``(columns, values)``: columns of ids, and the
+    value each id stands for.  A value is its own id where equal values are
+    alike; otherwise (``1 == True == 1.0``, ``"a" == Text("a")``, ``0.0 ==
+    -0.0``) its key is, so equal values of different types stay apart."""
+    distinct = set(chain.from_iterable(columns))
+    if any(map(set(map(type, distinct)).issubset, _SELF_KEYED)):
+        return columns, {value: value for value in distinct}
+    keyed = [list(map(_key_or_absent, column)) for column in columns]
+    return keyed, dict(zip(chain.from_iterable(keyed), chain.from_iterable(columns)))
+
+
+def _ranked(columns, values):
+    """*columns* of ids over *values* (id → value) in wire order, by their
+    values' ``(type name, str(value))``, as ``(digits, ids)``: a column of
+    ranks per position, and the id each rank stands for (rank 0: none).
+    Rows sort as ints, their ranks packed."""
+    distinct = set(chain.from_iterable(columns))
+    distinct.discard(_ABSENT)
+    ids = sorted(distinct, key=lambda ident: _value_key(values[ident]))
+    rank = dict(zip(ids, count(1)))
+    rank[_ABSENT] = 0
     base = len(rank)
     packed = map(rank.__getitem__, columns[0])
     for column in columns[1:]:
@@ -345,15 +366,17 @@ def _ranked(rows):
     digits = [sorted(packed)]
     for _column in columns[1:]:
         digits[:1] = [list(map(op, digits[0], repeat(base))) for op in (floordiv, mod)]
-    return digits, [_ABSENT, *map(witness.__getitem__, classes)]
+    return digits, [_ABSENT, *ids]
 
 
 def rows_to_wire(rows):
     """Sort a set of answer tuples into JSON-friendly lists (deterministic)."""
     if set(map(type, chain.from_iterable(rows))) <= {str}:  # str order is key order
         return list(map(list, sorted(rows)))  # 2-3x faster on a frame's few rows
-    digits, values = _ranked(rows)
-    return [[values[rank] for rank in row if rank] for row in zip(*digits)]
+    columns, values = _interned(_columns(rows))
+    digits, ids = _ranked(columns, values)
+    ranked = [_ABSENT, *map(values.__getitem__, ids[1:])]
+    return [[ranked[rank] for rank in row if rank] for row in zip(*digits)]
 
 
 def relations_to_wire(relations):
@@ -361,14 +384,23 @@ def relations_to_wire(relations):
     return {name: rows_to_wire(rows) for name, rows in sorted(relations.items())}
 
 
-def encode_answer(relations):
+def encode_answer(relations, values=None):
     """``(bytes, count)`` of a query answer: :func:`encode_result` of
     ``{"relations": relations_to_wire(relations), "count": count}``, byte for
-    byte, with each distinct value JSON-encoded once and rows joined as text."""
-    total, parts = sum(map(len, relations.values())), []
+    byte, with each distinct value JSON-encoded once and rows joined as text.
+
+    *relations* maps each predicate to its rows: rows of values, or — given
+    *values*, a catalog's id → value list — rows of ids over it, as a
+    fixpoint leaves them, which are ranked and written without ever being
+    decoded into tuples of values."""
+    total, parts = 0, []
     for name, rows in sorted(relations.items()):
-        digits, values = _ranked(rows)
-        first = ["", *map(_json, values[1:])]
+        total += len(rows)
+        columns, lookup = _columns(rows), values
+        if values is None:
+            columns, lookup = _interned(columns)
+        digits, ids = _ranked(columns, lookup)
+        first = ["", *(_json(lookup[ident]) for ident in ids[1:])]
         rest = ["", *("," + text for text in first[1:])]
         cells = [map(first.__getitem__, digits[0])]
         cells += [map(rest.__getitem__, column) for column in digits[1:]]

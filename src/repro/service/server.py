@@ -23,6 +23,7 @@ overrides behave identically hot or cold.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import logging
 import threading
@@ -141,6 +142,22 @@ _EDB_FALLBACK_FAMILIES = (
     ("repro_edb_fallbacks_total", "counter",
      "Relational images rebuilt because folding was impossible or not cheaper", "count"),
 )
+#: ... and the process's garbage collector, by generation.
+_GC_FAMILIES = (
+    ("repro_gc_collections_total", "counter",
+     "Garbage collections of a generation since the process started", "collections"),
+    ("repro_gc_collected_total", "counter",
+     "Objects the collections of a generation freed", "collected"),
+    ("repro_gc_uncollectable_total", "counter",
+     "Objects the collections of a generation found uncollectable", "uncollectable"),
+)
+
+
+def gc_stats():
+    """``gc.get_stats()``: per generation (the list's index), its
+    ``collections``, ``collected`` and ``uncollectable`` counts so far."""
+    keys = ("collections", "collected", "uncollectable")
+    return [{key: generation[key] for key in keys} for generation in gc.get_stats()]
 
 
 @dataclass(slots=True)
@@ -688,15 +705,15 @@ class QueryService:
                     # view's refresh (and encoded with it) — if it has one.
                     entry = self.subs.pin(plan, params)
                 if entry is None:
-                    relations = plan.evaluate(graph, image, params)
+                    answer = plan.evaluate(graph, image, params)
             t3 = time.perf_counter()
             phases.append(("evaluate", t3 - t2))
             if entry is None:
                 # A refused answer is never serialised; an accepted one once,
-                # into the bytes max_bytes measures, the entry holds and lines
-                # carry.
-                self._check_budgets(sum(map(len, relations.values())), max_rows)
-                encoded, total = protocol.encode_answer(relations)
+                # straight from the rows evaluation left, into the bytes
+                # max_bytes measures, the entry holds and lines carry.
+                self._check_budgets(sum(map(len, answer.relations.values())), max_rows)
+                encoded, total = protocol.encode_answer(*answer)
                 phases.append(("encode", time.perf_counter() - t3))
         if entry is not None:
             ctx["version"] = entry.version
@@ -763,9 +780,10 @@ class QueryService:
             plan = PreparedQuery(target, text)
             with tr.span("evaluate"):
                 image = self._edb_for(plan, version, graph)
-                relations = plan.evaluate(graph, image, params)
+                answer = plan.evaluate(graph, image, params)
             with tr.span("encode") as enc:
-                enc.annotate(bytes=len(protocol.encode_answer(relations)[0]))
+                enc.annotate(bytes=len(protocol.encode_answer(*answer)[0]))
+        relations = answer.relations
         root = tr.root
         phases = {child.name: child.elapsed_ms for child in root.children}
         for name, elapsed_ms in phases.items():
@@ -1014,6 +1032,7 @@ class QueryService:
             "edb": self.images.stats(),
             "replication": self.replication_status(),
             "subs": self.subs.stats(),
+            "gc": gc_stats(),
         }
         return stats
 
@@ -1096,6 +1115,10 @@ class QueryService:
                 [({"reason": r}, {"count": n}) for r, n in sorted(edb["fallbacks"].items())],
             ),
             *table_families(_REPL_SOURCE_FAMILIES, [(None, self.replication.stats())]),
+            *table_families(
+                _GC_FAMILIES,
+                [({"generation": str(g)}, doc) for g, doc in enumerate(gc_stats())],
+            ),
             MetricFamily(
                 "repro_repl_epoch",
                 "gauge",

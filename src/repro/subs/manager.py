@@ -196,7 +196,7 @@ class SubscriptionManager:
             # answer at the version they are stamped with.
             pin = Holder(view, definition, key)
             view.hold(pin)
-            encoded, count = protocol.encode_answer(pin.read(view.snapshot()))
+            encoded, count = protocol.encode_answer(*pin.answer())
             if view.maintenance is not None:
                 entry = self.results.put(key, encoded, count, view.version, plan.footprint, pin)
                 for evicted in self.results.trim(view):
@@ -375,7 +375,6 @@ class SubscriptionManager:
         # The row payload is shared across the fanout: one wire encoding
         # per view and seed per commit, one tiny per-subscriber frame dict.
         wire = {}  # seed -> (inserted, deleted), None if it has no rows
-        snapshot = None
         resync, gone = [], []
         for holder in view.holders:
             if holder.released:
@@ -413,9 +412,7 @@ class SubscriptionManager:
             elif moved is not None and holder.seed not in moved:
                 self.results.refresh(holder)
             else:
-                if snapshot is None:
-                    snapshot = view.snapshot()
-                self.results.refresh(holder, protocol.encode_answer(holder.read(snapshot)))
+                self.results.refresh(holder, protocol.encode_answer(*holder.answer()))
         if resync:
             self._resync_locked(resync)
             sinks.update(sub.sink for sub in resync)

@@ -11,7 +11,7 @@ from repro.datalog.columnar import (
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
-from repro.errors import EvaluationError
+from repro.errors import ArityError, EvaluationError
 
 
 class TestTermCatalog:
@@ -183,6 +183,21 @@ class TestColumnarEngine:
             answer = Engine(method=method).answer(program, edb, ["tc", "e"])
             assert answer == {p: set(full.facts(p)) for p in ("tc", "e")}, method
         assert len(answer["tc"]) == 9
+        encoded = Engine().encoded_answer(program, edb, ["tc", "e"])
+        assert encoded.values is not None and encoded.decoded() == answer
+
+    def test_a_relation_read_at_another_arity_is_an_arity_error_on_every_path(self):
+        program = parse_program("p(X) :- e(X).")
+        edb = Database.from_facts({"e": [("a", "b")]})
+        for method in ("columnar", "naive"):
+            engine = Engine(method=method)
+            for run in (
+                lambda: engine.evaluate(program, edb),
+                lambda: engine.answer(program, edb, ["p"]),
+                lambda: engine.encoded_answer(program, edb, ["p"]),
+            ):
+                with pytest.raises(ArityError, match="'e' has arity 2, requested 1"):
+                    run()
 
     def test_shared_edb_is_encoded_once_across_queries(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})

@@ -22,9 +22,18 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.dsl import parse_graphical_query
+from repro.core.engine import GraphLogEngine
+from repro.datalog.columnar import TermCatalog
+from repro.datalog.engine import Answer, Engine
+from repro.datalog.parser import parse_program
 from repro.errors import ResultTooLarge
+from repro.graphs.bridge import EdgeLabel, database_from_graph
 from repro.replication.router import RouterServer
+from repro.rpq.evaluate import RPQEvaluator
+from repro.rpq.regex import parse_regex
 from repro.service import protocol
 from repro.service.cache import ResultCache, result_key
 from repro.service.server import QueryService, ServiceConfig, ServiceServer
@@ -530,4 +539,156 @@ class TestMemory:
         assert min(sizes) > 10_000
         # Row lists would hold about 4x the bytes they encode to.
         assert sum(sizes) <= held <= 1.5 * sum(sizes), (held, sum(sizes))
+        service.close()
+
+
+# --------------------------------------------------------------------------
+# (e) int rows: a fixpoint's answer encodes without being decoded
+# --------------------------------------------------------------------------
+
+VALUE_POOL = TestRowsToWire.STRINGS + TestRowsToWire.OTHERS + TestEncodeAnswer.EXTRA
+
+
+@st.composite
+def interned_answers(draw):
+    """``(relations, catalog)``: relation sets of one arity each, drawn
+    from the pools, as int rows over a catalog that interned their values
+    — equal ones of other types (``1``, ``True``, ``1.0``) too — in
+    shuffled order, with unused ids in between."""
+    rows_of = st.integers(0, 3).flatmap(
+        lambda arity: st.sets(st.tuples(*[st.sampled_from(VALUE_POOL)] * arity), max_size=30)
+    )
+    relations = draw(st.dictionaries(st.sampled_from(TestEncodeAnswer.NAMES), rows_of, max_size=4))
+    cells = [value for rows in relations.values() for row in rows for value in row]
+    catalog = TermCatalog()
+    for serial, value in enumerate(draw(st.permutations(cells))):
+        for gap in range(draw(st.integers(0, 2))):
+            catalog.intern(("unused", serial, gap))
+        catalog.intern(value)
+    rows = {name: [catalog.intern_row(row) for row in rows] for name, rows in relations.items()}
+    return rows, catalog
+
+
+class TestIdRowsEncodeLikeTheirValues:
+    @given(interned_answers())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_keyed_encode_of_the_decoded_rows(self, answer):
+        rows, catalog = answer
+        decoded = {name: {catalog.decode_row(row) for row in ids} for name, ids in rows.items()}
+        expected = keyed_encode(decoded)
+        assert protocol.encode_answer(rows, catalog.values) == expected
+        # A maintained view's rows are a set; the order rows come in is moot.
+        as_sets = {name: set(ids) for name, ids in rows.items()}
+        assert protocol.encode_answer(as_sets, catalog.values) == expected
+        assert Answer(rows, catalog.values).decoded() == decoded
+
+    def test_equal_values_of_other_types_take_the_catalogs_one(self):
+        catalog = TermCatalog()
+        ids = [catalog.intern(v) for v in (True, 1, 1.0, "1", Text("1"))]
+        assert ids == [0, 0, 0, 1, 1]
+        rows = {"p": [(1, 1), (1, 0), (0, 1)]}
+        assert protocol.encode_answer(rows, catalog.values) == (
+            b'{"count":3,"relations":{"p":[[true,"1"],["1",true],["1","1"]]}}', 3,
+        )
+
+
+# --------------------------------------------------------------------------
+# (f) every miss path answers the oracle's bytes
+# --------------------------------------------------------------------------
+
+FLIGHT_EDGES = [
+    ["f1", "from", "a"], ["f1", "to", "b"],
+    ["f2", "from", "b"], ["f2", "to", "c"],
+    ["f3", "from", "c"], ["f3", "to", "a"],
+    ["f4", "from", "c"], ["f4", "to", "d"],
+]
+CLOSURE = "define (X) -[conn]-> (Y) { (X) -[(-from . to)+]-> (Y); }"
+NEGATION = """
+leg(X, Y) :- from(F, X), to(F, Y).
+conn(X, Y) :- leg(X, Y).
+conn(X, Y) :- conn(X, Z), leg(Z, Y).
+indirect(X, Y) :- conn(X, Y), not leg(X, Y).
+"""
+SUMMARY = "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }"
+
+
+def naive_graphlog(graph, text, predicate):
+    query = parse_graphical_query(text)
+    return {predicate: set(GraphLogEngine(method="naive").run(query, graph).facts(predicate))}
+
+
+def naive_datalog(graph, text):
+    program = parse_program(text)
+    database = Engine("naive").evaluate(program, database_from_graph(graph))
+    return {p: set(database.facts(p)) for p in program.idb_predicates}
+
+
+class TestEveryMissEncodesTheOraclesBytes:
+    def wire_miss(self, service, request):
+        body = service.execute(request, wire=True)
+        assert body["cache"] == "miss"
+        return body["encoded"]
+
+    def test_closure_negation_and_seeded_rpq_misses(self):
+        service = QueryService()
+        service.execute({"op": "update", "edges": FLIGHT_EDGES})
+        graph = service.store.graph
+        closure = {"op": "graphlog", "query": CLOSURE}
+        expected = protocol.encode_answer(naive_graphlog(graph, CLOSURE, "conn"))[0]
+        assert self.wire_miss(service, closure) == expected
+        assert json.loads(expected)["count"] == 12  # a, b and c reach all four
+        negation = {"op": "datalog", "query": NEGATION}
+        expected = protocol.encode_answer(naive_datalog(graph, NEGATION))[0]
+        assert self.wire_miss(service, negation) == expected
+        assert json.loads(expected)["relations"]["indirect"]
+        rpq = {"op": "rpq", "query": "(-from . to)+", "source": "a"}
+        targets = RPQEvaluator(graph).targets(parse_regex(rpq["query"]), "a")
+        expected = protocol.encode_answer({"answers": {(t,) for t in targets}})[0]
+        assert self.wire_miss(service, rpq) == expected
+        service.close()
+
+    def test_summary_miss(self):
+        service = QueryService()
+        edges = [["a", "hop", "b", [3]], ["b", "hop", "c", [1]], ["a", "hop", "c", [7]]]
+        store = service.store
+        for a, label, b, args in edges:
+            with store.session().transaction() as txn:
+                txn.add_edge(a, b, EdgeLabel(label, tuple(args)))
+        expected = protocol.encode_answer(naive_graphlog(store.graph, SUMMARY, "best"))[0]
+        assert self.wire_miss(service, {"op": "graphlog", "query": SUMMARY}) == expected
+        assert json.loads(expected)["relations"]["best"] == [["a", "b", 3], ["a", "c", 4], ["b", "c", 1]]
+        service.close()
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "graphlog", "query": CLOSURE},
+            {"op": "rpq", "query": "(-from . to)+", "source": "c"},
+        ],
+        ids=["closure", "seeded_rpq"],
+    )
+    def test_a_promoted_entry_re_encodes_after_a_commit(self, request_):
+        service = QueryService()
+        service.execute({"op": "update", "edges": FLIGHT_EDGES[:6]})
+
+        def oracle():
+            graph = service.store.graph
+            if request_["op"] == "graphlog":
+                return protocol.encode_answer(naive_graphlog(graph, CLOSURE, "conn"))[0]
+            targets = RPQEvaluator(graph).targets(parse_regex(request_["query"]), "c")
+            return protocol.encode_answer({"answers": {(t,) for t in targets}})[0]
+
+        assert self.wire_miss(service, request_) == oracle()
+        service.execute({"op": "update", "edges": FLIGHT_EDGES[6:]})
+        assert self.wire_miss(service, request_) == oracle()  # promoted
+        assert service.stats()["result_cache"]["maintained"] == 1
+        for edges in (["f5", "from", "d"], ["f5", "to", "e"]), (["f6", "from", "e"],):
+            service.execute({"op": "update", "edges": list(edges)})
+            body = service.execute(request_, wire=True)
+            assert (body["cache"], body["encoded"]) == ("hit", oracle())
+        assert service.stats()["result_cache"]["promotions"] == 1
+        # A removal may cost the view more than it holds (the entry is then
+        # demoted and the read misses): either way, the oracle's bytes.
+        service.execute({"op": "update", "remove_edges": [["f3", "to", "a"]]})
+        assert service.execute(request_, wire=True)["encoded"] == oracle()
         service.close()

@@ -1369,6 +1369,29 @@ class TestTelemetry:
             store=flights_store(), config=ServiceConfig(**params)
         ).start_background()
 
+    def test_gc_counts_per_generation_in_stats_and_metrics(self):
+        import gc
+
+        service = QueryService()
+        before = service.stats()["gc"]
+        assert len(before) == len(gc.get_stats()) == 3
+        for generation in before:
+            assert set(generation) == {"collections", "collected", "uncollectable"}
+            assert all(isinstance(n, int) and n >= 0 for n in generation.values())
+        gc.collect()  # a collection of the oldest generation
+        after = service.stats()["gc"]
+        assert after[2]["collections"] > before[2]["collections"]
+        assert all(a["collections"] >= b["collections"] for a, b in zip(after, before))
+        lines = service.prometheus_text().splitlines()
+        for name in ("collections", "collected", "uncollectable"):
+            assert f"# TYPE repro_gc_{name}_total counter" in lines
+            samples = [line for line in lines if line.startswith(f"repro_gc_{name}_total{{")]
+            assert [line.split(" ")[0] for line in samples] == [
+                f'repro_gc_{name}_total{{generation="{g}"}}' for g in range(3)
+            ]
+            assert all(self._SAMPLE_LINE.match(line) for line in samples)
+        service.close()
+
     def test_scrape_is_valid_exposition(self):
         import urllib.request
 

@@ -329,10 +329,11 @@ GOLDEN_REQUESTS = [
 ]
 
 #: Values that differ run to run: clocks, random ids and what derives from
-#: them, and the store session counter, which is process-wide.
+#: them, and the store session counter and garbage-collector counts, which
+#: are process-wide.
 _VOLATILE_KEYS = {
     "elapsed_ms", "start_ts", "uptime_seconds", "text",
-    "node_id", "epoch", "span_id", "parent_span_id", "session",
+    "node_id", "epoch", "span_id", "parent_span_id", "session", "gc",
 }
 
 
