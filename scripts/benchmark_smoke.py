@@ -23,14 +23,16 @@ checks every answer against the naive walker, its specification:
   naive engine answers — so a change that sends closure strata back to the
   generic semi-naive loop fails here.
 
-- answers as bytes, by counts alone: 50 never-seen closure misses and 50
-  never-seen stratified-negation Datalog misses through ``execute(...,
-  wire=True)`` must each carry exactly the bytes the keyed-sort oracle
-  writes for the naive engine's answer, decode 0 answer rows into tuples of
-  values (they are encoded from the fixpoint's int rows), and leave
-  ``stats.result_cache.encoded_bytes`` at the sum of their lengths — so a
-  change that goes back to decoding a miss's answer, to caching row lists,
-  or orders a row differently, fails here.
+- answers as bytes, by counts alone: 50 never-seen closure misses, 50
+  never-seen stratified-negation Datalog misses and 50 never-seen
+  single-source RPQ misses through ``execute(..., wire=True)`` must each
+  carry exactly the bytes the keyed-sort oracle writes for the naive
+  engine's answer, decode 0 answer rows into tuples of values (they are
+  encoded from the int rows of the fixpoint or of the search over the store
+  image), and leave ``stats.result_cache.encoded_bytes`` at the sum of their
+  lengths — so a change that goes back to decoding a miss's answer, to
+  caching row lists, to searching an RPQ on a graph-side index, or orders a
+  row differently, fails here.
 
 - maintained result-cache entries, by counts alone: over the bench's
   flights data with 4 closures and 2 RPQs primed, 50 × (add flight, read
@@ -85,6 +87,7 @@ from repro.datasets.flights import random_flights  # noqa: E402
 from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
 from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
+from repro.service import protocol  # noqa: E402
 from repro.service.server import QueryService, ServiceConfig  # noqa: E402
 
 CHAIN_PROGRAM = parse_program(
@@ -295,10 +298,12 @@ def keyed_answer_bytes(relations):
 def decoded_rows():
     """A list that, while inside, gets the number of rows each decoding
     entry point of the evaluation core turns from ids into tuples of
-    values."""
+    values, and of the rows of values (not ids) an answer hands the
+    encoder — an RPQ searched on the graph instead of the store image."""
     counts = []
     points = (
         (Answer, "decoded", lambda answer: answer.relations if answer.values is not None else {}),
+        (protocol, "encode_answer", lambda relations, values=None: relations if values is None else {}),
         (columnar, "_decode_rows", lambda relation, _values: {None: relation.rows}),
         (columnar.TermCatalog, "decode_row", lambda _catalog, row: {None: [row]}),
         (MaintainedState, "decode", lambda _state, rows: {None: rows}),
@@ -321,26 +326,30 @@ def decoded_rows():
 
 
 def check_answers_are_bytes():
-    """50 closure and 50 stratified-negation Datalog misses (texts never
-    seen) on the network path: each answer's bytes are the keyed-sort
-    oracle's bytes over the naive engine's answer, no answer row is decoded
-    into a tuple of values, and the result cache holds exactly those
-    bytes."""
+    """50 closure, 50 stratified-negation Datalog and 50 single-source RPQ
+    misses (texts never seen) on the network path: each answer's bytes are
+    the keyed-sort oracle's bytes over the naive engine's answer, no answer
+    row is decoded into a tuple of values or handed to the encoder as one,
+    and the result cache holds exactly those bytes."""
     rounds = 50
     database = random_flights(7, n_cities=20, n_flights=120)
     store = HAMStore()
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     naive = Engine(method="naive").evaluate(parse_program(INDIRECT_PROGRAM), database)
+    cities = sorted({city for _flight, city in database.facts("from")})
     total = 0
     for i in range(rounds):
         name = f"conn{i:02d}"
+        source = cities[i % len(cities)]
         requests = (
             ({"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", name)},
              {name: naive.facts("connected")}),
             ({"op": "datalog", "query": INDIRECT_PROGRAM.replace("connected", name)},
              {"leg": naive.facts("leg"), name: naive.facts("connected"),
               "indirect": naive.facts("indirect")}),
+            ({"op": "rpq", "query": f"({RPQ_EXPRESSION})+ | nolabel{i:02d}", "source": source},
+             {"answers": {(y,) for x, y in naive.facts("connected") if x == source}}),
         )
         for request, oracle in requests:
             with decoded_rows() as decoded:
@@ -353,10 +362,10 @@ def check_answers_are_bytes():
                 fail(f"bytes round {i}: {request['op']} bytes differ from the oracle's")
             total += len(body["encoded"])
     cached = service.stats()["result_cache"]
-    if (cached["encoded_entries"], cached["encoded_bytes"]) != (2 * rounds, total):
+    if (cached["encoded_entries"], cached["encoded_bytes"]) != (3 * rounds, total):
         fail(f"the result cache does not hold exactly the answers' bytes: {cached!r}")
     print(
-        f"answer bytes: {2 * rounds} misses, {total} bytes, 0 rows decoded, "
+        f"answer bytes: {3 * rounds} misses, {total} bytes, 0 rows decoded, "
         "all equal to the oracle's"
     )
 

@@ -97,6 +97,10 @@ class TermCatalog:
                 self._ids[value] = ident
         return ident
 
+    def find(self, value):
+        """The id of *value*, or None if it was never interned."""
+        return self._ids.get(value)
+
     def intern_row(self, row):
         return tuple(self.intern(v) for v in row)
 

@@ -79,14 +79,6 @@ class LabeledMultigraph:
         self._by_label = {}  # label -> [Edge]
         self._shared = None
         self._next_key = 0
-        #: Bumped on every structural mutation; derived structures (the RPQ
-        #: CSR adjacency index) key their caches on this counter.
-        self._version = 0
-
-    @property
-    def version(self):
-        """Monotone mutation counter; equal versions imply equal structure."""
-        return self._version
 
     # -------------------------------------------------------------- nodes
 
@@ -104,7 +96,6 @@ class LabeledMultigraph:
         """Add a node (idempotent); a non-None label overwrites."""
         if node not in self._node_labels or label is not None:
             self._node_labels[node] = label
-            self._version += 1
         return node
 
     def node_label(self, node):
@@ -114,7 +105,6 @@ class LabeledMultigraph:
         if node not in self._node_labels:
             raise KeyError(node)
         self._node_labels[node] = label
-        self._version += 1
 
     # -------------------------------------------------------------- edges
 
@@ -137,7 +127,6 @@ class LabeledMultigraph:
         self._writable(self._out, _OUT, source).append(edge)
         self._writable(self._in, _IN, target).append(edge)
         self._writable(self._by_label, _BY_LABEL, label).append(edge)
-        self._version += 1
         return edge
 
     def remove_edge(self, edge):
@@ -149,7 +138,6 @@ class LabeledMultigraph:
         self._drop(self._out, _OUT, edge.source, edge)
         self._drop(self._in, _IN, edge.target, edge)
         self._drop(self._by_label, _BY_LABEL, edge.label, edge)
-        self._version += 1
 
     def remove_node(self, node):
         """Remove a node and every incident edge."""
@@ -159,7 +147,6 @@ class LabeledMultigraph:
             if edge.key in self._edges:  # a self-loop is in both lists
                 self.remove_edge(edge)
         del self._node_labels[node]
-        self._version += 1
 
     def _continue_on_copies(self):
         """First write since :meth:`copy` copied this graph: the indexes its
@@ -257,7 +244,6 @@ class LabeledMultigraph:
         clone._by_label = self._by_label.copy()
         clone._shared = (self._out, self._in, self._by_label)
         clone._next_key = self._next_key
-        clone._version = self._version
         # The one write to the source, a single attribute store: concurrent
         # copies of a published graph may each do it, readers never see it.
         self._shared = _COPIED

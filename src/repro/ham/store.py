@@ -137,38 +137,6 @@ class TransactionRecord:
         self.version = version
         self.delta = delta
 
-    def as_insertions(self):
-        """Interpret this record as pure insertions.
-
-        Returns ``(facts, new_nodes)`` — ``facts`` maps predicate names to
-        sets of inserted rows (via the Section 2 edge encoding), and
-        ``new_nodes`` is the set of 1-tuples of newly added unlabeled node
-        values — or ``None`` when the transaction contains anything other
-        than unlabeled node / edge additions (deletions, label updates, and
-        labeled nodes need recomputation-style handling downstream).
-        """
-        from repro.graphs.bridge import EdgeLabel
-
-        facts = defaultdict(set)
-        new_nodes = set()
-        for op in self.operations:
-            if op.kind == _Op.ADD_EDGE:
-                source, target, label = op.args
-                if not isinstance(label, EdgeLabel):
-                    label = EdgeLabel(str(label))
-                source = source if isinstance(source, tuple) else (source,)
-                target = target if isinstance(target, tuple) else (target,)
-                facts[label.predicate].add(source + target + label.extra)
-            elif op.kind == _Op.ADD_NODE:
-                node, label = op.args
-                if label:
-                    return None  # labeled nodes are annotation facts
-                node = node if isinstance(node, tuple) else (node,)
-                new_nodes.update((value,) for value in node)
-            else:
-                return None
-        return dict(facts), new_nodes
-
     def __repr__(self):
         return f"TransactionRecord(#{self.txn_id}, {len(self.operations)} ops)"
 

@@ -237,7 +237,7 @@ class MaterializedView:
     def _evaluate(self, version, graph, seeds=None):
         """The plan's answer at *version*, or a seeded view's: that of each
         of *seeds* (default: the view's), every row prefixed by the seed."""
-        image = self.images.at(version, graph) if self.plan.reads_relations else None
+        image = self.plan.image(self.images, version, graph, self.eval_params)
         if self.definition.seed_relation is None:
             return self.plan.evaluate(graph, image, self.eval_params).decoded()
         rows = {p: set() for p in self.predicates}

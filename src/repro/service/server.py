@@ -230,6 +230,8 @@ class ServiceConfig:
         if self.sub_policy not in OVERFLOW_POLICIES:
             raise ValueError(f"unknown overflow policy {self.sub_policy!r}")
         self.sub_queue_max = int(self.sub_queue_max)
+        if self.sub_queue_max < 1:
+            raise ValueError(f"subscription queue bound must be >= 1, got {self.sub_queue_max}")
 
 
 def _wire_edge(entry):
@@ -698,7 +700,7 @@ class QueryService:
             with self._work_span(
                 ctx, op, "evaluate", version=version, fingerprint=plan.fingerprint
             ):
-                image = self._edb_for(plan, version, graph, phases)
+                image = self._edb_for(plan, version, graph, params, phases)
                 if found is PROMOTE:
                     # The first miss after a commit dropped this answer: it
                     # becomes a maintained entry, evaluated once, by its
@@ -779,7 +781,7 @@ class QueryService:
         with obs.tracing("explain", context=nested, target=target, version=version) as tr:
             plan = PreparedQuery(target, text)
             with tr.span("evaluate"):
-                image = self._edb_for(plan, version, graph)
+                image = self._edb_for(plan, version, graph, params)
                 answer = plan.evaluate(graph, image, params)
             with tr.span("encode") as enc:
                 enc.annotate(bytes=len(protocol.encode_answer(*answer)[0]))
@@ -993,15 +995,14 @@ class QueryService:
                 f"result encodes to {encoded_size} bytes, limit is {max_bytes}"
             )
 
-    def _edb_for(self, plan, version, graph, phases=None):
-        """The store image *plan* evaluates against — None for a plan that
-        reads no relations.  Phase ``edb`` (part of ``evaluate``) times the
-        graph → database bridge: a lookup, a fold, or a build."""
-        if not plan.reads_relations:
-            return None
+    def _edb_for(self, plan, version, graph, params, phases=None):
+        """The store image *plan* evaluates against under *params*
+        (:meth:`PreparedQuery.image`).  Phase ``edb`` (part of
+        ``evaluate``) times the graph → database bridge: a lookup, a fold,
+        or a build."""
         started = time.perf_counter()
         with obs.span("edb", version=version):
-            image = self.images.at(version, graph)
+            image = plan.image(self.images, version, graph, params)
         if phases is not None:
             phases.append(("edb", time.perf_counter() - started))
         return image

@@ -647,6 +647,37 @@ class TestEveryMissEncodesTheOraclesBytes:
         assert self.wire_miss(service, rpq) == expected
         service.close()
 
+    def test_a_seeded_rpq_over_a_label_with_arguments(self):
+        # Every e edge carries one label argument, so the image holds e at
+        # arity 3: a miss searches it, and the promotion's view of λ's e+
+        # (which reads e/2) diffs instead — its one evaluation is the same
+        # search, and the key is demoted to plain entries.
+        service = QueryService()
+        store = service.store
+
+        def add(*edges):
+            with store.session().transaction() as txn:
+                for source, target, weight in edges:
+                    txn.add_edge(source, target, EdgeLabel("e", (weight,)))
+
+        def read():
+            body = service.execute({"op": "rpq", "query": "e+", "source": "a"}, wire=True)
+            targets = RPQEvaluator(store.graph_at(body["version"])).targets("e+", "a")
+            assert body["encoded"] == protocol.encode_answer({"answers": {(t,) for t in targets}})[0]
+            return body["cache"], json.loads(body["encoded"])["count"]
+
+        add(("a", "b", 1), ("b", "c", 2), ("b", "c", 3), ("x", "a", 4))
+        assert read() == ("miss", 2)
+        add(("c", "d", 5))
+        add(("d", "a", 6))
+        assert read() == ("miss", 4)  # the promotion's view evaluated it
+        cached = service.stats()["result_cache"]
+        assert (cached["demotions"], cached["maintained"]) == (1, 0)
+        assert read() == ("hit", 4)
+        add(("d", "x", 7))
+        assert read() == ("miss", 5)
+        service.close()
+
     def test_summary_miss(self):
         service = QueryService()
         edges = [["a", "hop", "b", [3]], ["b", "hop", "c", [1]], ["a", "hop", "c", [7]]]

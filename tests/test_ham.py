@@ -178,19 +178,6 @@ class TestVersioning:
         assert version == 1
         assert graph.has_edge("a", "b", "x")
 
-    def test_as_insertions(self, store):
-        session = store.session()
-        with session.transaction() as txn:
-            txn.add_node("lonely")
-            txn.add_edge("a", "b", EdgeLabel("link"))
-        facts, new_nodes = store.history()[-1].as_insertions()
-        assert facts == {"link": {("a", "b")}}
-        assert ("lonely",) in new_nodes
-        with session.transaction() as txn:
-            txn.add_edge("b", "c", "link")
-            txn.remove_edge("b", "c", "link")
-        assert store.history()[-1].as_insertions() is None
-
     def test_node_label_versions(self, store):
         session = store.session()
         with session.transaction() as txn:

@@ -373,6 +373,14 @@ class TestSubscriptionManager:
         assert frames[-1]["reason"] == "overflow"
         assert mgr.stats()["disconnects"] == 1
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_a_service_refuses_a_default_queue_bound_below_one(self, bound):
+        # Otherwise it starts, and every subscribe that sends no queue_max
+        # fails over a field the client never sent.
+        with pytest.raises(ValueError, match="queue bound must be >= 1"):
+            ServiceConfig(sub_queue_max=bound)
+        assert ServiceConfig(sub_queue_max=1).sub_queue_max == 1
+
     def test_resync_all_marks_every_subscriber(self, manager):
         store, mgr, plans = manager
         sink = FakeSink()
