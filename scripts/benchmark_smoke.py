@@ -52,7 +52,12 @@ checks every answer against the naive walker, its specification:
   the version the commit publishes), whatever the graph's size; and the
   final graph, the subscriber's rows and a fresh query all equal the naive
   oracle.  A refactor that goes back to rebuilding the graph per commit
-  fails here instead of only moving a latency.
+  fails here instead of only moving a latency.  Every WAL payload those
+  commits wrote holds exactly ``txn``, ``session``, ``version`` and
+  ``ops``, and recovering the data directory into a fresh store derives
+  the live store's delta at every version — so a change that writes the
+  derived delta back into the log, or a replay that stages a commit
+  differently, fails here too.  The WAL bytes per commit are printed.
 
 Any divergence from the naive oracle fails the job.  Timings are printed
 for trend-watching but are *not* gated here.
@@ -87,6 +92,7 @@ from repro.datasets.flights import random_flights  # noqa: E402
 from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
 from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
+from repro.persist import DurabilityManager, PersistenceConfig, wal  # noqa: E402
 from repro.service import protocol  # noqa: E402
 from repro.service.server import QueryService, ServiceConfig  # noqa: E402
 
@@ -464,6 +470,11 @@ REACH_PROGRAM = parse_program(
 )
 
 
+#: A WAL payload is a record's ids, version and operations; its delta is
+#: derived again on replay, never written.
+WAL_KEYS = {"txn", "session", "version", "ops"}
+
+
 class _Sink:
     """A subscriber's push channel: frames are drained, not pushed, here."""
 
@@ -473,7 +484,8 @@ class _Sink:
 
 def check_commits_share_structure():
     """50 × (remove edge, re-add edge) on 750 and on 7 500 edges: two
-    ``add_edge`` calls per added edge, at either size."""
+    ``add_edge`` calls per added edge, at either size; WAL payloads of
+    operations only, from which recovery derives the live deltas."""
     rounds, chain_nodes = 50, 16
     calls = []
     original = LabeledMultigraph.add_edge
@@ -501,6 +513,7 @@ def check_commits_share_structure():
             if "result" not in subscribed:
                 fail(f"sharing {edges} edges: subscribe failed: {subscribed!r}")
             rows = {tuple(row) for row in subscribed["result"]["snapshot"]["reach"]}
+            loaded = service.store.version
             del calls[:]
             LabeledMultigraph.add_edge = counted
             try:
@@ -518,8 +531,23 @@ def check_commits_share_structure():
             fresh = execute(service, {"op": "graphlog", "query": REACH_QUERY})
             fresh = {tuple(row) for row in fresh["result"]["relations"]["reach"]}
             final = service.store.graph
-            service.subs.close()
-            service.durability.close()
+            live = {record.version: record.delta for record in service.store.history()}
+            wal_bytes = service.durability.stats()["wal"]["bytes"]
+            service.close()
+            wal_dir = os.path.join(data_dir, "wal")
+            for _version, payload in wal.iter_records(wal_dir, loaded):
+                if set(payload) != WAL_KEYS:
+                    fail(f"sharing {edges} edges: a WAL payload holds {sorted(payload)}")
+            recovery = DurabilityManager(PersistenceConfig(data_dir))
+            recovered = {r.version: r.delta for r in recovery.recover().history()}
+            recovery.close()
+        if len(recovered) != 2 * rounds or any(
+            live.get(version) != delta for version, delta in recovered.items()
+        ):
+            fail(
+                f"sharing {edges} edges: recovery derived deltas other than the "
+                "live store's — does replay stage a commit differently?"
+            )
         if len(calls) != 2 * rounds:
             fail(
                 f"sharing {edges} edges: {rounds} added edges took {len(calls)} "
@@ -536,7 +564,10 @@ def check_commits_share_structure():
             or final.edge_count() != edges
         ):
             fail(f"sharing {edges} edges: final graph differs from the loaded one")
-        print(f"sharing: {edges} edges, {rounds} re-added: add_edge calls={len(calls)}")
+        print(
+            f"sharing: {edges} edges, {rounds} re-added: add_edge calls={len(calls)}, "
+            f"WAL bytes/commit={wal_bytes / (2 * rounds):.0f}"
+        )
 
 
 def main():

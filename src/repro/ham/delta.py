@@ -2,10 +2,12 @@
 
 A :class:`Delta` describes one committed transaction as *net* insertions and
 deletions of relational facts (via the Section 2 graph encoding), plus the
-node additions/removals that affect the active domain.  It is computed by
-:meth:`repro.ham.store.HAMStore._apply_commit` while staging a commit —
-against the pre-commit graph, so multiplicity questions ("was that the last
-parallel copy of this edge?") and old-label lookups are exact.
+node additions/removals that affect the active domain.  It is computed
+from the commit's operations wherever a version is made of its predecessor
+— :meth:`repro.ham.store.HAMStore._stage_locked` for a local commit and a
+replicated apply, WAL replay at recovery — against the pre-commit graph, so
+multiplicity questions ("was that the last parallel copy of this edge?")
+and old-label lookups are exact.
 
 Net semantics: inserting a fact that is pending deletion cancels the
 deletion (and vice versa), so replaying ``deletions`` then ``insertions``
@@ -94,8 +96,8 @@ class Delta:
         return touched
 
     def __eq__(self, other):
-        """Structural equality — used to verify WAL serialization round
-        trips (:mod:`repro.persist.serde`)."""
+        """Structural equality — used to check that a replica and WAL
+        replay derive the delta the primary's commit derived."""
         if not isinstance(other, Delta):
             return NotImplemented
         return (

@@ -230,8 +230,6 @@ class StoreImages:
         if records is None:
             raise _Unfoldable("history_truncated")
         deltas = [record.delta for record in records[:behind]]
-        if any(delta is None for delta in deltas):
-            raise _Unfoldable("no_delta")
         delta_rows = sum(
             len(rows)
             for delta in deltas

@@ -26,6 +26,11 @@ from repro.graphs.multigraph import LabeledMultigraph
 
 logger = logging.getLogger(__name__)
 
+#: What an operation the graph cannot take raises: ``KeyError`` for a
+#: missing node, :class:`StoreError` for a missing edge.  A local commit, a
+#: replicated apply and WAL replay all refuse a record on exactly these.
+UNREPLAYABLE = (KeyError, StoreError)
+
 
 def new_epoch():
     """Mint a fresh replication epoch identifier.
@@ -126,7 +131,9 @@ def derive_version(base, records=()):
 class TransactionRecord:
     """A committed transaction: its id, session, operations, the store
     version its commit produced, and the typed fact-level :class:`Delta`
-    the commit made (see :mod:`repro.ham.delta`)."""
+    the commit made (see :mod:`repro.ham.delta`).  The delta is derived
+    from the operations wherever a version is staged or replayed; a record
+    decoded from the WAL or the wire carries none until then."""
 
     __slots__ = ("txn_id", "session_id", "operations", "version", "delta")
 
@@ -331,77 +338,38 @@ class HAMStore:
     def detach_durability(self):
         self._durability = None
 
-    def restore_state(
-        self,
-        graph,
-        version,
-        last_txn_id,
-        records=(),
-        base_graph=None,
-        base_version=None,
-        epoch=None,
-    ):
-        """Install recovered state into a fresh store (used by
-        :mod:`repro.persist` after checkpoint load + WAL replay).
-
-        *records* is the replayed WAL tail (everything after the
-        checkpoint); *base_graph*/*base_version* describe the checkpoint
-        itself, so :meth:`graph_at` replays from the checkpoint rather
-        than from the empty graph.  *epoch*, when given, names the history
-        line this state belongs to (the durable epoch on recovery, the
-        primary's epoch on a replica bootstrap).
-        """
-        with self._lock:
-            if self._version != 0 or self._log:
-                raise StoreError("can only restore state into a fresh store")
-            records = list(records)
-            base_version = base_version if base_version is not None else 0
-            versions = [record.version for record in records]
-            if versions != list(range(base_version + 1, version + 1)):
-                # records_since / graph_at slice the log by offset from the base.
-                raise StoreError(
-                    f"restored records must be versions {base_version + 1}..{version} "
-                    f"in order, got {versions}"
-                )
-            self.graph = graph
-            self._version = version
-            self._next_txn_id = last_txn_id + 1
-            self._last_txn_id = last_txn_id
-            self._log = records
-            self._base_graph = base_graph if base_graph is not None else LabeledMultigraph()
-            self._base_version = base_version
-            if epoch is not None:
-                self._epoch = epoch
-            self._set_dispatched(version)
-            self._version_cond.notify_all()
-
     # ------------------------------------------------------------ sessions
 
     def session(self):
         return Session(self)
 
+    def _stage_locked(self, operations):
+        """``(staged, delta)``: the version *operations* make of the current
+        graph and the :class:`Delta` they make — the one staging path of a
+        local commit and a replicated apply, timed as ``commit.stage``.
+        Under ``self._lock``: two commits staged from one base would each
+        drop the other's edit.  Raises one of :data:`UNREPLAYABLE`."""
+        from repro.ham.delta import compute_delta
+
+        started = time.perf_counter()
+        staged = derive_version(self.graph)
+        delta = compute_delta(staged, operations)
+        self._observe("commit.stage", started)
+        return staged, delta
+
     def _apply_commit(self, session_id, ops):
         # Operations were validated against the transaction workspace; apply
         # them to the authoritative graph (last-committer-wins at the
         # operation level; a conflicting replay error aborts the commit).
-        # Replay goes through compute_delta so the commit record carries the
-        # typed fact-level delta, computed against pre-operation state.
-        from repro.ham.delta import compute_delta
-
         if self._read_only:
             raise StoreError(
                 "store is read-only (replica); writes must go to the primary"
             )
         with self._lock:
-            # Staged under the lock: two commits staged from the same base
-            # would each publish a graph without the other's edit.
-            started = time.perf_counter()
-            staged = derive_version(self.graph)
             try:
-                delta = compute_delta(staged, ops)
-            except (KeyError, StoreError) as exc:
+                staged, delta = self._stage_locked(ops)
+            except UNREPLAYABLE as exc:
                 raise TransactionError(f"commit conflict: {exc}") from exc
-            self._observe("commit.stage", started)
             record = TransactionRecord(
                 self._next_txn_id,
                 session_id,
@@ -445,13 +413,12 @@ class HAMStore:
         self._last_txn_id = record.txn_id
         self._log.append(record)
         delta = record.delta
-        if delta is not None:
-            for predicate in delta.touched_predicates():
-                self._churn_commits[predicate] += 1
-            for predicate, rows in delta.insertions.items():
-                self._churn_rows[predicate] += len(rows)
-            for predicate, rows in delta.deletions.items():
-                self._churn_rows[predicate] += len(rows)
+        for predicate in delta.touched_predicates():
+            self._churn_commits[predicate] += 1
+        for predicate, rows in delta.insertions.items():
+            self._churn_rows[predicate] += len(rows)
+        for predicate, rows in delta.deletions.items():
+            self._churn_rows[predicate] += len(rows)
         self._version_cond.notify_all()
         # Snapshot under the lock: subscribe() may run concurrently, and
         # iterating the live list while it mutates skips or doubles
@@ -543,14 +510,14 @@ class HAMStore:
 
     def apply_replicated(self, record):
         """Apply one replicated :class:`TransactionRecord` (as decoded from
-        the primary's WAL stream) to this store.
+        the primary's WAL stream) to this store; return the record installed.
 
-        Mirrors :meth:`_apply_commit` — ops replay onto a version derived
-        from the current graph, which is then published; subscribers (views,
-        result caches) are notified per record — so replica state evolves
-        exactly the way crash recovery rebuilds it.  Records must arrive in
-        version order; anything else raises :class:`StoreError` (the applier
-        re-bootstraps on divergence rather than guessing).
+        Staged as a local commit is (:meth:`_stage_locked`): a new record
+        carrying the delta its operations make here is installed, *record*
+        itself is not written to.  Subscribers are notified per record.
+        Records must arrive in version order; anything else raises
+        :class:`StoreError` (the applier re-bootstraps on divergence rather
+        than guessing).
         """
         with self._lock:
             if record.version != self._version + 1:
@@ -558,43 +525,59 @@ class HAMStore:
                     f"replicated record out of order: store at version "
                     f"{self._version}, record carries {record.version}"
                 )
-            started = time.perf_counter()
             try:
-                staged = derive_version(self.graph, (record,))
-            except (KeyError, StoreError) as exc:
+                staged, delta = self._stage_locked(record.operations)
+            except UNREPLAYABLE as exc:
                 raise StoreError(
                     f"cannot apply replicated version {record.version}: {exc}"
                 ) from exc
-            self._observe("commit.stage", started)
+            record = TransactionRecord(
+                record.txn_id, record.session_id, record.operations, record.version, delta
+            )
             turn, subscribers = self._install_locked(record, staged)
         self._dispatch_subscribers(turn, subscribers, record)
         return record
 
-    def replace_state(self, graph, version, last_txn_id, epoch=None):
+    def replace_state(
+        self, graph, version, last_txn_id, records=(), base_graph=None, base_version=None,
+        epoch=None,
+    ):
         """Discard the current state and install *graph* at *version*.
 
-        The replica re-bootstrap path: after a primary divergence (the
-        primary lost acknowledged commits in a crash, or a different primary
-        now answers at the address) the applied history is worthless and is
-        replaced wholesale.  Subscribers are *not* notified — callers must
-        reset version-scoped caches themselves (a version can regress here,
-        which would otherwise let stale cache entries stamped with a future
-        version serve wrong answers once the version climbs back).
+        Serves recovery (:mod:`repro.persist`, after checkpoint load + WAL
+        replay), a replica's first bootstrap and its re-bootstraps after a
+        primary divergence.  *records* is the replayed WAL tail, versions
+        ``base_version + 1 .. version`` in order, and *base_graph* /
+        *base_version* the checkpoint :meth:`graph_at` replays it from;
+        without them *graph* is its own base.
 
-        The store adopts *epoch* when given (the new primary's history
+        Subscribers are *not* notified — callers must reset version-scoped
+        caches themselves (a version can regress here, which would
+        otherwise let stale cache entries stamped with a future version
+        serve wrong answers once the version climbs back).  The store
+        adopts *epoch* when given (the durable epoch, the primary's history
         line); otherwise it mints a fresh one, because whatever history the
         old epoch named no longer exists here.
         """
         with self._lock:
             if self._durability is not None:
                 raise StoreError("cannot replace state on a durable store")
+            records = list(records)
+            base_version = version if base_version is None else base_version
+            versions = [record.version for record in records]
+            if versions != list(range(base_version + 1, version + 1)):
+                # records_since / graph_at slice the log by offset from the base.
+                raise StoreError(
+                    f"replaced records must be versions {base_version + 1}..{version} "
+                    f"in order, got {versions}"
+                )
             self.graph = graph
             self._version = version
             self._next_txn_id = max(self._next_txn_id, last_txn_id + 1)
             self._last_txn_id = last_txn_id
-            self._log = []
-            self._base_graph = graph
-            self._base_version = version
+            self._log = records
+            self._base_graph = graph if base_graph is None else base_graph
+            self._base_version = base_version
             self._epoch = str(epoch) if epoch else new_epoch()
             self._set_dispatched(version)
             self._version_cond.notify_all()

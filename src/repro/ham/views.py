@@ -307,11 +307,11 @@ class MaterializedView:
         if record.version <= self.version:
             return None
         delta = record.delta
-        if delta is not None and delta.is_empty:
+        if delta.is_empty:
             self.version = record.version
             self.skipped_empty += 1
             return None
-        if self.maintenance is not None and delta is not None:
+        if self.maintenance is not None:
             try:
                 stats = self._maintain(delta)
             except Exception:
@@ -337,16 +337,14 @@ class MaterializedView:
                     with contextlib.suppress(StoreError):
                         self.refresh(record.version)
                 return self._emit(stats.added, stats.deleted)
-        elif (
-            delta is not None
-            and self.plan.footprint is not None
-            and not (self.plan.footprint & delta.touched_predicates(DOMAIN_PREDICATE))
+        elif self.plan.footprint is not None and not (
+            self.plan.footprint & delta.touched_predicates(DOMAIN_PREDICATE)
         ):
             # The commit provably misses everything the plan reads.
             self.version = record.version
             return None
         # Re-evaluate at the record's version and diff: the documented
-        # fallback, a delta-less record, or a failed maintenance pass.
+        # fallback, or a failed maintenance pass.
         before = self._live()
         self.refresh(record.version)
         after = self._live()

@@ -41,8 +41,6 @@ from repro.persist.checkpoint import (
 from repro.persist.epoch import load_epoch, new_epoch, store_epoch
 from repro.persist.manager import DurabilityManager, PersistenceConfig
 from repro.persist.serde import (
-    delta_from_json,
-    delta_to_json,
     op_from_json,
     op_to_json,
     record_from_json,
@@ -56,8 +54,6 @@ __all__ = [
     "PersistenceConfig",
     "WalCorruption",
     "WalWriter",
-    "delta_from_json",
-    "delta_to_json",
     "latest_valid_checkpoint",
     "list_checkpoints",
     "load_checkpoint",

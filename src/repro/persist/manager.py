@@ -27,6 +27,8 @@ import time
 from repro import obs
 from repro.errors import StoreError
 from repro.graphs.multigraph import LabeledMultigraph
+from repro.ham.delta import compute_delta
+from repro.ham.store import UNREPLAYABLE, HAMStore, derive_version
 from repro.persist import checkpoint as ckpt
 from repro.persist import wal
 from repro.persist.epoch import load_epoch, new_epoch, store_epoch
@@ -113,8 +115,6 @@ class DurabilityManager:
         """
         if self._store is not None:
             raise StoreError("durability manager is already bound to a store")
-        from repro.ham.store import HAMStore, derive_version
-
         os.makedirs(self.wal_dir, exist_ok=True)
         started = time.perf_counter()
         with obs.span("persist.recover", data_dir=self.data_dir) as span:
@@ -145,12 +145,9 @@ class DurabilityManager:
                     )
                 return self._adopt(store)
 
-            # The checkpoint graph stays as the graph_at base; the WAL tail
-            # replays onto a version derived from it.
-            graph = derive_version(base_graph)
             with obs.span("persist.recover.replay_wal") as replay_span:
-                records, truncated = self._replay_segments(
-                    segments, graph, base_version
+                graph, records, truncated = self._replay_segments(
+                    segments, base_graph, base_version
                 )
                 if replay_span:
                     replay_span.annotate(replayed=len(records), truncated=truncated)
@@ -175,7 +172,7 @@ class DurabilityManager:
                         epoch,
                     )
             self._epoch = epoch
-            store.restore_state(
+            store.replace_state(
                 graph,
                 version,
                 last_txn_id,
@@ -241,15 +238,19 @@ class DurabilityManager:
         self.checkpoint()
         return store
 
-    def _replay_segments(self, segments, graph, base_version):
-        """Apply every WAL record after *base_version* to *graph*.
+    def _replay_segments(self, segments, base_graph, base_version):
+        """Replay every WAL record after *base_version* onto a version
+        derived from *base_graph* (which stays the ``graph_at`` base).
 
-        Returns ``(records, truncated)``.  Stops at — and truncates — the
-        first torn frame, CRC failure, version gap, or record whose
-        operations fail to replay; later segments after a truncation point
-        are unlinked (they are beyond the lost suffix and would otherwise
+        Returns ``(graph, records, truncated)``, each record carrying the
+        delta :func:`compute_delta` derives as it replays.  Stops at — and
+        truncates — the first torn frame, CRC failure, version gap, or
+        record whose operations fail to replay (:data:`UNREPLAYABLE`, what
+        a commit refuses); later segments after a truncation point are
+        unlinked (they are beyond the lost suffix and would otherwise
         re-surface records after a gap).
         """
+        graph = derive_version(base_graph)
         replayed = []
         expected = base_version + 1
         truncated = False
@@ -272,10 +273,12 @@ class DurabilityManager:
                     )
                     break
                 try:
-                    for op in record.operations:
-                        op.apply(graph)
-                except StoreError as exc:
-                    stop_offset, reason = offset, f"unreplayable record: {exc}"
+                    record.delta = compute_delta(graph, record.operations)
+                except UNREPLAYABLE as exc:
+                    # The record's earlier operations already applied: the
+                    # graph is the last whole record's again.
+                    graph = derive_version(base_graph, replayed)
+                    stop_offset, reason = offset, f"unreplayable record: {exc!r}"
                     break
                 replayed.append(record)
                 expected += 1
@@ -293,7 +296,7 @@ class DurabilityManager:
                 wal.fsync_directory(self.wal_dir)
                 truncated = True
                 break
-        return replayed, truncated
+        return graph, replayed, truncated
 
     def _open_writer(self, segments, next_version):
         self._writer = wal.WalWriter(

@@ -1,15 +1,14 @@
-"""WAL payload serialization: operations, deltas, transaction records.
+"""WAL payload serialization: operations and transaction records.
 
 One committed :class:`~repro.ham.store.TransactionRecord` becomes one JSON
-object carrying both representations of the commit:
-
-- the **raw operations** — the replayable edit script recovery applies to
-  rebuild the graph (the same ``_Op`` objects the store validates and
-  replays in-process);
-- the **typed fact-level delta** (:class:`~repro.ham.delta.Delta`) — so a
-  recovered record is indistinguishable from a live one to downstream
-  consumers (view maintenance, the delta-scoped result cache) without
-  recomputing multiplicity-exact deltas at replay time.
+object: its ids, its version and its **operations** — the replayable edit
+script (the same ``_Op`` objects the store validates and replays
+in-process).  The record's typed fact-level delta
+(:class:`~repro.ham.delta.Delta`) is not written: it is a function of the
+graph the operations edit, so recovery and a replica derive it again with
+:func:`~repro.ham.delta.compute_delta` as they replay, the way the primary
+derived it when the commit was staged.  A ``delta`` key written by an older
+WAL is ignored.
 
 Value encoding reuses the :mod:`repro.io` node/label encoders, so exactly
 the values that survive a graph JSON round trip survive the WAL: strings,
@@ -20,7 +19,6 @@ silently stringified into a log that would replay a different graph.
 
 from __future__ import annotations
 
-from repro.ham.delta import Delta
 from repro.ham.store import TransactionRecord, _Op
 from repro.io import (
     SerializationError,
@@ -96,39 +94,6 @@ def op_from_json(obj):
     raise SerializationError(f"unknown operation kind {kind!r} in WAL record")
 
 
-# -------------------------------------------------------------------- deltas
-
-
-def _encode_rows(rows):
-    return [[_encode_node(value) for value in row] for row in sorted(rows, key=repr)]
-
-
-def _decode_rows(rows):
-    return {tuple(_decode_node(value) for value in row) for row in rows}
-
-
-def delta_to_json(delta):
-    """Encode a typed :class:`~repro.ham.delta.Delta` as a JSON dict."""
-    return {
-        "insertions": {p: _encode_rows(rows) for p, rows in sorted(delta.insertions.items())},
-        "deletions": {p: _encode_rows(rows) for p, rows in sorted(delta.deletions.items())},
-        "nodes_added": [_encode_node(n) for n in sorted(delta.nodes_added, key=repr)],
-        "nodes_removed": [_encode_node(n) for n in sorted(delta.nodes_removed, key=repr)],
-    }
-
-
-def delta_from_json(obj):
-    """Decode :func:`delta_to_json` output back into a :class:`Delta`."""
-    delta = Delta()
-    for predicate, rows in obj["insertions"].items():
-        delta.insertions[predicate] = _decode_rows(rows)
-    for predicate, rows in obj["deletions"].items():
-        delta.deletions[predicate] = _decode_rows(rows)
-    delta.nodes_added = {_decode_node(n) for n in obj["nodes_added"]}
-    delta.nodes_removed = {_decode_node(n) for n in obj["nodes_removed"]}
-    return delta
-
-
 # ------------------------------------------------------------------- records
 
 
@@ -139,17 +104,15 @@ def record_to_json(record):
         "session": record.session_id,
         "version": record.version,
         "ops": [op_to_json(op) for op in record.operations],
-        "delta": None if record.delta is None else delta_to_json(record.delta),
     }
 
 
 def record_from_json(obj):
-    """Decode a WAL payload dict back into a :class:`TransactionRecord`."""
-    delta = obj.get("delta")
+    """Decode a WAL payload dict back into a :class:`TransactionRecord`,
+    without a delta (see the module docstring)."""
     return TransactionRecord(
         obj["txn"],
         obj["session"],
         [op_from_json(op) for op in obj["ops"]],
         version=obj["version"],
-        delta=None if delta is None else delta_from_json(delta),
     )

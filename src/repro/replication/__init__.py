@@ -10,8 +10,9 @@ Three cooperating pieces (see ``docs/REPLICATION.md`` for the full story):
   segment files otherwise — the commit path is never blocked.
 - :class:`~repro.replication.replica.ReplicaApplier` — the replica side.
   Bootstraps, tails, and applies each record through
-  :meth:`~repro.ham.store.HAMStore.apply_replicated`, the same replay the
-  crash-recovery path uses, so replica state is bit-identical to a
+  :meth:`~repro.ham.store.HAMStore.apply_replicated`, which stages it
+  as a local commit is staged and derives its delta from its operations,
+  as crash recovery does, so replica state is bit-identical to a
   recovered primary.  Detects primary divergence by **epoch**, not just
   version regression: every bootstrap/tail response is stamped with the
   primary's epoch id (persisted next to the WAL, rotated whenever history

@@ -4,14 +4,13 @@ A :class:`ReplicaApplier` owns one background thread that keeps a local
 :class:`~repro.ham.store.HAMStore` converged with a primary:
 
 1. **bootstrap** — fetch the primary's ``repl_bootstrap`` document and
-   install it (:meth:`~repro.ham.store.HAMStore.restore_state` on a fresh
-   store, :meth:`~repro.ham.store.HAMStore.replace_state` on a
-   re-bootstrap).
+   install it with :meth:`~repro.ham.store.HAMStore.replace_state`, on a
+   fresh store and on a re-bootstrap alike.
 2. **tail** — long-poll ``repl_tail`` from the applied version and apply
    each record through :meth:`~repro.ham.store.HAMStore.apply_replicated`,
-   which replays the same operations crash recovery replays and notifies
-   the same commit subscribers — replica caches and views stay coherent
-   exactly the way the primary's do.
+   which stages its operations the way a local commit is staged, deriving
+   the record's delta from them, and notifies the same commit subscribers —
+   replica caches and views stay coherent exactly the way the primary's do.
 3. **diverge → re-bootstrap** — when the primary answers ``reset`` (the
    replica is ahead because the primary lost acknowledged commits in a
    crash, or history was pruned past the replica's position, or a
@@ -244,17 +243,7 @@ class ReplicaApplier:
         last_txn_id = document["last_txn_id"]
         epoch = document.get("epoch")
         replaced = self.store.version != 0 or len(self.store.history()) > 0
-        if replaced:
-            self.store.replace_state(graph, version, last_txn_id, epoch=epoch)
-        else:
-            self.store.restore_state(
-                graph,
-                version,
-                last_txn_id,
-                base_graph=graph,
-                base_version=version,
-                epoch=epoch,
-            )
+        self.store.replace_state(graph, version, last_txn_id, epoch=epoch)
         with self._lock:
             self._bootstraps += 1
             self._primary_epoch = epoch

@@ -255,21 +255,21 @@ class ResultCache:
         """Re-stamp or drop plain entries after a commit, once the views of
         the maintained ones were advanced past it.
 
-        *touched* is the set of predicates the commit's delta may have
-        changed (``None`` = unknown → drop everything).  Plain entries whose
-        footprint provably misses *touched* survive with the new version
-        stamp; the rest are invalidated, and their keys marked for
-        promotion.  Only entries current as of the previous version are
-        re-stamped: versions bump by exactly one per commit, so an entry
-        lagging further behind was computed before some commit this hook
-        never cleared it against (a put racing a commit) and cannot be
-        proven fresh.  A maintained entry still behind *version* (its view
-        never advanced) is demoted: dropped, its key never promoted again.
+        *touched* is the set of predicates the commit's delta changed.
+        Plain entries whose footprint provably misses *touched* survive
+        with the new version stamp; the rest are invalidated, and their
+        keys marked for promotion.  Only entries current as of the previous
+        version are re-stamped: versions bump by exactly one per commit, so
+        an entry lagging further behind was computed before some commit
+        this hook never cleared it against (a put racing a commit) and
+        cannot be proven fresh.  A maintained entry still behind *version*
+        (its view never advanced) is demoted: dropped, its key never
+        promoted again.
         """
         with obs.span(
             "cache.apply_commit",
             version=version,
-            touched=sorted(touched) if touched is not None else None,
+            touched=sorted(touched),
         ) as span:
             with self._lock:
                 dead = []
@@ -280,8 +280,7 @@ class ResultCache:
                         if entry.version < version:
                             demoted.append(key)
                     elif (
-                        touched is not None
-                        and entry.footprint is not None
+                        entry.footprint is not None
                         and entry.version == version - 1
                         and not (entry.footprint & touched)
                     ):

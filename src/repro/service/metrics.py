@@ -56,10 +56,6 @@ class MetricsRegistry:
             self._counters[name] = value
             self._pinned.add(name)
 
-    def observe_latency(self, op, seconds):
-        with self._lock:
-            self._latency[op].observe(seconds)
-
     def observe_phase(self, phase, seconds):
         """Record one pipeline-phase duration (plan, cache_lookup, evaluate,
         encode, queue_wait, respond, ...) for the per-phase latency breakdown.
@@ -71,16 +67,6 @@ class MetricsRegistry:
         with self._lock:
             self._in_flight += 1
 
-    def request_finished(self):
-        with self._lock:
-            # Clamp: the gauge must never read negative, even if shutdown
-            # races ever unbalance a started/finished pair (the clamp events
-            # are counted so the imbalance stays visible).
-            if self._in_flight > 0:
-                self._in_flight -= 1
-            else:
-                self._counters["gauge.in_flight_clamped"] += 1
-
     def request_completed(self, op, seconds, phases=(), on_loop=False):
         """End-of-request bookkeeping — the ``requests.<op>`` (and, *on_loop*,
         :data:`ON_LOOP`) counters, the latency sample, the in-flight decrement
@@ -90,6 +76,9 @@ class MetricsRegistry:
             self._counters[f"requests.{op}"] += 1
             self._counters[ON_LOOP] += on_loop
             self._latency[op].observe(seconds)
+            # Clamp: the gauge must never read negative, even if shutdown
+            # races ever unbalance a started/completed pair (the clamp
+            # events are counted so the imbalance stays visible).
             if self._in_flight > 0:
                 self._in_flight -= 1
             else:

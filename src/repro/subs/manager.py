@@ -312,8 +312,7 @@ class SubscriptionManager:
         entries, even when the dispatch raised (a maintained entry left
         behind is demoted)."""
         sinks = set()
-        delta = record.delta
-        touched = delta.touched_predicates(DOMAIN_PREDICATE) if delta is not None else None
+        touched = record.delta.touched_predicates(DOMAIN_PREDICATE)
         with self._lock:
             try:
                 if self._views_by_key:
@@ -407,7 +406,7 @@ class SubscriptionManager:
                     frame["trace_id"] = trace_id
                 self._enqueue_locked(holder, frame, now)
                 sinks.add(holder.sink)
-            elif costly or holder.idb != own and (touched is None or touched & (holder.idb | own)):
+            elif costly or holder.idb != own and touched & (holder.idb | own):
                 gone.append(holder)  # left behind: the cache demotes its entry
             elif moved is not None and holder.seed not in moved:
                 self.results.refresh(holder)

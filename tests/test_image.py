@@ -328,20 +328,6 @@ def test_after_recovery_from_a_checkpoint(tmp_path, seed):
         recovered.close()
 
 
-def test_a_record_without_a_delta_forces_a_rebuild():
-    store = HAMStore()
-    images = StoreImages(store)
-    with store.session().transaction() as txn:
-        txn.add_edge("a", "b", "e")
-    images.at(*store.snapshot_versioned())
-    with store.session().transaction() as txn:
-        txn.add_edge("b", "c", "e")
-    store.records_since(1)[0].delta = None
-    version, graph = store.snapshot_versioned()
-    assert_image(images.at(version, graph), graph)
-    assert images.stats()["fallbacks"] == {"no_delta": 1}
-
-
 def test_a_forced_rebootstrap_takes_and_counts_the_fallback():
     service = QueryService(store=HAMStore())
     service.execute({"op": "update", "edges": [["a", "e", "b"], ["b", "f", "c"], ["n0", "e", "c"]]})

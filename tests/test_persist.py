@@ -4,8 +4,11 @@ import glob
 import json
 import logging
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel
@@ -15,8 +18,6 @@ from repro.ham.store import HAMStore, TransactionRecord, _Op
 from repro.persist import (
     DurabilityManager,
     PersistenceConfig,
-    delta_from_json,
-    delta_to_json,
     latest_valid_checkpoint,
     list_checkpoints,
     op_from_json,
@@ -78,23 +79,7 @@ class TestSerde:
         back = record_from_json(json.loads(json.dumps(record_to_json(record))))
         assert (back.txn_id, back.session_id, back.version) == (3, 9, 7)
         assert [op.kind for op in back.operations] == [op.kind for op in ops]
-        assert back.delta == delta
-
-    def test_delta_round_trip_equality(self):
-        graph = LabeledMultigraph()
-        graph.add_edge("a", "b", "link")
-        graph.add_node("gone", "old")
-        ops = [
-            _Op(_Op.REMOVE_EDGE, "a", "b", "link"),
-            _Op(_Op.REMOVE_NODE, "gone"),
-            _Op(_Op.ADD_EDGE, ("t", 1), ("t", 2), EdgeLabel("flight", (930,))),
-        ]
-        delta = compute_delta(graph, ops)
-        assert delta_from_json(json.loads(json.dumps(delta_to_json(delta)))) == delta
-
-    def test_record_without_delta(self):
-        record = TransactionRecord(1, 1, [_Op(_Op.ADD_NODE, "a", None)], version=1)
-        assert record_from_json(record_to_json(record)).delta is None
+        assert back.delta is None  # derived again wherever the record is replayed
 
 
 # -------------------------------------------------------------------- WAL
@@ -347,6 +332,35 @@ class TestRecovery:
         assert store3.graph.has_edge("n100", "n101", "x")
         manager3.close()
 
+    @pytest.mark.parametrize(
+        "ghost",
+        [_Op(_Op.REMOVE_NODE, "ghost"), _Op(_Op.SET_NODE_LABEL, "ghost", "x")],
+        ids=["remove_node", "set_node_label"],
+    )
+    @pytest.mark.parametrize("after_an_edge", [False, True])
+    def test_a_record_naming_a_missing_node_is_truncated(
+        self, tmp_path, ghost, after_an_edge
+    ):
+        # A CRC-valid record whose operations do not replay is truncated
+        # like any corrupt tail, whatever the operation raises; its earlier
+        # operations leave no trace in the recovered graph.
+        manager, store = durable_store(tmp_path, fsync="always")
+        commit_chain(store, 1)
+        epoch = store.epoch
+        manager.close()
+        ops = [_Op(_Op.ADD_EDGE, "n1", "n2", "x")] * after_an_edge + [ghost]
+        (segment,) = wal_segments(tmp_path)
+        writer = wal_mod.WalWriter(os.path.dirname(segment), fsync="always")
+        writer.open(path=segment)
+        writer.append(record_to_json(TransactionRecord(2, 1, ops, version=2)))
+        writer.close()
+        manager2, store2 = durable_store(tmp_path)
+        recovery = manager2.stats()["recovery"]
+        assert (recovery["recovered_version"], recovery["truncated"]) == (1, True)
+        assert store2.epoch != epoch
+        assert store2.graph == store.graph
+        manager2.close()
+
     def test_recover_into_nonempty_store_rejected(self, tmp_path):
         manager, store = durable_store(tmp_path, fsync="off")
         commit_chain(store, 1)
@@ -477,7 +491,7 @@ class TestRetainedLogContiguity:
         commit_chain(primary, 4)
         replica = HAMStore()
         graph = primary.graph_at(4)
-        replica.restore_state(graph, 4, 4, base_graph=graph, base_version=4)
+        replica.replace_state(graph, 4, 4)
         commit_chain(primary, 3, start=4)
         for record in primary.records_since(4):
             replica.apply_replicated(record)
@@ -505,7 +519,9 @@ class TestRetainedLogContiguity:
         commit_chain(source, 3)
         first, _second, third = source.history()
         with pytest.raises(StoreError, match="versions 1..3 in order"):
-            HAMStore().restore_state(source.graph, 3, 3, records=[first, third])
+            HAMStore().replace_state(
+                source.graph, 3, 3, records=[first, third], base_version=0
+            )
 
 
 # ------------------------------------------------------------------ epoch
@@ -577,3 +593,71 @@ class TestEpochPersistence:
         manager, store = durable_store(tmp_path, fsync="off")
         assert load_epoch(str(tmp_path)) == store.epoch
         manager.close()
+
+
+# --------------------------------------------------------- derived deltas
+
+_NODES = ["a", "b", "c", ("t", 1), ("t", 2)]
+_EDGE_LABELS = ["link", EdgeLabel("link"), EdgeLabel("hop", (3,))]
+_NODE_LABELS = [None, frozenset({"mark"}), frozenset({"mark", "hub"}), frozenset(), 7]
+_SPELLINGS = {"link": EdgeLabel("link"), EdgeLabel("link"): "link"}
+
+_edit = st.tuples(
+    st.sampled_from(["add_edge", "add_edge", "remove_edge", "remove_node", "add_node", "set_node_label"]),
+    st.integers(0, len(_NODES) - 1),
+    st.integers(0, len(_NODES) - 1),
+    st.integers(0, 7),
+)
+
+
+def _apply_edit(txn, kind, i, j, k):
+    """One random edit, steered to what the workspace can take."""
+    graph, node = txn.workspace, _NODES[i]
+    if kind == "add_edge":
+        txn.add_edge(node, _NODES[j], _EDGE_LABELS[k % len(_EDGE_LABELS)])
+    elif kind == "remove_edge" and graph.edge_count():
+        edge = list(graph.edges)[(i * len(_NODES) + j) % graph.edge_count()]
+        label = _SPELLINGS.get(edge.label, edge.label) if k % 2 else edge.label
+        txn.remove_edge(edge.source, edge.target, label)
+    elif kind == "remove_node" and graph.has_node(node):
+        txn.remove_node(node)
+    elif kind == "add_node":
+        txn.add_node(node, _NODE_LABELS[k % len(_NODE_LABELS)])
+    elif kind == "set_node_label" and graph.has_node(node):
+        txn.set_node_label(node, _NODE_LABELS[k % len(_NODE_LABELS)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_edit, min_size=1, max_size=6), min_size=1, max_size=6))
+def test_replicas_and_recovery_derive_the_primarys_deltas(commits):
+    with tempfile.TemporaryDirectory() as data_dir:
+        manager, primary = durable_store(data_dir, fsync="off")
+        session = primary.session()
+        # Parallel copies of one fact under both spellings, a self-loop and
+        # an annotated tuple node: the first random remove_node("a") drops
+        # a node with all of them incident.
+        with session.transaction() as txn:
+            txn.add_edge("a", "b", "link")
+            txn.add_edge("a", "b", "link")
+            txn.add_edge("a", "b", EdgeLabel("link"))
+            txn.add_edge("a", "a", "link")
+            txn.add_edge("b", "a", EdgeLabel("hop", (3,)))
+            txn.add_node(("t", 1), frozenset({"mark"}))
+        for edits in commits:
+            with session.transaction() as txn:
+                for edit in edits:
+                    _apply_edit(txn, *edit)
+        manager.close()
+        replica = HAMStore()
+        for record in primary.history():
+            wire = record_from_json(json.loads(json.dumps(record_to_json(record))))
+            assert replica.apply_replicated(wire).delta == record.delta
+            assert replica.graph == primary.graph_at(record.version)
+        manager2, recovered = durable_store(data_dir)
+        assert [r.delta for r in recovered.history()] == [
+            r.delta for r in primary.history()
+        ]
+        for version in range(primary.version + 1):
+            assert recovered.graph_at(version) == primary.graph_at(version)
+        assert replica.graph == recovered.graph == primary.graph
+        manager2.close()

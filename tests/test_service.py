@@ -621,20 +621,20 @@ def slow_server():
 class TestMetrics:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.incr("requests.rpq")
-        registry.observe_latency("rpq", 0.002)
         registry.request_started()
+        registry.request_started()
+        registry.request_completed("rpq", 0.002)
         snap = registry.snapshot()
         assert snap["counters"]["requests.rpq"] == 1
         assert snap["in_flight"] == 1
         assert snap["latency"]["rpq"]["count"] == 1
         assert snap["latency"]["rpq"]["p50_ms"] == pytest.approx(2.0)
-        registry.request_finished()
+        registry.request_completed("rpq", 0.002)
         assert registry.in_flight == 0
 
     def test_in_flight_gauge_clamps_at_zero(self):
         registry = MetricsRegistry()
-        registry.request_finished()
+        registry.request_completed("rpq", 0.001)
         assert registry.in_flight == 0
         assert registry.counter("gauge.in_flight_clamped") == 1
 
@@ -1261,7 +1261,7 @@ class TestShutdown:
             for sock in socks:
                 sock.close()
         # The stalled request finishes on the daemon worker thread after
-        # stop(); wait for it so its request_finished() has landed.
+        # stop(); wait for it so its request_completed() has landed.
         time.sleep(1.2)
         metrics = srv.service.metrics
         assert metrics.in_flight >= 0
@@ -1575,7 +1575,8 @@ class TestTelemetry:
 
     def test_snapshot_has_p99(self):
         registry = MetricsRegistry()
-        registry.observe_latency("rpq", 0.002)
+        registry.request_started()
+        registry.request_completed("rpq", 0.002)
         registry.observe_phase("evaluate", 0.004)
         snapshot = registry.snapshot()
         assert snapshot["latency"]["rpq"]["p99_ms"] == pytest.approx(2.0)

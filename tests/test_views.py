@@ -296,9 +296,10 @@ class TestStoreLevelView:
                 txn.add_edge(edge[0], edge[1], EdgeLabel("link"))
         assert view.rows("reach") == oracle(store, REACH, "reach")
 
-    def test_delta_less_record_recomputes_and_diffs(self):
-        # A replicated record that carries no typed delta cannot be
-        # maintained; the view re-evaluates at its version and diffs.
+    def test_a_replicated_record_is_maintained_with_the_delta_it_derives(self):
+        # A replicated record that arrives without a typed delta (as the
+        # wire decodes it) is staged like a local commit: the replica
+        # derives the delta, and the view maintains it in one pass.
         primary, replica = self._store(), HAMStore()
         for record in primary.history():
             replica.apply_replicated(record)
@@ -313,7 +314,7 @@ class TestStoreLevelView:
         )
         assert changes == [({}, {"reach": {("a", "b"), ("a", "c")}})]
         assert view.rows("reach") == oracle(replica, REACH, "reach") == {("b", "c")}
-        assert view.maintenance_passes == 0
+        assert view.maintenance_passes == 1
 
     def test_failed_maintenance_pass_still_reports_the_exact_change(self, monkeypatch):
         store = self._store()
