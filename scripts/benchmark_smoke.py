@@ -15,7 +15,10 @@ checks every answer against the naive walker, its specification:
   (commit, closure miss, RPQ miss) on one service must end with one build,
   50 folds, no fallback and every answer equal to the naive engine's — so a
   refactor that silently drops back to rebuilding the image per commit fails
-  here instead of only moving a latency.
+  here instead of only moving a latency.  Inside ``QueryService.execute``,
+  the whole check may call ``database_from_graph`` once (the build) and the
+  50 rounds after it may construct no ``Relation``: the image is one encoded
+  database, and a change that keeps a decoded twin of it fails here.
 
 - the closure kernel, by counts alone: 50 closure misses (each a query text
   the service has never seen) must each record exactly one
@@ -76,6 +79,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -84,11 +88,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.core.dsl import parse_graphical_query  # noqa: E402
 from repro.core.engine import GraphLogEngine  # noqa: E402
 from repro.datalog import columnar  # noqa: E402
-from repro.datalog.database import Database  # noqa: E402
+from repro.datalog.database import Database, Relation  # noqa: E402
 from repro.datalog.dred import MaintainedState  # noqa: E402
 from repro.datalog.engine import Answer, Engine  # noqa: E402
 from repro.datalog.parser import parse_program  # noqa: E402
 from repro.datasets.flights import random_flights  # noqa: E402
+from repro.graphs import bridge  # noqa: E402
 from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
 from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
@@ -195,47 +200,97 @@ CLOSURE_PROGRAM = parse_program(
 )
 
 
+#: What the image check counts inside ``QueryService.execute``: a decoded
+#: relation constructed, and a graph decoded into a database.
+RELATION_BUILT = (Relation, "__init__")
+GRAPH_DECODED = (bridge, "database_from_graph")
+
+
+@contextmanager
+def calls_in_execute(*points):
+    """A :class:`Counter` that, while inside, counts the calls to each
+    ``(owner, name)`` of *points* made inside ``QueryService.execute``."""
+    counts = Counter()
+    depth = [0]
+    execute = QueryService.execute
+    originals = [(owner, name, getattr(owner, name)) for owner, name in points]
+
+    def executing(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return execute(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    QueryService.execute = executing
+    for owner, name, original in originals:
+
+        def counted(*args, _point=(owner, name), _original=original, **kwargs):
+            counts[_point] += depth[0] > 0
+            return _original(*args, **kwargs)
+
+        setattr(owner, name, counted)
+    try:
+        yield counts
+    finally:
+        QueryService.execute = execute
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
 def check_image_folds():
-    """50 × (commit, closure miss, RPQ miss): the image is built once and
-    folded 50 times, and both answers track the naive oracle throughout.
-    Each round's closure and RPQ are texts never seen before: a re-read one
-    would be a maintained entry and need no image (``check_maintained_entries``)."""
+    """50 × (commit, closure miss, RPQ miss): the image is built once — the
+    one ``database_from_graph`` call a request makes — and folded 50 times
+    with no ``Relation`` constructed, and both answers track the naive
+    oracle throughout.  Each round's closure and RPQ are texts never seen
+    before: a re-read one would be a maintained entry and need no image
+    (``check_maintained_entries``)."""
     rounds = 50
     database = random_flights(7, n_cities=12, n_flights=40)
     store = HAMStore()
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     source = sorted(city for _flight, city in database.facts("from"))[0]
-    execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
-    for i in range(rounds):
-        closure = {"op": "graphlog", "query": CLOSURE_QUERY.replace("connected", f"conn{i:02d}")}
-        rpq = {"op": "rpq", "query": f"{RPQ_EXPRESSION} | nolabel{i:02d}", "source": source}
-        # Alternately add and remove one flight's from/to edges.
-        edges = [[f"extra{i // 2}", "from", source], [f"extra{i // 2}", "to", f"new{i // 2}"]]
-        execute(service, {"op": "update", "remove_edges" if i % 2 else "edges": edges})
-        if i % 2:
-            database.relation("from").discard((edges[0][0], edges[0][2]))
-            database.relation("to").discard((edges[1][0], edges[1][2]))
-        else:
-            database.add_fact("from", edges[0][0], edges[0][2])
-            database.add_fact("to", edges[1][0], edges[1][2])
-        oracle = Engine(method="naive").evaluate(CLOSURE_PROGRAM, database)
-        answers = {}
-        for request, relation in ((closure, f"conn{i:02d}"), (rpq, "answers")):
-            response = execute(service, request)
-            if response["cache"] != "miss":
-                fail(f"image round {i}: {request['op']} was not re-evaluated")
-            answers[relation] = {tuple(row) for row in response["result"]["relations"][relation]}
-        if answers[f"conn{i:02d}"] != oracle.facts("connected"):
-            fail(f"image round {i}: closure answer diverges from the naive oracle")
-        if answers["answers"] != {(y,) for x, y in oracle.facts("leg") if x == source}:
-            fail(f"image round {i}: RPQ answer diverges from the naive oracle")
+    with calls_in_execute(RELATION_BUILT, GRAPH_DECODED) as calls:
+        execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
+        calls[RELATION_BUILT] = 0
+        for i in range(rounds):
+            query = CLOSURE_QUERY.replace("connected", f"conn{i:02d}")
+            closure = {"op": "graphlog", "query": query}
+            rpq = {"op": "rpq", "query": f"{RPQ_EXPRESSION} | nolabel{i:02d}", "source": source}
+            # Alternately add and remove one flight's from/to edges.
+            edges = [[f"extra{i // 2}", "from", source], [f"extra{i // 2}", "to", f"new{i // 2}"]]
+            execute(service, {"op": "update", "remove_edges" if i % 2 else "edges": edges})
+            if i % 2:
+                database.relation("from").discard((edges[0][0], edges[0][2]))
+                database.relation("to").discard((edges[1][0], edges[1][2]))
+            else:
+                database.add_fact("from", edges[0][0], edges[0][2])
+                database.add_fact("to", edges[1][0], edges[1][2])
+            oracle = Engine(method="naive").evaluate(CLOSURE_PROGRAM, database)
+            answers = {}
+            for request, relation in ((closure, f"conn{i:02d}"), (rpq, "answers")):
+                response = execute(service, request)
+                if response["cache"] != "miss":
+                    fail(f"image round {i}: {request['op']} was not re-evaluated")
+                rows = response["result"]["relations"][relation]
+                answers[relation] = {tuple(row) for row in rows}
+            if answers[f"conn{i:02d}"] != oracle.facts("connected"):
+                fail(f"image round {i}: closure answer diverges from the naive oracle")
+            if answers["answers"] != {(y,) for x, y in oracle.facts("leg") if x == source}:
+                fail(f"image round {i}: RPQ answer diverges from the naive oracle")
     edb = service.stats()["edb"]
     if (edb["builds"], edb["folds"], edb["fallbacks"]) != (1, rounds, {}):
         fail(f"image was not advanced by folding alone: {edb!r}")
+    if calls[RELATION_BUILT] or calls[GRAPH_DECODED] != 1:
+        fail(
+            f"the image keeps a decoded database: {calls[RELATION_BUILT]} Relation "
+            f"constructions in {rounds} rounds, {calls[GRAPH_DECODED]} database_from_graph calls"
+        )
     print(
         f"image: builds={edb['builds']} folds={edb['folds']} "
-        f"folded_rows={edb['folded_rows']} catalog_terms={edb['catalog_terms']}"
+        f"folded_rows={edb['folded_rows']} catalog_terms={edb['catalog_terms']} "
+        f"relations_built={calls[RELATION_BUILT]} database_from_graph={calls[GRAPH_DECODED]}"
     )
 
 

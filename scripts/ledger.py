@@ -3,9 +3,9 @@
     python3 scripts/ledger.py [DIR]        # DIR defaults to the repo root
 
 One column per ledger file, in PR order; per workload one row of
-end-to-end medians (ops/s · p50 · p90 ms) and one of per-layer self time
-(``dred.self`` · ``store.self`` · ``server.self`` ms/op), plus the traced
-rows one workload is read by: ``trace.unaccounted_share`` for ``hot_read``,
+end-to-end medians (ops/s · p50 · p90 ms), one of per-layer self time
+(``dred.self`` · ``store.self`` · ``server.self`` ms/op) and one of
+``trace.unaccounted_share``, plus the traced rows one workload is read by:
 ``columnar.self`` · ``prepared.self`` ms/op for ``cold_eval``, and for
 ``routed_mixed`` its cache layer (``engine.evaluations_per_op`` ·
 ``cache.invalidations_per_commit`` · ``cache.delta_reuse_ratio``) and its
@@ -41,10 +41,10 @@ ROWS = (
         "per_layer",
         ("dred.self_ms_per_op", "store.self_ms_per_op", "server.self_ms_per_op"),
     ),
+    ("`trace.unaccounted_share`", "per_layer", ("trace.unaccounted_share",)),
 )
 #: Rows printed for one workload only.
 WORKLOAD_ROWS = {
-    "hot_read": (("`trace.unaccounted_share`", "per_layer", ("trace.unaccounted_share",)),),
     "cold_eval": (
         (
             "`columnar.self` · `prepared.self` ms/op",

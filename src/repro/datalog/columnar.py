@@ -236,15 +236,16 @@ def _build_index(rows, positions):
 
 
 class EncodedDatabase:
-    """A Database's relations, dictionary-encoded and sealed.
+    """Named relations of int rows over one :class:`TermCatalog`, sealed.
 
     Read-only once built, so any number of evaluations may share it.  Who
     builds it decides how often that happens: :func:`encode_database` caches
     one per ``Database`` *object*, keyed by mutation stamp, so a caller that
-    hands the engine a fresh copy per evaluation re-encodes per evaluation;
-    the service's store image (:mod:`repro.ham.image`) instead builds one
-    per store and :meth:`patched`-derives each commit's successor, sharing
-    untouched relations and their indexes.  The catalog is append-only, so
+    hands the engine a fresh copy per evaluation re-encodes per evaluation.
+    The service's store image (:mod:`repro.ham.image`) is one of these and
+    nothing else: built once per store from its graph's facts, then
+    :meth:`patched` into each commit's successor, sharing untouched
+    relations and their indexes.  The catalog is append-only, so
     evaluations and successors may intern new terms (arithmetic results,
     program constants, new store values) without invalidating earlier rows.
     """
@@ -256,8 +257,8 @@ class EncodedDatabase:
         self.relations = {}
 
     @classmethod
-    def from_database(cls, database, catalog=None):
-        encoded = cls(catalog)
+    def from_database(cls, database):
+        encoded = cls()
         intern = encoded.catalog.intern
         for name in database:
             relation = database.relation(name)
@@ -268,14 +269,16 @@ class EncodedDatabase:
             encoded.relations[name] = sealed
         return encoded
 
-
     def patched(self, insertions, deletions):
-        """The encoding of ``database.patched(insertions, deletions)``, given
-        that this is the encoding of ``database``, over the same catalog.
+        """A database that differs from this one by ``{predicate: rows}``
+        *deletions* and *insertions* of values (the shape of a commit
+        ``Delta``), over the same catalog.
 
-        Mirrors :meth:`Database.patched`: relations the mappings do not name
-        are shared by reference *with their built indexes*, the others are
-        copied and patched, emptied ones dropped.
+        Only the relations those mappings name are copied and patched; every
+        other relation is *the same object* in both — rows and built indexes
+        shared.  A relation left without rows is dropped, as if never
+        declared.  An inserted row of another length than its relation's is
+        an :class:`ArityError`.
         """
         clone = EncodedDatabase(self.catalog)
         relations = clone.relations = dict(self.relations)
@@ -287,6 +290,10 @@ class EncodedDatabase:
                 if not inserted:
                     continue
                 relation = ColumnarRelation(name, len(inserted[0]), sealed=True)
+            if any(len(row) != relation.arity for row in inserted):
+                raise ArityError(
+                    f"relation {name!r} has arity {relation.arity}, got a row of another length"
+                )
             relation = relation.patched(
                 inserted, [intern_row(row) for row in deletions.get(name, ())]
             )
@@ -297,40 +304,35 @@ class EncodedDatabase:
         return clone
 
     def with_relation(self, relation):
-        """Mirrors :meth:`Database.with_relation` for one sealed relation."""
+        """A database sharing every relation of this one by reference, with
+        the sealed *relation* in place of any relation of the same name."""
         clone = EncodedDatabase(self.catalog)
         clone.relations = dict(self.relations)
         clone.relations[relation.name] = relation
         return clone
 
 
-def encode_database(database, catalog=None, encoded=None):
-    """The (cached) sealed encoding of *database*.
+def encode_database(database):
+    """The sealed encoding of *database*: an :class:`EncodedDatabase` is its
+    own, and a ``Database``'s is cached on it.
 
     The cache key is the per-relation mutation stamp, so any add/discard on
     any relation re-encodes; an unchanged database encodes exactly once no
-    matter how many queries run.  A caller that already holds the encoding —
-    derived from a predecessor's by :meth:`EncodedDatabase.patched` — passes
-    it as *encoded* and it is cached instead of built; evaluations of
-    *database* then find it like any other.
+    matter how many queries run.
     """
+    if isinstance(database, EncodedDatabase):
+        return database
     stamp = tuple(
         sorted(
             (name, database.relation(name)._mutations, len(database.relation(name)))
             for name in database
         )
     )
-    if encoded is None:
-        cached = getattr(database, "_columnar_cache", None)
-        if cached is not None and cached[0] == stamp and (
-            catalog is None or cached[1].catalog is catalog
-        ):
-            return cached[1]
-        encoded = EncodedDatabase.from_database(database, catalog)
-    try:
-        database._columnar_cache = (stamp, encoded)
-    except AttributeError:  # pragma: no cover - Database has a __dict__
-        pass
+    cached = getattr(database, "_columnar_cache", None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    encoded = EncodedDatabase.from_database(database)
+    database._columnar_cache = (stamp, encoded)
     return encoded
 
 

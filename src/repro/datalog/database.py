@@ -60,7 +60,9 @@ class Relation:
         """Insert a tuple; returns True if it was new."""
         row = tuple(row)
         if len(row) != self.arity:
-            raise self._arity_error(row)
+            raise ArityError(
+                f"relation {self.name!r} has arity {self.arity}, got tuple of length {len(row)}"
+            )
         if row in self._tuples:
             return False
         self._tuples.add(row)
@@ -121,25 +123,6 @@ class Relation:
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)
         return clone
-
-    def patched(self, inserted=(), deleted=()):
-        """A new relation: this one's tuples minus *deleted* plus *inserted*.
-
-        This relation is left untouched; the copy starts without indexes
-        (they are built lazily on first probe, as for any fresh relation).
-        """
-        clone = self.copy()
-        clone._tuples.difference_update(deleted)
-        for row in inserted:
-            if len(row) != self.arity:
-                raise self._arity_error(row)
-        clone._tuples.update(inserted)
-        return clone
-
-    def _arity_error(self, row):
-        return ArityError(
-            f"relation {self.name!r} has arity {self.arity}, got tuple of length {len(row)}"
-        )
 
 
 _EMPTY_SET = frozenset()
@@ -228,40 +211,6 @@ class Database:
     def copy(self):
         clone = Database()
         clone._relations = {name: rel.copy() for name, rel in self._relations.items()}
-        return clone
-
-    def patched(self, insertions, deletions):
-        """A database that differs from this one by ``{predicate: rows}``
-        *deletions* and *insertions* (the shape of a commit ``Delta``).
-
-        Only the relations those mappings name are copied and patched; every
-        other relation is *the same object* in both databases — tuples and
-        built indexes shared — so both sides are immutable from here on.  A
-        relation left without tuples is dropped, as if never declared.
-        """
-        clone = Database()
-        relations = clone._relations = dict(self._relations)
-        for name in insertions.keys() | deletions.keys():
-            inserted = insertions.get(name, ())
-            relation = relations.get(name)
-            if relation is None:
-                if not inserted:
-                    continue
-                relation = Relation(name, len(next(iter(inserted))))
-            relation = relation.patched(inserted, deletions.get(name, ()))
-            if relation:
-                relations[name] = relation
-            else:
-                relations.pop(name, None)
-        return clone
-
-    def with_relation(self, relation):
-        """A database sharing every relation of this one by reference, with
-        *relation* in place of any relation of the same name (same terms of
-        use as :meth:`patched`)."""
-        clone = Database()
-        clone._relations = dict(self._relations)
-        clone._relations[relation.name] = relation
         return clone
 
     def merge(self, other):

@@ -296,8 +296,8 @@ class MaintenancePlan:
 
     def evaluate(self, edb):
         """Full evaluation by the columnar core, kept encoded: a
-        :class:`MaintainedState` over the catalog of *edb*'s encoding (the
-        image's, for a store view)."""
+        :class:`MaintainedState` over the catalog of *edb*'s encoding (for
+        a store view, *edb* is the image's and is that encoding)."""
         encoded = encode_database(edb)
         evaluated = fixpoint(self.program, encoded, EvaluationStats())
         relations = {}

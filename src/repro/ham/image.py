@@ -3,14 +3,19 @@
 The Section 2 encoding (tuple ``P(a, b, c)`` ⇄ edge ``a -P(c)-> b``) is what
 lets λ-translated Datalog run over the HAM graph; this module keeps that
 relational form *as a stored thing* instead of re-deriving it per
-evaluation.  A :class:`StoreImage` is the image of one store version:
+evaluation.  A :class:`StoreImage` is the image of one store version, kept
+in one representation — sealed int relations over one append-only
+``TermCatalog``:
 
-- ``database`` — the graph's facts (what ``database_from_graph`` returns);
-- ``prepared`` — the same database plus the ``node`` domain relation (what
-  ``prepare_database`` returns), sharing every other relation by reference;
-- the sealed int encoding of both, over one append-only ``TermCatalog``,
-  cached where :func:`~repro.datalog.columnar.encode_database` looks — so
-  ``Engine(method="columnar")`` finds it without being told.
+- ``facts`` — the :class:`~repro.datalog.columnar.EncodedDatabase` of the
+  graph's facts (the encoding of what ``database_from_graph`` returns);
+- ``prepared`` — ``facts`` plus the ``node`` domain relation of the live
+  values' ids (the encoding of what ``prepare_database`` returns), sharing
+  every other relation by reference.
+
+Either is what ``Engine(method="columnar")`` and the RPQ image search read
+as they are: :func:`~repro.datalog.columnar.encode_database` hands an
+encoding back unchanged.
 
 :class:`StoreImages` owns the current image of one store and advances it
 from version *u* to *v* by folding the typed deltas of
@@ -30,8 +35,7 @@ import threading
 from collections import Counter
 
 from repro.core.translate import DOMAIN_PREDICATE
-from repro.datalog.columnar import TermCatalog, encode_database
-from repro.datalog.database import Database
+from repro.datalog.columnar import ColumnarRelation, EncodedDatabase
 from repro.errors import ArityError
 from repro.graphs import bridge
 from repro.ham.delta import domain_refs, fold_domain_refs, net_delta
@@ -49,116 +53,90 @@ def catalog_bloated(dead, live):
     return len(dead) > len(live) + _CATALOG_SLACK
 
 
-def _patched(database, insertions, deletions):
-    """``database.patched(...)`` with its encoding derived the same way."""
-    successor = database.patched(insertions, deletions)
-    encode_database(
-        successor, encoded=encode_database(database).patched(insertions, deletions)
-    )
-    return successor
-
-
 class StoreImage:
     """The relational image of one store version; immutable once built."""
 
-    __slots__ = ("version", "database", "tuple_nodes", "_prepared", "_domain", "_refs", "_dead")
+    __slots__ = ("version", "facts", "prepared", "refs", "dead", "tuple_nodes")
 
-    def __init__(self, version, database, domain, refs, dead=frozenset(), tuple_nodes=False):
+    def __init__(self, version, facts, domain, refs, dead=frozenset(), tuple_nodes=False):
         self.version = version
-        self.database = database
+        self.facts = facts
+        #: A user relation named `node` holds domain values only, so the
+        #: sealed domain relation *domain* stands in for it here rather than
+        #: merging with it.
+        self.prepared = facts.with_relation(domain)
+        #: value → occurrences across ``facts``: the domain is its key set.
+        self.refs = refs
+        #: Values that left the store but are still interned in the catalog.
+        self.dead = dead
         #: Whether the graph may hold a tuple node, whose edges spread an
         #: endpoint over several columns; once true, only a build clears it.
         self.tuple_nodes = tuple_nodes
-        #: A database of the one relation ``node``: the active domain.
-        self._domain = domain
-        #: value → occurrences across the facts of ``database``.
-        self._refs = refs
-        #: Values that left the store but are still interned in the catalog.
-        self._dead = dead
-        if DOMAIN_PREDICATE not in domain:  # an empty store
-            self._prepared = database
-        elif DOMAIN_PREDICATE in database and database.arity_of(DOMAIN_PREDICATE) != 1:
-            self._prepared = None  # see :attr:`prepared`
-        else:
-            # A user relation named `node` holds domain values only, so the
-            # domain relation stands in for it rather than merging with it.
-            node = domain.relation(DOMAIN_PREDICATE)
-            self._prepared = database.with_relation(node)
-            encode_database(
-                self._prepared,
-                encoded=encode_database(database).with_relation(
-                    encode_database(domain).relations[DOMAIN_PREDICATE]
-                ),
-            )
 
     @classmethod
     def build(cls, version, graph):
         """The image of *graph*, from scratch, over a fresh catalog."""
         database = bridge.database_from_graph(graph)
         refs = domain_refs(database)
-        domain = Database()
-        domain.add_facts(DOMAIN_PREDICATE, [(value,) for value in refs])
-        catalog = TermCatalog()
-        encode_database(database, catalog)
-        encode_database(domain, catalog)
+        facts = EncodedDatabase.from_database(database)
+        domain = ColumnarRelation(DOMAIN_PREDICATE, 1, sealed=True)
+        domain.merge_run((facts.catalog.intern(value),) for value in refs)
         tuple_nodes = any(isinstance(node, tuple) for node in graph.nodes)
-        return cls(version, database, domain, refs, tuple_nodes=tuple_nodes)
+        return cls(version, facts, domain, refs, tuple_nodes=tuple_nodes)
+
+    @property
+    def domain(self):
+        """The sealed ``node`` relation of ``prepared``."""
+        return self.prepared.relations[DOMAIN_PREDICATE]
 
     def advanced(self, version, delta):
         """The image *delta* (net, since this version) leads to."""
-        database = _patched(self.database, delta.insertions, delta.deletions)
-        refs = Counter(self._refs)
+        facts = self.facts.patched(delta.insertions, delta.deletions)
+        refs = Counter(self.refs)
         entered, left = fold_domain_refs(refs, delta)
-        domain = self._domain
+        domain = self.domain
         if entered or left:
-            domain = _patched(
-                domain,
-                {DOMAIN_PREDICATE: {(value,) for value in entered}},
-                {DOMAIN_PREDICATE: {(value,) for value in left}},
+            intern = facts.catalog.intern
+            domain = domain.patched(
+                [(intern(value),) for value in entered], [(intern(value),) for value in left]
             )
         tuple_nodes = self.tuple_nodes or any(isinstance(n, tuple) for n in delta.nodes_added)
         return StoreImage(
-            version, database, domain, refs, (self._dead | left) - entered, tuple_nodes
+            version, facts, domain, refs, (self.dead | left) - entered, tuple_nodes
         )
 
     def shared_with(self, other):
         """How many relations of this image are the same objects in *other*."""
-        mine, theirs = self.database, other.database
-        return (self._domain is other._domain) + sum(
-            1
-            for name in mine
-            if name in theirs and mine.relation(name) is theirs.relation(name)
+        theirs = other.facts.relations
+        return (self.domain is other.domain) + sum(
+            relation is theirs.get(name) for name, relation in self.facts.relations.items()
         )
 
-    @property
-    def prepared(self):
-        """``database`` plus the ``node`` domain relation."""
-        if self._prepared is None:
-            # Only a user relation `node` of another arity leaves an image
-            # without one; fail as prepare_database does.
-            self.database.relation(DOMAIN_PREDICATE, 1)
-        return self._prepared
-
     def edb(self, program, raw=False):
-        """What *program* reads: ``database`` with *raw* (a Datalog request
+        """What *program* reads: ``facts`` with *raw* (a Datalog request
         reads the raw EDB), else ``prepared`` (λ reads the active domain
-        too).  Raises :class:`ArityError` for a relation at another arity."""
-        edb = self.database if raw else self.prepared
+        too).  Raises :class:`ArityError` for a relation at another arity,
+        and without *raw* for a user relation ``node`` that is not unary,
+        as ``prepare_database`` does."""
+        node = self.facts.relations.get(DOMAIN_PREDICATE)
+        if not raw and node is not None and node.arity != 1:
+            raise ArityError(f"relation 'node' has arity {node.arity}, requested 1")
+        edb = self.facts if raw else self.prepared
         misread = [p for p in program.edb_predicates
-                   if p in edb and edb.arity_of(p) != program.arity_of(p)]
+                   if p in edb.relations and edb.relations[p].arity != program.arity_of(p)]
         if misread:
             raise ArityError(f"it holds {misread} at other arities than the program reads")
         return edb
 
     @property
     def catalog(self):
-        return encode_database(self.database).catalog
+        return self.facts.catalog
 
     @property
     def bloated(self):
         """The catalog outlives a version, so values that left the store
         stay interned; true once they outnumber the live ones."""
-        return catalog_bloated(self._dead, self._refs)
+        return catalog_bloated(self.dead, self.refs)
 
 
 class _Unfoldable(Exception):
@@ -236,7 +214,7 @@ class StoreImages:
             for side in (delta.insertions, delta.deletions)
             for rows in side.values()
         )
-        if delta_rows > image.database.count():
+        if delta_rows > sum(map(len, image.facts.relations.values())):
             raise _Unfoldable("large_delta")
         try:
             successor = image.advanced(version, net_delta(deltas))

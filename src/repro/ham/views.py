@@ -48,7 +48,7 @@ from collections import Counter
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
 from repro.errors import ArityError, StoreError
-from repro.ham.delta import domain_refs, fold_domain_refs
+from repro.ham.delta import fold_domain_refs
 from repro.ham.image import catalog_bloated
 
 logger = logging.getLogger(__name__)
@@ -223,12 +223,14 @@ class MaterializedView:
                 self.fallback_reason = f"the store's relations are not the program's: {why}"
         if self.maintenance is not None:
             self.state = self.maintenance.evaluate(edb)
-            self._refs = domain_refs(image.database)
+            self._refs = Counter(image.refs)
             self._dead = set()
             if self.definition.seed_relation is not None:
                 # The store's own rows under the seed relation's name are
                 # none of the view's.
-                self._seed(self.seeds, edb.facts(self.definition.seed_relation))
+                stored = edb.relations.get(self.definition.seed_relation)
+                rows = stored.rows if stored is not None else ()
+                self._seed(self.seeds, list(map(edb.catalog.decode_row, rows)))
         else:
             self._rows = self._evaluate(version, graph)
             self.diff_refreshes += 1

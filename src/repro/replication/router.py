@@ -679,7 +679,7 @@ class RouterServer:
             )
         except ServiceError as exc:
             response = getattr(exc, "response", None) or protocol.error_response(None, exc)
-            response = dict(response, id=request_id)
+            response = dict(response, id=getattr(exc, "request_id", request_id))
         except Exception as exc:  # noqa: BLE001 — the router must not die mid-connection
             logger.exception("router failed to route a request")
             response = protocol.error_response(request_id, ServiceError(str(exc)))

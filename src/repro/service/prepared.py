@@ -26,7 +26,6 @@ from collections import OrderedDict
 from repro import obs
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.ast import Literal
-from repro.datalog.columnar import encode_database
 from repro.datalog.engine import Answer, Engine
 from repro.datalog.terms import Variable
 from repro.errors import ArityError, ProtocolError, RegexError
@@ -249,12 +248,12 @@ class PreparedQuery:
         evaluate = getattr(self, f"_evaluate_{self.op}")
         return evaluate(graph, image, params or {})
 
-    def _evaluate_graphlog(self, _graph, image, params):
+    def _evaluate_graphlog(self, graph, image, params):
         from repro.core.engine import GraphLogEngine
 
         predicates = self.requested_predicates(params)
         if self.has_summaries:
-            result = GraphLogEngine().run(self.graphical, image.database)
+            result = GraphLogEngine().run(self.graphical, graph)
             return Answer({p: set(result.facts(p)) for p in predicates})
         return Engine(check_safety=False).encoded_answer(
             self.program, image.edb(self.program), predicates
@@ -272,7 +271,7 @@ class PreparedQuery:
             if source is not None:
                 return Answer({"answers": {(t,) for t in evaluator.targets(self.regex, source)}})
             return Answer({"answers": evaluator.pairs(self.regex)})
-        encoded = encode_database(image.database)
+        encoded = image.facts
         sources = None if source is None else [encoded.catalog.find(source)]
         if sources == [None]:  # no value of the store: only its empty path
             return Answer({"answers": {(source,)} if self.dfa.start in self.dfa.accept else set()})

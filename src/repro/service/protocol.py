@@ -187,7 +187,8 @@ def rewrite_id(line, request_id):
 
 
 def decode_request(line):
-    """Parse one request line into a dict; raises :class:`ProtocolError`."""
+    """Parse one request line into a dict; raises :class:`ProtocolError`,
+    whose ``request_id`` is the ``id`` of a line that parsed to an object."""
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
@@ -199,15 +200,19 @@ def decode_request(line):
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"request must be a JSON object, got {type(message).__name__}")
-    op_spec(message.get("op"))
-    validate_budgets(message)
-    trace = message.get("trace")
-    if trace is not None:
-        # Validate eagerly so a malformed context is the sender's
-        # protocol_error, not a mid-request service_error.
-        from repro.obs.context import TraceContext
+    try:
+        op_spec(message.get("op"))
+        validate_budgets(message)
+        trace = message.get("trace")
+        if trace is not None:
+            # Validate eagerly so a malformed context is the sender's
+            # protocol_error, not a mid-request service_error.
+            from repro.obs.context import TraceContext
 
-        TraceContext.from_wire(trace)
+            TraceContext.from_wire(trace)
+    except ProtocolError as exc:
+        exc.request_id = message.get("id")
+        raise
     return message
 
 

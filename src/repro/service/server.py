@@ -234,15 +234,32 @@ class ServiceConfig:
             raise ValueError(f"subscription queue bound must be >= 1, got {self.sub_queue_max}")
 
 
+def _wire_array(message, field):
+    """The array *field* of *message*, empty when absent: anything else
+    (a string would iterate as its characters) is a protocol error."""
+    value = message.get(field)
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ProtocolError(f"{field!r} must be an array, got {value!r}")
+    return value
+
+
+def _wire_value(value, what):
+    """*value*, a node, edge endpoint, label or ``source``: a JSON object
+    or array is no value of the store."""
+    if isinstance(value, (dict, list, tuple)):
+        raise ProtocolError(f"{what} must be a string, number, boolean or null; got {value!r}")
+    return value
+
+
 def _wire_edge(entry):
     """A wire edge ``[source, label, target]`` in the store's argument
     order ``(source, target, label)``."""
-    try:
-        source, label, target = entry
-    except (TypeError, ValueError):
-        raise ProtocolError(
-            f"edge entries are [source, label, target]; got {entry!r}"
-        ) from None
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ProtocolError(f"edge entries are [source, label, target]; got {entry!r}")
+    source, label, target = (_wire_value(value, "an edge's source, label or target")
+                             for value in entry)
     return source, target, label
 
 
@@ -643,6 +660,7 @@ class QueryService:
             raise ProtocolError(
                 f"op {message['op']!r} needs a non-empty 'query' string"
             )
+        _wire_value(message.get("source"), "'source'")
         self._await_min_version(message, wait)
         return text, {k: message[k] for k in _PARAM_FIELDS if message.get(k) is not None}
 
@@ -936,10 +954,10 @@ class QueryService:
             raise ReadOnlyError(
                 f"this service is a read-only replica{hint}", primary=primary
             )
-        nodes = message.get("nodes") or []
-        edges = message.get("edges") or []
-        remove_nodes = message.get("remove_nodes") or []
-        remove_edges = message.get("remove_edges") or []
+        nodes = _wire_array(message, "nodes")
+        edges = _wire_array(message, "edges")
+        remove_nodes = _wire_array(message, "remove_nodes")
+        remove_edges = _wire_array(message, "remove_edges")
         if not nodes and not edges and not remove_nodes and not remove_edges:
             raise ProtocolError(
                 "op 'update' needs 'nodes', 'edges', 'remove_nodes' and/or "
@@ -970,7 +988,7 @@ class QueryService:
                     label = entry[1] if len(entry) == 2 else None
                 else:
                     node, label = entry, None
-                txn.add_node(node, label)
+                txn.add_node(_wire_value(node, "a node"), _wire_value(label, "a node label"))
             for entry in edges:
                 txn.add_edge(*_wire_edge(entry))
             # Removals after additions, so one transaction can atomically
@@ -978,11 +996,7 @@ class QueryService:
             for entry in remove_edges:
                 txn.remove_edge(*_wire_edge(entry))
             for entry in remove_nodes:
-                if isinstance(entry, (list, tuple)):
-                    raise ProtocolError(
-                        f"remove_nodes entries are bare values; got {entry!r}"
-                    )
-                txn.remove_node(entry)
+                txn.remove_node(_wire_value(entry, "a remove_nodes entry"))
 
     # -------------------------------------------------------------- helpers
 
@@ -1365,7 +1379,7 @@ class ServiceServer:
         except ReproError as exc:
             if not isinstance(exc, QueryTimeout):
                 self.service.metrics.incr(f"errors.{getattr(exc, 'code', 'evaluation')}")
-            return protocol.error_response(request_id, exc), None
+            return protocol.error_response(getattr(exc, "request_id", request_id), exc), None
         except Exception as exc:  # noqa: BLE001 — a serving loop must not die
             self.service.metrics.incr("errors.internal")
             return protocol.error_response(request_id, exc), None

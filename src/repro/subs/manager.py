@@ -284,7 +284,7 @@ class SubscriptionManager:
         under neither's names then: each reads those as base facts."""
         for view in copies if image is not None else ():
             if view.version == image.version and not any(
-                map(image.database.count, view.definition.idb | definition.idb)
+                map(image.facts.relations.get, view.definition.idb | definition.idb)
             ):
                 return view
         return None

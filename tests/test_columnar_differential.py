@@ -278,7 +278,7 @@ def image_pairs(image, expression, sources=None):
     """The ``(x, y)`` pairs :func:`image_reach` finds over *image* from
     *sources* (values its catalog holds; None: every node with a first
     step), decoded."""
-    encoded = columnar_core.encode_database(image.database)
+    encoded = image.facts
     catalog = encoded.catalog
     ids = None if sources is None else [catalog.find(source) for source in sources]
     reached = image_reach(encoded.relations, compile_regex(parse_regex(expression)), ids)

@@ -1,9 +1,9 @@
 """The store's relational image: fold ≡ rebuild, through every path.
 
 The oracle is what the image replaced and what survives outside the
-service: ``database_from_graph`` + ``prepare_database`` + a fresh
-``EncodedDatabase`` for the image itself, ``Engine(method="naive")`` for the
-answers evaluated over it.
+service: ``database_from_graph`` + ``prepare_database`` for the image
+itself, read back through its catalog, and ``Engine(method="naive")`` for
+the answers evaluated over it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine, prepare_database
-from repro.datalog.columnar import EncodedDatabase, encode_database
+from repro.datalog.columnar import EncodedDatabase
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
@@ -94,39 +94,36 @@ def _predicate(label):
 # ------------------------------------------------------------------- oracles
 
 
-def assert_encoding(database):
-    """The cached encoding of *database* decodes to exactly its facts."""
-    encoded = encode_database(database)
-    assert database._columnar_cache[1] is encoded
-    fresh = EncodedDatabase.from_database(database)
-    assert set(encoded.relations) == set(fresh.relations) == set(database)
-    decode = encoded.catalog.decode_row
+def decoded(encoded):
+    """The sealed *encoded* relations, read back as a ``Database`` of values
+    (each relation's rows and membership set agreeing)."""
+    database = Database()
     for name, relation in encoded.relations.items():
-        assert relation.sealed and relation.arity == database.arity_of(name)
-        assert relation.keys == set(relation.rows) and len(relation.keys) == len(relation.rows)
-        assert {decode(row) for row in relation.rows} == set(database.facts(name))
-    return encoded
+        assert relation.sealed and relation.keys == set(relation.rows)
+        assert len(relation.keys) == len(relation.rows)
+        rows = map(encoded.catalog.decode_row, relation.rows)
+        database.relation(name, relation.arity).add_many(rows)
+    return database
 
 
 def assert_image(image, graph):
     """*image* is what building from *graph* gives: facts, domain, ints."""
     database = database_from_graph(graph)
-    assert image.database == database
-    assert set(image.database) == set(database)  # no emptied relation lingers
-    facts = assert_encoding(image.database)
+    facts = decoded(image.facts)
+    assert facts == database
+    assert set(facts) == set(database)  # no emptied relation lingers
     try:
         prepared = prepare_database(database)
     except ArityError:
         with pytest.raises(ArityError):
-            image.prepared
+            image.edb(parse_program(NEGATION))
         return
-    assert image.prepared == prepared
-    assert set(image.prepared) == set(prepared)
-    assert {v for (v,) in image.prepared.facts("node")} == database.active_domain()
-    assert assert_encoding(image.prepared).catalog is facts.catalog
-    for name in database:
+    assert decoded(image.prepared) == prepared
+    assert {v for (v,) in decoded(image.prepared).facts("node")} == database.active_domain()
+    assert image.prepared.catalog is image.facts.catalog
+    for name, relation in image.facts.relations.items():
         if name != "node":
-            assert image.prepared.relation(name) is image.database.relation(name)
+            assert image.prepared.relations[name] is relation
 
 
 def expected_answers(graph):
@@ -205,17 +202,17 @@ def test_a_relation_emptied_and_refilled_and_a_user_relation_named_node():
     service.execute({"op": "update", "edges": [["a", "e", "b"], ["b", "e", "c"], ["a", "f", "c"]]})
     assert_service(service)
     service.execute({"op": "update", "remove_edges": [["a", "e", "b"], ["b", "e", "c"]]})
-    assert "e" not in service.images.at(*service.store.snapshot_versioned()).database
+    assert "e" not in service.images.at(*service.store.snapshot_versioned()).facts.relations
     assert_service(service)
     service.execute({"op": "update", "edges": [["c", "e", "a"]]})
     assert_service(service)
     # `node` as a user's unary relation: the domain relation stands in for it
-    # in `prepared`, the user's own rows stay in `database`.
+    # in `prepared`, the user's own rows stay in `facts`.
     service.execute({"op": "update", "nodes": [["a", "node"], ["z", "node"]]})
     assert_service(service)
     image = service.images.at(*service.store.snapshot_versioned())
-    assert image.database.facts("node") == {("a",), ("z",)}
-    assert image.prepared.facts("node") == {("a",), ("c",), ("z",)}  # b left with its edges
+    assert decoded(image.facts).facts("node") == {("a",), ("z",)}
+    assert decoded(image.prepared).facts("node") == {("a",), ("c",), ("z",)}  # b left with its edges
     assert service.images.stats()["fallbacks"] == {}
 
 
@@ -389,7 +386,7 @@ def test_eight_readers_at_u_while_commits_advance_to_u_plus_k():
     pinned = images.at(version, graph)
     program = parse_program(NEGATION + "far(X, Y) :- keep(X, Z), keep(Z, Y).\n")
     expected = Engine(method="naive").evaluate(program, database_from_graph(graph))
-    keep = encode_database(pinned.prepared).relations["keep"]
+    keep = pinned.prepared.relations["keep"]
     keep_index = keep.index((0,))
     stop = threading.Event()
     failures = []
@@ -397,11 +394,11 @@ def test_eight_readers_at_u_while_commits_advance_to_u_plus_k():
     def reader():
         try:
             while not stop.is_set():
-                result = Engine(method="columnar", check_safety=False).evaluate(
-                    program, pinned.prepared
+                result = Engine(method="columnar", check_safety=False).answer(
+                    program, pinned.prepared, ("indirect", "far")
                 )
                 for predicate in ("indirect", "far"):
-                    assert result.facts(predicate) == expected.facts(predicate)
+                    assert result[predicate] == expected.facts(predicate)
         except Exception as exc:  # noqa: BLE001 — reported by the main thread
             failures.append(exc)
 
@@ -431,14 +428,12 @@ def test_eight_readers_at_u_while_commits_advance_to_u_plus_k():
     assert images.stats()["folds"] == 40 and images.stats()["builds"] == 1
     # No torn image: the pinned one still is what it was built as …
     assert_image(pinned, graph)
-    # … and structural sharing: the untouched relation, its sealed encoding
-    # and that encoding's built index are the *same objects* 40 versions on.
+    # … and structural sharing: the untouched relation and its built index
+    # are the *same objects* 40 versions on.
     current = images.at(*store.snapshot_versioned())
-    assert current.database.relation("keep") is pinned.database.relation("keep")
-    assert current.prepared.relation("keep") is pinned.prepared.relation("keep")
-    assert current.database.relation("e") is not pinned.database.relation("e")
-    for database in (current.database, current.prepared):
-        assert encode_database(database).relations["keep"] is keep
+    assert current.facts.relations["keep"] is keep
+    assert current.prepared.relations["keep"] is keep
+    assert current.facts.relations["e"] is not pinned.facts.relations["e"]
     assert keep.index((0,)) is keep_index
     assert images.stats()["shared_relations"] >= 1
 
@@ -642,40 +637,34 @@ def test_before_the_first_image_the_version_gauge_reads_minus_one():
 # ------------------------------------------------------------------ the parts
 
 
-def test_database_patched_shares_what_the_delta_does_not_name():
-    base = Database.from_facts({"p": [(1, 2), (2, 3)], "q": [(1,)], "r": [("x", "y")]})
-    base.relation("q").lookup((0,), (1,))
-    index = base.relation("p").lookup((0,), (1,)) and base.relation("p")._indexes[(0,)]
-    patched = base.patched({"p": {(3, 4)}, "s": {(9,)}}, {"p": {(1, 2)}, "r": {("x", "y")}})
-    assert patched.to_dict() == {"p": [(2, 3), (3, 4)], "q": [(1,)], "s": [(9,)]}
-    assert "r" not in patched  # emptied: dropped, as if never declared
-    assert patched.relation("q") is base.relation("q")
-    assert base.to_dict() == {"p": [(1, 2), (2, 3)], "q": [(1,)], "r": [("x", "y")]}
-    assert base.relation("p")._indexes[(0,)] is index
-    assert patched.relation("p").lookup((0,), (3,)) == {(3, 4)}
-    with pytest.raises(ArityError):
-        base.patched({"p": {(1, 2, 3)}}, {})
-    swapped = base.with_relation(patched.relation("p"))
-    assert swapped.relation("p") is patched.relation("p")
-    assert swapped.relation("q") is base.relation("q") and base.facts("p") == {(1, 2), (2, 3)}
-
-
-def test_encoded_database_patched_mirrors_database_patched():
+def test_encoded_database_patched_shares_what_the_delta_does_not_name():
     base = Database.from_facts({"p": [(1, 2), (2, 3), (5, 6)], "q": [("a",)], "r": [("x", "y")]})
-    encoded = encode_database(base)
+    encoded = EncodedDatabase.from_database(base)
+    p_index = encoded.relations["p"].index((0,))
     q_index = encoded.relations["q"].index((0,))
     insertions = {"p": {(3, 4), (0, 1)}, "s": {("new",)}}
     deletions = {"p": {(2, 3)}, "r": {("x", "y")}, "gone": {(7,)}}
-    successor = base.patched(insertions, deletions)
-    derived = encode_database(successor, encoded=encoded.patched(insertions, deletions))
-    assert assert_encoding(successor) is derived
+    derived = encoded.patched(insertions, deletions)
+    assert decoded(derived).to_dict() == {
+        "p": [(0, 1), (1, 2), (3, 4), (5, 6)], "q": [("a",)], "s": [("new",)]
+    }
+    assert "r" not in derived.relations  # emptied: dropped, as if never declared
+    assert "gone" not in derived.relations
     assert derived.catalog is encoded.catalog
     assert derived.relations["q"] is encoded.relations["q"]
     assert derived.relations["q"].index((0,)) is q_index
-    assert len(derived.relations["p"]) == 4
-    assert assert_encoding(base) is encoded  # the predecessor is untouched
+    # The predecessor is untouched, built indexes included.
+    assert decoded(encoded) == base and set(decoded(encoded)) == set(base)
+    assert encoded.relations["p"].index((0,)) is p_index
+    with pytest.raises(ArityError):
+        encoded.patched({"p": {(1, 2, 3)}}, {})
+    with pytest.raises(ArityError):  # a new relation's rows agree too
+        encoded.patched({"t": {(1,), (1, 2)}}, {})
+    swapped = encoded.with_relation(derived.relations["p"])
+    assert swapped.relations["p"] is derived.relations["p"]
+    assert swapped.relations["q"] is encoded.relations["q"]
     program = parse_program("t(X, Z) :- p(X, Y), p(Y, Z).")
-    assert Engine(method="columnar").evaluate(program, successor).facts("t") == {(0, 2)}
+    assert Engine(method="columnar").answer(program, derived, ["t"]) == {"t": {(0, 2)}}
 
 
 def test_net_delta_cancels_across_commits():
@@ -704,7 +693,8 @@ def test_fold_domain_refs_reports_first_and_last_occurrences():
     delta.insert("q", ("d",))
     assert fold_domain_refs(refs, delta) == ({"d"}, {"c"})
     assert refs == {"a": 3, "b": 1, "d": 2}
-    assert set(refs) == database.patched(delta.insertions, delta.deletions).active_domain()
+    successor = EncodedDatabase.from_database(database).patched(delta.insertions, delta.deletions)
+    assert set(refs) == decoded(successor).active_domain()
 
 
 def test_store_image_build_is_the_one_constructor():
@@ -714,6 +704,6 @@ def test_store_image_build_is_the_one_constructor():
         txn.add_node("lonely")  # no fact mentions it: not in the domain
     image = StoreImage.build(*store.snapshot_versioned())
     assert_image(image, store.graph)
-    assert image.prepared.facts("node") == {("a",), ("b",)}
+    assert decoded(image.prepared).facts("node") == {("a",), ("b",)}
     empty = StoreImage.build(0, HAMStore().graph)
-    assert empty.prepared is empty.database and not list(empty.database)
+    assert not empty.facts.relations and not decoded(empty.prepared).count()

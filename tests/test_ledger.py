@@ -77,7 +77,7 @@ def test_routed_mixed_gets_its_cache_layer_row(tmp_path, capsys):
     )
     routed = lines.index("| `routed_mixed` | ops/s · p50 · p90 ms | "
                          "557 · 0.76 · 4.69 | 557 · 0.76 · 4.69 |")
-    assert lines[routed + 2] == f"| | {label} | 0.72 · 7.23 · 0.00 | 0.54 · 5.41 · 1.11 |"
+    assert lines[routed + 3] == f"| | {label} | 0.72 · 7.23 · 0.00 | 0.54 · 5.41 · 1.11 |"
     # The row belongs to routed_mixed alone.
     assert sum(label in line for line in lines) == 1
 
@@ -92,7 +92,12 @@ def test_the_committed_ledger_prints(capsys):
 def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
     layers = {
         "hot_read": {"trace.unaccounted_share": 0.198},
-        "cold_eval": {"columnar.self_ms_per_op": 1.254, "prepared.self_ms_per_op": 0.318},
+        "cold_eval": {
+            "columnar.self_ms_per_op": 1.254,
+            "prepared.self_ms_per_op": 0.318,
+            "trace.unaccounted_share": 0.071,
+        },
+        "commit_stream": {"trace.unaccounted_share": 0.334},
         "routed_mixed": {
             "client.write_p50_ms": 1.834,
             "proc.replica_cpu_ms_per_op": 0.531,
@@ -114,7 +119,11 @@ def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
         rest = (i for i, line in enumerate(lines) if i > first and line.startswith("| `"))
         return lines[first:next(rest, len(lines))]
 
+    # Every workload's share of time no traced layer accounts for.
     assert "| | `trace.unaccounted_share` | 0.20 |" in block("hot_read")
+    assert "| | `trace.unaccounted_share` | 0.07 |" in block("cold_eval")
+    assert "| | `trace.unaccounted_share` | 0.33 |" in block("commit_stream")
+    assert "| | `trace.unaccounted_share` | – |" in block("routed_mixed")
     assert (
         "| | `columnar.self` · `prepared.self` ms/op (raw, not speed-scaled) | 1.25 · 0.32 |"
         in block("cold_eval")
@@ -124,7 +133,7 @@ def test_each_workload_gets_the_traced_rows_it_is_read_by(tmp_path, capsys):
         "`proc.router_cpu_ms_per_op` (raw, not speed-scaled) | 1.83 · 0.53 · 0.42 |"
         in block("routed_mixed")
     )
-    assert len(block("commit_stream")) == 2  # none of them
+    assert len(block("commit_stream")) == 3  # the rows every workload gets
 
 
 def test_each_file_gets_its_speed_and_raw_rows_say_so(tmp_path, capsys):

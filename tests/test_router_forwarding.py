@@ -292,6 +292,28 @@ class TestSplitHead:
             assert protocol.rewrite_id(line, client_id) == parent_line(line, client_id)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"op": "slowlog", "limit": "x"},
+        {"op": "no-such-op"},
+        {"op": "ping", "trace": {"trace_id": 5}},
+    ],
+)
+def test_a_protocol_error_keeps_the_request_id(cluster, payload):
+    primary, replica, router = cluster({}, {})
+    client = Client(router.port)
+    try:
+        for client_id in CLIENT_IDS:
+            sent_id, routed = client.ask(client_id, **payload)
+            response = json.loads(routed)
+            assert response["error"]["code"] == "protocol_error"
+            assert response["id"] == sent_id
+    finally:
+        client.close()
+    assert primary.received == replica.received == []
+
+
 def test_the_connection_counter_counts_every_connection(cluster):
     _primary, _replica, router = cluster({}, {})
     threads, rounds = 16, 4

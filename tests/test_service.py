@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -693,6 +694,59 @@ class TestProtocol:
         message = {"op": "ping", "timeout": 0, "max_rows": 10, "max_bytes": 1024}
         decoded = protocol.decode_request(protocol.encode(message))
         assert decoded["timeout"] == 0  # timeout=0 means "expire immediately"
+
+    @staticmethod
+    def handle(server, message):
+        """The response a node's request loop gives one request line."""
+        response, _encoded = asyncio.run(server._handle_request(protocol.encode(message)))
+        return response
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"op": "update", "nodes": [{"a": 1}]},
+            {"op": "update", "nodes": [["a", ["label"]]]},
+            {"op": "update", "edges": [[["a"], "e", "b"]]},
+            {"op": "update", "edges": [["a", {"e": 1}, "b"]]},
+            {"op": "update", "edges": [["a", "e", {"b": 1}]]},
+            {"op": "update", "edges": ["aeb"]},
+            {"op": "update", "remove_edges": [["a", ["e"], "b"]]},
+            {"op": "update", "remove_nodes": [{"a": 1}]},
+            {"op": "update", "remove_nodes": [["a"]]},
+            {"op": "update", "nodes": "abc"},
+            {"op": "update", "edges": {"a": "b"}},
+            {"op": "update", "remove_nodes": "ac"},
+            {"op": "update", "remove_edges": "aeb"},
+            {"op": "rpq", "query": "e+", "source": {"a": 1}},
+            {"op": "rpq", "query": "e+", "source": ["a"]},
+            {"op": "explain", "target": "rpq", "query": "e+", "source": ["a"]},
+        ],
+    )
+    def test_a_json_container_where_the_wire_wants_a_value(self, payload):
+        store = HAMStore()
+        with store.session().transaction() as txn:
+            txn.add_edge("a", "b", "e")
+            txn.add_edge("b", "c", "e")
+        server = ServiceServer(store=store)
+        response = self.handle(server, {"id": 3, **payload})
+        assert response["error"]["code"] == "protocol_error", response
+        assert server.service.metrics.snapshot()["counters"].get("errors.internal", 0) == 0
+        assert store.version == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"op": "slowlog", "limit": "x"},
+            {"op": "no-such-op"},
+            {"op": "ping", "trace": {"trace_id": 5}},
+        ],
+    )
+    def test_a_protocol_error_echoes_the_request_id(self, payload):
+        server = ServiceServer(store=HAMStore())
+        for request_id in (12, "r-12", None):
+            response = self.handle(server, {"id": request_id, **payload})
+            assert response["error"]["code"] == "protocol_error"
+            assert response["id"] == request_id
 
 
 class TestQueryServiceCore:
