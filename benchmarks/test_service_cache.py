@@ -7,13 +7,19 @@ query: (a) *cold* — parse, λ-translate, safety-check, stratify, evaluate;
 lookup.  Shape asserted: all three return identical answers, and the hot
 path does no evaluation at all (its cost is independent of the data), which
 we verify structurally via cache counters and by it beating the cold path.
+A commit's cost to the cache is independent of how many answers it holds:
+``apply_commit`` with 4 096 plain entries takes within 2x of 16.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
+
 from repro.datasets.flights import random_flights
 from repro.graphs.bridge import graph_from_database
 from repro.ham.store import HAMStore
+from repro.service.cache import ResultCache, result_key
 from repro.service.server import QueryService, ServiceConfig
 
 from conftest import report
@@ -102,3 +108,31 @@ def test_abl7_shape(benchmark):
     )
     # The hot path is a dict lookup; the cold path runs the full pipeline.
     assert hot < cold
+
+
+def apply_commit_median_ms(entries, commits=400):
+    """The median time of ``apply_commit`` over *commits* commits none of
+    the cache's *entries* plain answers reads."""
+    cache = ResultCache(capacity=entries)
+    for i in range(entries):
+        cache.put(result_key(f"q{i}", {}), b"answer", 1, 0, frozenset({"from", "to"}))
+    times = []
+    for version in range(1, commits + 1):
+        started = time.perf_counter()
+        cache.apply_commit(version, frozenset({"unrelated"}))
+        times.append(time.perf_counter() - started)
+    assert len(cache) == entries
+    return statistics.median(times) * 1e3
+
+
+def test_abl7_apply_commit_is_flat(benchmark):
+    """A commit visits no cached entry: 4 096 cost what 16 do."""
+    apply_commit_median_ms(16, 50)  # warm-up
+    small, large = apply_commit_median_ms(16), apply_commit_median_ms(4096)
+    benchmark(apply_commit_median_ms, 1024, 50)
+    report(
+        "abl7 apply_commit median (ms) by plain entries held",
+        [(round(small, 4), round(large, 4), round(large / small, 2))],
+        header=("16", "4096", "ratio"),
+    )
+    assert large <= 2 * small

@@ -47,6 +47,11 @@ checks every answer against the naive walker, its specification:
   renamed program's view, fails here instead of only moving
   ``routed_mixed``'s numbers.
 
+- plain entries a commit does not touch, by counts alone: 64 distinct
+  Datalog reads of ``hop``, then 50 commits to ``from``/``to``, must leave
+  every re-read a hit at the final version with no new ``evaluate`` phase.
+  ``ResultCache.apply_commit``'s median at 64 and 1 024 entries is printed.
+
 - structure sharing between store versions, by counts alone: 50 × (remove
   edge, re-add edge) through a durable :class:`QueryService` with one
   subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
@@ -76,6 +81,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -99,6 +105,7 @@ from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
 from repro.persist import DurabilityManager, PersistenceConfig, wal  # noqa: E402
 from repro.service import protocol  # noqa: E402
+from repro.service.cache import ResultCache, result_key  # noqa: E402
 from repro.service.server import QueryService, ServiceConfig  # noqa: E402
 
 CHAIN_PROGRAM = parse_program(
@@ -516,6 +523,57 @@ def check_maintained_entries():
     )
 
 
+def apply_commit_median_ms(entries, commits=200):
+    """The median time of ``ResultCache.apply_commit`` over *commits*
+    commits none of the cache's *entries* plain answers reads."""
+    cache = ResultCache(capacity=entries)
+    for i in range(entries):
+        cache.put(result_key(f"q{i}", {}), b"answer", 1, 0, frozenset({"hop"}))
+    times = []
+    for version in range(1, commits + 1):
+        started = time.perf_counter()
+        cache.apply_commit(version, {"from", "to"})
+        times.append(time.perf_counter() - started)
+    return statistics.median(times) * 1e3
+
+
+def check_unread_entries_survive_commits():
+    """64 distinct Datalog reads of ``hop``, then 50 commits to
+    ``from``/``to``: every re-read is a hit at the final version and no
+    read evaluates again — a commit never drops an answer whose footprint
+    it misses."""
+    rounds, reads = 50, 64
+    store = HAMStore()
+    with store.session().transaction() as txn:
+        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
+            txn.add_edge(a, b, "hop")
+    service = QueryService(store=store, config=ServiceConfig())
+    requests = [{"op": "datalog", "query": f"p{i}(X, Y) :- hop(X, Y)."} for i in range(reads)]
+    for request in requests:
+        execute(service, request)
+    evaluations = service.stats()["metrics"]["phases"]["evaluate"]["count"]
+    for i in range(rounds):
+        edges = [[f"f{i}", "from", "a"], [f"f{i}", "to", "b"]]
+        execute(service, {"op": "update", "edges": edges})
+    for i, request in enumerate(requests):
+        response = execute(service, request)
+        if (response["cache"], response["version"]) != ("hit", store.version):
+            fail(f"re-read {i} answered {response['cache']!r} at {response['version']}")
+        rows = {tuple(row) for row in response["result"]["relations"][f"p{i}"]}
+        if rows != {("a", "b"), ("b", "c"), ("c", "a")}:
+            fail(f"re-read {i} diverges from the hop edges")
+    stats = service.stats()
+    new = stats["metrics"]["phases"]["evaluate"]["count"] - evaluations
+    if new:
+        fail(f"{new} evaluate phases after {rounds} commits no read depends on")
+    print(
+        f"unread entries: {reads} reads hit after {rounds} commits, 0 evaluations, "
+        f"delta reuse {stats['result_cache']['delta_reuse_hits']}; apply_commit median "
+        f"{apply_commit_median_ms(64):.4f} ms at 64 entries, "
+        f"{apply_commit_median_ms(1024):.4f} ms at 1024"
+    )
+
+
 REACH_QUERY = "define (X) -[reach]-> (Y) { (X) -[link+]-> (Y); }"
 REACH_PROGRAM = parse_program(
     """
@@ -632,6 +690,7 @@ def main():
     check_closure_kernel()
     check_answers_are_bytes()
     check_maintained_entries()
+    check_unread_entries_survive_commits()
     check_commits_share_structure()
     print("benchmark_smoke: OK")
 

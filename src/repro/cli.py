@@ -167,7 +167,8 @@ def _steady_malloc():
     0.25 ms server CPU per op below the threshold, 0 and 0.19 ms above it.
     Fixing the thresholds where that adjustment would put them after one
     1 MiB ``free`` makes the cheap case the only case; blocks over 1 MiB are
-    still mmapped and returned to the OS when freed.  A no-op off glibc.
+    still mmapped and returned to the OS when freed.  One arena serves all
+    threads, not one each with its own unreturned slack.  A no-op off glibc.
     """
     import ctypes
 
@@ -177,6 +178,7 @@ def _steady_malloc():
         return
     mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 2 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def cmd_serve(args):

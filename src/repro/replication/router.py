@@ -186,11 +186,11 @@ class RoutingClient(ClientOps):
         """The current read-your-writes token (None before the first write)."""
         return self._min_version
 
-    def call(self, op, **payload):
+    def call(self, op, /, **payload):
         """Route one request; returns the backend's full response dict."""
         return json.loads(self.call_line(op, **payload))
 
-    def call_line(self, op, **payload):
+    def call_line(self, op, /, **payload):
         """Route one request; returns the backend's response line as the
         node sent it (its ``id`` is the backend connection's).  Only an
         error line and a write's acknowledgement are decoded in full: a

@@ -9,9 +9,9 @@ multiuser server":
 - :mod:`repro.service.prepared` — prepared queries: parse, λ-translate,
   stratify, and safety-check once, cache the compiled plan by fingerprint;
 - :mod:`repro.service.cache` — the store-coherent LRU result cache, keyed
-  by (plan fingerprint, parameters) with version-stamped entries; commits
-  re-stamp entries whose predicate footprint the delta provably misses and
-  invalidate only the rest;
+  by (plan fingerprint, parameters) with version-stamped entries; a read
+  re-stamps an entry whose predicate footprint no commit since touched,
+  and invalidates only the rest;
 - :mod:`repro.service.metrics` — request counters, cache hit/miss counts,
   latency percentiles, in-flight gauge;
 - :mod:`repro.service.server` — the synchronous :class:`QueryService` core

@@ -3,23 +3,22 @@
 Answers are cached under ``(plan fingerprint, evaluation parameters)`` and
 stamped with the store version they were computed at plus the plan's
 *predicate footprint* — every predicate whose extension the answer can
-depend on.  A lookup only serves an entry stamped with the current version.
+depend on.  A lookup only serves an entry current at the version asked.
 
-Commits keep the cache warm instead of cold.  Each commit reaches
-:meth:`ResultCache.apply_commit` from the service's one commit hook (the
-subscription manager's, :mod:`repro.subs`), with the typed
-:class:`~repro.ham.delta.Delta`'s touched predicates.  A *plain* entry whose
-footprint misses them provably cannot have changed, so it is *re-stamped*
-to the new version and stays servable (counted as ``delta_reuse_hits``);
-intersecting (or footprint unknown) → the entry is dropped.
+Commits keep the cache warm instead of cold.  The service's one commit
+hook (the subscription manager's, :mod:`repro.subs`) hands each commit's
+touched predicates to :meth:`ResultCache.apply_commit`, which moves one
+clock per predicate and visits no entry.  A *plain* entry is judged when
+read: if no commit since its stamp touched its footprint, it is
+*re-stamped* and served (``delta_reuse_hits``); else it is stale.
 
 A *maintained* entry instead holds a shared
 :class:`~repro.ham.views.MaterializedView` by a *pin*, one of the view's
 :class:`~repro.ham.views.Holder` s, read under the entry's own relation
-names; the same hook advances the view first and hands the pin its change
+names; the same hook advances the view and hands the pin its change
 (:meth:`ResultCache.refresh`).  Admission is decided by the module
-constants: a key is promoted on its first miss after a commit dropped it,
-demoted — for good — when a pass costs more than re-evaluating, and
+constants: a key is promoted on its first miss after a commit made it
+stale, demoted — for good — when a pass costs more than re-evaluating, and
 maintained entries are evicted LRU-first beyond
 :data:`MAINTAINED_ROW_BUDGET` rows of view state.  An entry leaving the
 cache marks its pin ``released``, for the view's next visitor to let go.
@@ -36,8 +35,6 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 
-from repro import obs
-
 #: Rows of view state (every relation a view keeps, EDB copies included) the
 #: maintained entries' views may hold together, each view counted once; the
 #: least recently used entries beyond it are evicted.  The benchmark's hot
@@ -51,7 +48,7 @@ MAINTAINED_ROW_BUDGET = 24_576
 
 #: Why :meth:`ResultCache.lookup` found no entry current at the version
 #: asked: a maintained entry the in-flight commit dispatch will re-stamp; a
-#: key whose plain entry a commit dropped (this miss promotes it); or none.
+#: key whose plain entry a commit made stale (this miss promotes it); or none.
 BEHIND, PROMOTE, MISS = "behind", "promote", "miss"
 
 
@@ -88,8 +85,8 @@ def result_key(fingerprint, params):
     """The cache key for one evaluation of one plan: fingerprint + params.
 
     The store version is *not* part of the key — entries carry their version
-    as a stamp so the commit hook can re-stamp still-valid answers instead
-    of orphaning them under a dead key.
+    as a stamp so a lookup can re-stamp still-valid answers instead of
+    orphaning them under a dead key.
     """
     normalized = tuple(
         sorted((str(k), _canonical(v)) for k, v in (params or {}).items())
@@ -102,8 +99,8 @@ class Entry:
     — its only representation, spliced by a network hit and decoded by an
     in-process one — its row *count*, the *version* stamp, the plan's
     *footprint* and, for a maintained entry, its *pin*.  The
-    envelope is never encoded, so the bytes stay valid when a commit
-    re-stamps *version*."""
+    envelope is never encoded, so the bytes stay valid when *version* is
+    re-stamped."""
 
     __slots__ = ("encoded", "count", "version", "footprint", "pin")
 
@@ -126,11 +123,14 @@ class ResultCache:
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         #: key -> its admission mark, oldest first, at most *capacity* keys:
-        #: True once a commit dropped its plain entry (its next miss promotes
-        #: it), False once demoted (never promoted again).
+        #: True once its stale plain entry was dropped (its next miss
+        #: promotes it), False once demoted (never promoted again).
         self._marks = OrderedDict()
         #: view -> the maintained entries pinning it.
         self._views = Counter()
+        #: predicate -> the last version told whose commit touched it.
+        self._clock = {}
+        self._told = self._unseen = -1  # the last version told; never told
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -144,35 +144,63 @@ class ResultCache:
 
     def lookup(self, key, version, wait=None):
         """The :class:`Entry` of *key* current at *version* — a hit — or why
-        there is none: :data:`BEHIND`, :data:`PROMOTE` or :data:`MISS`.
+        there is none: :data:`BEHIND`, :data:`PROMOTE` (a stale plain entry's
+        key, unless demoted) or :data:`MISS`.
 
         A worker passes *wait*, ``wait(version)``, which returns once the
         dispatch of *version* ran (or gave up): a :data:`BEHIND` entry is
-        waited for and looked at once more, and what is found then is
-        counted, a miss included.  Without *wait* (the event loop, which
-        hands a request it cannot answer to a worker) only a hit counts."""
+        waited for and looked at once more, a stale one is dropped, and what
+        is found is counted, a miss included.  Without *wait* (the event
+        loop, which hands a request it cannot answer to a worker) nothing is
+        dropped and only a hit counts."""
         for waited in (False, True):
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None and entry.version == version:
+                fresh = None if entry is None else self._fresh(entry, version)
+                if fresh:
+                    self.delta_reuse_hits += entry.version != version  # re-stamped
+                    entry.version = version
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return entry
                 if entry is not None and entry.pin is not None:
                     found = BEHIND if entry.version < version else MISS
                 else:
-                    found = PROMOTE if self._marks.get(key) else MISS
+                    found = PROMOTE if self._marks.get(key, fresh is False) else MISS
                 if wait is None:
                     return found
+                if fresh is False:
+                    self._invalidate(key)
                 if found is not BEHIND or waited:
                     self.misses += 1
                     return found
             wait(version)
 
+    def _fresh(self, entry, version):
+        """True if *entry*, stamped *u*, is *version*'s answer: *u* is
+        *version*, or it is plain and no commit in (*u*, *version*] touched
+        its known footprint (one never told touched all); False if stale;
+        None if unjudged: maintained, newer, or no commit told yet."""
+        stamp = entry.version
+        if stamp == version:
+            return True
+        if entry.pin is not None or stamp > version or self._told < 0:
+            return None
+        footprint, clock = entry.footprint, self._clock
+        return footprint is not None and self._unseen <= stamp and version <= self._told and all(
+            clock.get(predicate, stamp) <= stamp for predicate in footprint
+        )
+
+    def _invalidate(self, key):
+        """Drop *key*'s stale plain entry; its next miss promotes it."""
+        del self._entries[key]
+        self.invalidations += 1
+        self._mark(key, self._marks.get(key, True))
+
     def put(self, key, encoded, count, version, footprint=None, pin=None):
         """Cache the *encoded* answer of *count* rows computed at *version* by
         a plan reading *footprint*, the predicates the answer depends on
-        (``None``: unknown, which every later commit treats as intersecting).
+        (``None``: unknown, which every later commit is taken to touch).
 
         With a *pin* the entry is maintained (admitted by :meth:`trim`): the
         commit hook keeps it equal to that view's answer, so a plain put
@@ -252,71 +280,41 @@ class ResultCache:
                 self._entries[pin.key] = Entry(*answer, pin.view.version, entry.footprint, pin)
 
     def apply_commit(self, version, touched):
-        """Re-stamp or drop plain entries after a commit, once the views of
-        the maintained ones were advanced past it.
-
-        *touched* is the set of predicates the commit's delta changed.
-        Plain entries whose footprint provably misses *touched* survive
-        with the new version stamp; the rest are invalidated, and their
-        keys marked for promotion.  Only entries current as of the previous
-        version are re-stamped: versions bump by exactly one per commit, so
-        an entry lagging further behind was computed before some commit
-        this hook never cleared it against (a put racing a commit) and
-        cannot be proven fresh.  A maintained entry still behind *version*
-        (its view never advanced) is demoted: dropped, its key never
-        promoted again.
-        """
-        with obs.span(
-            "cache.apply_commit",
-            version=version,
-            touched=sorted(touched),
-        ) as span:
-            with self._lock:
-                dead = []
-                demoted = []
-                restamped = 0
-                for key, entry in self._entries.items():
-                    if entry.pin is not None:
-                        if entry.version < version:
-                            demoted.append(key)
-                    elif (
-                        entry.footprint is not None
-                        and entry.version == version - 1
-                        and not (entry.footprint & touched)
-                    ):
-                        entry.version = version
-                        self.delta_reuse_hits += 1
-                        restamped += 1
-                    else:
-                        dead.append(key)
-                for key in dead:
-                    del self._entries[key]
-                    if self._marks.get(key) is not False:
-                        self._mark(key, True)
-                for key in demoted:
-                    self._pop(key)
-                    self._mark(key, False)
-                self.invalidations += len(dead)
-                self.demotions += len(demoted)
-                span.annotate(restamped=restamped, dropped=len(dead), demoted=len(demoted))
-
-    def demote(self, key):
-        """Never promote *key* again: its plan has no maintained view over
-        this store."""
+        """The commit of *version* changed the predicates in *touched*: move
+        their clocks.  No entry is visited; a plain one is judged when read."""
         with self._lock:
+            if version != self._told + 1:  # a gap: versions never told
+                self._unseen = version - 1
+            self._told = version
+            for predicate in touched:
+                self._clock[predicate] = version
+
+    def demote(self, key, pin=None):
+        """Never promote *key* again: its plan has no maintained view over
+        this store — or its entry, pinning *pin*, was left behind: drop it."""
+        with self._lock:
+            if pin is not None:
+                if getattr(self._entries.get(key), "pin", None) is not pin:
+                    return
+                self._pop(key)
             self._mark(key, False)
             self.demotions += 1
 
     def clear(self):
-        """Drop every entry and mark (a version regression makes all of
-        them meaningless); maintained entries release their pins."""
+        """Drop every entry, mark and clock (a version regression makes all
+        of them meaningless); maintained entries release their pins."""
         with self._lock:
             for key in list(self._entries):
                 self._pop(key)
             self._marks.clear()
+            self._clock.clear()
+            self._told = self._unseen = -1
 
     def stats(self):
+        """Counters and holdings, once stale plain entries are dropped."""
         with self._lock:
+            for key in [k for k, e in self._entries.items() if self._fresh(e, self._told) is False]:
+                self._invalidate(key)
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,

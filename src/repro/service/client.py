@@ -221,7 +221,7 @@ class ServiceClient(ClientOps):
 
     # ------------------------------------------------------------------ raw
 
-    def call(self, op, **payload):
+    def call(self, op, /, **payload):
         """Send one request, wait for its response, raise on failure.
 
         Returns the full response dict (``result``, ``version``,
@@ -242,7 +242,7 @@ class ServiceClient(ClientOps):
         """
         return self._call(op, payload, self._decode)[1]
 
-    def call_line(self, op, **payload):
+    def call_line(self, op, /, **payload):
         """Like :meth:`call`, but returns the response line as the server
         sent it, ``id`` included.  A success line is decoded only as far as
         its envelope head (:func:`~repro.service.protocol.split_head`),

@@ -720,7 +720,7 @@ class QueryService:
             ):
                 image = self._edb_for(plan, version, graph, params, phases)
                 if found is PROMOTE:
-                    # The first miss after a commit dropped this answer: it
+                    # The first miss after a commit made this answer stale: it
                     # becomes a maintained entry, evaluated once, by its
                     # view's refresh (and encoded with it) — if it has one.
                     entry = self.subs.pin(plan, params)
@@ -1023,8 +1023,8 @@ class QueryService:
 
     def stats(self, include_histograms=False):
         result_cache = self.results.stats()
-        # Mirror the commit-driven counters into the metrics registry so one
-        # snapshot carries them alongside request counters.
+        # Mirror the counters kept outside the request path into the metrics
+        # registry so one snapshot carries them alongside request counters.
         self.metrics.set_counter(
             "result_cache.delta_reuse_hits", result_cache["delta_reuse_hits"]
         )

@@ -15,15 +15,16 @@ Threading model: the store delivers every commit record to
 :meth:`SubscriptionManager._on_commit` — the service's only commit hook —
 exactly once, in version order, on the committing thread
 (:meth:`repro.ham.store.HAMStore.subscribe` states the contract), so the
-hook applies the record it is handed and nothing else: every view advances
-once, its holders get its change, and then the result cache
-(:meth:`~repro.service.cache.ResultCache.apply_commit`) re-stamps or drops
-its plain entries.  Every mutation of view state, holders and subscription
-queues happens under the manager lock (taken before the cache's, never
-after); a pin the cache releases by evicting its entry is let go at its
-view's next visit.  Delivery happens on the connection's sender task,
-which calls :meth:`SubscriptionManager.drain` after being poked through
-the sink's ``notify()``.
+hook applies the record it is handed and nothing else: the result cache is
+told what it touched (:meth:`~repro.service.cache.ResultCache.apply_commit`),
+every view advances once, and its holders get its change (a pin left
+behind goes back to the cache, which demotes its entry).  Every mutation
+of view state, holders and subscription queues happens under the manager
+lock (taken before the cache's, never after); a pin the cache releases by
+evicting its entry is let go at its view's next visit.  Delivery happens
+on the connection's sender task, which calls
+:meth:`SubscriptionManager.drain` after being poked through the sink's
+``notify()``.
 
 A *sink* is the manager's handle for one client connection: any object
 usable as a dict key with a ``notify()`` method that is safe to call from
@@ -307,26 +308,22 @@ class SubscriptionManager:
     def _on_commit(self, record):
         """Store commit hook: *record* is the next one, on its committing
         thread — whose ambient trace context is that commit's request, so
-        its trace id stamps exactly this record's frames.  Every view
-        advances once; then the result cache re-stamps or drops its plain
-        entries, even when the dispatch raised (a maintained entry left
-        behind is demoted)."""
+        its trace id stamps exactly this record's frames.  The result cache
+        is told which predicates the commit touched; every view advances."""
         sinks = set()
         touched = record.delta.touched_predicates(DOMAIN_PREDICATE)
+        if self.results is not None:
+            self.results.apply_commit(record.version, touched)
         with self._lock:
-            try:
-                if self._views_by_key:
-                    self._dispatch_locked(record, touched, sinks)
-            finally:
-                if self.results is not None:
-                    self.results.apply_commit(record.version, touched)
+            if self._views_by_key:
+                self._dispatch_locked(record, touched, sinks)
         self._notify(sinks)
 
     def _dispatch_locked(self, record, touched, sinks):
         """:meth:`_advance_locked` every view past *record*, collecting the
         *sinks* to poke.  A view that raised leaves the table, its
-        subscriptions closed with reason ``error`` (its entries, left
-        behind, are demoted); the others still apply the record."""
+        subscriptions closed with reason ``error`` (its pins, left behind,
+        go to the cache to demote); the others still apply the record."""
         ambient = trace_context.current()
         trace_id = ambient.trace_id if ambient is not None else None
         now = time.monotonic()
@@ -347,10 +344,12 @@ class SubscriptionManager:
                     )
                     holders = list(view.holders)
                     self._release_locked(view, holders)
-                    for sub in holders:
-                        if isinstance(sub, Subscription):
-                            self._close_locked(sub, "error", now)
-                            sinks.add(sub.sink)
+                    for holder in holders:
+                        if isinstance(holder, Subscription):
+                            self._close_locked(holder, "error", now)
+                            sinks.add(holder.sink)
+                        else:
+                            self.results.demote(holder.key, holder)
 
     def _advance_locked(self, view, record, touched, trace_id, sinks, now):
         """Advance *view* past *record*, which *touched* those predicates
@@ -407,7 +406,8 @@ class SubscriptionManager:
                 self._enqueue_locked(holder, frame, now)
                 sinks.add(holder.sink)
             elif costly or holder.idb != own and touched & (holder.idb | own):
-                gone.append(holder)  # left behind: the cache demotes its entry
+                self.results.demote(holder.key, holder)  # left behind
+                gone.append(holder)
             elif moved is not None and holder.seed not in moved:
                 self.results.refresh(holder)
             else:

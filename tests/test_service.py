@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -153,10 +154,16 @@ class TestResultCache:
         store = HAMStore()
         cache = ResultCache(capacity=8)
         hook = SubscriptionManager(store, results=cache)  # the one commit hook
-        cache.put(result_key("fp", {}), b"old", 1, version=store.version)
+        key = result_key("fp", {})
+        cache.put(key, b"old", 1, version=store.version)
         session = store.session()
         with session.transaction() as txn:
             txn.add_edge("a", "b", "x")
+        # The commit visits no entry: the stale one goes at its next read.
+        assert len(cache) == 1
+        assert cache.lookup(key, store.version) is PROMOTE  # the event loop's
+        assert len(cache) == 1
+        assert cache.lookup(key, store.version, no_wait) is PROMOTE
         assert len(cache) == 0
         assert cache.stats()["invalidations"] == 1
         hook.close()
@@ -174,7 +181,7 @@ class TestResultCache:
         assert cache.stats()["delta_reuse_hits"] == 1
         with session.transaction() as txn:
             txn.add_edge("a", "c", "from")
-        assert cache.lookup(key, store.version) is PROMOTE  # a commit dropped it
+        assert cache.lookup(key, store.version, no_wait) is PROMOTE  # stale: dropped
         assert len(cache) == 0
         hook.close()
 
@@ -187,6 +194,24 @@ class TestResultCache:
         # disjoint delta cannot prove it fresh.
         cache.apply_commit(3, frozenset({"other"}))
         assert cache.lookup(key, 3) is PROMOTE
+
+    def test_apply_commit_touches_no_entry(self):
+        class Unwalkable(OrderedDict):
+            def __iter__(self):
+                raise AssertionError("apply_commit walked the entries")
+
+            items = values = keys = __iter__
+
+        cache = ResultCache(capacity=8)
+        key = result_key("fp", {})
+        cache.put(key, b"answer", 1, version=1, footprint=frozenset({"from"}))
+        cache._entries = Unwalkable(cache._entries)
+        # Each entry is judged at its lookup instead: current at 2, stale at 3.
+        cache.apply_commit(2, frozenset({"other"}))
+        assert cache.lookup(key, 2).version == 2
+        cache.apply_commit(3, frozenset({"from"}))
+        assert cache.lookup(key, 3, no_wait) is PROMOTE
+        assert (len(cache), cache.invalidations, cache.delta_reuse_hits) == (0, 1, 1)
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)

@@ -273,6 +273,18 @@ class TestNodeErrorsThroughTheRouter:
         assert error["kind"] == kind
         assert not error["message"].startswith(kind)
 
+    def test_a_field_named_like_a_client_parameter_is_unread_alike(self, topology):
+        # The router passes a line's fields to its client as keywords; one
+        # named ``self`` must not collide with that method's own parameter.
+        node, router = topology
+        line = protocol.encode({"op": "ping", "id": 1, "self": 1})
+        answers = []
+        for port in (node.port, router.port):
+            with Wire(port) as wire:
+                answers.append(_masked(wire.ask(line)))
+        assert answers[0] == answers[1]
+        assert json.loads(answers[0])["result"] == {"pong": True}
+
 
 class TestMethodParameter:
     def test_every_valid_method_answers_alike(self, topology):
