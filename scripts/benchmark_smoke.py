@@ -12,13 +12,20 @@ checks every answer against the naive walker, its specification:
   closure's stratum ran on the ``kernel="closure"`` path.
 
 - the store's relational image (``repro.ham.image``), by counts alone: 50 ×
-  (commit, closure miss, RPQ miss) on one service must end with one build,
-  50 folds, no fallback and every answer equal to the naive engine's — so a
-  refactor that silently drops back to rebuilding the image per commit fails
-  here instead of only moving a latency.  Inside ``QueryService.execute``,
-  the whole check may call ``database_from_graph`` once (the build) and the
-  50 rounds after it may construct no ``Relation``: the image is one encoded
-  database, and a change that keeps a decoded twin of it fails here.
+  (commit, closure miss, RPQ miss, summary miss) on one service must end
+  with one build, 50 folds, no fallback and every answer equal to the naive
+  engine's — so a refactor that silently drops back to rebuilding the image
+  per commit fails here instead of only moving a latency.  Inside
+  ``QueryService.execute``, the whole check may call ``database_from_graph``
+  once (the build), so a summary miss that converts the graph again fails
+  here, and the closure and RPQ misses of the 50 rounds after it may
+  construct no ``Relation``: the image is one encoded database, and a
+  change that keeps a decoded twin of it fails here.
+
+- summary misses beside unrelated data, by one timer: the median of 15
+  never-seen summary reads over 200 weighted ``hop`` edges is printed beside
+  1 000 and beside 40 000 unrelated edges, and may grow at most 1.5× — a
+  summary miss decodes only the relations it names from the image.
 
 - the closure kernel, by counts alone: 50 closure misses (each a query text
   the service has never seen) must each record exactly one
@@ -68,7 +75,7 @@ checks every answer against the naive walker, its specification:
   differently, fails here too.  The WAL bytes per commit are printed.
 
 Any divergence from the naive oracle fails the job.  Timings are printed
-for trend-watching but are *not* gated here.
+for trend-watching and, but for the summary-miss ratio, *not* gated here.
 
 Run from the repository root::
 
@@ -81,6 +88,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import statistics
 import sys
 import tempfile
@@ -92,6 +100,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.core.dsl import parse_graphical_query  # noqa: E402
+from repro.core import engine as graphlog  # noqa: E402
 from repro.core.engine import GraphLogEngine  # noqa: E402
 from repro.datalog import columnar  # noqa: E402
 from repro.datalog.database import Database, Relation  # noqa: E402
@@ -198,6 +207,12 @@ def check_abl7_service():
 
 
 CLOSURE_QUERY = "define (X) -[connected]-> (Y) { (X) -[(-from . to)+]-> (Y); }"
+# The earliest departure over all itineraries between two cities: a path
+# summary over a defined relation of legs weighted by departure time.
+SUMMARY_QUERY = """
+define (C1) -[leg(T)]-> (C2) { (C1) <-[from]- (F); (F) -[to]-> (C2); (F) -[departure]-> (T); }
+define (C1) -[soonest(V)]-> (C2) { (C1) -[leg @ shortest V]-> (C2); }
+"""
 CLOSURE_PROGRAM = parse_program(
     """
     leg(X, Y) :- from(F, X), to(F, Y).
@@ -210,7 +225,8 @@ CLOSURE_PROGRAM = parse_program(
 #: What the image check counts inside ``QueryService.execute``: a decoded
 #: relation constructed, and a graph decoded into a database.
 RELATION_BUILT = (Relation, "__init__")
-GRAPH_DECODED = (bridge, "database_from_graph")
+#: The graph decoder is counted under each name a module binds it to.
+GRAPH_DECODED = ((bridge, "database_from_graph"), (graphlog, "database_from_graph"))
 
 
 @contextmanager
@@ -246,11 +262,12 @@ def calls_in_execute(*points):
 
 
 def check_image_folds():
-    """50 × (commit, closure miss, RPQ miss): the image is built once — the
-    one ``database_from_graph`` call a request makes — and folded 50 times
-    with no ``Relation`` constructed, and both answers track the naive
-    oracle throughout.  Each round's closure and RPQ are texts never seen
-    before: a re-read one would be a maintained entry and need no image
+    """50 × (commit, closure miss, RPQ miss, summary miss): the image is
+    built once — the one ``database_from_graph`` call a request makes — and
+    folded 50 times with no ``Relation`` constructed by the closure and RPQ
+    misses, and every answer tracks the naive oracle throughout.  Each
+    round's queries are texts never seen before: a re-read one would be a
+    cached or maintained entry and need no image
     (``check_maintained_entries``)."""
     rounds = 50
     database = random_flights(7, n_cities=12, n_flights=40)
@@ -258,7 +275,7 @@ def check_image_folds():
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     source = sorted(city for _flight, city in database.facts("from"))[0]
-    with calls_in_execute(RELATION_BUILT, GRAPH_DECODED) as calls:
+    with calls_in_execute(RELATION_BUILT, *GRAPH_DECODED) as calls:
         execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
         calls[RELATION_BUILT] = 0
         for i in range(rounds):
@@ -286,19 +303,82 @@ def check_image_folds():
                 fail(f"image round {i}: closure answer diverges from the naive oracle")
             if answers["answers"] != {(y,) for x, y in oracle.facts("leg") if x == source}:
                 fail(f"image round {i}: RPQ answer diverges from the naive oracle")
+            # A summary decodes the relations it names into Relations; only
+            # the closure and RPQ misses are held to constructing none.
+            built, name = calls[RELATION_BUILT], f"soon{i:02d}"
+            query = SUMMARY_QUERY.replace("soonest", name)
+            response = execute(service, {"op": "graphlog", "query": query})
+            calls[RELATION_BUILT] = built
+            rows = {tuple(row) for row in response["result"]["relations"][name]}
+            graphical = parse_graphical_query(query)
+            if response["cache"] != "miss" or rows != GraphLogEngine("naive").answers(
+                graphical, database, name
+            ):
+                fail(f"image round {i}: summary miss diverges from the naive oracle")
     edb = service.stats()["edb"]
     if (edb["builds"], edb["folds"], edb["fallbacks"]) != (1, rounds, {}):
         fail(f"image was not advanced by folding alone: {edb!r}")
-    if calls[RELATION_BUILT] or calls[GRAPH_DECODED] != 1:
+    decoded = sum(calls[point] for point in GRAPH_DECODED)
+    if calls[RELATION_BUILT] or decoded != 1:
         fail(
-            f"the image keeps a decoded database: {calls[RELATION_BUILT]} Relation "
-            f"constructions in {rounds} rounds, {calls[GRAPH_DECODED]} database_from_graph calls"
+            f"a miss decodes the store: {calls[RELATION_BUILT]} Relation constructions "
+            f"in {rounds} rounds, {decoded} database_from_graph calls"
         )
     print(
         f"image: builds={edb['builds']} folds={edb['folds']} "
         f"folded_rows={edb['folded_rows']} catalog_terms={edb['catalog_terms']} "
-        f"relations_built={calls[RELATION_BUILT]} database_from_graph={calls[GRAPH_DECODED]}"
+        f"relations_built={calls[RELATION_BUILT]} database_from_graph={decoded}"
     )
+
+
+def summary_service(hops, unrelated):
+    """A service over the weighted *hops* plus *unrelated* edges no summary
+    names."""
+    database = hops.copy()
+    database.add_facts("other", [(f"u{i}", f"u{i + 1}") for i in range(unrelated)])
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    return QueryService(store=store, config=ServiceConfig())
+
+
+def check_summary_misses_ignore_unrelated_data(reads=15):
+    """A summary miss reads only what it names: over 200 weighted ``hop``
+    edges (40 chains of 5), the median of *reads* misses — each a
+    never-seen text, each answer checked against the naive oracle — beside
+    40 000 unrelated edges stays within 1.5× of the one beside 1 000.  The
+    two services answer in turn, so both medians see the same box."""
+    rng = random.Random(7)
+    hops = Database.from_facts(
+        {"hop": [(f"n{c}.{k}", f"n{c}.{k + 1}", rng.randint(1, 9))
+                 for c in range(40) for k in range(5)]}
+    )
+    sizes = (1_000, 40_000)
+    services = [summary_service(hops, unrelated) for unrelated in sizes]
+    texts = [
+        f"define (X) -[best{i:02d}(V)]-> (Y) {{ (X) -[hop @ shortest V]-> (Y); }}"
+        for i in range(reads + 1)
+    ]
+    oracle = GraphLogEngine("naive").answers(parse_graphical_query(texts[0]), hops, "best00")
+    times = [[], []]
+    try:
+        for i, text in enumerate(texts):  # the first read builds the image
+            for service, unrelated, samples in zip(services, sizes, times):
+                request = {"op": "graphlog", "query": text}
+                elapsed, response = timed(lambda: execute(service, request))
+                rows = {tuple(row) for row in response["result"]["relations"][f"best{i:02d}"]}
+                if response["cache"] != "miss" or rows != oracle:
+                    fail(f"summary read {i} beside {unrelated} edges diverges from the naive oracle")
+                samples.append(elapsed)
+    finally:
+        for service in services:
+            service.close()
+    small, large = (statistics.median(samples[1:]) * 1e3 for samples in times)
+    print(
+        f"summary miss p50: {small:.2f} ms beside 1 000 unrelated edges, "
+        f"{large:.2f} ms beside 40 000 ({large / small:.2f}x)"
+    )
+    if large > 1.5 * small:
+        fail(f"a summary miss grows with unrelated data: {large:.2f} vs {small:.2f} ms")
 
 
 def kernel_strata(span):
@@ -372,7 +452,7 @@ def decoded_rows():
     points = (
         (Answer, "decoded", lambda answer: answer.relations if answer.values is not None else {}),
         (protocol, "encode_answer", lambda relations, values=None: relations if values is None else {}),
-        (columnar, "_decode_rows", lambda relation, _values: {None: relation.rows}),
+        (columnar, "decode_rows", lambda relation, _values: {None: relation.rows}),
         (columnar.TermCatalog, "decode_row", lambda _catalog, row: {None: [row]}),
         (MaintainedState, "decode", lambda _state, rows: {None: rows}),
     )
@@ -687,6 +767,7 @@ def main():
     check_abl6_chain()
     check_abl7_service()
     check_image_folds()
+    check_summary_misses_ignore_unrelated_data()
     check_closure_kernel()
     check_answers_are_bytes()
     check_maintained_entries()

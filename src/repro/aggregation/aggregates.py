@@ -172,6 +172,11 @@ class AggregateProgram:
         out |= {rule.predicate for rule in self.summary_rules}
         return out
 
+    @property
+    def predicates(self):
+        """Heads, body literals, and each summary's output and weight relation."""
+        return self.idb_predicates.union(*(rule.body_predicates() for rule in self))
+
     def __iter__(self):
         return iter(self.plain_rules + self.aggregate_rules + self.summary_rules)
 

@@ -23,8 +23,8 @@ class Semiring:
         idempotent: whether ``a ⊕ a == a`` (enables fixpoint iteration on
             cyclic graphs).
         monotone_bounded: whether repeated ⊗ along a cycle can never improve
-            a ⊕-selected value (e.g. min-plus with non-negative weights);
-            cyclic graphs are solvable iff idempotent and monotone_bounded.
+            a ⊕-selected value: a bool, or a predicate on one weight (min-plus:
+            non-negative); cyclic graphs are solvable iff idempotent and bounded.
     """
 
     def __init__(self, name, plus, times, zero, one, idempotent, monotone_bounded):
@@ -53,7 +53,7 @@ MIN_PLUS = Semiring(
     zero=math.inf,
     one=0,
     idempotent=True,
-    monotone_bounded=True,  # for non-negative weights
+    monotone_bounded=lambda weight: weight >= 0,
 )
 
 MAX_PLUS = Semiring(
@@ -88,8 +88,8 @@ COUNT_PATHS = Semiring(
 
 BOOLEAN = Semiring(
     "boolean (reachability)",
-    plus=lambda a, b: a or b,
-    times=lambda a, b: a and b,
+    plus=lambda a, b: bool(a or b),  # a truth value, whatever the weights:
+    times=lambda a, b: bool(a and b),  # `or` would keep whichever came first
     zero=False,
     one=True,
     idempotent=True,
@@ -103,7 +103,7 @@ MAX_TIMES = Semiring(
     zero=0.0,
     one=1.0,
     idempotent=True,
-    monotone_bounded=True,  # weights <= 1 cannot improve around a cycle
+    monotone_bounded=lambda weight: 0 <= weight <= 1,
 )
 
 STANDARD_SEMIRINGS = {

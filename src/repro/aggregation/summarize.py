@@ -4,8 +4,8 @@ Implements the Section 4 capability "summarize information along paths"
 (e.g. Example 4.1's *earlier-start*: the longest sum of durations over all
 paths between two tasks).  Two solvers:
 
-- fixpoint iteration for idempotent, monotone-bounded semirings (works on
-  cyclic graphs; Bellman-Ford style);
+- fixpoint iteration for idempotent semirings bounded on every weight given
+  (works on cyclic graphs; Bellman-Ford style);
 - topological dynamic programming for the others (requires a DAG; raises
   :class:`AggregationError` on a cycle).
 """
@@ -45,7 +45,7 @@ def summarize_paths(edges, semiring, include_empty=False):
     if isinstance(semiring, str):
         semiring = semiring_by_name(semiring)
     adjacency, nodes = _normalize_edges(edges)
-    if semiring.idempotent and semiring.monotone_bounded:
+    if _bounded(semiring, adjacency):
         table = _fixpoint_all_pairs(adjacency, nodes, semiring)
     else:
         table = _dag_all_pairs(adjacency, nodes, semiring)
@@ -62,7 +62,7 @@ def summarize_from(source, edges, semiring, include_empty=False):
     if isinstance(semiring, str):
         semiring = semiring_by_name(semiring)
     adjacency, nodes = _normalize_edges(edges)
-    if semiring.idempotent and semiring.monotone_bounded:
+    if _bounded(semiring, adjacency):
         distances = _fixpoint_single_source(source, adjacency, semiring)
     else:
         distances = _dag_single_source(source, adjacency, nodes, semiring)
@@ -74,6 +74,13 @@ def summarize_from(source, edges, semiring, include_empty=False):
 
 
 # ------------------------------------------------------------------ solvers
+
+
+def _bounded(semiring, adjacency):
+    """Whether no cycle of these weights can improve a value forever."""
+    bounded = semiring.monotone_bounded
+    weights = [w for targets in adjacency.values() for _t, w in targets]
+    return semiring.idempotent and (all(map(bounded, weights)) if callable(bounded) else bounded)
 
 
 def _fixpoint_single_source(source, adjacency, semiring):
@@ -115,8 +122,8 @@ def _dag_order(adjacency, nodes):
         return topological_sort(plain)
     except ValueError:
         raise AggregationError(
-            "path summarization with a non-idempotent or unbounded semiring "
-            "(e.g. longest path, path count) requires an acyclic graph"
+            "path summarization with a non-idempotent or unbounded semiring (e.g. "
+            "longest path, path count, a negative shortest path) requires an acyclic graph"
         ) from None
 
 

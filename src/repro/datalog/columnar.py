@@ -1329,7 +1329,7 @@ def _closure_rows(rows, arity):
     return [source + target for source, target in pairs]
 
 
-def _decode_rows(relation, values):
+def decode_rows(relation, values):
     """The term tuples of an encoded *relation*."""
     rows = relation.rows
     if relation.arity == 1:
@@ -1351,7 +1351,7 @@ def _decode_result(state, program, edb, idb):
         target = result.relation(predicate, relation.arity)
         # Fresh copies carry no lazy indexes, so the tuple set can be
         # updated wholesale without index bookkeeping.
-        missing = _decode_rows(relation, values) - target._tuples
+        missing = decode_rows(relation, values) - target._tuples
         if missing:
             target._tuples.update(missing)
             target._mutations += 1

@@ -339,9 +339,7 @@ class MaterializedView:
                     with contextlib.suppress(StoreError):
                         self.refresh(record.version)
                 return self._emit(stats.added, stats.deleted)
-        elif self.plan.footprint is not None and not (
-            self.plan.footprint & delta.touched_predicates(DOMAIN_PREDICATE)
-        ):
+        elif not self.plan.footprint & delta.touched_predicates(DOMAIN_PREDICATE):
             # The commit provably misses everything the plan reads.
             self.version = record.version
             return None

@@ -24,8 +24,11 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
+from repro.aggregation.aggregates import AggregateEngine
 from repro.core.translate import DOMAIN_PREDICATE
-from repro.datalog.ast import Literal
+from repro.datalog.ast import Literal, Program
+from repro.datalog.columnar import decode_rows
+from repro.datalog.database import Database
 from repro.datalog.engine import Answer, Engine
 from repro.datalog.terms import Variable
 from repro.errors import ArityError, ProtocolError, RegexError
@@ -126,7 +129,6 @@ class PreparedQuery:
         "op",
         "text",
         "fingerprint",
-        "graphical",
         "program",
         "strata",
         "regex",
@@ -141,7 +143,6 @@ class PreparedQuery:
         self.op = op
         self.text = text
         self.fingerprint = fingerprint(op, text)
-        self.graphical = None
         self.program = None
         self.strata = None
         self.regex = None
@@ -150,7 +151,7 @@ class PreparedQuery:
         self.has_summaries = False
         #: Predicates the plan's answers can depend on — the delta-scoped
         #: result cache keeps entries alive across commits that miss this
-        #: set.  None = unknown (every commit invalidates).
+        #: set.
         self.footprint = None
         self.dfa = None
         prepare = getattr(self, f"_prepare_{op}", None)
@@ -162,30 +163,28 @@ class PreparedQuery:
     # ------------------------------------------------------------- prepare
 
     def _prepare_graphlog(self):
+        """λ-translate the query — with summaries, to an AggregateProgram the
+        AggregateEngine stratifies and checks itself.  The footprint is every
+        predicate the program names: edge facts committed under an IDB name
+        feed the evaluation's EDB too."""
         from repro.core.dsl import parse_graphical_query
         from repro.core.translate import translate, translate_extended
         from repro.datalog.safety import check_program_safety
         from repro.datalog.stratify import stratify
 
         with obs.span("parse"):
-            self.graphical = parse_graphical_query(self.text)
-        self.head_predicate = self.graphical.graphs[-1].head_predicate
-        self.idb_predicates = tuple(sorted(self.graphical.idb_predicates))
-        self.has_summaries = any(g.summaries for g in self.graphical.graphs)
+            graphical = parse_graphical_query(self.text)
+        self.head_predicate = graphical.graphs[-1].head_predicate
+        self.idb_predicates = tuple(sorted(graphical.idb_predicates))
+        self.has_summaries = any(g.summaries for g in graphical.graphs)
         if self.has_summaries:
-            # Aggregate evaluation re-checks its own stratification; keep
-            # the extended program for inspection but evaluate through the
-            # AggregateEngine at run time.  Footprint stays None (unknown):
-            # every commit invalidates cached summary answers.
-            self.program = translate_extended(self.graphical)
+            self.program = translate_extended(graphical)
         else:
-            self.program = translate(self.graphical)
+            self.program = translate(graphical)
             with obs.span("safety"):
                 check_program_safety(self.program)
             self.strata = stratify(self.program)
-            # All referenced predicates, IDB names included: edge facts
-            # committed under an IDB name feed the evaluation's EDB copy.
-            self.footprint = frozenset(self.program.predicates)
+        self.footprint = frozenset(self.program.predicates)
 
     def _prepare_datalog(self):
         from repro.datalog.parser import parse_program
@@ -238,22 +237,22 @@ class PreparedQuery:
     def evaluate(self, graph, image, params):
         """Run the plan against one committed store state.
 
-        ``graph`` is the store's :class:`LabeledMultigraph`, ``image`` what
-        :meth:`image` gave for it (shared across requests at the same
-        version), ``params`` the request's evaluation-time parameters.
-        Returns an :class:`~repro.datalog.engine.Answer`: the int rows the
-        columnar core or the image search left, or a summary's rows of
-        values, and an RPQ's that the graph answers.
+        ``graph`` is the store's :class:`LabeledMultigraph` (only an RPQ
+        without an image reads it), ``image`` what :meth:`image` gave for it,
+        ``params`` the request's evaluation-time parameters.  Returns an
+        :class:`~repro.datalog.engine.Answer`: the int rows the columnar core
+        or the image search left, or the values of a summary's or a walked RPQ's.
         """
         evaluate = getattr(self, f"_evaluate_{self.op}")
         return evaluate(graph, image, params or {})
 
-    def _evaluate_graphlog(self, graph, image, params):
-        from repro.core.engine import GraphLogEngine
-
+    def _evaluate_graphlog(self, _graph, image, params):
         predicates = self.requested_predicates(params)
         if self.has_summaries:
-            result = GraphLogEngine().run(self.graphical, graph)
+            edb = image.edb(Program(()))  # ArityError for a user `node` not unary
+            facts = {p: decode_rows(edb.relations[p], image.catalog.values)
+                     for p in self.program.predicates if p in edb.relations}
+            result = AggregateEngine().evaluate(self.program, Database.from_facts(facts))
             return Answer({p: set(result.facts(p)) for p in predicates})
         return Engine(check_safety=False).encoded_answer(
             self.program, image.edb(self.program), predicates

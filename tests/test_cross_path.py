@@ -59,8 +59,11 @@ def writer(store, seed, errors, first=None):
 
     With *first*, the writer's k-th commit waits to become version
     ``first + k * WRITERS``: writers whose *first* versions are consecutive
-    take turns, so every run commits the same edits in the same order, and
-    each still commits while the previous commit's hooks run."""
+    take turns, so every run commits the same edits in the same order.  A
+    commit to a version ``v ≡ 2 (mod WRITERS)`` also waits for the hooks of
+    ``v - 1`` to run, so a hook reading the store at ``v - 1`` reads that
+    version; every other commit installs while the previous one's hooks
+    run."""
     try:
         _write(store, random.Random(seed), first)
     except Exception as exc:  # noqa: BLE001 — re-raised by the test
@@ -71,7 +74,10 @@ def _write(store, rng, first):
     mine = []
     for k in range(COMMITS):
         if first is not None:
-            assert store.wait_for_version(first + k * WRITERS - 1, 10)
+            version = first + k * WRITERS
+            assert store.wait_for_version(version - 1, 10)
+            if version % WRITERS == 2:
+                assert store.wait_dispatched(version - 1, 10)
         with store.session().transaction() as txn:
             op = rng.random()
             if op < 0.5 or not mine:
@@ -131,9 +137,14 @@ def test_every_path_agrees_at_every_version(seed):
         }
 
         costly = set()  # names whose view ran a pass costlier than the view
+        behind = set()  # whether a probe read a later version than its record's
 
         @store.subscribe  # after the service's hooks: the views are at record.version
         def probe(record):
+            # Off the writers' settled turns, read once the next commit is
+            # installed: its entries are then behind the store, on purpose.
+            if record.version % WRITERS != 1:
+                assert store.wait_for_version(record.version + 1, 10)
             view_rows[record.version] = {n: v.rows(n) for n, v in views.items()}
             costly.update(
                 name for name, view in views.items()
@@ -143,6 +154,7 @@ def test_every_path_agrees_at_every_version(seed):
                 response = service.execute({"op": "graphlog", "query": text})
                 rows = wire_rows(response["result"]["relations"].get(name, ()))
                 fresh.setdefault(response["version"], {})[name] = rows
+                behind.add(response["version"] > record.version)
                 entry = service.results._entries.get(keys[name])
                 if response["cache"] == "hit" and entry is not None and entry.pin is not None:
                     maintained.setdefault(response["version"], {})[name] = rows
@@ -161,6 +173,7 @@ def test_every_path_agrees_at_every_version(seed):
             raise errors[0]
         last = 1 + WRITERS * COMMITS
         assert store.version == last and sorted(view_rows) == list(range(2, last + 1))
+        assert behind == {False, True}  # probes at their own version and behind it
         assert set(fresh[last]) == set(QUERIES)
 
         frames, _ = service.subs.drain(sink)

@@ -308,6 +308,28 @@ class TestMaintainedEntries:
         assert service.stats()["result_cache"]["maintained"] == 0
         assert not service.subs._views_by_key
 
+    def test_summary_reads_survive_commits_their_footprint_misses(self):
+        store = HAMStore()
+        service = QueryService(store=store)
+        request = {
+            "op": "graphlog",
+            "query": "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }",
+        }
+        with store.session().transaction() as txn:
+            txn.add_edge("a", "b", EdgeLabel("hop", (2,)))
+        assert service.execute(request)["cache"] == "miss"
+        reused = service.stats()["result_cache"]["delta_reuse_hits"]
+        link(service, ("a", "b"))
+        response = service.execute(request)
+        assert (response["cache"], response["version"]) == ("hit", store.version)
+        assert response["result"]["relations"]["best"] == [["a", "b", 2]]
+        assert service.stats()["result_cache"]["delta_reuse_hits"] == reused + 1
+        with store.session().transaction() as txn:
+            txn.add_edge("b", "c", EdgeLabel("hop", (3,)))
+        response = service.execute(request)
+        assert response["cache"] == "miss"
+        assert response["result"]["relations"]["best"] == [["a", "b", 2], ["a", "c", 5], ["b", "c", 3]]
+
     def test_rpq_reads_become_maintained_entries(self):
         store = HAMStore()
         service = QueryService(store=store)

@@ -233,6 +233,18 @@ class TestStoreLevelView:
         assert view.diff_refreshes == 2  # the initial one and the commit's
         assert view.maintenance_passes == 0
 
+    def test_summary_view_skips_commits_its_footprint_misses(self):
+        store = HAMStore()
+        store.load_database(Database.from_facts({"hop": [("a", "b", 3)]}))
+        view, changes = watch(
+            store, "define (X) -[best(V)]-> (Y) { (X) -[hop @ longest V]-> (Y); }"
+        )
+        with store.session().transaction() as txn:
+            txn.add_edge("b", "c", EdgeLabel("link"))
+        assert view.version == store.version
+        assert (view.diff_refreshes, changes) == (1, [None])
+        assert view.rows("best") == {("a", "b", 3)}
+
     def test_datalog_view_reads_the_raw_edb(self):
         store = self._store()
         view, _ = watch(
