@@ -621,34 +621,59 @@ def check_unread_entries_survive_commits():
     """64 distinct Datalog reads of ``hop``, then 50 commits to
     ``from``/``to``: every re-read is a hit at the final version and no
     read evaluates again — a commit never drops an answer whose footprint
-    it misses."""
-    rounds, reads = 50, 64
+    it misses.  Then 8 starred GraphLog reads of ``hop``, whose zero-step
+    branch reads the active domain, and 50 commits that add and remove a
+    ``from`` edge between stored values: the domain never moves, so every
+    read is still a hit and none evaluates."""
+    rounds, reads, starred = 50, 64, 8
     store = HAMStore()
+    hops = {("a", "b"), ("b", "c"), ("c", "a")}
     with store.session().transaction() as txn:
-        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
+        for a, b in sorted(hops):
             txn.add_edge(a, b, "hop")
     service = QueryService(store=store, config=ServiceConfig())
     requests = [{"op": "datalog", "query": f"p{i}(X, Y) :- hop(X, Y)."} for i in range(reads)]
+    stars = [
+        {"op": "graphlog", "query": f"define (X) -[s{i}]-> (Y) {{ (X) -[hop*]-> (Y); }}"}
+        for i in range(starred)
+    ]
+
+    def evaluations():
+        return service.stats()["metrics"]["phases"]["evaluate"]["count"]
+
+    def reread(requests, names, expected):
+        for i, request in enumerate(requests):
+            response = execute(service, request)
+            if (response["cache"], response["version"]) != ("hit", store.version):
+                fail(f"re-read {i} answered {response['cache']!r} at {response['version']}")
+            rows = {tuple(row) for row in response["result"]["relations"][f"{names}{i}"]}
+            if rows != expected:
+                fail(f"re-read {i} of {names} diverges from the hop edges")
+
     for request in requests:
         execute(service, request)
-    evaluations = service.stats()["metrics"]["phases"]["evaluate"]["count"]
+    before = evaluations()
     for i in range(rounds):
         edges = [[f"f{i}", "from", "a"], [f"f{i}", "to", "b"]]
         execute(service, {"op": "update", "edges": edges})
-    for i, request in enumerate(requests):
-        response = execute(service, request)
-        if (response["cache"], response["version"]) != ("hit", store.version):
-            fail(f"re-read {i} answered {response['cache']!r} at {response['version']}")
-        rows = {tuple(row) for row in response["result"]["relations"][f"p{i}"]}
-        if rows != {("a", "b"), ("b", "c"), ("c", "a")}:
-            fail(f"re-read {i} diverges from the hop edges")
-    stats = service.stats()
-    new = stats["metrics"]["phases"]["evaluate"]["count"] - evaluations
-    if new:
-        fail(f"{new} evaluate phases after {rounds} commits no read depends on")
+    reread(requests, "p", hops)
+    if evaluations() != before:
+        fail(f"{evaluations() - before} evaluate phases after {rounds} commits no read depends on")
+    for request in stars:
+        execute(service, request)
+    before = evaluations()
+    for _ in range(rounds):
+        execute(service, {"op": "update", "edges": [["a", "from", "b"]]})
+        execute(service, {"op": "update", "remove_edges": [["a", "from", "b"]]})
+    domain = {"a", "b", "c"} | {f"f{i}" for i in range(rounds)}
+    reread(stars, "s", {(x, y) for x in "abc" for y in "abc"} | {(v, v) for v in domain})
+    if evaluations() != before:
+        fail(f"{evaluations() - before} evaluate phases after {2 * rounds} commits that "
+             "keep the domain")
     print(
-        f"unread entries: {reads} reads hit after {rounds} commits, 0 evaluations, "
-        f"delta reuse {stats['result_cache']['delta_reuse_hits']}; apply_commit median "
+        f"unread entries: {reads} reads hit after {rounds} commits, {starred} starred reads "
+        f"after {2 * rounds} more, 0 evaluations, delta reuse "
+        f"{service.stats()['result_cache']['delta_reuse_hits']}; apply_commit median "
         f"{apply_commit_median_ms(64):.4f} ms at 64 entries, "
         f"{apply_commit_median_ms(1024):.4f} ms at 1024"
     )

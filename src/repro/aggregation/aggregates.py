@@ -321,12 +321,17 @@ class AggregateEngine:
             weighted_edges_from_database,
         )
 
+        edges = []
         if rule.weight_predicate in database:
+            arity = database.arity_of(rule.weight_predicate)
+            if arity != 3:
+                raise AggregationError(
+                    f"a path summary reads {rule.weight_predicate!r} as (source, target, "
+                    f"weight), but it has arity {arity}"
+                )
             edges = weighted_edges_from_database(
                 database, rule.weight_predicate, rule.weight_position
             )
-        else:
-            edges = []
         table = summarize_paths(edges, rule.semiring, include_empty=rule.include_empty)
         relation = database.relation(rule.predicate, 3)
         for (u, v), value in table.items():

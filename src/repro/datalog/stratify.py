@@ -15,6 +15,7 @@ from collections import defaultdict
 from repro import obs
 from repro.datalog.ast import Literal
 from repro.errors import StratificationError
+from repro.graphs.algorithms import strongly_connected_components
 
 
 class DependenceGraph:
@@ -80,64 +81,17 @@ class DependenceGraph:
                 yield (source, target, True)
 
     def strongly_connected_components(self):
-        """Tarjan's algorithm (iterative); returns a list of frozensets.
+        """Tarjan's algorithm (:func:`repro.graphs.algorithms.strongly_connected_components`);
+        returns a list of frozensets.
 
         With edges directed body-predicate -> head-predicate, components are
         emitted dependents-first (a head's component appears before the
         components of the predicates it depends on); reverse the list for a
         dependencies-first evaluation order."""
-        index_of = {}
-        lowlink = {}
-        on_stack = set()
-        stack = []
-        components = []
-        counter = [0]
-
-        # Precompute forward adjacency: node -> nodes it points to.
-        forward = defaultdict(set)
+        forward = {node: set() for node in self.nodes}
         for source, target, _negative in self.edges():
             forward[source].add(target)
-
-        for root in sorted(self.nodes, key=str):
-            if root in index_of:
-                continue
-            work = [(root, iter(sorted(forward[root], key=str)))]
-            index_of[root] = lowlink[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in index_of:
-                        index_of[successor] = lowlink[successor] = counter[0]
-                        counter[0] += 1
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append(
-                            (successor, iter(sorted(forward[successor], key=str)))
-                        )
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(frozenset(component))
-        return components
+        return strongly_connected_components(forward)
 
     def is_acyclic(self, ignore_self_loops=False):
         """True when the graph has no cycles (optionally allowing p -> p)."""

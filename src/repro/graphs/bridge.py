@@ -121,6 +121,26 @@ def _wrap_node(node):
     return node if isinstance(node, tuple) else (node,)
 
 
+def _edge_fact(source, target, label):
+    """``(predicate, row)``: the fact the edge ``source -label-> target``
+    encodes.  A label that is no :class:`EdgeLabel` names a predicate with
+    no extra columns; a tuple node spreads over several columns."""
+    if not isinstance(label, EdgeLabel):
+        label = EdgeLabel(str(label))
+    return label.predicate, _wrap_node(source) + _wrap_node(target) + label.extra
+
+
+def _annotation_names(label):
+    """The unary predicates a node label makes true of its node: one per
+    name of a set label, the label itself for any other truthy label (a
+    string label is one name, not a sequence of characters)."""
+    if not label:
+        return frozenset()
+    if isinstance(label, (set, frozenset)):
+        return frozenset(str(name) for name in label)
+    return frozenset((str(label),))
+
+
 def graph_from_database(database, schema=None, predicates=None):
     """Encode *database* as a labeled multigraph.
 
@@ -156,28 +176,18 @@ def graph_from_database(database, schema=None, predicates=None):
 def database_from_graph(graph, schema=None):
     """Decode a labeled multigraph back into a relational database.
 
-    Inverse of :func:`graph_from_database` for graphs it produced: edges with
-    :class:`EdgeLabel` labels become tuples; node labels become unary facts —
-    one per name for set-valued labels, a single fact for scalar labels (a
-    string label is one annotation name, not a sequence of characters).
+    Inverse of :func:`graph_from_database` for graphs it produced: edges
+    become tuples (:func:`_edge_fact`), node labels unary facts
+    (:func:`_annotation_names`).  The store's commit deltas and value
+    refcount (:mod:`repro.ham.delta`) encode facts by the same two helpers.
     """
-    schema = schema or GraphSchema()
     database = Database()
     for edge in graph.edges:
-        label = edge.label
-        if not isinstance(label, EdgeLabel):
-            label = EdgeLabel(str(label))
-        source = _wrap_node(edge.source)
-        target = _wrap_node(edge.target)
-        row = source + target + label.extra
-        database.add_fact(label.predicate, *row)
+        predicate, row = _edge_fact(edge.source, edge.target, edge.label)
+        database.add_fact(predicate, *row)
     for node in graph.nodes:
-        label = graph.node_label(node)
-        if not label:
-            continue
-        names = label if isinstance(label, (set, frozenset)) else (label,)
-        for name in names:
-            database.add_fact(str(name), *_wrap_node(node))
+        for name in _annotation_names(graph.node_label(node)):
+            database.add_fact(name, *_wrap_node(node))
     return database
 
 

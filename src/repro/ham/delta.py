@@ -2,12 +2,15 @@
 
 A :class:`Delta` describes one committed transaction as *net* insertions and
 deletions of relational facts (via the Section 2 graph encoding), plus the
-node additions/removals that affect the active domain.  It is computed
-from the commit's operations wherever a version is made of its predecessor
-— :meth:`repro.ham.store.HAMStore._stage_locked` for a local commit and a
+node additions/removals and the values that entered or left the active
+domain.  The facts and nodes are computed from the commit's operations
+wherever a version is made of its predecessor —
+:meth:`repro.ham.store.HAMStore._stage_locked` for a local commit and a
 replicated apply, WAL replay at recovery — against the pre-commit graph, so
 multiplicity questions ("was that the last parallel copy of this edge?")
-and old-label lookups are exact.
+and old-label lookups are exact.  The domain change is derived once, where
+the store installs the record, from the one value refcount the store keeps
+(:func:`fold_domain_refs`).
 
 Net semantics: inserting a fact that is pending deletion cancels the
 deletion (and vice versa), so replaying ``deletions`` then ``insertions``
@@ -20,6 +23,32 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
+from repro.graphs.bridge import _annotation_names, _edge_fact, _wrap_node
+
+#: The ``entered`` / ``left`` of a delta that moves no value: one shared
+#: empty set, since the store retains every record's delta.
+_NONE = frozenset()
+
+
+def _net(into, undone, item):
+    """Add *item* to the set *into*, unless it undoes a pending *item* of
+    the opposite set *undone*: then both forget it."""
+    if item in undone:
+        undone.discard(item)
+    else:
+        into.add(item)
+
+
+def _net_row(into, undone, predicate, row):
+    """:func:`_net` for the ``{predicate: rows}`` maps of a delta."""
+    pending = undone.get(predicate)
+    if pending and row in pending:
+        pending.discard(row)
+        if not pending:
+            del undone[predicate]
+    else:
+        into[predicate].add(row)
+
 
 class Delta:
     """Net fact-level insertions/deletions of one commit.
@@ -29,49 +58,33 @@ class Delta:
         deletions: ``{predicate: set of rows}`` no-longer-true facts.
         nodes_added: set of node values added to the graph.
         nodes_removed: set of node values removed from the graph.
+        entered: values whose first fact the commit made (the active
+            domain grew by them); set by the store as it installs the record.
+        left: values whose last fact the commit took away.
     """
 
-    __slots__ = ("insertions", "deletions", "nodes_added", "nodes_removed")
+    __slots__ = ("insertions", "deletions", "nodes_added", "nodes_removed", "entered", "left")
 
     def __init__(self):
         self.insertions = defaultdict(set)
         self.deletions = defaultdict(set)
         self.nodes_added = set()
         self.nodes_removed = set()
+        self.entered = self.left = _NONE
 
     # ------------------------------------------------------------- building
 
     def insert(self, predicate, row):
-        row = tuple(row)
-        pending = self.deletions.get(predicate)
-        if pending and row in pending:
-            pending.discard(row)
-            if not pending:
-                del self.deletions[predicate]
-        else:
-            self.insertions[predicate].add(row)
+        _net_row(self.insertions, self.deletions, predicate, tuple(row))
 
     def delete(self, predicate, row):
-        row = tuple(row)
-        pending = self.insertions.get(predicate)
-        if pending and row in pending:
-            pending.discard(row)
-            if not pending:
-                del self.insertions[predicate]
-        else:
-            self.deletions[predicate].add(row)
+        _net_row(self.deletions, self.insertions, predicate, tuple(row))
 
     def add_node(self, node):
-        if node in self.nodes_removed:
-            self.nodes_removed.discard(node)
-        else:
-            self.nodes_added.add(node)
+        _net(self.nodes_added, self.nodes_removed, node)
 
     def remove_node(self, node):
-        if node in self.nodes_added:
-            self.nodes_added.discard(node)
-        else:
-            self.nodes_removed.add(node)
+        _net(self.nodes_removed, self.nodes_added, node)
 
     # ------------------------------------------------------------ consuming
 
@@ -85,13 +98,15 @@ class Delta:
     def touched_predicates(self, domain_predicate=None):
         """Predicates whose extension this delta may change.
 
-        When *domain_predicate* is given it is included whenever the delta
-        is non-empty: the active domain is derived from the values of
-        *every* fact, so any insertion or deletion can grow or shrink it —
-        a conservative but sound footprint for cache invalidation.
+        When *domain_predicate* is given it is included when the active
+        domain changed (``entered`` / ``left``) or the node set did: a
+        nullable path expression without a source pairs every graph node,
+        isolated ones included.
         """
         touched = set(self.insertions) | set(self.deletions)
-        if domain_predicate is not None and not self.is_empty:
+        if domain_predicate is not None and (
+            self.entered or self.left or self.nodes_added or self.nodes_removed
+        ):
             touched.add(domain_predicate)
         return touched
 
@@ -105,6 +120,8 @@ class Delta:
             and dict(self.deletions) == dict(other.deletions)
             and self.nodes_added == other.nodes_added
             and self.nodes_removed == other.nodes_removed
+            and self.entered == other.entered
+            and self.left == other.left
         )
 
     __hash__ = None
@@ -128,6 +145,7 @@ def net_delta(deltas):
     if len(deltas) == 1:
         return deltas[0]
     net = Delta()
+    net.entered, net.left = set(), set()
     for delta in deltas:
         for predicate, rows in delta.deletions.items():
             for row in rows:
@@ -139,21 +157,29 @@ def net_delta(deltas):
             net.remove_node(node)
         for node in delta.nodes_added:
             net.add_node(node)
+        for value in delta.left:
+            _net(net.left, net.entered, value)
+        for value in delta.entered:
+            _net(net.entered, net.left, value)
     return net
 
 
-def domain_refs(database):
-    """``Counter`` of value → occurrences across every fact of *database*.
+def domain_refs(graph):
+    """``Counter`` of value → occurrences across the distinct Section 2
+    facts of *graph* (parallel copies of an edge are one fact).
 
     The active domain is its key set; the counts are what lets
-    :func:`fold_domain_refs` keep it in O(delta).
+    :func:`fold_domain_refs` keep it in O(delta).  Read off the graph, not
+    ``database_from_graph``, which refuses a label at two arities — a
+    store may hold one.
     """
-    return Counter(
-        value
-        for predicate in database
-        for row in database.facts(predicate)
-        for value in row
+    facts = {_edge_fact(edge.source, edge.target, edge.label) for edge in graph.edges}
+    facts.update(
+        (name, _wrap_node(node))
+        for node in graph.nodes
+        for name in _annotation_names(graph.node_label(node))
     )
+    return Counter(value for _predicate, row in facts for value in row)
 
 
 def fold_domain_refs(refs, delta):
@@ -188,31 +214,7 @@ def fold_domain_refs(refs, delta):
             entered.add(value)
         elif before > 0 and after <= 0:
             left.add(value)
-    return entered, left
-
-
-def _annotation_names(label):
-    """The set of annotation predicate names a node label carries.
-
-    Mirrors :func:`repro.graphs.bridge.database_from_graph`: labels that are
-    sets/frozensets of names become unary facts, anything falsy contributes
-    none.
-    """
-    if not label:
-        return frozenset()
-    if isinstance(label, (set, frozenset)):
-        return frozenset(str(name) for name in label)
-    return frozenset((str(label),))
-
-
-def _edge_fact(source, target, label):
-    """``(predicate, row)`` for one edge via the Section 2 encoding."""
-    from repro.graphs.bridge import EdgeLabel, _wrap_node
-
-    if not isinstance(label, EdgeLabel):
-        label = EdgeLabel(str(label))
-    row = _wrap_node(source) + _wrap_node(target) + label.extra
-    return label.predicate, row
+    return entered or _NONE, left or _NONE
 
 
 def _edge_multiplicity(graph, source, target, label):
@@ -274,8 +276,6 @@ def compute_delta(graph, operations):
             )
             op.apply(graph)
             new_names = _annotation_names(graph.node_label(node))
-            from repro.graphs.bridge import _wrap_node
-
             row = _wrap_node(node)
             for name in new_names - old_names:
                 delta.insert(name, row)
@@ -300,8 +300,6 @@ def compute_delta(graph, operations):
                 if _edge_multiplicity(graph, source, target, label) == 0:
                     predicate, row = _edge_fact(source, target, label)
                     delta.delete(predicate, row)
-            from repro.graphs.bridge import _wrap_node
-
             row = _wrap_node(node)
             for name in old_names:
                 delta.delete(name, row)

@@ -21,7 +21,9 @@ encoding back unchanged.
 from version *u* to *v* by folding the typed deltas of
 ``store.records_since(u)``: relations a delta does not touch are the same
 objects in both versions, built indexes included; touched relations are
-copied and patched; the domain follows by value refcount.  Published images
+copied and patched; the domain relation takes the values each record's
+delta says entered or left it, which the store derives once per commit from
+its one value refcount.  Published images
 are immutable, so an evaluation at *u* is unaffected by the advance to *v*.
 The advance is pull-based (:meth:`StoreImages.at`): a commit does no work
 here, and a store nobody evaluates against never has an image.  Building
@@ -38,7 +40,7 @@ from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.columnar import ColumnarRelation, EncodedDatabase
 from repro.errors import ArityError
 from repro.graphs import bridge
-from repro.ham.delta import domain_refs, fold_domain_refs, net_delta
+from repro.ham.delta import net_delta
 
 #: Dead catalog terms tolerated beyond the size of the live domain before a
 #: fold gives way to a rebuild over a fresh catalog (small stores churn
@@ -49,24 +51,22 @@ _CATALOG_SLACK = 64
 def catalog_bloated(dead, live):
     """The rule by which a catalog is shed, for an image and for a view's
     maintained state alike: the values that left the store but stay
-    interned (*dead*) outnumber the live ones (*live*) plus the slack."""
-    return len(dead) > len(live) + _CATALOG_SLACK
+    interned (*dead*) outnumber the *live* ones (a count) plus the slack."""
+    return len(dead) > live + _CATALOG_SLACK
 
 
 class StoreImage:
     """The relational image of one store version; immutable once built."""
 
-    __slots__ = ("version", "facts", "prepared", "refs", "dead", "tuple_nodes")
+    __slots__ = ("version", "facts", "prepared", "dead", "tuple_nodes")
 
-    def __init__(self, version, facts, domain, refs, dead=frozenset(), tuple_nodes=False):
+    def __init__(self, version, facts, domain, dead=frozenset(), tuple_nodes=False):
         self.version = version
         self.facts = facts
         #: A user relation named `node` holds domain values only, so the
         #: sealed domain relation *domain* stands in for it here rather than
         #: merging with it.
         self.prepared = facts.with_relation(domain)
-        #: value → occurrences across ``facts``: the domain is its key set.
-        self.refs = refs
         #: Values that left the store but are still interned in the catalog.
         self.dead = dead
         #: Whether the graph may hold a tuple node, whose edges spread an
@@ -77,12 +77,11 @@ class StoreImage:
     def build(cls, version, graph):
         """The image of *graph*, from scratch, over a fresh catalog."""
         database = bridge.database_from_graph(graph)
-        refs = domain_refs(database)
         facts = EncodedDatabase.from_database(database)
         domain = ColumnarRelation(DOMAIN_PREDICATE, 1, sealed=True)
-        domain.merge_run((facts.catalog.intern(value),) for value in refs)
+        domain.merge_run((facts.catalog.intern(value),) for value in database.active_domain())
         tuple_nodes = any(isinstance(node, tuple) for node in graph.nodes)
-        return cls(version, facts, domain, refs, tuple_nodes=tuple_nodes)
+        return cls(version, facts, domain, tuple_nodes=tuple_nodes)
 
     @property
     def domain(self):
@@ -92,8 +91,7 @@ class StoreImage:
     def advanced(self, version, delta):
         """The image *delta* (net, since this version) leads to."""
         facts = self.facts.patched(delta.insertions, delta.deletions)
-        refs = Counter(self.refs)
-        entered, left = fold_domain_refs(refs, delta)
+        entered, left = delta.entered, delta.left
         domain = self.domain
         if entered or left:
             intern = facts.catalog.intern
@@ -101,9 +99,7 @@ class StoreImage:
                 [(intern(value),) for value in entered], [(intern(value),) for value in left]
             )
         tuple_nodes = self.tuple_nodes or any(isinstance(n, tuple) for n in delta.nodes_added)
-        return StoreImage(
-            version, facts, domain, refs, (self.dead | left) - entered, tuple_nodes
-        )
+        return StoreImage(version, facts, domain, (self.dead | left) - entered, tuple_nodes)
 
     def shared_with(self, other):
         """How many relations of this image are the same objects in *other*."""
@@ -136,7 +132,7 @@ class StoreImage:
     def bloated(self):
         """The catalog outlives a version, so values that left the store
         stay interned; true once they outnumber the live ones."""
-        return catalog_bloated(self.dead, self.refs)
+        return catalog_bloated(self.dead, len(self.domain))
 
 
 class _Unfoldable(Exception):

@@ -19,10 +19,12 @@ import logging
 import threading
 import time
 import uuid
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from repro.errors import StoreError, TransactionError
 from repro.graphs.multigraph import LabeledMultigraph
+from repro.graphs.bridge import _edge_fact
+from repro.ham.delta import compute_delta, domain_refs, fold_domain_refs
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +100,6 @@ def _edge_to_remove(graph, source, target, label):
     string the wire carries.  A pure function of the graph's edge order:
     WAL replay and a replica pick the same copy the primary did.
     """
-    from repro.ham.delta import _edge_fact
-
     candidates = [e for e in graph.out_edges(source) if e.target == target]
     for edge in candidates:
         if edge.label == label:
@@ -258,6 +258,10 @@ class HAMStore:
         self._churn_rows = defaultdict(int)
         self._churn_commits = defaultdict(int)
         self._version = 0
+        #: value → occurrences across the committed facts: the active
+        #: domain is its key set.  The one place it is kept — each installed
+        #: record's delta carries what it moved (``entered`` / ``left``).
+        self._refs = Counter()
         self._lock = threading.Lock()
         # Signaled (under self._lock) whenever the committed version moves:
         # min-version reads and replication long-polls wait on it.
@@ -349,8 +353,6 @@ class HAMStore:
         local commit and a replicated apply, timed as ``commit.stage``.
         Under ``self._lock``: two commits staged from one base would each
         drop the other's edit.  Raises one of :data:`UNREPLAYABLE`."""
-        from repro.ham.delta import compute_delta
-
         started = time.perf_counter()
         staged = derive_version(self.graph)
         delta = compute_delta(staged, operations)
@@ -400,7 +402,8 @@ class HAMStore:
         Publishes *staged* — the version derived from the current graph,
         which stays as it was for the readers still holding it — advances
         version/txn counters, appends to the retained log, folds the delta
-        into churn accounting, wakes version waiters, and returns
+        into the value refcount (setting its ``entered`` / ``left``) and
+        churn accounting, wakes version waiters, and returns
         ``(turn, subscribers)`` — the record's place in the dispatch order
         and the hooks to run once the lock is released.  Shared by the
         local commit path and the replication apply path so a replicated
@@ -413,6 +416,7 @@ class HAMStore:
         self._last_txn_id = record.txn_id
         self._log.append(record)
         delta = record.delta
+        delta.entered, delta.left = fold_domain_refs(self._refs, delta)
         for predicate in delta.touched_predicates():
             self._churn_commits[predicate] += 1
         for predicate, rows in delta.insertions.items():
@@ -549,7 +553,9 @@ class HAMStore:
         primary divergence.  *records* is the replayed WAL tail, versions
         ``base_version + 1 .. version`` in order, and *base_graph* /
         *base_version* the checkpoint :meth:`graph_at` replays it from;
-        without them *graph* is its own base.
+        without them *graph* is its own base.  The value refcount is taken
+        from the base and advanced through *records* in order, each
+        record's delta getting the ``entered`` / ``left`` a commit gives it.
 
         Subscribers are *not* notified — callers must reset version-scoped
         caches themselves (a version can regress here, which would
@@ -577,6 +583,9 @@ class HAMStore:
             self._last_txn_id = last_txn_id
             self._log = records
             self._base_graph = graph if base_graph is None else base_graph
+            self._refs = domain_refs(self._base_graph)
+            for delta in (record.delta for record in records):
+                delta.entered, delta.left = fold_domain_refs(self._refs, delta)
             self._base_version = base_version
             self._epoch = str(epoch) if epoch else new_epoch()
             self._set_dispatched(version)

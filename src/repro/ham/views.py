@@ -17,11 +17,11 @@ holds):
   overdelete → rederive → insert for every evaluation group, recursive or
   not, over int rows encoded in the catalog of the image the view
   materialized from.
-  The view keeps that catalog and interns delta values into it; the values
-  of the EDB are reference counted, so star/optional edges see nodes
-  appear and disappear without a rescan, and a catalog bloated by values
-  that left is shed by re-materializing (the rule the image uses,
-  :func:`~repro.ham.image.catalog_bloated`);
+  The view keeps that catalog and interns delta values into it; star and
+  optional edges see values enter and leave the active domain through the
+  delta's ``entered`` / ``left`` (the store derives them once per commit),
+  and a catalog bloated by values that left is shed by re-materializing
+  (the rule the image uses, :func:`~repro.ham.image.catalog_bloated`);
 - a plan without one *diffs* — re-evaluates on commits that touch its
   footprint and set-diffs against the previous answer — and
   ``fallback_reason`` says why: λ of an aggregate or summary (Section 4)
@@ -48,7 +48,6 @@ from collections import Counter
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.datalog.dred import MaintenancePlan
 from repro.errors import ArityError, StoreError
-from repro.ham.delta import fold_domain_refs
 from repro.ham.image import catalog_bloated
 
 logger = logging.getLogger(__name__)
@@ -145,7 +144,7 @@ class MaterializedView:
         self.fallback_reason = self.definition.reason
         self.version = -1
         self.state = None  # maintained: the MaintainedState ...
-        self._refs = None  # ... value -> occurrences across the EDB ...
+        self._domain_size = 0  # ... the size of the active domain ...
         self._dead = None  # ... and the values that left it since
         self._rows = {}  # diff: {predicate: set of rows}
         self.maintenance_passes = 0
@@ -208,7 +207,7 @@ class MaterializedView:
                 if (
                     self.state is not None
                     and self.state.catalog is image.catalog
-                    and catalog_bloated(self._dead, self._refs)
+                    and catalog_bloated(self._dead, self._domain_size)
                 ):
                     # The catalog the state shares with the image is bloated
                     # by values that left the store: both start over.
@@ -223,7 +222,7 @@ class MaterializedView:
                 self.fallback_reason = f"the store's relations are not the program's: {why}"
         if self.maintenance is not None:
             self.state = self.maintenance.evaluate(edb)
-            self._refs = Counter(image.refs)
+            self._domain_size = len(image.domain)
             self._dead = set()
             if self.definition.seed_relation is not None:
                 # The store's own rows under the seed relation's name are
@@ -333,7 +332,7 @@ class MaterializedView:
                     ) from exc
             else:
                 self.version = record.version
-                if catalog_bloated(self._dead, self._refs):
+                if catalog_bloated(self._dead, self._domain_size):
                     # Same rows over a fresh catalog; with the version's
                     # graph no longer retained, a later commit retries.
                     with contextlib.suppress(StoreError):
@@ -360,15 +359,16 @@ class MaterializedView:
         """One DRed pass under *delta*, in place.  The delta's row
         sets are handed over as they are (``maintain`` encodes them once); a
         value's domain fact appears with its first occurrence in the EDB and
-        disappears with its last (:func:`~repro.ham.delta.fold_domain_refs`)
-        — for a λ program, whatever the delta says of facts named like
-        the domain relation (a node label ``node``): the prepared EDB's
-        domain relation is the active domain, which holds their values."""
+        disappears with its last (the delta's ``entered`` / ``left``) — for
+        a λ program, whatever the delta says of facts named like the domain
+        relation (a node label ``node``): the prepared EDB's domain relation
+        is the active domain, which holds their values."""
         delta_plus = dict(delta.insertions)
         delta_minus = dict(delta.deletions)
         delta_plus.pop(self.definition.seed_relation, None)
         delta_minus.pop(self.definition.seed_relation, None)
-        entered, left = fold_domain_refs(self._refs, delta)
+        entered, left = delta.entered, delta.left
+        self._domain_size += len(entered) - len(left)
         self._dead |= left
         self._dead -= entered
         if self.plan.op != "datalog":

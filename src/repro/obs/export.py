@@ -13,7 +13,6 @@ design — bind it to localhost or a scrape-only interface.
 
 from __future__ import annotations
 
-import http.server
 import json
 import logging
 import threading
@@ -21,6 +20,10 @@ import threading
 from .metrics import CONTENT_TYPE
 
 logger = logging.getLogger(__name__)
+
+#: How often a ``socketserver`` loop polls for ``shutdown()``: ``stop()``
+#: waits up to this long (the library's default is half a second).
+SHUTDOWN_POLL_S = 0.05
 
 
 class TelemetryHTTPServer:
@@ -35,6 +38,10 @@ class TelemetryHTTPServer:
         self._thread = None
 
     def start(self):
+        # Imported here: http.server pulls in the email package, which a
+        # process that never serves telemetry should not hold in memory.
+        import http.server
+
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -84,6 +91,7 @@ class TelemetryHTTPServer:
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
             name="repro-telemetry-http",
             daemon=True,
         )

@@ -16,7 +16,6 @@ every span a node contributes to an assembled distributed trace.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 
@@ -38,38 +37,16 @@ def node_id_path(data_dir):
 
 def load_node_id(data_dir):
     """The persisted node id, or ``None`` when absent or unreadable."""
-    path = node_id_path(data_dir)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        logger.warning("ignoring unreadable node-id file %s: %s", path, exc)
-        return None
-    if not isinstance(document, dict) or document.get("format") != FORMAT:
-        logger.warning("ignoring %s: not a %s document", path, FORMAT)
-        return None
-    node_id = document.get("node_id")
-    if not isinstance(node_id, str) or not node_id:
-        logger.warning("ignoring %s: missing node id", path)
-        return None
-    return node_id
+    from repro.persist.wal import load_tagged
+
+    return load_tagged(node_id_path(data_dir), FORMAT, "node_id")
 
 
 def store_node_id(data_dir, node_id):
     """Atomically persist *node_id* to ``data_dir``; returns the final path."""
-    from repro.persist.wal import fsync_directory
+    from repro.persist.wal import write_atomically
 
-    final = node_id_path(data_dir)
-    tmp = final + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"format": FORMAT, "node_id": str(node_id)}, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    fsync_directory(data_dir)
-    return final
+    return write_atomically(node_id_path(data_dir), {"format": FORMAT, "node_id": str(node_id)})
 
 
 def load_or_create_node_id(data_dir=None):

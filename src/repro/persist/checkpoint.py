@@ -27,13 +27,12 @@ import logging
 import os
 
 from repro.io import SerializationError, graph_from_json, graph_to_json
-from repro.persist.wal import fsync_directory
+from repro.persist.wal import TMP_SUFFIX, fsync_directory, write_atomically
 
 logger = logging.getLogger(__name__)
 
 _PREFIX = "checkpoint-"
 _SUFFIX = ".json"
-_TMP_SUFFIX = ".tmp"
 
 FORMAT = "repro-checkpoint"
 
@@ -73,7 +72,7 @@ def remove_stale_tmp(data_dir):
     if not os.path.isdir(data_dir):
         return removed
     for name in os.listdir(data_dir):
-        if name.startswith(_PREFIX) and name.endswith(_SUFFIX + _TMP_SUFFIX):
+        if name.startswith(_PREFIX) and name.endswith(_SUFFIX + TMP_SUFFIX):
             path = os.path.join(data_dir, name)
             os.unlink(path)
             removed.append(path)
@@ -97,14 +96,7 @@ def write_checkpoint(data_dir, store_version, last_txn_id, graph):
         "graph": graph_to_json(graph),
     }
     final = os.path.join(data_dir, checkpoint_name(store_version))
-    tmp = final + _TMP_SUFFIX
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"), sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    fsync_directory(data_dir)
-    return final
+    return write_atomically(final, document, separators=(",", ":"), sort_keys=True)
 
 
 def load_checkpoint(path):

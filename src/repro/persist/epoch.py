@@ -24,14 +24,10 @@ cannot name.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 
 from repro.ham.store import new_epoch
-from repro.persist.wal import fsync_directory
-
-logger = logging.getLogger(__name__)
+from repro.persist.wal import load_tagged, write_atomically
 
 FORMAT = "repro-epoch"
 
@@ -44,36 +40,12 @@ def epoch_path(data_dir):
 
 def load_epoch(data_dir):
     """The persisted epoch id, or ``None`` when absent or unreadable."""
-    path = epoch_path(data_dir)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        logger.warning("ignoring unreadable epoch file %s: %s", path, exc)
-        return None
-    if not isinstance(document, dict) or document.get("format") != FORMAT:
-        logger.warning("ignoring %s: not a %s document", path, FORMAT)
-        return None
-    epoch = document.get("epoch")
-    if not isinstance(epoch, str) or not epoch:
-        logger.warning("ignoring %s: missing epoch id", path)
-        return None
-    return epoch
+    return load_tagged(epoch_path(data_dir), FORMAT, "epoch")
 
 
 def store_epoch(data_dir, epoch):
     """Atomically persist *epoch* to ``data_dir``; returns the final path."""
-    final = epoch_path(data_dir)
-    tmp = final + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"format": FORMAT, "epoch": str(epoch)}, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    fsync_directory(data_dir)
-    return final
+    return write_atomically(epoch_path(data_dir), {"format": FORMAT, "epoch": str(epoch)})
 
 
 __all__ = ["EPOCH_FILENAME", "epoch_path", "load_epoch", "new_epoch", "store_epoch"]

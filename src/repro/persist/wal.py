@@ -225,6 +225,47 @@ def fsync_directory(path):
         os.close(fd)
 
 
+def load_tagged(path, fmt, key):
+    """``document[key]`` of the JSON document ``{"format": fmt, key: id}`` at
+    *path*: a non-empty string, or ``None`` (with a warning unless the file
+    is missing) when the file holds anything else."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        logger.warning("ignoring unreadable %s file %s: %s", key, path, exc)
+        return None
+    if not isinstance(document, dict) or document.get("format") != fmt:
+        logger.warning("ignoring %s: not a %s document", path, fmt)
+        return None
+    value = document.get(key)
+    if not isinstance(value, str) or not value:
+        logger.warning("ignoring %s: missing %s", path, key)
+        return None
+    return value
+
+
+#: The suffix of :func:`write_atomically`'s temp file, which a crash
+#: before the rename leaves behind.
+TMP_SUFFIX = ".tmp"
+
+
+def write_atomically(path, document, **dump):
+    """Write *document* to *path* as JSON (``json.dump`` options *dump*) by
+    temp file + fsync + rename + directory fsync: a crash leaves the old
+    file or the new one, never a torn one.  Returns *path*."""
+    tmp = path + TMP_SUFFIX
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, **dump)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_directory(os.path.dirname(path) or ".")
+    return path
+
+
 class WalWriter:
     """Appends framed records to the active segment, rotating as it grows.
 

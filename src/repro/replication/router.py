@@ -50,6 +50,7 @@ from repro import obs
 from repro.errors import ProtocolError, ReadOnlyError, ReplicaStale, ReproError, ServiceError
 from repro.obs import context as trace_context
 from repro.obs import logs
+from repro.obs.export import SHUTDOWN_POLL_S, TelemetryHTTPServer
 from repro.obs.metrics import (
     HistogramData,
     HistogramMergeError,
@@ -631,12 +632,13 @@ class RouterServer:
         self._server = Server((self.host, self.port), Handler)
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-router", daemon=True
+            target=self._server.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
+            name="repro-router",
+            daemon=True,
         )
         self._thread.start()
         if self.metrics_port is not None:
-            from repro.obs.export import TelemetryHTTPServer
-
             self._telemetry = TelemetryHTTPServer(
                 render_metrics=self.exposition.render,
                 health=self.health,

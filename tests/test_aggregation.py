@@ -293,3 +293,30 @@ class TestAggregatesWithRecursion:
         )
         with pytest.raises(StratificationError):
             evaluate_with_aggregates(program, Database())
+
+
+SUMMARY_QUERY = "define (X) -[best(V)]-> (Y) { (X) -[hop @ shortest V]-> (Y); }"
+
+
+@pytest.mark.parametrize("source, weight, target", [((1, 2), 7, 3), (("t", 1), 1, "a")])
+def test_a_summary_over_a_weight_relation_that_is_not_ternary_is_refused(
+    source, weight, target
+):
+    # A tuple node spreads over two columns: `hop` is (s1, s2, t, w).
+    from repro.core.dsl import parse_graphical_query
+    from repro.core.engine import GraphLogEngine
+    from repro.graphs.bridge import EdgeLabel
+    from repro.ham.store import HAMStore
+    from repro.service.server import QueryService
+
+    store = HAMStore()
+    with store.session().transaction() as txn:
+        txn.add_edge(source, target, EdgeLabel("hop", (weight,)))
+    with pytest.raises(AggregationError, match="'hop'.*arity 4"):
+        GraphLogEngine(method="naive").run(parse_graphical_query(SUMMARY_QUERY), store.graph)
+    service = QueryService(store=store)
+    try:
+        with pytest.raises(AggregationError, match="'hop'.*arity 4"):
+            service.execute({"op": "graphlog", "query": SUMMARY_QUERY})
+    finally:
+        service.close()

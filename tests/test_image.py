@@ -23,6 +23,7 @@ from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.errors import ArityError, StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel, GraphSchema, database_from_graph
+from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham.delta import Delta, domain_refs, fold_domain_refs, net_delta
 from repro.ham.image import _CATALOG_SLACK, StoreImage, StoreImages
 from repro.ham.store import HAMStore
@@ -684,8 +685,13 @@ def test_net_delta_cancels_across_commits():
 
 
 def test_fold_domain_refs_reports_first_and_last_occurrences():
-    database = Database.from_facts({"p": [("a", "b"), ("b", "c")], "q": [("a",)]})
-    refs = domain_refs(database)
+    graph = LabeledMultigraph()
+    graph.add_node("a", "q")
+    graph.add_edge("a", "b", "p")
+    graph.add_edge("a", "b", EdgeLabel("p"))  # a parallel copy is one fact
+    graph.add_edge("b", "c", "p")
+    database = database_from_graph(graph)
+    refs = domain_refs(graph)
     assert refs == {"a": 2, "b": 2, "c": 1}
     delta = Delta()
     delta.delete("p", ("b", "c"))

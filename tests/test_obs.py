@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -664,6 +665,12 @@ class TestTelemetryEndpoint:
             assert "sensor failure" in json.loads(excinfo.value.read())["error"]
         finally:
             endpoint.stop()
+
+    def test_stop_returns_within_a_fraction_of_a_second(self):
+        endpoint = TelemetryHTTPServer(lambda: "", lambda: {"status": "ok"}, port=0).start()
+        started = time.perf_counter()
+        endpoint.stop()
+        assert time.perf_counter() - started < 0.2
 
     def test_unknown_path_404(self):
         endpoint = TelemetryHTTPServer(lambda: "", lambda: {"status": "ok"}, port=0).start()

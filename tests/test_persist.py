@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repro.errors import StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel
 from repro.graphs.multigraph import LabeledMultigraph
-from repro.ham.delta import compute_delta
-from repro.ham.store import HAMStore, TransactionRecord, _Op
+from repro.ham.delta import compute_delta, domain_refs
+from repro.ham.store import HAMStore, TransactionRecord, _Op, derive_version
 from repro.persist import (
     DurabilityManager,
     PersistenceConfig,
@@ -661,3 +661,59 @@ def test_replicas_and_recovery_derive_the_primarys_deltas(commits):
             assert recovered.graph_at(version) == primary.graph_at(version)
         assert replica.graph == recovered.graph == primary.graph
         manager2.close()
+
+
+def _domain_changes(store):
+    return {r.version: (r.delta.entered, r.delta.left) for r in store.history()}
+
+
+def test_recovery_and_bootstrap_derive_the_commits_domain_changes(tmp_path):
+    manager, primary = durable_store(tmp_path / "data", fsync="off")
+    session = primary.session()
+    edits = [
+        [("add_edge", "a", "b", "link"), ("add_edge", "b", "c", "link")],
+        [("add_edge", "a", "c", "other")],  # between stored values: no change
+        [("remove_edge", "b", "c", "link")],  # c still has `other`
+        [("remove_edge", "a", "c", "other")],  # c's last fact goes
+        [("add_node", ("t", 1), frozenset({"mark"})), ("add_edge", "b", "d", EdgeLabel("w", (4,)))],
+        [("remove_node", "a"), ("add_node", "z", None)],  # z is no value of a fact
+    ]
+    for number, ops in enumerate(edits, 1):
+        with session.transaction() as txn:
+            for kind, *args in ops:
+                getattr(txn, kind)(*args)
+        if number == 2:
+            manager.checkpoint()
+    live = _domain_changes(primary)
+    assert live[2] == live[3] == (set(), set())
+    assert live[4] == (set(), {"c"})
+    assert live[5] == ({"t", 1, "d", 4}, set())
+    assert live[6] == (set(), {"a"})
+    assert primary._refs == domain_refs(primary.graph)
+    manager.close()
+
+    manager, recovered = durable_store(tmp_path / "data")
+    assert recovered.stats()["base_version"] == 2
+    assert _domain_changes(recovered) == {v: live[v] for v in range(3, 7)}
+    assert recovered._refs == domain_refs(recovered.graph)
+    manager.close()
+
+    # A replica bootstrapped with the retained records (decoded, deltas
+    # derived as recovery derives them), and one bootstrapped without.
+    base = primary.graph_at(3)
+    records, graph = [], derive_version(base)
+    for record in primary.records_since(3):
+        copy = record_from_json(json.loads(json.dumps(record_to_json(record))))
+        copy.delta = compute_delta(graph, copy.operations)
+        records.append(copy)
+    replica = HAMStore()
+    replica.replace_state(graph, 6, 6, records=records, base_graph=base, base_version=3)
+    assert _domain_changes(replica) == {v: live[v] for v in range(4, 7)}
+    assert replica._refs == domain_refs(replica.graph) == primary._refs
+    bare = HAMStore()
+    bare.replace_state(primary.graph_at(3), 3, 3)
+    assert bare._refs == domain_refs(primary.graph_at(3))
+    for record in primary.records_since(3):
+        bare.apply_replicated(record)
+    assert _domain_changes(bare) == {v: live[v] for v in range(4, 7)}
+    assert bare._refs == primary._refs

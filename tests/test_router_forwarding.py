@@ -16,6 +16,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 
 import pytest
 
@@ -338,3 +339,13 @@ def test_the_connection_counter_counts_every_connection(cluster):
     finally:
         sys.setswitchinterval(interval)
     assert router.health()["connections"] == threads * rounds
+
+
+def test_stop_returns_within_a_fraction_of_a_second():
+    node = StubNode()
+    router = RouterServer(node.address, metrics_port=0).start()
+    started = time.perf_counter()
+    router.stop()  # the router's loop and its telemetry endpoint's
+    elapsed = time.perf_counter() - started
+    node.close()
+    assert elapsed < 0.2

@@ -43,6 +43,8 @@ define (C1) -[connected]-> (C2) {
 
 CONN_PROGRAM = "conn(X, Y) :- from(F, X), to(F, Y)."
 
+STARRED_QUERY = "define (X) -[near]-> (Y) { (X) -[link*]-> (Y); }"
+
 
 def flights_store():
     store = HAMStore()
@@ -824,6 +826,44 @@ class TestQueryServiceCore:
             txn.add_edge("f99", "washington", "from")
         final = service.execute({"op": "graphlog", "query": REACH_QUERY})
         assert final["cache"] == "miss"
+
+    def test_a_starred_read_survives_a_commit_that_keeps_the_domain(self):
+        # Its zero-step branch reads the `node` domain relation; a commit to
+        # an unrelated label between stored values moves no value in or out.
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"), ("b", "c"))
+        request = {"op": "graphlog", "query": STARRED_QUERY}
+        first = service.execute(request)
+        assert first["cache"] == "miss"
+        reused = service.stats()["result_cache"]["delta_reuse_hits"]
+        version = service.execute({"op": "update", "edges": [["c", "other", "a"]]})["version"]
+        again = service.execute(request)
+        assert (again["cache"], again["version"]) == ("hit", version)
+        assert again["result"] == first["result"]
+        assert service.stats()["result_cache"]["delta_reuse_hits"] == reused + 1
+
+    def test_a_starred_read_misses_after_a_commit_that_brings_a_value(self):
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"))
+        request = {"op": "graphlog", "query": STARRED_QUERY}
+        assert service.execute(request)["cache"] == "miss"
+        service.execute({"op": "update", "edges": [["b", "other", "d"]]})
+        again = service.execute(request)
+        assert again["cache"] == "miss"
+        assert ["d", "d"] in again["result"]["relations"]["near"]
+
+    def test_a_sourceless_nullable_rpq_misses_after_an_isolated_node(self):
+        # It pairs every graph node with itself, isolated ones too: a node
+        # no fact names is no value of the domain, but it is a new node.
+        service = QueryService(store=HAMStore())
+        link(service, ("a", "b"))
+        request = {"op": "rpq", "query": "link*"}
+        assert service.execute(request)["cache"] == "miss"
+        assert service.execute(request)["cache"] == "hit"
+        service.execute({"op": "update", "nodes": ["z"]})
+        again = service.execute(request)
+        assert again["cache"] == "miss"
+        assert ["z", "z"] in again["result"]["relations"]["answers"]
 
     def test_update_changes_answers_not_stale(self):
         service = QueryService(store=flights_store())
