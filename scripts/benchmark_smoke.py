@@ -22,6 +22,15 @@ checks every answer against the naive walker, its specification:
   construct no ``Relation``: the image is one encoded database, and a
   change that keeps a decoded twin of it fails here.
 
+- facts encoded by several graph items, by counts alone: two sequences
+  commit a fact twice through different items — the endpoint splits
+  ``(a, b) -p-> c`` and ``a -p-> (b, c)``, an edge ``t -mark-> 1`` and the
+  annotation of the tuple node ``(t, 1)`` — then remove one of them.  The
+  image must advance by folds alone, and every never-seen miss and re-read
+  must answer what the naive engine answers over the graph: the fact still
+  holds, so a delta that drops it (and the image that folds that delta)
+  fails here.
+
 - summary misses beside unrelated data, by one timer: the median of 15
   never-seen summary reads over 200 weighted ``hop`` edges is printed beside
   1 000 and beside 40 000 unrelated edges, and may grow at most 1.5× — a
@@ -329,6 +338,56 @@ def check_image_folds():
         f"folded_rows={edb['folded_rows']} catalog_terms={edb['catalog_terms']} "
         f"relations_built={calls[RELATION_BUILT]} database_from_graph={decoded}"
     )
+
+
+ALIASED_FACTS = (
+    (
+        "q(X, Y, Z) :- p(X, Y, Z).",
+        [
+            [("add_edge", ("a", "b"), "c", "p")],
+            [("add_edge", "a", ("b", "c"), "p")],
+            [("remove_edge", "a", ("b", "c"), "p")],
+        ],
+    ),
+    (
+        "q(X, Y) :- mark(X, Y).",
+        [
+            [("add_node", ("t", 1), "mark")],
+            [("add_edge", "t", 1, "mark")],
+            [("remove_edge", "t", 1, "mark")],
+        ],
+    ),
+)
+
+
+def check_aliased_facts_fold():
+    """Both aliasing sequences, committed through ``service.store`` sessions
+    (the wire carries no tuple nodes): after every commit a never-seen miss
+    and a re-read of one query answer what the naive engine answers over
+    the committed graph, and the image is built once and folded after."""
+    misses = 0
+    for number, (query, commits) in enumerate(ALIASED_FACTS):
+        service = QueryService(store=HAMStore(), config=ServiceConfig())
+        for step, edits in enumerate(commits):
+            with service.store.session().transaction() as txn:
+                for kind, *args in edits:
+                    getattr(txn, kind)(*args)
+            database = database_from_graph(service.store.graph)
+            oracle = Engine(method="naive").evaluate(parse_program(query), database)
+            fresh = query.replace("q(", f"q{step}(")
+            for text, head in ((fresh, f"q{step}"), (query, "q")):
+                response = execute(service, {"op": "datalog", "query": text, "predicate": head})
+                misses += response["cache"] == "miss"
+                rows = {tuple(row) for row in response["result"]["relations"].get(head, ())}
+                if rows != oracle.facts("q"):
+                    fail(
+                        f"aliased facts {number}, commit {step}: {head} answers "
+                        f"{sorted(rows)!r}, the naive oracle {sorted(oracle.facts('q'))!r}"
+                    )
+        edb = service.stats()["edb"]
+        if (edb["builds"], edb["folds"], edb["fallbacks"]) != (1, len(commits) - 1, {}):
+            fail(f"aliased facts {number}: image was not advanced by folding alone: {edb!r}")
+    print(f"aliased facts: 2 sequences, {misses} misses, every answer the naive oracle's")
 
 
 def summary_service(hops, unrelated):
@@ -792,6 +851,7 @@ def main():
     check_abl6_chain()
     check_abl7_service()
     check_image_folds()
+    check_aliased_facts_fold()
     check_summary_misses_ignore_unrelated_data()
     check_closure_kernel()
     check_answers_are_bytes()

@@ -192,8 +192,7 @@ class LabeledMultigraph:
         return set(self._by_label)
 
     def label_counts(self):
-        """``{label: edge count}`` for labels actually in use — the store's
-        per-predicate fact cardinalities, read off the label index."""
+        """``{label: edge count}`` for labels actually in use."""
         return {label: len(edges) for label, edges in self._by_label.items()}
 
     def has_edge(self, source, target, label=None):

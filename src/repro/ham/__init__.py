@@ -2,7 +2,7 @@
 plus materialized GraphLog views with incremental (DRed) maintenance and the store's relational image, both driven by typed commit
 deltas."""
 
-from repro.ham.delta import Delta, compute_delta
+from repro.ham.delta import Delta
 from repro.ham.image import StoreImage, StoreImages
 from repro.ham.store import HAMStore, Session, Transaction, TransactionRecord, new_epoch
 from repro.ham.views import MaterializedView
@@ -16,6 +16,5 @@ __all__ = [
     "StoreImages",
     "Transaction",
     "TransactionRecord",
-    "compute_delta",
     "new_epoch",
 ]

@@ -4,11 +4,13 @@ A :class:`Delta` describes one committed transaction as *net* insertions and
 deletions of relational facts (via the Section 2 graph encoding), plus the
 node additions/removals and the values that entered or left the active
 domain.  The facts and nodes are computed from the commit's operations
-wherever a version is made of its predecessor —
-:meth:`repro.ham.store.HAMStore._stage_locked` for a local commit and a
-replicated apply, WAL replay at recovery — against the pre-commit graph, so
-multiplicity questions ("was that the last parallel copy of this edge?")
-and old-label lookups are exact.  The domain change is derived once, where
+in one place, :meth:`repro.ham.store.HAMStore._stage_locked` — a local
+commit, a replicated apply and WAL replay at recovery all stage there —
+against the pre-commit graph and the store's count of the graph items
+encoding each fact (:func:`fact_counts`).  A fact is inserted when its
+count leaves zero and deleted when it returns there, so multiplicity
+questions ("was that the last item encoding this fact?") and old-label
+lookups are exact.  The domain change is derived once, where
 the store installs the record, from the one value refcount the store keeps
 (:func:`fold_domain_refs`).
 
@@ -164,21 +166,31 @@ def net_delta(deltas):
     return net
 
 
-def domain_refs(graph):
-    """``Counter`` of value → occurrences across the distinct Section 2
-    facts of *graph* (parallel copies of an edge are one fact).
+def fact_counts(graph):
+    """``Counter`` of each Section 2 fact ``(predicate, row)`` of *graph* →
+    the number of graph items encoding it.
+
+    Several items can encode one fact: parallel copies of an edge, an
+    :class:`~repro.graphs.bridge.EdgeLabel` and its plain-string label, two
+    endpoint splits of a tuple node (``(a, b) -p-> c`` and ``a -p-> (b,
+    c)``), an edge and the annotation of a tuple node.  The fact holds while
+    its count is positive.  Read off the graph, not ``database_from_graph``,
+    which refuses a label at two arities — a store may hold one.
+    """
+    counts = Counter(_edge_fact(edge.source, edge.target, edge.label) for edge in graph.edges)
+    for node in graph.nodes:
+        for name in _annotation_names(graph.node_label(node)):
+            counts[name, _wrap_node(node)] += 1
+    return counts
+
+
+def domain_refs(facts):
+    """``Counter`` of value → occurrences across the distinct *facts* (the
+    keys of :func:`fact_counts`).
 
     The active domain is its key set; the counts are what lets
-    :func:`fold_domain_refs` keep it in O(delta).  Read off the graph, not
-    ``database_from_graph``, which refuses a label at two arities — a
-    store may hold one.
+    :func:`fold_domain_refs` keep it in O(delta).
     """
-    facts = {_edge_fact(edge.source, edge.target, edge.label) for edge in graph.edges}
-    facts.update(
-        (name, _wrap_node(node))
-        for node in graph.nodes
-        for name in _annotation_names(graph.node_label(node))
-    )
     return Counter(value for _predicate, row in facts for value in row)
 
 
@@ -199,8 +211,7 @@ def fold_domain_refs(refs, delta):
         for row in rows:
             for value in row:
                 changed[value] -= 1
-    entered = set()
-    left = set()
+    entered, left = set(), set()
     for value, change in changed.items():
         if change == 0:
             continue
@@ -217,93 +228,60 @@ def fold_domain_refs(refs, delta):
     return entered or _NONE, left or _NONE
 
 
-def _edge_multiplicity(graph, source, target, label):
-    """Copies of the edge currently encoding the same fact as (s, t, label).
+def compute_delta(graph, operations, facts):
+    """``(delta, changes)``: the :class:`Delta` of applying *operations* to
+    *graph*, whose :func:`fact_counts` are *facts* (only read), and
+    ``{fact: nonzero change}`` of those counts.
 
-    Compares at the *fact* level — a plain-string label and the equivalent
-    :class:`~repro.graphs.bridge.EdgeLabel` encode the same tuple, so they
-    count as copies of one fact even though the stored labels differ.
-    """
-    if not graph.has_node(source):
-        return 0
-    fact = _edge_fact(source, target, label)
-    return sum(
-        1
-        for edge in graph.out_edges(source)
-        if edge.target == target
-        and _edge_fact(edge.source, edge.target, edge.label) == fact
-    )
-
-
-def compute_delta(graph, operations):
-    """The :class:`Delta` of applying *operations* to *graph*.
-
-    *graph* is mutated (the operations are applied to it as a side effect) —
-    the store calls this on its staged copy, folding validation and delta
-    computation into one pass.  Raises whatever ``op.apply`` raises on a
-    conflicting operation, leaving the partial mutation to be discarded by
-    the caller.
+    Each item an operation adds counts +1 for its fact, each it removes −1:
+    an edge, a node label's annotation names (a relabel removes the old
+    ones), a removed node's annotations and incident edges.  The delta is
+    the facts whose count crosses zero.  *graph* is mutated — the store
+    calls this on its staged copy, folding validation into the same pass;
+    whatever ``op.apply`` raises leaves the partial mutation to the caller.
     """
     from repro.ham.store import _Op
 
-    delta = Delta()
+    changes = Counter()
+    existed = {}  # each node an operation names -> whether it was there before
     for op in operations:
-        if op.kind == _Op.ADD_EDGE:
-            source, target, label = op.args
-            before = _edge_multiplicity(graph, source, target, label)
-            had_source = graph.has_node(source)
-            had_target = graph.has_node(target)
-            op.apply(graph)
-            if before == 0:
-                predicate, row = _edge_fact(source, target, label)
-                delta.insert(predicate, row)
-            if not had_source:
-                delta.add_node(source)
-            if not had_target and target != source:
-                delta.add_node(target)
-        elif op.kind == _Op.REMOVE_EDGE:
-            source, target, label = op.args
-            before = _edge_multiplicity(graph, source, target, label)
-            op.apply(graph)
-            if before == 1:
-                predicate, row = _edge_fact(source, target, label)
-                delta.delete(predicate, row)
-        elif op.kind in (_Op.ADD_NODE, _Op.SET_NODE_LABEL):
-            node, label = op.args
-            existed = graph.has_node(node)
-            old_names = (
-                _annotation_names(graph.node_label(node)) if existed else frozenset()
-            )
-            op.apply(graph)
-            new_names = _annotation_names(graph.node_label(node))
-            row = _wrap_node(node)
-            for name in new_names - old_names:
-                delta.insert(name, row)
-            for name in old_names - new_names:
-                delta.delete(name, row)
-            if not existed:
-                delta.add_node(node)
-        elif op.kind == _Op.REMOVE_NODE:
+        if op.kind == _Op.REMOVE_NODE:
             (node,) = op.args
-            incident = {
-                edge.key: edge
-                for edge in graph.out_edges(node) + graph.in_edges(node)
-            }
-            # Fact-level: a fact disappears only when its *last* parallel
-            # copy goes; count surviving copies of each (s, t, label) triple.
-            triples = defaultdict(int)
+            existed.setdefault(node, graph.has_node(node))
+            names = _annotation_names(graph.node_label(node))
+            incident = {edge.key: edge for edge in graph.out_edges(node) + graph.in_edges(node)}
+            op.apply(graph)
             for edge in incident.values():
-                triples[(edge.source, edge.target, edge.label)] += 1
-            old_names = _annotation_names(graph.node_label(node))
+                changes[_edge_fact(edge.source, edge.target, edge.label)] -= 1
+            for name in names:
+                changes[name, _wrap_node(node)] -= 1
+        elif op.kind in (_Op.ADD_EDGE, _Op.REMOVE_EDGE):
+            source, target, label = op.args
+            existed.setdefault(source, graph.has_node(source))
+            existed.setdefault(target, graph.has_node(target))
             op.apply(graph)
-            for (source, target, label), removed in triples.items():
-                if _edge_multiplicity(graph, source, target, label) == 0:
-                    predicate, row = _edge_fact(source, target, label)
-                    delta.delete(predicate, row)
+            changes[_edge_fact(source, target, label)] += 1 if op.kind == _Op.ADD_EDGE else -1
+        else:  # ADD_NODE, SET_NODE_LABEL
+            node, _label = op.args
+            existed.setdefault(node, graph.has_node(node))
+            old = _annotation_names(graph.node_label(node)) if graph.has_node(node) else ()
+            op.apply(graph)
             row = _wrap_node(node)
-            for name in old_names:
-                delta.delete(name, row)
-            delta.remove_node(node)
-        else:  # pragma: no cover - closed set, mirrors _Op.apply
-            op.apply(graph)
-    return delta
+            for name in old:
+                changes[name, row] -= 1
+            for name in _annotation_names(graph.node_label(node)):
+                changes[name, row] += 1
+    delta = Delta()
+    moved = {}
+    for fact, change in changes.items():
+        if change:
+            moved[fact] = change
+            before = facts[fact]
+            if before == 0:
+                delta.insertions[fact[0]].add(fact[1])
+            elif before + change == 0:
+                delta.deletions[fact[0]].add(fact[1])
+    for node, was in existed.items():
+        if was != graph.has_node(node):
+            (delta.nodes_removed if was else delta.nodes_added).add(node)
+    return delta, moved

@@ -24,7 +24,7 @@ from collections import Counter, defaultdict
 from repro.errors import StoreError, TransactionError
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.graphs.bridge import _edge_fact
-from repro.ham.delta import compute_delta, domain_refs, fold_domain_refs
+from repro.ham.delta import compute_delta, domain_refs, fact_counts, fold_domain_refs
 
 logger = logging.getLogger(__name__)
 
@@ -95,9 +95,8 @@ def _edge_to_remove(graph, source, target, label):
 
     The oldest copy carrying exactly *label* — else the oldest copy that
     encodes the same *fact* (``"link"`` and ``EdgeLabel("link")`` are one
-    tuple of ``link``, the rule :func:`repro.ham.delta.compute_delta` counts
-    copies by), so an edge loaded from a fact file can be removed by the
-    string the wire carries.  A pure function of the graph's edge order:
+    tuple of ``link``), so an edge loaded from a fact file can be removed by
+    the string the wire carries.  A pure function of the graph's edge order:
     WAL replay and a replica pick the same copy the primary did.
     """
     candidates = [e for e in graph.out_edges(source) if e.target == target]
@@ -258,6 +257,12 @@ class HAMStore:
         self._churn_rows = defaultdict(int)
         self._churn_commits = defaultdict(int)
         self._version = 0
+        #: Section 2 fact → the graph items encoding it (see
+        #: :func:`~repro.ham.delta.fact_counts`): a commit's delta is the
+        #: facts whose count crosses zero.
+        self._facts = Counter()
+        #: predicate → its distinct committed facts (``predicate_stats``).
+        self._predicate_facts = Counter()
         #: value → occurrences across the committed facts: the active
         #: domain is its key set.  The one place it is kept — each installed
         #: record's delta carries what it moved (``entered`` / ``left``).
@@ -347,17 +352,19 @@ class HAMStore:
     def session(self):
         return Session(self)
 
-    def _stage_locked(self, operations):
-        """``(staged, delta)``: the version *operations* make of the current
-        graph and the :class:`Delta` they make — the one staging path of a
-        local commit and a replicated apply, timed as ``commit.stage``.
-        Under ``self._lock``: two commits staged from one base would each
-        drop the other's edit.  Raises one of :data:`UNREPLAYABLE`."""
+    def _stage_locked(self, operations, staged=None):
+        """``(staged, delta, changes)`` of :func:`compute_delta` on *staged*,
+        by default a new version derived from the current graph — the one
+        staging path of a commit, a replicated apply and :meth:`replay`,
+        timed as ``commit.stage``.  Under ``self._lock``: two commits staged
+        from one base would each drop the other's edit.  Raises one of
+        :data:`UNREPLAYABLE`."""
         started = time.perf_counter()
-        staged = derive_version(self.graph)
-        delta = compute_delta(staged, operations)
+        if staged is None:
+            staged = derive_version(self.graph)
+        delta, changes = compute_delta(staged, operations, self._facts)
         self._observe("commit.stage", started)
-        return staged, delta
+        return staged, delta, changes
 
     def _apply_commit(self, session_id, ops):
         # Operations were validated against the transaction workspace; apply
@@ -369,7 +376,7 @@ class HAMStore:
             )
         with self._lock:
             try:
-                staged, delta = self._stage_locked(ops)
+                staged, delta, changes = self._stage_locked(ops)
             except UNREPLAYABLE as exc:
                 raise TransactionError(f"commit conflict: {exc}") from exc
             record = TransactionRecord(
@@ -390,39 +397,58 @@ class HAMStore:
                     raise TransactionError(
                         f"commit aborted: WAL append failed: {exc}"
                     ) from exc
-            turn, subscribers = self._install_locked(record, staged)
+            turn, subscribers = self._install_locked(record, staged, changes)
         self._dispatch_subscribers(turn, subscribers, record)
         if self._durability is not None:
             self._durability.maybe_checkpoint()
         return record
 
-    def _install_locked(self, record, staged):
-        """Make one committed record current (caller holds ``self._lock``).
-
-        Publishes *staged* — the version derived from the current graph,
-        which stays as it was for the readers still holding it — advances
-        version/txn counters, appends to the retained log, folds the delta
-        into the value refcount (setting its ``entered`` / ``left``) and
-        churn accounting, wakes version waiters, and returns
-        ``(turn, subscribers)`` — the record's place in the dispatch order
-        and the hooks to run once the lock is released.  Shared by the
-        local commit path and the replication apply path so a replicated
-        commit is indistinguishable from a local one to every downstream
-        consumer.
-        """
+    def _advance_locked(self, record, staged, changes):
+        """Publish *staged* — the version derived from the current graph,
+        which stays as it was for the readers still holding it — as
+        *record*'s; advance the counters and the log, and fold *changes*
+        into the fact counts and the delta into the per-predicate counts and
+        value refcount (setting its ``entered`` / ``left``).  What a commit
+        and :meth:`replay` share; the caller holds ``self._lock``."""
         self.graph = staged
         self._version = record.version
         self._next_txn_id = max(self._next_txn_id, record.txn_id + 1)
         self._last_txn_id = record.txn_id
         self._log.append(record)
+        facts = self._facts
+        for fact, change in changes.items():
+            count = facts[fact] + change
+            if count:
+                facts[fact] = count
+            else:
+                del facts[fact]
         delta = record.delta
         delta.entered, delta.left = fold_domain_refs(self._refs, delta)
+        counts = self._predicate_facts
+        for predicate, rows in delta.insertions.items():
+            counts[predicate] += len(rows)
+        for predicate, rows in delta.deletions.items():
+            counts[predicate] -= len(rows)
+            if not counts[predicate]:
+                del counts[predicate]
+
+    def _install_locked(self, record, staged, changes):
+        """Make one committed record current (caller holds ``self._lock``).
+
+        :meth:`_advance_locked`, then churn accounting and waking version
+        waiters; returns ``(turn, subscribers)`` — the record's place in the
+        dispatch order and the hooks to run once the lock is released.
+        Shared by the local commit path and the replication apply path so a
+        replicated commit is indistinguishable from a local one to every
+        downstream consumer.
+        """
+        self._advance_locked(record, staged, changes)
+        delta = record.delta
         for predicate in delta.touched_predicates():
             self._churn_commits[predicate] += 1
-        for predicate, rows in delta.insertions.items():
-            self._churn_rows[predicate] += len(rows)
-        for predicate, rows in delta.deletions.items():
-            self._churn_rows[predicate] += len(rows)
+        for rows_by_predicate in (delta.insertions, delta.deletions):
+            for predicate, rows in rows_by_predicate.items():
+                self._churn_rows[predicate] += len(rows)
         self._version_cond.notify_all()
         # Snapshot under the lock: subscribe() may run concurrently, and
         # iterating the live list while it mutates skips or doubles
@@ -530,7 +556,7 @@ class HAMStore:
                     f"{self._version}, record carries {record.version}"
                 )
             try:
-                staged, delta = self._stage_locked(record.operations)
+                staged, delta, changes = self._stage_locked(record.operations)
             except UNREPLAYABLE as exc:
                 raise StoreError(
                     f"cannot apply replicated version {record.version}: {exc}"
@@ -538,24 +564,17 @@ class HAMStore:
             record = TransactionRecord(
                 record.txn_id, record.session_id, record.operations, record.version, delta
             )
-            turn, subscribers = self._install_locked(record, staged)
+            turn, subscribers = self._install_locked(record, staged, changes)
         self._dispatch_subscribers(turn, subscribers, record)
         return record
 
-    def replace_state(
-        self, graph, version, last_txn_id, records=(), base_graph=None, base_version=None,
-        epoch=None,
-    ):
+    def replace_state(self, graph, version, last_txn_id, epoch=None):
         """Discard the current state and install *graph* at *version*.
 
-        Serves recovery (:mod:`repro.persist`, after checkpoint load + WAL
-        replay), a replica's first bootstrap and its re-bootstraps after a
-        primary divergence.  *records* is the replayed WAL tail, versions
-        ``base_version + 1 .. version`` in order, and *base_graph* /
-        *base_version* the checkpoint :meth:`graph_at` replays it from;
-        without them *graph* is its own base.  The value refcount is taken
-        from the base and advanced through *records* in order, each
-        record's delta getting the ``entered`` / ``left`` a commit gives it.
+        Serves recovery (:mod:`repro.persist` installs the checkpoint here,
+        then the WAL tail through :meth:`replay`), a replica's first
+        bootstrap and its re-bootstraps after a primary divergence.  *graph*
+        becomes its own :meth:`graph_at` base.
 
         Subscribers are *not* notified — callers must reset version-scoped
         caches themselves (a version can regress here, which would
@@ -568,28 +587,55 @@ class HAMStore:
         with self._lock:
             if self._durability is not None:
                 raise StoreError("cannot replace state on a durable store")
-            records = list(records)
-            base_version = version if base_version is None else base_version
-            versions = [record.version for record in records]
-            if versions != list(range(base_version + 1, version + 1)):
-                # records_since / graph_at slice the log by offset from the base.
-                raise StoreError(
-                    f"replaced records must be versions {base_version + 1}..{version} "
-                    f"in order, got {versions}"
-                )
-            self.graph = graph
-            self._version = version
+            self.graph = self._base_graph = graph
+            self._version = self._base_version = version
             self._next_txn_id = max(self._next_txn_id, last_txn_id + 1)
             self._last_txn_id = last_txn_id
-            self._log = records
-            self._base_graph = graph if base_graph is None else base_graph
-            self._refs = domain_refs(self._base_graph)
-            for delta in (record.delta for record in records):
-                delta.entered, delta.left = fold_domain_refs(self._refs, delta)
-            self._base_version = base_version
+            self._log = []
+            self._facts = fact_counts(graph)
+            self._predicate_facts = Counter(predicate for predicate, _row in self._facts)
+            self._refs = domain_refs(self._facts)
             self._epoch = str(epoch) if epoch else new_epoch()
             self._set_dispatched(version)
             self._version_cond.notify_all()
+
+    def replay(self, records):
+        """Install *records* (versions ``version + 1 ..``, as WAL recovery
+        decodes them, before anything reads the store) the way a commit
+        installs its own, with no WAL append, no hooks and no churn counts;
+        all are staged on one derived copy.  Stops at the first record the
+        graph cannot take (:data:`UNREPLAYABLE`), leaving the store at the
+        one before it; returns how many records it installed."""
+        records = list(records)
+        with self._lock:
+            if self._durability is not None:
+                raise StoreError("cannot replay records onto a durable store")
+            first = self._version + 1
+            versions = [record.version for record in records]
+            if versions != list(range(first, first + len(records))):
+                # records_since / graph_at slice the log by offset from the base.
+                raise StoreError(
+                    f"replayed records must be versions {first}..{first + len(records) - 1} "
+                    f"in order, got {versions}"
+                )
+            start = self.graph
+            staged = derive_version(start)
+            installed = 0
+            for record in records:
+                try:
+                    _staged, record.delta, changes = self._stage_locked(
+                        record.operations, staged
+                    )
+                except UNREPLAYABLE as exc:
+                    logger.warning("replay stops at version %d: %r", record.version, exc)
+                    # The refused record's earlier operations already applied.
+                    self.graph = derive_version(start, records[:installed])
+                    break
+                self._advance_locked(record, staged, changes)
+                installed += 1
+            self._set_dispatched(self._version)
+            self._version_cond.notify_all()
+        return installed
 
     def _set_dispatched(self, version):
         """State installed without records (recovery, re-bootstrap) has no
@@ -725,23 +771,16 @@ class HAMStore:
             return drop
 
     def predicate_stats(self, top=None):
-        """Per-predicate statistics: committed fact counts (off the label
-        index) and delta churn (rows inserted+deleted, commits touching).
+        """Per-predicate statistics: distinct committed facts and delta
+        churn (rows inserted+deleted, commits touching).
 
         Returns ``{predicate: {"facts", "churn_rows", "churn_commits"}}``,
-        restricted to the *top* highest-churn predicates when given.  The
-        graph reference is read under the lock but iterated outside it —
-        commits publish a new version and never write to this one, so the
-        snapshot stays internally consistent.
+        restricted to the *top* highest-churn predicates when given.
         """
         with self._lock:
-            graph = self.graph
+            facts = dict(self._predicate_facts)
             churn_rows = dict(self._churn_rows)
             churn_commits = dict(self._churn_commits)
-        facts = {}
-        for label, count in graph.label_counts().items():
-            predicate = getattr(label, "predicate", None) or str(label)
-            facts[predicate] = facts.get(predicate, 0) + count
         predicates = set(facts) | set(churn_rows)
         if top is not None:
             ranked = sorted(

@@ -27,8 +27,7 @@ import time
 from repro import obs
 from repro.errors import StoreError
 from repro.graphs.multigraph import LabeledMultigraph
-from repro.ham.delta import compute_delta
-from repro.ham.store import UNREPLAYABLE, HAMStore, derive_version
+from repro.ham.store import HAMStore
 from repro.persist import checkpoint as ckpt
 from repro.persist import wal
 from repro.persist.epoch import load_epoch, new_epoch, store_epoch
@@ -145,16 +144,13 @@ class DurabilityManager:
                     )
                 return self._adopt(store)
 
+            store.replace_state(base_graph, base_version, last_txn_id)
             with obs.span("persist.recover.replay_wal") as replay_span:
-                graph, records, truncated = self._replay_segments(
-                    segments, base_graph, base_version
-                )
+                replayed, truncated = self._replay_segments(segments, store)
                 if replay_span:
-                    replay_span.annotate(replayed=len(records), truncated=truncated)
+                    replay_span.annotate(replayed=replayed, truncated=truncated)
 
-            version = records[-1].version if records else base_version
-            if records:
-                last_txn_id = max(last_txn_id, max(r.txn_id for r in records))
+            version, _graph, last_txn_id = store._durable_snapshot()
             # The durable epoch names this directory's history line.  It is
             # minted on first use and kept across clean restarts — but a
             # truncated WAL tail means acknowledged commits may be gone and
@@ -172,15 +168,7 @@ class DurabilityManager:
                         epoch,
                     )
             self._epoch = epoch
-            store.replace_state(
-                graph,
-                version,
-                last_txn_id,
-                records=records,
-                base_graph=base_graph,
-                base_version=base_version,
-                epoch=epoch,
-            )
+            store.set_epoch(epoch)
             self._open_writer(segments, next_version=version + 1)
             self._last_version = version
             self._last_txn_id = last_txn_id
@@ -190,7 +178,7 @@ class DurabilityManager:
             self._recovery_info = {
                 "checkpoint_version": base_version,
                 "checkpoint_path": checkpoint_path,
-                "replayed_records": len(records),
+                "replayed_records": replayed,
                 "recovered_version": version,
                 "truncated": truncated,
                 "epoch": epoch,
@@ -203,7 +191,7 @@ class DurabilityManager:
             "recovered store at version %d (checkpoint %d + %d WAL records) from %s",
             version,
             base_version,
-            len(records),
+            replayed,
             self.data_dir,
         )
         return store
@@ -238,65 +226,52 @@ class DurabilityManager:
         self.checkpoint()
         return store
 
-    def _replay_segments(self, segments, base_graph, base_version):
-        """Replay every WAL record after *base_version* onto a version
-        derived from *base_graph* (which stays the ``graph_at`` base).
+    def _replay_segments(self, segments, store):
+        """Replay every WAL record after *store*'s version onto it.
 
-        Returns ``(graph, records, truncated)``, each record carrying the
-        delta :func:`compute_delta` derives as it replays.  Stops at — and
-        truncates — the first torn frame, CRC failure, version gap, or
-        record whose operations fail to replay (:data:`UNREPLAYABLE`, what
-        a commit refuses); later segments after a truncation point are
-        unlinked (they are beyond the lost suffix and would otherwise
-        re-surface records after a gap).
+        Decodes the frames and checks that their versions run on without a
+        gap, then hands the records to :meth:`HAMStore.replay`, which stages
+        them the way a commit does.  Returns ``(replayed, truncated)``.
+        Truncates at the first torn frame, CRC failure, undecodable record,
+        version gap, or record the store refused (one whose operations the
+        graph cannot take, as a commit would refuse it); later segments
+        after a truncation point are unlinked (they are beyond the lost
+        suffix and would otherwise re-surface records after a gap).
         """
-        graph = derive_version(base_graph)
-        replayed = []
-        expected = base_version + 1
-        truncated = False
+        records, positions, stop = [], [], None
+        expected = store.version + 1
         for index, (_first, path) in enumerate(segments):
             entries, good_bytes, corruption = wal.scan_segment(path)
-            stop_offset = None
-            reason = None
             for offset, payload in entries:
                 try:
                     record = record_from_json(payload)
                 except Exception as exc:  # noqa: BLE001 — schema drift must truncate, not crash
-                    stop_offset, reason = offset, f"undecodable record: {exc}"
+                    stop = index, offset, f"undecodable record: {exc}"
                     break
                 if record.version < expected:
                     continue  # already covered by the checkpoint
                 if record.version > expected:
-                    stop_offset = offset
-                    reason = (
-                        f"version gap: expected {expected}, found {record.version}"
-                    )
+                    stop = index, offset, f"version gap: expected {expected}, found {record.version}"
                     break
-                try:
-                    record.delta = compute_delta(graph, record.operations)
-                except UNREPLAYABLE as exc:
-                    # The record's earlier operations already applied: the
-                    # graph is the last whole record's again.
-                    graph = derive_version(base_graph, replayed)
-                    stop_offset, reason = offset, f"unreplayable record: {exc!r}"
-                    break
-                replayed.append(record)
+                records.append(record)
+                positions.append((index, offset))
                 expected += 1
-            if stop_offset is None and corruption is not None:
-                stop_offset, reason = good_bytes, corruption.reason
-            if stop_offset is not None:
-                wal.truncate_segment(
-                    path, stop_offset, wal.WalCorruption(path, stop_offset, reason)
-                )
-                for _later_first, later_path in segments[index + 1 :]:
-                    logger.warning(
-                        "dropping WAL segment beyond truncation point: %s", later_path
-                    )
-                    os.unlink(later_path)
-                wal.fsync_directory(self.wal_dir)
-                truncated = True
+            if stop is None and corruption is not None:
+                stop = index, good_bytes, corruption.reason
+            if stop is not None:
                 break
-        return graph, replayed, truncated
+        replayed = store.replay(records)
+        if replayed < len(records):
+            stop = *positions[replayed], f"unreplayable record: version {records[replayed].version}"
+        if stop is not None:
+            index, offset, reason = stop
+            path = segments[index][1]
+            wal.truncate_segment(path, offset, wal.WalCorruption(path, offset, reason))
+            for _later_first, later_path in segments[index + 1 :]:
+                logger.warning("dropping WAL segment beyond truncation point: %s", later_path)
+                os.unlink(later_path)
+            wal.fsync_directory(self.wal_dir)
+        return replayed, stop is not None
 
     def _open_writer(self, segments, next_version):
         self._writer = wal.WalWriter(

@@ -5,9 +5,9 @@ object: its ids, its version and its **operations** — the replayable edit
 script (the same ``_Op`` objects the store validates and replays
 in-process).  The record's typed fact-level delta
 (:class:`~repro.ham.delta.Delta`) is not written: it is a function of the
-graph the operations edit, so recovery and a replica derive it again with
-:func:`~repro.ham.delta.compute_delta` as they replay, the way the primary
-derived it when the commit was staged.  A ``delta`` key written by an older
+graph the operations edit, so recovery and a replica derive it again as
+the store stages the record (:meth:`~repro.ham.store.HAMStore.replay`,
+``apply_replicated``), the way the primary's commit derived it.  A ``delta`` key written by an older
 WAL is ignored.
 
 Value encoding reuses the :mod:`repro.io` node/label encoders, so exactly

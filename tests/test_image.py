@@ -24,7 +24,7 @@ from repro.datalog.parser import parse_program
 from repro.errors import ArityError, StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel, GraphSchema, database_from_graph
 from repro.graphs.multigraph import LabeledMultigraph
-from repro.ham.delta import Delta, domain_refs, fold_domain_refs, net_delta
+from repro.ham.delta import Delta, domain_refs, fact_counts, fold_domain_refs, net_delta
 from repro.ham.image import _CATALOG_SLACK, StoreImage, StoreImages
 from repro.ham.store import HAMStore
 from repro.persist.serde import record_from_json, record_to_json
@@ -691,7 +691,7 @@ def test_fold_domain_refs_reports_first_and_last_occurrences():
     graph.add_edge("a", "b", EdgeLabel("p"))  # a parallel copy is one fact
     graph.add_edge("b", "c", "p")
     database = database_from_graph(graph)
-    refs = domain_refs(graph)
+    refs = domain_refs(fact_counts(graph))
     assert refs == {"a": 2, "b": 2, "c": 1}
     delta = Delta()
     delta.delete("p", ("b", "c"))

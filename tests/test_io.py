@@ -162,7 +162,7 @@ class TestDeltaSerde:
     """Delta objects compare by structure, not identity."""
 
     def build_delta(self):
-        from repro.ham.delta import compute_delta
+        from repro.ham.delta import compute_delta, fact_counts
         from repro.ham.store import _Op
 
         g = LabeledMultigraph()
@@ -174,7 +174,7 @@ class TestDeltaSerde:
             _Op(_Op.ADD_EDGE, ("t", 1), ("t", 2), EdgeLabel("flight", (930, True))),
             _Op(_Op.ADD_NODE, "fresh", frozenset({"new"})),
         ]
-        return compute_delta(g, ops)
+        return compute_delta(g, ops, fact_counts(g))[0]
 
     def test_equality_is_structural(self):
         assert self.build_delta() == self.build_delta()

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repro.errors import StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel
 from repro.graphs.multigraph import LabeledMultigraph
-from repro.ham.delta import compute_delta, domain_refs
-from repro.ham.store import HAMStore, TransactionRecord, _Op, derive_version
+from repro.ham.delta import compute_delta, domain_refs, fact_counts
+from repro.ham.store import HAMStore, TransactionRecord, _Op
 from repro.persist import (
     DurabilityManager,
     PersistenceConfig,
@@ -74,7 +74,7 @@ class TestSerde:
             _Op(_Op.ADD_EDGE, "a", "b", EdgeLabel("link")),
             _Op(_Op.ADD_NODE, "c", frozenset({"mark"})),
         ]
-        delta = compute_delta(graph, ops)
+        delta, _changes = compute_delta(graph, ops, fact_counts(graph))
         record = TransactionRecord(3, 9, ops, version=7, delta=delta)
         back = record_from_json(json.loads(json.dumps(record_to_json(record))))
         assert (back.txn_id, back.session_id, back.version) == (3, 9, 7)
@@ -518,10 +518,8 @@ class TestRetainedLogContiguity:
         source = HAMStore()
         commit_chain(source, 3)
         first, _second, third = source.history()
-        with pytest.raises(StoreError, match="versions 1..3 in order"):
-            HAMStore().replace_state(
-                source.graph, 3, 3, records=[first, third], base_version=0
-            )
+        with pytest.raises(StoreError, match="versions 1..2 in order"):
+            HAMStore().replay([first, third])
 
 
 # ------------------------------------------------------------------ epoch
@@ -689,30 +687,30 @@ def test_recovery_and_bootstrap_derive_the_commits_domain_changes(tmp_path):
     assert live[4] == (set(), {"c"})
     assert live[5] == ({"t", 1, "d", 4}, set())
     assert live[6] == (set(), {"a"})
-    assert primary._refs == domain_refs(primary.graph)
+    assert primary._refs == domain_refs(fact_counts(primary.graph))
     manager.close()
 
     manager, recovered = durable_store(tmp_path / "data")
     assert recovered.stats()["base_version"] == 2
     assert _domain_changes(recovered) == {v: live[v] for v in range(3, 7)}
-    assert recovered._refs == domain_refs(recovered.graph)
+    assert recovered._refs == domain_refs(fact_counts(recovered.graph))
     manager.close()
 
-    # A replica bootstrapped with the retained records (decoded, deltas
-    # derived as recovery derives them), and one bootstrapped without.
-    base = primary.graph_at(3)
-    records, graph = [], derive_version(base)
-    for record in primary.records_since(3):
-        copy = record_from_json(json.loads(json.dumps(record_to_json(record))))
-        copy.delta = compute_delta(graph, copy.operations)
-        records.append(copy)
+    # A replica bootstrapped at version 3 that replays the retained records
+    # (decoded, deltas derived as recovery derives them), and one that
+    # applies them as a replica does.
+    records = [
+        record_from_json(json.loads(json.dumps(record_to_json(record))))
+        for record in primary.records_since(3)
+    ]
     replica = HAMStore()
-    replica.replace_state(graph, 6, 6, records=records, base_graph=base, base_version=3)
+    replica.replace_state(primary.graph_at(3), 3, 3)
+    assert replica.replay(records) == 3
     assert _domain_changes(replica) == {v: live[v] for v in range(4, 7)}
-    assert replica._refs == domain_refs(replica.graph) == primary._refs
+    assert replica._refs == domain_refs(fact_counts(replica.graph)) == primary._refs
     bare = HAMStore()
     bare.replace_state(primary.graph_at(3), 3, 3)
-    assert bare._refs == domain_refs(primary.graph_at(3))
+    assert bare._refs == domain_refs(fact_counts(primary.graph_at(3)))
     for record in primary.records_since(3):
         bare.apply_replicated(record)
     assert _domain_changes(bare) == {v: live[v] for v in range(4, 7)}
