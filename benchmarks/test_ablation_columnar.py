@@ -12,18 +12,27 @@ checked on every run against an independent oracle:
 - the abl7 hot path: the flights ``reach``/``connected`` GraphLog query
   (translated to Datalog) over a dense random flight network, against the
   naive walker.
+
+One guard bounds a ratio of two timings: merging a semi-naive round's rows
+(``ColumnarRelation.merge_run``) costs O(run), whatever the relation holds.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import pytest
 
 from repro.core.dsl import parse_graphical_query
 from repro.core.translate import translate
+from repro.datalog.columnar import ColumnarRelation
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.datasets.flights import random_flights
+
+from conftest import report
 
 CHAIN_PROGRAM = parse_program(
     """
@@ -48,6 +57,24 @@ def chain_edb(n):
     db = Database()
     db.add_facts("e", [(f"n{i}", f"n{i+1}") for i in range(n)])
     return db
+
+
+def merge_run_ms(size, run=100, trials=41):
+    """Median ms to ``merge_run`` *run* fresh rows into a *size*-row
+    relation; each trial's rows are taken out again, so every trial merges
+    into *size* rows."""
+    relation = ColumnarRelation("p", 2)
+    relation.merge_run((i, i) for i in range(size))
+    times = []
+    for trial in range(trials):
+        rows = [(-1 - trial, i) for i in range(run)]
+        started = time.perf_counter()
+        fresh = relation.merge_run(rows)
+        times.append(time.perf_counter() - started)
+        assert len(fresh) == run
+        del relation.rows[size:]
+        relation.keys.difference_update(fresh)
+    return 1000 * statistics.median(times)
 
 
 def evaluate(method, program, edb):
@@ -83,3 +110,17 @@ def test_abl11_encode_cache_amortized_across_queries():
     encoded = encode_database(edb)
     evaluate("columnar", CHAIN_PROGRAM, edb)
     assert encode_database(edb) is encoded
+
+
+def test_abl11_merge_run_costs_the_run():
+    """A 100-row merge into 100 000 rows stays within 5x of the same merge
+    into 1 000 rows: the dedup probes the key set per candidate, and never
+    copies or walks it."""
+    small = min(merge_run_ms(1_000) for _ in range(3))
+    large = min(merge_run_ms(100_000) for _ in range(3))
+    report(
+        "abl11 merge_run of 100 fresh rows",
+        [(1_000, f"{small:.4f}"), (100_000, f"{large:.4f}")],
+        header=("relation rows", "median ms"),
+    )
+    assert large <= 5 * small, (small, large)

@@ -42,6 +42,15 @@ checks every answer against the naive walker, its specification:
   naive engine answers — so a change that sends closure strata back to the
   generic semi-naive loop fails here.
 
+- each derived row handled once, by counts alone: 50 never-seen closure
+  misses and 50 never-seen stratified-negation Datalog misses must record
+  exactly one round in every stratum off the closure kernel (none of their
+  rules reads its own group), read no relation's index over all its
+  columns as anything but its key set (``not leg(X, Y)`` probes ``leg``'s
+  keys), and answer what the naive engine answers — so a fixpoint that
+  stops recording a non-recursive stratum's one round, or builds a
+  full-width index of a relation it already holds as a key set, fails here.
+
 - answers as bytes, by counts alone: 50 never-seen closure misses, 50
   never-seen stratified-negation Datalog misses and 50 never-seen
   single-source RPQ misses through ``execute(..., wire=True)`` must each
@@ -440,14 +449,17 @@ def check_summary_misses_ignore_unrelated_data(reads=15):
         fail(f"a summary miss grows with unrelated data: {large:.2f} vs {small:.2f} ms")
 
 
+def engine_strata(span):
+    """The engine strata in a slowlog span tree."""
+    found = [span] if span["name"] == "engine.stratum" else []
+    for child in span["children"]:
+        found.extend(engine_strata(child))
+    return found
+
+
 def kernel_strata(span):
     """The ``kernel="closure"`` engine strata in a slowlog span tree."""
-    found = []
-    if span["name"] == "engine.stratum" and span["attrs"].get("kernel") == "closure":
-        found.append(span)
-    for child in span["children"]:
-        found.extend(kernel_strata(child))
-    return found
+    return [s for s in engine_strata(span) if s["attrs"].get("kernel") == "closure"]
 
 
 def check_closure_kernel():
@@ -483,6 +495,66 @@ connected(X, Y) :- leg(X, Y).
 connected(X, Y) :- connected(X, Z), leg(Z, Y).
 indirect(X, Y) :- connected(X, Y), not leg(X, Y).
 """
+
+
+@contextmanager
+def full_width_indexes():
+    """A list that, while inside, gets the arity of each relation whose
+    index over all its columns is read as anything but its key set."""
+    built = []
+    original = columnar.ColumnarRelation.index
+
+    def counted(relation, positions):
+        index = original(relation, positions)
+        if len(positions) == relation.arity and index is not relation.keys:
+            built.append(relation.arity)
+        return index
+
+    columnar.ColumnarRelation.index = counted
+    try:
+        yield built
+    finally:
+        columnar.ColumnarRelation.index = original
+
+
+def check_rows_once():
+    """50 never-seen closure misses and 50 never-seen stratified-negation
+    Datalog misses: every stratum off the closure kernel (none of their
+    rules reads its own group) records exactly one round, ``not leg(X, Y)``
+    probes ``leg``'s key set, so no relation's index over all its columns
+    is built, and every answer equals the naive oracle."""
+    rounds = 50
+    database = random_flights(7, n_cities=20, n_flights=120)
+    store = HAMStore()
+    store.load_graph(graph_from_database(database))
+    service = QueryService(
+        store=store, config=ServiceConfig(slow_ms=0, slowlog_capacity=2 * rounds)
+    )
+    naive = Engine(method="naive").evaluate(parse_program(INDIRECT_PROGRAM), database)
+    with full_width_indexes() as built:
+        for i in range(rounds):
+            closure, negation = f"conn{i:02d}", f"indirect{i:02d}"
+            for op, query, head, oracle in (
+                ("graphlog", CLOSURE_QUERY.replace("connected", closure), closure, "connected"),
+                ("datalog", INDIRECT_PROGRAM.replace("indirect", negation), negation, "indirect"),
+            ):
+                response = execute(service, {"op": op, "query": query})
+                if response["cache"] != "miss":
+                    fail(f"rows-once round {i}: the never-seen {op} query was not evaluated")
+                rows = {tuple(row) for row in response["result"]["relations"][head]}
+                if rows != naive.facts(oracle):
+                    fail(f"rows-once round {i}: {head} diverges from the naive oracle")
+    if built:
+        fail(f"misses built {len(built)} full-width indexes, arities {sorted(set(built))!r}")
+    traces = [entry["trace"] for entry in service.slowlog.snapshot() if "trace" in entry]
+    strata = [s for trace in traces for s in engine_strata(trace) if "kernel" not in s["attrs"]]
+    rounds_each = Counter(len(s["attrs"].get("iterations", ())) for s in strata)
+    if len(traces) != 2 * rounds or set(rounds_each) != {1}:
+        fail(f"{len(traces)} traces; rounds per non-recursive stratum: {dict(rounds_each)!r}")
+    print(
+        f"rows once: {2 * rounds} misses, {len(strata)} non-recursive strata of "
+        f"one round each, 0 full-width indexes built, all equal to naive"
+    )
 
 
 def keyed_answer_bytes(relations):
@@ -854,6 +926,7 @@ def main():
     check_aliased_facts_fold()
     check_summary_misses_ignore_unrelated_data()
     check_closure_kernel()
+    check_rows_once()
     check_answers_are_bytes()
     check_maintained_entries()
     check_unread_entries_survive_commits()

@@ -18,13 +18,24 @@ def _nodes_of(adjacency):
     return nodes
 
 
+def _by_str(nodes):
+    return sorted(nodes, key=str)
+
+
 def strongly_connected_components(adjacency):
     """Tarjan's algorithm, iterative.
 
     Returns a list of frozensets in reverse topological order (a component
-    appears before any component that points to it).
+    appears before any component that points to it).  Roots and successors
+    are visited in ``str`` order, so the list is deterministic.
     """
-    nodes = _nodes_of(adjacency)
+    return _tarjan(adjacency, _by_str(_nodes_of(adjacency)), _by_str)
+
+
+def _tarjan(adjacency, roots, order):
+    """Tarjan's components of *adjacency*, walking from each of *roots* (which
+    must reach every node) and visiting successors as ``order(successors)``
+    lists them."""
     index_of = {}
     lowlink = {}
     on_stack = set()
@@ -32,10 +43,10 @@ def strongly_connected_components(adjacency):
     components = []
     counter = 0
 
-    for root in sorted(nodes, key=str):
+    for root in roots:
         if root in index_of:
             continue
-        work = [(root, iter(sorted(adjacency.get(root, ()), key=str)))]
+        work = [(root, iter(order(adjacency.get(root, ()))))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -49,9 +60,7 @@ def strongly_connected_components(adjacency):
                     counter += 1
                     stack.append(successor)
                     on_stack.add(successor)
-                    work.append(
-                        (successor, iter(sorted(adjacency.get(successor, ()), key=str)))
-                    )
+                    work.append((successor, iter(order(adjacency.get(successor, ())))))
                     advanced = True
                     break
                 if successor in on_stack:
@@ -78,7 +87,10 @@ def condensation(adjacency):
     """The DAG of SCCs: returns ``(components, component_adjacency)`` where
     components is the Tarjan list and component_adjacency maps component
     index -> set of component indexes it points to."""
-    components = strongly_connected_components(adjacency)
+    return _condensed(adjacency, strongly_connected_components(adjacency))
+
+
+def _condensed(adjacency, components):
     index_of = {}
     for i, component in enumerate(components):
         for node in component:

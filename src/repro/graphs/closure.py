@@ -10,7 +10,8 @@ ablation benchmark:
 - ``warshall``: Floyd–Warshall boolean closure over the node set;
 - ``squaring``: logarithmic rounds of ``T = T ∪ T∘T`` ("smart" closure);
 - ``scc``: strongly connected components (the iterative Tarjan of
-  :func:`~repro.graphs.algorithms.condensation`), then one reach set per
+  :func:`~repro.graphs.algorithms.condensation`, walking the successor map
+  in its own order), then one reach set per
   component over the condensation — every node of a component reaches the
   same set, so no pair is derived twice.  The columnar engine computes
   its closure strata with it (:mod:`repro.datalog.columnar`).
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.graphs.algorithms import condensation
+from repro.graphs.algorithms import _condensed, _tarjan
 
 
 def _successor_map(pairs):
@@ -102,7 +103,10 @@ def transitive_closure_squaring(pairs):
 
 def transitive_closure_scc(pairs):
     successors = _successor_map(pairs)
-    components, below = condensation(successors)
+    # The answer is a set, so Tarjan walks the map in its own order: the
+    # str-sorted walk of :func:`condensation` only fixes which reverse
+    # topological order the components come in.
+    components, below = _condensed(successors, _tarjan(successors, successors, iter))
     reach = []  # component index -> the nodes it reaches in >= 1 step
     for index, component in enumerate(components):
         # Tarjan lists a component after every component it points to, and

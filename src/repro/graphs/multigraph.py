@@ -191,10 +191,6 @@ class LabeledMultigraph:
         """Edge labels actually in use."""
         return set(self._by_label)
 
-    def label_counts(self):
-        """``{label: edge count}`` for labels actually in use."""
-        return {label: len(edges) for label, edges in self._by_label.items()}
-
     def has_edge(self, source, target, label=None):
         for edge in self._out.get(source, ()):
             if edge.target == target and (label is None or edge.label == label):
