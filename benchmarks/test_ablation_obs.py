@@ -47,33 +47,40 @@ def flights_service(**overrides):
 
 
 def hot_round_seconds(service):
-    """Min-of-rounds time for REQUESTS_PER_ROUND cache-hit requests."""
-    service.execute(REQUEST)  # warm plan + result caches
-    best = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        for _ in range(REQUESTS_PER_ROUND):
-            # As the network front runs a hit: the entry's bytes, no decode.
-            service.execute(REQUEST, wire=True)
-        best = min(best, time.perf_counter() - started)
-    return best
+    """Seconds for REQUESTS_PER_ROUND cache-hit requests."""
+    started = time.perf_counter()
+    for _ in range(REQUESTS_PER_ROUND):
+        # As the network front runs a hit: the entry's bytes, no decode.
+        service.execute(REQUEST, wire=True)
+    return time.perf_counter() - started
 
 
 def test_abl9_telemetry_overhead_on_hot_path():
+    """The bare and the armed service take turns, one round each, so drift
+    over the run (another process, clock frequency, a collection) lands on
+    both arms alike; each arm keeps its fastest round."""
     baseline_service = flights_service()
-    baseline = hot_round_seconds(baseline_service)
-    assert baseline_service.execute(REQUEST)["cache"] == "hit"
-
     # Fully armed: JSON logging handler installed, slowlog enabled with a
     # threshold no cache hit crosses (so the arm cost, not trace cost, is
-    # what's measured — hits are never traced by design).
+    # what's measured — hits are never traced by design).  The handler is
+    # on the package logger only while the armed service's round runs.
+    telemetry_service = flights_service(slow_ms=10_000.0)
     package_logger = logging.getLogger("repro")
     saved_handlers = list(package_logger.handlers)
     stream = io.StringIO()
     configure_logging(level="info", json_output=True, stream=stream)
+    armed_handlers, armed_level = list(package_logger.handlers), package_logger.level
+    baseline = telemetry = float("inf")
     try:
-        telemetry_service = flights_service(slow_ms=10_000.0)
-        telemetry = hot_round_seconds(telemetry_service)
+        for service in (baseline_service, telemetry_service):
+            service.execute(REQUEST)  # warm plan + result caches
+        for _ in range(ROUNDS):
+            package_logger.handlers = saved_handlers
+            package_logger.setLevel(logging.NOTSET)
+            baseline = min(baseline, hot_round_seconds(baseline_service))
+            package_logger.handlers = armed_handlers
+            package_logger.setLevel(armed_level)
+            telemetry = min(telemetry, hot_round_seconds(telemetry_service))
         response = telemetry_service.execute(REQUEST)
         assert response["cache"] == "hit"
         # Nothing on the hot path logged or recorded a slow query.
@@ -82,6 +89,7 @@ def test_abl9_telemetry_overhead_on_hot_path():
     finally:
         package_logger.handlers = saved_handlers
         package_logger.setLevel(logging.NOTSET)
+    assert baseline_service.execute(REQUEST)["cache"] == "hit"
 
     per_request_us = {
         "bare": baseline / REQUESTS_PER_ROUND * 1e6,

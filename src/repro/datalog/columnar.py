@@ -39,6 +39,7 @@ few relations — into just those relations' row sets.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import chain
 from operator import itemgetter
 
 from repro import obs
@@ -48,7 +49,7 @@ from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
 from repro.errors import ArityError, EvaluationError
-from repro.graphs.closure import transitive_closure_scc
+from repro.graphs.closure import closure_pairs
 
 # Comparison/arithmetic tables are shared with the naive walker so the two
 # backends can never drift on built-in semantics.
@@ -57,7 +58,6 @@ from repro.datalog.engine import (
     Answer,
     _COMPARATORS,
     _declare_relations,
-    _evaluation_groups,
 )
 
 
@@ -191,8 +191,14 @@ class ColumnarRelation:
     def merge_run(self, candidate_rows):
         """Dedup *candidate_rows* against the relation and append the
         survivors; returns the set of genuinely-new rows.  Each is hashed
-        once: ``difference`` probes ``keys`` with the stored hashes, O(run)."""
-        fresh = set(candidate_rows).difference(self.keys)
+        once, into the one set this builds: into an empty relation the
+        run's set is the new rows, and ``keys`` (the same object for the
+        relation's life: pipelines hold it as an index) is filled from its
+        stored hashes; otherwise ``difference`` probes ``keys`` with them,
+        O(run)."""
+        fresh = set(candidate_rows)
+        if self.keys:
+            fresh = fresh.difference(self.keys)
         self.rows.extend(fresh)
         self.keys.update(fresh)
         return fresh
@@ -1167,7 +1173,7 @@ class _EvalState:
         return relation
 
 
-def evaluate_columnar(program, edb, stats, tracer=None, predicates=None):
+def evaluate_columnar(program, edb, stats, tracer=None, predicates=None, strata=None):
     """Evaluate *program* over *edb* with the columnar backend.
 
     Returns a fresh :class:`~repro.datalog.database.Database` holding the
@@ -1177,19 +1183,20 @@ def evaluate_columnar(program, edb, stats, tracer=None, predicates=None):
     :class:`~repro.datalog.engine.Answer`: the int rows the fixpoint left,
     over its catalog's values — no copy of *edb*, nothing decoded.
     *stats* is the calling engine's :class:`EvaluationStats`, updated in
-    place.
+    place; *strata*, if given, is ``stratify(program)``.
     """
-    state = fixpoint(program, encode_database(edb), stats, tracer)
+    state = fixpoint(program, encode_database(edb), stats, tracer, strata)
     if predicates is None:
         return _decode_result(state, program, edb, program.idb_predicates)
     return Answer({p: state.relation(p).rows for p in predicates}, state.catalog.values)
 
 
-def fixpoint(program, encoded, stats, tracer=None):
+def fixpoint(program, encoded, stats, tracer=None, strata=None):
     """The stratified fixpoint of *program* over the sealed *encoded* EDB,
     left encoded: an :class:`_EvalState` whose ``relation(p)`` holds the
     int rows of every predicate the program mentions (incremental
-    maintenance keeps them as its state instead of decoding)."""
+    maintenance keeps them as its state instead of decoding).  *strata* is
+    ``stratify(program)``, computed here when not given."""
     tracer = tracer or obs.tracer()
     idb = program.idb_predicates
     state = _EvalState(encoded, idb)
@@ -1208,11 +1215,11 @@ def fixpoint(program, encoded, stats, tracer=None):
     for predicate, rows in fact_rows.items():
         state.relation(predicate).merge_run(rows)
 
-    strata = stratify(program)
-    groups = _evaluation_groups(program, strata, idb)
+    if strata is None:
+        strata = stratify(program)
     stats.strata = len({strata[p] for p in idb}) if idb else 0
 
-    for group in groups:
+    for group in strata.groups:
         rules = [r for r in derived_rules if r.head.predicate in group]
         if not rules:
             continue
@@ -1280,16 +1287,16 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
             init_only.append((rule, pipeline))
 
     firings = Counter() if span else None
-    candidates = defaultdict(list)
+    candidates = defaultdict(list)  # predicate -> the runs its rules produced
     for rule, pipeline in init_only:
         stats.rule_firings += 1
         if firings is not None:
             firings[str(rule)] += 1
         produced = pipeline.fire()
         stats.rows_produced += len(produced)
-        candidates[rule.head.predicate].extend(produced)
-    for predicate, rows in candidates.items():
-        stats.facts_derived += len(resolve(predicate).merge_run(rows))
+        candidates[rule.head.predicate].append(produced)
+    for predicate, runs in candidates.items():
+        stats.facts_derived += len(resolve(predicate).merge_run(_one_run(runs)))
 
     # The seed delta is all the group predicates hold now (program facts,
     # EDB rows under an IDB name, the rules' rows).  A group none of whose
@@ -1322,10 +1329,10 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
                 produced = pipelines[index].fire(delta_rows, old_keys)
                 stats.rows_produced += len(produced)
                 if produced:
-                    candidates[rule.head.predicate].extend(produced)
+                    candidates[rule.head.predicate].append(produced)
         new_delta = {}
-        for predicate, rows in candidates.items():
-            fresh = resolve(predicate).merge_run(rows)
+        for predicate, runs in candidates.items():
+            fresh = resolve(predicate).merge_run(_one_run(runs))
             if fresh:
                 stats.facts_derived += len(fresh)
                 new_delta[predicate] = fresh
@@ -1343,14 +1350,20 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
         span.annotate(rule_firings=dict(firings))
 
 
+def _one_run(runs):
+    """The rows of *runs* as one run: a lone run as it is, so a fused join's
+    set reaches ``merge_run`` with its hashes."""
+    return runs[0] if len(runs) == 1 else chain.from_iterable(runs)
+
+
 def _closure_rows(rows, arity):
     """The transitive closure of *rows*, each read as an edge from the node
     ``row[:k]`` to the node ``row[k:]`` (``k = arity // 2``), as rows of
     *arity* columns."""
     if arity == 2:
-        return transitive_closure_scc(rows)
+        return closure_pairs(rows)
     k = arity // 2
-    pairs = transitive_closure_scc([(row[:k], row[k:]) for row in rows])
+    pairs = closure_pairs([(row[:k], row[k:]) for row in rows])
     return [source + target for source, target in pairs]
 
 

@@ -39,7 +39,7 @@ from repro import obs
 from repro.datalog.ast import Atom, Literal
 from repro.datalog.classify import closure_base
 from repro.datalog.columnar import _compile_pipeline, encode_database, fixpoint
-from repro.datalog.engine import EvaluationStats, _evaluation_groups
+from repro.datalog.engine import EvaluationStats
 from repro.datalog.safety import schedule_body
 from repro.datalog.stratify import stratify
 from repro.errors import ArityError
@@ -291,7 +291,7 @@ class MaintenancePlan:
                 group,
                 [r for r in program if not r.is_fact and r.head.predicate in group],
             )
-            for group in _evaluation_groups(program, stratify(program), self.idb)
+            for group in stratify(program).groups
         ]
 
     def evaluate(self, edb):

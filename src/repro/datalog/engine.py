@@ -23,7 +23,7 @@ from typing import NamedTuple
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
 from repro.datalog.safety import check_program_safety, schedule_body
-from repro.datalog.stratify import DependenceGraph, stratify
+from repro.datalog.stratify import stratify
 from repro.datalog.terms import Constant, Variable
 from repro.errors import EvaluationError
 
@@ -145,12 +145,14 @@ class Engine:
         only those relations and never copies *edb*."""
         return self._run(program, edb, predicates).decoded()
 
-    def encoded_answer(self, program, edb, predicates):
+    def encoded_answer(self, program, edb, predicates, strata=None):
         """The :class:`Answer` of *predicates*: the columnar core's int rows
-        over its catalog, never decoded; the naive walker's rows of values."""
-        return self._run(program, edb, predicates)
+        over its catalog, never decoded; the naive walker's rows of values.
+        *strata*, what :func:`stratify` gave for *program* (a prepared
+        plan keeps it), spares the columnar core stratifying again."""
+        return self._run(program, edb, predicates, strata)
 
-    def _run(self, program, edb, predicates):
+    def _run(self, program, edb, predicates, strata=None):
         if self.check_safety:
             check_program_safety(program)
         self.stats = EvaluationStats()
@@ -162,7 +164,7 @@ class Engine:
                 # this module, so a top-level import would be circular.
                 from repro.datalog.columnar import evaluate_columnar
 
-                result = evaluate_columnar(program, edb, self.stats, tracer, predicates)
+                result = evaluate_columnar(program, edb, self.stats, tracer, predicates, strata)
             else:
                 result = self._evaluate_naive(program, edb)
                 if predicates is not None:
@@ -204,7 +206,7 @@ class Engine:
         idb = program.idb_predicates
         self.stats.strata = len({strata[p] for p in idb}) if idb else 0
 
-        for group in _evaluation_groups(program, strata, idb):
+        for group in strata.groups:
             rules = [r for r in derived_rules if r.head.predicate in group]
             if rules:
                 self._fixpoint_naive(rules, database)
@@ -352,24 +354,6 @@ def _declare_relations(program, declare):
         for element in rule.body:
             if isinstance(element, Literal):
                 declare(element.predicate, element.atom.arity)
-
-
-def _evaluation_groups(program, strata, idb):
-    """IDB predicate groups in evaluation order: by stratum, then by SCC
-    condensation topological order inside each stratum."""
-    graph = DependenceGraph.of_program(program)
-    # Tarjan emits dependents first; reversing yields dependencies-first
-    # (topological) order, which is the evaluation order within a stratum.
-    components = reversed(graph.strongly_connected_components())
-    groups = []
-    for component in components:
-        members = frozenset(p for p in component if p in idb)
-        if members:
-            groups.append(members)
-    # Stable sort by stratum preserves the dependencies-first order
-    # among groups of the same stratum.
-    groups.sort(key=lambda g: max(strata[p] for p in g))
-    return groups
 
 
 def _match_against(relation, atom, binding):

@@ -1,6 +1,9 @@
-"""A small hand-written tokenizer shared by the Datalog and GraphLog parsers."""
+"""The tokenizer shared by the Datalog, GraphLog, p.r.e. and RPQ parsers:
+one compiled pattern, one match per token."""
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import ParseError
 
@@ -57,136 +60,120 @@ class Token:
         return f"Token({self.kind}, {self.text!r})"
 
 
-def tokenize(source, keep_underscore_var=True):
+_WORD_TAIL = r"\w*(?:-[^\W_]\w*)*"  # a hyphen only before an alphanumeric
+#: One alternative per token kind, tried in order after the blanks before a
+#: token.  Punctuation comes first, less the characters that start
+#: something else: ``%`` a comment, ``_`` a variable, ``/`` a ``/*``
+#: comment.  ``word`` takes the identifiers that start with a non-ASCII
+#: character, ``quote`` / ``open`` an unterminated string / comment, and
+#: ``bad`` any other character.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATION if p not in "%_/") + r")"
+    r"|(?P<var>[A-Z_]" + _WORD_TAIL + r")"
+    r"|(?P<ident>[a-z]" + _WORD_TAIL + r")"
+    r"|(?P<nl>\n)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<string>'[^'\\]*(?:\\.[^'\\]*)*'|\"[^\"\\]*(?:\\.[^\"\\]*)*\")"
+    r"|(?P<comment>[%#][^\n]*)"
+    r"|(?P<block>/\*.*?\*/)|(?P<open>/\*)|(?P<slash>/)"
+    r"|(?P<word>[^\W\d]" + _WORD_TAIL + r")"
+    r"|(?P<quote>['\"])|(?P<bad>.)|(?P<end>\Z))",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def tokenize(source):
     """Tokenize *source* into a list of :class:`Token` ending with EOF.
 
     - identifiers starting lowercase -> ``ident``
     - identifiers starting uppercase or underscore -> ``var``
-    - numbers (int/float, no sign) -> ``number``
+    - numbers (runs of decimal digits, optionally ``.`` and more) -> ``number``
     - single- or double-quoted strings -> ``string``
-    - ``%`` and ``#`` start line comments
+    - ``%`` and ``#`` start line comments, ``/* ... */`` spans lines
+
+    A token's column counts the characters since the last newline outside
+    a string (a newline inside a string does not start a line), and the
+    column at the end of a ``%`` comment is the comment's own.
     """
     tokens = []
+    append = tokens.append
     line = 1
-    column = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line_start = 0  # offset of the current line's first character
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        column = start - line_start + 1
+        if kind == "punct" or kind == "var" or kind == "ident":
+            text = match[kind]
+            append(Token(kind, text, text, line, column))
+        elif kind == "slash":
+            append(Token("punct", "/", "/", line, column))
+        elif kind == "nl":
             line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch in "%#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line, column)
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append(source[j + 1])
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, column)
-            text = source[i : j + 1]
-            tokens.append(Token("string", text, "".join(buf), line, column))
-            column += len(text)
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            value = float(text) if is_float else int(text)
-            tokens.append(Token("number", text, value, line, column))
-            column += len(text)
-            i = j
-            continue
-        if ch.isalpha() or (ch == "_" and keep_underscore_var):
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_-"):
-                # Hyphenated identifiers (e.g. "not-desc-of") follow the paper;
-                # a hyphen counts only when surrounded by alphanumerics.
-                if source[j] == "-":
-                    if not (j + 1 < n and source[j + 1].isalnum()):
-                        break
-                j += 1
-            text = source[i:j]
-            if text == "_" or text[0].isupper() or text[0] == "_":
-                kind = "var"
-            else:
-                kind = "ident"
-            tokens.append(Token(kind, text, text, line, column))
-            column += len(text)
-            i = j
-            continue
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, punct, line, column))
-                column += len(punct)
-                i += len(punct)
+            line_start = start + 1
+        elif kind == "number":
+            text = match[kind]
+            append(Token(kind, text, float(text) if "." in text else int(text), line, column))
+        elif kind == "string":
+            text = match[kind]
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            append(Token(kind, text, value, line, column))
+        elif kind == "comment":
+            if match.end() == len(source):
                 break
+        elif kind == "block":
+            text = match[kind]
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "word":
+            text = match[kind]
+            if not text[0].isalpha():
+                raise ParseError(f"unexpected character {text[0]!r}", line, column)
+            append(Token("var" if text[0].isupper() else "ident", text, text, line, column))
+        elif kind == "end":
+            break
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("eof", "", None, line, column))
+            message = {"quote": "unterminated string", "open": "unterminated comment"}
+            raise ParseError(
+                message.get(kind) or f"unexpected character {match[kind]!r}", line, column
+            )
+    append(Token("eof", "", None, line, column))
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a token list with the usual peek/expect helpers.  The
+    cursor never passes the closing EOF token, so the current token is
+    always ``_tokens[_pos]``."""
 
     def __init__(self, tokens):
         self._tokens = tokens
         self._pos = 0
 
     def peek(self, ahead=0):
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        tokens, index = self._tokens, self._pos + ahead
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def next(self):
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != "eof":
             self._pos += 1
         return token
 
     def at(self, kind, text=None):
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != kind:
             return False
         return text is None or token.text == text
 
     def at_punct(self, *texts):
-        token = self.peek()
+        token = self._tokens[self._pos]
         return token.kind == "punct" and token.text in texts
 
     def accept(self, kind, text=None):
@@ -195,7 +182,7 @@ class TokenStream:
         return None
 
     def expect(self, kind, text=None):
-        token = self.peek()
+        token = self._tokens[self._pos]
         if not self.at(kind, text):
             wanted = text if text is not None else kind
             raise ParseError(

@@ -63,14 +63,15 @@ def _tarjan(adjacency, roots, order):
                     work.append((successor, iter(order(adjacency.get(successor, ())))))
                     advanced = True
                     break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[successor])
+                if successor in on_stack and index_of[successor] < lowlink[node]:
+                    lowlink[node] = index_of[successor]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] < lowlink[parent]:
+                    lowlink[parent] = lowlink[node]
             if lowlink[node] == index_of[node]:
                 component = set()
                 while True:

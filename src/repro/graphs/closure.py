@@ -23,6 +23,7 @@ may be any hashable values.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, product
 
 from repro.graphs.algorithms import _condensed, _tarjan
 
@@ -102,6 +103,13 @@ def transitive_closure_squaring(pairs):
 
 
 def transitive_closure_scc(pairs):
+    return set(closure_pairs(pairs))
+
+
+def closure_pairs(pairs):
+    """The pairs of :func:`transitive_closure_scc`, each exactly once, as an
+    iterator: each component's sources times its reach set, so a caller
+    that builds its own set of them hashes each pair once."""
     successors = _successor_map(pairs)
     # The answer is a set, so Tarjan walks the map in its own order: the
     # str-sorted walk of :func:`condensation` only fixes which reverse
@@ -118,12 +126,7 @@ def transitive_closure_scc(pairs):
         if len(component) > 1 or any(node in successors.get(node, ()) for node in component):
             targets |= component
         reach.append(targets)
-    return {
-        (source, target)
-        for component, targets in zip(components, reach)
-        for source in component
-        for target in targets
-    }
+    return chain.from_iterable(map(product, components, reach))
 
 
 _METHODS = {
