@@ -96,12 +96,15 @@ checks every answer against the naive walker, its specification:
   never-seen misses of each of ``cold_eval``'s Datalog and GraphLog shapes
   through ``ServiceServer._handle_request`` must each answer what the naive
   engine answers, build one program dependence graph with one SCC pass
-  over it (the fixpoint evaluates the strata the plan holds), fingerprint
-  the text once (the event loop's resident peek, the worker's lookup and
-  the new plan share one memoized digest), and make one set in each merge
-  into an empty relation — so a change that re-stratifies at evaluation,
-  fingerprints a text again, or copies a first merge's rows into a second
-  set fails here.
+  over it, call none of ``stratify``, ``closure_base`` and
+  ``schedule_body`` inside ``PreparedQuery.evaluate`` (the fixpoint runs
+  the ``ProgramPlan`` built at prepare), fingerprint the text once (the
+  event loop's resident peek, the worker's lookup and the new plan share
+  one memoized digest), and make one set in each merge into an empty
+  relation; building a maintained ``MaterializedView`` of a prepared
+  query and evaluating it runs one SCC pass — so a change that re-plans
+  at evaluation, fingerprints a text again, or copies a first merge's
+  rows into a second set fails here.
 
 Any divergence from the naive oracle fails the job.  Timings are printed
 for trend-watching and, but for the summary-miss ratio, *not* gated here.
@@ -132,7 +135,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.core.dsl import parse_graphical_query  # noqa: E402
 from repro.core import engine as graphlog  # noqa: E402
 from repro.core.engine import GraphLogEngine  # noqa: E402
-from repro.datalog import columnar  # noqa: E402
+from repro.datalog import classify, columnar, safety  # noqa: E402
 from repro.datalog.database import Database, Relation  # noqa: E402
 from repro.datalog.dred import MaintainedState  # noqa: E402
 from repro.datalog.engine import Answer, Engine  # noqa: E402
@@ -141,7 +144,9 @@ from repro.datasets.flights import random_flights  # noqa: E402
 from repro.graphs import bridge  # noqa: E402
 from repro.graphs.bridge import database_from_graph, graph_from_database  # noqa: E402
 from repro.graphs.multigraph import LabeledMultigraph  # noqa: E402
+from repro.ham.image import StoreImages  # noqa: E402
 from repro.ham.store import HAMStore  # noqa: E402
+from repro.ham.views import MaterializedView  # noqa: E402
 from repro.persist import DurabilityManager, PersistenceConfig, wal  # noqa: E402
 from repro.service import protocol  # noqa: E402
 from repro.service.cache import ResultCache, result_key  # noqa: E402
@@ -263,12 +268,12 @@ GRAPH_DECODED = ((bridge, "database_from_graph"), (graphlog, "database_from_grap
 
 
 @contextmanager
-def calls_in_execute(*points):
+def calls_inside(host, method, *points):
     """A :class:`Counter` that, while inside, counts the calls to each
-    ``(owner, name)`` of *points* made inside ``QueryService.execute``."""
+    ``(owner, name)`` of *points* made inside ``host.method``."""
     counts = Counter()
     depth = [0]
-    execute = QueryService.execute
+    execute = getattr(host, method)
     originals = [(owner, name, getattr(owner, name)) for owner, name in points]
 
     def executing(*args, **kwargs):
@@ -278,7 +283,7 @@ def calls_in_execute(*points):
         finally:
             depth[0] -= 1
 
-    QueryService.execute = executing
+    setattr(host, method, executing)
     for owner, name, original in originals:
 
         def counted(*args, _point=(owner, name), _original=original, **kwargs):
@@ -289,7 +294,7 @@ def calls_in_execute(*points):
     try:
         yield counts
     finally:
-        QueryService.execute = execute
+        setattr(host, method, execute)
         for owner, name, original in originals:
             setattr(owner, name, original)
 
@@ -308,7 +313,7 @@ def check_image_folds():
     store.load_graph(graph_from_database(database))
     service = QueryService(store=store, config=ServiceConfig())
     source = sorted(city for _flight, city in database.facts("from"))[0]
-    with calls_in_execute(RELATION_BUILT, *GRAPH_DECODED) as calls:
+    with calls_inside(QueryService, "execute", RELATION_BUILT, *GRAPH_DECODED) as calls:
         execute(service, {"op": "graphlog", "query": CLOSURE_QUERY})  # the one build
         calls[RELATION_BUILT] = 0
         for i in range(rounds):
@@ -639,14 +644,31 @@ def cold_miss_counts():
                 setattr(owner, name, value)
 
 
+def planner_bindings():
+    """Every ``(module, name)`` binding of ``stratify``, ``closure_base`` or
+    ``schedule_body`` in a loaded ``repro`` module: the defining one and
+    each that imported it by name."""
+    planners = (stratify_module.stratify, classify.closure_base, safety.schedule_body)
+    return [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro.")
+        for name, value in list(vars(module).items())
+        if any(value is planner for planner in planners)
+    ]
+
+
 def check_cold_miss_passes(rounds=30):
     """30 never-seen misses of each of ``cold_eval``'s Datalog and GraphLog
     shapes through a node's request handler: each answers what the naive
     engine answers, builds one program dependence graph and runs one SCC
-    pass over it (at prepare: the fixpoint evaluates the plan's strata),
-    fingerprints its text once (the event loop's peek, the worker's lookup
-    and the new plan share one memoized digest), and makes one set per
-    merge into an empty relation."""
+    pass over it, all at prepare (``PreparedQuery.evaluate`` calls no
+    ``stratify``, ``closure_base`` or ``schedule_body``: the fixpoint runs
+    the plan's ``ProgramPlan``), fingerprints its text once (the event
+    loop's peek, the worker's lookup and the new plan share one memoized
+    digest), and makes one set per merge into an empty relation.  Then a
+    maintained view of a prepared closure query, built and evaluated, runs
+    one SCC pass: its maintenance and its fixpoint share one plan."""
     database = random_flights(7, n_cities=20, n_flights=120)
     store = HAMStore()
     store.load_graph(graph_from_database(database))
@@ -662,8 +684,9 @@ def check_cold_miss_passes(rounds=30):
         closure = CLOSURE_QUERY.replace("connected", f"conn{tag}")
         requests.append(("datalog", program, f"indirect{tag}", "indirect"))
         requests.append(("graphlog", closure, f"conn{tag}", "connected"))
+    planning = calls_inside(prepared_module.PreparedQuery, "evaluate", *planner_bindings())
     try:
-        with cold_miss_counts() as counts:
+        with cold_miss_counts() as counts, planning as planned:
             for op, query, head, oracle in requests:
                 line = protocol.encode({"id": 1, "op": op, "query": query, "predicate": head})
                 response, encoded = loop.run_until_complete(server._handle_request(line))
@@ -672,6 +695,12 @@ def check_cold_miss_passes(rounds=30):
                 rows = {tuple(row) for row in json.loads(encoded)["relations"][head]}
                 if rows != naive.facts(oracle):
                     fail(f"cold miss passes: {head} diverges from the naive oracle")
+        prepared = prepared_module.PreparedQuery(
+            "graphlog", CLOSURE_QUERY.replace("connected", "connview")
+        )
+        with cold_miss_counts() as view_counts:
+            view = MaterializedView(prepared, StoreImages(store))
+            view.refresh()
     finally:
         loop.run_until_complete(loop.shutdown_default_executor())
         loop.close()
@@ -685,9 +714,19 @@ def check_cold_miss_passes(rounds=30):
         )
     if set(per_merge) != {1}:
         fail(f"sets built per first merge: {dict(per_merge)!r}")
+    replanned = {f"{module.__name__}.{name}": n for (module, name), n in planned.items() if n}
+    if replanned:
+        fail(f"{misses} misses planned again while evaluating: {replanned!r}")
+    if view.mode != "maintained" or view_counts["sccs"] != 1:
+        fail(
+            f"a {view.mode} view of a prepared closure query ran {view_counts['sccs']} "
+            "SCC passes to build and evaluate"
+        )
     print(
         f"cold miss passes: {misses} misses, 1 dependence graph, 1 SCC pass and "
-        f"1 fingerprint each; {len(counts['first_merges'])} first merges of one set each"
+        f"1 fingerprint each, 0 planning calls while evaluating; "
+        f"{len(counts['first_merges'])} first merges of one set each; "
+        f"a maintained view: 1 SCC pass"
     )
 
 

@@ -32,12 +32,7 @@ from repro.datalog.magic import magic_answers, magic_query, magic_rewrite
 from repro.datalog.parser import parse_atom, parse_program, parse_rule
 from repro.datalog.provenance import Derivation, explain, why
 from repro.datalog.safety import check_program_safety, check_rule_safety, is_safe
-from repro.datalog.stratify import (
-    DependenceGraph,
-    is_stratified,
-    stratify,
-    stratum_order,
-)
+from repro.datalog.stratify import DependenceGraph, is_stratified, stratify
 from repro.datalog.terms import (
     Constant,
     FreshVariables,
@@ -95,6 +90,5 @@ __all__ = [
     "recursive_predicates",
     "rule",
     "stratify",
-    "stratum_order",
     "why",
 ]

@@ -44,9 +44,6 @@ from operator import itemgetter
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
-from repro.datalog.classify import closure_base
-from repro.datalog.safety import schedule_body
-from repro.datalog.stratify import stratify
 from repro.datalog.terms import Variable
 from repro.errors import ArityError, EvaluationError
 from repro.graphs.closure import closure_pairs
@@ -1173,8 +1170,8 @@ class _EvalState:
         return relation
 
 
-def evaluate_columnar(program, edb, stats, tracer=None, predicates=None, strata=None):
-    """Evaluate *program* over *edb* with the columnar backend.
+def evaluate_columnar(plan, edb, stats, tracer=None, predicates=None):
+    """Evaluate *plan*'s program over *edb* with the columnar backend.
 
     Returns a fresh :class:`~repro.datalog.database.Database` holding the
     EDB facts plus every derived fact — the same contract (and the same
@@ -1183,70 +1180,52 @@ def evaluate_columnar(program, edb, stats, tracer=None, predicates=None, strata=
     :class:`~repro.datalog.engine.Answer`: the int rows the fixpoint left,
     over its catalog's values — no copy of *edb*, nothing decoded.
     *stats* is the calling engine's :class:`EvaluationStats`, updated in
-    place; *strata*, if given, is ``stratify(program)``.
+    place.
     """
-    state = fixpoint(program, encode_database(edb), stats, tracer, strata)
+    state = fixpoint(plan, encode_database(edb), stats, tracer)
     if predicates is None:
-        return _decode_result(state, program, edb, program.idb_predicates)
+        return _decode_result(state, plan.program, edb, plan.program.idb_predicates)
     return Answer({p: state.relation(p).rows for p in predicates}, state.catalog.values)
 
 
-def fixpoint(program, encoded, stats, tracer=None, strata=None):
-    """The stratified fixpoint of *program* over the sealed *encoded* EDB,
-    left encoded: an :class:`_EvalState` whose ``relation(p)`` holds the
-    int rows of every predicate the program mentions (incremental
-    maintenance keeps them as its state instead of decoding).  *strata* is
-    ``stratify(program)``, computed here when not given."""
+def fixpoint(plan, encoded, stats, tracer=None):
+    """The stratified fixpoint of *plan* (a :class:`~repro.datalog.plan.ProgramPlan`)
+    over the sealed *encoded* EDB, left encoded: an :class:`_EvalState` whose
+    ``relation(p)`` holds the int rows of every predicate the program
+    mentions (incremental maintenance keeps them as its state)."""
     tracer = tracer or obs.tracer()
-    idb = program.idb_predicates
-    state = _EvalState(encoded, idb)
-
-    derived_rules = []
+    state = _EvalState(encoded, plan.program.idb_predicates)
     fact_rows = defaultdict(list)
-    for rule in program:
-        if rule.is_fact:
-            fact_rows[rule.head.predicate].append(
-                state.catalog.intern_row(tuple(t.value for t in rule.head.args))
-            )
-        else:
-            derived_rules.append(rule)
-
-    _declare_relations(program, state.declare)
+    for predicate, row in plan.facts:
+        fact_rows[predicate].append(state.catalog.intern_row(row))
+    _declare_relations(plan.program, state.declare)
     for predicate, rows in fact_rows.items():
         state.relation(predicate).merge_run(rows)
 
-    if strata is None:
-        strata = stratify(program)
-    stats.strata = len({strata[p] for p in idb}) if idb else 0
-
-    for group in strata.groups:
-        rules = [r for r in derived_rules if r.head.predicate in group]
-        if not rules:
+    stats.strata = plan.stratum_count
+    for group in plan.groups:
+        if not group.rules:
             continue
         with tracer.span(
             "engine.stratum",
-            stratum=max(strata[p] for p in group),
-            predicates=sorted(group),
-            rules=len(rules),
+            stratum=group.stratum,
+            predicates=sorted(group.predicates),
+            rules=len(group.rules),
         ) as span:
-            _fixpoint_group(state, rules, group, stats, span)
+            _fixpoint_group(state, group, stats, span)
             if span:
-                span.annotate(
-                    facts={p: len(state.relation(p)) for p in sorted(group)}
-                )
+                span.annotate(facts={p: len(state.relation(p)) for p in sorted(group.predicates)})
     return state
 
 
-def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
+def _fixpoint_group(state, group, stats, span=obs.NULL_SPAN):
     resolve = state.relation
     catalog = state.catalog
 
-    if len(group) == 1:
-        (predicate,) = group
-        base = closure_base(rules, predicate)
-        relation = resolve(predicate)
-        if base is not None and not relation.rows:  # a closure stratum
-            base = resolve(base)
+    if group.closure is not None:
+        relation = resolve(group.predicates[0])
+        if not relation.rows:  # a closure stratum
+            base = resolve(group.closure[0])
             fresh = relation.merge_run(_closure_rows(base.rows, relation.arity))
             stats.iterations += 1
             stats.rows_produced += len(fresh)
@@ -1255,27 +1234,17 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
                 span.annotate(kernel="closure", base_rows=len(base), closure_rows=len(fresh))
             return
 
-    recursive = []  # (rule, pipelines: {delta_index: pipeline}, positions)
+    recursive = []  # (rule, schedule, positions, pipelines: {delta_index: pipeline})
     init_only = []
-    for rule in rules:
-        schedule = schedule_body(rule)
-        positions = [
-            i
-            for i, element in enumerate(schedule)
-            if isinstance(element, Literal)
-            and element.positive
-            and element.predicate in group
-        ]
+    for rule, (schedule, positions, orders) in zip(group.rules, group.schedules):
         if positions:
             pipelines = {}
-            for order, index in enumerate(positions):
+            for order, (index, ordered) in enumerate(zip(positions, orders)):
                 # Old/new split: recursive occurrences after this one (in
-                # schedule order) read the pre-iteration state.
+                # schedule order) read the pre-iteration state.  The delta
+                # comes first in *ordered*, so an iteration enumerates the
+                # delta and its matches instead of re-scanning a base relation.
                 old_ids = {id(schedule[j]) for j in positions[order + 1:]}
-                # Delta first, so an iteration enumerates the delta and its
-                # matches instead of re-scanning a base relation.
-                others = [e for j, e in enumerate(schedule) if j != index]
-                ordered = schedule_body(others, first=schedule[index])
                 pipelines[index] = _compile_pipeline(
                     rule, ordered, resolve, catalog, old_ids, delta_first=True
                 )
@@ -1303,7 +1272,7 @@ def _fixpoint_group(state, rules, group, stats, span=obs.NULL_SPAN):
     # rules reads it records one round that fires nothing, so it reads the
     # rows in place.
     delta = {}
-    for predicate in group:
+    for predicate in group.predicates:
         rows = resolve(predicate).rows
         if rows:
             delta[predicate] = list(rows) if recursive else rows

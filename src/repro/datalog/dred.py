@@ -36,16 +36,10 @@ from collections import deque
 from operator import itemgetter
 
 from repro import obs
-from repro.datalog.ast import Atom, Literal
-from repro.datalog.classify import closure_base
 from repro.datalog.columnar import _compile_pipeline, encode_database, fixpoint
 from repro.datalog.engine import EvaluationStats
-from repro.datalog.safety import schedule_body
-from repro.datalog.stratify import stratify
+from repro.datalog.plan import ProgramPlan
 from repro.errors import ArityError
-
-#: The pseudo-literal that seeds a rederivation join with candidate heads.
-_HEAD = "\x00head"
 
 
 class MaintenanceStats:
@@ -209,97 +203,34 @@ class _OldIndex:
         return bool(self.get(key))
 
 
-def _delta_orders(schedule):
-    """``{index: ordered}`` — for every literal of *schedule*, the join order
-    that enumerates a delta at that literal first (``ordered[0]``).
-
-    A delta under a negated literal is enumerated through its positive twin
-    — the rows that *became* true — and the original literal, appended last,
-    re-checks the negation against the state the join reads.
-    """
-    orders = {}
-    for index, element in enumerate(schedule):
-        if not isinstance(element, Literal):
-            continue
-        others = [e for j, e in enumerate(schedule) if j != index]
-        if element.positive:
-            orders[index] = schedule_body(others, first=element)
-        else:
-            twin = Literal(element.atom, positive=True)
-            orders[index] = schedule_body(others, first=twin) + [element]
-    return orders
-
-
-class _Group:
-    """One evaluation group's maintenance joins as body orders — the
-    per-program half that each :class:`MaintainedState` compiles against
-    its own relations."""
-
-    __slots__ = ("predicates", "body_preds", "joins", "rederive", "closure")
-
-    def __init__(self, group, rules):
-        self.predicates = group
-        schedules = [schedule_body(rule) for rule in rules]
-        self.body_preds = {
-            e.predicate for s in schedules for e in s if isinstance(e, Literal)
-        }
-        #: ``(base, k)`` when the group is one predicate defined as exactly
-        #: the transitive closure of *base*, whose rows are edges
-        #: ``row[:k] -> row[k:]``; None otherwise.
-        self.closure = None
-        if len(group) == 1:
-            base = closure_base(rules, next(iter(group)))
-            if base is not None:
-                self.closure = (base, rules[0].head.arity // 2)
-        #: (rule, delta predicate, delta positive?, ordered)
-        self.joins = []
-        #: (rule, ordered) seeded with candidate head rows.
-        self.rederive = []
-        for rule, schedule in zip(rules, schedules):
-            head = Literal(Atom(_HEAD, rule.head.args))
-            self.rederive.append((rule, schedule_body(rule.body, first=head)))
-            for index, ordered in _delta_orders(schedule).items():
-                element = schedule[index]
-                self.joins.append((rule, element.predicate, element.positive, ordered))
-
-
 class MaintenancePlan:
     """The reusable, per-program half of incremental maintenance.
 
-    Stratification, evaluation grouping and every maintenance join's body
-    order are computed once here; :meth:`evaluate` compiles them against a
-    state and :meth:`maintain` then costs only the joins the delta actually
-    touches.  *report* names the predicates whose net change
-    :meth:`maintain` decodes into its stats (default: every predicate of
-    the program).  Raises whatever :func:`stratify` raises for
-    non-stratifiable programs — callers fall back to full recomputation in
-    that case.
+    The program's :class:`~repro.datalog.plan.ProgramPlan` (its groups,
+    their closure bases and every maintenance join's order) is built once
+    here; :meth:`evaluate` runs the fixpoint by it and compiles the groups'
+    joins against a state, and :meth:`maintain` then costs only the joins
+    the delta touches.  *report* names the predicates whose net change
+    :meth:`maintain` decodes into its stats (default: all of the program's).
+    Raises what the plan raises for non-stratifiable programs — callers
+    fall back to full recomputation in that case.
     """
 
     def __init__(self, program, report=None):
         self.program = program
+        self.plan = ProgramPlan(program)
+        self.groups = self.plan.groups
         self.report = frozenset(program.predicates if report is None else report)
         self.idb = program.idb_predicates
         #: Program facts are axioms: maintenance never deletes them.
-        self.axioms = [
-            (rule.head.predicate, tuple(t.value for t in rule.head.args))
-            for rule in program
-            if rule.is_fact
-        ]
-        self.groups = [
-            _Group(
-                group,
-                [r for r in program if not r.is_fact and r.head.predicate in group],
-            )
-            for group in stratify(program).groups
-        ]
+        self.axioms = self.plan.facts
 
     def evaluate(self, edb):
         """Full evaluation by the columnar core, kept encoded: a
         :class:`MaintainedState` over the catalog of *edb*'s encoding (for
         a store view, *edb* is the image's and is that encoding)."""
         encoded = encode_database(edb)
-        evaluated = fixpoint(self.program, encoded, EvaluationStats())
+        evaluated = fixpoint(self.plan, encoded, EvaluationStats())
         relations = {}
         for predicate in self.program.predicates:
             relation = evaluated.relation(predicate)
@@ -337,7 +268,7 @@ class MaintenancePlan:
             for group, compiled in zip(self.groups, state.compiled):
                 own_plus = {p: plus[p] for p in group.predicates if p in plus}
                 own_minus = {p: minus[p] for p in group.predicates if p in minus}
-                touched = (state.old[p] for p in group.body_preds)
+                touched = (state.old[p] for p in group.body_predicates)
                 if not (own_plus or own_minus) and not any(
                     old.added or old.removed.keys for old in touched
                 ):
@@ -387,8 +318,8 @@ def _dred(state, group, compiled, own_plus, own_minus, stats, span):
     # ones (the appended literal re-checks against the new state).
     _rounds(
         insert,
-        state.changes(group.body_preds, removed=False),
-        state.changes(group.body_preds, removed=True),
+        state.changes(group.body_predicates, removed=False),
+        state.changes(group.body_predicates, removed=True),
         state.insert,
         span,
         "insert_rounds",
@@ -432,8 +363,8 @@ def _overdelete_rederive(state, group, overdelete, rederive, stats, span):
     # state.
     stats.overdeleted += _rounds(
         overdelete,
-        state.changes(group.body_preds, removed=True),
-        state.changes(group.body_preds, removed=False),
+        state.changes(group.body_predicates, removed=True),
+        state.changes(group.body_predicates, removed=False),
         state.remove,
         span,
         "overdelete_rounds",

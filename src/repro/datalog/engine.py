@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from repro import obs
 from repro.datalog.ast import ArithmeticAssign, Comparison, Literal
+from repro.datalog.plan import ProgramPlan
 from repro.datalog.safety import check_program_safety, schedule_body
 from repro.datalog.stratify import stratify
 from repro.datalog.terms import Constant, Variable
@@ -145,14 +146,13 @@ class Engine:
         only those relations and never copies *edb*."""
         return self._run(program, edb, predicates).decoded()
 
-    def encoded_answer(self, program, edb, predicates, strata=None):
-        """The :class:`Answer` of *predicates*: the columnar core's int rows
-        over its catalog, never decoded; the naive walker's rows of values.
-        *strata*, what :func:`stratify` gave for *program* (a prepared
-        plan keeps it), spares the columnar core stratifying again."""
-        return self._run(program, edb, predicates, strata)
+    def encoded_answer(self, plan, edb, predicates):
+        """The :class:`Answer` of *predicates* by *plan*, a :class:`ProgramPlan`
+        (a prepared query keeps one): the columnar core's int rows over its
+        catalog, never decoded; the naive walker's rows of values."""
+        return self._run(plan.program, edb, predicates, plan)
 
-    def _run(self, program, edb, predicates, strata=None):
+    def _run(self, program, edb, predicates, plan=None):
         if self.check_safety:
             check_program_safety(program)
         self.stats = EvaluationStats()
@@ -164,7 +164,8 @@ class Engine:
                 # this module, so a top-level import would be circular.
                 from repro.datalog.columnar import evaluate_columnar
 
-                result = evaluate_columnar(program, edb, self.stats, tracer, predicates, strata)
+                plan = plan or ProgramPlan(program)  # built once the program is safe
+                result = evaluate_columnar(plan, edb, self.stats, tracer, predicates)
             else:
                 result = self._evaluate_naive(program, edb)
                 if predicates is not None:

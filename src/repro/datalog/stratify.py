@@ -63,14 +63,6 @@ class DependenceGraph:
     def negative_dependencies(self, predicate):
         return set(self._negative[predicate])
 
-    def successors(self, predicate):
-        """All predicates that depend on *predicate*."""
-        out = set()
-        for target in self.nodes:
-            if predicate in self.dependencies(target):
-                out.add(target)
-        return out
-
     def edges(self):
         """Iterate over ``(source, target, negative)`` triples."""
         for target, sources in self._positive.items():
@@ -102,12 +94,6 @@ class DependenceGraph:
             if not ignore_self_loops and node in self.dependencies(node):
                 return False
         return True
-
-    def scc_of(self, predicate):
-        for component in self.strongly_connected_components():
-            if predicate in component:
-                return component
-        return frozenset({predicate})
 
 
 class Strata(dict):
@@ -171,21 +157,6 @@ def stratify(program, negative_extra=None):
                 strata=len(set(strata.values())),
             )
         return strata
-
-
-def stratum_order(program, negative_extra=None):
-    """Group IDB predicates by stratum, lowest first.
-
-    Returns a list of sets of predicate names; only predicates that are
-    actually defined by rules (IDBs) are included.
-    """
-    strata = stratify(program, negative_extra=negative_extra)
-    idb = program.idb_predicates
-    by_level = defaultdict(set)
-    for predicate, level in strata.items():
-        if predicate in idb:
-            by_level[level].add(predicate)
-    return [by_level[level] for level in sorted(by_level)]
 
 
 def is_stratified(program, negative_extra=None):

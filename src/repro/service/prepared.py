@@ -6,8 +6,9 @@ request wastes the work that never changes between requests.  A
 :class:`PreparedQuery` performs that whole front half exactly once:
 
 - ``graphlog`` — parse the DSL, validate the graphical query, λ-translate
-  to stratified Datalog, safety-check and stratify the program;
-- ``datalog`` — parse the program, safety-check and stratify it;
+  to stratified Datalog, safety-check the program and plan it (a
+  :class:`~repro.datalog.plan.ProgramPlan`: strata, groups, join orders);
+- ``datalog`` — parse the program, safety-check and plan it;
 - ``rpq`` — parse the label regular expression and compile its DFA.
 
 The compiled plan is cached in a :class:`PreparedQueryCache` keyed by the
@@ -31,6 +32,7 @@ from repro.datalog.ast import Literal, Program
 from repro.datalog.columnar import decode_rows
 from repro.datalog.database import Database
 from repro.datalog.engine import Answer, Engine
+from repro.datalog.plan import ProgramPlan
 from repro.datalog.terms import Variable
 from repro.errors import ArityError, ProtocolError, RegexError
 from repro.rpq.evaluate import RPQEvaluator, image_reach
@@ -134,7 +136,7 @@ class PreparedQuery:
         "text",
         "fingerprint",
         "program",
-        "strata",
+        "plan",
         "regex",
         "head_predicate",
         "idb_predicates",
@@ -148,7 +150,7 @@ class PreparedQuery:
         self.text = text
         self.fingerprint = fingerprint(op, text)
         self.program = None
-        self.strata = None
+        self.plan = None
         self.regex = None
         self.head_predicate = None
         self.idb_predicates = ()
@@ -174,7 +176,6 @@ class PreparedQuery:
         from repro.core.dsl import parse_graphical_query
         from repro.core.translate import translate, translate_extended
         from repro.datalog.safety import check_program_safety
-        from repro.datalog.stratify import stratify
 
         with obs.span("parse"):
             graphical = parse_graphical_query(self.text)
@@ -187,19 +188,18 @@ class PreparedQuery:
             self.program = translate(graphical)
             with obs.span("safety"):
                 check_program_safety(self.program)
-            self.strata = stratify(self.program)
+            self.plan = ProgramPlan(self.program)
         self.footprint = frozenset(self.program.predicates)
 
     def _prepare_datalog(self):
         from repro.datalog.parser import parse_program
         from repro.datalog.safety import check_program_safety
-        from repro.datalog.stratify import stratify
 
         with obs.span("parse"):
             self.program = parse_program(self.text)
         with obs.span("safety"):
             check_program_safety(self.program)
-        self.strata = stratify(self.program)
+        self.plan = ProgramPlan(self.program)
         self.idb_predicates = tuple(sorted(self.program.idb_predicates))
         self.footprint = frozenset(self.program.predicates)
 
@@ -259,15 +259,12 @@ class PreparedQuery:
             result = AggregateEngine().evaluate(self.program, Database.from_facts(facts))
             return Answer({p: set(result.facts(p)) for p in predicates})
         return Engine(check_safety=False).encoded_answer(
-            self.program, image.edb(self.program), predicates, self.strata
+            self.plan, image.edb(self.program), predicates
         )
 
     def _evaluate_datalog(self, _graph, image, params):
         return Engine(check_safety=False).encoded_answer(
-            self.program,
-            image.edb(self.program, raw=True),
-            self.requested_predicates(params),
-            self.strata,
+            self.plan, image.edb(self.program, raw=True), self.requested_predicates(params)
         )
 
     def _evaluate_rpq(self, graph, image, params):

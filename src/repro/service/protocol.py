@@ -346,10 +346,11 @@ def _interned(columns):
     """*columns* of values as ``(columns, values)``: columns of ids, and the
     value each id stands for.  A value is its own id where equal values are
     alike; otherwise (``1 == True == 1.0``, ``"a" == Text("a")``, ``0.0 ==
-    -0.0``) its key is, so equal values of different types stay apart."""
-    distinct = set(chain.from_iterable(columns))
-    if any(map(set(map(type, distinct)).issubset, _SELF_KEYED)):
-        return columns, {value: value for value in distinct}
+    -0.0``) its key is, so equal values of different types stay apart.  The
+    types are read off every value: a set of the values keeps one of each
+    group of equal ones."""
+    if any(map(set(map(type, chain.from_iterable(columns))).issubset, _SELF_KEYED)):
+        return columns, {value: value for value in chain.from_iterable(columns)}
     keyed = [list(map(_key_or_absent, column)) for column in columns]
     return keyed, dict(zip(chain.from_iterable(keyed), chain.from_iterable(columns)))
 

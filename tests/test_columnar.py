@@ -11,6 +11,7 @@ from repro.datalog.columnar import (
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
+from repro.datalog.plan import ProgramPlan
 from repro.errors import ArityError, EvaluationError
 
 
@@ -183,7 +184,7 @@ class TestColumnarEngine:
             answer = Engine(method=method).answer(program, edb, ["tc", "e"])
             assert answer == {p: set(full.facts(p)) for p in ("tc", "e")}, method
         assert len(answer["tc"]) == 9
-        encoded = Engine().encoded_answer(program, edb, ["tc", "e"])
+        encoded = Engine().encoded_answer(ProgramPlan(program), edb, ["tc", "e"])
         assert encoded.values is not None and encoded.decoded() == answer
 
     def test_a_relation_read_at_another_arity_is_an_arity_error_on_every_path(self):
@@ -194,7 +195,7 @@ class TestColumnarEngine:
             for run in (
                 lambda: engine.evaluate(program, edb),
                 lambda: engine.answer(program, edb, ["p"]),
-                lambda: engine.encoded_answer(program, edb, ["p"]),
+                lambda: engine.encoded_answer(ProgramPlan(program), edb, ["p"]),
             ):
                 with pytest.raises(ArityError, match="'e' has arity 2, requested 1"):
                     run()

@@ -226,6 +226,11 @@ class TestRowsToWire:
         assert typed(protocol.rows_to_wire(frozenset(rows))) == expected
         assert typed(protocol.rows_to_wire(sorted(rows, key=repr))) == expected
 
+    def test_equal_values_of_other_types_stay_apart(self):
+        # A list puts the str first, so a set of the values would keep it.
+        for rows in ({(False, -0.0)}, {("a",), (Text("a"), "a")}, [("a",), (Text("a"), "a")]):
+            assert typed(protocol.rows_to_wire(rows)) == typed(keyed_rows_to_wire(rows))
+
     def test_an_int_column_is_not_ordered_as_ints(self):
         # Plain tuple order would not raise here — and would be wrong.
         rows = {(9, "a"), (10, "b"), (100, "c")}
@@ -262,7 +267,10 @@ class TestEncodeAnswer:
         assert json.loads(expected[0])["count"] == expected[1]
 
     def test_edge_shapes(self):
-        for relations in ({}, {"p": set()}, {"p": {()}}, {"p": [("a",), ("a",)]}):
+        for relations in (
+            {}, {"p": set()}, {"p": {()}}, {"p": [("a",), ("a",)]}, {"p": {(False, -0.0)}},
+            {"p": {("a",), (Text("a"), "a")}}, {"p": [("a",), (Text("a"), "a")]},
+        ):
             assert protocol.encode_answer(relations) == keyed_encode(relations)
         assert protocol.encode_answer({"p": {()}, "q": set()}) == (
             b'{"count":1,"relations":{"p":[[]],"q":[]}}', 1,

@@ -8,7 +8,6 @@ from repro.datalog.stratify import (
     is_stratified,
     recursive_components,
     stratify,
-    stratum_order,
 )
 from repro.errors import StratificationError
 
@@ -24,11 +23,6 @@ class TestDependenceGraph:
         assert g.dependencies("h") == {"p", "q"}
         assert g.negative_dependencies("h") == {"q"}
 
-    def test_successors(self):
-        p = program("h(X) :- p(X). g(X) :- h(X).")
-        g = DependenceGraph.of_program(p)
-        assert g.successors("h") == {"g"}
-
     def test_scc_of_mutual_recursion(self):
         p = program(
             """
@@ -37,8 +31,7 @@ class TestDependenceGraph:
             odd(Y) :- succ(X, Y), even(X).
             """
         )
-        g = DependenceGraph.of_program(p)
-        assert g.scc_of("even") == frozenset({"even", "odd"})
+        assert [frozenset(group) for group in stratify(p).groups] == [frozenset({"even", "odd"})]
 
     def test_acyclic_check(self):
         p = program("h(X) :- p(X). g(X) :- h(X).")
@@ -111,7 +104,7 @@ class TestStratify:
         assert is_stratified(program("p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y)."))
 
     def test_stratum_order_groups(self):
-        order = stratum_order(
+        strata = stratify(
             program(
                 """
                 a(X) :- e(X).
@@ -119,7 +112,7 @@ class TestStratify:
                 """
             )
         )
-        assert order == [{"a"}, {"b"}]
+        assert strata.groups == (("a",), ("b",))
 
 
 class TestRecursiveComponents:
