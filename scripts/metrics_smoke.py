@@ -43,6 +43,8 @@ REQUIRED = [
     "repro_result_cache_hits_total",
     "repro_in_flight_requests",
     "repro_store_version",
+    "repro_store_retained_records",
+    "repro_store_base_version",
     'repro_store_facts{predicate="link"}',
     'repro_store_churn_rows_total{predicate="link"}',
     'repro_gc_collections_total{generation="0"}',
