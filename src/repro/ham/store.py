@@ -7,9 +7,9 @@ system".  This module provides the equivalent in-process substrate:
 - a versioned graph: every committed transaction produces a new version;
 - transactions with begin/commit/abort and snapshot isolation (a session
   reads the version current when its transaction began);
-- history: a past version is reconstructed by log replay — from the
-  in-memory log's base for the last ``HISTORY_WINDOW`` or more versions,
-  from checkpoints and the WAL for older ones when the store is durable;
+- history: a past version is reconstructed by replaying the retained log
+  from its base — the last ``HISTORY_WINDOW`` or more versions, durable
+  store or not; an older one raises :class:`StoreError`;
 - query integration: evaluate GraphLog graphical queries and regular path
   queries directly against the committed graph.
 """
@@ -121,8 +121,8 @@ def derive_version(base, records=()):
     """The graph *records* make of *base*: a new graph, *base* untouched.
 
     Every place a version comes from its predecessor — a transaction's
-    workspace, a staged commit, a replicated apply, history replay and
-    truncation, recovery — derives it here.  The result shares *base*'s
+    workspace, a staged commit, a replicated apply, history replay and the
+    log's trim, recovery — derives it here.  The result shares *base*'s
     edges and every adjacency list the replayed operations do not write to
     (see :meth:`LabeledMultigraph.copy`), so deriving costs the C-level
     index copies plus the operations, not a rebuild of the graph.
@@ -291,7 +291,7 @@ class HAMStore:
         # Replicas reject client writes; replication applies through
         # apply_replicated(), which bypasses this guard.
         self._read_only = False
-        # History truncation point: self._log holds exactly the records of
+        # The retained window: self._log holds exactly the records of
         # versions _base_version + 1 .. _version, in order, so the record of
         # version v sits at offset v - _base_version - 1 (records_since and
         # graph_at slice by it); _base_graph is the graph at exactly
@@ -454,16 +454,11 @@ class HAMStore:
         source reads the WAL, a replica re-bootstraps.  Never rotates the
         epoch."""
         mark = min(self._version - HISTORY_WINDOW, self._dispatched)
-        if mark - self._base_version >= HISTORY_WINDOW:
-            self._trim_locked(mark)
-
-    def _trim_locked(self, version):
-        """Drop the records up to *version*, deriving the ``graph_at`` base
-        at it from the old one (caller holds ``self._lock``)."""
-        drop = version - self._base_version
-        self._base_graph = derive_version(self._base_graph, self._log[:drop])
-        del self._log[:drop]
-        self._base_version = version
+        drop = mark - self._base_version
+        if drop >= HISTORY_WINDOW:
+            self._base_graph = derive_version(self._base_graph, self._log[:drop])
+            del self._log[:drop]
+            self._base_version = mark
 
     def _install_locked(self, record, staged, changes):
         """Make one committed record current (caller holds ``self._lock``).
@@ -741,68 +736,31 @@ class HAMStore:
     def history(self):
         """The retained tail of committed records (oldest first).
 
-        Once the log has trimmed itself (see :meth:`_retain_locked`), after
-        :meth:`truncate_history` or recovery from a checkpoint this no longer
-        starts at version 1; the WAL holds the full history.
+        Once the log has trimmed itself (see :meth:`_retain_locked`) or
+        recovery started from a checkpoint, this no longer starts at version
+        1; the WAL holds the full history.
         """
         return list(self._log)
 
     def graph_at(self, version):
-        """Reconstruct the graph as of *version*.
-
-        Records are selected by their offset from the retained base (the
-        log is contiguous from ``_base_version + 1``, whatever truncation,
-        replication or recovery did to it), never by absolute list position.
-        Replay starts from the nearest retained base: the in-memory
-        truncation snapshot when *version* is at or after it, else the
-        nearest durable checkpoint (when persistence is attached).
+        """Reconstruct the graph as of a retained *version*: the base at
+        ``_base_version`` with the log's records up to *version* replayed on
+        it (the log is contiguous from ``_base_version + 1``, so they are
+        selected by their offset from it).  A version below the base raises
+        :class:`StoreError`, durable store or not.
         """
         if version < 0 or version > self.version:
             raise StoreError(f"no such version {version}; current is {self.version}")
         with self._lock:
             base_version = self._base_version
+            if version < base_version:
+                raise StoreError(
+                    f"version {version} predates the retained history "
+                    f"(base version {base_version})"
+                )
             base = self._base_graph
-            records = (
-                self._log[: version - base_version]
-                if version >= base_version
-                else None
-            )
-            durability = self._durability
-        if records is None:
-            if durability is not None:
-                return durability.graph_at(version)
-            raise StoreError(
-                f"version {version} predates the retained history "
-                f"(truncated at {base_version}; no durability attached)"
-            )
+            records = self._log[: version - base_version]
         return derive_version(base, records)
-
-    def truncate_history(self, keep_last=0):
-        """Drop all but the last *keep_last* in-memory transaction records.
-
-        Once a WAL holds the authoritative history the in-memory log only
-        needs to cover what live consumers (views, caches) might still
-        replay; this folds older records into the ``graph_at`` base
-        snapshot so the log stops growing without bound.  Returns the
-        number of records dropped.
-
-        On a store *without* durability, dropping records makes the old
-        history unservable (nothing can replay it back), so the epoch is
-        rotated and tailing replicas re-bootstrap rather than trusting
-        version numbers that now skip over a hole.  A durable store keeps
-        its epoch: the WAL segments still serve the full history, so the
-        history line is intact.
-        """
-        if keep_last < 0:
-            raise StoreError("keep_last must be >= 0")
-        with self._lock:
-            drop = len(self._log) - keep_last
-            if drop <= 0:
-                return 0
-            self._trim_locked(self._base_version + drop)
-            if self._durability is None:
-                self._epoch = new_epoch()
-            return drop
 
     def predicate_stats(self, top=None):
         """Per-predicate statistics: distinct committed facts and delta

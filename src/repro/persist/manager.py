@@ -395,8 +395,8 @@ class DurabilityManager:
 
         A segment is prunable when the *next* segment starts at or before
         ``oldest retained checkpoint version + 1`` — i.e. every record it
-        holds is ≤ that version — so any retained checkpoint can still be
-        the base for :meth:`graph_at` or a fallback recovery.
+        holds is ≤ that version — so recovery can still fall back to any
+        retained checkpoint when a newer one fails to load.
         """
         checkpoints = ckpt.list_checkpoints(self.data_dir)
         if not checkpoints:
@@ -416,47 +416,6 @@ class DurabilityManager:
         if removed:
             wal.fsync_directory(self.wal_dir)
         return removed
-
-    # ------------------------------------------------------------- history
-
-    def graph_at(self, version):
-        """Reconstruct the graph at *version* from checkpoints + the WAL.
-
-        Used by :meth:`HAMStore.graph_at` for versions older than the
-        in-memory log retains.  Starts from the newest checkpoint at or
-        before *version* and replays forward; read-only (a torn live tail
-        simply stops the scan).
-        """
-        base_version, graph = 0, LabeledMultigraph()
-        for cp_version, path in reversed(ckpt.list_checkpoints(self.data_dir)):
-            if cp_version > version:
-                continue
-            try:
-                base_version, _txn, graph = ckpt.load_checkpoint(path)
-                break
-            except Exception as exc:  # noqa: BLE001 — fall back to an older base
-                logger.warning("graph_at(%d): skipping checkpoint %s: %s", version, path, exc)
-        current = base_version
-        if current > version:  # pragma: no cover - guarded by the filter above
-            raise StoreError(f"no checkpoint at or before version {version}")
-        if current == version:
-            return graph
-        try:
-            for record_version, payload in wal.iter_records(self.wal_dir, current):
-                record = record_from_json(payload)
-                for op in record.operations:
-                    op.apply(graph)
-                current = record_version
-                if current == version:
-                    return graph
-        except StoreError as exc:
-            raise StoreError(
-                f"cannot reconstruct version {version}: {exc} (older segments "
-                "were pruned by checkpointing)"
-            ) from exc
-        raise StoreError(
-            f"cannot reconstruct version {version}: durable history ends at {current}"
-        )
 
     # -------------------------------------------------------------- export
 

@@ -337,8 +337,9 @@ class WalWriter:
         data = encode_record(payload)
         self._handle.write(data)
         # Push to the OS page cache unconditionally: the fsync policy decides
-        # when bytes hit the *disk*, but same-process readers (graph_at
-        # history reconstruction) must always see every append.
+        # when bytes hit the *disk*, but same-process readers (a replication
+        # source serving a tail from the segments) must always see every
+        # append.
         self._handle.flush()
         self._dirty = True
         self._segment_size += len(data)

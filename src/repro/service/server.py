@@ -176,15 +176,12 @@ class ServiceConfig:
     max_bytes: int = 8 * 1024 * 1024
     plan_cache_size: int = 256
     result_cache_size: int = 1024
-    trace_ring_size: int = 64
     #: When set, the HAM store is durable: commits are WAL-logged under
     #: this directory and the service recovers from it at startup.
     data_dir: str | None = None
     fsync: str = "interval"
     fsync_interval: float = 0.05
-    segment_bytes: int = 16 * 1024 * 1024
     checkpoint_every: int = 0
-    keep_checkpoints: int = 2
     #: When set, a telemetry HTTP endpoint (/metrics + /healthz) is
     #: served on this port from a side thread (0 = ephemeral).
     metrics_host: str = "127.0.0.1"
@@ -200,10 +197,9 @@ class ServiceConfig:
     #: the span sink when one is configured.  Requests arriving with a
     #: trace context honor the *sender's* decision instead.
     trace_sample: float = 0.0
-    #: JSONL file sampled traces are exported to (rotated at
-    #: ``span_max_bytes``); None keeps traces ring-only.
+    #: JSONL file sampled traces are exported to (rotated at 16 MiB);
+    #: None keeps traces ring-only.
     span_path: str | None = None
-    span_max_bytes: int = 16 * 1024 * 1024
     #: ``"host:port"`` of a primary to replicate from.  The service
     #: becomes a read-only replica: it bootstraps and tails the primary
     #: and rejects writes with a ``read_only`` error.
@@ -287,9 +283,7 @@ class QueryService:
                     self.config.data_dir,
                     fsync=self.config.fsync,
                     fsync_interval=self.config.fsync_interval,
-                    segment_bytes=self.config.segment_bytes,
                     checkpoint_every=self.config.checkpoint_every,
-                    keep_checkpoints=self.config.keep_checkpoints,
                 ),
                 metrics=self.metrics,
             )
@@ -309,14 +303,10 @@ class QueryService:
         self.node_id = obs.load_or_create_node_id(self.config.data_dir)
         logs.set_node_prefix(self.node_id)
         self.sampler = obs.RateSampler(self.config.trace_sample)
-        self.span_sink = (
-            obs.SpanSink(self.config.span_path, self.config.span_max_bytes)
-            if self.config.span_path
-            else None
-        )
+        self.span_sink = obs.SpanSink(self.config.span_path) if self.config.span_path else None
         self.plans = PreparedQueryCache(self.config.plan_cache_size)
         self.results = ResultCache(self.config.result_cache_size)
-        self.traces = obs.TraceRing(self.config.trace_ring_size)
+        self.traces = obs.TraceRing()
         self.slowlog = SlowQueryLog(
             threshold_ms=self.config.slow_ms,
             capacity=self.config.slowlog_capacity,

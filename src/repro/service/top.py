@@ -29,15 +29,18 @@ def _rate(hits, misses):
     return f"{hits / total:6.1%}" if total else "     -"
 
 
-class TopDashboard:
-    """Render loop over a :class:`~repro.service.client.ServiceClient`."""
+class _Dashboard:
+    """The poll loop of both panels: each tick fetches one stats document
+    (:meth:`_poll`), derives request rates from its counters' deltas since
+    the previous tick (:meth:`_qps`) and redraws (:meth:`render`)."""
+
+    #: The key :meth:`snapshot` holds the raw stats document under.
+    key = None
 
     def __init__(self, client, interval=2.0, out=None):
         self.client = client
         self.interval = interval
         self.out = out if out is not None else sys.stdout
-        self._last_requests = None
-        self._last_time = None
 
     # ------------------------------------------------------------- polling
 
@@ -57,10 +60,8 @@ class TopDashboard:
 
     def tick(self):
         """One poll + redraw; returns the rendered text."""
-        stats = self.client.stats()
-        now = time.monotonic()
-        qps = self._qps(stats, now)
-        text = self.render(stats, qps)
+        doc = self._poll()
+        text = self.render(doc, self._qps(doc, time.monotonic()))
         if self.out.isatty():
             self.out.write(_CLEAR)
         self.out.write(text)
@@ -69,11 +70,24 @@ class TopDashboard:
 
     def snapshot(self):
         """One poll as a machine-readable document (``repro top --json``):
-        the raw ``stats`` plus the QPS computed from counter deltas (None
-        on the first poll — there is no previous sample to diff against)."""
-        stats = self.client.stats()
-        qps = self._qps(stats, time.monotonic())
-        return {"stats": stats, "qps": qps}
+        the raw stats plus the QPS computed from counter deltas (None on
+        the first poll — there is no previous sample to diff against)."""
+        doc = self._poll()
+        return {self.key: doc, "qps": self._qps(doc, time.monotonic())}
+
+
+class TopDashboard(_Dashboard):
+    """Render loop over a :class:`~repro.service.client.ServiceClient`."""
+
+    key = "stats"
+
+    def __init__(self, client, interval=2.0, out=None):
+        super().__init__(client, interval, out)
+        self._last_requests = None
+        self._last_time = None
+
+    def _poll(self):
+        return self.client.stats()
 
     def _qps(self, stats, now):
         counters = stats.get("metrics", {}).get("counters", {})
@@ -244,7 +258,7 @@ class TopDashboard:
         return "\n".join(lines) + "\n"
 
 
-class ClusterDashboard:
+class ClusterDashboard(_Dashboard):
     """``repro top --cluster`` — one panel over the router's ``cluster_stats``.
 
     Polls a :class:`~repro.service.client.ServiceClient` pointed at a
@@ -256,46 +270,16 @@ class ClusterDashboard:
     can come and go between ticks.
     """
 
+    key = "cluster"
+
     def __init__(self, client, interval=2.0, out=None):
-        self.client = client
-        self.interval = interval
-        self.out = out if out is not None else sys.stdout
+        super().__init__(client, interval, out)
         self._last = {}  # address -> (requests_total, monotonic)
 
-    # ------------------------------------------------------------- polling
+    def _poll(self):
+        return self.client.cluster_stats()
 
-    def run(self, iterations=None):
-        remaining = iterations
-        try:
-            while remaining is None or remaining > 0:
-                self.tick()
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-                time.sleep(self.interval)
-        except KeyboardInterrupt:
-            pass
-
-    def tick(self):
-        """One poll + redraw; returns the rendered text."""
-        doc = self.client.cluster_stats()
-        qps = self._node_qps(doc, time.monotonic())
-        text = self.render(doc, qps)
-        if self.out.isatty():
-            self.out.write(_CLEAR)
-        self.out.write(text)
-        self.out.flush()
-        return text
-
-    def snapshot(self):
-        """One poll as a machine-readable document: the raw
-        ``cluster_stats`` plus per-address QPS (None on the first poll)."""
-        doc = self.client.cluster_stats()
-        qps = self._node_qps(doc, time.monotonic())
-        return {"cluster": doc, "qps": qps}
-
-    def _node_qps(self, doc, now):
+    def _qps(self, doc, now):
         qps = {}
         seen = set()
         for node in doc.get("nodes", ()):

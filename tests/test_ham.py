@@ -9,6 +9,7 @@ from repro.core.dsl import parse_graphical_query
 from repro.datasets.airlines import figure12_graph
 from repro.errors import StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel
+from repro.ham import store as store_module
 from repro.ham.store import HAMStore
 
 
@@ -391,25 +392,29 @@ class TestOrderedDelivery:
 
 
 class TestHistoryTruncation:
+    """The log trims itself; ``HISTORY_WINDOW`` is 2 here, so a commit that
+    brings it to 4 records folds the oldest 2 into the ``graph_at`` base."""
+
+    @pytest.fixture(autouse=True)
+    def small_window(self, monkeypatch):
+        monkeypatch.setattr(store_module, "HISTORY_WINDOW", 2)
+
     def fill(self, store, n):
         session = store.session()
-        for i in range(n):
+        for i in range(store.version, store.version + n):
             with session.transaction() as txn:
                 txn.add_edge(f"n{i}", f"n{i + 1}", "x")
 
     def test_truncate_keeps_recent_records(self, store):
         self.fill(store, 6)
-        dropped = store.truncate_history(keep_last=2)
-        assert dropped == 4
         assert [r.version for r in store.history()] == [5, 6]
         assert store.stats()["retained_records"] == 2
         assert store.stats()["base_version"] == 4
 
     def test_graph_at_selects_by_record_version_after_truncation(self, store):
         self.fill(store, 6)
-        store.truncate_history(keep_last=3)
-        # Retained records carry versions 4..6; position-based indexing
-        # would hand back the wrong snapshots here.
+        # Retained records carry versions 5..6 over the base at 4;
+        # position-based indexing would hand back the wrong snapshots here.
         for version in (4, 5, 6):
             assert store.graph_at(version).edge_count() == version
         assert store.graph_at(6).has_edge("n5", "n6", "x")
@@ -417,24 +422,20 @@ class TestHistoryTruncation:
 
     def test_graph_at_below_base_fails_without_durability(self, store):
         self.fill(store, 5)
-        store.truncate_history(keep_last=1)
+        assert store.stats()["base_version"] == 2
         with pytest.raises(StoreError, match="predates the retained history"):
-            store.graph_at(2)
+            store.graph_at(1)
 
     def test_truncate_all_history(self, store):
-        self.fill(store, 3)
-        assert store.truncate_history() == 3
-        assert store.history() == []
-        assert store.graph_at(3).edge_count() == 3
+        self.fill(store, 4)
+        assert [r.version for r in store.history()] == [3, 4]
+        assert store.graph_at(2).edge_count() == 2
         # New commits build on the folded base.
         self.fill(store, 1)
-        assert store.version == 4
+        assert store.version == 5
+        assert store.graph_at(5).edge_count() == 5
 
     def test_truncate_noop_when_short(self, store):
-        self.fill(store, 2)
-        assert store.truncate_history(keep_last=5) == 0
-        assert len(store.history()) == 2
-
-    def test_truncate_rejects_negative(self, store):
-        with pytest.raises(StoreError):
-            store.truncate_history(keep_last=-1)
+        self.fill(store, 3)  # one record short of a trim
+        assert len(store.history()) == 3
+        assert store.stats()["base_version"] == 0

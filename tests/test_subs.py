@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.dsl import parse_graphical_query
 from repro.core.engine import GraphLogEngine
-from repro.errors import NotMaintainable, SubscriptionError
+from repro.errors import NotMaintainable, StoreError, SubscriptionError
 from repro.graphs.bridge import EdgeLabel
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham.store import HAMStore
@@ -394,16 +394,17 @@ class TestSubscriptionManager:
         # A failed maintenance pass whose previous version is no longer
         # retained has no delta to report: the subscribers get a snapshot.
         store, mgr, plans = manager
-        store.unsubscribe(mgr._on_commit)
-        store.subscribe(lambda record: store.truncate_history(0))
-        store.subscribe(mgr._on_commit)
         sink = FakeSink()
         sub, _, _ = mgr.subscribe(plans.get("graphlog", REACH), {}, sink)
+
+        def gone(version):  # the re-materialization at record.version - 1 raises
+            raise StoreError(f"version {version} predates the retained history")
 
         def boom(database, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(sub.view.maintenance, "maintain", boom)
+        monkeypatch.setattr(store, "graph_at", gone)
         version = add_edge(store, "c", "d")
         monkeypatch.undo()
         frames, _ = mgr.drain(sink)

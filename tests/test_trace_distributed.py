@@ -116,11 +116,13 @@ class TestTraceGetOp:
     def test_slowlog_fallback_when_ring_evicted(self):
         service = QueryService(
             store=flights_store(),
-            config=ServiceConfig(trace_sample=1.0, trace_ring_size=1, slow_ms=0.0),
+            config=ServiceConfig(trace_sample=1.0, slow_ms=0.0),
         )
         trace_id = service.execute({"op": "datalog", "query": TC_PROGRAM})["trace_id"]
-        # Evict the ring entry with a later traced request.
-        service.execute({"op": "rpq", "query": "e+"})
+        # Evict the ring entry with as many later traced requests as it holds.
+        for _ in range(service.traces.capacity):
+            service.execute({"op": "rpq", "query": "e+"})
+        assert not service.traces.find(trace_id)
         result = service.execute({"op": "trace_get", "trace_id": trace_id})["result"]
         assert result["found"] is True
         assert result["source"] == "slowlog"

@@ -8,6 +8,7 @@ from repro.datalog.database import Database
 from repro.datalog.dred import MaintenancePlan
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
+from repro.errors import StoreError
 from repro.graphs.bridge import EdgeLabel
 from repro.ham.image import StoreImages
 from repro.ham.store import HAMStore, TransactionRecord
@@ -354,13 +355,16 @@ class TestStoreLevelView:
         # No retained version to restore the old answer from: the view
         # re-materializes at the record's version and says so, once.
         store = self._store()
-        store.subscribe(lambda record: store.truncate_history(0))
         view, changes = watch(store, REACH)
+
+        def gone(version):  # the re-materialization at record.version - 1 raises
+            raise StoreError(f"version {version} predates the retained history")
 
         def boom(state, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(view.maintenance, "maintain", boom)
+        monkeypatch.setattr(store, "graph_at", gone)
         with store.session().transaction() as txn:
             txn.add_edge("c", "d", EdgeLabel("link"))
         monkeypatch.undo()
