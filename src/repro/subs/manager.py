@@ -41,7 +41,7 @@ import time
 from repro import obs
 from repro.core.translate import DOMAIN_PREDICATE
 from repro.obs import context as trace_context
-from repro.errors import ArityError, NotMaintainable, ProtocolError, SubscriptionError
+from repro.errors import ArityError, NotMaintainable, ProtocolError, StoreError, SubscriptionError
 from repro.ham.image import StoreImages
 from repro.ham.views import Holder, MaterializedView, ViewReset
 from repro.obs.metrics import HistogramData, MetricFamily, table_families
@@ -295,13 +295,20 @@ class SubscriptionManager:
         registered.  Its snapshot was taken outside the lock, so commits may
         have been dispatched (to the *other* views) in between; the view's
         own version guard (:meth:`MaterializedView.apply`) makes a record it
-        is later handed again a no-op."""
+        is later handed again a no-op.
+
+        Read outside dispatch, the records are not held by the trim's mark
+        (the dispatched version, maybe ahead of the view): one a commit trims
+        meanwhile fails ``apply``'s fallback, and the view, held by nobody
+        yet, re-materializes at the current version instead."""
         records = self.store.records_since(view.version)
-        if records is None:  # the history between was truncated away
+        try:
+            for record in records or ():
+                view.apply(record)
+        except StoreError:  # ViewReset is one
+            records = None
+        if records is None:  # the history between is no longer retained
             view.refresh()
-            return
-        for record in records:
-            view.apply(record)
 
     # ------------------------------------------------------------ dispatch
 
