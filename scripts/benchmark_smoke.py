@@ -81,10 +81,12 @@ checks every answer against the naive walker, its specification:
   edge, re-add edge) through a durable :class:`QueryService` with one
   subscriber, on a 750-edge and on a 7 500-edge chains graph, may call
   ``LabeledMultigraph.add_edge`` — the only place an ``Edge`` is made —
-  exactly twice per added edge (once in the transaction's workspace, once in
-  the version the commit publishes), whatever the graph's size; and the
-  final graph, the subscriber's rows and a fresh query all equal the naive
-  oracle.  A refactor that goes back to rebuilding the graph per commit
+  exactly once per added edge (in the version the commit publishes) and
+  ``LabeledMultigraph.copy`` exactly once per commit (the version it
+  derives; 100 commits stay below the log's trim), whatever the graph's
+  size; and the final graph, the subscriber's rows and a fresh query all
+  equal the naive oracle.  A refactor that goes back to rebuilding the
+  graph per commit, or that gives a transaction a graph of its own again,
   fails here instead of only moving a latency.  Every WAL payload those
   commits wrote holds exactly ``txn``, ``session``, ``version`` and
   ``ops``, and recovering the data directory into a fresh store derives
@@ -1018,16 +1020,21 @@ class _Sink:
 
 
 def check_commits_share_structure():
-    """50 × (remove edge, re-add edge) on 750 and on 7 500 edges: two
-    ``add_edge`` calls per added edge, at either size; WAL payloads of
-    operations only, from which recovery derives the live deltas."""
+    """50 × (remove edge, re-add edge) on 750 and on 7 500 edges: one
+    ``add_edge`` call per added edge and one graph copy per commit, at
+    either size; WAL payloads of operations only, from which recovery
+    derives the live deltas."""
     rounds, chain_nodes = 50, 16
-    calls = []
-    original = LabeledMultigraph.add_edge
+    calls, copies = [], []
+    original, original_copy = LabeledMultigraph.add_edge, LabeledMultigraph.copy
 
     def counted(self, source, target, label):
         calls.append((source, target))
         return original(self, source, target, label)
+
+    def counted_copy(self):
+        copies.append(self.edge_count())
+        return original_copy(self)
 
     for chains in (50, 500):
         database = Database()
@@ -1049,8 +1056,8 @@ def check_commits_share_structure():
                 fail(f"sharing {edges} edges: subscribe failed: {subscribed!r}")
             rows = {tuple(row) for row in subscribed["result"]["snapshot"]["reach"]}
             loaded = service.store.version
-            del calls[:]
-            LabeledMultigraph.add_edge = counted
+            del calls[:], copies[:]
+            LabeledMultigraph.add_edge, LabeledMultigraph.copy = counted, counted_copy
             try:
                 for i in range(rounds):
                     chain = i % chains
@@ -1058,7 +1065,7 @@ def check_commits_share_structure():
                     execute(service, {"op": "update", "remove_edges": edge})
                     execute(service, {"op": "update", "edges": edge})
             finally:
-                LabeledMultigraph.add_edge = original
+                LabeledMultigraph.add_edge, LabeledMultigraph.copy = original, original_copy
             frames, _disconnect = service.subs.drain(sink)
             for frame in frames:
                 rows -= {tuple(row) for row in frame.get("deleted", {}).get("reach", ())}
@@ -1083,11 +1090,17 @@ def check_commits_share_structure():
                 f"sharing {edges} edges: recovery derived deltas other than the "
                 "live store's — does replay stage a commit differently?"
             )
-        if len(calls) != 2 * rounds:
+        if len(calls) != rounds:
             fail(
                 f"sharing {edges} edges: {rounds} added edges took {len(calls)} "
-                f"add_edge calls, expected {2 * rounds} — is a commit rebuilding "
-                "the graph again?"
+                f"add_edge calls, expected {rounds} — is a commit rebuilding "
+                "the graph, or applying its operations twice, again?"
+            )
+        if len(copies) != 2 * rounds:
+            fail(
+                f"sharing {edges} edges: {2 * rounds} commits took {len(copies)} "
+                f"graph copies, expected {2 * rounds} — does a transaction "
+                "derive a graph of its own again?"
             )
         if len(frames) != 2 * rounds:
             fail(f"sharing {edges} edges: {len(frames)} delta frames for {2 * rounds} commits")
@@ -1101,7 +1114,7 @@ def check_commits_share_structure():
             fail(f"sharing {edges} edges: final graph differs from the loaded one")
         print(
             f"sharing: {edges} edges, {rounds} re-added: add_edge calls={len(calls)}, "
-            f"WAL bytes/commit={wal_bytes / (2 * rounds):.0f}"
+            f"graph copies={len(copies)}, WAL bytes/commit={wal_bytes / (2 * rounds):.0f}"
         )
 
 

@@ -247,8 +247,9 @@ def compute_delta(graph, operations, facts):
     for op in operations:
         if op.kind == _Op.REMOVE_NODE:
             (node,) = op.args
-            existed.setdefault(node, graph.has_node(node))
-            names = _annotation_names(graph.node_label(node))
+            present = graph.has_node(node)
+            existed.setdefault(node, present)
+            names = _annotation_names(graph.node_label(node)) if present else ()
             incident = {edge.key: edge for edge in graph.out_edges(node) + graph.in_edges(node)}
             op.apply(graph)
             for edge in incident.values():

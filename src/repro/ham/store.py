@@ -5,8 +5,8 @@ general-purpose, transaction-based, multiuser server for a hypertext storage
 system".  This module provides the equivalent in-process substrate:
 
 - a versioned graph: every committed transaction produces a new version;
-- transactions with begin/commit/abort and snapshot isolation (a session
-  reads the version current when its transaction began);
+- transactions with begin/commit/abort: a commit applies the operations a
+  transaction buffered to the version current then;
 - history: a past version is reconstructed by replaying the retained log
   from its base — the last ``HISTORY_WINDOW`` or more versions, durable
   store or not; an older one raises :class:`StoreError`;
@@ -30,11 +30,6 @@ from repro.ham.delta import compute_delta, domain_refs, fact_counts, fold_domain
 
 logger = logging.getLogger(__name__)
 
-#: What an operation the graph cannot take raises: ``KeyError`` for a
-#: missing node, :class:`StoreError` for a missing edge.  A local commit, a
-#: replicated apply and WAL replay all refuse a record on exactly these.
-UNREPLAYABLE = (KeyError, StoreError)
-
 #: Records the commit log keeps behind the current version: once it holds
 #: twice this many, the older ones fold into the ``graph_at`` base in one
 #: batch (see :meth:`HAMStore._retain_locked` for what holds them longer).
@@ -55,7 +50,9 @@ def new_epoch():
 
 
 class _Op:
-    """One replayable operation of the commit log."""
+    """One replayable operation of the commit log.  :meth:`apply` raises
+    :class:`StoreError` for a missing node or edge: a commit, a replicated
+    apply and WAL replay all refuse a record on exactly that."""
 
     __slots__ = ("kind", "args")
 
@@ -70,14 +67,14 @@ class _Op:
         self.args = args
 
     def apply(self, graph):
+        node = self.args[0]
+        if self.kind in (self.SET_NODE_LABEL, self.REMOVE_NODE) and not graph.has_node(node):
+            raise StoreError(f"node {node!r} not found")
         if self.kind == self.ADD_NODE:
-            node, label = self.args
-            graph.add_node(node, label)
+            graph.add_node(node, self.args[1])
         elif self.kind == self.SET_NODE_LABEL:
-            node, label = self.args
-            graph.set_node_label(node, label)
+            graph.set_node_label(node, self.args[1])
         elif self.kind == self.REMOVE_NODE:
-            (node,) = self.args
             graph.remove_node(node)
         elif self.kind == self.ADD_EDGE:
             source, target, label = self.args
@@ -120,9 +117,9 @@ def _edge_to_remove(graph, source, target, label):
 def derive_version(base, records=()):
     """The graph *records* make of *base*: a new graph, *base* untouched.
 
-    Every place a version comes from its predecessor — a transaction's
-    workspace, a staged commit, a replicated apply, history replay and the
-    log's trim, recovery — derives it here.  The result shares *base*'s
+    Every place a version comes from its predecessor — a staged commit or
+    replicated apply, WAL replay at recovery, the log's trim and
+    ``graph_at`` — derives it here.  The result shares *base*'s
     edges and every adjacency list the replayed operations do not write to
     (see :meth:`LabeledMultigraph.copy`), so deriving costs the C-level
     index copies plus the operations, not a rebuild of the graph.
@@ -155,12 +152,19 @@ class TransactionRecord:
 
 
 class Transaction:
-    """A buffered unit of work; apply through a :class:`Session`."""
+    """A buffered unit of work: the operations it records, and nothing else.
+
+    No operation is applied before :meth:`commit`, which stages them all on
+    the version current then (:meth:`HAMStore._stage_locked`).  So a
+    transaction does not read its own writes, and an operation the graph
+    cannot take (a missing node or edge) fails the commit with
+    :class:`TransactionError`, not the call that recorded it.  A commit that
+    fails leaves the transaction aborted: its session can begin another.
+    """
 
     def __init__(self, session):
         self._session = session
         self._ops = []
-        self._workspace = session.snapshot()
         self.state = "active"  # active | committed | aborted
 
     # ------------------------------------------------------------- edits
@@ -168,7 +172,6 @@ class Transaction:
     def _record(self, op):
         if self.state != "active":
             raise TransactionError(f"transaction is {self.state}")
-        op.apply(self._workspace)  # validate eagerly against the workspace
         self._ops.append(op)
 
     def add_node(self, node, label=None):
@@ -189,14 +192,10 @@ class Transaction:
 
     # ------------------------------------------------------------ control
 
-    @property
-    def workspace(self):
-        """The transaction's private view (committed snapshot + local edits)."""
-        return self._workspace
-
     def commit(self):
         if self.state != "active":
             raise TransactionError(f"cannot commit a {self.state} transaction")
+        self.state = "aborted"  # unless the store takes the operations
         self._session._commit(self._ops)
         self.state = "committed"
 
@@ -227,11 +226,6 @@ class Session:
         self._store = store
         self.session_id = next(Session._ids)
         self._active = None
-
-    def snapshot(self):
-        """A private version of the current committed graph: free to
-        mutate, sharing with it whatever is never written."""
-        return derive_version(self._store.graph)
 
     def transaction(self):
         if self._active is not None and self._active.state == "active":
@@ -364,8 +358,8 @@ class HAMStore:
         by default a new version derived from the current graph — the one
         staging path of a commit, a replicated apply and :meth:`replay`,
         timed as ``commit.stage``.  Under ``self._lock``: two commits staged
-        from one base would each drop the other's edit.  Raises one of
-        :data:`UNREPLAYABLE`."""
+        from one base would each drop the other's edit.  Raises
+        :class:`StoreError` for an operation the graph cannot take."""
         started = time.perf_counter()
         if staged is None:
             staged = derive_version(self.graph)
@@ -374,9 +368,10 @@ class HAMStore:
         return staged, delta, changes
 
     def _apply_commit(self, session_id, ops):
-        # Operations were validated against the transaction workspace; apply
-        # them to the authoritative graph (last-committer-wins at the
-        # operation level; a conflicting replay error aborts the commit).
+        # Staging applies the operations for the first time, to a version
+        # derived from the current graph (last-committer-wins at the
+        # operation level): one the graph cannot take aborts the commit
+        # before anything is logged, installed or dispatched.
         if self._read_only:
             raise StoreError(
                 "store is read-only (replica); writes must go to the primary"
@@ -384,8 +379,8 @@ class HAMStore:
         with self._lock:
             try:
                 staged, delta, changes = self._stage_locked(ops)
-            except UNREPLAYABLE as exc:
-                raise TransactionError(f"commit conflict: {exc}") from exc
+            except StoreError as exc:
+                raise TransactionError(f"commit refused: {exc}") from exc
             record = TransactionRecord(
                 self._next_txn_id,
                 session_id,
@@ -585,7 +580,7 @@ class HAMStore:
                 )
             try:
                 staged, delta, changes = self._stage_locked(record.operations)
-            except UNREPLAYABLE as exc:
+            except StoreError as exc:
                 raise StoreError(
                     f"cannot apply replicated version {record.version}: {exc}"
                 ) from exc
@@ -632,7 +627,7 @@ class HAMStore:
         decodes them, before anything reads the store) the way a commit
         installs its own, with no WAL append, no hooks and no churn counts;
         all are staged on one derived copy.  Stops at the first record the
-        graph cannot take (:data:`UNREPLAYABLE`), leaving the store at the
+        graph cannot take (a :class:`StoreError`), leaving the store at the
         one before it; returns how many records it installed."""
         records = list(records)
         with self._lock:
@@ -654,7 +649,7 @@ class HAMStore:
                     _staged, record.delta, changes = self._stage_locked(
                         record.operations, staged
                     )
-                except UNREPLAYABLE as exc:
+                except StoreError as exc:
                     logger.warning("replay stops at version %d: %r", record.version, exc)
                     # The refused record's earlier operations already applied.
                     self.graph = derive_version(start, records[:installed])

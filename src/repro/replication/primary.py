@@ -35,8 +35,9 @@ from repro.persist.serde import record_to_json
 
 logger = logging.getLogger(__name__)
 
-#: Hard ceiling on records per tail response (keeps one response line sane).
-MAX_TAIL_BATCH = 4096
+#: Records per tail response: what a replica's poll gets, and the most a
+#: request's ``max_records`` can ask for (keeps one response line sane).
+TAIL_BATCH = 512
 
 #: Hard ceiling on one long-poll (the server's request timeout must win).
 MAX_TAIL_WAIT_MS = 30_000
@@ -45,10 +46,9 @@ MAX_TAIL_WAIT_MS = 30_000
 class ReplicationSource:
     """Serves bootstrap snapshots and commit-record tails off one store."""
 
-    def __init__(self, store, durability=None, max_batch=512):
+    def __init__(self, store, durability=None):
         self.store = store
         self.durability = durability
-        self.max_batch = min(max_batch, MAX_TAIL_BATCH)
         self._lock = threading.Lock()
         self._bootstraps_served = 0
         self._tail_requests = 0
@@ -108,7 +108,7 @@ class ReplicationSource:
         *from_version* — replica ahead of the primary, or history pruned
         past it — and the replica must re-bootstrap.
         """
-        limit = self.max_batch if max_records is None else min(max_records, self.max_batch)
+        limit = TAIL_BATCH if max_records is None else min(max_records, TAIL_BATCH)
         wait_s = min(max(wait_ms, 0), MAX_TAIL_WAIT_MS) / 1000.0
         with self._lock:
             self._tail_requests += 1

@@ -53,7 +53,6 @@ class ReplicaApplier:
         primary_host,
         primary_port,
         wait_ms=2000,
-        batch=512,
         reconnect_min=0.1,
         reconnect_max=5.0,
         client_timeout=30.0,
@@ -65,7 +64,6 @@ class ReplicaApplier:
         self.primary_host = primary_host
         self.primary_port = int(primary_port)
         self.wait_ms = wait_ms
-        self.batch = batch
         self.reconnect_min = reconnect_min
         self.reconnect_max = reconnect_max
         self.client_timeout = client_timeout
@@ -283,7 +281,6 @@ class ReplicaApplier:
         response = client.call(
             "repl_tail",
             from_version=self.store.version,
-            max_records=self.batch,
             wait_ms=self.wait_ms,
         )
         body = response["result"]

@@ -12,6 +12,8 @@ scratch, and ``Engine(method="naive")`` for answers.
 from __future__ import annotations
 
 import json
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,16 +21,17 @@ from hypothesis import strategies as st
 
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
-from repro.errors import StoreError
+from repro.errors import StoreError, TransactionError
 from repro.graphs.bridge import EdgeLabel, database_from_graph
 from repro.ham.delta import domain_refs, fact_counts
 from repro.ham.image import StoreImages
-from repro.ham.store import HAMStore, TransactionRecord, _Op
+from repro.ham.store import HAMStore, TransactionRecord, _Op, derive_version
+from repro.persist import DurabilityManager, PersistenceConfig, wal
 from repro.persist.serde import record_from_json, record_to_json
 from repro.service.prepared import PreparedQueryCache
 from repro.service.server import QueryService, ServiceConfig
 from repro.subs import SubscriptionManager
-from tests.test_image import decoded
+from tests.test_image import decoded, record
 
 # Two items encoding one fact, then the removal of one of them: the fact
 # still holds.  Tuple nodes do not travel on the wire, so these commit
@@ -251,25 +254,25 @@ def _other_form(label):
     return EdgeLabel(label)
 
 
-def _apply(txn, operation):
+def _apply(txn, model, operation):
     kind, *args = operation
     if kind == "remove_edge":
         index, respell = args
-        edges = list(txn.workspace.edges)
+        edges = list(model.edges)
         if not edges:
             return
         edge = edges[index % len(edges)]
         label = _other_form(edge.label) if respell else edge.label
-        txn.remove_edge(edge.source, edge.target, label)
+        record(txn, model, "remove_edge", edge.source, edge.target, label)
     elif kind == "remove_node":
-        if txn.workspace.has_node(args[0]):
-            txn.remove_node(args[0])
+        if model.has_node(args[0]):
+            record(txn, model, "remove_node", args[0])
     elif kind == "set_node_label":
         node, label = args[0]
-        if txn.workspace.has_node(node):
-            txn.set_node_label(node, label)
+        if model.has_node(node):
+            record(txn, model, "set_node_label", node, label)
     else:
-        getattr(txn, kind)(*args[0])
+        record(txn, model, kind, *args[0])
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -280,9 +283,10 @@ def test_counted_deltas_match_a_recount_after_every_commit(commits):
     held = {}  # the net of every delta so far: predicate -> rows
     for operations in commits:
         nodes_before = set(store.graph.nodes)
+        model = derive_version(store.graph)
         with store.session().transaction() as txn:
             for operation in operations:
-                _apply(txn, operation)
+                _apply(txn, model, operation)
         version, graph = store.snapshot_versioned()
         delta = store.history()[-1].delta
         for predicate, rows in delta.deletions.items():
@@ -299,3 +303,87 @@ def test_counted_deltas_match_a_recount_after_every_commit(commits):
             p: set(database.facts(p)) for p in database.predicates
         }
         assert decoded(images.at(version, graph).facts) == database
+
+
+# ------------------------------------------- an operation the graph cannot take
+
+GHOST = "ghost"  # a node no valid operation below names
+INVALID = [
+    _Op(_Op.REMOVE_EDGE, "a", GHOST, "e"),
+    _Op(_Op.REMOVE_NODE, GHOST),
+    _Op(_Op.SET_NODE_LABEL, GHOST, "c"),
+]
+
+
+def _valid_operations(rng, model):
+    """1–4 random operations *model* can take, applied to it in turn."""
+    operations = []
+    for _ in range(rng.randint(1, 4)):
+        nodes, edges = list(model.nodes), list(model.edges)
+        roll = rng.random()
+        if roll < 0.45 or not nodes:
+            label = rng.choice(["e", EdgeLabel("e"), "f"])
+            op = _Op(_Op.ADD_EDGE, rng.choice(VALUES), rng.choice(VALUES + PAIRS), label)
+        elif roll < 0.65 and edges:
+            edge = rng.choice(edges)
+            op = _Op(_Op.REMOVE_EDGE, edge.source, edge.target, edge.label)
+        elif roll < 0.8:
+            op = _Op(_Op.SET_NODE_LABEL, rng.choice(nodes), rng.choice([None, "c", "m"]))
+        elif roll < 0.9:
+            op = _Op(_Op.ADD_NODE, rng.choice(VALUES + PAIRS), rng.choice([None, "c"]))
+        else:
+            op = _Op(_Op.REMOVE_NODE, rng.choice(nodes))
+        op.apply(model)
+        operations.append(op)
+    return operations
+
+
+def _by_predicate(facts):
+    rows = defaultdict(set)
+    for predicate, row in facts:
+        rows[predicate].add(row)
+    return dict(rows)
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+@pytest.mark.parametrize("seed", range(6))
+def test_an_invalid_operation_fails_the_commit_and_changes_nothing(tmp_path, durable, seed):
+    """One operation the graph cannot take, anywhere in a valid list, fails
+    the commit: nothing is staged, logged or dispatched, and the session
+    commits the valid list next with the delta a recount gives."""
+    rng = random.Random(seed)
+    manager = DurabilityManager(PersistenceConfig(str(tmp_path), fsync="off")) if durable else None
+    store = manager.recover() if durable else HAMStore()
+    hooks = []
+    store.subscribe(hooks.append)
+
+    def state():
+        logged = len(list(wal.iter_records(manager.wal_dir))) if durable else 0
+        return store.version, store.graph, dict(store._facts), len(hooks), logged
+
+    session = store.session()
+    try:
+        for _ in range(12):
+            operations = _valid_operations(rng, derive_version(store.graph))
+            refused = list(operations)
+            refused.insert(rng.randint(0, len(operations)), rng.choice(INVALID))
+            before = state()
+            with pytest.raises(TransactionError, match="not found"):
+                with session.transaction() as txn:
+                    for op in refused:
+                        getattr(txn, op.kind)(*op.args)
+            assert state() == before and store.graph is before[1]
+            with session.transaction() as txn:
+                for op in operations:
+                    getattr(txn, op.kind)(*op.args)
+            assert_counts(store)
+            was, now = set(before[2]), set(fact_counts(store.graph))
+            delta = store.history()[-1].delta
+            assert {p: rows for p, rows in delta.insertions.items() if rows} == _by_predicate(now - was)
+            assert {p: rows for p, rows in delta.deletions.items() if rows} == _by_predicate(was - now)
+            after = state()
+            assert after[3] == before[3] + 1  # one hook call
+            assert after[4] == before[4] + (1 if durable else 0)  # one WAL record
+    finally:
+        if manager is not None:
+            manager.close()

@@ -48,7 +48,6 @@ class TestTransactions:
         txn = session.transaction()
         txn.add_edge("a", "b", "x")
         assert store.graph.edge_count() == 0  # not yet committed
-        assert txn.workspace.edge_count() == 1  # visible to the transaction
         txn.commit()
         assert store.graph.edge_count() == 1
 
@@ -74,10 +73,16 @@ class TestTransactions:
             session.transaction()
 
     def test_remove_missing_edge_fails_eagerly(self, store):
-        session = store.session()
-        txn = session.transaction()
-        with pytest.raises(StoreError):
-            txn.remove_edge("a", "b", "x")
+        with store.session().transaction() as txn:
+            txn.add_edge("a", "b", "x")
+        graph = store.graph
+        txn = store.session().transaction()
+        txn.remove_edge("a", "c", "x")  # recorded, applied only at commit
+        with pytest.raises(TransactionError):
+            txn.commit()
+        assert store.version == 1
+        assert store.graph is graph
+        assert store.graph.edge_count() == 1
 
     def test_snapshot_isolation(self, store):
         session1 = store.session()
@@ -85,9 +90,8 @@ class TestTransactions:
         txn1 = session1.transaction()
         txn1.add_edge("a", "b", "x")
         txn2 = session2.transaction()
-        # txn2 began before txn1 committed: its workspace is empty.
+        # txn2 began before txn1 committed.
         txn1.commit()
-        assert txn2.workspace.edge_count() == 0
         txn2.add_edge("c", "d", "y")
         txn2.commit()
         # Both commits are applied to the store.

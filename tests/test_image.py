@@ -21,13 +21,13 @@ from repro.datalog.columnar import EncodedDatabase
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
-from repro.errors import ArityError, StoreError, TransactionError
+from repro.errors import ArityError, StoreError
 from repro.graphs.bridge import EdgeLabel, GraphSchema, database_from_graph
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham import store as store_module
 from repro.ham.delta import Delta, domain_refs, fact_counts, fold_domain_refs, net_delta
 from repro.ham.image import _CATALOG_SLACK, StoreImage, StoreImages
-from repro.ham.store import HAMStore
+from repro.ham.store import HAMStore, _Op, derive_version
 from repro.persist.serde import record_from_json, record_to_json
 from repro.rpq.evaluate import RPQEvaluator
 from repro.service.server import QueryService, ServiceConfig
@@ -53,37 +53,51 @@ RPQ = "(-e . f)+"
 # ------------------------------------------------------------------ commits
 
 
+def record(txn, model, kind, *args):
+    """Record one operation on *txn*, applying it to *model* first: the
+    graph the transaction's operations make of the version it began on,
+    which a generator reads to pick a valid next operation (a transaction
+    holds its operations, not a graph)."""
+    _Op(kind, *args).apply(model)
+    getattr(txn, kind)(*args)
+
+
 def random_commit(rng, store):
     """Commit one random transaction (1–3 operations); False when it
     conflicted and nothing was committed."""
     graph = store.graph
+    model = derive_version(graph)
     session = store.session()
     try:
         with session.transaction() as txn:
             for _ in range(rng.randint(1, 3)):
-                edges = list(txn.workspace.edges)
-                nodes = list(txn.workspace.nodes)
+                edges = list(model.edges)
+                nodes = list(model.nodes)
                 kind = rng.random()
                 if kind < 0.40 or not nodes:
                     # Parallel copies of one fact arise on their own: "e" and
                     # EdgeLabel("e") encode the same tuple.
-                    txn.add_edge(rng.choice(NODES), rng.choice(NODES), rng.choice(EDGE_LABELS))
+                    record(
+                        txn, model, "add_edge",
+                        rng.choice(NODES), rng.choice(NODES), rng.choice(EDGE_LABELS),
+                    )
                 elif kind < 0.60 and edges:
                     edge = rng.choice(edges)
-                    txn.remove_edge(edge.source, edge.target, edge.label)
+                    record(txn, model, "remove_edge", edge.source, edge.target, edge.label)
                 elif kind < 0.75:
-                    txn.set_node_label(rng.choice(nodes), rng.choice(NODE_LABELS))
+                    record(txn, model, "set_node_label", rng.choice(nodes), rng.choice(NODE_LABELS))
                 elif kind < 0.85:
-                    txn.add_node(rng.choice(NODES), rng.choice(NODE_LABELS))
+                    record(txn, model, "add_node", rng.choice(NODES), rng.choice(NODE_LABELS))
                 elif kind < 0.93:
-                    txn.remove_node(rng.choice(nodes))  # with its incident edges
+                    # With its incident edges.
+                    record(txn, model, "remove_node", rng.choice(nodes))
                 elif edges:
                     # Empty one relation outright; later adds refill it.
                     predicate = _predicate(rng.choice(edges).label)
                     for edge in edges:
                         if _predicate(edge.label) == predicate:
-                            txn.remove_edge(edge.source, edge.target, edge.label)
-    except (TransactionError, StoreError, KeyError):
+                            record(txn, model, "remove_edge", edge.source, edge.target, edge.label)
+    except StoreError:
         assert store.graph is graph
         return False
     return True

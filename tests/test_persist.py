@@ -15,7 +15,7 @@ from repro.graphs.bridge import EdgeLabel
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham import store as store_module
 from repro.ham.delta import compute_delta, domain_refs, fact_counts
-from repro.ham.store import HAMStore, TransactionRecord, _Op
+from repro.ham.store import HAMStore, TransactionRecord, _Op, derive_version
 from repro.persist import (
     DurabilityManager,
     PersistenceConfig,
@@ -29,6 +29,7 @@ from repro.persist import (
     write_checkpoint,
 )
 from repro.persist import wal as wal_mod
+from tests.test_image import record
 
 
 def durable_store(data_dir, **kwargs):
@@ -615,21 +616,22 @@ _edit = st.tuples(
 )
 
 
-def _apply_edit(txn, kind, i, j, k):
-    """One random edit, steered to what the workspace can take."""
-    graph, node = txn.workspace, _NODES[i]
+def _apply_edit(txn, graph, kind, i, j, k):
+    """One random edit, steered to what *graph* can take: the graph the
+    transaction's operations so far make of the version it began on."""
+    node = _NODES[i]
     if kind == "add_edge":
-        txn.add_edge(node, _NODES[j], _EDGE_LABELS[k % len(_EDGE_LABELS)])
+        record(txn, graph, "add_edge", node, _NODES[j], _EDGE_LABELS[k % len(_EDGE_LABELS)])
     elif kind == "remove_edge" and graph.edge_count():
         edge = list(graph.edges)[(i * len(_NODES) + j) % graph.edge_count()]
         label = _SPELLINGS.get(edge.label, edge.label) if k % 2 else edge.label
-        txn.remove_edge(edge.source, edge.target, label)
+        record(txn, graph, "remove_edge", edge.source, edge.target, label)
     elif kind == "remove_node" and graph.has_node(node):
-        txn.remove_node(node)
+        record(txn, graph, "remove_node", node)
     elif kind == "add_node":
-        txn.add_node(node, _NODE_LABELS[k % len(_NODE_LABELS)])
+        record(txn, graph, "add_node", node, _NODE_LABELS[k % len(_NODE_LABELS)])
     elif kind == "set_node_label" and graph.has_node(node):
-        txn.set_node_label(node, _NODE_LABELS[k % len(_NODE_LABELS)])
+        record(txn, graph, "set_node_label", node, _NODE_LABELS[k % len(_NODE_LABELS)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -649,9 +651,10 @@ def test_replicas_and_recovery_derive_the_primarys_deltas(commits):
             txn.add_edge("b", "a", EdgeLabel("hop", (3,)))
             txn.add_node(("t", 1), frozenset({"mark"}))
         for edits in commits:
+            model = derive_version(primary.graph)
             with session.transaction() as txn:
                 for edit in edits:
-                    _apply_edit(txn, *edit)
+                    _apply_edit(txn, model, *edit)
         manager.close()
         replica = HAMStore()
         for record in primary.history():

@@ -785,6 +785,30 @@ class TestProtocol:
     @pytest.mark.parametrize(
         "payload",
         [
+            {"op": "update", "remove_nodes": ["nope"]},
+            {"op": "update", "edges": [["a", "e", "z"]], "remove_nodes": ["nope"]},
+            {"op": "update", "remove_edges": [["a", "e", "nope"]]},
+            {"op": "update", "nodes": [["nope", "hub"]], "remove_nodes": ["nope", "nope"]},
+        ],
+    )
+    def test_an_update_naming_what_the_store_lacks_commits_nothing(self, payload):
+        """A node or edge the store does not hold fails the commit as a
+        typed store error (it used to answer ``KeyError`` and count
+        ``errors.internal`` for a missing node)."""
+        store = HAMStore()
+        with store.session().transaction() as txn:
+            txn.add_edge("a", "b", "e")
+        graph = store.graph
+        server = ServiceServer(store=store)
+        response = self.handle(server, {"id": 4, **payload})
+        assert response["error"]["kind"] == "TransactionError", response
+        assert "not found" in response["error"]["message"]
+        assert server.service.metrics.snapshot()["counters"].get("errors.internal", 0) == 0
+        assert store.version == 1 and store.graph is graph
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
             {"op": "slowlog", "limit": "x"},
             {"op": "no-such-op"},
             {"op": "ping", "trace": {"trace_id": 5}},

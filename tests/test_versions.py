@@ -22,7 +22,7 @@ from repro.graphs.bridge import EdgeLabel, graph_from_database
 from repro.graphs.multigraph import LabeledMultigraph
 from repro.ham import store as store_module
 from repro.ham.delta import _edge_fact
-from repro.ham.store import HAMStore
+from repro.ham.store import HAMStore, derive_version
 from repro.io import graph_to_json
 from repro.datalog.database import Database
 from repro.persist import (
@@ -319,7 +319,7 @@ class TestStoreVersions:
             txn.add_edge("a", "c", "x")
         published = store.graph
         before = graph_bytes(published)
-        one, two = store.session().snapshot(), store.session().snapshot()
+        one, two = derive_version(store.graph), derive_version(store.graph)
         one.add_edge("a", "d", "x")
         two.remove_edge(two.out_edges("a")[0])
         with store.session().transaction() as txn:
